@@ -239,7 +239,6 @@ def cmd_serve(args) -> int:
         tenant_inflight=args.tenant_inflight,
         cache_bytes=args.cache_mb << 20,
         fragment_bytes=args.fragment_mb << 20,
-        fragment_cache=False if args.no_fragment_cache else None,
         spill_dir=args.spill_dir,
         workers=args.workers,
         slow_query_s=(args.slow_query_ms or 0.0) / 1e3,
@@ -250,11 +249,9 @@ def cmd_serve(args) -> int:
     async def run() -> None:
         host, port = await server.start()
         ds = service.dataset
-        frag = (f"fragment cache {args.fragment_mb} MiB"
-                if service.fragments_enabled else "fragment cache off")
         print(f"serving {ds.name!r} ({ds.n_rows:,} rows, "
-              f"{ds.n_partitions} shards, {frag}) on {host}:{port}",
-              flush=True)
+              f"{ds.n_partitions} shards, fragment cache "
+              f"{args.fragment_mb} MiB) on {host}:{port}", flush=True)
         if args.ready_file:
             # written after bind: pollers know the port is accepting
             with open(args.ready_file, "w") as fh:
@@ -449,9 +446,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="in-memory result-cache budget (MiB)")
     p_srv.add_argument("--fragment-mb", type=int, default=128,
                        help="per-shard fragment-cache budget (MiB)")
-    p_srv.add_argument("--no-fragment-cache", action="store_true",
-                       help="disable fragment reuse across overlapping "
-                            "queries (answers stay bit-identical)")
     p_srv.add_argument("--spill-dir", default=None,
                        help="optional on-disk result-cache tier")
     p_srv.add_argument("--workers", type=int, default=None,

@@ -33,7 +33,6 @@ from repro.frame.columnar import (
     open_rcs,
     load_rcs,
     zone_map,
-    storage_format,
 )
 from repro.frame.encodings import (
     CODECS,
@@ -71,7 +70,6 @@ __all__ = [
     "open_rcs",
     "load_rcs",
     "zone_map",
-    "storage_format",
     "CODECS",
     "ColumnarFormatError",
     "compression_mode",

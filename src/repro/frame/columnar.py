@@ -8,7 +8,7 @@ Layout of a *Repro Columnar Shard* file::
 
 Each column is either the raw little-endian buffer of one contiguous 1-D
 numpy array, padded to a 64-byte boundary so every mapped view is
-cache-line aligned, or (version 2) a **compressed encoding** of it —
+cache-line aligned, or a **compressed encoding** of it —
 delta/zigzag/varint for sorted integer-like columns, quantized-delta and
 XOR-shuffle for floats, dictionary coding for low-cardinality keys, and
 optional zstd/zlib framing (see :mod:`repro.frame.encodings`).  The footer
@@ -17,8 +17,7 @@ is JSON holding, per column: name, dtype, byte offset, byte length, a
 columns — the self-describing ``enc`` record (codec, parameters, payload
 CRC) that drives decode.  The trailing ``(crc, length, magic)`` tuple lets
 a reader find and *verify* the footer by seeking from the end,
-parquet-style, without scanning the data blocks.  Version 1 files (no
-compression, no footer CRC) still open and read unchanged.
+parquet-style, without scanning the data blocks.
 
 Reads go through ``numpy.memmap``: :meth:`RcsFile.read` returns a
 :class:`~repro.frame.table.Table` whose **raw** columns are views over the
@@ -36,19 +35,16 @@ payload CRC mismatch, out-of-range dictionary code, impossible column
 extent — raises :class:`~repro.frame.encodings.ColumnarFormatError`
 (a ``ValueError``), never a crash or silently wrong data.
 
-``REPRO_STORAGE`` selects the shard format dataset writers use (``rcs``,
-the default, or ``npz`` for the compressed fallback reader);
-``REPRO_RCS_COMPRESSION=off`` pins ``.rcs`` writes to the raw version 1
-byte layout's all-raw columns (still a version 2 container).  Both
-fallbacks read back bit-identical tables.
+``REPRO_RCS_COMPRESSION=off`` pins writes to all-raw columns (same
+container, every column zero-copy readable); both modes read back
+bit-identical tables.
 
 Cold scans additionally hint the kernel: the mapping is marked
 ``MADV_SEQUENTIAL`` at creation and each column's byte range gets a
 page-aligned ``madvise(WILLNEED)`` right before its first
 materialization, so the page cache reads ahead of the copy/decode loop.
-Hints are advisory (failures are swallowed) and ``REPRO_RCS_MADVISE=0``
-opts out entirely; they never change what is read, only when pages
-arrive.
+Hints are advisory (failures are swallowed); they never change what is
+read, only when pages arrive.
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ from repro.frame.encodings import (
 from repro.frame.table import Table
 
 __all__ = [
-    "RCS_MAGIC",
     "RCS_MAGIC2",
     "RCS_VERSION",
     "ColumnarFormatError",
@@ -82,40 +77,17 @@ __all__ = [
     "open_rcs",
     "load_rcs",
     "zone_map",
-    "storage_format",
     "compression_mode",
-    "madvise_enabled",
 ]
 
-RCS_MAGIC = b"RCS1"
 RCS_MAGIC2 = b"RCS2"
 RCS_VERSION = 2
 
 #: column buffers start on 64-byte boundaries (cache-line aligned views)
 _ALIGN = 64
 
-_FORMATS = ("rcs", "npz")
-
 #: page size for madvise range alignment (madvise wants page multiples)
 _PAGE = mmap.ALLOCATIONGRANULARITY
-
-
-def madvise_enabled() -> bool:
-    """Cold-scan readahead hints are on unless ``REPRO_RCS_MADVISE``
-    disables them (``0``/``off``/``false``)."""
-    return os.environ.get("REPRO_RCS_MADVISE", "1").strip().lower() not in (
-        "0", "off", "false"
-    )
-
-
-def storage_format(default: str = "rcs") -> str:
-    """The shard format dataset writers use: ``REPRO_STORAGE`` or ``default``."""
-    fmt = os.environ.get("REPRO_STORAGE") or default
-    if fmt not in _FORMATS:
-        raise ValueError(
-            f"REPRO_STORAGE must be one of {_FORMATS}, got {fmt!r}"
-        )
-    return fmt
 
 
 def _json_scalar(value):
@@ -274,7 +246,7 @@ class RcsFile:
     """A readable ``.rcs`` shard: parsed + verified footer, lazily mapped data.
 
     Opening parses only the footer (two small reads from the file tail),
-    verifies its CRC (version 2) and validates every structural claim —
+    verifies its CRC and validates every structural claim —
     column extents inside the data region, parsable dtypes, raw byte
     counts consistent with the row count, known codecs.  The data region
     is mapped on the first :meth:`read`.  Raw columns come back as
@@ -288,40 +260,26 @@ class RcsFile:
         with open(self.path, "rb") as f:
             f.seek(0, os.SEEK_END)
             size = f.tell()
-            magic_len = len(RCS_MAGIC)
-            if size < magic_len * 2 + 8:
-                raise ColumnarFormatError(
-                    f"not an RCS file (too short): {self.path}"
-                )
-            f.seek(size - magic_len)
-            magic = f.read(magic_len)
-            if magic == RCS_MAGIC:
-                tail = magic_len + 8          # v1 trailer: (len, magic)
-                footer_crc = None
-            elif magic == RCS_MAGIC2:
-                tail = magic_len + 8 + 4      # v2 trailer: (crc, len, magic)
-            else:
-                raise ColumnarFormatError(
-                    f"bad RCS trailer magic in {self.path}"
-                )
+            magic_len = len(RCS_MAGIC2)
+            tail = 4 + 8 + magic_len          # trailer: (crc, len, magic)
             if size < magic_len + tail:
                 raise ColumnarFormatError(
                     f"not an RCS file (too short): {self.path}"
                 )
+            f.seek(size - magic_len)
+            if f.read(magic_len) != RCS_MAGIC2:
+                raise ColumnarFormatError(
+                    f"bad RCS trailer magic in {self.path}"
+                )
             f.seek(size - tail)
-            if magic == RCS_MAGIC:
-                (length,) = struct.unpack("<Q", f.read(8))
-            else:
-                footer_crc, length = struct.unpack("<IQ", f.read(12))
+            footer_crc, length = struct.unpack("<IQ", f.read(12))
             if length > size - tail - magic_len:
                 raise ColumnarFormatError(
                     f"corrupt RCS footer length in {self.path}"
                 )
             f.seek(size - tail - length)
             raw_footer = f.read(length)
-            if footer_crc is not None and (
-                zlib.crc32(raw_footer) & 0xFFFFFFFF
-            ) != footer_crc:
+            if (zlib.crc32(raw_footer) & 0xFFFFFFFF) != footer_crc:
                 raise ColumnarFormatError(
                     f"RCS footer CRC mismatch in {self.path} "
                     "(corrupt or truncated footer)"
@@ -333,11 +291,13 @@ class RcsFile:
                     f"corrupt RCS footer JSON in {self.path}: {exc}"
                 ) from exc
             f.seek(0)
-            if f.read(magic_len) != magic:
+            if f.read(magic_len) != RCS_MAGIC2:
                 raise ColumnarFormatError(
                     f"bad RCS header magic in {self.path}"
                 )
-        if not isinstance(footer, dict) or footer.get("version") not in (1, 2):
+        if not isinstance(footer, dict) or (
+            footer.get("version") != RCS_VERSION
+        ):
             got = footer.get("version") if isinstance(footer, dict) else footer
             raise ColumnarFormatError(
                 f"unsupported RCS version {got!r} in {self.path}"
@@ -372,7 +332,7 @@ class RcsFile:
                 raise ColumnarFormatError(
                     f"corrupt RCS column metadata in {self.path}: {exc}"
                 ) from exc
-            if offset < len(RCS_MAGIC) or nbytes < 0 or (
+            if offset < len(RCS_MAGIC2) or nbytes < 0 or (
                 offset + nbytes > self._data_end
             ):
                 raise ColumnarFormatError(
@@ -439,20 +399,18 @@ class RcsFile:
     def _mapping(self) -> np.memmap:
         if self._mm is None:
             self._mm = np.memmap(self.path, dtype=np.uint8, mode="r")
-            if madvise_enabled():
-                try:
-                    self._mm._mmap.madvise(mmap.MADV_SEQUENTIAL)
-                except (AttributeError, ValueError, OSError):
-                    pass  # advisory only; platform may lack madvise
+            try:
+                self._mm._mmap.madvise(mmap.MADV_SEQUENTIAL)
+            except (AttributeError, ValueError, OSError):
+                pass  # advisory only; platform may lack madvise
         return self._mm
 
     def _advise(self, name: str) -> None:
         """``madvise(WILLNEED)`` the column's byte range ahead of a cold
         materialization, so the kernel reads its pages ahead of the
         copy/decode loop instead of faulting one page at a time.  Advisory
-        and idempotent per reader; no-op when the platform lacks madvise
-        or ``REPRO_RCS_MADVISE`` opts out."""
-        if name in self._advised or not madvise_enabled():
+        and idempotent per reader; no-op when the platform lacks madvise."""
+        if name in self._advised:
             return
         self._advised.add(name)
         meta = self._cols[name]

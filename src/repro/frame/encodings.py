@@ -2,10 +2,10 @@
 
 The raw ``.rcs`` container (PR 4) stores every column as its uncompressed
 little-endian buffer — great for zero-copy mmap reads, but *larger* on disk
-than the ``.npz`` fallback.  This module adds the byte-shrinking tier: a
-small family of column codecs, a heuristic selector, and a self-describing
-metadata record that travels in the shard footer so a reader needs nothing
-but the file to decode.
+than a compressed ``.npz`` of the same table.  This module adds the
+byte-shrinking tier: a small family of column codecs, a heuristic
+selector, and a self-describing metadata record that travels in the shard
+footer so a reader needs nothing but the file to decode.
 
 Codecs
 ------

@@ -1,6 +1,7 @@
-"""Table persistence: compressed NPZ shards and CSV for the log-style data.
+"""Table persistence: compressed NPZ archives and CSV for the log-style data.
 
-NPZ (``numpy.savez_compressed``) plays the role of the paper's parquet files;
+NPZ (``numpy.savez_compressed``) is what the artifact and result caches
+spill through (dataset shards are ``.rcs``, :mod:`repro.frame.columnar`);
 CSV matches the scheduler-allocation and XID-log datasets (C, D, E), which
 the artifact appendix stores as CSV.
 """
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import io
 import os
-import struct
 import zipfile
 from pathlib import Path
 
@@ -46,9 +46,6 @@ def save_npz(table: Table, path: str | os.PathLike, atomic: bool = False) -> int
     return path.stat().st_size
 
 
-_ZIP_LOCAL_HEADER = 30  # fixed part of a zip local file header
-
-
 def load_npz(
     path: str | os.PathLike, columns: list[str] | None = None
 ) -> Table:
@@ -56,12 +53,7 @@ def load_npz(
 
     ``columns`` projects the read: only the named members are extracted
     (zip members are independent, so unrequested columns are never
-    decompressed).  Uncompressed (``ZIP_STORED``) members are read by
-    seeking the archive's underlying file handle to the member payload and
-    handing it to ``np.lib.format.read_array`` — one ``fromfile`` copy
-    straight into the destination array, instead of the
-    extract-to-bytes-then-``frombuffer`` double copy ``np.load`` pays on
-    file-like members.
+    decompressed).
     """
     with zipfile.ZipFile(path) as zf:
         names = [n[:-4] for n in zf.namelist() if n.endswith(".npy")]
@@ -71,23 +63,8 @@ def load_npz(
                 raise KeyError(f"no columns {missing} in {path}; have {names}")
             names = list(columns)
         cols: dict[str, np.ndarray] = {}
-        raw = zf.fp
         for name in names:
-            info = zf.getinfo(name + ".npy")
-            if info.compress_type == zipfile.ZIP_STORED and raw is not None:
-                # seek past the local header straight to the .npy payload
-                raw.seek(info.header_offset)
-                header = raw.read(_ZIP_LOCAL_HEADER)
-                if header[:4] == b"PK\x03\x04":
-                    n_name, n_extra = struct.unpack("<HH", header[26:30])
-                    raw.seek(
-                        info.header_offset + _ZIP_LOCAL_HEADER + n_name + n_extra
-                    )
-                    cols[name] = np.lib.format.read_array(
-                        raw, allow_pickle=False
-                    )
-                    continue
-            with zf.open(info) as member:
+            with zf.open(name + ".npy") as member:
                 cols[name] = np.lib.format.read_array(
                     member, allow_pickle=False
                 )

@@ -63,17 +63,6 @@ def multi_factorize(
     return key_uniques, group_codes, len(group_keys)
 
 
-def group_boundaries(sorted_codes: np.ndarray, n_groups: int) -> np.ndarray:
-    """Start offsets of each group in a code-sorted array.
-
-    ``sorted_codes`` must be non-decreasing and contain every code in
-    ``0..n_groups-1`` at least zero times; returns an ``n_groups`` array of
-    start indices suitable for ``np.add.reduceat`` (empty groups share their
-    successor's offset and must be handled by the caller via counts).
-    """
-    return np.searchsorted(sorted_codes, np.arange(n_groups), side="left")
-
-
 def lex_sorted(arrays: Sequence[np.ndarray]) -> bool:
     """True when rows are lexicographically non-decreasing by ``arrays``.
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
-           "snapshot_delta"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricField",
+           "MetricsRegistry", "REGISTRY", "snapshot_delta"]
 
 #: default histogram bucket upper bounds, in seconds — spans query/stage
 #: latencies from 100µs to ~2min; values above the last bound land in the
@@ -241,6 +241,25 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._metrics.clear()
+
+
+class MetricField:
+    """A data descriptor mapping ``view.<attr>`` onto the registry metric
+    the owner's ``_metric(attr)`` returns, so the stats views' call sites
+    keep mutating plain attributes (``st.calls += 2``)."""
+
+    __slots__ = ("attr",)
+
+    def __set_name__(self, owner, attr):
+        self.attr = attr
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        return obj._metric(self.attr).value
+
+    def __set__(self, obj, value):
+        obj._metric(self.attr).value = value
 
 
 def snapshot_delta(before: dict, after: dict) -> dict:

@@ -2,7 +2,7 @@
 
 The paper's monitoring stack earns its keep by *correlating* events across
 layers; this module gives the reproduction the same spine.  A span is one
-timed operation (``with trace.span("serve.plan", shard=3): ...``); spans
+timed operation (``with trace.span("serve.task", shard=3): ...``); spans
 nest through a :mod:`contextvars` variable, so the hierarchy is correct in
 threads and across ``await`` points, and every span records wall-clock
 start, monotonic duration, pid/tid, and free-form attributes.

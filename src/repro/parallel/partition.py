@@ -6,12 +6,11 @@ count, byte size, storage format, and **zone map** (per-column min / max /
 null count / sorted flag).  Shards are read lazily, so a year-scale dataset
 never has to fit in memory at once.
 
-Shards are written in the ``.rcs`` columnar format by default
-(:mod:`repro.frame.columnar`): reads mmap the file and hand back zero-copy
-column views, so a projected read touches only the requested columns'
-pages.  ``REPRO_STORAGE=npz`` keeps the compressed ``.npz`` fallback
-(bit-identical contents, no zero-copy path); datasets written before the
-manifest carried zone maps still open and read fine.
+Shards are ``.rcs`` columnar files (:mod:`repro.frame.columnar`): reads
+mmap the file and hand back zero-copy column views, so a projected read
+touches only the requested columns' pages.  It is the only shard format:
+opening a manifest that lists anything else, or a shard without a zone
+map, raises :class:`~repro.frame.encodings.ColumnarFormatError`.
 
 Pushdown enters here:
 
@@ -32,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.frame.columnar import load_rcs, open_rcs, save_rcs, storage_format, zone_map
-from repro.frame.io import load_npz, save_npz
+from repro.frame.columnar import load_rcs, open_rcs, save_rcs, zone_map
+from repro.frame.encodings import ColumnarFormatError
 from repro.frame.table import Table, concat
 
 _MANIFEST = "manifest.json"
@@ -43,12 +42,10 @@ _MANIFEST = "manifest.json"
 class PartitionMeta:
     """Manifest entry for one shard.
 
-    ``format`` names the on-disk encoding (``rcs`` or ``npz``); ``zone``
-    is the shard's zone map (absent in pre-columnar manifests, in which
-    case pruning falls back to the partition time extents and row slicing
-    to masks); ``enc`` maps the shard's *compressed* columns to their
-    codecs (absent/empty when every column is raw, and always absent for
-    ``npz`` shards — their compression is whole-file).
+    ``zone`` is the shard's zone map; ``format`` names the on-disk
+    encoding (always ``rcs`` — recorded so a reader can reject a manifest
+    it does not understand); ``enc`` maps the shard's *compressed* columns
+    to their codecs (absent/empty when every column is raw).
     """
 
     index: int
@@ -57,8 +54,8 @@ class PartitionMeta:
     t_end: float
     n_rows: int
     n_bytes: int
-    format: str = "npz"
-    zone: dict | None = field(default=None, compare=False)
+    zone: dict = field(compare=False)
+    format: str = "rcs"
     enc: dict | None = field(default=None, compare=False)
 
 
@@ -82,6 +79,14 @@ class PartitionedDataset:
         #: bumped by :meth:`compact`; compacted shard filenames carry it so
         #: they can never collide with live pre-compaction files
         self.generation: int = int(raw.get("generation", 0))
+        for p in raw["partitions"]:
+            zoned = p.get("zone") is not None
+            if p.get("format") != "rcs" or not zoned:
+                raise ColumnarFormatError(
+                    f"{manifest}: shard {p.get('filename')!r} has format "
+                    f"{p.get('format')!r}{'' if zoned else ' and no zone map'}"
+                    "; only zone-mapped 'rcs' shards can be opened"
+                )
         self.partitions: list[PartitionMeta] = [
             PartitionMeta(**p) for p in raw["partitions"]
         ]
@@ -100,20 +105,14 @@ class PartitionedDataset:
         return cls(root)
 
     def append(
-        self,
-        table: Table,
-        t_begin: float,
-        t_end: float,
-        fmt: str | None = None,
+        self, table: Table, t_begin: float, t_end: float
     ) -> PartitionMeta:
         """Write ``table`` as the next shard covering ``[t_begin, t_end)``.
 
         Shards must be appended in time order (enforced) so that binary
-        search over the manifest stays valid.  ``fmt`` overrides the
-        storage format (default: ``REPRO_STORAGE``, i.e. ``rcs``); the
-        shard's zone map is computed once and persisted both in the
-        manifest (for pre-read pruning) and, for ``rcs``, in the file
-        footer.
+        search over the manifest stays valid.  The shard's zone map is
+        computed once and persisted both in the manifest (for pre-read
+        pruning) and in the file footer.
         """
         if self.partitions and t_begin < self.partitions[-1].t_end:
             raise ValueError(
@@ -122,40 +121,28 @@ class PartitionedDataset:
             )
         if t_end <= t_begin:
             raise ValueError("partition must have positive time extent")
-        fmt = fmt or storage_format()
-        zones = zone_map(table)
-        idx = len(self.partitions)
-        meta = self._write_shard(table, idx, float(t_begin), float(t_end),
-                                 fmt, zones)
+        meta = self._write_shard(table, len(self.partitions),
+                                 float(t_begin), float(t_end))
         self.partitions.append(meta)
         self._flush()
         return meta
 
-    def _shard_name(self, index: int, fmt: str) -> str:
+    def _shard_name(self, index: int) -> str:
         if self.generation == 0:
-            return f"part-{index:05d}.{fmt}"
-        return f"part-g{self.generation:03d}-{index:05d}.{fmt}"
+            return f"part-{index:05d}.rcs"
+        return f"part-g{self.generation:03d}-{index:05d}.rcs"
 
     def _write_shard(
-        self,
-        table: Table,
-        index: int,
-        t_begin: float,
-        t_end: float,
-        fmt: str,
-        zones: dict,
+        self, table: Table, index: int, t_begin: float, t_end: float
     ) -> PartitionMeta:
         """Write one shard file and build its manifest entry."""
-        fname = self._shard_name(index, fmt)
-        enc = None
-        if fmt == "rcs":
-            n_bytes = save_rcs(table, self.root / fname, zones=zones)
-            codecs = open_rcs(self.root / fname).codecs
-            enc = {c: k for c, k in codecs.items() if k != "raw"} or None
-        else:
-            n_bytes = save_npz(table, self.root / fname)
+        fname = self._shard_name(index)
+        zones = zone_map(table)
+        n_bytes = save_rcs(table, self.root / fname, zones=zones)
+        codecs = open_rcs(self.root / fname).codecs
+        enc = {c: k for c, k in codecs.items() if k != "raw"} or None
         return PartitionMeta(index, fname, t_begin, t_end, table.n_rows,
-                             n_bytes, format=fmt, zone=zones, enc=enc)
+                             n_bytes, zone=zones, enc=enc)
 
     def _flush(self) -> None:
         """Atomically replace the manifest (same-directory temp + rename).
@@ -199,25 +186,18 @@ class PartitionedDataset:
         return (self.partitions[0].t_begin, self.partitions[-1].t_end)
 
     @property
-    def column_names(self) -> list[str] | None:
-        """Column names from the first shard's zone map (None if unknown
-        without reading, i.e. a pre-columnar manifest)."""
-        for p in self.partitions:
-            if p.zone is not None:
-                return list(p.zone)
-        return None
+    def column_names(self) -> list[str]:
+        """Column names from the first shard's zone map (no shard is
+        opened; empty for a dataset with no shards)."""
+        return list(self.partitions[0].zone) if self.partitions else []
 
     def read(self, index: int, columns: list[str] | None = None) -> Table:
         """Load one shard, optionally projected onto ``columns``.
 
-        For ``rcs`` shards the projection is zero-copy: only the named
-        columns' byte ranges are mapped.  For ``npz`` shards only the
-        named members are decompressed.
+        The projection is zero-copy for raw columns: only the named
+        columns' byte ranges are mapped.
         """
-        meta = self.partitions[index]
-        if meta.format == "rcs":
-            return load_rcs(self.root / meta.filename, columns)
-        return load_npz(self.root / meta.filename, columns)
+        return load_rcs(self.root / self.partitions[index].filename, columns)
 
     def read_time_range(
         self,
@@ -230,8 +210,8 @@ class PartitionedDataset:
         """One shard's rows with ``t_begin <= time < t_end``, projected.
 
         When the shard's zone map marks the time column sorted, rows are
-        sliced with two ``searchsorted`` probes (zero-copy on ``rcs``);
-        otherwise a boolean mask is applied.
+        sliced with two ``searchsorted`` probes (zero-copy for raw
+        columns); otherwise a boolean mask is applied.
 
         **Compaction tolerance**: if the shard file vanished under this
         handle (a concurrent :meth:`compact` swapped the manifest and
@@ -259,25 +239,9 @@ class PartitionedDataset:
         columns: list[str] | None,
         time: str,
     ) -> Table:
-        if meta.format == "rcs":
-            return open_rcs(self.root / meta.filename).read_time_range(
-                t_begin, t_end, columns, time=time
-            )
-        import numpy as np
-
-        need = columns if columns is None else list(
-            dict.fromkeys(list(columns) + [time])
+        return open_rcs(self.root / meta.filename).read_time_range(
+            t_begin, t_end, columns, time=time
         )
-        table = load_npz(self.root / meta.filename, need)
-        t = np.asarray(table[time], dtype=np.float64)
-        zone = (meta.zone or {}).get(time)
-        if zone is not None and zone.get("sorted"):
-            lo = int(np.searchsorted(t, t_begin, side="left"))
-            hi = int(np.searchsorted(t, t_end, side="left"))
-            table = table[lo:hi]
-        else:
-            table = table.filter((t >= t_begin) & (t < t_end))
-        return table if columns is None else table.select(columns)
 
     def _reread_time_range(
         self,
@@ -339,20 +303,20 @@ class PartitionedDataset:
         """Many shards' ``[t_begin, t_end)`` slices as one table.
 
         Equivalent to concatenating :meth:`read_time_range` over
-        ``indices`` (same rows, same order), but all-``rcs`` shards with a
-        uniform schema and a sorted time column decode straight into one
+        ``indices`` (same rows, same order), but shards with a uniform
+        schema and a sorted time column decode straight into one
         preallocated merge buffer per column
         (:meth:`~repro.frame.columnar.RcsFile.read_range_into`): no
-        per-shard intermediate arrays and no second concat copy.  Mixed
-        formats, schema drift, unsorted time columns, and shards that
-        vanish mid-read (concurrent :meth:`compact`) all fall back to the
+        per-shard intermediate arrays and no second concat copy.  Schema
+        drift, unsorted time columns, and shards that vanish mid-read
+        (concurrent :meth:`compact`) all fall back to the
         read-then-concat path, which carries the compaction retry logic.
         """
         if not indices:
             # zero-row table with the projected schema
             return self.read_time_range(0, -np.inf, -np.inf, columns, time)
         try:
-            merged = self._merged_rcs(indices, t_begin, t_end, columns, time)
+            merged = self._stitch(indices, columns, (t_begin, t_end), time)
         except FileNotFoundError:
             merged = None
         if merged is not None:
@@ -363,34 +327,41 @@ class PartitionedDataset:
         ]
         return parts[0] if len(parts) == 1 else concat(parts)
 
-    def _merged_rcs(
+    def _stitch(
         self,
-        indices: list[int],
-        t_begin: float,
-        t_end: float,
+        indices,
         columns: list[str] | None,
-        time: str,
+        t_range: tuple[float, float] | None = None,
+        time: str = "timestamp",
     ) -> Table | None:
-        """Single-allocation merged slice, or ``None`` to fall back."""
-        metas = [self.partitions[i] for i in indices]
-        if any(m.format != "rcs" for m in metas):
-            return None
-        readers = [open_rcs(self.root / m.filename) for m in metas]
+        """Shards ``indices`` (row-sliced to the half-open ``t_range`` when
+        given) decoded into one preallocated table, or ``None`` when only
+        read-then-concat can build it: a column some shard lacks (``read``
+        raises its usual ``KeyError`` with the shard path), schema drift
+        (concat's promotion rules apply), or an unsorted time column (the
+        slice needs a mask)."""
+        readers = [
+            open_rcs(self.root / self.partitions[i].filename)
+            for i in indices
+        ]
         names = readers[0].columns if columns is None else list(columns)
         dtypes = readers[0].dtypes
-        if time not in dtypes or any(n not in dtypes for n in names):
+        need = names if t_range is None else [*names, time]
+        if any(n not in dtypes for n in need) or any(
+            theirs.get(n) != dtypes[n]
+            for theirs in (r.dtypes for r in readers[1:])
+            for n in names
+        ):
             return None
-        for r in readers[1:]:
-            theirs = r.dtypes
-            if any(theirs.get(n) != dtypes[n] for n in names):
-                return None  # schema drift: concat's promotion rules apply
         spans = []
         for r in readers:
-            if not r.zones.get(time, {}).get("sorted"):
-                return None  # mask path needed: fall back per shard
-            t = r.read([time])[time]
-            lo = int(np.searchsorted(t, t_begin, side="left"))
-            hi = int(np.searchsorted(t, t_end, side="left"))
+            lo, hi = 0, r.n_rows
+            if t_range is not None:
+                if not r.zones.get(time, {}).get("sorted"):
+                    return None
+                t = r.read([time])[time]
+                lo = int(np.searchsorted(t, t_range[0], side="left"))
+                hi = int(np.searchsorted(t, t_range[1], side="left"))
             spans.append((r, lo, hi))
         total = sum(hi - lo for _, lo, hi in spans)
         cols = {n: np.empty(total, dtypes[n]) for n in names}
@@ -410,11 +381,14 @@ class PartitionedDataset:
         """Filesystem path of one shard (for process-backend workers)."""
         return self.root / self.partitions[index].filename
 
-    def _time_bounds(self, meta: PartitionMeta, time: str) -> tuple[float, float, bool]:
+    def time_bounds(
+        self, index: int, time: str = "timestamp"
+    ) -> tuple[float, float, bool]:
         """(lo, hi, inclusive_hi) pruning bounds for one shard: the zone
-        map's actual data min/max when present, else the partition's
+        map's actual data min/max when it has any, else the partition's
         declared half-open extent."""
-        zone = (meta.zone or {}).get(time)
+        meta = self.partitions[index]
+        zone = meta.zone.get(time)
         if zone is not None and zone["min"] is not None:
             return float(zone["min"]), float(zone["max"]), True
         return meta.t_begin, meta.t_end, False
@@ -424,16 +398,16 @@ class PartitionedDataset:
     ) -> list[int]:
         """Indices of shards whose rows can overlap ``[t_begin, t_end)``.
 
-        Uses zone maps (actual per-shard data bounds) when the manifest
-        has them — tighter than the declared partition extents, so e.g. a
-        shard covering a drain window with no samples in the probe range
-        is skipped without mapping a byte.
+        Uses zone maps (actual per-shard data bounds) — tighter than the
+        declared partition extents, so e.g. a shard covering a drain
+        window with no samples in the probe range is skipped without
+        mapping a byte.
         """
         out = []
         for p in self.partitions:
             if p.n_rows == 0:
                 continue
-            lo, hi, incl = self._time_bounds(p, time)
+            lo, hi, incl = self.time_bounds(p.index, time)
             if lo < t_end and (hi >= t_begin if incl else hi > t_begin):
                 out.append(p.index)
         return out
@@ -450,7 +424,7 @@ class PartitionedDataset:
         for p in self.partitions:
             if p.n_rows == 0:
                 continue
-            zone = (p.zone or {}).get(column)
+            zone = p.zone.get(column)
             if zone is not None and zone["min"] is not None:
                 if zone["min"] > hi or zone["max"] < lo:
                     continue
@@ -482,78 +456,39 @@ class PartitionedDataset:
     def to_table(self, columns: list[str] | None = None) -> Table:
         """Materialize the whole dataset (small datasets / tests only).
 
-        All-``rcs`` datasets with a uniform schema are *stitched*: the
-        result table is allocated once and every shard decodes (or, for
-        raw columns, copies) directly into its row-slice — skipping the
-        per-shard intermediate arrays and the second full-size copy a
-        read-then-concat pays.  Mixed-format or schema-drifted datasets
-        fall back to read + :func:`~repro.frame.table.concat`.
+        Datasets with a uniform schema are *stitched*: the result table
+        is allocated once and every shard decodes (or, for raw columns,
+        copies) directly into its row-slice — skipping the per-shard
+        intermediate arrays and the second full-size copy a
+        read-then-concat pays.  Schema-drifted datasets fall back to
+        read + :func:`~repro.frame.table.concat`.
         """
         if not self.partitions:
             raise ValueError("empty dataset")
-        stitched = self._stitch_rcs(columns)
+        stitched = self._stitch(range(self.n_partitions), columns)
         if stitched is not None:
             return stitched
         return concat(
             [self.read(i, columns) for i in range(self.n_partitions)]
         )
 
-    def _stitch_rcs(self, columns: list[str] | None) -> Table | None:
-        """Single-allocation materialization, or ``None`` to fall back."""
-        if any(p.format != "rcs" for p in self.partitions):
-            return None
-        import numpy as np
-
-        from repro.frame.columnar import open_rcs
-
-        readers = [
-            open_rcs(self.root / p.filename) for p in self.partitions
-        ]
-        names = readers[0].columns if columns is None else list(columns)
-        dtypes = readers[0].dtypes
-        if any(n not in dtypes for n in names):
-            # let read() raise its usual KeyError with the shard path
-            return None
-        for r in readers[1:]:
-            theirs = r.dtypes
-            if any(theirs.get(n) != dtypes[n] for n in names):
-                return None  # schema drift: concat's promotion rules apply
-        total = sum(r.n_rows for r in readers)
-        cols = {n: np.empty(total, dtypes[n]) for n in names}
-        row = 0
-        for r in readers:
-            r.read_into(
-                {n: cols[n][row:row + r.n_rows] for n in names}
-            )
-            row += r.n_rows
-        return Table(cols)
-
     # ---------------- maintenance ----------------
 
     def encoding_summary(self) -> dict[str, int]:
         """``{codec: column count}`` across all shards (``raw`` included).
 
-        Manifest-only — no shard is opened.  ``npz`` shards count as one
-        ``npz`` entry each (their compression is whole-file, not
-        per-column).
+        Manifest-only — no shard is opened.
         """
         out: dict[str, int] = {}
         for p in self.partitions:
-            if p.format != "rcs":
-                out["npz"] = out.get("npz", 0) + 1
-                continue
             enc = p.enc or {}
-            n_cols = len(p.zone) if p.zone else len(enc)
-            out["raw"] = out.get("raw", 0) + (n_cols - len(enc))
+            out["raw"] = out.get("raw", 0) + (len(p.zone) - len(enc))
             for codec in enc.values():
                 out[codec] = out.get(codec, 0) + 1
         return out
 
     def compact(
-        self,
-        target_rows: int | None = None,
-        fmt: str | None = None,
-        time: str = "timestamp",
+        self, target_rows: int | None = None, time: str = "timestamp"
     ) -> dict:
         """Merge runs of small shards into larger sorted ones, in place.
 
@@ -584,7 +519,6 @@ class PartitionedDataset:
         if target_rows is None:
             target_rows = max((p.n_rows for p in self.partitions),
                               default=0)
-        fmt = fmt or storage_format()
         before = {"n_partitions": self.n_partitions,
                   "n_bytes": self.n_bytes}
 
@@ -604,7 +538,7 @@ class PartitionedDataset:
             if len(group) > 1:
                 return True
             p = group[0]
-            zone = (p.zone or {}).get(time)
+            zone = p.zone.get(time)
             # a lone unsorted shard is rewritten to restore the fast path
             return zone is not None and not zone["sorted"]
 
@@ -622,15 +556,16 @@ class PartitionedDataset:
             if not _needs_rewrite(group):
                 new_parts.append(replace(group[0], index=idx))
                 continue
-            merged = concat([self._read_meta(p) for p in group])
+            merged = concat(
+                [load_rcs(self.root / p.filename) for p in group]
+            )
             if time in merged.columns:
                 order = np.argsort(
                     np.asarray(merged[time]), kind="stable"
                 )
                 merged = merged.take(order)
             meta = self._write_shard(
-                merged, idx, group[0].t_begin, group[-1].t_end, fmt,
-                zone_map(merged),
+                merged, idx, group[0].t_begin, group[-1].t_end
             )
             new_parts.append(meta)
             obsolete.extend(p.filename for p in group)
@@ -652,8 +587,3 @@ class PartitionedDataset:
             "rewritten": rewritten,
             "generation": self.generation,
         }
-
-    def _read_meta(self, meta: PartitionMeta) -> Table:
-        if meta.format == "rcs":
-            return load_rcs(self.root / meta.filename)
-        return load_npz(self.root / meta.filename)

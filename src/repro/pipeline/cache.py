@@ -21,14 +21,14 @@ import os
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
-from repro.frame.columnar import compression_mode, storage_format
+from repro.frame.encodings import compression_mode
 from repro.frame.io import load_npz, save_npz
 from repro.frame.table import Table
 
 #: bump when stage semantics change in a way that invalidates old artifacts
 #: (2: fused-stage keys carry the projection and time-range pushdown;
-#:  3: keys carry the storage format + column-compression mode, so runs
-#:  against compressed, raw, and npz stores address disjoint artifacts)
+#:  3: keys carry the column-compression mode, so runs against compressed
+#:  and raw stores address disjoint artifacts)
 CACHE_FORMAT_VERSION = 3
 
 
@@ -55,16 +55,16 @@ def cache_key(*parts, **fields) -> str:
     """SHA-256 hex digest of the canonical JSON of ``parts`` and ``fields``.
 
     Accepts strings, numbers, tuples/lists, dicts, and dataclasses (e.g.
-    :class:`~repro.datasets.generate.SimulationSpec`).  The active storage
-    configuration (``REPRO_STORAGE`` format and ``REPRO_RCS_COMPRESSION``
-    mode) is folded into every key: stage outputs are required to be
-    bit-identical across storage backends (and the differential tests
-    prove it), but sharing artifacts across configurations would mask
-    exactly the class of encode/decode bug those tests exist to catch.
+    :class:`~repro.datasets.generate.SimulationSpec`).  The active
+    ``REPRO_RCS_COMPRESSION`` mode is folded into every key: stage outputs
+    are required to be bit-identical across compressed and raw stores (and
+    the differential tests prove it), but sharing artifacts across the two
+    would mask exactly the class of encode/decode bug those tests exist to
+    catch.
     """
     payload = {
         "version": CACHE_FORMAT_VERSION,
-        "storage": [storage_format(), compression_mode()],
+        "compression": compression_mode(),
         "parts": _canonical(list(parts)),
         "fields": _canonical(fields),
     }

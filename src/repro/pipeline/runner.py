@@ -42,10 +42,7 @@ class PipelineConfig:
     ``chunk_seconds`` is the shard width (default one day, matching the
     paper's one-parquet-file-per-day layout); ``backend`` / ``max_workers``
     / ``mp_context`` select the :class:`~repro.parallel.executor.Executor`;
-    ``cache_dir`` enables the on-disk artifact cache.  ``fuse`` makes
-    :meth:`Pipeline.telemetry_series` run read -> coarsen -> aggregate as
-    **one** task per time shard, so the coarsened intermediate never crosses
-    the executor boundary or the artifact cache (bit-identical either way).
+    ``cache_dir`` enables the on-disk artifact cache.
     """
 
     chunk_seconds: float = 86_400.0
@@ -53,7 +50,6 @@ class PipelineConfig:
     max_workers: int | None = None
     mp_context: str | None = None
     cache_dir: str | os.PathLike | None = None
-    fuse: bool = True
 
     def __post_init__(self):
         if self.chunk_seconds <= 0:
@@ -87,17 +83,22 @@ def chunk_windows(
 
 
 class _Timed:
-    """Wrap a task so workers report their own wall time."""
+    """Adapt an ``item -> Table`` task to the stage-task contract.
+
+    A stage task runs in a worker and returns ``(wall_s, table, steps)``:
+    its own wall time, its result, and the ``(name, wall_s, rows_in,
+    rows_out)`` of any sub-steps it timed (none here).
+    """
 
     __slots__ = ("fn",)
 
     def __init__(self, fn: Callable):
         self.fn = fn
 
-    def __call__(self, item) -> tuple[float, object]:
+    def __call__(self, item) -> tuple[float, Table, tuple]:
         t0 = _time.perf_counter()
         out = self.fn(item)
-        return _time.perf_counter() - t0, out
+        return _time.perf_counter() - t0, out, ()
 
 
 class _ClusterChunk:
@@ -196,7 +197,8 @@ class _FusedChunk:
     actually consumes) and optional **time range** down into the shard
     reader, so an ``.rcs`` shard maps only those columns' pages.  Each
     sub-step is timed in the worker so the parent can keep per-stage
-    accounting (``fused/read``, ``fused/coarsen``, ``fused/aggregate``).
+    accounting (``fused/read``, ``fused/coarsen``, ``fused/aggregate``);
+    the return value follows the stage-task contract of :class:`_Timed`.
     """
 
     __slots__ = ("coarsen", "value", "dataset", "columns", "t_range")
@@ -209,9 +211,10 @@ class _FusedChunk:
         self.columns = list(columns) if columns is not None else None
         self.t_range = t_range
 
-    def __call__(self, item) -> tuple[Table, tuple, int]:
+    def __call__(self, item) -> tuple[float, Table, tuple]:
         from repro.core.aggregate import cluster_power_series
 
+        steps = []
         t0 = _time.perf_counter()
         if self.dataset is not None:  # item is a shard index
             if self.t_range is not None:
@@ -221,14 +224,18 @@ class _FusedChunk:
                 )
             else:
                 sub = self.dataset.read(item, columns=self.columns)
+            t1 = _time.perf_counter()
+            steps.append(("read", t1 - t0, 0, sub.n_rows))
         else:
             sub = item
-        t1 = _time.perf_counter()
+            t1 = t0
         coarse = self.coarsen(sub)
         t2 = _time.perf_counter()
+        steps.append(("coarsen", t2 - t1, sub.n_rows, coarse.n_rows))
         series = cluster_power_series(coarse, value=self.value)
         t3 = _time.perf_counter()
-        return series, (t1 - t0, t2 - t1, t3 - t2), coarse.n_rows
+        steps.append(("aggregate", t3 - t2, coarse.n_rows, series.n_rows))
+        return t3 - t0, series, tuple(steps)
 
 
 class Pipeline:
@@ -307,6 +314,10 @@ class Pipeline:
         ``items`` are the per-chunk task inputs; ``keys`` (when caching) are
         the content-addressed keys, parallel to ``items``.  Results come
         back in item order regardless of hit/miss interleaving.
+        ``task_factory`` builds the stage task (see :class:`_Timed` for its
+        contract) and is only called when some chunk missed the cache.
+        Sub-steps the task timed are recorded as ``<stage>/<step>`` rows,
+        which the report nests under the stage.
         """
         with trace.span("pipeline.stage", stage=stage,
                         items=len(items)) as sp:
@@ -326,14 +337,18 @@ class Pipeline:
             miss_idx = [i for i, r in enumerate(results) if r is None]
             wall = lookup_s
             bytes_out = 0
+            sub_steps: dict[str, list] = {}  # step -> [wall_s, rows in, out]
             if miss_idx:
-                timed = _Timed(task_factory())
                 outs = self.executor.map(
-                    timed, [items[i] for i in miss_idx], label=stage
+                    task_factory(), [items[i] for i in miss_idx], label=stage
                 )
-                for i, (elapsed, table) in zip(miss_idx, outs):
+                for i, (elapsed, table, steps) in zip(miss_idx, outs):
                     results[i] = table
                     wall += elapsed
+                    for name, *counts in steps:
+                        acc = sub_steps.setdefault(name, [0.0, 0, 0])
+                        for j, count in enumerate(counts):
+                            acc[j] += count
                     if self.cache is not None and keys is not None:
                         bytes_out += self.cache.put(keys[i], table)
 
@@ -350,7 +365,39 @@ class Pipeline:
                 cache_hits=hits,
                 cache_misses=len(miss_idx) if cached_run else 0,
             )
+            for name, (step_s, step_in, step_out) in sub_steps.items():
+                self.stats.record(
+                    f"{stage}/{name}", wall_s=step_s, calls=len(miss_idx),
+                    rows_in=step_in, rows_out=step_out,
+                )
             return tables
+
+    def _token_keys(
+        self, cache_token: str | None, chunk_ids: Sequence[int], **fields
+    ) -> list[str] | None:
+        """Artifact keys of a telemetry stage's chunks, or ``None`` when it
+        runs uncached: raw table content is never hashed, so caching needs
+        the caller's ``cache_token`` naming the telemetry's provenance."""
+        if self.cache is None or cache_token is None:
+            return None
+        return [cache_key(cache_token, window=k, **fields) for k in chunk_ids]
+
+    def _split_by_chunk(
+        self, table: Table, time: str, width: float | None = None
+    ) -> tuple[list[int], list[Table]]:
+        """Split ``table`` into its non-empty time chunks: (ids, sub-tables).
+
+        With ``width`` the chunk is rounded down to a multiple of it, so
+        every coarsen window falls wholly inside one chunk.
+        """
+        chunk = self.config.chunk_seconds
+        if width is not None:
+            chunk = max(width, np.floor(chunk / width) * width)
+        win = np.floor(
+            np.asarray(table[time], dtype=np.float64) / chunk
+        ).astype(np.int64)
+        ids = np.unique(win)
+        return [int(k) for k in ids], [table.filter(win == k) for k in ids]
 
     def _spans(self, n_samples: int, dt: float) -> list[tuple[int, int]]:
         """Per-window global sample-index spans covering ``[0, n_samples)``."""
@@ -374,7 +421,7 @@ class Pipeline:
         tables = self._run_stage(
             "cluster_power",
             spans,
-            lambda: _ClusterChunk(self.twin, dt),
+            lambda: _Timed(_ClusterChunk(self.twin, dt)),
             keys,
             rows_in=len(times),
         )
@@ -409,7 +456,7 @@ class Pipeline:
         tables = self._run_stage(
             "job_series",
             items,
-            lambda: _JobChunk(twin, dt, components),
+            lambda: _Timed(_JobChunk(twin, dt, components)),
             keys,
             rows_in=al.n_rows,
         )
@@ -450,31 +497,19 @@ class Pipeline:
         from repro.config import SUMMIT
 
         width = SUMMIT.coarsen_window_s if width is None else width
-        eff_chunk = max(width, np.floor(self.config.chunk_seconds / width) * width)
-        t = telemetry[time]
-        win = np.floor(np.asarray(t, dtype=np.float64) / eff_chunk).astype(np.int64)
-        uniq = np.unique(win)
-        items = [telemetry.filter(win == k) for k in uniq]
-        keys = None
-        if self.cache is not None and cache_token is not None:
-            keys = [
-                cache_key(
-                    cache_token, stage="coarsen", values=list(values),
-                    width=width, by=list(by), time=time, drop_nan=drop_nan,
-                    window=int(k),
-                )
-                for k in uniq
-            ]
+        task = _CoarsenChunk(values, width, by, time, drop_nan, presorted)
+        chunk_ids, items = self._split_by_chunk(telemetry, time, width)
+        keys = self._token_keys(
+            cache_token, chunk_ids, stage="coarsen", values=list(values),
+            width=width, by=list(by), time=time, drop_nan=drop_nan,
+        )
         tables = self._run_stage(
-            "coarsen",
-            items,
-            lambda: _CoarsenChunk(values, width, by, time, drop_nan, presorted),
-            keys,
+            "coarsen", items, lambda: _Timed(task), keys,
             rows_in=telemetry.n_rows,
         )
         tables = [x for x in tables if x.n_rows]
         if not tables:
-            return _CoarsenChunk(values, width, by, time, drop_nan, presorted)(telemetry)
+            return task(telemetry)
         return concat(tables).sort(list(by) + ["timestamp"])
 
     def cluster_series(
@@ -484,24 +519,12 @@ class Pipeline:
         cache_token: str | None = None,
     ) -> Table:
         """Chunked Dataset 1 collapse of a coarsened table."""
-        t = coarse["timestamp"]
-        win = np.floor(
-            np.asarray(t, dtype=np.float64) / self.config.chunk_seconds
-        ).astype(np.int64)
-        uniq = np.unique(win)
-        items = [coarse.filter(win == k) for k in uniq]
-        keys = None
-        if self.cache is not None and cache_token is not None:
-            keys = [
-                cache_key(cache_token, stage="aggregate", value=value,
-                          window=int(k))
-                for k in uniq
-            ]
+        chunk_ids, items = self._split_by_chunk(coarse, "timestamp")
+        keys = self._token_keys(
+            cache_token, chunk_ids, stage="aggregate", value=value
+        )
         tables = self._run_stage(
-            "aggregate",
-            items,
-            lambda: _AggregateChunk(value),
-            keys,
+            "aggregate", items, lambda: _Timed(_AggregateChunk(value)), keys,
             rows_in=coarse.n_rows,
         )
         tables = [x for x in tables if x.n_rows]
@@ -525,14 +548,12 @@ class Pipeline:
     ) -> Table:
         """Telemetry -> cluster power series (Dataset A -> Dataset 1).
 
-        With ``config.fuse`` (the default) each time shard runs read ->
-        coarsen -> aggregate as **one** executor task (:class:`_FusedChunk`):
-        the per-node coarsened intermediate — typically 10x the size of the
-        final series — never crosses the executor boundary and is never
-        written to the artifact cache; only the final per-shard series slice
-        is cached (stage ``fused``).  With ``fuse=False`` this is exactly
-        :meth:`coarsen` followed by :meth:`cluster_series`.  Both routes are
-        bit-identical to the single-pass
+        Each time shard runs read -> coarsen -> aggregate as **one**
+        executor task (:class:`_FusedChunk`): the per-node coarsened
+        intermediate — typically 10x the size of the final series — never
+        crosses the executor boundary and is never written to the artifact
+        cache; only the final per-shard series slice is cached (stage
+        ``fused``).  The result is bit-identical to the single-pass
         :func:`~repro.core.aggregate.cluster_power_series` of
         :func:`~repro.core.coarsen.coarsen_telemetry`.
 
@@ -548,6 +569,7 @@ class Pipeline:
         cache key; results equal filtering the full read bit-for-bit).
         """
         from repro.config import SUMMIT
+        from repro.core.aggregate import cluster_power_series
         from repro.parallel.partition import PartitionedDataset
 
         width = SUMMIT.coarsen_window_s if width is None else width
@@ -559,34 +581,6 @@ class Pipeline:
                 -np.inf if t_begin is None else float(t_begin),
                 np.inf if t_end is None else float(t_end),
             )
-
-        if not self.config.fuse:
-            if is_dataset:
-                if t_range is not None:
-                    parts = [
-                        t for t in telemetry.scan(
-                            projection, t_range[0], t_range[1], time=time
-                        ) if t.n_rows
-                    ]
-                    table = (
-                        concat(parts) if parts
-                        else telemetry.read(0, projection)[:0]
-                    )
-                else:
-                    table = telemetry.to_table(columns=projection)
-            else:
-                table = telemetry.select(projection)
-                if t_range is not None:
-                    t_col = np.asarray(table[time], dtype=np.float64)
-                    table = table.filter(
-                        (t_col >= t_range[0]) & (t_col < t_range[1])
-                    )
-            coarse = self.coarsen(
-                table, values, width=width, by=by, time=time,
-                drop_nan=drop_nan, presorted=presorted,
-                cache_token=cache_token,
-            )
-            return self.cluster_series(coarse, value=value, cache_token=cache_token)
 
         task = _FusedChunk(
             _CoarsenChunk(values, width, by, time, drop_nan, presorted),
@@ -606,99 +600,31 @@ class Pipeline:
             rows_in = sum(telemetry.partitions[i].n_rows for i in items)
         else:
             work = telemetry.select(projection)
-            t = np.asarray(work[time], dtype=np.float64)
             if t_range is not None:
-                work = work.filter((t >= t_range[0]) & (t < t_range[1]))
                 t = np.asarray(work[time], dtype=np.float64)
-            eff_chunk = max(
-                width, np.floor(self.config.chunk_seconds / width) * width
-            )
-            win = np.floor(t / eff_chunk).astype(np.int64)
-            uniq = np.unique(win)
-            items = [work.filter(win == k) for k in uniq]
-            chunk_ids = [int(k) for k in uniq]
+                work = work.filter((t >= t_range[0]) & (t < t_range[1]))
+            chunk_ids, items = self._split_by_chunk(work, time, width)
             rows_in = work.n_rows
 
-        keys = None
-        if self.cache is not None and cache_token is not None:
-            t_key = None if t_range is None else [
+        keys = self._token_keys(
+            cache_token, chunk_ids, stage="fused", values=list(values),
+            width=width, by=list(by), time=time, drop_nan=drop_nan,
+            value=value, projection=projection,
+            t_range=None if t_range is None else [
                 repr(float(t_range[0])), repr(float(t_range[1]))
-            ]
-            keys = [
-                cache_key(
-                    cache_token, stage="fused", values=list(values),
-                    width=width, by=list(by), time=time, drop_nan=drop_nan,
-                    value=value, window=k, projection=projection,
-                    t_range=t_key,
-                )
-                for k in chunk_ids
-            ]
-
-        results: list[Table | None] = [None] * len(items)
-        hits = 0
-        t0 = _time.perf_counter()
-        if keys is not None:
-            for idx, key in enumerate(keys):
-                got = self.cache.get(key)
-                if got is not None:
-                    results[idx] = got
-                    hits += 1
-        lookup_s = _time.perf_counter() - t0
-
-        miss_idx = [i for i, r in enumerate(results) if r is None]
-        wall = lookup_s
-        bytes_out = 0
-        sub_wall = [0.0, 0.0, 0.0]  # read, coarsen, aggregate
-        coarse_rows = 0
-        if miss_idx:
-            with trace.span("pipeline.stage", stage="fused",
-                            items=len(items), cache_hits=hits,
-                            misses=len(miss_idx)):
-                outs = self.executor.map(
-                    task, [items[i] for i in miss_idx], label="fused"
-                )
-            for i, (series, timings, n_coarse) in zip(miss_idx, outs):
-                results[i] = series
-                wall += sum(timings)
-                for j in range(3):
-                    sub_wall[j] += timings[j]
-                coarse_rows += n_coarse
-                if keys is not None:
-                    bytes_out += self.cache.put(keys[i], series)
-
-        tables: list[Table] = results  # type: ignore[assignment]
-        self.stats.record(
-            "fused",
-            wall_s=wall,
-            calls=len(miss_idx),
-            rows_in=rows_in,
-            rows_out=sum(x.n_rows for x in tables),
-            bytes_out=bytes_out,
-            cache_hits=hits,
-            cache_misses=len(miss_idx) if keys is not None else 0,
+            ],
         )
-        if miss_idx:
-            # nested per-substage accounting (indented in the report)
-            if is_dataset:
-                self.stats.record(
-                    "fused/read", wall_s=sub_wall[0], calls=len(miss_idx),
-                    rows_out=rows_in,
-                )
-            self.stats.record(
-                "fused/coarsen", wall_s=sub_wall[1], calls=len(miss_idx),
-                rows_in=rows_in, rows_out=coarse_rows,
-            )
-            self.stats.record(
-                "fused/aggregate", wall_s=sub_wall[2], calls=len(miss_idx),
-                rows_in=coarse_rows,
-                rows_out=sum(x.n_rows for x in tables),
-            )
-
+        tables = self._run_stage(
+            "fused", items, lambda: task, keys, rows_in=rows_in
+        )
         tables = [x for x in tables if x.n_rows]
         if not tables:
-            table = telemetry.to_table() if is_dataset else telemetry
-            series, _, _ = _FusedChunk(task.coarsen, value)(table)
-            return series
+            # nothing in range: run the kernels over a zero-row slice so
+            # the result still carries the series' exact schema
+            empty = (
+                telemetry.read(0, projection) if is_dataset else work
+            )[:0]
+            return cluster_power_series(task.coarsen(empty), value=value)
         return concat(tables).sort("timestamp")
 
     # ---------------- live streaming route ----------------

@@ -20,41 +20,23 @@ from __future__ import annotations
 import threading
 
 from repro.core.report import render_table
-from repro.obs.metrics import MetricsRegistry
-
-
-class _MetricField:
-    """A data descriptor mapping ``stage.<attr>`` onto the registry
-    counter ``pipeline.<attr>{stage=<name>}`` — existing call sites keep
-    mutating plain attributes (``st.calls += 2``) unchanged."""
-
-    __slots__ = ("attr",)
-
-    def __set_name__(self, owner, attr):
-        self.attr = attr
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return obj._metric(self.attr).value
-
-    def __set__(self, obj, value):
-        obj._metric(self.attr).value = value
+from repro.obs.metrics import MetricField, MetricsRegistry
 
 
 class StageStats:
-    """Counters for one named pipeline stage (a registry view)."""
+    """Counters for one named pipeline stage: each attribute is a view of
+    the registry counter ``pipeline.<attr>{stage=<name>}``."""
 
     FIELDS = ("calls", "wall_s", "rows_in", "rows_out", "bytes_out",
               "cache_hits", "cache_misses")
 
-    calls = _MetricField()
-    wall_s = _MetricField()
-    rows_in = _MetricField()
-    rows_out = _MetricField()
-    bytes_out = _MetricField()
-    cache_hits = _MetricField()
-    cache_misses = _MetricField()
+    calls = MetricField()
+    wall_s = MetricField()
+    rows_in = MetricField()
+    rows_out = MetricField()
+    bytes_out = MetricField()
+    cache_hits = MetricField()
+    cache_misses = MetricField()
 
     def __init__(self, name: str, registry: MetricsRegistry | None = None):
         self.name = name

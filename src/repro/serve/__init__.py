@@ -18,7 +18,6 @@ from repro.serve.server import (
     QueryService,
     ServiceConfig,
     TelemetryServer,
-    fragment_cache_enabled,
     table_from_wire,
     table_to_wire,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "plan_query",
     "ResultCache",
     "FragmentCache",
-    "fragment_cache_enabled",
     "SingleFlight",
     "Admission",
     "TenantState",

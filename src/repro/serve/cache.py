@@ -168,9 +168,6 @@ class SingleFlight:
         """Await the in-flight result for ``key`` (follower path)."""
         return await asyncio.shield(self._flights[key])
 
-    def following(self, key: str) -> bool:
-        return key in self._flights
-
     def resolve(self, key: str, value) -> None:
         fut = self._flights.pop(key)
         if not fut.done():

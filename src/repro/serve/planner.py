@@ -124,27 +124,7 @@ class QueryPlan:
         )
         return table if mask.all() else table.filter(mask)
 
-    def run_shard(self, index: int) -> Table:
-        """Read one shard (projected, time-sliced), filter the node
-        selection, and run the per-shard kernels for the query's level."""
-        return self.run_shard_table(
-            self.dataset.read_time_range(
-                index, self.t_lo, self.t_hi,
-                columns=self.projection, time=self.query.time,
-            )
-        )
-
     # ---------------- shard tasks & fragments ----------------
-
-    def _shard_bounds(self, index: int) -> tuple[float, float, bool]:
-        """(data_lo, data_hi, inclusive_hi) — the shard's actual time
-        bounds from its zone map when present, else its declared
-        half-open extent."""
-        meta = self.dataset.partitions[index]
-        zone = (meta.zone or {}).get(self.query.time)
-        if zone is not None and zone.get("min") is not None:
-            return float(zone["min"]), float(zone["max"]), True
-        return meta.t_begin, meta.t_end, False
 
     def _grid_aligned(self, value: float) -> bool:
         """True when ``value`` sits exactly on the coarsen-window grid —
@@ -168,14 +148,14 @@ class QueryPlan:
         every query overlapping the shard shares one fragment.
         """
         meta = self.dataset.partitions[index]
-        zone = (meta.zone or {}).get(self.query.time) or {}
+        zone = meta.zone[self.query.time]
         q = self.query
         return cache_key(
             "serve.fragment.v1",
             dataset=[self.dataset.name, str(self.dataset.root)],
             shard=[meta.filename, meta.n_rows, meta.n_bytes,
                    meta.t_begin, meta.t_end,
-                   zone.get("min"), zone.get("max")],
+                   zone["min"], zone["max"]],
             kernel=[q.level, q.width, list(q.metrics), q.by, q.time,
                     None if self.node_ids is None else list(self.node_ids)],
         )
@@ -194,7 +174,9 @@ class QueryPlan:
             return [ShardTask(-1, self.t_lo, self.t_hi, "raw")]
         out = []
         for i in self.shards:
-            data_lo, data_hi, incl = self._shard_bounds(i)
+            data_lo, data_hi, incl = self.dataset.time_bounds(
+                i, self.query.time
+            )
             free_lo = self.t_lo <= data_lo
             free_hi = self.t_hi > data_hi if incl else self.t_hi >= data_hi
             lo = -np.inf if free_lo else self.t_lo
@@ -339,16 +321,14 @@ def plan_query(
     if not dataset.partitions:
         raise QueryError(f"dataset {dataset.name!r} is empty")
     known = dataset.column_names
-    if known is not None:
-        missing = [
-            c for c in (*query.metrics, query.time, query.by)
-            if c not in known
-        ]
-        if missing:
-            raise QueryError(
-                f"dataset {dataset.name!r} has no columns {missing}; "
-                f"available: {known}"
-            )
+    missing = [
+        c for c in (*query.metrics, query.time, query.by) if c not in known
+    ]
+    if missing:
+        raise QueryError(
+            f"dataset {dataset.name!r} has no columns {missing}; "
+            f"available: {known}"
+        )
 
     projection = list(
         dict.fromkeys([query.by, query.time, *query.metrics])

@@ -43,10 +43,13 @@ __all__ = [
     "ServiceConfig",
     "QueryService",
     "TelemetryServer",
-    "fragment_cache_enabled",
     "table_to_wire",
     "table_from_wire",
 ]
+
+#: longest request line a connection may send; a longer one gets an error
+#: response and the connection is closed
+MAX_REQUEST_BYTES = 64 << 10
 
 
 def table_to_wire(table: Table) -> dict:
@@ -77,9 +80,6 @@ def table_from_wire(raw: dict) -> Table:
 class ServiceConfig:
     """Service knobs (admission bounds, cache tiers, worker pool).
 
-    ``fragment_cache=None`` defers to ``REPRO_FRAGMENT_CACHE`` (on unless
-    ``0``/``off``/``false``); results are bit-identical either way, the
-    cache only changes how much shard work overlapping queries share.
     ``encode_offload_bytes`` is the result-table size at which the TCP
     layer moves NDJSON encoding off the event loop.
 
@@ -94,21 +94,12 @@ class ServiceConfig:
     tenant_inflight: int = 4
     cache_bytes: int = 64 << 20
     fragment_bytes: int = 128 << 20
-    fragment_cache: bool | None = None
     encode_offload_bytes: int = 32 << 10
     spill_dir: str | os.PathLike | None = None
     workers: int | None = None
     nodes_per_cabinet: int = SUMMIT.nodes_per_cabinet
     slow_query_s: float = 0.0
     slow_query_log: str | os.PathLike | None = None
-
-
-def fragment_cache_enabled(default: bool = True) -> bool:
-    """The ``REPRO_FRAGMENT_CACHE`` switch (on by default)."""
-    raw = os.environ.get("REPRO_FRAGMENT_CACHE")
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "off", "false")
 
 
 class QueryService:
@@ -127,7 +118,8 @@ class QueryService:
     grid-aligned slices of them) and only computes the uncovered
     remainder, with per-fragment single-flight so concurrent overlapping
     queries compute each distinct shard exactly once between them.
-    Answers are bit-identical with the cache on or off.
+    Answers are bit-identical to ``plan_query(q, dataset).execute()``,
+    which never touches the cache.
     """
 
     def __init__(
@@ -146,10 +138,6 @@ class QueryService:
         )
         self.cache = ResultCache(self.config.cache_bytes, spill=spill)
         self.fragments = FragmentCache(self.config.fragment_bytes)
-        on = self.config.fragment_cache
-        self.fragments_enabled = (
-            fragment_cache_enabled() if on is None else bool(on)
-        )
         #: per-fragment single-flight: concurrent queries needing the same
         #: uncached fragment compute it once and share the result
         self._frag_flights: dict[str, asyncio.Future] = {}
@@ -257,13 +245,10 @@ class QueryService:
             return {"status": "rejected", "reason": err.reason}
         try:
             e0 = time.perf_counter()
-            with trace.span("serve.plan") as psp:
-                plan = plan_query(
-                    query, self.dataset,
-                    nodes_per_cabinet=self.config.nodes_per_cabinet,
-                )
-                psp.set(shards=len(plan.shards),
-                        pruned=plan.n_shards_pruned)
+            plan = plan_query(
+                query, self.dataset,
+                nodes_per_cabinet=self.config.nodes_per_cabinet,
+            )
             frag = {"hits": 0, "shared": 0, "misses": 0,
                     "full": 0, "aligned": 0, "partial": 0}
             task_log: list[dict] = []
@@ -338,8 +323,8 @@ class QueryService:
             frag[task.coverage] += 1
         elif task.coverage == "partial":
             frag["partial"] += 1
-        key = task.fragment_key if self.fragments_enabled else None
-        if key is None:
+        key = task.fragment_key
+        if key is None:  # partial / raw: no fragment can stand in
             table = await self._in_pool(
                 "serve.task.exec", plan.run_task, task, shard=task.index
             )
@@ -459,7 +444,6 @@ class QueryService:
             "spill_hits": self.cache.spill_hits,
         }
         out["fragment_cache"] = {
-            "enabled": self.fragments_enabled,
             "entries": self.fragments.n_entries,
             "bytes": self.fragments.n_bytes,
             "hits": self.fragments.hits,
@@ -497,6 +481,9 @@ class TelemetryServer:
     * ``{"op": "query", "query": {...}, "tenant": "name"}``
     * ``{"op": "stats"}``
     * ``{"op": "ping"}``
+
+    A request line longer than :data:`MAX_REQUEST_BYTES` is answered with
+    an ``error`` response, counted in ``errors``, and ends the connection.
     """
 
     def __init__(
@@ -513,7 +500,7 @@ class TelemetryServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=MAX_REQUEST_BYTES
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self.host, self.port
@@ -534,7 +521,19 @@ class TelemetryServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # the reader dropped what it had buffered of the line,
+                    # so the stream cannot be re-aligned: answer, close
+                    self.service.stats.record_error()
+                    writer.write(self._encode({
+                        "status": "error",
+                        "error": f"request line exceeds "
+                                 f"{MAX_REQUEST_BYTES} bytes",
+                    }))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 payload = await self._respond(line)
@@ -611,17 +610,6 @@ class TelemetryServer:
                 )
             )
         return {"status": "error", "error": f"unknown op {op!r}"}
-
-    async def _dispatch(self, line: bytes) -> dict:
-        """Parse and dispatch one request line (kept for in-process use
-        and tests; the connection handler goes through :meth:`_respond`)."""
-        try:
-            req = json.loads(line)
-        except json.JSONDecodeError as err:
-            return {"status": "error", "error": f"bad JSON request: {err}"}
-        if not isinstance(req, dict):
-            return {"status": "error", "error": "request must be an object"}
-        return await self._dispatch_op(req.get("op", "query"), req)
 
     @staticmethod
     def _encode(resp: dict) -> bytes:

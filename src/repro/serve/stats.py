@@ -26,7 +26,7 @@ from collections import deque
 import numpy as np
 
 from repro.core.report import render_table
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricField, MetricsRegistry
 from repro.serve.session import Admission
 
 __all__ = ["LatencyReservoir", "ServiceStats"]
@@ -67,26 +67,23 @@ class LatencyReservoir:
         return float(np.mean(np.fromiter(self._samples, float)))
 
 
-class _CounterField:
-    """Maps ``stats.<attr>`` onto the registry counter ``serve.<attr>``
-    so call sites keep mutating plain attributes (``stats.encode_offloads
-    += 1``).  Reads and writes go through the instance lock — attribute
-    mutation stays safe from any thread."""
+class _CounterField(MetricField):
+    """:class:`~repro.obs.metrics.MetricField` over the registry counter
+    ``serve.<attr>``, with reads and writes going through the instance
+    lock — attribute mutation (``stats.encode_offloads += 1``) stays safe
+    from any thread."""
 
-    __slots__ = ("attr",)
-
-    def __set_name__(self, owner, attr):
-        self.attr = attr
+    __slots__ = ()
 
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
         with obj._lock:
-            return obj._metric(self.attr).value
+            return super().__get__(obj, objtype)
 
     def __set__(self, obj, value):
         with obj._lock:
-            obj._metric(self.attr).value = value
+            super().__set__(obj, value)
 
 
 class ServiceStats:

@@ -113,10 +113,10 @@ class TelemetryReplaySource:
                 "telemetry must be a Table or PartitionedDataset, got "
                 f"{type(telemetry).__name__}"
             )
-        if need is not None:
-            avail = telemetry.column_names
-            if avail is not None and "node" in avail and "node" not in need:
-                need.append("node")
+        if need is not None and "node" not in need and (
+            "node" in telemetry.column_names
+        ):
+            need.append("node")
         return telemetry.to_table(columns=need)
 
     def _apply_loss(self, telemetry: Table, events: list[LossEvent]) -> Table:

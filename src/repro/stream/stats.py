@@ -19,30 +19,13 @@ their exact pre-re-base shapes (pinned by
 from __future__ import annotations
 
 from repro.core.report import render_table
-from repro.obs.metrics import MetricsRegistry
-
-
-class _MetricField:
-    """Maps ``node.<attr>`` onto the registry metric
-    ``stream.<attr>{node=<name>}`` so runtime call sites keep mutating
-    plain attributes."""
-
-    __slots__ = ("attr",)
-
-    def __set_name__(self, owner, attr):
-        self.attr = attr
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return obj._metric(self.attr).value
-
-    def __set__(self, obj, value):
-        obj._metric(self.attr).value = value
+from repro.obs.metrics import MetricField, MetricsRegistry
 
 
 class NodeStats:
-    """Counters for one stream node (the source or an operator)."""
+    """Counters for one stream node (the source or an operator): each
+    attribute is a view of the registry metric
+    ``stream.<attr>{node=<name>}``."""
 
     FIELDS = ("batches_in", "batches_out", "rows_in", "rows_out",
               "late_rows", "nan_rows", "stalls", "max_queue", "wall_s",
@@ -50,17 +33,17 @@ class NodeStats:
     #: gauge-typed fields (level, not sum — merge keeps the max)
     GAUGES = ("max_queue",)
 
-    batches_in = _MetricField()
-    batches_out = _MetricField()
-    rows_in = _MetricField()
-    rows_out = _MetricField()
-    late_rows = _MetricField()
-    nan_rows = _MetricField()
-    stalls = _MetricField()
-    max_queue = _MetricField()
-    wall_s = _MetricField()
-    lag_sum_s = _MetricField()
-    lag_n = _MetricField()
+    batches_in = MetricField()
+    batches_out = MetricField()
+    rows_in = MetricField()
+    rows_out = MetricField()
+    late_rows = MetricField()
+    nan_rows = MetricField()
+    stalls = MetricField()
+    max_queue = MetricField()
+    wall_s = MetricField()
+    lag_sum_s = MetricField()
+    lag_n = MetricField()
 
     def __init__(self, name: str, registry: MetricsRegistry | None = None):
         self.name = name

@@ -33,7 +33,6 @@ from repro.workload.powercap import (
     estimate_job_peak_w,
 )
 from repro.workload.traces import (
-    job_utilization,
     job_power_trace,
     AllocationIntervalIndex,
     ClusterTraceBuilder,
@@ -62,7 +61,6 @@ __all__ = [
     "PowerAwareScheduler",
     "PowerCapResult",
     "estimate_job_peak_w",
-    "job_utilization",
     "job_power_trace",
     "AllocationIntervalIndex",
     "ClusterTraceBuilder",

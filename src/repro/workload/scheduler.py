@@ -27,8 +27,7 @@ Two cores produce bit-identical results (tested property):
   ``sorted(running)`` copies), and drain-window edges advance an O(1)
   interval pointer.  This is the multi-year / multi-million-job path.
 * ``engine="reference"`` — the original batch-stepped loop, kept as the
-  differential-testing oracle and the baseline for
-  ``benchmarks/bench_sched_scale.py``.
+  differential-testing oracle.
 
 Both engines draw from the same placement RNG in the same order, so
 ``ScheduleResult`` is identical bit for bit.

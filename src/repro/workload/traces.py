@@ -49,7 +49,6 @@ from repro.frame.table import Table
 from repro.machine.components import ChipPopulation
 from repro.machine.node import NodePowerModel
 from repro.workload.apps import (
-    AppProfile,
     profile_utilization,
     profile_utilization_batch,
 )
@@ -68,13 +67,6 @@ MAX_CELLS = 100_000_000
 BATCH_CHUNK_CELLS = 400_000
 
 _ENGINES = ("batch", "loop")
-
-
-def job_utilization(
-    profile: AppProfile, t_rel: np.ndarray, duration: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Job-level (cpu, gpu) utilization at times relative to job start."""
-    return profile_utilization(profile, t_rel, duration)
 
 
 class AllocationIntervalIndex:
@@ -171,7 +163,6 @@ class ClusterTraceBuilder:
         chips: ChipPopulation | None = None,
         seed: int = 0,
         engine: str = "batch",
-        noise_cache: bool = True,
     ):
         if engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
@@ -182,13 +173,10 @@ class ClusterTraceBuilder:
         self.node_model = NodePowerModel(self.config, self.chips)
         self.seed = seed
         self.engine = engine
-        self.noise_cache = noise_cache
         self._alloc_nodes = self._index_allocation_nodes()
         self._intervals = AllocationIntervalIndex(schedule.allocations)
         #: per-allocation noise vectors, drawn once (the stream is keyed
-        #: by allocation id, so the cache cannot change any value).
-        #: ``noise_cache=False`` redraws per call — only useful to make
-        #: benchmark baselines pay the original per-window rng cost.
+        #: by allocation id, so the cache cannot change any value)
         self._noise_cache: dict[int, np.ndarray] = {}
 
     def _index_allocation_nodes(self) -> dict[int, np.ndarray]:
@@ -212,8 +200,7 @@ class ClusterTraceBuilder:
                 np.random.SeedSequence([self.seed, 0x7A5E, aid])
             )
             noise = 1.0 + rng.normal(0.0, NODE_NOISE_SIGMA, size=(k, 1))
-            if self.noise_cache:
-                self._noise_cache[aid] = noise
+            self._noise_cache[aid] = noise
         return noise
 
     def active_allocations(self, t0: float, t1: float) -> Table:

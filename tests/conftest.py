@@ -8,8 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets import SimulationSpec, simulate_twin
+
+# tier-1 must give the same verdict on every run: examples are derived from
+# each test's source, and no database replays (or stores) past failures.
+# ``--hypothesis-profile=default`` brings the randomized search back.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

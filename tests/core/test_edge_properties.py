@@ -12,6 +12,15 @@ power_series = hnp.arrays(
     elements=st.floats(0.0, 1e7, allow_nan=False, allow_infinity=False),
 )
 
+#: powers on a 1/8 W grid: every value, every step between two values and
+#: every value + 12345.0 is exact in float64, so shifting the series cannot
+#: round a step across ``detect_edges``' strict ``d > threshold_w``
+grid_power_series = hnp.arrays(
+    np.float64,
+    st.integers(2, 200),
+    elements=st.integers(0, 8 * 10**7).map(lambda k: k / 8.0),
+)
+
 
 class TestDetectEdgesProperties:
     @given(power_series, st.floats(1.0, 1e6))
@@ -63,7 +72,7 @@ class TestDetectEdgesProperties:
         assert edges.n_rows == 1
         assert edges["amplitude_w"][0] > 0
 
-    @given(power_series, st.floats(1.0, 1e6))
+    @given(grid_power_series, st.floats(1.0, 1e6))
     @settings(max_examples=50, deadline=None)
     def test_offset_invariance(self, p, thr):
         """Adding a constant shifts nothing: same edges detected."""
@@ -72,7 +81,7 @@ class TestDetectEdgesProperties:
         b = detect_edges(t, p + 12345.0, thr)
         assert a.n_rows == b.n_rows
         assert np.array_equal(a["start_index"], b["start_index"])
-        assert np.allclose(a["amplitude_w"], b["amplitude_w"])
+        assert np.array_equal(a["amplitude_w"], b["amplitude_w"])
 
     @given(power_series, st.floats(1.0, 1e6))
     @settings(max_examples=50, deadline=None)

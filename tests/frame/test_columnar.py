@@ -17,9 +17,9 @@ from repro.frame import (
     open_rcs,
     save_npz,
     save_rcs,
-    storage_format,
     zone_map,
 )
+from repro.frame.encodings import ColumnarFormatError
 
 
 def make():
@@ -275,20 +275,24 @@ class TestFormatErrors:
         with pytest.raises(ValueError, match="footer length"):
             open_rcs(tmp_path / "t.rcs")
 
+    def test_rcs1_file_rejected(self, tmp_path):
+        # the retired version 1 layout: (len, magic) trailer, no footer CRC
+        import json
+        import struct
 
-class TestStorageFormat:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORAGE", raising=False)
-        assert storage_format() == "rcs"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "npz")
-        assert storage_format() == "npz"
-
-    def test_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "parquet")
-        with pytest.raises(ValueError, match="REPRO_STORAGE"):
-            storage_format()
+        col = np.arange(8, dtype=np.float64)
+        footer = json.dumps({"version": 1, "n_rows": 8, "columns": [{
+            "name": "x", "dtype": "<f8", "offset": 64, "nbytes": 64,
+            "zone": {"min": 0.0, "max": 7.0, "nulls": 0, "sorted": True},
+        }]}).encode()
+        path = tmp_path / "old.rcs"
+        path.write_bytes(
+            b"RCS1" + b"\0" * 60 + col.tobytes() + footer
+            + struct.pack("<Q", len(footer)) + b"RCS1"
+        )
+        with pytest.raises(ColumnarFormatError, match="trailer magic") as err:
+            open_rcs(path)
+        assert str(path) in str(err.value)
 
 
 class TestNpzProjection:
@@ -305,7 +309,7 @@ class TestNpzProjection:
             load_npz(tmp_path / "t.npz", ["nope"])
 
     def test_uncompressed_member_direct_read(self, tmp_path):
-        # np.savez writes ZIP_STORED members: the seek-past-header fast path
+        # np.savez writes ZIP_STORED members; save_npz only deflated ones
         t = make()
         np.savez(
             tmp_path / "t.npz", **{c: t[c] for c in t.columns}
@@ -400,22 +404,7 @@ class TestReadRangeInto:
 
 
 class TestMadvise:
-    """Readahead hints: purely advisory, env-gated, never change results."""
-
-    def test_opt_out_reads_identically(self, tmp_path, monkeypatch):
-        table = TestReadInto._wide()
-        save_rcs(table, tmp_path / "w.rcs", compression="auto")
-        hinted = open_rcs(tmp_path / "w.rcs").read()
-        monkeypatch.setenv("REPRO_RCS_MADVISE", "0")
-        from repro.frame.columnar import madvise_enabled
-
-        assert not madvise_enabled()
-        plain = open_rcs(tmp_path / "w.rcs").read()
-        for c in table.columns:
-            assert np.array_equal(
-                np.asarray(hinted[c]).view(np.uint8),
-                np.asarray(plain[c]).view(np.uint8),
-            ), c
+    """Readahead hints: purely advisory, issued once per column."""
 
     def test_advise_is_idempotent_per_column(self, tmp_path):
         save_rcs(TestReadInto._wide(), tmp_path / "w.rcs")

@@ -1,9 +1,11 @@
 """Unit tests for PartitionedDataset."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.frame import Table
+from repro.frame import ColumnarFormatError, Table
 from repro.parallel import PartitionedDataset
 
 
@@ -97,71 +99,81 @@ def mixed_shard(lo, n=10):
     )
 
 
+#: the two byte layouts a shard can have on disk: per-column codecs
+#: (``REPRO_RCS_COMPRESSION=auto``) and all-raw columns (``off``)
+LAYOUTS = [pytest.param("auto", id="rcs"), pytest.param("off", id="rcs-raw")]
+
+
+@pytest.fixture()
+def layout_ds(tmp_path, monkeypatch):
+    """``make(mode)``: an empty dataset; appends use that layout until the
+    next ``make``."""
+    def make(mode):
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", mode)
+        return PartitionedDataset.create(tmp_path / mode, "t")
+
+    return make
+
+
 class TestFormats:
-    @pytest.mark.parametrize("fmt", ["rcs", "npz"])
-    def test_roundtrip(self, tmp_path, fmt):
-        d = PartitionedDataset.create(tmp_path / fmt, "t")
-        d.append(mixed_shard(0.0), 0.0, 10.0, fmt=fmt)
-        assert d.partitions[0].format == fmt
-        assert d.partitions[0].filename.endswith(f".{fmt}")
+    @pytest.mark.parametrize("mode", LAYOUTS)
+    def test_roundtrip(self, layout_ds, mode):
+        d = layout_ds(mode)
+        d.append(mixed_shard(0.0), 0.0, 10.0)
+        assert d.partitions[0].format == "rcs"
+        assert d.partitions[0].filename.endswith(".rcs")
         assert d.read(0) == mixed_shard(0.0)
 
-    def test_formats_bit_identical(self, tmp_path):
-        a = PartitionedDataset.create(tmp_path / "a", "t")
-        b = PartitionedDataset.create(tmp_path / "b", "t")
-        a.append(mixed_shard(0.0), 0.0, 10.0, fmt="rcs")
-        b.append(mixed_shard(0.0), 0.0, 10.0, fmt="npz")
-        ta, tb = a.read(0), b.read(0)
-        assert ta.columns == tb.columns
-        for c in ta.columns:
-            assert ta[c].dtype == tb[c].dtype
-            assert np.array_equal(ta[c], tb[c])
-
-    def test_env_knob_selects_format(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "npz")
-        d = PartitionedDataset.create(tmp_path / "env", "t")
-        d.append(mixed_shard(0.0), 0.0, 10.0)
-        assert d.partitions[0].format == "npz"
+    def test_formats_bit_identical(self, layout_ds):
+        """Compressed and raw layouts differ on disk and read back with the
+        same values *and* dtypes as the table that was written."""
+        t = mixed_shard(0.0, n=600)
+        a = layout_ds("auto")
+        a.append(t, 0.0, 600.0)
+        b = layout_ds("off")
+        b.append(t, 0.0, 600.0)
+        assert a.partitions[0].enc and b.partitions[0].enc is None
+        assert a.n_bytes < b.n_bytes
+        for got in (a.read(0), b.read(0)):
+            assert got.columns == t.columns
+            for c in t.columns:
+                assert got[c].dtype == t[c].dtype
+                assert np.array_equal(got[c], t[c])
 
     def test_reopen_keeps_format_and_zone(self, tmp_path):
         d = PartitionedDataset.create(tmp_path / "z", "t")
-        d.append(mixed_shard(0.0), 0.0, 10.0, fmt="rcs")
+        d.append(mixed_shard(0.0), 0.0, 10.0)
         again = PartitionedDataset(d.root)
         assert again.partitions[0].format == "rcs"
         assert again.partitions[0].zone["timestamp"]["sorted"] is True
         assert again.partitions[0].zone["v"]["max"] == 9.0
 
-    def test_pre_columnar_manifest_still_opens(self, tmp_path):
-        """Manifests written before format/zone existed must still load."""
-        import json
-
-        from repro.frame.io import save_npz
-
-        root = tmp_path / "old"
-        root.mkdir()
-        t = mixed_shard(0.0)
-        n = save_npz(t, root / "part-00000.npz")
-        (root / "manifest.json").write_text(json.dumps({
-            "name": "old",
-            "partitions": [{
-                "index": 0, "filename": "part-00000.npz",
-                "t_begin": 0.0, "t_end": 10.0,
-                "n_rows": 10, "n_bytes": n,
-            }],
-        }))
-        d = PartitionedDataset(root)
-        assert d.column_names is None
-        assert d.read(0) == t
-        assert d.select_time(0.0, 5.0) == [0]
-        got = d.read_time_range(0, 2.0, 5.0)
-        assert np.array_equal(got["timestamp"], [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("drop, put", [
+        ((), {"format": "npz"}),  # the retired fallback format
+        (("format",), {}),        # pre-columnar manifest: no format field
+        (("zone",), {}),          # no zone map to prune with
+    ], ids=["npz", "no-format", "no-zone"])
+    def test_manifest_of_other_shards_rejected(self, tmp_path, drop, put):
+        d = PartitionedDataset.create(tmp_path / "old", "t")
+        d.append(mixed_shard(0.0), 0.0, 10.0)
+        manifest = d.root / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        entry = raw["partitions"][0]
+        for key in drop:
+            del entry[key]
+        entry.update(put)
+        manifest.write_text(json.dumps(raw))
+        with pytest.raises(ColumnarFormatError) as err:
+            PartitionedDataset(d.root)
+        assert str(manifest) in str(err.value)
+        assert entry["filename"] in str(err.value)
 
 
 class TestProjectionPushdown:
-    @pytest.mark.parametrize("fmt", ["rcs", "npz"])
-    def test_read_projected(self, tmp_path, fmt):
-        d = PartitionedDataset.create(tmp_path / fmt, "t")
-        d.append(mixed_shard(0.0), 0.0, 10.0, fmt=fmt)
+    @pytest.mark.parametrize("mode", LAYOUTS)
+    def test_read_projected(self, layout_ds, mode):
+        d = layout_ds(mode)
+        d.append(mixed_shard(0.0), 0.0, 10.0)
         got = d.read(0, columns=["v", "timestamp"])
         assert got.columns == ["v", "timestamp"]
         full = d.read(0)
@@ -171,32 +183,32 @@ class TestProjectionPushdown:
     def test_column_names_from_zone(self, ds):
         assert ds.column_names == ["timestamp", "v"]
 
-    @pytest.mark.parametrize("fmt", ["rcs", "npz"])
-    def test_to_table_projected(self, tmp_path, fmt):
-        d = PartitionedDataset.create(tmp_path / fmt, "t")
-        d.append(mixed_shard(0.0), 0.0, 10.0, fmt=fmt)
-        d.append(mixed_shard(10.0), 10.0, 20.0, fmt=fmt)
+    @pytest.mark.parametrize("mode", LAYOUTS)
+    def test_to_table_projected(self, layout_ds, mode):
+        d = layout_ds(mode)
+        d.append(mixed_shard(0.0), 0.0, 10.0)
+        d.append(mixed_shard(10.0), 10.0, 20.0)
         got = d.to_table(columns=["node"])
         assert got.columns == ["node"]
         assert got.n_rows == 20
 
 
 class TestPredicatePushdown:
-    @pytest.mark.parametrize("fmt", ["rcs", "npz"])
-    def test_read_time_range_sorted(self, tmp_path, fmt):
-        d = PartitionedDataset.create(tmp_path / fmt, "t")
-        d.append(mixed_shard(0.0), 0.0, 10.0, fmt=fmt)
+    @pytest.mark.parametrize("mode", LAYOUTS)
+    def test_read_time_range_sorted(self, layout_ds, mode):
+        d = layout_ds(mode)
+        d.append(mixed_shard(0.0), 0.0, 10.0)
         got = d.read_time_range(0, 3.0, 7.0, columns=["v"])
         assert got.columns == ["v"]
         assert np.array_equal(got["v"], [3.0, 4.0, 5.0, 6.0])
 
-    @pytest.mark.parametrize("fmt", ["rcs", "npz"])
-    def test_read_time_range_unsorted_mask(self, tmp_path, fmt):
+    @pytest.mark.parametrize("mode", LAYOUTS)
+    def test_read_time_range_unsorted_mask(self, layout_ds, mode):
         rng = np.random.default_rng(0)
         ts = rng.permutation(10).astype(np.float64)
         t = Table({"timestamp": ts, "v": ts * 3})
-        d = PartitionedDataset.create(tmp_path / fmt, "t")
-        d.append(t, 0.0, 10.0, fmt=fmt)
+        d = layout_ds(mode)
+        d.append(t, 0.0, 10.0)
         assert d.partitions[0].zone["timestamp"]["sorted"] is False
         got = d.read_time_range(0, 3.0, 7.0)
         keep = (ts >= 3.0) & (ts < 7.0)
@@ -206,20 +218,20 @@ class TestPredicatePushdown:
         # shard declared for [0, 100) but data only spans [0, 10): a probe
         # of [50, 60) must prune it via the zone map
         d = PartitionedDataset.create(tmp_path / "t", "t")
-        d.append(mixed_shard(0.0), 0.0, 100.0, fmt="rcs")
+        d.append(mixed_shard(0.0), 0.0, 100.0)
         assert d.select_time(50.0, 60.0) == []
         assert d.select_time(5.0, 60.0) == [0]
 
     def test_select_time_skips_empty_shard(self, tmp_path):
         d = PartitionedDataset.create(tmp_path / "t", "t")
-        d.append(mixed_shard(0.0)[:0], 0.0, 10.0, fmt="rcs")
-        d.append(mixed_shard(10.0), 10.0, 20.0, fmt="rcs")
+        d.append(mixed_shard(0.0)[:0], 0.0, 10.0)
+        d.append(mixed_shard(10.0), 10.0, 20.0)
         assert d.select_time(0.0, 30.0) == [1]
 
     def test_select_where(self, tmp_path):
         d = PartitionedDataset.create(tmp_path / "t", "t")
-        d.append(mixed_shard(0.0), 0.0, 10.0, fmt="rcs")    # v in [0, 9]
-        d.append(mixed_shard(10.0), 10.0, 20.0, fmt="rcs")  # v in [0, 9]
+        d.append(mixed_shard(0.0), 0.0, 10.0)    # v in [0, 9]
+        d.append(mixed_shard(10.0), 10.0, 20.0)  # v in [0, 9]
         assert d.select_where("v", 0.0, 5.0) == [0, 1]
         assert d.select_where("v", 50.0, 60.0) == []
         assert d.select_where("node", 3, 3) == [0, 1]
@@ -229,7 +241,7 @@ class TestPredicatePushdown:
 
         d = PartitionedDataset.create(tmp_path / "t", "t")
         for lo in (0.0, 10.0, 20.0):
-            d.append(mixed_shard(lo), lo, lo + 10.0, fmt="rcs")
+            d.append(mixed_shard(lo), lo, lo + 10.0)
         got = concat(list(d.scan(["timestamp", "v"], 5.0, 25.0)))
         full = d.to_table()
         t = full["timestamp"]
@@ -290,18 +302,10 @@ class TestStitchedToTable:
                         "v": np.arange(5, dtype=np.int32)}), 0.0, 5.0)
         d.append(Table({"timestamp": np.arange(5.0, 10.0),
                         "v": np.arange(5, dtype=np.int64)}), 5.0, 10.0)
-        assert d._stitch_rcs(None) is None
+        assert d._stitch(range(d.n_partitions), None) is None
         t = d.to_table()
         assert t.n_rows == 10
         assert t["v"].dtype == np.int64
-
-    def test_npz_store_falls_back(self, tmp_path):
-        d = PartitionedDataset.create(tmp_path / "n", "npz")
-        for i in range(2):
-            d.append(self._mixed_shard(i * 600.0, seed=i),
-                     i * 600.0, (i + 1) * 600.0, fmt="npz")
-        assert d._stitch_rcs(None) is None
-        assert d.to_table().n_rows == 1200
 
     def test_stitched_columns_are_writable_and_owned(self, tmp_path):
         # results must not alias shard mmaps (delete-safe, mutation-safe)
@@ -356,10 +360,16 @@ class TestMergedTimeRangeRead:
             d, idx, 150.0, 650.0, ["node", "v"]
         )
 
-    def test_npz_falls_back_to_concat(self, tmp_path):
+    def test_unsorted_time_falls_back_to_concat(self, tmp_path):
+        # searchsorted slicing needs a sorted time column: a shard without
+        # one sends the whole read down the per-shard mask path
         d = PartitionedDataset.create(tmp_path / "z", "z")
-        d.append(shard(0.0), 0.0, 10.0, fmt="npz")
-        d.append(shard(10.0), 10.0, 20.0, fmt="npz")
+        d.append(shard(0.0), 0.0, 10.0)
+        d.append(shard(10.0).take(np.arange(10)[::-1]), 10.0, 20.0)
         idx = d.select_time(2.0, 18.0)
+        assert d._stitch(idx, None, (2.0, 18.0)) is None
         merged = d.read_time_range_merged(idx, 2.0, 18.0)
         assert merged == self._concat_reference(d, idx, 2.0, 18.0)
+        assert np.array_equal(
+            np.sort(merged["timestamp"]), np.arange(2.0, 18.0)
+        )

@@ -6,7 +6,9 @@ chunk sizes, executor backends, and cache cold/warm runs.
 """
 
 import hashlib
+import os
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -146,7 +148,7 @@ class TestCoarsenAggregateEquivalence:
 
 
 class TestFusedEquivalence:
-    """telemetry_series: fused one-task-per-shard == unfused == single-pass."""
+    """telemetry_series: fused one-task-per-shard == staged == single-pass."""
 
     @pytest.fixture(scope="class")
     def single_pass(self, telemetry):
@@ -158,28 +160,31 @@ class TestFusedEquivalence:
     def test_fused_chunk_sizes(self, twin_small, telemetry, single_pass,
                                chunk_s):
         pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=chunk_s, backend="serial", fuse=True))
+            chunk_seconds=chunk_s, backend="serial"))
         got = pipe.telemetry_series(telemetry, ["input_power"])
         assert_tables_equal(got, single_pass)
 
-    def test_fused_matches_unfused(self, twin_small, telemetry):
-        fused = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=900.0, backend="serial", fuse=True))
-        unfused = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=900.0, backend="serial", fuse=False))
+    def test_fused_matches_unfused(self, twin_small, telemetry, single_pass):
+        # unfused: the two chunked stages called one after the other
+        cfg = PipelineConfig(chunk_seconds=900.0, backend="serial")
+        fused = Pipeline(twin_small, cfg)
+        staged = Pipeline(twin_small, cfg)
         a = fused.telemetry_series(telemetry, ["input_power"])
-        b = unfused.telemetry_series(telemetry, ["input_power"])
+        b = staged.cluster_series(
+            staged.coarsen(telemetry, ["input_power"], width=10.0)
+        )
         assert_tables_equal(a, b)
-        # the fused run must never have materialized the unfused stage names
+        assert_tables_equal(a, single_pass)
+        # the fused run must never have materialized the staged stage names
         assert "coarsen" not in fused.stats.stages
         assert fused.stats.stage("fused").calls > 1
         assert fused.stats.stage("fused/coarsen").wall_s >= 0.0
-        assert unfused.stats.stage("coarsen").calls > 1
+        assert staged.stats.stage("coarsen").calls > 1
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_fused_backends(self, twin_small, telemetry, single_pass, backend):
         pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=900.0, backend=backend, max_workers=2, fuse=True))
+            chunk_seconds=900.0, backend=backend, max_workers=2))
         got = pipe.telemetry_series(telemetry, ["input_power"])
         assert_tables_equal(got, single_pass)
 
@@ -194,7 +199,7 @@ class TestFusedEquivalence:
             sub = telemetry.filter((t >= lo) & (t < lo + 900.0))
             ds.append(sub, lo, lo + 900.0)
         pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=900.0, backend="serial", fuse=True))
+            chunk_seconds=900.0, backend="serial"))
         got = pipe.telemetry_series(ds, ["input_power"])
         assert_tables_equal(got, single_pass)
         assert pipe.stats.stage("fused/read").calls == ds.n_partitions
@@ -202,7 +207,7 @@ class TestFusedEquivalence:
     def test_fused_cache_cold_then_warm(self, twin_small, telemetry,
                                         single_pass, tmp_path):
         cfg = PipelineConfig(chunk_seconds=900.0, backend="serial",
-                             fuse=True, cache_dir=tmp_path / "cache")
+                             cache_dir=tmp_path / "cache")
         cold = Pipeline(twin_small, cfg)
         assert_tables_equal(
             cold.telemetry_series(telemetry, ["input_power"],
@@ -275,30 +280,34 @@ class TestExportEquivalence:
 class TestPushdownEquivalence:
     """Projection + predicate pushdown never changes a bit.
 
-    rcs == npz, projected == full, pruned == filtered — across backends,
-    fuse on/off, cache cold/warm.
+    compressed == raw shards, projected == full, pruned == filtered —
+    across backends, cache cold/warm.
     """
 
     WIDTH = 10.0
     SHARD_S = 900.0
 
+    #: store name -> the ``REPRO_RCS_COMPRESSION`` mode it is written under
+    LAYOUTS = {"rcs": "auto", "rcs-raw": "off"}
+
     @staticmethod
-    def build_dataset(telemetry, root, fmt):
+    def build_dataset(telemetry, root, mode):
         from repro.parallel.partition import PartitionedDataset
 
         ds = PartitionedDataset.create(root, "telemetry")
         t = telemetry["timestamp"]
-        for lo in np.arange(0.0, float(t.max()) + 1.0, 900.0):
-            sub = telemetry.filter((t >= lo) & (t < lo + 900.0))
-            ds.append(sub, lo, lo + 900.0, fmt=fmt)
+        with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": mode}):
+            for lo in np.arange(0.0, float(t.max()) + 1.0, 900.0):
+                sub = telemetry.filter((t >= lo) & (t < lo + 900.0))
+                ds.append(sub, lo, lo + 900.0)
         return ds
 
     @pytest.fixture(scope="class")
     def datasets(self, telemetry, tmp_path_factory):
         root = tmp_path_factory.mktemp("push")
         return {
-            fmt: self.build_dataset(telemetry, root / fmt, fmt)
-            for fmt in ("rcs", "npz")
+            fmt: self.build_dataset(telemetry, root / fmt, mode)
+            for fmt, mode in self.LAYOUTS.items()
         }
 
     @pytest.fixture(scope="class")
@@ -307,21 +316,18 @@ class TestPushdownEquivalence:
             coarsen_telemetry(telemetry, ["input_power"], width=self.WIDTH)
         )
 
-    @pytest.mark.parametrize("fmt", ["rcs", "npz"])
+    @pytest.mark.parametrize("fmt", list(LAYOUTS))
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_formats_and_backends(self, twin_small, datasets, single_pass,
-                                  fmt, backend, fuse):
+    def test_layouts_and_backends(self, twin_small, datasets, single_pass,
+                                  fmt, backend):
         pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=self.SHARD_S, backend=backend, max_workers=2,
-            fuse=fuse))
+            chunk_seconds=self.SHARD_S, backend=backend, max_workers=2))
         got = pipe.telemetry_series(datasets[fmt], ["input_power"])
         assert_tables_equal(got, single_pass)
 
-    @pytest.mark.parametrize("fmt", ["rcs", "npz"])
-    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("fmt", list(LAYOUTS))
     def test_time_range_equals_filtered_full_read(self, twin_small, telemetry,
-                                                  datasets, fmt, fuse):
+                                                  datasets, fmt):
         # range aligned to shard and coarsen-window edges: pruned reads must
         # reproduce exactly what filtering the full read would have given
         t0, t1 = self.SHARD_S, 3 * self.SHARD_S
@@ -331,10 +337,20 @@ class TestPushdownEquivalence:
             width=self.WIDTH,
         ))
         pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=self.SHARD_S, backend="serial", fuse=fuse))
+            chunk_seconds=self.SHARD_S, backend="serial"))
         got = pipe.telemetry_series(datasets[fmt], ["input_power"],
                                     t_begin=t0, t_end=t1)
         assert_tables_equal(got, ref)
+
+    @pytest.mark.parametrize("source", ["table", "dataset"])
+    def test_empty_time_range_is_empty_series(self, twin_small, telemetry,
+                                              datasets, single_pass, source):
+        pipe = Pipeline(twin_small, PipelineConfig(
+            chunk_seconds=self.SHARD_S, backend="serial"))
+        src = telemetry if source == "table" else datasets["rcs"]
+        got = pipe.telemetry_series(src, ["input_power"],
+                                    t_begin=1e6, t_end=2e6)
+        assert_tables_equal(got, single_pass[:0])
 
     def test_time_range_on_table_source(self, twin_small, telemetry):
         t0, t1 = self.SHARD_S, 3 * self.SHARD_S
@@ -344,7 +360,7 @@ class TestPushdownEquivalence:
             width=self.WIDTH,
         ))
         pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=self.SHARD_S, backend="serial", fuse=True))
+            chunk_seconds=self.SHARD_S, backend="serial"))
         got = pipe.telemetry_series(telemetry, ["input_power"],
                                     t_begin=t0, t_end=t1)
         assert_tables_equal(got, ref)
@@ -352,7 +368,7 @@ class TestPushdownEquivalence:
     def test_predicate_prunes_shards_before_read(self, twin_small, datasets):
         ds = datasets["rcs"]
         pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=self.SHARD_S, backend="serial", fuse=True))
+            chunk_seconds=self.SHARD_S, backend="serial"))
         pipe.telemetry_series(ds, ["input_power"],
                               t_begin=self.SHARD_S, t_end=3 * self.SHARD_S)
         # zone maps admit the two in-range shards plus the one holding the
@@ -361,11 +377,11 @@ class TestPushdownEquivalence:
         assert pipe.stats.stage("fused/read").calls < ds.n_partitions
         assert pipe.stats.stage("fused/read").calls <= 3
 
-    @pytest.mark.parametrize("fmt", ["rcs", "npz"])
+    @pytest.mark.parametrize("fmt", list(LAYOUTS))
     def test_dataset_cache_cold_then_warm(self, twin_small, datasets,
                                           single_pass, tmp_path, fmt):
         cfg = PipelineConfig(chunk_seconds=self.SHARD_S, backend="serial",
-                             fuse=True, cache_dir=tmp_path / "cache")
+                             cache_dir=tmp_path / "cache")
         cold = Pipeline(twin_small, cfg)
         assert_tables_equal(
             cold.telemetry_series(datasets[fmt], ["input_power"],
@@ -386,7 +402,7 @@ class TestPushdownEquivalence:
                                                           tmp_path):
         # a pruned run must never serve (or poison) the full run's artifacts
         cfg = PipelineConfig(chunk_seconds=self.SHARD_S, backend="serial",
-                             fuse=True, cache_dir=tmp_path / "cache")
+                             cache_dir=tmp_path / "cache")
         ds = datasets["rcs"]
         full = Pipeline(twin_small, cfg).telemetry_series(
             ds, ["input_power"], cache_token="tok")

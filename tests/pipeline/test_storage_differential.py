@@ -1,12 +1,12 @@
-"""Differential equivalence: compressed vs raw vs npz stores, all routes.
+"""Differential equivalence: compressed vs raw stores, all routes.
 
-One hour of twin telemetry is written as three byte-different stores —
-compressed ``.rcs`` (per-column codecs), raw ``.rcs`` (the PR 4 layout),
-and ``.npz`` — and every pipeline route over them must produce results
-bit-identical to each other and to the single-pass reference: batch
-(fused and unfused), threads and processes backends, projection +
-time-range pushdown, the streaming engine, and warm artifact caches
-(whose keys are proven disjoint across storage configs and
+One hour of twin telemetry is written as two byte-different stores —
+compressed ``.rcs`` (per-column codecs) and raw ``.rcs``
+(``REPRO_RCS_COMPRESSION=off``) — and every pipeline route over them must
+produce results bit-identical to the in-memory table's single-pass
+reference: batch over the serial, threads and processes backends,
+projection + time-range pushdown, the streaming engine, and warm artifact
+caches (whose keys are proven disjoint across storage configs and
 ``CACHE_FORMAT_VERSION`` bumps, so no stale artifact can ever leak
 between configurations).
 """
@@ -21,7 +21,7 @@ from repro.core.aggregate import cluster_power_series
 from repro.core.coarsen import coarsen_telemetry
 from repro.pipeline import Pipeline, PipelineConfig
 
-STORES = ("compressed", "raw", "npz")
+STORES = ("compressed", "raw")
 
 
 def assert_tables_equal(got, want):
@@ -47,31 +47,30 @@ def single_pass(telemetry):
 
 @pytest.fixture(scope="module")
 def stores(telemetry, tmp_path_factory):
-    """The same telemetry as three byte-different on-disk stores."""
+    """The same telemetry as two byte-different on-disk stores."""
     from repro.parallel.partition import PartitionedDataset
 
     root = tmp_path_factory.mktemp("stores")
     out = {}
     t = telemetry["timestamp"]
     for kind in STORES:
-        fmt = "npz" if kind == "npz" else "rcs"
         mode = "off" if kind == "raw" else "auto"
         ds = PartitionedDataset.create(root / kind, f"telemetry-{kind}")
         with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": mode}):
             for lo in np.arange(0.0, float(t.max()) + 1.0, 900.0):
                 sub = telemetry.filter((t >= lo) & (t < lo + 900.0))
-                ds.append(sub, lo, lo + 900.0, fmt=fmt)
+                ds.append(sub, lo, lo + 900.0)
         out[kind] = ds
     # the stores must actually differ on disk for this test to mean much
     assert out["compressed"].n_bytes < out["raw"].n_bytes
     enc = out["compressed"].encoding_summary()
-    assert sum(n for c, n in enc.items() if c not in ("raw", "npz")) > 0
+    assert sum(n for c, n in enc.items() if c != "raw") > 0
     assert all(p.enc is None for p in out["raw"].partitions)
     return out
 
 
 def series_over(store, twin, cache_token=None, **cfg):
-    defaults = dict(chunk_seconds=900.0, backend="serial", fuse=True)
+    defaults = dict(chunk_seconds=900.0, backend="serial")
     defaults.update(cfg)
     pipe = Pipeline(twin, PipelineConfig(**defaults))
     got = pipe.telemetry_series(store, ["input_power"],
@@ -83,11 +82,6 @@ class TestBatchRoutes:
     @pytest.mark.parametrize("kind", STORES)
     def test_fused_serial(self, stores, twin_small, single_pass, kind):
         got, _ = series_over(stores[kind], twin_small)
-        assert_tables_equal(got, single_pass)
-
-    @pytest.mark.parametrize("kind", STORES)
-    def test_unfused(self, stores, twin_small, single_pass, kind):
-        got, _ = series_over(stores[kind], twin_small, fuse=False)
         assert_tables_equal(got, single_pass)
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
@@ -109,57 +103,64 @@ class TestBatchRoutes:
 
 class TestPushdownRoutes:
     def test_time_range_pushdown_identical_across_stores(self, stores,
-                                                         twin_small):
-        results = {}
+                                                         twin_small,
+                                                         telemetry):
+        t = telemetry["timestamp"]
+        ref = cluster_power_series(coarsen_telemetry(
+            telemetry.filter((t >= 1000.0) & (t < 2600.0)),
+            ["input_power"], width=10.0,
+        ))
+        assert ref.n_rows > 0
         for kind in STORES:
             pipe = Pipeline(twin_small, PipelineConfig(
-                chunk_seconds=900.0, backend="serial", fuse=True))
-            results[kind] = pipe.telemetry_series(
+                chunk_seconds=900.0, backend="serial"))
+            assert_tables_equal(pipe.telemetry_series(
                 stores[kind], ["input_power"],
                 t_begin=1000.0, t_end=2600.0,
-            )
-        assert results["compressed"].n_rows > 0
-        assert_tables_equal(results["compressed"], results["raw"])
-        assert_tables_equal(results["compressed"], results["npz"])
+            ), ref)
 
     def test_zone_pruned_scan_identical(self, stores):
         picks = {
             kind: stores[kind].select_time(900.0, 1800.0)
             for kind in STORES
         }
-        assert picks["compressed"] == picks["raw"] == picks["npz"]
+        assert picks["compressed"] == picks["raw"]
         for kind in STORES:
             assert 0 < len(picks[kind]) < stores[kind].n_partitions
 
-    def test_projected_reads_identical(self, stores):
-        for i in range(stores["raw"].n_partitions):
-            a = stores["compressed"].read(i, ["timestamp", "input_power"])
-            b = stores["raw"].read(i, ["timestamp", "input_power"])
-            c = stores["npz"].read(i, ["timestamp", "input_power"])
-            assert_tables_equal(a, b)
-            assert_tables_equal(a, c)
+    def test_projected_reads_identical(self, stores, telemetry):
+        t = telemetry["timestamp"]
+        for i, lo in enumerate(np.arange(0.0, float(t.max()) + 1.0, 900.0)):
+            want = telemetry.filter((t >= lo) & (t < lo + 900.0)).select(
+                ["timestamp", "input_power"]
+            )
+            for kind in STORES:
+                assert_tables_equal(
+                    stores[kind].read(i, ["timestamp", "input_power"]), want
+                )
 
 
 class TestStreamingRoute:
-    def test_streamed_aggregate_identical(self, stores, twin_small):
+    def test_streamed_aggregate_identical(self, stores, twin_small,
+                                          telemetry):
         results = {}
-        for kind in STORES:
+        for kind, source in [("memory", telemetry), *stores.items()]:
             pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
-            graph = pipe.stream_graph(stores[kind], skew=False, seed=3,
+            graph = pipe.stream_graph(source, skew=False, seed=3,
                                       spectral=False)
             graph.run()
             agg = graph.result("aggregate")
             assert agg is not None and agg.n_rows > 0
             results[kind] = agg
-        assert_tables_equal(results["compressed"], results["raw"])
-        assert_tables_equal(results["compressed"], results["npz"])
+        for kind in STORES:
+            assert_tables_equal(results[kind], results["memory"])
 
 
 class TestCacheIsolation:
     def test_warm_cache_per_store_config(self, stores, twin_small,
                                          single_pass, tmp_path):
         cache_dir = tmp_path / "cache"
-        cfg = dict(chunk_seconds=900.0, backend="serial", fuse=True,
+        cfg = dict(chunk_seconds=900.0, backend="serial",
                    cache_dir=cache_dir, cache_token="tel-hour")
         # pin both storage configs: the ambient env (e.g. CI's
         # compression-off job) must not collapse the two key spaces
@@ -183,7 +184,7 @@ class TestCacheIsolation:
                                              single_pass, tmp_path):
         import repro.pipeline.cache as cache_mod
 
-        cfg = dict(chunk_seconds=900.0, backend="serial", fuse=True,
+        cfg = dict(chunk_seconds=900.0, backend="serial",
                    cache_dir=tmp_path / "cache", cache_token="tel-hour")
         with patch.object(cache_mod, "CACHE_FORMAT_VERSION",
                           cache_mod.CACHE_FORMAT_VERSION - 1):

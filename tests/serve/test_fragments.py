@@ -2,10 +2,11 @@
 bit-identity battery.
 
 The load-bearing property: every answer the fragment-cached service gives
-is **bit-identical** to the direct plan execution and to the batch
-pipeline — for random overlapping query sequences, with the cache on or
-off, and across a concurrent ``compact()`` (generation-carrying fragment
-keys must make stale reuse impossible).
+is **bit-identical** to the direct plan execution (``plan_query(q,
+ds).execute()``, which never touches the cache) and to the batch pipeline
+— for random overlapping query sequences and across a concurrent
+``compact()`` (generation-carrying fragment keys must make stale reuse
+impossible).
 """
 
 import asyncio
@@ -155,25 +156,19 @@ class TestServiceEquivalence:
         Query(t_begin=120.0, t_end=1320.0, width=30.0),
     ]
 
-    def test_sequence_matches_plan_and_fragment_off(self, dataset):
-        svc_on = make_service(dataset, fragment_cache=True)
-        svc_off = make_service(dataset, fragment_cache=False)
+    def test_sequence_matches_plan(self, dataset):
+        svc = make_service(dataset)
 
         async def main():
             for q in self.OVERLAPPING:
-                on = await answer(svc_on, q)
-                off = await answer(svc_off, q)
-                ref = plan_query(q, dataset).execute()
-                assert on["table"] == off["table"] == ref, q
+                got = await answer(svc, q)
+                assert got["table"] == plan_query(q, dataset).execute(), q
 
         try:
             run(main())
-            assert svc_on.stats.frag_hits > 0, "overlap never reused"
-            assert svc_off.stats.frag_hits == 0
-            assert svc_off.fragments.n_entries == 0
+            assert svc.stats.frag_hits > 0, "overlap never reused"
         finally:
-            svc_on.close()
-            svc_off.close()
+            svc.close()
 
     def test_full_range_matches_pipeline(self, dataset):
         svc = make_service(dataset)
@@ -193,7 +188,7 @@ class TestServiceEquivalence:
     def test_concurrent_overlap_shares_flights(self, dataset):
         """8 concurrent overlapping queries: every distinct fragment is
         computed exactly once between them (hit or shared, never twice)."""
-        svc = make_service(dataset, fragment_cache=True)
+        svc = make_service(dataset)
         queries = [
             Query(t_begin=60.0 * i, t_end=60.0 * i + 900.0)
             for i in range(8)
@@ -226,7 +221,7 @@ class TestServiceEquivalence:
             svc.close()
 
     def test_counters_and_snapshot(self, dataset):
-        svc = make_service(dataset, fragment_cache=True)
+        svc = make_service(dataset)
 
         async def main():
             await answer(svc, Query(t_begin=60.0, t_end=1260.0), "a")
@@ -238,7 +233,7 @@ class TestServiceEquivalence:
         finally:
             svc.close()
         frag = snap["fragment_cache"]
-        assert frag["enabled"] and frag["entries"] > 0
+        assert frag["entries"] > 0
         assert snap["frag_hits"] > 0 and snap["frag_misses"] > 0
         assert snap["tasks_aligned"] >= 2
         assert 0.0 < snap["partial_coverage_ratio"] < 1.0
@@ -283,22 +278,18 @@ class TestPropertyBattery:
     @given(queries=_query_strategy())
     def test_random_overlaps_bit_identical(self, dataset, queries):
         """Random overlapping sequences: fragment-cached service ==
-        fragment-off service == direct plan execution, bit-identical."""
-        svc_on = make_service(dataset, fragment_cache=True)
-        svc_off = make_service(dataset, fragment_cache=False)
+        direct plan execution, bit-identical."""
+        svc = make_service(dataset)
 
         async def main():
             for q in queries:
-                on = await answer(svc_on, q)
-                off = await answer(svc_off, q)
-                ref = plan_query(q, dataset).execute()
-                assert on["table"] == off["table"] == ref, q
+                got = await answer(svc, q)
+                assert got["table"] == plan_query(q, dataset).execute(), q
 
         try:
             run(main())
         finally:
-            svc_on.close()
-            svc_off.close()
+            svc.close()
 
 
 @pytest.fixture()

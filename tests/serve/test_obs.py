@@ -102,9 +102,13 @@ class TestTracedQuery:
                    (tmp_path / "trace.jsonl").read_text().splitlines()]
         forest = validate_spans(records)
         names = {r["name"] for r in records}
-        assert {"serve.query", "serve.admit", "serve.plan",
+        assert {"serve.query", "serve.admit", "serve.plan_query",
                 "serve.task", "serve.task.exec",
                 "serve.merge"} <= names
+        assert "serve.plan" not in names  # one name for the planning step
+        (plan,) = [r for r in records if r["name"] == "serve.plan_query"]
+        assert plan["attrs"]["shards"] == resp["shards"]["scanned"]
+        assert plan["attrs"]["pruned"] == resp["shards"]["pruned"]
 
         edges = set()
 
@@ -115,6 +119,6 @@ class TestTracedQuery:
 
         for root in forest:
             walk(root)
-        assert ("serve.query", "serve.plan") in edges
+        assert ("serve.query", "serve.plan_query") in edges
         assert ("serve.task", "serve.task.exec") in edges
         assert ("serve.query", "serve.merge") in edges

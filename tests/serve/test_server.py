@@ -273,3 +273,44 @@ class TestTCP:
         out = run(main())
         assert out["err"]["status"] == "error"
         assert out["after"] is True
+
+    def test_over_long_line_is_error_then_close(self, service):
+        import json
+        import socket
+
+        from repro.serve.server import MAX_REQUEST_BYTES
+
+        async def main():
+            server = TelemetryServer(service)
+            host, port = await server.start()
+            out = {}
+
+            def client_side():
+                with socket.create_connection((host, port), timeout=30) as sk:
+                    sk.sendall(b"x" * (MAX_REQUEST_BYTES + 1) + b"\n")
+                    with sk.makefile("rb") as f:
+                        out["err"] = json.loads(f.readline())
+                        try:
+                            out["eof"] = f.readline()
+                        except ConnectionResetError:
+                            # closed before reading our trailing newline
+                            out["eof"] = b""
+                with QueryClient(host, port) as c:
+                    out["after"] = c.ping()
+
+            worker = threading.Thread(target=client_side)
+            worker.start()
+            while worker.is_alive():
+                await asyncio.sleep(0.02)
+            worker.join()
+            await server.stop()
+            return out
+
+        out = run(main())
+        assert out["err"] == {
+            "status": "error",
+            "error": f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+        }
+        assert out["eof"] == b""  # the server closed the connection
+        assert service.stats.errors == 1
+        assert out["after"] is True

@@ -6,15 +6,14 @@ import pytest
 from repro.stream import TelemetryReplaySource
 
 
-def build_dataset(telemetry, root, fmt):
+def build_dataset(telemetry, root):
     from repro.parallel.partition import PartitionedDataset
 
     ds = PartitionedDataset.create(root, "telemetry")
     t = telemetry["timestamp"]
     for lo in np.arange(0.0, float(t.max()) + 1.0, 300.0):
         ds.append(
-            telemetry.filter((t >= lo) & (t < lo + 300.0)), lo, lo + 300.0,
-            fmt=fmt,
+            telemetry.filter((t >= lo) & (t < lo + 300.0)), lo, lo + 300.0
         )
     return ds
 
@@ -27,9 +26,13 @@ def drain(source):
 
 
 class TestDatasetReplay:
-    @pytest.mark.parametrize("fmt", ["rcs", "npz"])
-    def test_batches_identical_to_table_replay(self, telemetry, tmp_path, fmt):
-        ds = build_dataset(telemetry, tmp_path / fmt, fmt)
+    @pytest.mark.parametrize("mode", [
+        pytest.param("auto", id="rcs"), pytest.param("off", id="rcs-raw"),
+    ])
+    def test_batches_identical_to_table_replay(self, telemetry, tmp_path,
+                                               monkeypatch, mode):
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", mode)
+        ds = build_dataset(telemetry, tmp_path / mode)
         ref = TelemetryReplaySource(telemetry, skew=False, seed=5)
         got = TelemetryReplaySource(ds, skew=False, seed=5)
         a, b = drain(ref), drain(got)
@@ -41,7 +44,7 @@ class TestDatasetReplay:
                 assert np.array_equal(ba.table[c], bb.table[c]), c
 
     def test_projected_replay(self, telemetry, tmp_path):
-        ds = build_dataset(telemetry, tmp_path / "proj", "rcs")
+        ds = build_dataset(telemetry, tmp_path / "proj")
         src = TelemetryReplaySource(
             ds, columns=["input_power"], skew=False, seed=5
         )

@@ -1,0 +1,42 @@
+"""Guard: the environment variables ``src/repro`` reads are a closed set.
+
+Each allowed name is a deployment or observability setting, or a measured
+bytes-vs-time trade the README's Performance section keeps on purpose.  A
+name that shows up here unannounced is a new user-settable switch between
+two implementations of the same bits — record its verdict with the
+benchmark ledger first (``ledger/README.md``), then either delete the
+losing side or extend this set.
+"""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+ALLOWED = {
+    "REPRO_TRACE",
+    "REPRO_TRACE_FILE",
+    "REPRO_PROFILE",
+    "REPRO_MAX_WORKERS",
+    "REPRO_MP_CONTEXT",
+    "REPRO_RCS_COMPRESSION",
+    "REPRO_SHM",
+}
+
+#: ``os.environ.get("X"``, ``os.environ["X"]``, ``os.getenv("X"`` — the
+#: key may sit on the line after the opening bracket
+_ENV_READ = re.compile(
+    r"""os\.(?:environ(?:\.\w+\(|\[)|getenv\()\s*["'](REPRO_\w+)["']"""
+)
+
+
+def test_env_switches_are_a_closed_set():
+    read = {
+        name
+        for path in SRC.rglob("*.py")
+        for name in _ENV_READ.findall(path.read_text())
+    }
+    assert read == ALLOWED, (
+        f"unexpected: {sorted(read - ALLOWED)}, "
+        f"no longer read: {sorted(ALLOWED - read)}"
+    )

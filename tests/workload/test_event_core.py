@@ -169,14 +169,14 @@ class TestEventCoreBitIdentity:
     @settings(max_examples=10, deadline=None)
     def test_noise_cache_is_value_transparent(self, catalog):
         sched = Scheduler(catalog.config, seed=1).run(catalog, HORIZON)
-        cached = ClusterTraceBuilder(catalog, sched, seed=1)
-        uncached = ClusterTraceBuilder(
-            catalog, sched, seed=1, noise_cache=False
-        )
-        a = cached.build(0.0, 2000.0, 50.0)
-        b = uncached.build(0.0, 2000.0, 50.0)
-        # second cached build hits the cache; must still match
-        c = cached.build(0.0, 2000.0, 50.0)
+        cold = ClusterTraceBuilder(catalog, sched, seed=1)
+        warm = ClusterTraceBuilder(catalog, sched, seed=1)
+        # fill warm's cache from a different window and sampling step
+        warm.build(0.0, 4000.0, 100.0)
+        a = cold.build(0.0, 2000.0, 50.0)
+        b = warm.build(0.0, 2000.0, 50.0)
+        # second build on each side hits the cache; must still match
+        c = cold.build(0.0, 2000.0, 50.0)
         assert np.array_equal(a.node_input_w, b.node_input_w)
         assert np.array_equal(a.node_input_w, c.node_input_w)
 

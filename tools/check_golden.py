@@ -100,37 +100,6 @@ SPECS: dict[str, list] = {
     "ablation_destaging": [
         Scalar("60 s PUE", r"(?m)^60 s\s+([\d.]+)", tol=0.02),
     ],
-    "pipeline_scaling": [
-        Exact("single-pass row", r"(?m)^single-pass\s+\d+"),
-        Exact("serial shards", r"(?m)^serial\s+\d+"),
-        Exact("processes shards", r"(?m)^processes x4\s+\d+"),
-        Exact("fused shards", r"(?m)^fused x4\s+\d+"),
-        Exact("bit-identical", r"all variants bit-identical: \w+"),
-        # ratio value is box-dependent; assert the pin line + budget only
-        Exact("process overhead pinned",
-              r"processes/threads ratio: [\d.]+x (\(budget [\d.]+x\))"),
-        # the % is box-dependent; pin the anchor line + its 1% budget
-        Exact("tracing overhead pinned",
-              r"tracing-disabled overhead: [\d.]+% of hot path over "
-              r"\d+ span calls (\(budget \d+%\))"),
-        Exact("kernel table present", r"(?m)^sorted-path\b"),
-    ],
-    "io_throughput": [
-        Exact("bit-identical", r"all reads bit-identical: \w+"),
-        Exact("zone-pruned shards", r"zone-map pruned shards: \d+/\d+"),
-        # sizes and timings are box/scale-dependent; assert the bound
-        # lines (and their budgets) are present and unchanged
-        Exact("bytes bound pinned",
-              r"compressed/npz bytes: [\d.]+ (\(must be < 1\))"),
-        Exact("cold-read bound pinned",
-              r"compressed/raw cold read: [\d.]+x (\(budget [\d.]+x\))"),
-    ],
-    "stream_throughput": [
-        Exact("replayed rows", r"replayed rows: (\d+)"),
-        Exact("bit-identical to batch", r"streaming == batch: (\w+)"),
-        Exact("late rows skew-free", r"late rows skew-free: (\d+)"),
-        Exact("late rows skewed", r"late rows skewed: (\d+)"),
-    ],
     "power_aware": [
         Exact("engines bit-identical",
               r"engines bit-identical \(schedule \+ cap accounting\): "
@@ -139,44 +108,6 @@ SPECS: dict[str, list] = {
         Exact("engine ratio pinned",
               r"event/reference runtime at 60% cap: [\d.]+x "
               r"(\(floor [\d.]+x\))"),
-    ],
-    "sched_scale": [
-        Exact("schedule bit-identical",
-              r"schedule bit-identical at all co-timed points: (\w+)"),
-        Exact("trace bit-identical", r"trace arrays bit-identical: (\w+)"),
-        Exact("feed probes match",
-              r"partitioned feed probes match interval index: (\w+)"),
-        # speedups are box/scale-dependent; pin the lines + floors only
-        Exact("jobs/s floor pinned",
-              r"jobs/s speedup at largest point: [\d.]+x (\(floor \d+x\))"),
-        Exact("trace floor pinned",
-              r"trace node-seconds/s speedup: [\d.]+x (\(floor \d+x\))"),
-    ],
-    "query_service": [
-        Exact("bit-identical to pipeline", r"service == pipeline: (\w+)"),
-        Exact("fragments bit-identical", r"fragments on == off: (\w+)"),
-        # the single-flight and overload splits are decided synchronously
-        # on the event loop: exact at every scale, on every box
-        Exact("single-flight collapse",
-              r"single-flight: executed \d+ of \d+ identical concurrent "
-              r"queries"),
-        Exact("overload split",
-              r"overload: offered \d+ -> ok \d+ \(queued \d+\), "
-              r"rejected \d+ \(capacity \d+, quota \d+\)"),
-        # throughput is box-dependent; assert the pin lines + floors only
-        Exact("cold-wave floor pinned",
-              r"cold wave @8 vs @1 throughput: [\d.]+x "
-              r"(\(floor [\d.]+x\))"),
-        Exact("overlap-sweep floor pinned",
-              r"overlap sweep with/without fragments: [\d.]+x "
-              r"(\(floor [\d.]+x\))"),
-        Exact("speedup floor pinned",
-              r"warm@8 vs cold@1 throughput: [\d.]+x "
-              r"(\(must be >= \d+x\))"),
-        # the % is box-dependent; pin the anchor line + its 1% budget
-        Exact("tracing overhead pinned",
-              r"tracing-disabled overhead: [\d.]+% of service phases "
-              r"over \d+ span calls (\(budget \d+%\))"),
     ],
 }
 
