@@ -14,8 +14,7 @@ from repro.frame.table import Table
 
 
 def cluster_power_series(
-    coarse, value: str = "input_power", pipeline=None,
-    presorted: bool | None = None,
+    coarse: Table, value: str = "input_power", presorted: bool | None = None
 ) -> Table:
     """Dataset 1: cluster power per 10 s window.
 
@@ -27,26 +26,9 @@ def cluster_power_series(
     streaming aggregate's buffers are built that way), collapsing through
     the run-length kernel instead of a sort; ``None`` probes.  Output is
     bit-identical either way.
-
-    With a :class:`~repro.pipeline.runner.Pipeline` the collapse runs as
-    one chunk task per time window through its executor and stats.
-
-    ``coarse`` may also be a
-    :class:`~repro.parallel.partition.PartitionedDataset`: only the three
-    columns the collapse consumes are read from each shard.
     """
-    if pipeline is not None:
-        return pipeline.cluster_series(coarse, value=value)
     mean_col = f"{value}_mean"
     max_col = f"{value}_max"
-    if not isinstance(coarse, Table):
-        from repro.parallel.partition import PartitionedDataset
-
-        if isinstance(coarse, PartitionedDataset):
-            # projected read: the collapse touches exactly three columns
-            coarse = coarse.to_table(
-                columns=list(dict.fromkeys(["timestamp", mean_col, max_col]))
-            )
     for c in (mean_col, max_col, "timestamp"):
         if c not in coarse:
             raise KeyError(f"expected coarsened column {c!r}")

@@ -19,13 +19,12 @@ from repro.frame.window import window_aggregate, DEFAULT_STATS
 
 
 def coarsen_telemetry(
-    telemetry,
+    telemetry: Table,
     values: Sequence[str],
     width: float = SUMMIT.coarsen_window_s,
     by: Sequence[str] = ("node",),
     time: str = "timestamp",
     drop_nan: bool = True,
-    pipeline=None,
     presorted: bool | None = None,
 ) -> Table:
     """Per-node windowed statistics of raw telemetry.
@@ -40,27 +39,7 @@ def coarsen_telemetry(
     routes the windowed group-by through the run-length kernel — no
     factorize, no argsort; the default ``None`` probes for that order in
     O(n).  Either way the output is bit-identical to the generic kernel.
-
-    With a :class:`~repro.pipeline.runner.Pipeline` the coarsening runs
-    chunked (one task per aligned time window) through its executor and
-    stats, producing a bit-identical table.
-
-    ``telemetry`` may also be a
-    :class:`~repro.parallel.partition.PartitionedDataset`: only the columns
-    this coarsening consumes (``by`` + ``time`` + ``values``) are read —
-    zero-copy column maps on ``.rcs`` shards.
     """
-    if pipeline is not None:
-        return pipeline.coarsen(
-            telemetry, values, width=width, by=by, time=time,
-            drop_nan=drop_nan, presorted=presorted,
-        )
-    if not isinstance(telemetry, Table):
-        from repro.parallel.partition import PartitionedDataset
-
-        if isinstance(telemetry, PartitionedDataset):
-            projection = list(dict.fromkeys(list(by) + [time] + list(values)))
-            telemetry = telemetry.to_table(columns=projection)
     missing = [c for c in values if c not in telemetry]
     if missing:
         raise KeyError(f"telemetry lacks columns {missing}")

@@ -66,7 +66,7 @@ def write_partitioned_series(
 
 
 def export_datasets(
-    twin, root: str | Path, day_s: float = 86_400.0, pipeline=None
+    twin, root: str | Path, day_s: float = 86_400.0
 ) -> dict[str, object]:
     """Write the twin's core datasets to ``root`` in the artifact layout.
 
@@ -76,8 +76,8 @@ def export_datasets(
     * ``job_series/`` — Dataset 3 analogue, partitioned by day,
     * ``cluster_power/`` — Dataset 1 analogue, partitioned by day.
 
-    With a :class:`~repro.pipeline.runner.Pipeline` the series derivations
-    route through its chunked, cached stages (bit-identical output).
+    :meth:`repro.pipeline.runner.Pipeline.export` writes the same files
+    with the two series derivations run as chunked, cached stages.
 
     Returns the inventory dict of :func:`dataset_inventory`.
     """
@@ -85,12 +85,8 @@ def export_datasets(
     root.mkdir(parents=True, exist_ok=True)
     write_log_csvs(twin, root)
 
-    if pipeline is not None:
-        series = pipeline.job_series()
-        times, power = pipeline.cluster_power()
-    else:
-        series = twin.job_series()
-        times, power = twin.cluster_power()
+    series = twin.job_series()
+    times, power = twin.cluster_power()
 
     write_partitioned_series(series, root, "job_series", day_s)
     write_partitioned_series(

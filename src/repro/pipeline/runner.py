@@ -83,22 +83,19 @@ def chunk_windows(
 
 
 class _Timed:
-    """Adapt an ``item -> Table`` task to the stage-task contract.
-
-    A stage task runs in a worker and returns ``(wall_s, table, steps)``:
-    its own wall time, its result, and the ``(name, wall_s, rows_in,
-    rows_out)`` of any sub-steps it timed (none here).
-    """
+    """Adapt an ``item -> Table`` task to the stage-task contract: a stage
+    task runs in a worker and returns ``(wall_s, table)``, its own wall
+    time and its result."""
 
     __slots__ = ("fn",)
 
     def __init__(self, fn: Callable):
         self.fn = fn
 
-    def __call__(self, item) -> tuple[float, Table, tuple]:
+    def __call__(self, item) -> tuple[float, Table]:
         t0 = _time.perf_counter()
         out = self.fn(item)
-        return _time.perf_counter() - t0, out, ()
+        return _time.perf_counter() - t0, out
 
 
 class _ClusterChunk:
@@ -152,92 +149,6 @@ class _JobChunk:
         )
 
 
-class _CoarsenChunk:
-    """10 s-coarsen one telemetry sub-table."""
-
-    __slots__ = ("values", "width", "by", "time", "drop_nan", "presorted")
-
-    def __init__(self, values, width, by, time, drop_nan, presorted=None):
-        self.values = list(values)
-        self.width = width
-        self.by = list(by)
-        self.time = time
-        self.drop_nan = drop_nan
-        self.presorted = presorted
-
-    def __call__(self, sub: Table) -> Table:
-        from repro.core.coarsen import coarsen_telemetry
-
-        return coarsen_telemetry(
-            sub, self.values, width=self.width, by=self.by,
-            time=self.time, drop_nan=self.drop_nan, presorted=self.presorted,
-        )
-
-
-class _AggregateChunk:
-    """Collapse one coarsened sub-table into the cluster power series."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: str):
-        self.value = value
-
-    def __call__(self, sub: Table) -> Table:
-        from repro.core.aggregate import cluster_power_series
-
-        return cluster_power_series(sub, value=self.value)
-
-
-class _FusedChunk:
-    """Read -> coarsen -> aggregate one time shard in a single task.
-
-    The coarsened intermediate lives and dies inside the worker: nothing but
-    the final (tiny) cluster-series slice crosses the executor boundary.
-    Dataset reads push the stage's **projection** (the columns the coarsen
-    actually consumes) and optional **time range** down into the shard
-    reader, so an ``.rcs`` shard maps only those columns' pages.  Each
-    sub-step is timed in the worker so the parent can keep per-stage
-    accounting (``fused/read``, ``fused/coarsen``, ``fused/aggregate``);
-    the return value follows the stage-task contract of :class:`_Timed`.
-    """
-
-    __slots__ = ("coarsen", "value", "dataset", "columns", "t_range")
-
-    def __init__(self, coarsen: _CoarsenChunk, value: str, dataset=None,
-                 columns=None, t_range=None):
-        self.coarsen = coarsen
-        self.value = value
-        self.dataset = dataset
-        self.columns = list(columns) if columns is not None else None
-        self.t_range = t_range
-
-    def __call__(self, item) -> tuple[float, Table, tuple]:
-        from repro.core.aggregate import cluster_power_series
-
-        steps = []
-        t0 = _time.perf_counter()
-        if self.dataset is not None:  # item is a shard index
-            if self.t_range is not None:
-                sub = self.dataset.read_time_range(
-                    item, self.t_range[0], self.t_range[1],
-                    columns=self.columns, time=self.coarsen.time,
-                )
-            else:
-                sub = self.dataset.read(item, columns=self.columns)
-            t1 = _time.perf_counter()
-            steps.append(("read", t1 - t0, 0, sub.n_rows))
-        else:
-            sub = item
-            t1 = t0
-        coarse = self.coarsen(sub)
-        t2 = _time.perf_counter()
-        steps.append(("coarsen", t2 - t1, sub.n_rows, coarse.n_rows))
-        series = cluster_power_series(coarse, value=self.value)
-        t3 = _time.perf_counter()
-        steps.append(("aggregate", t3 - t2, coarse.n_rows, series.n_rows))
-        return t3 - t0, series, tuple(steps)
-
-
 class Pipeline:
     """Chunked out-of-core execution of twin dataset derivations.
 
@@ -250,8 +161,7 @@ class Pipeline:
     ========================  =======================================
     :meth:`cluster_power`     ``TwinData.cluster_power``
     :meth:`job_series`        ``TwinData.job_series``
-    :meth:`coarsen`           :func:`repro.core.coarsen.coarsen_telemetry`
-    :meth:`cluster_series`    :func:`repro.core.aggregate.cluster_power_series`
+    :meth:`telemetry_series`  ``plan_query(query, dataset).execute()``
     :meth:`export`            :func:`repro.datasets.store.export_datasets`
     ========================  =======================================
     """
@@ -316,8 +226,6 @@ class Pipeline:
         back in item order regardless of hit/miss interleaving.
         ``task_factory`` builds the stage task (see :class:`_Timed` for its
         contract) and is only called when some chunk missed the cache.
-        Sub-steps the task timed are recorded as ``<stage>/<step>`` rows,
-        which the report nests under the stage.
         """
         with trace.span("pipeline.stage", stage=stage,
                         items=len(items)) as sp:
@@ -337,18 +245,13 @@ class Pipeline:
             miss_idx = [i for i, r in enumerate(results) if r is None]
             wall = lookup_s
             bytes_out = 0
-            sub_steps: dict[str, list] = {}  # step -> [wall_s, rows in, out]
             if miss_idx:
                 outs = self.executor.map(
                     task_factory(), [items[i] for i in miss_idx], label=stage
                 )
-                for i, (elapsed, table, steps) in zip(miss_idx, outs):
+                for i, (elapsed, table) in zip(miss_idx, outs):
                     results[i] = table
                     wall += elapsed
-                    for name, *counts in steps:
-                        acc = sub_steps.setdefault(name, [0.0, 0, 0])
-                        for j, count in enumerate(counts):
-                            acc[j] += count
                     if self.cache is not None and keys is not None:
                         bytes_out += self.cache.put(keys[i], table)
 
@@ -365,39 +268,7 @@ class Pipeline:
                 cache_hits=hits,
                 cache_misses=len(miss_idx) if cached_run else 0,
             )
-            for name, (step_s, step_in, step_out) in sub_steps.items():
-                self.stats.record(
-                    f"{stage}/{name}", wall_s=step_s, calls=len(miss_idx),
-                    rows_in=step_in, rows_out=step_out,
-                )
             return tables
-
-    def _token_keys(
-        self, cache_token: str | None, chunk_ids: Sequence[int], **fields
-    ) -> list[str] | None:
-        """Artifact keys of a telemetry stage's chunks, or ``None`` when it
-        runs uncached: raw table content is never hashed, so caching needs
-        the caller's ``cache_token`` naming the telemetry's provenance."""
-        if self.cache is None or cache_token is None:
-            return None
-        return [cache_key(cache_token, window=k, **fields) for k in chunk_ids]
-
-    def _split_by_chunk(
-        self, table: Table, time: str, width: float | None = None
-    ) -> tuple[list[int], list[Table]]:
-        """Split ``table`` into its non-empty time chunks: (ids, sub-tables).
-
-        With ``width`` the chunk is rounded down to a multiple of it, so
-        every coarsen window falls wholly inside one chunk.
-        """
-        chunk = self.config.chunk_seconds
-        if width is not None:
-            chunk = max(width, np.floor(chunk / width) * width)
-        win = np.floor(
-            np.asarray(table[time], dtype=np.float64) / chunk
-        ).astype(np.int64)
-        ids = np.unique(win)
-        return [int(k) for k in ids], [table.filter(win == k) for k in ids]
 
     def _spans(self, n_samples: int, dt: float) -> list[tuple[int, int]]:
         """Per-window global sample-index spans covering ``[0, n_samples)``."""
@@ -473,159 +344,56 @@ class Pipeline:
         ]
         return combined.take(np.argsort(sample_rows, kind="stable"))
 
-    def coarsen(
-        self,
-        telemetry: Table,
-        values: Sequence[str],
-        width: float | None = None,
-        by: Sequence[str] = ("node",),
-        time: str = "timestamp",
-        drop_nan: bool = True,
-        presorted: bool | None = None,
-        cache_token: str | None = None,
-    ) -> Table:
-        """Chunked 10 s coarsening (Dataset A -> Dataset 0).
-
-        Chunk edges are aligned to multiples of ``width`` so every coarsen
-        window falls wholly inside one chunk; the concatenated result is
-        re-sorted to the single-pass ``group_by`` order.  ``presorted``
-        forwards to the windowed group-by kernel (chunking by time window
-        preserves per-group time order, so a sorted input keeps its fast
-        path in every chunk).  Caching requires a ``cache_token`` naming the
-        telemetry's provenance (raw table content is never hashed).
-        """
-        from repro.config import SUMMIT
-
-        width = SUMMIT.coarsen_window_s if width is None else width
-        task = _CoarsenChunk(values, width, by, time, drop_nan, presorted)
-        chunk_ids, items = self._split_by_chunk(telemetry, time, width)
-        keys = self._token_keys(
-            cache_token, chunk_ids, stage="coarsen", values=list(values),
-            width=width, by=list(by), time=time, drop_nan=drop_nan,
-        )
-        tables = self._run_stage(
-            "coarsen", items, lambda: _Timed(task), keys,
-            rows_in=telemetry.n_rows,
-        )
-        tables = [x for x in tables if x.n_rows]
-        if not tables:
-            return task(telemetry)
-        return concat(tables).sort(list(by) + ["timestamp"])
-
-    def cluster_series(
-        self,
-        coarse: Table,
-        value: str = "input_power",
-        cache_token: str | None = None,
-    ) -> Table:
-        """Chunked Dataset 1 collapse of a coarsened table."""
-        chunk_ids, items = self._split_by_chunk(coarse, "timestamp")
-        keys = self._token_keys(
-            cache_token, chunk_ids, stage="aggregate", value=value
-        )
-        tables = self._run_stage(
-            "aggregate", items, lambda: _Timed(_AggregateChunk(value)), keys,
-            rows_in=coarse.n_rows,
-        )
-        tables = [x for x in tables if x.n_rows]
-        if not tables:
-            return _AggregateChunk(value)(coarse)
-        return concat(tables).sort("timestamp")
-
     def telemetry_series(
-        self,
-        telemetry,
-        values: Sequence[str] = ("input_power",),
-        value: str = "input_power",
-        width: float | None = None,
-        by: Sequence[str] = ("node",),
-        time: str = "timestamp",
-        drop_nan: bool = True,
-        presorted: bool | None = None,
-        cache_token: str | None = None,
-        t_begin: float | None = None,
-        t_end: float | None = None,
+        self, dataset, query=None, cache_token: str | None = None
     ) -> Table:
-        """Telemetry -> cluster power series (Dataset A -> Dataset 1).
+        """Archived telemetry -> the answer to ``query`` (default: the
+        cluster power series, Dataset A -> Dataset 1).
 
-        Each time shard runs read -> coarsen -> aggregate as **one**
-        executor task (:class:`_FusedChunk`): the per-node coarsened
-        intermediate — typically 10x the size of the final series — never
-        crosses the executor boundary and is never written to the artifact
-        cache; only the final per-shard series slice is cached (stage
-        ``fused``).  The result is bit-identical to the single-pass
-        :func:`~repro.core.aggregate.cluster_power_series` of
-        :func:`~repro.core.coarsen.coarsen_telemetry`.
+        Builds the :class:`~repro.serve.planner.QueryPlan` of ``query`` (a
+        :class:`~repro.serve.query.Query`; ``None`` is ``Query()``) over
+        ``dataset`` — the one place that sequences prune -> projected read
+        -> node filter -> coarsen -> aggregate — and runs its per-shard
+        tasks as stage ``fused`` through this pipeline's executor, so the
+        per-node coarsened intermediate (typically 10x the final series)
+        never crosses the executor boundary; the query service executes the
+        same plan object behind its caches.  Planning raises
+        :class:`~repro.serve.query.QueryError` for a query the archive
+        cannot answer, including a ``width`` that does not divide the shard
+        edges.
 
-        ``telemetry`` is a :class:`~repro.frame.table.Table` or a
-        :class:`~repro.parallel.partition.PartitionedDataset` whose shard
-        edges are aligned to ``width`` multiples (the writer's layout);
-        dataset shards are read *inside* the worker, so the fan-out payload
-        is one integer per task.  The stage's **projection** (``by`` +
-        ``time`` + ``values``) is pushed into those reads — an ``.rcs``
-        dataset maps only the consumed columns — and a ``t_begin``/``t_end``
-        **predicate** prunes whole shards via manifest zone maps before any
-        byte is read, then row-slices the survivors (both folded into the
-        cache key; results equal filtering the full read bit-for-bit).
+        Raw archive content is never hashed, so per-shard results are
+        stored in the artifact cache only under a caller-supplied
+        ``cache_token`` naming the archive's provenance; each key folds in
+        the shard's generation-stamped identity with the kernel parameters
+        (:meth:`~repro.serve.planner.QueryPlan.fragment_key`) and the
+        task's row-slice bounds.  The single merged-read task of a
+        ``level="raw"`` plan has no shard identity and runs uncached.
         """
-        from repro.config import SUMMIT
-        from repro.core.aggregate import cluster_power_series
-        from repro.parallel.partition import PartitionedDataset
+        # serve.planner imports pipeline.cache: importing it at module
+        # level would be a cycle
+        from repro.serve.planner import plan_query
+        from repro.serve.query import Query
 
-        width = SUMMIT.coarsen_window_s if width is None else width
-        is_dataset = isinstance(telemetry, PartitionedDataset)
-        projection = list(dict.fromkeys(list(by) + [time] + list(values)))
-        t_range = None
-        if t_begin is not None or t_end is not None:
-            t_range = (
-                -np.inf if t_begin is None else float(t_begin),
-                np.inf if t_end is None else float(t_end),
-            )
-
-        task = _FusedChunk(
-            _CoarsenChunk(values, width, by, time, drop_nan, presorted),
-            value,
-            dataset=telemetry if is_dataset else None,
-            columns=projection if is_dataset else None,
-            t_range=t_range if is_dataset else None,
-        )
-        if is_dataset:
-            if t_range is not None:
-                items: list = telemetry.select_time(
-                    t_range[0], t_range[1], time=time
-                )
-            else:
-                items = list(range(telemetry.n_partitions))
-            chunk_ids = items
-            rows_in = sum(telemetry.partitions[i].n_rows for i in items)
-        else:
-            work = telemetry.select(projection)
-            if t_range is not None:
-                t = np.asarray(work[time], dtype=np.float64)
-                work = work.filter((t >= t_range[0]) & (t < t_range[1]))
-            chunk_ids, items = self._split_by_chunk(work, time, width)
-            rows_in = work.n_rows
-
-        keys = self._token_keys(
-            cache_token, chunk_ids, stage="fused", values=list(values),
-            width=width, by=list(by), time=time, drop_nan=drop_nan,
-            value=value, projection=projection,
-            t_range=None if t_range is None else [
-                repr(float(t_range[0])), repr(float(t_range[1]))
-            ],
-        )
+        plan = plan_query(query or Query(), dataset)
+        tasks = plan.tasks()
+        keys = None
+        if (
+            self.cache is not None
+            and cache_token is not None
+            and plan.query.level != "raw"
+        ):
+            keys = [
+                cache_key(cache_token, stage="fused",
+                          shard=plan.fragment_key(t.index),
+                          lo=t.lo, hi=t.hi)
+                for t in tasks
+            ]
         tables = self._run_stage(
-            "fused", items, lambda: task, keys, rows_in=rows_in
+            "fused", tasks, lambda: _Timed(plan.run_task), keys,
+            rows_in=plan.rows_in,
         )
-        tables = [x for x in tables if x.n_rows]
-        if not tables:
-            # nothing in range: run the kernels over a zero-row slice so
-            # the result still carries the series' exact schema
-            empty = (
-                telemetry.read(0, projection) if is_dataset else work
-            )[:0]
-            return cluster_power_series(task.coarsen(empty), value=value)
-        return concat(tables).sort("timestamp")
+        return plan.finalize(tables)
 
     # ---------------- live streaming route ----------------
 
@@ -648,8 +416,10 @@ class Pipeline:
         pipeline runs: replay source -> online coarsen -> running cluster
         aggregate -> {edge detector, rolling PUE, online spectral}.  With
         ``skew=False`` (and no loss events) the streamed results are
-        bit-identical to :meth:`coarsen` / :meth:`cluster_series` on the
-        sorted telemetry; the default ``lateness_s`` of 8 s covers the
+        bit-identical to the single-pass kernels
+        (:func:`~repro.core.coarsen.coarsen_telemetry`,
+        :func:`~repro.core.aggregate.cluster_power_series`) on the sorted
+        telemetry; the default ``lateness_s`` of 8 s covers the
         fan-in path's maximum skew so nothing is late under ``skew=True``
         either.  Returns the un-run :class:`~repro.stream.runtime.StreamGraph`.
         """

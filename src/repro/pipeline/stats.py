@@ -115,13 +115,8 @@ class PipelineStats:
         """Rendered per-stage counter table plus the cache roll-up line."""
         rows = []
         for st in self.stages.values():
-            # "parent/child" names are nested sub-steps of a fused stage:
-            # indent them under their parent row
-            shown = st.name
-            if "/" in shown:
-                shown = "  - " + shown.split("/", 1)[1]
             rows.append([
-                shown,
+                st.name,
                 st.calls,
                 f"{st.wall_s:.3f}",
                 st.rows_in,

@@ -1,7 +1,7 @@
 """Query planning: a validated :class:`~repro.serve.query.Query` becomes a
 shard-level execution plan over a :class:`~repro.parallel.partition.PartitionedDataset`.
 
-Planning reuses the whole pushdown stack the batch pipeline built:
+The plan is the one place that sequences the kernels over an archive:
 
 * **predicate** — :meth:`~repro.parallel.partition.PartitionedDataset.select_time`
   prunes shards through manifest zone maps before a byte is mapped, and a
@@ -10,16 +10,19 @@ Planning reuses the whole pushdown stack the batch pipeline built:
   ``by`` column's zones;
 * **projection** — only ``by`` + ``time`` + the requested metrics are read
   from each surviving shard (zero-copy column maps on ``.rcs``);
-* **kernels** — per-shard work is exactly the fused pipeline's sequence
-  (:func:`~repro.core.coarsen.coarsen_telemetry` then
-  :func:`~repro.core.aggregate.cluster_power_series`), so a cluster-level
-  plan's result is **bit-identical** to
-  :meth:`repro.pipeline.runner.Pipeline.telemetry_series` for the same
-  selection (asserted by ``tests/serve`` and the service benchmark).
+* **kernels** — per-shard work is
+  :func:`~repro.core.coarsen.coarsen_telemetry` then
+  :func:`~repro.core.aggregate.cluster_power_series`, bit-identical to
+  those kernels' single pass over the equally filtered in-memory table
+  (asserted by ``tests/serve`` and ``tests/pipeline``).  That holds only
+  while no coarsen window has rows in two shards, so :func:`plan_query`
+  rejects a ``width`` that does not divide the shard edges.
 
 Shard tasks (:meth:`QueryPlan.tasks`) are independent and side-effect
-free, so the server fans them out across a worker pool; the tiny
-per-shard results are merged by :meth:`QueryPlan.finalize` on the way out.
+free: the server fans them out across its worker pool behind the
+fragment cache, :meth:`repro.pipeline.runner.Pipeline.telemetry_series`
+fans the same tasks out through its executor and artifact cache, and
+:meth:`QueryPlan.finalize` merges the tiny per-shard results either way.
 
 Each task also carries its **fragment identity** — whether the shard's
 full-shard aggregate (its *fragment*) can stand in for the task's answer,
@@ -42,7 +45,7 @@ import numpy as np
 
 from repro.config import SUMMIT
 from repro.frame.table import Table, concat
-from repro.frame.window import window_index
+from repro.frame.window import window_index, window_span
 from repro.obs import trace
 from repro.parallel.partition import PartitionedDataset
 from repro.pipeline.cache import cache_key
@@ -239,10 +242,11 @@ class QueryPlan:
     def finalize(self, tables: list[Table]) -> Table:
         """Merge per-shard results into the query's answer table.
 
-        Shard edges are aligned by the dataset writers, so per-shard
-        aggregation followed by this merge matches one global pass; the
-        final sort restores the single-pass row order (``timestamp`` for
-        cluster level, group-major for node level, archive order for raw).
+        :func:`plan_query` has checked that no coarsen window has rows in
+        two shards, so per-shard aggregation followed by this merge
+        matches one global pass; the final sort restores the single-pass
+        row order (``timestamp`` for cluster level, group-major for node
+        level, archive order for raw).
         """
         q = self.query
         tables = [t for t in tables if t.n_rows]
@@ -307,6 +311,52 @@ class QueryPlan:
         return self.finalize([self.run_task(t) for t in self.tasks()])
 
 
+def _reject_straddled_windows(
+    query: Query, dataset: PartitionedDataset, shards: list[int]
+) -> None:
+    """Raise :class:`~repro.serve.query.QueryError` when a coarsen window
+    has rows in two of ``shards``.
+
+    Per-shard aggregation equals one global pass only if every
+    ``(group, window)`` lives in one shard; a straddled window would come
+    back once per shard, silently.  Decided from the manifest alone (the
+    time column's zone ``min``/``max``, no shard opened): in shard order,
+    each shard's last window must come before the next one's first.
+    """
+    spans = []
+    for i in shards:
+        lo, hi, from_zone = dataset.time_bounds(i, query.time)
+        if from_zone:  # otherwise no finite timestamp, so no window
+            spans.append((dataset.partitions[i].filename, lo, hi))
+    if len(spans) < 2:
+        return
+    win = window_index(
+        np.asarray([s[1:] for s in spans], dtype=np.float64), query.width
+    )
+    met = np.flatnonzero(win[:-1, 1] >= win[1:, 0])
+    if not met.size:
+        return
+    k = int(met[0])
+    (file_a, _, max_a), (file_b, min_b, _) = spans[k], spans[k + 1]
+    if min_b <= max_a:
+        why = (
+            f"their time ranges overlap ({file_a} reaches {max_a:g}, "
+            f"{file_b} starts at {min_b:g}: un-compacted appends); "
+            "compact the dataset first"
+        )
+    else:
+        start, end = window_span(int(win[k, 1]), query.width)
+        why = (
+            f"window [{start:g}, {end:g}) has rows in both; use a width "
+            "that divides the shard extent"
+        )
+    raise QueryError(
+        f"width {query.width:g} would aggregate one window in two shards "
+        f"of dataset {dataset.name!r}, {file_a} and {file_b}, and answer "
+        f"it twice: {why}"
+    )
+
+
 def plan_query(
     query: Query,
     dataset: PartitionedDataset,
@@ -315,7 +365,9 @@ def plan_query(
     """Validate ``query`` against ``dataset`` and build its plan.
 
     Raises :class:`~repro.serve.query.QueryError` for queries the store
-    cannot answer (unknown metric/time/by columns, empty dataset).
+    cannot answer: unknown metric/time/by columns, an empty dataset, or —
+    for the aggregating levels — a ``width`` under which some coarsen
+    window would have rows in two of the surviving shards.
     """
     query.validate()
     if not dataset.partitions:
@@ -349,6 +401,8 @@ def plan_query(
             shards = [i for i in shards if i in keep]
         sp.set(shards=len(shards),
                pruned=dataset.n_partitions - len(shards))
+        if query.level != "raw":
+            _reject_straddled_windows(query, dataset, shards)
 
     return QueryPlan(
         query=query,

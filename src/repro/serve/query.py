@@ -13,8 +13,8 @@ Levels
 ``cluster``
     Coarsened per-node stats collapsed across nodes per window — the
     Dataset 1 shape (``timestamp, count_inp, sum_inp, mean_inp, max_inp``),
-    bit-identical to :meth:`repro.pipeline.runner.Pipeline.telemetry_series`
-    for the same selection.  Exactly one metric.
+    the same code as :meth:`repro.pipeline.runner.Pipeline.telemetry_series`
+    runs for the same query.  Exactly one metric.
 ``node``
     The coarsened per-node table (Dataset 0 shape): ``count/min/max/mean/
     std`` per metric per (node, window).
@@ -24,6 +24,7 @@ Levels
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from repro.config import SUMMIT
@@ -107,8 +108,15 @@ class Query:
             )
         if not self.metrics:
             raise QueryError("at least one metric is required")
-        if self.width <= 0:
-            raise QueryError(f"width must be positive, got {self.width}")
+        if not (0 < self.width < math.inf):
+            raise QueryError(
+                f"width must be positive and finite, got {self.width}"
+            )
+        for name in ("t_begin", "t_end"):
+            bound = getattr(self, name)
+            # +-inf stay legal: they mean an open end
+            if bound is not None and math.isnan(bound):
+                raise QueryError(f"{name} must not be NaN")
         if (
             self.t_begin is not None
             and self.t_end is not None
@@ -133,9 +141,10 @@ class Query:
                     f"derived {self.derived!r} needs level='cluster', "
                     f"got {self.level!r}"
                 )
-            if self.pue_overhead < 0:
+            if not (0 <= self.pue_overhead < math.inf):
                 raise QueryError(
-                    f"pue_overhead must be >= 0, got {self.pue_overhead}"
+                    "pue_overhead must be finite and >= 0, got "
+                    f"{self.pue_overhead}"
                 )
         if self.nodes is not None and not self.nodes:
             raise QueryError("nodes selection is empty")

@@ -140,7 +140,7 @@ class QueryService:
         self.fragments = FragmentCache(self.config.fragment_bytes)
         #: per-fragment single-flight: concurrent queries needing the same
         #: uncached fragment compute it once and share the result
-        self._frag_flights: dict[str, asyncio.Future] = {}
+        self.fragment_flight = SingleFlight()
         self.flight = SingleFlight()
         self.admission = Admission(
             max_inflight=self.config.max_inflight,
@@ -199,11 +199,19 @@ class QueryService:
 
     async def _query(self, query: Query | dict, tenant: str, qsp) -> dict:
         t0 = time.perf_counter()
+        if not isinstance(tenant, str):
+            # straight off the wire: an unhashable one would raise out of
+            # the tenant table and drop the connection
+            self.stats.record_error()
+            qsp.set(status="error")
+            return {"status": "error",
+                    "error": "tenant must be a string, got "
+                             f"{type(tenant).__name__}"}
         st = self.admission.tenant(tenant)
         st.queries += 1
         try:
-            if isinstance(query, dict):
-                query = Query.from_dict(query)
+            if not isinstance(query, Query):
+                query = Query.from_dict(query)  # rejects a non-object
             query.validate()
             key = query.fingerprint()
         except QueryError as err:
@@ -293,13 +301,12 @@ class QueryService:
         """Execute one shard task, going through the fragment cache when
         the task is fragment-eligible (``full``/``aligned`` coverage).
 
-        The cache lookup, the flight registration, and the counter updates
-        all happen synchronously on the event loop, so concurrent queries
-        can never both compute one fragment: the first becomes its leader,
-        the rest await the leader's future (fragment-level single-flight,
-        across *different* queries).  Fragment keys carry the shard's
-        generation identity, so a post-``compact()`` shard can never be
-        served a stale fragment.
+        The cache lookup and the flight registration happen synchronously
+        on the event loop, so concurrent queries can never both compute
+        one fragment: the first becomes its leader, the rest await the
+        leader's future (fragment-level single-flight, across *different*
+        queries).  Fragment keys carry the shard's generation identity, so
+        a post-``compact()`` shard can never be served a stale fragment.
         """
         t0 = time.perf_counter()
         with trace.span("serve.task", shard=task.index,
@@ -318,7 +325,6 @@ class QueryService:
     async def _run_task_inner(
         self, plan: QueryPlan, task: ShardTask, frag: dict
     ) -> tuple[Table, str]:
-        loop = asyncio.get_running_loop()
         if task.coverage in ("full", "aligned"):
             frag[task.coverage] += 1
         elif task.coverage == "partial":
@@ -333,30 +339,20 @@ class QueryService:
         if fragment is not None:
             frag["hits"] += 1
             source = "hit"
-        elif (fut := self._frag_flights.get(key)) is not None:
-            fragment = await asyncio.shield(fut)
-            frag["shared"] += 1
-            source = "shared"
         else:
-            fut = loop.create_future()
-            self._frag_flights[key] = fut
-            try:
+            async def compute() -> Table:
                 fragment = await self._in_pool(
                     "serve.task.exec", plan.run_fragment, task.index,
                     shard=task.index,
                 )
-            except BaseException as err:
-                self._frag_flights.pop(key, None)
-                if not fut.done():
-                    fut.set_exception(err)
-                    fut.exception()  # mark retrieved: may have no waiters
-                raise
-            self._frag_flights.pop(key, None)
-            self.fragments.put(key, fragment)
-            if not fut.done():
-                fut.set_result(fragment)
-            frag["misses"] += 1
-            source = "miss"
+                # stored before the flight resolves: whoever asks next
+                # finds either the flight or the cache entry
+                self.fragments.put(key, fragment)
+                return fragment
+
+            fragment, led = await self.fragment_flight.run(key, compute)
+            source = "miss" if led else "shared"
+            frag["misses" if led else "shared"] += 1
         if task.coverage == "aligned":
             return plan.slice_fragment(fragment, task.lo, task.hi), source
         return fragment, source

@@ -17,11 +17,10 @@ from repro.stream.stats import StreamStats
 
 PIPELINE_REPORT = (
     "pipeline stages\n"
-    "stage     calls  seconds  rows in  rows out  bytes  cache\n"
-    "--------  -----  -------  -------  --------  -----  -----\n"
-    "coarsen   2      0.500    100      10        800    1/4  \n"
-    "fused     1      1.250    50       5         400    0/0  \n"
-    "  - read  1      0.750    50       50        0      0/0  \n"
+    "stage    calls  seconds  rows in  rows out  bytes  cache\n"
+    "-------  -----  -------  -------  --------  -----  -----\n"
+    "coarsen  2      0.500    100      10        800    1/4  \n"
+    "fused    1      1.250    50       5         400    0/0  \n"
     "cache: 1/4 chunk tasks served from cache (25%)"
 )
 
@@ -125,7 +124,6 @@ def make_pipeline_stats() -> PipelineStats:
               bytes_out=800, cache_hits=1, cache_misses=3)
     ps.record("fused", wall_s=1.25, calls=1, rows_in=50, rows_out=5,
               bytes_out=400)
-    ps.record("fused/read", wall_s=0.75, calls=1, rows_in=50, rows_out=50)
     return ps
 
 

@@ -15,7 +15,9 @@ import pytest
 
 from repro.core.aggregate import cluster_power_series
 from repro.core.coarsen import coarsen_telemetry
+from repro.parallel.partition import PartitionedDataset
 from repro.pipeline import Pipeline, PipelineConfig
+from repro.serve import Query, QueryError, plan_query
 
 DAY = 86_400.0
 
@@ -43,9 +45,30 @@ def telemetry(twin_small):
     return twin_small.sampler().sample(arr)
 
 
-@pytest.fixture(scope="module")
-def coarse(telemetry):
-    return coarsen_telemetry(telemetry, ["input_power"], width=10.0)
+def build_dataset(telemetry, root, shard_s=900.0):
+    """Archive ``telemetry`` as ``shard_s``-wide shards; the last shard
+    catches the 0-5 s collector-delay spillover past the hour."""
+    ds = PartitionedDataset.create(root, "telemetry")
+    t = telemetry["timestamp"]
+    for lo in np.arange(0.0, float(t.max()) + 1.0, shard_s):
+        sub = telemetry.filter((t >= lo) & (t < lo + shard_s))
+        ds.append(sub, lo, lo + shard_s)
+    return ds
+
+
+def single_pass(telemetry, query=Query()):
+    """Ground truth for ``query``: mask the in-memory table, then one pass
+    of the kernels — no shards, no plan, no pipeline."""
+    t = telemetry["timestamp"]
+    lo = -np.inf if query.t_begin is None else query.t_begin
+    hi = np.inf if query.t_end is None else query.t_end
+    sub = telemetry.filter((t >= lo) & (t < hi))
+    if query.nodes is not None:
+        sub = sub.filter(np.isin(sub["node"], query.nodes))
+    coarse = coarsen_telemetry(sub, list(query.metrics), width=query.width)
+    if query.level == "node":
+        return coarse.sort(["node", "timestamp"])
+    return cluster_power_series(coarse, value=query.metrics[0])
 
 
 class TestClusterPowerEquivalence:
@@ -101,129 +124,88 @@ class TestJobSeriesEquivalence:
         assert_tables_equal(pipe.job_series(components=True), ref)
 
 
-class TestCoarsenAggregateEquivalence:
-    @pytest.mark.parametrize("chunk_s", [300.0, 1000.0, 3600.0, DAY])
-    def test_coarsen_chunk_sizes(self, twin_small, telemetry, chunk_s):
-        ref = coarsen_telemetry(telemetry, ["input_power"], width=10.0)
-        pipe = Pipeline(twin_small, PipelineConfig(chunk_seconds=chunk_s,
-                                                   backend="serial"))
-        got = pipe.coarsen(telemetry, ["input_power"], width=10.0)
-        assert_tables_equal(got, ref)
-
-    def test_coarsen_via_keyword(self, twin_small, telemetry):
-        # public entry point routes through the pipeline when one is given
-        ref = coarsen_telemetry(telemetry, ["input_power"], width=10.0)
-        pipe = Pipeline(twin_small, PipelineConfig(chunk_seconds=900.0,
-                                                   backend="threads",
-                                                   max_workers=2))
-        got = coarsen_telemetry(telemetry, ["input_power"], width=10.0,
-                                pipeline=pipe)
-        assert_tables_equal(got, ref)
-        assert pipe.stats.stage("coarsen").calls > 1
-
-    @pytest.mark.parametrize("chunk_s", [600.0, 1800.0, DAY])
-    def test_cluster_series_chunk_sizes(self, twin_small, coarse, chunk_s):
-        ref = cluster_power_series(coarse)
-        pipe = Pipeline(twin_small, PipelineConfig(chunk_seconds=chunk_s,
-                                                   backend="serial"))
-        assert_tables_equal(pipe.cluster_series(coarse), ref)
-
-    def test_cluster_series_via_keyword(self, twin_small, coarse):
-        ref = cluster_power_series(coarse)
-        pipe = Pipeline(twin_small, PipelineConfig(chunk_seconds=900.0,
-                                                   backend="serial"))
-        got = cluster_power_series(coarse, pipeline=pipe)
-        assert_tables_equal(got, ref)
-
-    @pytest.mark.parametrize("presorted", [None, True, False])
-    def test_coarsen_presorted_routes(self, twin_small, telemetry, presorted):
-        # every kernel route through the chunked path stays bit-identical
-        ref = coarsen_telemetry(telemetry, ["input_power"], width=10.0)
-        pipe = Pipeline(twin_small, PipelineConfig(chunk_seconds=900.0,
-                                                   backend="serial"))
-        sorted_tel = telemetry.sort(["node", "timestamp"])
-        got = pipe.coarsen(sorted_tel, ["input_power"], width=10.0,
-                           presorted=presorted)
-        assert_tables_equal(got, ref)
-
-
 class TestFusedEquivalence:
-    """telemetry_series: fused one-task-per-shard == staged == single-pass."""
-
-    @pytest.fixture(scope="class")
-    def single_pass(self, telemetry):
-        return cluster_power_series(
-            coarsen_telemetry(telemetry, ["input_power"], width=10.0)
-        )
+    """telemetry_series: one plan task per shard == single-pass."""
 
     @pytest.mark.parametrize("chunk_s", [300.0, 1000.0, 3600.0, DAY])
-    def test_fused_chunk_sizes(self, twin_small, telemetry, single_pass,
+    def test_fused_chunk_sizes(self, twin_small, telemetry, tmp_path,
                                chunk_s):
-        pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=chunk_s, backend="serial"))
-        got = pipe.telemetry_series(telemetry, ["input_power"])
-        assert_tables_equal(got, single_pass)
+        # the archive's shard width is the chunking: 13, 4, 2 and 1 shards
+        ds = build_dataset(telemetry, tmp_path / "tel", chunk_s)
+        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        assert_tables_equal(pipe.telemetry_series(ds), single_pass(telemetry))
 
-    def test_fused_matches_unfused(self, twin_small, telemetry, single_pass):
-        # unfused: the two chunked stages called one after the other
-        cfg = PipelineConfig(chunk_seconds=900.0, backend="serial")
-        fused = Pipeline(twin_small, cfg)
-        staged = Pipeline(twin_small, cfg)
-        a = fused.telemetry_series(telemetry, ["input_power"])
-        b = staged.cluster_series(
-            staged.coarsen(telemetry, ["input_power"], width=10.0)
-        )
-        assert_tables_equal(a, b)
-        assert_tables_equal(a, single_pass)
-        # the fused run must never have materialized the staged stage names
-        assert "coarsen" not in fused.stats.stages
-        assert fused.stats.stage("fused").calls > 1
-        assert fused.stats.stage("fused/coarsen").wall_s >= 0.0
-        assert staged.stats.stage("coarsen").calls > 1
+    def test_fused_dataset_source(self, twin_small, telemetry, tmp_path):
+        ds = build_dataset(telemetry, tmp_path / "tel")
+        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        got = pipe.telemetry_series(ds)
+        assert_tables_equal(got, single_pass(telemetry))
+        assert pipe.stats.stage("fused").calls == ds.n_partitions
+        assert list(pipe.stats.stages) == ["fused"]
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_fused_backends(self, twin_small, telemetry, single_pass, backend):
-        pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=900.0, backend=backend, max_workers=2))
-        got = pipe.telemetry_series(telemetry, ["input_power"])
-        assert_tables_equal(got, single_pass)
+    def test_stale_handle_after_compact(self, twin_small, telemetry,
+                                        tmp_path):
+        ds = build_dataset(telemetry, tmp_path / "tel")
+        stale = PartitionedDataset(ds.root)
+        assert ds.compact(target_rows=10**9)["rewritten"] > 0
+        assert not (ds.root / stale.partitions[0].filename).exists()
+        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        assert_tables_equal(pipe.telemetry_series(stale),
+                            single_pass(telemetry))
 
-    def test_fused_dataset_source(self, twin_small, telemetry, single_pass,
-                                  tmp_path):
-        from repro.parallel.partition import PartitionedDataset
 
+class TestShardEdges:
+    """A coarsen window with rows in two shards is refused, not answered
+    twice."""
+
+    @pytest.mark.parametrize("width", [7.0, 40.0, 700.0])
+    def test_straddling_width_rejected_until_compacted(
+        self, twin_small, telemetry, tmp_path, width
+    ):
+        ds = build_dataset(telemetry, tmp_path / "tel")
+        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        q = Query(width=width)
+        for run in (lambda: pipe.telemetry_series(ds, q),
+                    lambda: plan_query(q, ds).execute()):
+            with pytest.raises(QueryError, match=f"width {width:g} ") as err:
+                run()
+            assert "part-00000.rcs and part-00001.rcs" in str(err.value)
+        ds.compact(target_rows=10**9)
+        one = PartitionedDataset(ds.root)
+        assert one.n_partitions == 1
+        assert_tables_equal(pipe.telemetry_series(one, q),
+                            single_pass(telemetry, q))
+
+    def test_overlapping_shards_name_compact(self, twin_small, telemetry,
+                                             tmp_path):
+        # un-compacted streaming appends: declared extents tile, rows do not
         ds = PartitionedDataset.create(tmp_path / "tel", "telemetry")
         t = telemetry["timestamp"]
-        # last shard catches the 0-5 s collector-delay spillover past 3600
-        for lo in np.arange(0.0, float(t.max()) + 1.0, 900.0):
-            sub = telemetry.filter((t >= lo) & (t < lo + 900.0))
-            ds.append(sub, lo, lo + 900.0)
-        pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=900.0, backend="serial"))
-        got = pipe.telemetry_series(ds, ["input_power"])
-        assert_tables_equal(got, single_pass)
-        assert pipe.stats.stage("fused/read").calls == ds.n_partitions
+        late = (t >= 895.0) & (telemetry["node"] % 2 == 1)
+        ds.append(telemetry.filter((t < 905.0) & ~late), 0.0, 900.0)
+        ds.append(telemetry.filter((t >= 905.0) | late), 900.0, 3700.0)
+        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        with pytest.raises(QueryError, match="overlap.*compact"):
+            pipe.telemetry_series(ds)
+        ds.compact(target_rows=10**9)
+        assert_tables_equal(
+            pipe.telemetry_series(PartitionedDataset(ds.root)),
+            single_pass(telemetry),
+        )
 
-    def test_fused_cache_cold_then_warm(self, twin_small, telemetry,
-                                        single_pass, tmp_path):
-        cfg = PipelineConfig(chunk_seconds=900.0, backend="serial",
-                             cache_dir=tmp_path / "cache")
-        cold = Pipeline(twin_small, cfg)
-        assert_tables_equal(
-            cold.telemetry_series(telemetry, ["input_power"],
-                                  cache_token="tel-hour"),
-            single_pass,
-        )
-        assert cold.stats.stage("fused").cache_misses > 0
-        warm = Pipeline(twin_small, cfg)
-        assert_tables_equal(
-            warm.telemetry_series(telemetry, ["input_power"],
-                                  cache_token="tel-hour"),
-            single_pass,
-        )
-        assert warm.stats.stage("fused").cache_misses == 0
-        assert (warm.stats.stage("fused").cache_hits
-                == cold.stats.stage("fused").cache_misses)
+    @pytest.mark.parametrize("query", [
+        Query(width=30.0),                          # divides 900
+        Query(width=7.0, t_begin=0.0, t_end=890.0),  # one shard survives
+        Query(width=7.0, level="raw"),              # no kernels, no windows
+    ], ids=["divisor", "single-shard", "raw"])
+    def test_still_answered(self, twin_small, telemetry, tmp_path, query):
+        ds = build_dataset(telemetry, tmp_path / "tel")
+        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        got = pipe.telemetry_series(ds, query)
+        if query.level == "raw":
+            assert got.n_rows == telemetry.n_rows
+        else:
+            assert_tables_equal(got, single_pass(telemetry, query))
 
 
 class TestCacheEquivalence:
@@ -284,156 +266,128 @@ class TestPushdownEquivalence:
     across backends, cache cold/warm.
     """
 
-    WIDTH = 10.0
     SHARD_S = 900.0
+    #: range aligned to shard and coarsen-window edges
+    RANGE = dict(t_begin=SHARD_S, t_end=3 * SHARD_S)
 
     #: store name -> the ``REPRO_RCS_COMPRESSION`` mode it is written under
     LAYOUTS = {"rcs": "auto", "rcs-raw": "off"}
 
-    @staticmethod
-    def build_dataset(telemetry, root, mode):
-        from repro.parallel.partition import PartitionedDataset
-
-        ds = PartitionedDataset.create(root, "telemetry")
-        t = telemetry["timestamp"]
-        with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": mode}):
-            for lo in np.arange(0.0, float(t.max()) + 1.0, 900.0):
-                sub = telemetry.filter((t >= lo) & (t < lo + 900.0))
-                ds.append(sub, lo, lo + 900.0)
-        return ds
+    QUERIES = {
+        "cluster": Query(),
+        "cluster-range": Query(**RANGE),
+        "cluster-nodes": Query(nodes=(1, 4, 9)),
+        "node": Query(level="node"),
+        "node-sliced": Query(level="node", nodes=(0, 11),
+                             t_begin=1000.0, t_end=2605.0),
+    }
 
     @pytest.fixture(scope="class")
     def datasets(self, telemetry, tmp_path_factory):
         root = tmp_path_factory.mktemp("push")
-        return {
-            fmt: self.build_dataset(telemetry, root / fmt, mode)
-            for fmt, mode in self.LAYOUTS.items()
-        }
-
-    @pytest.fixture(scope="class")
-    def single_pass(self, telemetry):
-        return cluster_power_series(
-            coarsen_telemetry(telemetry, ["input_power"], width=self.WIDTH)
-        )
+        out = {}
+        for fmt, mode in self.LAYOUTS.items():
+            with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": mode}):
+                out[fmt] = build_dataset(telemetry, root / fmt, self.SHARD_S)
+        return out
 
     @pytest.mark.parametrize("fmt", list(LAYOUTS))
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_layouts_and_backends(self, twin_small, datasets, single_pass,
+    def test_layouts_and_backends(self, twin_small, telemetry, datasets,
                                   fmt, backend):
         pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=self.SHARD_S, backend=backend, max_workers=2))
-        got = pipe.telemetry_series(datasets[fmt], ["input_power"])
-        assert_tables_equal(got, single_pass)
+            backend=backend, max_workers=2))
+        got = pipe.telemetry_series(datasets[fmt])
+        assert_tables_equal(got, single_pass(telemetry))
+
+    @pytest.mark.parametrize("name", list(QUERIES))
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_query_matrix(self, twin_small, telemetry, datasets, backend,
+                          name):
+        # pipeline == in-process plan == kernels over the filtered table
+        query = self.QUERIES[name]
+        pipe = Pipeline(twin_small, PipelineConfig(
+            backend=backend, max_workers=2))
+        got = pipe.telemetry_series(datasets["rcs"], query)
+        assert_tables_equal(got, plan_query(query, datasets["rcs"]).execute())
+        assert_tables_equal(got, single_pass(telemetry, query))
 
     @pytest.mark.parametrize("fmt", list(LAYOUTS))
     def test_time_range_equals_filtered_full_read(self, twin_small, telemetry,
                                                   datasets, fmt):
-        # range aligned to shard and coarsen-window edges: pruned reads must
-        # reproduce exactly what filtering the full read would have given
-        t0, t1 = self.SHARD_S, 3 * self.SHARD_S
-        t = telemetry["timestamp"]
-        ref = cluster_power_series(coarsen_telemetry(
-            telemetry.filter((t >= t0) & (t < t1)), ["input_power"],
-            width=self.WIDTH,
-        ))
-        pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=self.SHARD_S, backend="serial"))
-        got = pipe.telemetry_series(datasets[fmt], ["input_power"],
-                                    t_begin=t0, t_end=t1)
-        assert_tables_equal(got, ref)
+        # pruned reads must reproduce exactly what filtering the full read
+        # would have given
+        query = Query(**self.RANGE)
+        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        assert_tables_equal(pipe.telemetry_series(datasets[fmt], query),
+                            single_pass(telemetry, query))
 
-    @pytest.mark.parametrize("source", ["table", "dataset"])
+    @pytest.mark.parametrize("fmt", list(LAYOUTS))
     def test_empty_time_range_is_empty_series(self, twin_small, telemetry,
-                                              datasets, single_pass, source):
-        pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=self.SHARD_S, backend="serial"))
-        src = telemetry if source == "table" else datasets["rcs"]
-        got = pipe.telemetry_series(src, ["input_power"],
-                                    t_begin=1e6, t_end=2e6)
-        assert_tables_equal(got, single_pass[:0])
-
-    def test_time_range_on_table_source(self, twin_small, telemetry):
-        t0, t1 = self.SHARD_S, 3 * self.SHARD_S
-        t = telemetry["timestamp"]
-        ref = cluster_power_series(coarsen_telemetry(
-            telemetry.filter((t >= t0) & (t < t1)), ["input_power"],
-            width=self.WIDTH,
-        ))
-        pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=self.SHARD_S, backend="serial"))
-        got = pipe.telemetry_series(telemetry, ["input_power"],
-                                    t_begin=t0, t_end=t1)
-        assert_tables_equal(got, ref)
+                                              datasets, fmt):
+        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        got = pipe.telemetry_series(datasets[fmt],
+                                    Query(t_begin=1e6, t_end=2e6))
+        assert_tables_equal(got, single_pass(telemetry)[:0])
 
     def test_predicate_prunes_shards_before_read(self, twin_small, datasets):
         ds = datasets["rcs"]
-        pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=self.SHARD_S, backend="serial"))
-        pipe.telemetry_series(ds, ["input_power"],
-                              t_begin=self.SHARD_S, t_end=3 * self.SHARD_S)
+        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        pipe.telemetry_series(ds, Query(**self.RANGE))
         # zone maps admit the two in-range shards plus the one holding the
         # 0-5 s collector-delay spillover at the range edge — the rest of
         # the dataset is never opened
-        assert pipe.stats.stage("fused/read").calls < ds.n_partitions
-        assert pipe.stats.stage("fused/read").calls <= 3
+        assert pipe.stats.stage("fused").calls < ds.n_partitions
+        assert pipe.stats.stage("fused").calls <= 3
 
     @pytest.mark.parametrize("fmt", list(LAYOUTS))
-    def test_dataset_cache_cold_then_warm(self, twin_small, datasets,
-                                          single_pass, tmp_path, fmt):
-        cfg = PipelineConfig(chunk_seconds=self.SHARD_S, backend="serial",
-                             cache_dir=tmp_path / "cache")
+    def test_dataset_cache_cold_then_warm(self, twin_small, telemetry,
+                                          datasets, tmp_path, fmt):
+        cfg = PipelineConfig(backend="serial", cache_dir=tmp_path / "cache")
         cold = Pipeline(twin_small, cfg)
         assert_tables_equal(
-            cold.telemetry_series(datasets[fmt], ["input_power"],
-                                  cache_token=f"tel-{fmt}"),
-            single_pass,
+            cold.telemetry_series(datasets[fmt], cache_token=f"tel-{fmt}"),
+            single_pass(telemetry),
         )
         assert cold.stats.stage("fused").cache_misses > 0
         warm = Pipeline(twin_small, cfg)
         assert_tables_equal(
-            warm.telemetry_series(datasets[fmt], ["input_power"],
-                                  cache_token=f"tel-{fmt}"),
-            single_pass,
+            warm.telemetry_series(datasets[fmt], cache_token=f"tel-{fmt}"),
+            single_pass(telemetry),
         )
         assert warm.stats.stage("fused").cache_misses == 0
+        assert (warm.stats.stage("fused").cache_hits
+                == cold.stats.stage("fused").cache_misses)
+        # raw content is never hashed: without a token nothing is cached,
+        # nor is the merged read of a raw plan, which has no shard identity
+        for kwargs in (dict(), dict(query=Query(level="raw"),
+                                    cache_token=f"tel-{fmt}")):
+            bare = Pipeline(twin_small, cfg)
+            bare.telemetry_series(datasets[fmt], **kwargs)
+            assert bare.stats.total_cache_hits == 0
+            assert bare.stats.total_cache_misses == 0
 
     def test_time_range_addresses_different_cache_entries(self, twin_small,
                                                           telemetry, datasets,
                                                           tmp_path):
         # a pruned run must never serve (or poison) the full run's artifacts
-        cfg = PipelineConfig(chunk_seconds=self.SHARD_S, backend="serial",
-                             cache_dir=tmp_path / "cache")
+        cfg = PipelineConfig(backend="serial", cache_dir=tmp_path / "cache")
         ds = datasets["rcs"]
+        # unaligned bounds: the edge shards' tasks carry their own slice
+        query = Query(t_begin=self.SHARD_S + 5.0, t_end=3 * self.SHARD_S - 5.0)
         full = Pipeline(twin_small, cfg).telemetry_series(
-            ds, ["input_power"], cache_token="tok")
+            ds, cache_token="tok")
         pruned_pipe = Pipeline(twin_small, cfg)
-        pruned = pruned_pipe.telemetry_series(
-            ds, ["input_power"], cache_token="tok",
-            t_begin=self.SHARD_S, t_end=3 * self.SHARD_S)
+        pruned = pruned_pipe.telemetry_series(ds, query, cache_token="tok")
         assert pruned_pipe.stats.stage("fused").cache_hits == 0
-        t0, t1 = self.SHARD_S, 3 * self.SHARD_S
-        t = telemetry["timestamp"]
-        ref = cluster_power_series(coarsen_telemetry(
-            telemetry.filter((t >= t0) & (t < t1)), ["input_power"],
-            width=self.WIDTH,
-        ))
-        assert_tables_equal(pruned, ref)
-        ts = full["timestamp"]
-        assert_tables_equal(
-            full.filter((ts >= t0) & (ts < t1)), ref
-        )
-
-    def test_coarsen_accepts_dataset(self, datasets, telemetry):
-        ref = coarsen_telemetry(telemetry, ["input_power"], width=self.WIDTH)
-        got = coarsen_telemetry(datasets["rcs"], ["input_power"],
-                                width=self.WIDTH)
-        assert_tables_equal(got.sort(["node", "timestamp"]),
-                            ref.sort(["node", "timestamp"]))
-
-    def test_aggregate_accepts_dataset(self, coarse, tmp_path):
-        from repro.datasets.store import write_partitioned_series
-
-        ds = write_partitioned_series(
-            coarse.sort("timestamp"), tmp_path, "coarse", day_s=900.0)
-        ref = cluster_power_series(coarse)
-        assert_tables_equal(cluster_power_series(ds), ref)
+        assert_tables_equal(pruned, single_pass(telemetry, query))
+        assert_tables_equal(full, single_pass(telemetry))
+        # a shard the range covers whole *is* the full run's artifact, and
+        # the pruned run left every one of them intact
+        for query in (Query(**self.RANGE), Query()):
+            again = Pipeline(twin_small, cfg)
+            assert_tables_equal(
+                again.telemetry_series(ds, query, cache_token="tok"),
+                single_pass(telemetry, query),
+            )
+            assert again.stats.stage("fused").cache_misses == 0

@@ -20,6 +20,7 @@ import pytest
 from repro.core.aggregate import cluster_power_series
 from repro.core.coarsen import coarsen_telemetry
 from repro.pipeline import Pipeline, PipelineConfig
+from repro.serve import Query
 
 STORES = ("compressed", "raw")
 
@@ -70,11 +71,10 @@ def stores(telemetry, tmp_path_factory):
 
 
 def series_over(store, twin, cache_token=None, **cfg):
-    defaults = dict(chunk_seconds=900.0, backend="serial")
+    defaults = dict(backend="serial")
     defaults.update(cfg)
     pipe = Pipeline(twin, PipelineConfig(**defaults))
-    got = pipe.telemetry_series(store, ["input_power"],
-                                cache_token=cache_token)
+    got = pipe.telemetry_series(store, cache_token=cache_token)
     return got, pipe
 
 
@@ -112,11 +112,9 @@ class TestPushdownRoutes:
         ))
         assert ref.n_rows > 0
         for kind in STORES:
-            pipe = Pipeline(twin_small, PipelineConfig(
-                chunk_seconds=900.0, backend="serial"))
+            pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
             assert_tables_equal(pipe.telemetry_series(
-                stores[kind], ["input_power"],
-                t_begin=1000.0, t_end=2600.0,
+                stores[kind], Query(t_begin=1000.0, t_end=2600.0),
             ), ref)
 
     def test_zone_pruned_scan_identical(self, stores):
@@ -160,8 +158,8 @@ class TestCacheIsolation:
     def test_warm_cache_per_store_config(self, stores, twin_small,
                                          single_pass, tmp_path):
         cache_dir = tmp_path / "cache"
-        cfg = dict(chunk_seconds=900.0, backend="serial",
-                   cache_dir=cache_dir, cache_token="tel-hour")
+        cfg = dict(backend="serial", cache_dir=cache_dir,
+                   cache_token="tel-hour")
         # pin both storage configs: the ambient env (e.g. CI's
         # compression-off job) must not collapse the two key spaces
         with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": "auto"}):
@@ -172,10 +170,12 @@ class TestCacheIsolation:
                                           **cfg)
         assert pipe_warm.stats.stage("fused").cache_misses == 0
         assert_tables_equal(warm, single_pass)
-        # raw-layout run shares the directory but not the artifacts:
-        # the storage config is folded into every key
+        # a compression-off run shares the directory but not the artifacts:
+        # the storage config is folded into every key (same store both
+        # times, so the shard identity in the key cannot be what differs)
         with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": "off"}):
-            raw, pipe_raw = series_over(stores["raw"], twin_small, **cfg)
+            raw, pipe_raw = series_over(stores["compressed"], twin_small,
+                                        **cfg)
         assert pipe_raw.stats.stage("fused").cache_hits == 0
         assert pipe_raw.stats.stage("fused").cache_misses > 0
         assert_tables_equal(raw, single_pass)
@@ -184,8 +184,8 @@ class TestCacheIsolation:
                                              single_pass, tmp_path):
         import repro.pipeline.cache as cache_mod
 
-        cfg = dict(chunk_seconds=900.0, backend="serial",
-                   cache_dir=tmp_path / "cache", cache_token="tel-hour")
+        cfg = dict(backend="serial", cache_dir=tmp_path / "cache",
+                   cache_token="tel-hour")
         with patch.object(cache_mod, "CACHE_FORMAT_VERSION",
                           cache_mod.CACHE_FORMAT_VERSION - 1):
             old, _ = series_over(stores["compressed"], twin_small, **cfg)

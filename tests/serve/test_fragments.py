@@ -3,8 +3,8 @@ bit-identity battery.
 
 The load-bearing property: every answer the fragment-cached service gives
 is **bit-identical** to the direct plan execution (``plan_query(q,
-ds).execute()``, which never touches the cache) and to the batch pipeline
-— for random overlapping query sequences and across a concurrent
+ds).execute()``, which never touches the cache) and to the single-pass
+kernels — for random overlapping query sequences and across a concurrent
 ``compact()`` (generation-carrying fragment keys must make stale reuse
 impossible).
 """
@@ -27,6 +27,7 @@ from repro.serve import (
 )
 
 from .conftest import SHARD_S, SPEC
+from .test_planner import _reference_cluster
 
 
 def run(coro):
@@ -170,20 +171,18 @@ class TestServiceEquivalence:
         finally:
             svc.close()
 
-    def test_full_range_matches_pipeline(self, dataset):
+    def test_full_range_matches_pipeline(self, dataset, telemetry):
+        q = Query(t_begin=0.0, t_end=SPEC.horizon_s)
         svc = make_service(dataset)
         try:
-            resp = run(answer(
-                svc, Query(t_begin=0.0, t_end=SPEC.horizon_s)
-            ))
+            resp = run(answer(svc, q))
         finally:
             svc.close()
         pipe = Pipeline(SPEC, PipelineConfig(backend="serial"))
-        ref = pipe.telemetry_series(
-            dataset, value="input_power", width=10.0,
-            t_begin=0.0, t_end=SPEC.horizon_s,
+        assert resp["table"] == pipe.telemetry_series(dataset, q)
+        assert resp["table"] == _reference_cluster(
+            telemetry, 0.0, SPEC.horizon_s
         )
-        assert resp["table"] == ref
 
     def test_concurrent_overlap_shares_flights(self, dataset):
         """8 concurrent overlapping queries: every distinct fragment is

@@ -1,6 +1,6 @@
-"""Planner correctness: pushdown pruning and bit-identity with the batch
-pipeline's kernels (the service must be a different *route* to the same
-numbers, never a different answer)."""
+"""Planner correctness: pushdown pruning and bit-identity with the
+single-pass kernels over the filtered in-memory table (the plan is the
+one route from archive to answer; the reference never touches it)."""
 
 import numpy as np
 import pytest
@@ -27,16 +27,15 @@ def _reference_cluster(telemetry, t0, t1, width=10.0, nodes=None,
 
 
 class TestBitIdentity:
-    def test_cluster_matches_pipeline_fused_path(self, dataset):
-        """Acceptance criterion: service plan == Pipeline.telemetry_series
-        bit-for-bit over the same archived dataset."""
-        out = plan_query(
-            Query(t_begin=0.0, t_end=SPEC.horizon_s, width=10.0), dataset
-        ).execute()
+    def test_cluster_matches_pipeline_fused_path(self, dataset, telemetry):
+        """Acceptance criterion: the plan run in process, the same plan
+        run by Pipeline.telemetry_series, and the single-pass kernels
+        agree bit-for-bit over the same archived dataset."""
+        q = Query(t_begin=0.0, t_end=SPEC.horizon_s, width=10.0)
+        out = plan_query(q, dataset).execute()
         pipe = Pipeline(SPEC, PipelineConfig(backend="serial"))
-        ref = pipe.telemetry_series(dataset, value="input_power", width=10.0,
-                                    t_begin=0.0, t_end=SPEC.horizon_s)
-        assert out == ref
+        assert out == pipe.telemetry_series(dataset, q)
+        assert out == _reference_cluster(telemetry, 0.0, SPEC.horizon_s)
 
     def test_cluster_matches_single_pass(self, dataset, telemetry):
         out = plan_query(
@@ -150,3 +149,36 @@ class TestPlanErrors:
     def test_invalid_query_rejected_at_planning(self, dataset):
         with pytest.raises(QueryError):
             plan_query(Query(level="warp"), dataset)
+
+    @pytest.mark.parametrize("level", ["cluster", "node"])
+    def test_width_straddling_a_shard_edge(self, dataset, level):
+        # 300 s shards: a 7 s (or 40 s) window has rows on both sides of
+        # an edge, and per-shard aggregation would answer it twice
+        with pytest.raises(
+            QueryError,
+            match=r"width 7 .*part-00000\.rcs and part-00001\.rcs",
+        ):
+            plan_query(Query(width=7.0, level=level), dataset)
+        # the pair named is the first one the plan would have touched
+        with pytest.raises(
+            QueryError,
+            match=r"width 40 .*part-00002\.rcs and part-00003\.rcs",
+        ):
+            plan_query(Query(width=40.0, level=level, t_begin=700.0),
+                       dataset)
+
+    def test_width_check_spares_what_cannot_straddle(self, dataset,
+                                                     telemetry):
+        # no kernels, no windows
+        plan_query(Query(width=7.0, level="raw"), dataset).execute()
+        # one surviving shard
+        out = plan_query(Query(width=7.0, t_begin=0.0, t_end=SHARD_S - 10.0),
+                         dataset).execute()
+        assert out == _reference_cluster(telemetry, 0.0, SHARD_S - 10.0,
+                                         width=7.0)
+        # every divisor of the shard extent
+        for width in (12.0, 30.0, 60.0, 150.0, SHARD_S):
+            out = plan_query(Query(width=width), dataset).execute()
+            assert out == _reference_cluster(
+                telemetry, -np.inf, np.inf, width=width
+            ), width

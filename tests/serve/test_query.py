@@ -54,12 +54,22 @@ class TestValidation:
         dict(derived="pue", level="node",
              metrics=("input_power",)),
         dict(derived="pue", pue_overhead=-0.5),
+        # non-finite numbers slip past ``<= 0`` style comparisons
+        dict(width=float("inf")),
+        dict(width=float("nan")),
+        dict(t_begin=float("nan")),
+        dict(t_end=float("nan")),
+        dict(derived="pue", pue_overhead=float("nan")),
+        dict(derived="pue", pue_overhead=float("inf")),
     ])
     def test_rejects(self, bad):
         kw = dict(metrics=("input_power",))
         kw.update(bad)
         with pytest.raises(QueryError):
             Query(**kw).validate()
+
+    def test_infinite_bounds_mean_open(self):
+        Query(t_begin=float("-inf"), t_end=float("inf")).validate()
 
     def test_node_level_multi_metric_ok(self):
         Query(level="node", metrics=("input_power", "gpu_power_total")

@@ -18,6 +18,12 @@ from repro.serve import (
     table_from_wire,
     table_to_wire,
 )
+from repro.serve.server import MAX_REQUEST_BYTES
+
+
+#: distinct widths that make queries distinct *and* answerable: each
+#: divides the archive's 300 s shards, so no coarsen window straddles one
+DIVISORS_OF_SHARD = (10.0, 12.0, 15.0, 20.0, 25.0, 30.0, 50.0, 60.0)
 
 
 def run(coro):
@@ -78,8 +84,8 @@ class TestQueryFlow:
                                                   workers=1))
         try:
             async def main():
-                queries = [Query(t_begin=0.0, t_end=1500.0,
-                                 width=float(10 + i)) for i in range(8)]
+                queries = [Query(t_begin=0.0, t_end=1500.0, width=w)
+                           for w in DIVISORS_OF_SHARD]
                 return await asyncio.gather(
                     *[svc.query(q, tenant=f"t{i}")
                       for i, q in enumerate(queries)]
@@ -106,8 +112,8 @@ class TestQueryFlow:
                                                   workers=1))
         try:
             async def main():
-                queries = [Query(t_begin=0.0, t_end=600.0,
-                                 width=float(10 + i)) for i in range(3)]
+                queries = [Query(t_begin=0.0, t_end=600.0, width=w)
+                           for w in DIVISORS_OF_SHARD[:3]]
                 return await asyncio.gather(
                     *[svc.query(q, tenant="greedy") for q in queries]
                 )
@@ -278,8 +284,6 @@ class TestTCP:
         import json
         import socket
 
-        from repro.serve.server import MAX_REQUEST_BYTES
-
         async def main():
             server = TelemetryServer(service)
             host, port = await server.start()
@@ -314,3 +318,78 @@ class TestTCP:
         assert out["eof"] == b""  # the server closed the connection
         assert service.stats.errors == 1
         assert out["after"] is True
+
+    #: (request line, errors the service must count for it): a request that
+    #: never reaches the service (bad envelope) moves no counter
+    MALFORMED = [
+        (b"{not json", 0),
+        (b"[1, 2]", 0),
+        (b'{"op": "explode"}', 0),
+        (b'{"op": "query", "query": [1]}', 1),
+        (b'{"op": "query", "tenant": ["a"]}', 1),
+        (b'{"op": "query", "tenant": 7}', 1),
+        (b'{"query": {"width": "inf"}}', 1),
+        (b'{"query": {"width": "nan"}}', 1),
+        (b'{"query": {"pue_overhead": "nan", "derived": "pue"}}', 1),
+        (b'{"query": {"t_begin": "nan"}}', 1),
+        (b'{"query": {"t_end": "nan"}}', 1),
+        # a 7 s window straddles the archive's 300 s shard edges
+        (b'{"query": {"width": 7}}', 1),
+        # the one case that ends the connection (the stream is misaligned)
+        (b"x" * (MAX_REQUEST_BYTES + 1), 1),
+    ]
+
+    def test_malformed_requests_get_one_error_each(self, service):
+        import json
+        import socket
+
+        async def main():
+            server = TelemetryServer(service)
+            host, port = await server.start()
+            seen = []
+
+            def client_side():
+                for line, _ in self.MALFORMED:
+                    before = service.stats.errors
+                    with socket.create_connection(
+                        (host, port), timeout=30
+                    ) as sk, sk.makefile("rwb") as f:
+                        f.write(line + b"\n")
+                        f.flush()
+                        first = json.loads(f.readline())
+                        try:
+                            # whatever follows the error on this connection
+                            # is the answer to the ping, or end of stream
+                            f.write(b'{"op": "ping"}\n')
+                            f.flush()
+                            second = f.readline()
+                        except (ConnectionResetError, BrokenPipeError):
+                            second = b""
+                    seen.append(
+                        (first, second, service.stats.errors - before)
+                    )
+                with QueryClient(host, port) as c:
+                    seen.append(c.query(Query(t_begin=0.0, t_end=600.0)))
+
+            worker = threading.Thread(target=client_side)
+            worker.start()
+            while worker.is_alive():
+                await asyncio.sleep(0.02)
+            worker.join()
+            await server.stop()
+            return seen
+
+        *answers, after = run(main())
+        assert len(answers) == len(self.MALFORMED)
+        for (line, counted), (first, second, errors) in zip(
+            self.MALFORMED, answers
+        ):
+            case = line[:60]
+            assert first["status"] == "error" and first["error"], case
+            assert errors == counted, case
+            if len(line) > MAX_REQUEST_BYTES:
+                assert second == b"", case
+            else:
+                assert json.loads(second) == {"status": "ok", "op": "ping"}, case
+        assert "width 7" in answers[-2][0]["error"]
+        assert after["status"] == "ok" and after["rows"] > 0

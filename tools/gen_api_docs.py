@@ -99,8 +99,9 @@ CLI integration (`python -m repro stream`):
 at once.  A declarative `Query` is validated and canonicalized (its
 SHA-256 fingerprint is spelling-invariant), planned into the storage
 pushdowns (zone-map shard pruning + column projection), and executed on
-an asyncio loop that offloads shard reads to a worker pool.  Results
-are bit-identical to `Pipeline.telemetry_series` over the same archive.
+an asyncio loop that offloads shard reads to a worker pool.  The plan is
+the same code as `Pipeline.telemetry_series` over the same archive; a
+`width` that does not divide the shard edges is an `error` response.
 
 Load management is explicit: a byte-capped LRU **result cache** (with
 optional disk spill), **single-flight** collapse of concurrent
