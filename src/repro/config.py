@@ -9,6 +9,7 @@ preserved under scaling because all per-node quantities are intensive.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 
@@ -201,6 +202,27 @@ class SummitConfig:
 
 #: The full-scale Summit machine.
 SUMMIT = SummitConfig()
+
+
+def cap_workers(workers: int) -> int:
+    """``workers`` clamped to ``[1, REPRO_MAX_WORKERS]``.
+
+    The one parser of the ``REPRO_MAX_WORKERS`` environment variable,
+    which caps every pool this package sizes — the executor's workers
+    and the ``.rcs`` codec threads alike (useful on shared CI runners
+    and inside nested pipelines).  Unset or empty means no cap; a value
+    below 1 caps at 1; anything that is not an integer is an error
+    rather than a silently uncapped pool.
+    """
+    cap = os.environ.get("REPRO_MAX_WORKERS")
+    if cap:
+        try:
+            workers = min(workers, int(cap))
+        except ValueError:
+            raise ValueError(
+                f"REPRO_MAX_WORKERS must be an integer, got {cap!r}"
+            ) from None
+    return max(1, workers)
 
 
 def fahrenheit_to_celsius(f: float) -> float:

@@ -24,16 +24,25 @@ Reads go through ``numpy.memmap``: :meth:`RcsFile.read` returns a
 mapped file — no bytes are copied, and a two-column projection of a
 hundred-column shard maps (at most) two columns' pages.  **Encoded**
 columns are decoded into fresh process-local arrays (cached per reader, so
-a time-range probe never decodes the time column twice) and decode fans
-out over a small thread pool on multi-core machines — zlib inflation
-releases the GIL.  Lifetime of the raw views is handled twice over: every
-view's ``base`` chain pins the mapping, and the table additionally retains
-the :class:`RcsFile` via :meth:`~repro.frame.table.Table.retain`.
+a time-range probe never decodes the time column twice).  Lifetime of the
+raw views is handled twice over: every view's ``base`` chain pins the
+mapping, and the table additionally retains the :class:`RcsFile` via
+:meth:`~repro.frame.table.Table.retain`.
+
+Codec work is **column-parallel in both directions**: :func:`save_rcs`
+encodes and :meth:`RcsFile.read` decodes one column per task on a
+per-call thread pool (zlib releases the GIL), a thread per column up to
+one per core, capped by ``REPRO_MAX_WORKERS``.  The file is laid out
+serially after every column is encoded, so its bytes do not depend on
+the pool width.  With tracing on, a write is an ``rcs.save`` span with an
+``rcs.encode`` child per column and each decoded column an ``rcs.decode``
+span, parented to the caller's span whichever thread ran them.
 
 Anything structurally wrong — truncated file, flipped footer byte, codec
 payload CRC mismatch, out-of-range dictionary code, impossible column
 extent — raises :class:`~repro.frame.encodings.ColumnarFormatError`
-(a ``ValueError``), never a crash or silently wrong data.
+(a ``ValueError``), never a crash or silently wrong data.  A codec
+failure carries an exception note naming the column and the file.
 
 ``REPRO_RCS_COMPRESSION=off`` pins writes to all-raw columns (same
 container, every column zero-copy readable); both modes read back
@@ -49,6 +58,7 @@ read, only when pages arrive.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import mmap
 import os
@@ -59,6 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.config import cap_workers
 from repro.frame.encodings import (
     CODECS,
     ColumnarFormatError,
@@ -67,6 +78,7 @@ from repro.frame.encodings import (
     encode_column,
 )
 from repro.frame.table import Table
+from repro.obs import trace
 
 __all__ = [
     "RCS_MAGIC2",
@@ -148,6 +160,50 @@ def _pad(n: int) -> int:
     return (-n) % _ALIGN
 
 
+def _column_task(span: str, path: Path, seq: int | None, fn, name: str,
+                 *args):
+    """One column's codec call ``fn(name, *args)``: a ``span`` around it
+    and, when it fails, a note on the exception naming column and file."""
+    try:
+        with trace.span(span, _seq=seq, column=name):
+            return fn(name, *args)
+    except Exception as exc:
+        if hasattr(exc, "add_note"):  # Python >= 3.11
+            exc.add_note(f"column {name!r} of {path}")
+        raise
+
+
+def _map_columns(span: str, path: Path, fn, names: list[str],
+                 inline: bool = False) -> list:
+    """``[fn(name) for name in names]``, one :func:`_column_task` per
+    column of ``path``, results in column order.
+
+    The tasks run on a per-call thread pool — a thread per column up to
+    one per core, capped by ``REPRO_MAX_WORKERS`` — or in a plain loop
+    when that width is 1 or ``inline`` says there is nothing to overlap.
+    The pool lives for the call only: a module-level one would be
+    inherited thread-less across ``fork`` by process-backend workers.
+    Each task runs in a copy of the caller's context and takes its
+    sibling number from the caller's span up front, so its span has the
+    same id and parent — and lands in the same ``trace.capture()`` —
+    on any thread.
+    """
+    workers = cap_workers(min(os.cpu_count() or 1, len(names)))
+    parent = trace.current_span()
+    tasks = [
+        (span, path, None if parent is None else parent.next_child_seq(),
+         fn, name)
+        for name in names
+    ]
+    if inline or workers == 1:
+        return [_column_task(*task) for task in tasks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(
+            lambda ctx, task: ctx.run(_column_task, *task),
+            [contextvars.copy_context() for _ in tasks], tasks,
+        ))
+
+
 def save_rcs(
     table: Table,
     path: str | os.PathLike,
@@ -167,6 +223,11 @@ def save_rcs(
     pass.  With ``atomic`` the shard is written to a same-directory temp
     file, fsynced, and renamed into place, so concurrent readers never
     observe a torn shard.
+
+    Columns are encoded one per task on the codec thread pool (see the
+    module docstring) and the file is laid out serially afterwards: the
+    bytes written are the same for any pool width, and a column that
+    fails to encode leaves nothing at ``path``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -178,68 +239,71 @@ def save_rcs(
             f"compression must be 'auto' or 'off', got {mode!r}"
         )
 
-    cols_meta: list[dict] = []
-    buffers: list[bytes] = []
-    offset = len(RCS_MAGIC2) + _pad(len(RCS_MAGIC2))
+    cols: dict[str, np.ndarray] = {}
     for name in table.columns:
         col = np.ascontiguousarray(table[name])
         if col.dtype.byteorder == ">":  # normalize to little-endian
             col = col.astype(col.dtype.newbyteorder("<"))
-        encoded = encode_column(col, mode=mode)
-        meta = {"name": name, "dtype": col.dtype.str, "offset": offset,
-                "zone": zones[name]}
-        if encoded is None:
-            payload = col.tobytes()
+        cols[name] = col
+
+    with trace.span("rcs.save", rows=table.n_rows, columns=len(cols)) as sp:
+        # encode_column is looked up on this module per call: the ledger's
+        # traced pass rebinds it here to meter every column
+        encoded = _map_columns(
+            "rcs.encode", path,
+            lambda name: encode_column(cols[name], mode=mode), list(cols),
+            inline=mode == "off",
+        )
+
+        cols_meta: list[dict] = []
+        buffers: list[bytes] = []
+        offset = len(RCS_MAGIC2) + _pad(len(RCS_MAGIC2))
+        for (name, col), enc in zip(cols.items(), encoded):
+            meta = {"name": name, "dtype": col.dtype.str, "offset": offset,
+                    "zone": zones[name]}
+            if enc is None:
+                payload = col.tobytes()
+            else:
+                meta["enc"], payload = enc
+            meta["nbytes"] = len(payload)
+            buffers.append(payload)
+            cols_meta.append(meta)
+            offset += len(payload) + _pad(len(payload))
+
+        footer = json.dumps(
+            {"version": RCS_VERSION, "n_rows": table.n_rows,
+             "columns": cols_meta},
+            separators=(",", ":"),
+        ).encode()
+
+        def _write(f) -> None:
+            f.write(RCS_MAGIC2)
+            f.write(b"\0" * _pad(len(RCS_MAGIC2)))
+            for payload in buffers:
+                f.write(payload)
+                f.write(b"\0" * _pad(len(payload)))
+            f.write(footer)
+            f.write(struct.pack("<I", zlib.crc32(footer) & 0xFFFFFFFF))
+            f.write(struct.pack("<Q", len(footer)))
+            f.write(RCS_MAGIC2)
+
+        if not atomic:
+            with open(path, "wb") as f:
+                _write(f)
         else:
-            meta["enc"], payload = encoded
-        meta["nbytes"] = len(payload)
-        buffers.append(payload)
-        cols_meta.append(meta)
-        offset += len(payload) + _pad(len(payload))
-
-    footer = json.dumps(
-        {"version": RCS_VERSION, "n_rows": table.n_rows, "columns": cols_meta},
-        separators=(",", ":"),
-    ).encode()
-
-    def _write(f) -> None:
-        f.write(RCS_MAGIC2)
-        f.write(b"\0" * _pad(len(RCS_MAGIC2)))
-        for payload in buffers:
-            f.write(payload)
-            f.write(b"\0" * _pad(len(payload)))
-        f.write(footer)
-        f.write(struct.pack("<I", zlib.crc32(footer) & 0xFFFFFFFF))
-        f.write(struct.pack("<Q", len(footer)))
-        f.write(RCS_MAGIC2)
-
-    if not atomic:
-        with open(path, "wb") as f:
-            _write(f)
-        return path.stat().st_size
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            _write(f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            tmp.unlink()
-    return path.stat().st_size
-
-
-def _decode_workers(n_encoded: int) -> int:
-    """Thread-pool width for decoding one read's encoded columns."""
-    cap = os.environ.get("REPRO_MAX_WORKERS")
-    workers = os.cpu_count() or 1
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, min(workers, n_encoded))
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            try:
+                with open(tmp, "wb") as f:
+                    _write(f)
+                    f.flush()
+                    os.fsync(f.fileno())
+                os.replace(tmp, path)
+            finally:
+                if tmp.exists():  # pragma: no cover - only on a failed write
+                    tmp.unlink()
+        size = path.stat().st_size
+        sp.set(bytes=size)
+    return size
 
 
 class RcsFile:
@@ -423,17 +487,18 @@ class RcsFile:
         except (AttributeError, ValueError, OSError):
             pass
 
-    def _decode(self, name: str) -> np.ndarray:
-        """Decode (and cache) one encoded column."""
-        got = self._decoded.get(name)
-        if got is None:
-            meta = self._cols[name]
-            mm = self._mapping()
-            self._advise(name)
-            payload = bytes(mm[meta["offset"]:meta["offset"] + meta["nbytes"]])
-            got = decode_column(
-                meta["enc"], payload, np.dtype(meta["dtype"]), self.n_rows
-            )
+    def _decode(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
+        """Decode one encoded column: into the reader's cache (read-only),
+        or straight into a caller-owned ``out``, which is not cached."""
+        meta = self._cols[name]
+        mm = self._mapping()
+        self._advise(name)
+        payload = bytes(mm[meta["offset"]:meta["offset"] + meta["nbytes"]])
+        got = decode_column(
+            meta["enc"], payload, np.dtype(meta["dtype"]), self.n_rows,
+            out=out,
+        )
+        if out is None:
             got.setflags(write=False)
             self._decoded[name] = got
         return got
@@ -446,9 +511,9 @@ class RcsFile:
         """A table of the requested columns (default: all).
 
         Raw columns are zero-copy views over the mapping; encoded columns
-        decode into cached process-local arrays — fanned out over a small
-        thread pool when several need decoding on a multi-core machine
-        (inflation releases the GIL).  ``rows`` slices every column
+        decode into cached process-local arrays, the ones not yet cached
+        as one task each on the codec thread pool (inflation releases
+        the GIL).  ``rows`` slices every column
         (views of views on the raw path).  The returned table retains
         this reader, and each raw view's ``base`` chain pins the mapping,
         so it outlives both this object and — on POSIX — the directory
@@ -464,15 +529,13 @@ class RcsFile:
             n for n in names
             if "enc" in self._cols[n] and n not in self._decoded
         ]
-        if len(pending) > 1 and _decode_workers(len(pending)) > 1:
-            with ThreadPoolExecutor(_decode_workers(len(pending))) as pool:
-                list(pool.map(self._decode, pending))
-        mm = self._mapping()
+        mm = self._mapping()  # before the fan-out: tasks must not race to map
+        _map_columns("rcs.decode", self.path, self._decode, pending)
         cols: dict[str, np.ndarray] = {}
         for name in names:
             meta = self._cols[name]
             if "enc" in meta:
-                view = self._decode(name)
+                view = self._decoded[name]
             else:
                 self._advise(name)
                 raw = mm[meta["offset"]:meta["offset"] + meta["nbytes"]]
@@ -534,16 +597,12 @@ class RcsFile:
                           casting="no")
             elif name in self._decoded:
                 np.copyto(dest, self._decoded[name][lo:hi], casting="no")
-            elif lo == 0 and hi == self.n_rows:
-                payload = bytes(
-                    mm[meta["offset"]:meta["offset"] + meta["nbytes"]]
-                )
-                decode_column(
-                    meta["enc"], payload, np.dtype(meta["dtype"]),
-                    self.n_rows, out=dest,
-                )
             else:
-                np.copyto(dest, self._decode(name)[lo:hi], casting="no")
+                whole = lo == 0 and hi == self.n_rows
+                got = _column_task("rcs.decode", self.path, None,
+                                   self._decode, name, dest if whole else None)
+                if not whole:
+                    np.copyto(dest, got[lo:hi], casting="no")
 
     def read_time_range(
         self,

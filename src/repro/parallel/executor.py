@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any
 
+from repro.config import cap_workers
 from repro.frame.table import Table
 from repro.obs import trace
 from repro.parallel import shm as _shm
@@ -40,16 +41,7 @@ def default_workers() -> int:
     The ``REPRO_MAX_WORKERS`` environment variable caps the result (useful
     on shared CI runners and inside nested pipelines).
     """
-    workers = max(1, (os.cpu_count() or 2) - 1)
-    cap = os.environ.get("REPRO_MAX_WORKERS")
-    if cap:
-        try:
-            workers = max(1, min(workers, int(cap)))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_MAX_WORKERS must be an integer, got {cap!r}"
-            ) from None
-    return workers
+    return cap_workers((os.cpu_count() or 2) - 1)
 
 
 def default_mp_context() -> str:

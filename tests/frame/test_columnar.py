@@ -3,12 +3,14 @@
 import gc
 import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.frame import columnar
 from repro.frame import (
     RcsFile,
     Table,
@@ -20,6 +22,7 @@ from repro.frame import (
     zone_map,
 )
 from repro.frame.encodings import ColumnarFormatError
+from repro.parallel.executor import Executor
 
 
 def make():
@@ -412,3 +415,198 @@ class TestMadvise:
         r.read(["t"])
         r.read(["t", "node"])
         assert {"t", "node"} <= r._advised
+
+
+# the codec battery's dtypes (tests/frame/test_encodings.py): ints of
+# every width, both floats (hnp draws -0.0 / NaN / inf), bools, strings
+_DTYPES = [np.dtype(s) for s in
+           ("i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8",
+            "f4", "f8", "?", "U5", "S4")]
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.sampled_from([0, 1, 2, 17, 200]))
+    dtypes = draw(st.lists(st.sampled_from(_DTYPES), min_size=1, max_size=6))
+    return Table({
+        f"c{i}": draw(hnp.arrays(dt, n)) for i, dt in enumerate(dtypes)
+    })
+
+
+def _wide_pool(monkeypatch, cap: str | None):
+    """A four-core host (so the codec pool is real on any runner) under
+    ``REPRO_MAX_WORKERS=cap`` (None: unset)."""
+    monkeypatch.setattr(columnar.os, "cpu_count", lambda: 4)
+    if cap is None:
+        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_MAX_WORKERS", cap)
+
+
+def _telemetry_like(seed: int, n: int = 3000) -> Table:
+    rng = np.random.default_rng(seed)
+    return Table({
+        "timestamp": np.arange(n, dtype=np.float64),
+        "node": np.repeat(np.arange(n // 100, dtype=np.int64), 100),
+        "power": np.cumsum(rng.integers(-40, 40, n)) * 0.1,
+        "temp": (rng.normal(2000, 1, n) // 1).astype(np.float64),
+        "cabinet": np.array([f"cab-{i % 8}" for i in range(n)]),
+        "up": rng.random(n) < 0.9,
+    })
+
+
+def _save_load_worker(args):
+    """Process-pool task (module-level: picklable under spawn)."""
+    seed, path = args
+    table = _telemetry_like(seed)
+    save_rcs(table, path)
+    return path.read_bytes(), load_rcs(path) == table
+
+
+class TestColumnParallelEncode:
+    """``save_rcs`` encodes one column per pool task; the file is laid
+    out serially afterwards, so no byte depends on the pool."""
+
+    @given(table=_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_do_not_depend_on_workers(self, table, tmp_path_factory):
+        root = tmp_path_factory.mktemp("workers")
+        with pytest.MonkeyPatch.context() as mp:
+            for cap in ("1", "2", None):
+                _wide_pool(mp, cap)
+                save_rcs(table, root / f"{cap}.rcs")
+        serial = (root / "1.rcs").read_bytes()
+        assert (root / "2.rcs").read_bytes() == serial
+        assert (root / "None.rcs").read_bytes() == serial
+        r = open_rcs(root / "None.rcs")
+        assert r.columns == list(r.codecs) == table.columns
+
+    def test_concurrent_saves_match_serial(self, tmp_path, monkeypatch):
+        _wide_pool(monkeypatch, None)
+        tables = [_telemetry_like(seed) for seed in range(4)]
+        for i, t in enumerate(tables):
+            save_rcs(t, tmp_path / f"serial-{i}.rcs")
+        threads = [
+            threading.Thread(target=save_rcs,
+                             args=(t, tmp_path / f"threaded-{i}.rcs"))
+            for i, t in enumerate(tables)
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+        for i in range(4):
+            assert (tmp_path / f"threaded-{i}.rcs").read_bytes() == (
+                tmp_path / f"serial-{i}.rcs").read_bytes()
+
+    @pytest.mark.parametrize("atomic", [False, True])
+    def test_failed_column_writes_nothing(self, tmp_path, monkeypatch,
+                                          atomic):
+        _wide_pool(monkeypatch, None)
+        table = _telemetry_like(0)
+        bad = np.ascontiguousarray(table["temp"])
+        real = columnar.encode_column
+
+        def flaky(arr, mode="auto"):
+            if arr.dtype == bad.dtype and np.array_equal(arr, bad):
+                raise RuntimeError("codec fell over")
+            return real(arr, mode=mode)
+
+        monkeypatch.setattr(columnar, "encode_column", flaky)
+        before = threading.active_count()
+        path = tmp_path / "out" / "t.rcs"
+        with pytest.raises(RuntimeError, match="codec fell over") as err:
+            save_rcs(table, path, atomic=atomic)
+        assert err.value.__notes__ == [f"column 'temp' of {path}"]
+        assert list(path.parent.iterdir()) == []
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+    def test_process_workers_after_a_pooled_write(self, tmp_path, monkeypatch,
+                                                  mp_context):
+        # the parent has used (and torn down) a codec pool before the
+        # workers fork: nothing thread-less may be inherited
+        _wide_pool(monkeypatch, None)
+        save_rcs(_telemetry_like(9), tmp_path / "parent.rcs")
+        jobs = [(seed, tmp_path / f"{mp_context}-{seed}.rcs")
+                for seed in range(4)]
+        done: list = []
+        runner = threading.Thread(
+            target=lambda: done.extend(
+                Executor(backend="processes", max_workers=2,
+                         mp_context=mp_context).map(_save_load_worker, jobs)
+            ),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "process workers hung in save_rcs"
+        assert len(done) == 4
+        for (seed, _), (blob, same) in zip(jobs, done):
+            assert same
+            save_rcs(_telemetry_like(seed), tmp_path / "want.rcs")
+            assert blob == (tmp_path / "want.rcs").read_bytes()
+
+    def test_projected_read_same_under_any_cap(self, tmp_path, monkeypatch):
+        table = _telemetry_like(3)
+        save_rcs(table, tmp_path / "t.rcs")
+        pick = ["power", "timestamp", "cabinet", "up"]
+        got = []
+        for cap in ("1", "2"):
+            _wide_pool(monkeypatch, cap)
+            got.append(load_rcs(tmp_path / "t.rcs", pick))
+        assert got[0] == got[1] == table.select(pick)
+
+
+class TestColumnErrorContext:
+    """A corrupt payload's error says which column of which file."""
+
+    # one column per codec family, each the selector's pick
+    CASES = {
+        "delta": lambda rng: np.cumsum(rng.integers(0, 5, 2400)),
+        "qdelta": lambda rng: np.cumsum(rng.integers(-40, 40, 2400)) * 0.1,
+        "fxor": lambda rng: rng.normal(2000, 1, 2400),
+        "dict": lambda rng: rng.integers(0, 6, 2400),
+        "zframe": lambda rng: rng.integers(
+            97, 123, (2400, 6), dtype=np.uint8).view("S6").ravel(),
+    }
+
+    @pytest.fixture()
+    def corrupt(self, tmp_path):
+        """``corrupt(codec)``: a shard whose ``codec`` column has one
+        payload byte flipped."""
+        rng = np.random.default_rng(11)
+        table = Table({c: make_col(rng) for c, make_col in self.CASES.items()})
+        path = tmp_path / "part-g001-00003.rcs"
+        save_rcs(table, path, compression="auto")
+        assert open_rcs(path).codecs == {c: c for c in self.CASES}
+        blob = path.read_bytes()
+
+        def flip(codec):
+            meta = open_rcs(path)._cols[codec]
+            bad = bytearray(blob)
+            bad[meta["offset"] + meta["nbytes"] // 2] ^= 0x01
+            path.write_bytes(bytes(bad))
+            return path
+
+        return flip
+
+    @pytest.mark.parametrize("codec", list(CASES))
+    @pytest.mark.parametrize("entry", ["read", "read_into", "range_into"])
+    def test_note_names_file_and_column(self, corrupt, codec, entry,
+                                        monkeypatch):
+        _wide_pool(monkeypatch, None)
+        path = corrupt(codec)
+        r = open_rcs(path)
+        dest = {codec: np.empty(r.n_rows, r.dtypes[codec])}
+        with pytest.raises(ColumnarFormatError) as err:
+            if entry == "read":
+                r.read()
+            elif entry == "read_into":
+                r.read_into(dest)
+            else:
+                r.read_range_into({codec: dest[codec][:10]}, 5, 15)
+        assert str(err.value).startswith(
+            f"column payload CRC mismatch (codec {codec!r}): stored 0x")
+        assert err.value.__notes__ == [f"column {codec!r} of {path}"]

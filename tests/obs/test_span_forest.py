@@ -2,7 +2,8 @@
 
 Satellite of the obs tentpole — whatever shape of nesting the code
 produces (including spans created inside ``Executor`` pool workers and
-re-parented on merge), the recorded trace must rebuild into a forest
+re-parented on merge, and the ``.rcs`` codec pool's per-column spans),
+the recorded trace must rebuild into a forest
 where every child lies within its parent's interval, no span is
 orphaned, and ids are deterministic under both ``fork`` and ``spawn``
 start methods.
@@ -10,8 +11,11 @@ start methods.
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.frame import Table, columnar, load_rcs, save_rcs
 from repro.obs import trace
 from repro.obs.export import build_forest, validate_spans
 from repro.parallel.executor import Executor
@@ -153,3 +157,60 @@ class TestCrossProcessForest:
         assert [c.name for c in emap.children] == ["executor.task"] * 3
         for task in emap.children:
             assert [c.name for c in task.children] == ["work.outer"]
+
+
+class TestStorageSpans:
+    """A traced ``save_rcs`` + ``load_rcs``: one ``rcs.save`` with an
+    ``rcs.encode`` child per column, one ``rcs.decode`` per decoded
+    column — same ids and parents on the codec pool as inline."""
+
+    @staticmethod
+    def _run(table, pick, path, cap):
+        ctx = trace.SpanContext("trace-exec", "root-exec")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(columnar.os, "cpu_count", lambda: 4)
+            mp.setenv("REPRO_MAX_WORKERS", cap)
+            trace.enable(None)
+            with trace.capture() as records:
+                with trace.span("run", _parent=ctx, _seq=0):
+                    save_rcs(table, path, compression="auto")
+                    assert load_rcs(path, pick) == table.select(pick)
+            trace.disable()
+        return records
+
+    @given(n_columns=st.integers(min_value=1, max_value=5), data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_pooled_spans_rebuild_and_match_inline(self, n_columns, data,
+                                                   tmp_path_factory):
+        table = Table({
+            f"c{i}": np.cumsum(np.arange(300.0) % (i + 2))
+            for i in range(n_columns)
+        })
+        pick = data.draw(st.lists(st.sampled_from(table.columns),
+                                  min_size=1, unique=True))
+        path = tmp_path_factory.mktemp("spans") / "t.rcs"
+
+        def shape(records):
+            return sorted((r["name"], r["span"], r["parent"],
+                           r["attrs"].get("column")) for r in records)
+
+        inline = self._run(table, pick, path, "1")
+        pooled = self._run(table, pick, path, "4")
+        assert shape(pooled) == shape(inline)
+
+        (synthetic,) = validate_spans(_with_synthetic_root(pooled))
+        (run,) = synthetic.children
+        save = run.children[0]
+        assert save.name == "rcs.save"
+        assert save.record["attrs"] == {
+            "rows": 300, "columns": n_columns,
+            "bytes": path.stat().st_size,
+        }
+        assert {n.name for n in save.children} == {"rcs.encode"}
+        # inline tasks finish in sibling order; the pooled ids are theirs
+        assert [r["attrs"]["column"] for r in inline
+                if r["name"] == "rcs.encode"] == table.columns
+        decodes = run.children[1:]
+        assert sorted(n.record["attrs"]["column"] for n in decodes) == (
+            sorted(pick))
+        assert {n.name for n in decodes} == {"rcs.decode"}

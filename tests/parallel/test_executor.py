@@ -1,8 +1,11 @@
 """Unit tests for the Executor backends."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.frame import Table, columnar, load_rcs, save_rcs
 from repro.parallel import Executor, NotPicklableError
 from repro.parallel.executor import default_workers, _StarCall
 
@@ -66,27 +69,62 @@ class TestExecutor:
         assert "threads" in repr(Executor(backend="threads"))
 
 
+@pytest.fixture()
+def pool_widths(monkeypatch, tmp_path):
+    """The size of each pool ``REPRO_MAX_WORKERS`` caps, as callables:
+    the executor's default, and the thread pool one ``save_rcs`` / one
+    ``load_rcs`` of a six-column shard builds on a four-core host (1
+    when it runs its columns inline)."""
+    built = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(columnar, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(columnar.os, "cpu_count", lambda: 4)
+    table = Table({f"c{i}": np.arange(500.0) + i for i in range(6)})
+    save_rcs(table, tmp_path / "t.rcs", compression="auto")
+
+    def codec_width(call, *args, **kwargs):
+        del built[:]
+        call(*args, **kwargs)
+        return built[0] if built else 1
+
+    return [
+        default_workers,
+        lambda: codec_width(save_rcs, table, tmp_path / "u.rcs",
+                            compression="auto"),
+        lambda: codec_width(load_rcs, tmp_path / "t.rcs"),
+    ]
+
+
 class TestDefaultWorkersEnv:
-    def test_env_caps_workers(self, monkeypatch):
+    """One parser, ``repro.config.cap_workers``, behind every pool."""
+
+    def test_env_caps_workers(self, monkeypatch, pool_widths):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
-        assert default_workers() == 1
+        assert [width() for width in pool_widths] == [1, 1, 1]
 
-    def test_env_never_drops_below_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "0")
-        assert default_workers() == 1
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "-3")
-        assert default_workers() == 1
+    def test_env_never_drops_below_one(self, monkeypatch, pool_widths):
+        for cap in ("0", "-3"):
+            monkeypatch.setenv("REPRO_MAX_WORKERS", cap)
+            assert [width() for width in pool_widths] == [1, 1, 1]
 
-    def test_env_cannot_raise_above_heuristic(self, monkeypatch):
+    def test_env_cannot_raise_above_heuristic(self, monkeypatch, pool_widths):
         monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
-        base = default_workers()
-        monkeypatch.setenv("REPRO_MAX_WORKERS", str(base + 100))
-        assert default_workers() == base
+        base = [width() for width in pool_widths]
+        assert base[1:] == [4, 4]
+        monkeypatch.setenv("REPRO_MAX_WORKERS", str(max(base) + 100))
+        assert [width() for width in pool_widths] == base
 
-    def test_env_non_integer_rejected(self, monkeypatch):
+    def test_env_non_integer_rejected(self, monkeypatch, pool_widths):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "many")
-        with pytest.raises(ValueError, match="REPRO_MAX_WORKERS"):
-            default_workers()
+        for width in pool_widths:
+            with pytest.raises(ValueError, match="REPRO_MAX_WORKERS must be "
+                                                 "an integer, got 'many'"):
+                width()
 
     def test_executor_picks_up_cap(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
