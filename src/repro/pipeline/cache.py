@@ -15,10 +15,10 @@ two workers computing the same artifact and one rename winning.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 from repro.frame.encodings import compression_mode
@@ -32,22 +32,31 @@ from repro.frame.table import Table
 CACHE_FORMAT_VERSION = 3
 
 
-def _canonical(obj) -> object:
-    """Reduce ``obj`` to JSON-serializable canonical form for hashing."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            "__dataclass__": type(obj).__name__,
-            "fields": _canonical(asdict(obj)),
-        }
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
+def _canonical(obj, nested: bool = False) -> object:
+    """Reduce ``obj`` to JSON-serializable canonical form for hashing.
+
+    A dataclass is tagged with its class name; one nested anywhere inside
+    another flattens to a plain dict of its fields (``nested``).  Existing
+    digests depend on exactly that shape — spilled results and pipeline
+    artifacts are addressed by them.
+    """
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
     if isinstance(obj, float):
         # repr round-trips doubles exactly; avoids 0.1+0.2 style surprises
         return repr(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        flat = {
+            f.name: _canonical(getattr(obj, f.name), True)
+            for f in dataclasses.fields(obj)
+        }
+        if nested:
+            return flat
+        return {"__dataclass__": type(obj).__name__, "fields": flat}
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v, nested) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v, nested) for v in obj]
     raise TypeError(f"cannot build a cache key from {type(obj).__name__}: {obj!r}")
 
 

@@ -4,6 +4,8 @@ One persistent connection, one JSON line per request/response.  Result
 tables arrive in wire form and are rebuilt into
 :class:`~repro.frame.table.Table` objects by default, so a client-side
 result compares equal (``==``, bit-for-bit) to the server-side one.
+Numeric columns of a rebuilt table are read-only views over the decoded
+bytes; ``np.array(col)`` when one has to be written to.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ __all__ = ["QueryClient", "ServiceError"]
 
 
 class ServiceError(RuntimeError):
-    """The connection failed mid-request (protocol error, server gone)."""
+    """The connection failed mid-request (protocol error, server gone) or
+    the response carried a table that does not decode."""
 
 
 class QueryClient:
@@ -66,6 +69,10 @@ class QueryClient:
         """Run one query; with ``decode`` the response's ``table`` is a
         rebuilt :class:`~repro.frame.table.Table`.
 
+        A table that does not decode, or whose length is not the
+        response's ``rows``, raises :class:`ServiceError` naming the
+        column.
+
         With tracing enabled, the round trip is a ``client.query`` span
         whose context rides the request envelope — the server re-parents
         its whole handling under it, so a shared trace file captures the
@@ -81,8 +88,17 @@ class QueryClient:
             resp = self.request(payload)
             sp.set(status=resp.get("status"),
                    cache=resp.get("cache"), rows=resp.get("rows"))
-        if decode and isinstance(resp.get("table"), dict):
-            resp["table"] = table_from_wire(resp["table"])
+        if decode and "table" in resp:
+            try:
+                table = table_from_wire(resp["table"])
+            except ValueError as err:
+                raise ServiceError(f"bad response table: {err}") from err
+            if table.n_rows != resp.get("rows"):
+                raise ServiceError(
+                    f"bad response table: {table.n_rows} rows decoded, "
+                    f"the response says rows={resp.get('rows')!r}"
+                )
+            resp["table"] = table
         return resp
 
     def stats(self) -> dict:

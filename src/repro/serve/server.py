@@ -11,14 +11,17 @@ real overlap without process-spawn cost).
 :class:`TelemetryServer` exposes the service over TCP with a
 newline-delimited-JSON protocol: each request line is
 ``{"op": "query"|"stats"|"ping", ...}``; each response line is one JSON
-object with a ``status`` of ``ok``, ``rejected``, or ``error``.  Result
-tables travel as ``{"dtypes": {col: dtype}, "columns": {col: [values]}}``
-(see :func:`table_to_wire`), which round-trips float64 exactly.
+object with a ``status`` of ``ok``, ``rejected``, or ``error``, and every
+line is strict JSON (no bare ``NaN``/``Infinity`` tokens).  Result tables
+travel as ``{"dtypes": {col: dtype}, "columns": {col: payload}}`` where a
+numeric or bool column's payload is one base64 string of its little-endian
+buffer and a string column's is a list (see :func:`table_to_wire`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import os
 import time
@@ -52,28 +55,88 @@ __all__ = [
 MAX_REQUEST_BYTES = 64 << 10
 
 
-def table_to_wire(table: Table) -> dict:
-    """JSON-safe form of a table (column lists + dtype strings).
+#: dtype kinds that travel packed (bool, signed, unsigned, float); every
+#: other kind travels as a JSON list
+_PACKED_KINDS = "biuf"
 
-    ``float64.tolist()`` yields Python floats and ``json`` emits their
-    shortest round-trip repr, so numeric payloads survive the wire
-    bit-identically.
+
+def table_to_wire(table: Table) -> dict:
+    """JSON-safe form of a table (dtype strings + one payload per column).
+
+    A bool, integer or float column travels as one base64 string of its
+    C-contiguous little-endian buffer, and ``dtypes`` names that layout
+    explicitly (``"<f8"``, ``"<i8"``, ``"|b1"``): every bit survives —
+    NaN payloads, ``-0.0``, subnormals, int64 extremes — and NaN/inf never
+    reach the JSON encoder.  Any other kind (strings) travels as a list
+    of its elements.  Zero rows pack as ``""``.  To eyeball a column:
+    ``np.frombuffer(base64.b64decode(s), "<f8")``.
     """
-    return {
-        "dtypes": {c: str(table[c].dtype) for c in table.columns},
-        "columns": {c: table[c].tolist() for c in table.columns},
-    }
+    dtypes: dict[str, str] = {}
+    columns: dict[str, object] = {}
+    for name in table.columns:
+        arr = table[name]
+        if arr.dtype.kind in _PACKED_KINDS:
+            wire = arr.dtype.newbyteorder("<")
+            # a column may be big-endian, strided or a read-only map of
+            # an .rcs file; b64encode only needs contiguous bytes
+            arr = np.ascontiguousarray(arr, dtype=wire)
+            dtypes[name] = wire.str
+            columns[name] = base64.b64encode(arr).decode("ascii")
+        else:
+            dtypes[name] = str(arr.dtype)
+            columns[name] = arr.tolist()
+    return {"dtypes": dtypes, "columns": columns}
+
+
+def _column_from_wire(payload: object, dtype: object) -> np.ndarray:
+    """One column from its wire payload (``binascii.Error`` is a
+    ``ValueError``; numpy adds ``TypeError`` and ``OverflowError``)."""
+    if isinstance(payload, list):
+        if dtype is not None and np.dtype(dtype).kind in "OV":
+            raise ValueError(f"dtype {dtype!r} is not a column dtype")
+        return np.asarray(payload, dtype=dtype)
+    if not isinstance(payload, str):
+        raise ValueError(
+            "payload must be a base64 string or a list, got "
+            f"{type(payload).__name__}"
+        )
+    if not isinstance(dtype, str):
+        raise ValueError("a packed column needs a dtype string")
+    dt = np.dtype(dtype)
+    if dt.kind not in _PACKED_KINDS:
+        raise ValueError(f"dtype {dtype!r} cannot travel packed")
+    buf = base64.b64decode(payload, validate=True)
+    if len(buf) % dt.itemsize:
+        raise ValueError(
+            f"{len(buf)} bytes is not a whole number of {dtype!r} elements"
+        )
+    arr = np.frombuffer(buf, dtype=dt)
+    return arr if dt.isnative else arr.astype(dt.newbyteorder("="))
 
 
 def table_from_wire(raw: dict) -> Table:
-    """Rebuild a :class:`~repro.frame.table.Table` from its wire form."""
+    """Rebuild a :class:`~repro.frame.table.Table` from its wire form.
+
+    Dispatches on the JSON type of each column payload: a string is a
+    packed buffer (see :func:`table_to_wire`), a list is the elements —
+    which is also the only form servers before the packed encoding sent.
+    Packed columns come back as read-only native-order views over the
+    decoded bytes.  A malformed payload raises ``ValueError`` naming the
+    column; nothing numpy or ``binascii`` raises gets through unnamed.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"table must be an object, got {type(raw).__name__}")
+    columns = raw.get("columns")
     dtypes = raw.get("dtypes", {})
-    return Table(
-        {
-            name: np.asarray(values, dtype=dtypes.get(name))
-            for name, values in raw["columns"].items()
-        }
-    )
+    if not isinstance(columns, dict) or not isinstance(dtypes, dict):
+        raise ValueError("'columns' and 'dtypes' must be objects")
+    decoded = {}
+    for name, payload in columns.items():
+        try:
+            decoded[name] = _column_from_wire(payload, dtypes.get(name))
+        except (ValueError, TypeError, OverflowError) as err:
+            raise ValueError(f"column {name!r}: {err}") from err
+    return Table(decoded)  # names the column too if lengths are ragged
 
 
 @dataclass(frozen=True)
@@ -573,22 +636,33 @@ class TelemetryServer:
             resp = await self._dispatch_op(op, req)
             sp.set(status=resp.get("status"))
             table = resp.get("table")
-            if (
-                isinstance(table, Table)
-                and table.nbytes()
-                >= self.service.config.encode_offload_bytes
-            ):
-                # big results: wire conversion + JSON encoding would
-                # stall the event loop for milliseconds per response
-                # (convoying every other connection) — do it on the
-                # worker pool instead
-                self.service.stats.encode_offloads += 1
-                payload = await self.service._in_pool(
-                    "serve.encode", self._encode, resp, offloaded=True
-                )
-            else:
-                with trace.span("serve.encode", offloaded=False):
-                    payload = self._encode(resp)
+            try:
+                if (
+                    isinstance(table, Table)
+                    and table.nbytes()
+                    >= self.service.config.encode_offload_bytes
+                ):
+                    # big results: wire conversion + JSON encoding would
+                    # stall the event loop for milliseconds per response
+                    # (convoying every other connection) — do it on the
+                    # worker pool instead
+                    self.service.stats.encode_offloads += 1
+                    payload = await self.service._in_pool(
+                        "serve.encode", self._encode, resp, offloaded=True
+                    )
+                else:
+                    with trace.span("serve.encode", offloaded=False):
+                        payload = self._encode(resp)
+            except (TypeError, ValueError) as err:
+                # a value JSON cannot carry (NaN/inf outside a packed
+                # column, a foreign object): the client gets an answer
+                # and keeps its connection, not a dropped socket
+                self.service.stats.record_error()
+                sp.set(status="error")
+                payload = self._encode({
+                    "status": "error",
+                    "error": f"response could not be encoded: {err}",
+                })
         return payload
 
     async def _dispatch_op(self, op: str, req: dict) -> dict:
@@ -609,9 +683,12 @@ class TelemetryServer:
 
     @staticmethod
     def _encode(resp: dict) -> bytes:
-        """One NDJSON response line (wire-converts a live table first)."""
+        """One strict-JSON response line (wire-converts a live table first);
+        raises ``ValueError`` for NaN/inf, ``TypeError`` for a foreign type."""
         table = resp.get("table")
         if isinstance(table, Table):
             resp = dict(resp)
             resp["table"] = table_to_wire(table)
-        return json.dumps(resp, separators=(",", ":")).encode() + b"\n"
+        return json.dumps(
+            resp, separators=(",", ":"), allow_nan=False
+        ).encode() + b"\n"

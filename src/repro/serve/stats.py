@@ -237,8 +237,12 @@ class ServiceStats:
                 "fanout_mean": round(self.fanout.mean, 2)
                 if len(self.fanout) else 0.0,
                 "encode_offloads": self.encode_offloads,
-                "p50_ms": round(self.latency.p50 * 1e3, 3),
-                "p99_ms": round(self.latency.p99 * 1e3, 3),
+                # None, not NaN, before the first answer: the snapshot
+                # goes out as strict JSON
+                "p50_ms": round(self.latency.p50 * 1e3, 3)
+                if len(self.latency) else None,
+                "p99_ms": round(self.latency.p99 * 1e3, 3)
+                if len(self.latency) else None,
             }
             if admission is not None:
                 out["running"] = admission.running

@@ -10,6 +10,8 @@ formatting preference.
 
 from __future__ import annotations
 
+import json
+
 from repro.pipeline.stats import PipelineStats
 from repro.serve.session import Admission
 from repro.serve.stats import ServiceStats
@@ -209,8 +211,10 @@ def test_service_empty_latency_renders_dash():
                if l.startswith("latency p50 / p99 (ms)"))
     assert row.rstrip().endswith("- / -")
     snap = ss.snapshot()
-    # NaN percentiles are forwarded as-is on the empty snapshot
     assert snap["queries"] == 0 and snap["fanout_mean"] == 0.0
+    # no samples, no quantile: null on the wire, where NaN is not JSON
+    assert snap["p50_ms"] is None and snap["p99_ms"] is None
+    json.dumps(snap, allow_nan=False)
 
 
 def test_stream_report_shape_pinned():

@@ -44,6 +44,45 @@ class TestCacheKey:
         with pytest.raises(TypeError):
             cache_key(object())
 
+    def test_dataclass_shape_is_what_asdict_gave(self):
+        """Artifacts are addressed by these digests, so the canonical form
+        of a dataclass must stay what ``dataclasses.asdict`` produced: the
+        outermost one tagged with its class name, every dataclass inside
+        it — under a field, a tuple, a dict value — a plain dict."""
+        import dataclasses
+
+        from repro.pipeline.cache import _canonical
+
+        @dataclasses.dataclass(frozen=True)
+        class Leaf:
+            w: float = -0.0
+            tags: tuple = ("a", 1, None, True)
+
+        @dataclasses.dataclass
+        class Tree:
+            leaf: Leaf
+            leaves: tuple
+            by_name: dict
+            n: int = 3
+
+        tree = Tree(Leaf(), (Leaf(1.5), [Leaf(2.5)]), {"z": Leaf(0.1), "a": 2})
+
+        def via_asdict(obj):
+            if dataclasses.is_dataclass(obj):
+                return {"__dataclass__": type(obj).__name__,
+                        "fields": via_asdict(dataclasses.asdict(obj))}
+            if isinstance(obj, dict):
+                return {k: via_asdict(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [via_asdict(v) for v in obj]
+            return repr(obj) if isinstance(obj, float) else obj
+
+        for obj in (tree, [tree, Leaf()], {"k": (Leaf(), 1.0)}):
+            assert _canonical(obj) == via_asdict(obj)
+        assert _canonical(tree)["fields"]["leaf"] == {
+            "w": "-0.0", "tags": ["a", 1, None, True]
+        }
+
 
 class TestArtifactCache:
     def test_roundtrip_bit_identical(self, tmp_path):

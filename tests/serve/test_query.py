@@ -115,6 +115,32 @@ class TestFingerprint:
         assert len(fp) == 64
         assert set(fp) <= set("0123456789abcdef")
 
+    def test_digests_pinned(self, monkeypatch):
+        """Literal digests captured before ``cache_key`` stopped going
+        through ``dataclasses.asdict``: spilled results and pipeline
+        artifacts written by older code must still be found."""
+        from repro.datasets import SimulationSpec
+        from repro.pipeline.cache import cache_key
+
+        monkeypatch.delenv("REPRO_RCS_COMPRESSION", raising=False)
+        assert Query().fingerprint() == (
+            "ce5e14f23d17190dc6b4bdd714771e9bf877c3000015cbeaaf71403480bf95c6"
+        )
+        assert Query(t_begin=0.37, t_end=1800.0, nodes=(3, 1, 2),
+                     width=30.0).fingerprint() == (
+            "0c44abb8ee8a8f719024b8d9b54c8ce4f895f76d44aa053e1210f2a2d2600076"
+        )
+        assert Query(cabinets=(1,), level="node",
+                     metrics=("a", "b")).fingerprint() == (
+            "b2fc08a1fe67503025a3942c2a98a9706c70fb201bc2bb20aae727b62343d84f"
+        )
+        assert Query(derived="pue", pue_overhead=0.25).fingerprint() == (
+            "4c4786676f376cc39a5bd5dcde6cddbfa521f5ca9a8a11eaa583ebca50079755"
+        )
+        assert cache_key(SimulationSpec(), stage="x", window=(0.0, 1.5)) == (
+            "4e8f5fc6731525e59fb49711034fc6e94e62815bf0430c100666e854db0b212f"
+        )
+
 
 class TestWireForm:
     def test_round_trip(self):

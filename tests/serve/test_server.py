@@ -2,12 +2,19 @@
 explicit overload rejection, and the TCP wire protocol."""
 
 import asyncio
+import base64
+import json
+import re
+import socket
 import threading
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datasets.store import write_partitioned_series
 from repro.frame.table import Table
 from repro.serve import (
     Query,
@@ -15,10 +22,13 @@ from repro.serve import (
     QueryService,
     ServiceConfig,
     TelemetryServer,
+    plan_query,
     table_from_wire,
     table_to_wire,
 )
 from repro.serve.server import MAX_REQUEST_BYTES
+
+from .conftest import SHARD_S
 
 
 #: distinct widths that make queries distinct *and* answerable: each
@@ -28,6 +38,108 @@ DIVISORS_OF_SHARD = (10.0, 12.0, 15.0, 20.0, 25.0, 30.0, 50.0, 60.0)
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def strict_loads(line):
+    """``json.loads`` that refuses the bare ``NaN`` / ``Infinity`` /
+    ``-Infinity`` tokens Python's parser accepts and JSON does not have."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+def exchange(service, requests):
+    """Serve ``service`` over TCP, send each request line on one raw
+    connection, return the raw response lines."""
+    async def main():
+        server = TelemetryServer(service)
+        host, port = await server.start()
+        lines = []
+
+        def client_side():
+            with socket.create_connection(
+                (host, port), timeout=30
+            ) as sk, sk.makefile("rwb") as f:
+                for request in requests:
+                    f.write(json.dumps(request).encode() + b"\n")
+                    f.flush()
+                    lines.append(f.readline())
+
+        worker = threading.Thread(target=client_side)
+        worker.start()
+        while worker.is_alive():
+            await asyncio.sleep(0.02)
+        worker.join()
+        await server.stop()
+        return lines
+
+    return run(main())
+
+
+def bits(column):
+    """A column's values as native-order bytes (the bit-equality oracle:
+    ``Table.__eq__`` calls all NaNs equal and ``-0.0 == 0.0``)."""
+    column = np.asarray(column)
+    return column.astype(column.dtype.newbyteorder("=")).tobytes()
+
+
+PACKED_DTYPES = ("f2", "f4", "f8", "i1", "i2", "i4", "i8",
+                 "u1", "u2", "u4", "u8")
+
+
+def special_values(dtype):
+    """The values a lossy encoding would lose, for one numeric dtype."""
+    if dtype.kind != "f":
+        info = np.iinfo(dtype)
+        return np.array([info.min, info.max, 0], dtype=dtype)
+    info = np.finfo(dtype)
+    values = np.array(
+        [np.nan, -0.0, np.inf, -np.inf, info.smallest_subnormal,
+         -info.smallest_subnormal, info.max, info.min], dtype=dtype)
+    as_uint = np.dtype(f"u{dtype.itemsize}")
+    payload_nan = (values[:1].view(as_uint) | as_uint.type(1)).view(dtype)
+    return np.concatenate([values, payload_nan])
+
+
+@st.composite
+def wire_column(draw, n_rows):
+    kind = draw(st.sampled_from(PACKED_DTYPES + ("bool", "U")))
+    if kind == "U":
+        return np.array(draw(st.lists(st.text(max_size=5), min_size=n_rows,
+                                      max_size=n_rows)), dtype=str)
+    if kind == "bool":
+        column = np.array(draw(st.lists(st.booleans(), min_size=n_rows,
+                                        max_size=n_rows)), dtype=bool)
+    else:
+        # arbitrary bytes reach every bit pattern (signalling NaNs too);
+        # the known-fragile values are injected on top
+        dtype = np.dtype(kind)
+        size = n_rows * dtype.itemsize
+        column = np.frombuffer(
+            draw(st.binary(min_size=size, max_size=size)), dtype=dtype
+        ).copy()
+        specials = special_values(dtype)
+        for at in draw(st.lists(st.integers(0, max(n_rows - 1, 0)),
+                                max_size=4 if n_rows else 0)):
+            column[at] = specials[
+                draw(st.integers(0, len(specials) - 1))]
+    layout = draw(st.sampled_from(
+        ("native", "big-endian", "strided", "read-only")))
+    if layout == "big-endian":
+        column = column.astype(column.dtype.newbyteorder(">"))
+    elif layout == "strided":
+        column = np.repeat(column, 2)[::2]
+    elif layout == "read-only":
+        column.setflags(write=False)
+    return column
+
+
+@st.composite
+def wire_table(draw):
+    n_rows = draw(st.sampled_from((0, 1, 2, 7, 64)))
+    n_cols = draw(st.integers(1, 5))
+    return Table({f"c{i}": draw(wire_column(n_rows)) for i in range(n_cols)})
 
 
 @pytest.fixture()
@@ -156,6 +268,70 @@ class TestWireTables:
         encoded = json.dumps(table_to_wire(t))
         assert table_from_wire(json.loads(encoded)) == t
 
+    @settings(max_examples=150, deadline=None)
+    @given(table=wire_table())
+    def test_every_bit_of_every_dtype_survives_strict_json(self, table):
+        line = json.dumps(table_to_wire(table), allow_nan=False)
+        back = table_from_wire(strict_loads(line))
+        assert back.columns == table.columns
+        assert back.n_rows == table.n_rows
+        for name in table.columns:
+            sent, got = table[name], back[name]
+            if sent.dtype.kind == "U":
+                assert got.dtype == sent.dtype
+            else:
+                assert got.dtype.isnative
+                assert got.dtype == sent.dtype.newbyteorder("=")
+            assert bits(got) == bits(sent), name
+
+    def test_numeric_kinds_are_packed_little_endian_strings_are_lists(self):
+        wire = table_to_wire(Table({
+            "t": np.array([0.5, np.nan]),
+            "big": np.array([1, -2], dtype=">i4"),
+            "flag": np.array([True, False]),
+            "host": np.array(["a1", "b22"]),
+        }))
+        assert wire["dtypes"] == {"t": "<f8", "big": "<i4", "flag": "|b1",
+                                  "host": "<U3"}
+        assert wire["columns"] == {
+            "t": "AAAAAAAA4D8AAAAAAAD4fw==",
+            "big": "AQAAAP7///8=",
+            "flag": "AQA=",
+            "host": ["a1", "b22"],
+        }
+        empty = table_to_wire(Table({"v": np.empty(0, dtype=np.float32)}))
+        assert empty == {"dtypes": {"v": "<f4"}, "columns": {"v": ""}}
+        assert table_from_wire(empty)["v"].dtype == np.float32
+
+    def test_list_form_of_older_servers_still_decodes(self):
+        legacy = {
+            "dtypes": {"timestamp": "float64", "node": "int64",
+                       "power": "float64", "host": "<U2"},
+            "columns": {"timestamp": [0.0, 0.1, 0.2], "node": [0, 1, 2],
+                        "power": [1.5, 3.141592653589793, -0.0],
+                        "host": ["a1", "b2", "c3"]},
+        }
+        expected = Table({
+            "timestamp": np.array([0.0, 0.1, 0.2]),
+            "node": np.arange(3, dtype=np.int64),
+            "power": np.array([1.5, np.pi, -0.0]),
+            "host": np.array(["a1", "b2", "c3"]),
+        })
+        back = table_from_wire(json.loads(json.dumps(legacy)))
+        assert back.columns == expected.columns
+        for name in expected.columns:
+            assert back[name].dtype == expected[name].dtype
+            assert bits(back[name]) == bits(expected[name])
+
+    def test_big_endian_payload_decodes_to_native_values(self):
+        sent = np.array([1.5, -2.25], dtype=">f8")
+        back = table_from_wire({
+            "dtypes": {"v": ">f8"},
+            "columns": {"v": base64.b64encode(sent.tobytes()).decode()},
+        })
+        assert back["v"].dtype.isnative
+        assert back["v"].tolist() == [1.5, -2.25]
+
 
 class TestTCP:
     def test_query_stats_ping_over_socket(self, service):
@@ -252,6 +428,77 @@ class TestTCP:
         assert inline.stats.encode_offloads == 0
         assert a["status"] == b["status"] == "ok"
         assert a["table"] == b["table"]
+
+    def test_fresh_server_stats_line_is_strict_json(self, service):
+        """Before the first answer there is no latency to take a quantile
+        of; the line must say so in JSON (null), not as a bare NaN."""
+        (line,) = exchange(service, [{"op": "stats"}])
+        stats = strict_loads(line)["stats"]
+        assert stats["queries"] == 0
+        assert stats["p50_ms"] is None and stats["p99_ms"] is None
+
+    @pytest.fixture()
+    def gappy(self, telemetry, tmp_path):
+        """A two-shard archive whose ``input_power`` has loss gaps: NaN
+        (one with payload bits set), both infinities and a ``-0.0``."""
+        keep = (telemetry["node"] < 3) & (telemetry["timestamp"] < 600.0)
+        table = Table({c: np.array(telemetry[c][keep])
+                       for c in telemetry.columns})
+        power = table["input_power"]
+        power[5:9] = np.nan
+        power[9:10].view(np.uint64)[:] = 0x7FF8000000000001
+        power[400], power[401], power[402] = np.inf, -np.inf, -0.0
+        return write_partitioned_series(table, tmp_path, "gappy",
+                                        day_s=SHARD_S)
+
+    def test_raw_answer_over_loss_gaps_is_strict_and_bit_exact(self, gappy):
+        q = Query(level="raw", metrics=("input_power",))
+        expected = plan_query(q, gappy).execute()
+        power = expected["input_power"]
+        assert np.isnan(power).sum() == 5 and np.isinf(power).sum() == 2
+        assert 0x7FF8000000000001 in power.view(np.uint64)
+
+        svc = QueryService(gappy, ServiceConfig(workers=2))
+        try:
+            (line,) = exchange(svc, [{"op": "query", "query": q.to_dict()}])
+        finally:
+            svc.close()
+        resp = strict_loads(line)
+        assert resp["status"] == "ok" and resp["rows"] == expected.n_rows
+        got = table_from_wire(resp["table"])
+        assert got.columns == expected.columns
+        for name in expected.columns:
+            assert got[name].dtype == expected[name].dtype
+            assert bits(got[name]) == bits(expected[name]), name
+
+    def test_offloaded_and_inline_lines_are_byte_identical(self, gappy):
+        request = {"op": "query", "query": {"level": "raw"}}
+        lines = []
+        for offload_at in (1, 1 << 30):
+            svc = QueryService(gappy, ServiceConfig(
+                workers=2, encode_offload_bytes=offload_at))
+            try:
+                lines.extend(exchange(svc, [request]))
+            finally:
+                svc.close()
+            assert svc.stats.encode_offloads == (offload_at == 1)
+        masked = [re.sub(rb'"(elapsed_s|queued_s)":[^,}]+', rb'"\1":0', line)
+                  for line in lines]
+        assert masked[0] == masked[1]
+        assert strict_loads(lines[0])["rows"] > 0
+
+    @pytest.mark.parametrize("unencodable", [float("nan"), {1, 2}])
+    def test_unencodable_response_is_an_error_line_not_a_dropped_socket(
+        self, service, monkeypatch, unencodable
+    ):
+        monkeypatch.setattr(service, "snapshot",
+                            lambda: {"value": unencodable})
+        first, second = exchange(service, [{"op": "stats"}, {"op": "ping"}])
+        answer = strict_loads(first)
+        assert answer["status"] == "error"
+        assert "could not be encoded" in answer["error"]
+        assert strict_loads(second) == {"status": "ok", "op": "ping"}
+        assert service.stats.errors == 1
 
     def test_bad_json_line_is_error_not_disconnect(self, service):
         async def main():
