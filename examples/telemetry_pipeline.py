@@ -4,7 +4,8 @@ Physics -> 1 Hz out-of-band sampling (noise, quantization, collector
 delay) -> lossless codec accounting -> day-sharded storage -> parallel
 10-second coarsening -> allocation interval-join -> job-wise series ->
 job summaries.  This is the paper's Dask pipeline on the twin, shard by
-shard, with nothing held in memory at full resolution.
+shard, with nothing held in memory at full resolution: the coarsening is
+the query plan every other surface runs (``Pipeline.telemetry_series``).
 
 Run:  python examples/telemetry_pipeline.py
 """
@@ -17,15 +18,16 @@ import numpy as np
 
 from repro.core import (
     cluster_power_series,
-    coarsen_telemetry,
     job_power_series,
     job_power_summary,
     tag_allocations,
 )
 from repro.core.report import fmt_si, render_table
 from repro.datasets import SimulationSpec, simulate_twin
-from repro.frame.table import Table, concat
-from repro.parallel import Executor, PartitionedDataset, map_partitions
+from repro.frame.table import concat
+from repro.parallel import PartitionedDataset
+from repro.pipeline import Pipeline, PipelineConfig
+from repro.serve import Query
 from repro.telemetry import compression_ratio
 
 
@@ -42,12 +44,21 @@ def main() -> None:
     raw = PartitionedDataset.create(work / "raw", "openbmc-1hz")
     sampler = twin.sampler()
     t0 = time.perf_counter()
+    carry = None
     for i in range(n_shards):
         lo = 6 * 3600.0 + i * span
         arr = twin.builder.build(lo, lo + span, 1.0)
         tel = sampler.sample(arr)
-        raw.append(tel, lo, lo + span)
-    print(f"collected {raw.n_rows:,} 1 Hz rows in {n_shards} shards "
+        if carry is not None:
+            tel = concat([carry, tel])
+        # collector delay stamps the last samples past the shard edge:
+        # file them with the next shard, so no 10 s window has rows in two
+        # shards (the query plan refuses to answer such a window twice)
+        late = tel["timestamp"] >= lo + span
+        carry = tel.filter(late)
+        raw.append(tel.filter(~late), lo, lo + span)
+    raw.append(carry, lo + span, lo + 2 * span)  # the in-flight tail
+    print(f"collected {raw.n_rows:,} 1 Hz rows in {raw.n_partitions} shards "
           f"({fmt_si(raw.n_bytes, 'B')} compressed on disk, "
           f"{time.perf_counter() - t0:.1f}s)")
 
@@ -58,14 +69,14 @@ def main() -> None:
           "vs raw float64")
 
     # --- stage 2: parallel 10 s coarsening (Dataset 0) ---
-    ex = Executor(backend="threads", max_workers=4)
+    pipe = Pipeline(twin, PipelineConfig(backend="threads", max_workers=4))
     t0 = time.perf_counter()
-    coarse_shards = map_partitions(
-        raw, _coarsen_shard, ex
+    coarse = pipe.telemetry_series(
+        raw, Query(level="node", metrics=("input_power",))
     )
-    coarse = concat(coarse_shards)
     print(f"coarsened to {coarse.n_rows:,} 10 s windows "
-          f"({time.perf_counter() - t0:.1f}s with {ex.max_workers} threads)")
+          f"({time.perf_counter() - t0:.1f}s with "
+          f"{pipe.executor.max_workers} threads)")
 
     # --- stage 3: cluster series (Dataset 1) + job join (Dataset 3) ---
     cluster = cluster_power_series(coarse)
@@ -83,10 +94,6 @@ def main() -> None:
     ]
     print()
     print(render_table(["stage", "value"], rows, title="pipeline summary"))
-
-
-def _coarsen_shard(table: Table) -> Table:
-    return coarsen_telemetry(table, ["input_power"], width=10.0)
 
 
 if __name__ == "__main__":

@@ -1,19 +1,18 @@
-"""Partitioned-dataset parallel execution — the Dask substitute.
+"""Partitioned-dataset parallel execution.
 
 The paper's pipeline ran on Dask: a year of 1 Hz telemetry stored as one
-parquet file per day, processed with map-partition / tree-reduce idioms.
-This package reproduces exactly that execution model:
+file per day, processed partition by partition.  Two pieces of that
+execution model have callers here:
 
 * :class:`~repro.parallel.partition.PartitionedDataset` — a directory of
-  time-partitioned NPZ shards with a JSON manifest,
+  time-partitioned ``.rcs`` columnar shards with a JSON manifest carrying
+  per-shard zone maps,
 * :class:`~repro.parallel.executor.Executor` — serial / thread / process
-  map engine,
-* :class:`~repro.parallel.graph.TaskGraph` — explicit DAG execution for
-  multi-stage pipelines,
-* :func:`~repro.parallel.algorithms.map_partitions`,
-  :func:`~repro.parallel.algorithms.tree_reduce`, and
-  :func:`~repro.parallel.algorithms.grouped_aggregate` — the combiner-based
-  distributed group-by the cluster-level collapses use.
+  map engine.
+
+What to run over the partitions is decided by the query plan
+(:mod:`repro.serve.planner`), the one sequencer of read → coarsen →
+aggregate.
 """
 
 from repro.parallel.executor import (
@@ -22,42 +21,13 @@ from repro.parallel.executor import (
     default_mp_context,
     default_workers,
 )
-from repro.parallel.graph import TaskGraph, CycleError
-from repro.parallel.shm import (
-    MmapTableRef,
-    SharedTableRef,
-    attach_mmap,
-    attach_table,
-    materialize,
-    mmap_ref,
-    share_table,
-)
 from repro.parallel.partition import PartitionedDataset, PartitionMeta
-from repro.parallel.algorithms import (
-    map_partitions,
-    map_partitions_to_dataset,
-    tree_reduce,
-    grouped_aggregate,
-)
 
 __all__ = [
     "Executor",
     "NotPicklableError",
     "default_mp_context",
     "default_workers",
-    "SharedTableRef",
-    "MmapTableRef",
-    "share_table",
-    "attach_table",
-    "materialize",
-    "mmap_ref",
-    "attach_mmap",
-    "TaskGraph",
-    "CycleError",
     "PartitionedDataset",
     "PartitionMeta",
-    "map_partitions",
-    "map_partitions_to_dataset",
-    "tree_reduce",
-    "grouped_aggregate",
 ]

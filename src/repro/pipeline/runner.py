@@ -28,7 +28,6 @@ import numpy as np
 from repro.frame.table import Table, concat
 from repro.obs import trace
 from repro.parallel.executor import Executor
-from repro.parallel.graph import TaskGraph
 from repro.pipeline.cache import ArtifactCache, cache_key
 from repro.pipeline.stats import PipelineStats
 
@@ -41,14 +40,13 @@ class PipelineConfig:
 
     ``chunk_seconds`` is the shard width (default one day, matching the
     paper's one-parquet-file-per-day layout); ``backend`` / ``max_workers``
-    / ``mp_context`` select the :class:`~repro.parallel.executor.Executor`;
-    ``cache_dir`` enables the on-disk artifact cache.
+    select the :class:`~repro.parallel.executor.Executor`; ``cache_dir``
+    enables the on-disk artifact cache.
     """
 
     chunk_seconds: float = 86_400.0
     backend: str = "threads"
     max_workers: int | None = None
-    mp_context: str | None = None
     cache_dir: str | os.PathLike | None = None
 
     def __post_init__(self):
@@ -173,7 +171,6 @@ class Pipeline:
         self.executor = Executor(
             backend=self.config.backend,
             max_workers=self.config.max_workers,
-            mp_context=self.config.mp_context,
         )
         self.cache = (
             ArtifactCache(self.config.cache_dir)
@@ -466,15 +463,14 @@ class Pipeline:
             )
         return graph
 
-    # ---------------- end-to-end export DAG ----------------
+    # ---------------- end-to-end export ----------------
 
     def export(self, root, day_s: float = 86_400.0) -> dict[str, object]:
-        """Run the export DAG: logs + chunked job series + cluster power.
+        """Run the export: logs + chunked job series + cluster power.
 
         Equivalent to :func:`repro.datasets.store.export_datasets` (same
         files, same bytes) but the two series derivations run as chunked,
-        cached stages and the three write tasks hang off them as a
-        :class:`~repro.parallel.graph.TaskGraph`.
+        cached stages before the writes.
         """
         from repro.datasets.store import (
             dataset_inventory,
@@ -483,30 +479,16 @@ class Pipeline:
         )
 
         twin = self.twin
-
-        graph = TaskGraph()
-        graph.add("logs", lambda: write_log_csvs(twin, root))
-        graph.add("job_series", lambda: self.job_series())
-        graph.add("cluster_power", lambda: self.cluster_power())
-        graph.add(
-            "write_job_series",
-            lambda series: write_partitioned_series(
-                series, root, "job_series", day_s,
-                t_end=None,
-            ),
-            deps=["job_series"],
-        )
-        graph.add(
-            "write_cluster_power",
-            lambda tp: write_partitioned_series(
-                Table({"timestamp": tp[0], "sum_inp": tp[1]}),
-                root, "cluster_power", day_s,
-                t_end=self.spec.horizon_s,
-            ),
-            deps=["cluster_power"],
-        )
         t0 = _time.perf_counter()
         with trace.span("pipeline.export"):
-            graph.run(Executor(backend="serial"))
+            write_log_csvs(twin, root)
+            series = self.job_series()
+            t, p = self.cluster_power()
+            write_partitioned_series(series, root, "job_series", day_s)
+            write_partitioned_series(
+                Table({"timestamp": t, "sum_inp": p}),
+                root, "cluster_power", day_s,
+                t_end=self.spec.horizon_s,
+            )
         self.stats.record("write", wall_s=_time.perf_counter() - t0, calls=3)
         return dataset_inventory(twin, root)

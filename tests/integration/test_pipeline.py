@@ -16,7 +16,6 @@ from repro.core import (
 )
 from repro.core.validation import msb_validation
 from repro.frame.window import recoarsen
-from repro.parallel import Executor, PartitionedDataset, grouped_aggregate
 
 
 @pytest.fixture(scope="module")
@@ -73,34 +72,6 @@ class TestFullPath:
 
 
 class TestPartitionedPipeline:
-    def test_day_partitioned_aggregation(self, twin, tmp_path):
-        """Dask-style flow: shard the job series by hour, aggregate with the
-        combiner group-by, compare to a single-pass result."""
-        series = twin.job_series()
-        ds = PartitionedDataset.create(tmp_path / "js", "job_series")
-        t = series["timestamp"]
-        n_hours = int(np.ceil(t.max() / 3600.0)) + 1
-        for h in range(n_hours):
-            sel = (t >= h * 3600.0) & (t < (h + 1) * 3600.0)
-            if sel.any():
-                ds.append(series.filter(sel), h * 3600.0, (h + 1) * 3600.0)
-
-        dist = grouped_aggregate(
-            ds, ["allocation_id"], "sum_inp", Executor(backend="threads")
-        ).sort("allocation_id")
-
-        from repro.frame.groupby import group_by
-
-        ref = group_by(
-            series,
-            "allocation_id",
-            {"max": ("sum_inp", "max"), "mean": ("sum_inp", "mean"),
-             "count": "count"},
-        ).sort("allocation_id")
-        assert np.array_equal(dist["allocation_id"], ref["allocation_id"])
-        assert np.allclose(dist["max"], ref["max"])
-        assert np.allclose(dist["mean"], ref["mean"], rtol=1e-9)
-
     def test_recoarsen_matches_fine_pipeline(self, twin, window):
         """10 s stats recoarsened to 60 s equal direct 60 s coarsening."""
         _, tel = window

@@ -1,11 +1,16 @@
 """Unit tests for the Executor backends."""
 
+import glob
+import os
+import signal
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from repro.frame import Table, columnar, load_rcs, save_rcs
+from repro.frame import Table, columnar, load_rcs, open_rcs, save_rcs
 from repro.parallel import Executor, NotPicklableError
 from repro.parallel.executor import default_workers, _StarCall
 
@@ -159,3 +164,153 @@ class TestProcessBackendErrors:
         ex = Executor(backend="processes", max_workers=2)
         with pytest.raises(RuntimeError, match="partition failed"):
             ex.map(boom, [1, 2])
+
+
+def big_table(seed: int = 0, n: int = 20_000) -> Table:
+    rng = np.random.default_rng(seed)
+    return Table(
+        {
+            "node": np.repeat(np.arange(n // 100), 100).astype(np.int64),
+            "timestamp": np.arange(n, dtype=np.float64),
+            "power": rng.normal(2000.0, 100.0, n),
+            "flag": rng.random(n) < 0.5,
+            "name": np.array([f"n{i % 7}" for i in range(n)]),
+        }
+    )
+
+
+def double_power(t: Table) -> Table:
+    return t.with_column("power", t["power"] * 2.0)
+
+
+def scale_power(t: Table, factor: float) -> Table:
+    return t.with_column("power", t["power"] * factor)
+
+
+def return_input(t: Table) -> Table:
+    return t
+
+
+def head_rows(t: Table) -> Table:
+    return t[:4]
+
+
+def assert_same_tables(expected: list[Table], got: list[Table]) -> None:
+    assert len(expected) == len(got)
+    for a, b in zip(expected, got):
+        assert a.columns == b.columns
+        for c in a.columns:
+            assert a[c].dtype == b[c].dtype
+            assert np.array_equal(a[c], b[c])
+
+
+@pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+class TestProcessTransport:
+    """Tables cross the process pool by pickle, in and out, and come
+    back bit for bit what the serial backend computes."""
+
+    @staticmethod
+    def both(mp_context):
+        return (Executor(backend="serial"),
+                Executor(backend="processes", max_workers=2,
+                         mp_context=mp_context))
+
+    def test_map_matches_serial(self, mp_context):
+        serial, procs = self.both(mp_context)
+        items = [big_table(seed) for seed in range(4)]
+        assert_same_tables(serial.map(double_power, items),
+                           procs.map(double_power, items))
+
+    def test_starmap_matches_serial(self, mp_context):
+        serial, procs = self.both(mp_context)
+        items = [(big_table(s), float(s + 1)) for s in range(3)]
+        assert_same_tables(serial.starmap(scale_power, items),
+                           procs.starmap(scale_power, items))
+
+    def test_task_returning_its_input(self, mp_context):
+        _, procs = self.both(mp_context)
+        items = [big_table(s) for s in range(2)]
+        assert_same_tables(items, procs.map(return_input, items))
+
+    def test_small_and_large_results(self, mp_context):
+        _, procs = self.both(mp_context)
+        items = [big_table(s) for s in range(2)]
+        small = procs.map(head_rows, items)
+        assert all(t.nbytes() < 1 << 16 for t in small)
+        assert_same_tables([t[:4] for t in items], small)
+        large = procs.map(double_power, items)
+        assert all(t.nbytes() >= 1 << 16 for t in large)
+        assert_same_tables([double_power(t) for t in items], large)
+
+    @pytest.mark.parametrize("compression", ["off", "auto"])
+    def test_map_over_rcs_tables(self, mp_context, compression, tmp_path):
+        """Raw shards read as mmap views, compressed ones as decoded
+        arrays; either pickles as a self-contained copy."""
+        serial, procs = self.both(mp_context)
+        items = []
+        for i in range(3):
+            save_rcs(big_table(i, n=2_000), tmp_path / f"s{i}.rcs",
+                     compression=compression)
+            items.append(open_rcs(tmp_path / f"s{i}.rcs").read())
+        assert_same_tables(serial.map(double_power, items),
+                           procs.map(double_power, items))
+
+
+def megabyte_result(job: tuple) -> Table:
+    """A 1.6 MB table per item; item 5 meets its ``fate`` instead."""
+    i, fate = job
+    if i == 5 and fate == "raises":
+        raise ValueError("task 5 failed")
+    if i == 5 and fate == "killed":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return Table({"x": np.full(200_000, float(i))})
+
+
+def bounded(call, seconds: float = 10.0):
+    """Run ``call`` on a thread so a hang fails the test, not the suite."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = call()
+        except BaseException as exc:  # re-raised on the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class TestWorkerFailures:
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="no /dev/shm to leak into")
+    @pytest.mark.parametrize("fate, error", [
+        ("ok", None), ("raises", ValueError), ("killed", BrokenProcessPool),
+    ])
+    def test_no_shared_memory_left_behind(self, fate, error):
+        before = set(glob.glob("/dev/shm/psm_*"))
+        ex = Executor(backend="processes", max_workers=2)
+        jobs = [(i, fate) for i in range(6)]
+        if error is None:
+            out = bounded(lambda: ex.map(megabyte_result, jobs))
+            assert [float(t["x"][0]) for t in out] == [0, 1, 2, 3, 4, 5]
+        else:
+            with pytest.raises(error):
+                bounded(lambda: ex.map(megabyte_result, jobs))
+        assert set(glob.glob("/dev/shm/psm_*")) == before
+
+    def test_killed_worker_is_attributable(self):
+        ex = Executor(backend="processes", max_workers=2)
+        jobs = [(i, "killed") for i in range(6)]
+        with pytest.raises(BrokenProcessPool) as err:
+            bounded(lambda: ex.map(megabyte_result, jobs, label="fused"))
+        assert err.value.__notes__ == [
+            "repro.parallel task context: stage 'fused', 6 items, "
+            "backend 'processes' (2 workers): a worker process died"
+        ]
+        # the pool died with the call, not the executor
+        assert ex.map(square, range(6)) == [i * i for i in range(6)]

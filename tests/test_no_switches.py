@@ -8,8 +8,13 @@ benchmark ledger first (``ledger/README.md``), then either delete the
 losing side or extend this set.
 """
 
+import dataclasses
+import inspect
 import re
 from pathlib import Path
+
+from repro.parallel import Executor
+from repro.pipeline import PipelineConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -20,7 +25,6 @@ ALLOWED = {
     "REPRO_MAX_WORKERS",
     "REPRO_MP_CONTEXT",
     "REPRO_RCS_COMPRESSION",
-    "REPRO_SHM",
 }
 
 #: ``os.environ.get("X"``, ``os.environ["X"]``, ``os.getenv("X"`` — the
@@ -40,3 +44,13 @@ def test_env_switches_are_a_closed_set():
         f"unexpected: {sorted(read - ALLOWED)}, "
         f"no longer read: {sorted(ALLOWED - read)}"
     )
+
+
+def test_executor_and_pipeline_knobs_are_a_closed_set():
+    """The next transport or start-method knob arrives with its
+    measurement, like the env vars above."""
+    params = list(inspect.signature(Executor.__init__).parameters)[1:]
+    assert params == ["backend", "max_workers", "mp_context"]
+    assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+        "chunk_seconds", "backend", "max_workers", "cache_dir",
+    ]

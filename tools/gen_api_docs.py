@@ -1,14 +1,23 @@
 """Generate docs/API.md: every public symbol with its signature and the
 first line of its docstring.
 
-Run:  python tools/gen_api_docs.py
+Run:  python tools/gen_api_docs.py           (rewrite docs/API.md)
+      python tools/gen_api_docs.py --check   (exit 1 with a diff if stale)
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import importlib
 import inspect
+import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+API_MD = ROOT / "docs" / "API.md"
 
 PACKAGES = [
     "repro",
@@ -156,6 +165,18 @@ def signature_of(obj) -> str:
         return "(...)"
 
 
+def own_names(mod) -> list[str]:
+    """Public names a module without ``__all__`` defines itself: objects
+    whose ``__module__`` is the module, and plain constants (which carry
+    none) — not what it imports (``dataclass``, ``field``, the
+    ``annotations`` feature)."""
+    return [
+        n for n in dir(mod)
+        if not n.startswith("_")
+        and getattr(getattr(mod, n), "__module__", mod.__name__) == mod.__name__
+    ]
+
+
 def document_module(name: str) -> list[str]:
     mod = importlib.import_module(name)
     lines = [f"## `{name}`", ""]
@@ -166,7 +187,7 @@ def document_module(name: str) -> list[str]:
         lines += [PROSE[name], ""]
     public = getattr(mod, "__all__", None)
     if public is None:
-        public = [n for n in dir(mod) if not n.startswith("_")]
+        public = own_names(mod)
     for sym in public:
         obj = getattr(mod, sym, None)
         if obj is None:
@@ -191,7 +212,7 @@ def document_module(name: str) -> list[str]:
     return lines
 
 
-def main() -> None:
+def render() -> str:
     out = [
         "# API reference",
         "",
@@ -201,11 +222,31 @@ def main() -> None:
     ]
     for name in PACKAGES:
         out.extend(document_module(name))
-    path = Path(__file__).resolve().parent.parent / "docs" / "API.md"
-    path.parent.mkdir(exist_ok=True)
-    path.write_text("\n".join(out) + "\n")
-    print(f"wrote {path} ({len(out)} lines)")
+    return "\n".join(out) + "\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 with a unified diff "
+                             "if docs/API.md is not what would be written")
+    args = parser.parse_args(argv)
+    text = render()
+    if not args.check:
+        API_MD.parent.mkdir(exist_ok=True)
+        API_MD.write_text(text)
+        print(f"wrote {API_MD} ({text.count(chr(10))} lines)")
+        return 0
+    current = API_MD.read_text() if API_MD.exists() else ""
+    if current == text:
+        print(f"{API_MD} is up to date")
+        return 0
+    sys.stdout.writelines(difflib.unified_diff(
+        current.splitlines(keepends=True), text.splitlines(keepends=True),
+        "docs/API.md", "docs/API.md (regenerated)"))
+    print("gen_api_docs: docs/API.md is stale; run tools/gen_api_docs.py")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
