@@ -169,10 +169,13 @@ def cmd_stream(args) -> int:
         skew=not args.no_skew,
         lateness_s=args.lateness,
         batch_interval_s=args.batch_interval,
-        queue_capacity=args.queue_capacity,
     )
     if args.checkpoint and os.path.exists(args.checkpoint):
-        graph.load_checkpoint(args.checkpoint)
+        try:
+            graph.load_checkpoint(args.checkpoint)
+        except ValueError as exc:
+            print(f"error: {exc}")
+            return 1
         print(f"resumed from checkpoint {args.checkpoint}")
     stats = graph.run(max_batches=args.max_batches)
     if args.checkpoint and not graph.source.exhausted:
@@ -187,8 +190,7 @@ def cmd_stream(args) -> int:
         print(stats.report())
     print(
         f"stream accounting: {stats.total_late_rows} late-dropped, "
-        f"{src.loss_dropped} loss-dropped, {src.loss_blanked} loss-blanked, "
-        f"{stats.total_stalls} stalls"
+        f"{src.loss_dropped} loss-dropped, {src.loss_blanked} loss-blanked"
     )
 
     series = graph.result("aggregate")
@@ -407,8 +409,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="zero the fan-in path delays (arrival = event)")
     p_str.add_argument("--lateness", type=float, default=8.0,
                        help="watermark lateness bound in seconds")
-    p_str.add_argument("--queue-capacity", type=int, default=8,
-                       help="bounded per-node input queue length")
     p_str.add_argument("--max-batches", type=int, default=None,
                        help="stop after N source batches (pause mid-stream)")
     p_str.add_argument("--checkpoint", default=None,

@@ -402,7 +402,6 @@ class Pipeline:
         seed: int | None = None,
         lateness_s: float = 8.0,
         batch_interval_s: float = 5.0,
-        queue_capacity: int = 8,
         loss_events: Sequence = (),
         edge_threshold_w: float | None = None,
         spectral: bool = True,
@@ -438,7 +437,7 @@ class Pipeline:
             seed=self.spec.seed if seed is None else seed,
             loss_events=loss_events,
         )
-        graph = StreamGraph(source, queue_capacity=queue_capacity)
+        graph = StreamGraph(source)
         graph.add(
             StreamingCoarsen(values, lateness_s=lateness_s), collect=True
         )

@@ -7,8 +7,9 @@ through the modeled fan-in path (per-hop delays, out-of-order arrival,
 loss gaps); incremental operators — online coarsening, running cluster
 aggregation, streaming edge detection, rolling PUE, an online spectral
 estimator — finalize event-time windows as a watermark passes them; and a
-pull-based :class:`~repro.stream.runtime.StreamGraph` schedules the whole
-tree with bounded queues, backpressure, and checkpoint/restore.
+single-threaded :class:`~repro.stream.runtime.StreamGraph` runs each source
+batch through the whole operator tree before pulling the next, with
+checkpoint/restore.
 
 The defining property: on skew-free, loss-free input every streaming
 operator reproduces its batch counterpart **bit for bit**, and with skew

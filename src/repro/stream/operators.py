@@ -4,8 +4,9 @@ Each operator consumes :class:`~repro.stream.batch.RecordBatch` objects and
 emits finalized results as soon as its watermark allows.  The contract with
 the batch analyses in :mod:`repro.core` is exact:
 
-* :class:`StreamingCoarsen` / :class:`StreamingClusterAggregate` buffer only
-  *open* windows and finalize them through the very same
+* :class:`StreamingCoarsen` / :class:`StreamingClusterAggregate` share one
+  watermark buffer (:class:`_WindowedOperator`): rows of *open* windows
+  wait in arrival order, and a closed window goes through the very same
   :func:`~repro.frame.window.window_aggregate` / group-by kernels the batch
   path runs, over the same rows in the same order — so for skew-free input
   the output is bit-identical to :func:`~repro.core.coarsen.coarsen_telemetry`
@@ -14,7 +15,7 @@ the batch analyses in :mod:`repro.core` is exact:
 * :class:`StreamingEdgeDetector` replays the
   :func:`~repro.core.edges.detect_edges` state machine one sample at a time
   (run merging, 80% return scan, truncation at end of stream) with O(open
-  edges) state and a ring buffer of recent samples for snapshots.
+  edges) state.
 * :class:`StreamingPUE` is the elementwise :func:`~repro.core.pue.pue_series`
   plus a rolling-window mean.
 * :class:`OnlineSpectral` is an incremental Welch periodogram over the
@@ -70,27 +71,131 @@ class Operator:
         return {}
 
 
-def _freeze_buffers(buffers: dict) -> dict:
-    """Serialize per-key buffered table parts (concat preserves row order)."""
-    return {
-        key: concat(parts).as_dict() if len(parts) > 1 else parts[0].as_dict()
-        for key, parts in buffers.items()
-    }
+class _WindowedOperator(Operator):
+    """The one watermark buffer under both windowed operators.
+
+    Rows wait, append-only and in arrival order, until the watermark's
+    window index passes theirs.  The closed rows are then cut out once,
+    stable-sorted into the archive's ``(*by, window)`` order — arrival
+    order inside a (group, window) survives, so every float reduction sees
+    the same values in the same order as the batch path — and handed to
+    the subclass's :meth:`_kernel`, which may take the run-length route.
+    Rows whose window already closed are **late**: dropped and counted.
+    Memory is bounded by the windows still open (window width + allowed
+    lateness), never by stream length.
+    """
+
+    _COUNTERS = ("late_rows", "nan_rows", "lag_sum_s", "lag_n")
+
+    def __init__(self, time: str, width: float, by: Sequence[str],
+                 lateness_s: float):
+        if width <= 0:
+            raise ValueError("window width must be positive")
+        self.time = time
+        self.width = float(width)
+        self.by = list(by)
+        self.watermark = BoundedLatenessWatermark(lateness_s)
+        self._rows: list[Table] = []  # open rows, in arrival order
+        self._wins: list[np.ndarray] = []  # their window indices
+        self._closed_below = -math.inf  # ratchets with the watermark
+        self._last_arrival = float("nan")
+        self.late_rows = 0
+        self.nan_rows = 0
+        self.lag_sum_s = 0.0
+        self.lag_n = 0
+
+    def _admit(self, table: Table) -> Table:
+        """Check the input's columns; return the rows (and columns) worth
+        buffering."""
+        raise NotImplementedError
+
+    def _kernel(self, rows: Table) -> Table:
+        """Aggregate closed rows, given in ``(*by, window)`` order."""
+        raise NotImplementedError
+
+    def process(self, batch: RecordBatch) -> list[RecordBatch]:
+        work = self._admit(batch.table)
+        self._last_arrival = batch.arrival_time
+        # the watermark advances on everything that arrived, dropped or not
+        self.watermark.observe(batch.table[self.time])
+        if work.n_rows:
+            win = window_index(work[self.time], self.width)
+            late = win < self._closed_below
+            if late.any():
+                self.late_rows += int(late.sum())
+                work, win = work.filter(~late), win[~late]
+            if len(win):
+                self._rows.append(work)
+                self._wins.append(win)
+        return self._cut(batch.arrival_time)
+
+    def _cut(self, arrival_time: float, flush: bool = False
+             ) -> list[RecordBatch]:
+        """Close every buffered window below the watermark's (all of them
+        on ``flush``) in one emitted batch."""
+        if flush:
+            bound = math.inf
+        else:
+            wm = self.watermark.current
+            if not math.isfinite(wm):
+                return []
+            bound = int(window_index(np.array([wm]), self.width)[0])
+            if bound > self._closed_below:
+                self._closed_below = bound
+        if not any((w < bound).any() for w in self._wins):
+            return []  # nothing buffered, or nothing closes yet
+        rows = self._rows[0] if len(self._rows) == 1 else concat(self._rows)
+        win = np.concatenate(self._wins)
+        closed = win < bound
+        if closed.all():
+            self._rows, self._wins = [], []
+        else:
+            self._rows, self._wins = [rows.filter(~closed)], [win[~closed]]
+            rows, win = rows.filter(closed), win[closed]
+        # lexsort is stable and its last key is the primary one
+        order = np.lexsort((win, *(rows[k] for k in reversed(self.by))))
+        out = self._kernel(rows.take(order))
+        if not flush:
+            for k in np.unique(win):
+                self.lag_sum_s += arrival_time - window_span(
+                    int(k), self.width)[1]
+                self.lag_n += 1
+        return [RecordBatch(table=out, arrival_time=arrival_time)]
+
+    def flush(self) -> list[RecordBatch]:
+        return self._cut(self._last_arrival, flush=True)
+
+    def state_dict(self) -> dict:
+        return {
+            "rows": concat(self._rows).as_dict() if self._rows else None,
+            "watermark": self.watermark.state_dict(),
+            "closed_below": self._closed_below,
+            "last_arrival": self._last_arrival,
+            **self.stat_counters(),
+        }
+
+    def load_state(self, state: dict) -> None:
+        self._rows = [] if state["rows"] is None else [Table(state["rows"])]
+        self._wins = [window_index(t[self.time], self.width)
+                      for t in self._rows]
+        self.watermark.load_state(state["watermark"])
+        self._closed_below = state["closed_below"]
+        self._last_arrival = state["last_arrival"]
+        for k in self._COUNTERS:
+            setattr(self, k, state[k])
+
+    def stat_counters(self) -> dict:
+        return {k: getattr(self, k) for k in self._COUNTERS}
 
 
-def _thaw_buffers(frozen: dict) -> dict:
-    return {key: [Table(cols)] for key, cols in frozen.items()}
-
-
-class StreamingCoarsen(Operator):
+class StreamingCoarsen(_WindowedOperator):
     """Online 10 s coarsening: the streaming counterpart of
     :func:`~repro.core.coarsen.coarsen_telemetry`.
 
-    Rows are buffered per open window; when the watermark passes a window's
-    end, the window finalizes through :func:`window_aggregate` over its
-    buffered rows (arrival order), producing the exact count/min/max/mean/std
-    rows of the batch path.  Memory is bounded by the windows still open
-    (window width + allowed lateness), never by stream length.
+    Rows with a non-finite value are dropped and counted on arrival, like
+    the batch path's ``drop_nan``; a closed window goes through
+    :func:`window_aggregate`, producing the exact count/min/max/mean/std
+    rows of the batch path.
     """
 
     name = "coarsen"
@@ -101,153 +206,39 @@ class StreamingCoarsen(Operator):
         width: float = SUMMIT.coarsen_window_s,
         by: Sequence[str] = ("node",),
         time: str = "timestamp",
-        drop_nan: bool = True,
         lateness_s: float = 0.0,
-        origin: float = 0.0,
     ):
-        if width <= 0:
-            raise ValueError("window width must be positive")
+        super().__init__(time, width, by, lateness_s)
         self.values = list(values)
-        self.width = float(width)
-        self.by = list(by)
-        self.time = time
-        self.drop_nan = drop_nan
-        self.origin = float(origin)
-        self.watermark = BoundedLatenessWatermark(lateness_s)
-        self._buffers: dict[int, list[Table]] = {}
-        self._finalized_below: int | None = None
-        self._last_arrival = float("nan")
-        self.late_rows = 0
-        self.nan_rows = 0
-        self.windows_finalized = 0
-        self.lag_sum_s = 0.0
-        self.lag_n = 0
 
-    def process(self, batch: RecordBatch) -> list[RecordBatch]:
-        work = batch.table
+    def _admit(self, table: Table) -> Table:
         missing = [c for c in (self.time, *self.values, *self.by)
-                   if c not in work]
+                   if c not in table]
         if missing:
             raise KeyError(f"telemetry lacks columns {missing}")
-        self._last_arrival = batch.arrival_time
-        # watermark advances on everything that arrived, dropped or not
-        self.watermark.observe(work[self.time])
+        ok = np.ones(table.n_rows, dtype=bool)
+        for c in self.values:
+            col = table[c]
+            if col.dtype.kind == "f":
+                ok &= np.isfinite(col)
+        if ok.all():
+            return table
+        self.nan_rows += int((~ok).sum())
+        return table.filter(ok)
 
-        if self.drop_nan and work.n_rows:
-            ok = np.ones(work.n_rows, dtype=bool)
-            for c in self.values:
-                col = work[c]
-                if col.dtype.kind == "f":
-                    ok &= np.isfinite(col)
-            if not ok.all():
-                self.nan_rows += int((~ok).sum())
-                work = work.filter(ok)
-
-        if work.n_rows:
-            win = window_index(work[self.time], self.width, self.origin)
-            if self._finalized_below is not None:
-                late = win < self._finalized_below
-                if late.any():
-                    self.late_rows += int(late.sum())
-                    keep = ~late
-                    work = work.filter(keep)
-                    win = win[keep]
-            for k in np.unique(win):
-                self._buffers.setdefault(int(k), []).append(
-                    work.filter(win == k)
-                )
-
-        return self._finalize(batch.arrival_time, count_lag=True)
-
-    def _finalize(
-        self,
-        arrival_time: float,
-        count_lag: bool,
-        everything: bool = False,
-    ) -> list[RecordBatch]:
-        wm = self.watermark.current
-        if everything:
-            closing = sorted(self._buffers)
-        else:
-            if not math.isfinite(wm):
-                return []
-            bound = int(window_index(np.array([wm]), self.width, self.origin)[0])
-            closing = sorted(k for k in self._buffers if k < bound)
-            if self._finalized_below is None or bound > self._finalized_below:
-                self._finalized_below = bound
-        if not closing:
-            return []
-        parts = [p for k in closing for p in self._buffers.pop(k)]
-        sub = parts[0] if len(parts) == 1 else concat(parts)
-        # buffered parts are concatenated in ascending-window order but the
-        # replay arrives time-major across nodes, so (by, window) order is
-        # not guaranteed — presorted=None probes per finalize and takes the
-        # run-length kernel whenever the batch really is ordered (by=(),
-        # single-node replays, node-major batches)
-        out = window_aggregate(
-            sub,
-            time=self.time,
-            width=self.width,
-            values=self.values,
-            stats=DEFAULT_STATS,
-            by=self.by,
-            origin=self.origin,
-            presorted=None,
+    def _kernel(self, rows: Table) -> Table:
+        return window_aggregate(
+            rows, time=self.time, width=self.width, values=self.values,
+            stats=DEFAULT_STATS, by=self.by, presorted=True,
         )
-        self.windows_finalized += len(closing)
-        if count_lag:
-            for k in closing:
-                self.lag_sum_s += arrival_time - window_span(k, self.width,
-                                                             self.origin)[1]
-                self.lag_n += 1
-        return [RecordBatch(table=out, arrival_time=arrival_time)]
-
-    def flush(self) -> list[RecordBatch]:
-        if not self._buffers:
-            return []
-        return self._finalize(self._last_arrival, count_lag=False,
-                              everything=True)
-
-    def state_dict(self) -> dict:
-        return {
-            "buffers": _freeze_buffers(self._buffers),
-            "watermark": self.watermark.state_dict(),
-            "finalized_below": self._finalized_below,
-            "last_arrival": self._last_arrival,
-            "late_rows": self.late_rows,
-            "nan_rows": self.nan_rows,
-            "windows_finalized": self.windows_finalized,
-            "lag_sum_s": self.lag_sum_s,
-            "lag_n": self.lag_n,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._buffers = _thaw_buffers(state["buffers"])
-        self.watermark.load_state(state["watermark"])
-        self._finalized_below = state["finalized_below"]
-        self._last_arrival = state["last_arrival"]
-        self.late_rows = state["late_rows"]
-        self.nan_rows = state["nan_rows"]
-        self.windows_finalized = state["windows_finalized"]
-        self.lag_sum_s = state["lag_sum_s"]
-        self.lag_n = state["lag_n"]
-
-    def stat_counters(self) -> dict:
-        return {
-            "late_rows": self.late_rows,
-            "nan_rows": self.nan_rows,
-            "lag_sum_s": self.lag_sum_s,
-            "lag_n": self.lag_n,
-        }
 
 
-class StreamingClusterAggregate(Operator):
+class StreamingClusterAggregate(_WindowedOperator):
     """Running cluster collapse: the streaming counterpart of
     :func:`~repro.core.aggregate.cluster_power_series`.
 
-    Buffers coarsened rows per window-start timestamp; a timestamp closes
-    once the watermark (max timestamp seen minus lateness) moves past it,
-    collapsing through the same group-by as the batch path.
+    Takes coarsened rows (timestamps are window starts) and allows no
+    lateness: a window closes once a later window start has been seen.
     """
 
     name = "aggregate"
@@ -257,104 +248,22 @@ class StreamingClusterAggregate(Operator):
         value: str = "input_power",
         width: float = SUMMIT.coarsen_window_s,
         time: str = "timestamp",
-        lateness_s: float = 0.0,
     ):
+        super().__init__(time, width, (), 0.0)
         self.value = value
-        self.width = float(width)
-        self.time = time
-        self.lateness_s = float(lateness_s)
-        self._buffers: dict[float, list[Table]] = {}
-        self._max_seen = -math.inf
-        self._closed_below = -math.inf
-        self._last_arrival = float("nan")
-        self.late_rows = 0
-        self.windows_finalized = 0
-        self.lag_sum_s = 0.0
-        self.lag_n = 0
 
-    def process(self, batch: RecordBatch) -> list[RecordBatch]:
-        work = batch.table
-        for c in (f"{self.value}_mean", f"{self.value}_max", self.time):
-            if c not in work:
+    def _admit(self, table: Table) -> Table:
+        # buffer only what the kernel reads
+        cols = [f"{self.value}_mean", f"{self.value}_max", self.time]
+        for c in cols:
+            if c not in table:
                 raise KeyError(f"expected coarsened column {c!r}")
-        self._last_arrival = batch.arrival_time
-        if work.n_rows:
-            ts = np.asarray(work[self.time], dtype=np.float64)
-            late = ts < self._closed_below
-            if late.any():
-                self.late_rows += int(late.sum())
-                work = work.filter(~late)
-                ts = ts[~late]
-            self._max_seen = max(self._max_seen, float(ts.max())) \
-                if ts.size else self._max_seen
-            for t in np.unique(ts):
-                self._buffers.setdefault(float(t), []).append(
-                    work.filter(ts == t)
-                )
-        return self._close(batch.arrival_time, count_lag=True)
+        return table.select(cols)
 
-    def _close(
-        self, arrival_time: float, count_lag: bool, everything: bool = False
-    ) -> list[RecordBatch]:
+    def _kernel(self, rows: Table) -> Table:
         from repro.core.aggregate import cluster_power_series
 
-        if everything:
-            closing = sorted(self._buffers)
-        else:
-            if not math.isfinite(self._max_seen):
-                return []
-            bound = self._max_seen - self.lateness_s
-            closing = sorted(t for t in self._buffers if t < bound)
-            self._closed_below = max(self._closed_below, bound)
-        if not closing:
-            return []
-        parts = [p for t in closing for p in self._buffers.pop(t)]
-        sub = parts[0] if len(parts) == 1 else concat(parts)
-        # per-timestamp buffers are drained in ascending order, so the
-        # concatenated rows are timestamp-sorted by construction: declare it
-        # and collapse through the run-length kernel (no sort at all)
-        out = cluster_power_series(sub, value=self.value, presorted=True)
-        self.windows_finalized += len(closing)
-        if count_lag:
-            for t in closing:
-                self.lag_sum_s += arrival_time - (t + self.width)
-                self.lag_n += 1
-        return [RecordBatch(table=out, arrival_time=arrival_time)]
-
-    def flush(self) -> list[RecordBatch]:
-        if not self._buffers:
-            return []
-        return self._close(self._last_arrival, count_lag=False,
-                           everything=True)
-
-    def state_dict(self) -> dict:
-        return {
-            "buffers": _freeze_buffers(self._buffers),
-            "max_seen": self._max_seen,
-            "closed_below": self._closed_below,
-            "last_arrival": self._last_arrival,
-            "late_rows": self.late_rows,
-            "windows_finalized": self.windows_finalized,
-            "lag_sum_s": self.lag_sum_s,
-            "lag_n": self.lag_n,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._buffers = _thaw_buffers(state["buffers"])
-        self._max_seen = state["max_seen"]
-        self._closed_below = state["closed_below"]
-        self._last_arrival = state["last_arrival"]
-        self.late_rows = state["late_rows"]
-        self.windows_finalized = state["windows_finalized"]
-        self.lag_sum_s = state["lag_sum_s"]
-        self.lag_n = state["lag_n"]
-
-    def stat_counters(self) -> dict:
-        return {
-            "late_rows": self.late_rows,
-            "lag_sum_s": self.lag_sum_s,
-            "lag_n": self.lag_n,
-        }
+        return cluster_power_series(rows, value=self.value, presorted=True)
 
 
 #: output schema of the streaming edge detector (matches
@@ -387,8 +296,8 @@ class StreamingEdgeDetector(Operator):
     peak, and completes (with exact duration) the first sample the return
     target is hit.  At end of stream, pending edges are truncated with
     ``returned=False``, exactly like the batch scan hitting the end of the
-    array.  State is O(open edges) plus a ring buffer of recent samples for
-    :meth:`snapshot` extraction around fresh edges.
+    array.  State is O(open edges); snapshots around edges come from the
+    batch :func:`~repro.core.edges.extract_snapshot`.
     """
 
     name = "edges"
@@ -399,7 +308,6 @@ class StreamingEdgeDetector(Operator):
         return_fraction: float = SUMMIT.edge_return_fraction,
         time: str = "timestamp",
         value: str = "sum_inp",
-        ring_capacity: int = 512,
     ):
         self.threshold_w = float(threshold_w)
         self.return_fraction = float(return_fraction)
@@ -411,10 +319,6 @@ class StreamingEdgeDetector(Operator):
         self._run: dict | None = None
         self._pending: list[dict] = []
         self.edges_found = 0
-        self.ring_capacity = int(ring_capacity)
-        self._ring_t = np.full(self.ring_capacity, np.nan)
-        self._ring_v = np.full(self.ring_capacity, np.nan)
-        self._ring_n = 0
 
     # ---------------- per-sample state machine ----------------
 
@@ -480,7 +384,6 @@ class StreamingEdgeDetector(Operator):
                         "initial": self._prev_p,
                     }
                 self._scan_pending(t, p, completed)
-            self._push_ring(t, p)
             self._prev_t = t
             self._prev_p = p
             self._idx += 1
@@ -505,34 +408,6 @@ class StreamingEdgeDetector(Operator):
         return [RecordBatch(table=_edge_table(truncated),
                             arrival_time=self._prev_t)]
 
-    # ---------------- snapshot ring ----------------
-
-    def _push_ring(self, t: float, p: float) -> None:
-        slot = self._ring_n % self.ring_capacity
-        self._ring_t[slot] = t
-        self._ring_v[slot] = p
-        self._ring_n += 1
-
-    def ring_contents(self) -> tuple[np.ndarray, np.ndarray]:
-        """Buffered ``(times, values)`` in time order (oldest first)."""
-        n = min(self._ring_n, self.ring_capacity)
-        head = self._ring_n % self.ring_capacity
-        idx = (np.arange(n) + (head if self._ring_n > self.ring_capacity
-                               else 0)) % self.ring_capacity
-        return self._ring_t[idx], self._ring_v[idx]
-
-    def snapshot(
-        self, center_time: float, before_s: float, after_s: float
-    ) -> np.ndarray:
-        """NaN-padded window around ``center_time`` from the ring buffer
-        (same alignment as :func:`repro.core.edges.extract_snapshot`)."""
-        from repro.core.edges import extract_snapshot
-
-        times, values = self.ring_contents()
-        if len(times) < 2:
-            raise ValueError("ring buffer holds fewer than two samples")
-        return extract_snapshot(times, values, center_time, before_s, after_s)
-
     # ---------------- checkpointing ----------------
 
     def state_dict(self) -> dict:
@@ -543,9 +418,6 @@ class StreamingEdgeDetector(Operator):
             "run": dict(self._run) if self._run else None,
             "pending": [dict(e) for e in self._pending],
             "edges_found": self.edges_found,
-            "ring_t": self._ring_t.copy(),
-            "ring_v": self._ring_v.copy(),
-            "ring_n": self._ring_n,
         }
 
     def load_state(self, state: dict) -> None:
@@ -555,9 +427,6 @@ class StreamingEdgeDetector(Operator):
         self._run = dict(state["run"]) if state["run"] else None
         self._pending = [dict(e) for e in state["pending"]]
         self.edges_found = state["edges_found"]
-        self._ring_t = state["ring_t"].copy()
-        self._ring_v = state["ring_v"].copy()
-        self._ring_n = state["ring_n"]
 
 
 class StreamingPUE(Operator):

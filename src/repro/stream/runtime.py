@@ -1,27 +1,25 @@
-"""The streaming runtime: a pull-based dataflow graph with backpressure.
+"""The streaming runtime: a push-down dataflow tree.
 
 A :class:`StreamGraph` wires a :class:`~repro.stream.source.TelemetryReplaySource`
 into a tree of :class:`~repro.stream.operators.Operator` nodes.  Scheduling
-is deterministic and single-threaded: every scheduler pass services nodes
-**downstream-first**, so queues drain toward the leaves before the source
-is asked for the next batch.  Each node has a bounded input queue; a
-producer whose downstream queue is full parks the overflow in its own
-outbox and counts a *stall* — backpressure propagates upstream without ever
-dropping a batch.
+is deterministic and single-threaded: each source batch runs through a node
+and everything below it, depth-first, before the next batch is pulled — an
+operator's outputs reach its children in the order it emitted them, and
+nothing waits anywhere between two source pulls.
 
-Per-node throughput/stall/lag counters live in a
+Per-node throughput/late/lag counters live in a
 :class:`~repro.stream.stats.StreamStats` (the streaming analogue of the
 chunked pipeline's ``PipelineStats``), and the whole graph — source cursor,
-operator state, queued batches — checkpoints to a plain dict (or a pickle
-file) so a stream can resume mid-run and finish with the exact outputs of
-an uninterrupted one.
+operator state, counters — checkpoints to a plain dict (or a pickle file)
+so a stream can resume mid-run and finish with the exact outputs of an
+uninterrupted one.  A checkpoint names the replay and the node set it was
+taken from; loading it into anything else is a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import pickle
 import time as _time
-from collections import deque
 
 from repro.frame.table import Table, concat
 from repro.obs import trace
@@ -30,26 +28,18 @@ from repro.stream.operators import Operator
 from repro.stream.source import TelemetryReplaySource
 from repro.stream.stats import StreamStats
 
-
-def _freeze_batch(batch: RecordBatch) -> dict:
-    return {"cols": batch.table.as_dict(), "arrival_time": batch.arrival_time}
-
-
-def _thaw_batch(frozen: dict) -> RecordBatch:
-    return RecordBatch(table=Table(frozen["cols"]),
-                       arrival_time=frozen["arrival_time"])
+#: stamp of :meth:`StreamGraph.state_dict`'s layout
+_FORMAT = "repro.stream.checkpoint.v2"
 
 
 class _Node:
-    """One operator plus its bounded input queue and overflow outbox."""
+    """One operator and the nodes its output feeds."""
 
-    __slots__ = ("name", "op", "queue", "outbox", "downstream", "collect")
+    __slots__ = ("name", "op", "downstream", "collect")
 
     def __init__(self, name: str, op: Operator, collect: bool | None):
         self.name = name
         self.op = op
-        self.queue: deque[RecordBatch] = deque()
-        self.outbox: deque[RecordBatch] = deque()
         self.downstream: list["_Node"] = []
         self.collect = collect
 
@@ -66,17 +56,13 @@ class StreamGraph:
     def __init__(
         self,
         source: TelemetryReplaySource,
-        queue_capacity: int = 8,
         stats: StreamStats | None = None,
     ):
-        if queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
         self.source = source
-        self.queue_capacity = int(queue_capacity)
         self.stats = stats if stats is not None else StreamStats()
+        # insertion order is parents first: add() needs the upstream node
         self._nodes: dict[str, _Node] = {}
         self._roots: list[_Node] = []
-        self._order: list[_Node] = []  # topological (parents first)
         self.collected: dict[str, list[RecordBatch]] = {}
         self._flushed = False
 
@@ -112,26 +98,23 @@ class StreamGraph:
                     f"no upstream node {after!r}; have {list(self._nodes)}"
                 ) from None
         self._nodes[final] = node
-        self._order = self._topo_order()
         return final
-
-    def _topo_order(self) -> list[_Node]:
-        order: list[_Node] = []
-
-        def visit(node: _Node) -> None:
-            order.append(node)
-            for child in node.downstream:
-                visit(child)
-
-        for root in self._roots:
-            visit(root)
-        return order
 
     @property
     def node_names(self) -> list[str]:
-        return [n.name for n in self._order]
+        return list(self._nodes)
 
     # ---------------- scheduling ----------------
+
+    def _push(self, node: _Node, batch: RecordBatch) -> None:
+        """Run ``batch`` through ``node`` and everything below it."""
+        st = self.stats.node(node.name)
+        st.batches_in += 1
+        st.rows_in += batch.n_rows
+        t0 = _time.perf_counter()
+        outputs = node.op.process(batch)
+        st.wall_s += _time.perf_counter() - t0
+        self._emit(node, outputs)
 
     def _emit(self, node: _Node, outputs: list[RecordBatch]) -> None:
         st = self.stats.node(node.name)
@@ -140,66 +123,8 @@ class StreamGraph:
             st.rows_out += out.n_rows
             if node.collect:
                 self.collected.setdefault(node.name, []).append(out)
-        if node.downstream:
-            node.outbox.extend(outputs)
-
-    def _drain_outbox(self, node: _Node) -> bool:
-        """Push parked output downstream; count a stall if still blocked."""
-        moved = False
-        while node.outbox:
-            batch = node.outbox[0]
-            if any(len(c.queue) >= self.queue_capacity
-                   for c in node.downstream):
-                self.stats.node(node.name).stalls += 1
-                break
-            node.outbox.popleft()
             for child in node.downstream:
-                child.queue.append(batch)
-                cst = self.stats.node(child.name)
-                if len(child.queue) > cst.max_queue:
-                    cst.max_queue = len(child.queue)
-            moved = True
-        return moved
-
-    def _step(self, node: _Node) -> bool:
-        """Service one node: drain its outbox, then process one batch."""
-        moved = self._drain_outbox(node)
-        if node.outbox or not node.queue:
-            return moved
-        batch = node.queue.popleft()
-        st = self.stats.node(node.name)
-        st.batches_in += 1
-        st.rows_in += batch.n_rows
-        t0 = _time.perf_counter()
-        outputs = node.op.process(batch)
-        st.wall_s += _time.perf_counter() - t0
-        self._emit(node, outputs)
-        self._drain_outbox(node)
-        return True
-
-    def _drain(self) -> None:
-        """Run scheduler passes until no node can make progress."""
-        while True:
-            progress = False
-            for node in reversed(self._order):
-                progress |= self._step(node)
-            if not progress:
-                return
-
-    def _resolve_collect(self) -> None:
-        for node in self._order:
-            if node.collect is None:
-                node.collect = not node.downstream
-
-    def _ingest(self, batch: RecordBatch) -> None:
-        st = self.stats.node("source")
-        st.batches_out += 1
-        st.rows_out += batch.n_rows
-        for root in self._roots:
-            root.queue.append(batch)
-            rst = self.stats.node(root.name)
-            if len(root.queue) > rst.max_queue:
-                rst.max_queue = len(root.queue)
+                self._push(child, out)
 
     def run(
         self, max_batches: int | None = None, flush: bool | None = None
@@ -207,24 +132,28 @@ class StreamGraph:
         """Pump the stream.
 
         Pulls up to ``max_batches`` source batches (all of them if None),
-        draining the graph downstream-first between pulls.  ``flush=None``
+        each one through the whole tree before the next.  ``flush=None``
         flushes operators only when the source is run to exhaustion — so
         ``run(max_batches=k)`` leaves the graph mid-stream, ready to
         checkpoint or keep running.
         """
-        if not self._order:
+        if not self._nodes:
             raise RuntimeError("graph has no operators; call add() first")
-        self._resolve_collect()
-        with trace.span("stream.run", nodes=len(self._order)) as sp:
+        for node in self._nodes.values():
+            if node.collect is None:
+                node.collect = not node.downstream
+        with trace.span("stream.run", nodes=len(self._nodes)) as sp:
             pulled = 0
-            self._drain()
+            st = self.stats.node("source")
             while max_batches is None or pulled < max_batches:
                 batch = self.source.next_batch()
                 if batch is None:
                     break
-                self._ingest(batch)
                 pulled += 1
-                self._drain()
+                st.batches_out += 1
+                st.rows_out += batch.n_rows
+                for root in self._roots:
+                    self._push(root, batch)
             if flush or (flush is None and self.source.exhausted):
                 with trace.span("stream.flush"):
                     self._flush()
@@ -235,20 +164,16 @@ class StreamGraph:
     def _flush(self) -> None:
         if self._flushed:
             return
-        for node in self._order:
-            # flush parents first so children see finalized upstream state
-            self._drain()
-            outputs = node.op.flush()
-            if outputs:
-                self._emit(node, outputs)
-        self._drain()
+        for node in self._nodes.values():
+            # parents first: what they flush reaches a child before its own
+            self._emit(node, node.op.flush())
         self._flushed = True
 
     def _sync_op_counters(self) -> None:
         st = self.stats.node("source")
         st.rows_in = self.source.rows_total
         st.batches_in = self.source.batches_emitted
-        for node in self._order:
+        for node in self._nodes.values():
             nst = self.stats.node(node.name)
             for key, value in node.op.stat_counters().items():
                 setattr(nst, key, value)
@@ -269,36 +194,38 @@ class StreamGraph:
 
     def state_dict(self) -> dict:
         """Everything needed to resume: source cursor, per-node operator
-        state, queued/parked batches, and counters.  Collected output stays
-        with the half that produced it — resuming appends, not replays."""
+        state and counters.  Collected output stays with the half that
+        produced it — resuming appends, not replays."""
         return {
+            "format": _FORMAT,
             "source": self.source.state_dict(),
-            "nodes": {
-                node.name: {
-                    "op": node.op.state_dict(),
-                    "queue": [_freeze_batch(b) for b in node.queue],
-                    "outbox": [_freeze_batch(b) for b in node.outbox],
-                }
-                for node in self._order
-            },
+            "nodes": {name: node.op.state_dict()
+                      for name, node in self._nodes.items()},
             "stats": self.stats.state_dict(),
             "flushed": self._flushed,
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` into an identically built graph."""
-        missing = [n for n in state["nodes"] if n not in self._nodes]
-        if missing:
-            raise KeyError(
-                f"checkpoint has nodes {missing} not present in this graph; "
-                "rebuild the graph with the same topology before loading"
+        """Restore a :meth:`state_dict` into an identically built graph
+        over the same replay; anything else is a ``ValueError`` that
+        leaves the graph as it was."""
+        if state.get("format") != _FORMAT:
+            raise ValueError(
+                f"checkpoint format is {state.get('format')!r}, this "
+                f"runtime reads {_FORMAT!r}; replay from the start"
+            )
+        lacks = [n for n in state["nodes"] if n not in self._nodes]
+        extra = [n for n in self._nodes if n not in state["nodes"]]
+        if lacks or extra:
+            raise ValueError(
+                f"checkpoint topology differs from this graph: the graph "
+                f"lacks checkpointed nodes {lacks} and has nodes {extra} "
+                "the checkpoint lacks; rebuild the graph the checkpoint "
+                "was taken from before loading"
             )
         self.source.load_state(state["source"])
-        for name, frozen in state["nodes"].items():
-            node = self._nodes[name]
-            node.op.load_state(frozen["op"])
-            node.queue = deque(_thaw_batch(b) for b in frozen["queue"])
-            node.outbox = deque(_thaw_batch(b) for b in frozen["outbox"])
+        for name, op_state in state["nodes"].items():
+            self._nodes[name].op.load_state(op_state)
         self.stats.load_state(state["stats"])
         self._flushed = state["flushed"]
 

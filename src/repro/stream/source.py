@@ -197,14 +197,27 @@ class TelemetryReplaySource:
 
     # ---------------- checkpointing ----------------
 
+    #: what makes two replays the same batch sequence, as far as a
+    #: checkpoint can tell: the settings first, then what they produced
+    _IDENTITY = ("seed", "skew", "batch_interval_s", "rows_total", "n_batches")
+
     def state_dict(self) -> dict:
         return {
+            **{k: getattr(self, k) for k in self._IDENTITY},
             "pos": self._pos,
             "rows_emitted": self.rows_emitted,
             "batches_emitted": self.batches_emitted,
         }
 
     def load_state(self, state: dict) -> None:
+        """Move the cursor to a checkpointed position — of this replay:
+        a checkpoint taken from another one is a ``ValueError``."""
+        for k in self._IDENTITY:
+            if state[k] != getattr(self, k):
+                raise ValueError(
+                    f"checkpoint was taken from a replay with {k} "
+                    f"{state[k]}, this one has {k} {getattr(self, k)}"
+                )
         self._pos = int(state["pos"])
         self.rows_emitted = int(state["rows_emitted"])
         self.batches_emitted = int(state["batches_emitted"])

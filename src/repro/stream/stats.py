@@ -3,17 +3,15 @@
 The streaming analogue of :class:`~repro.pipeline.stats.PipelineStats`:
 every node in a :class:`~repro.stream.runtime.StreamGraph` records batch
 and row throughput, wall time, watermark-accounting outcomes (late /
-NaN-dropped rows), backpressure stalls, queue high-water marks, and the
-event-time lag of finalized output.  ``report()`` renders the same style
-of counter table the chunked pipeline prints.
+NaN-dropped rows), and the event-time lag of finalized output.
+``report()`` renders the same style of counter table the chunked pipeline
+prints.
 
-Re-based on :class:`~repro.obs.metrics.MetricsRegistry` (one per
+Backed by a :class:`~repro.obs.metrics.MetricsRegistry` (one per
 :class:`StreamStats`): :class:`NodeStats` attributes are views over
-registry counters labeled by node name — ``max_queue`` is a gauge (a
-high-water mark), everything else a counter.  Direct attribute mutation,
-``report()``, and ``state_dict()``/``load_state()`` checkpointing keep
-their exact pre-re-base shapes (pinned by
-``tests/obs/test_stats_compat.py``).
+registry counters labeled by node name.  Direct attribute mutation,
+``report()``, and ``state_dict()``/``load_state()`` checkpointing have
+pinned shapes (``tests/obs/test_stats_compat.py``).
 """
 
 from __future__ import annotations
@@ -28,10 +26,7 @@ class NodeStats:
     ``stream.<attr>{node=<name>}``."""
 
     FIELDS = ("batches_in", "batches_out", "rows_in", "rows_out",
-              "late_rows", "nan_rows", "stalls", "max_queue", "wall_s",
-              "lag_sum_s", "lag_n")
-    #: gauge-typed fields (level, not sum — merge keeps the max)
-    GAUGES = ("max_queue",)
+              "late_rows", "nan_rows", "wall_s", "lag_sum_s", "lag_n")
 
     batches_in = MetricField()
     batches_out = MetricField()
@@ -39,8 +34,6 @@ class NodeStats:
     rows_out = MetricField()
     late_rows = MetricField()
     nan_rows = MetricField()
-    stalls = MetricField()
-    max_queue = MetricField()
     wall_s = MetricField()
     lag_sum_s = MetricField()
     lag_n = MetricField()
@@ -50,8 +43,6 @@ class NodeStats:
         self._registry = registry if registry is not None else MetricsRegistry()
 
     def _metric(self, attr: str):
-        if attr in self.GAUGES:
-            return self._registry.gauge(f"stream.{attr}", node=self.name)
         return self._registry.counter(f"stream.{attr}", node=self.name)
 
     @property
@@ -84,10 +75,6 @@ class StreamStats:
     def total_late_rows(self) -> int:
         return sum(s.late_rows for s in self.nodes.values())
 
-    @property
-    def total_stalls(self) -> int:
-        return sum(s.stalls for s in self.nodes.values())
-
     def report(self) -> str:
         """Rendered per-node counter table plus the accounting roll-up."""
         rows = []
@@ -98,22 +85,17 @@ class StreamStats:
                 st.rows_in,
                 st.rows_out,
                 st.late_rows,
-                st.stalls,
-                st.max_queue,
                 f"{st.mean_lag_s:.2f}" if st.lag_n else "-",
                 f"{st.wall_s:.3f}",
             ])
         table = render_table(
-            ["node", "batches", "rows in", "rows out", "late", "stalls",
-             "peak q", "lag s", "seconds"],
+            ["node", "batches", "rows in", "rows out", "late", "lag s",
+             "seconds"],
             rows,
             title="stream nodes",
         )
-        line = (
-            f"watermark accounting: {self.total_late_rows} late rows dropped; "
-            f"{self.total_stalls} backpressure stalls"
-        )
-        return table + "\n" + line
+        return (f"{table}\nwatermark accounting: {self.total_late_rows} "
+                "late rows dropped")
 
     # ---------------- checkpointing ----------------
 

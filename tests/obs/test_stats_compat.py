@@ -95,27 +95,27 @@ SERVICE_REPORT = (
 
 STREAM_REPORT = (
     "stream nodes\n"
-    "node     batches  rows in  rows out  late  stalls  peak q  lag s  "
+    "node     batches  rows in  rows out  late  lag s  "
     "seconds\n"
-    "-------  -------  -------  --------  ----  ------  ------  -----  "
+    "-------  -------  -------  --------  ----  -----  "
     "-------\n"
-    "source   10       1000     1000      0     0       0       -      "
+    "source   10       1000     1000      0     -      "
     "0.500  \n"
-    "coarsen  10       1000     100       7     2       5       1.50   "
+    "coarsen  10       1000     100       7     1.50   "
     "0.250  \n"
-    "watermark accounting: 7 late rows dropped; 2 backpressure stalls"
+    "watermark accounting: 7 late rows dropped"
 )
 
 STREAM_STATE = {
     "source": {
         "batches_in": 10, "batches_out": 10, "rows_in": 1000,
-        "rows_out": 1000, "late_rows": 0, "nan_rows": 0, "stalls": 0,
-        "max_queue": 0, "wall_s": 0.5, "lag_sum_s": 0.0, "lag_n": 0,
+        "rows_out": 1000, "late_rows": 0, "nan_rows": 0,
+        "wall_s": 0.5, "lag_sum_s": 0.0, "lag_n": 0,
     },
     "coarsen": {
         "batches_in": 10, "batches_out": 9, "rows_in": 1000,
-        "rows_out": 100, "late_rows": 7, "nan_rows": 3, "stalls": 2,
-        "max_queue": 5, "wall_s": 0.25, "lag_sum_s": 12.0, "lag_n": 8,
+        "rows_out": 100, "late_rows": 7, "nan_rows": 3,
+        "wall_s": 0.25, "lag_sum_s": 12.0, "lag_n": 8,
     },
 }
 
@@ -159,7 +159,7 @@ def make_stream_stats() -> StreamStats:
     n.wall_s = 0.5
     c = st.node("coarsen")
     c.batches_in, c.batches_out, c.rows_in, c.rows_out = 10, 9, 1000, 100
-    c.late_rows, c.nan_rows, c.stalls, c.max_queue = 7, 3, 2, 5
+    c.late_rows, c.nan_rows = 7, 3
     c.wall_s, c.lag_sum_s, c.lag_n = 0.25, 12.0, 8
     return st
 
@@ -231,5 +231,4 @@ def test_stream_state_roundtrip():
     assert st.state_dict() == STREAM_STATE
     assert st.report() == STREAM_REPORT
     assert st.total_late_rows == 7
-    assert st.total_stalls == 2
     assert st.node("coarsen").mean_lag_s == 1.5

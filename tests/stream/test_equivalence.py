@@ -29,11 +29,11 @@ from repro.stream import (
 
 
 def build_graph(telemetry, threshold_w, lateness_s=0.0, skew=False,
-                queue_capacity=8, seed=5, loss_events=()):
+                seed=5, loss_events=()):
     source = TelemetryReplaySource(
         telemetry, skew=skew, seed=seed, loss_events=loss_events
     )
-    graph = StreamGraph(source, queue_capacity=queue_capacity)
+    graph = StreamGraph(source)
     graph.add(StreamingCoarsen(["input_power"], lateness_s=lateness_s),
               collect=True)
     graph.add(StreamingClusterAggregate(), after="coarsen", collect=True)
@@ -129,18 +129,6 @@ class TestEdgeDetectorUnit:
         streamed = out[0].table
         assert streamed == batch
         assert bool(streamed["returned"][0]) is False
-
-    def test_snapshot_from_ring(self):
-        times, power = self._series(9)
-        op = StreamingEdgeDetector(8.0, value="power", ring_capacity=128)
-        op.process(RecordBatch(
-            table=Table({"timestamp": times, "power": power}),
-            arrival_time=0.0,
-        ))
-        # ring keeps the last 128 samples; pick a center inside the tail
-        snap = op.snapshot(times[350], before_s=50.0, after_s=50.0)
-        assert len(snap) == 11  # (before+after)/dt + 1
-        assert np.isfinite(snap).all()
 
 
 class TestOnlineSpectral:

@@ -1,9 +1,10 @@
-"""Runtime mechanics: scheduling, backpressure, and checkpoint/restore.
+"""Runtime mechanics: scheduling and checkpoint/restore.
 
 The headline guarantee: a stream paused mid-run, checkpointed, and resumed
 into a freshly built graph finishes with exactly the outputs of an
-uninterrupted run — operators, queued batches, source cursor and counters
-all survive the round trip.
+uninterrupted run — operators, source cursor and counters all survive the
+round trip — and a checkpoint resumed into anything but the graph and the
+replay it was taken from is refused, by name.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from repro.stream import (
 COLLECTED = ("coarsen", "aggregate", "pue", "edges")
 
 
-def build_graph(telemetry, threshold_w, skew=True, queue_capacity=4):
+def build_graph(telemetry, threshold_w, skew=True):
     source = TelemetryReplaySource(telemetry, skew=skew, seed=5)
-    graph = StreamGraph(source, queue_capacity=queue_capacity)
+    graph = StreamGraph(source)
     graph.add(StreamingCoarsen(["input_power"], lateness_s=3.0), collect=True)
     graph.add(StreamingClusterAggregate(), after="coarsen", collect=True)
     graph.add(StreamingEdgeDetector(threshold_w), after="aggregate",
@@ -101,8 +102,93 @@ class TestCheckpointRestore:
 
         other = StreamGraph(TelemetryReplaySource(telemetry, seed=5))
         other.add(StreamingCoarsen(["input_power"]))
-        with pytest.raises(KeyError, match="topology"):
+        with pytest.raises(ValueError, match="topology"):
             other.load_state(state)
+
+
+class TestCheckpointMismatch:
+    """A checkpoint laid over another stream is refused, never resumed."""
+
+    @pytest.fixture()
+    def state(self, telemetry, edge_threshold):
+        half = build_graph(telemetry, edge_threshold)
+        half.run(max_batches=5)
+        return half.state_dict()
+
+    @staticmethod
+    def graph_over(source, edge_threshold, extra=None, without=None):
+        graph = StreamGraph(source)
+        graph.add(StreamingCoarsen(["input_power"], lateness_s=3.0))
+        graph.add(StreamingClusterAggregate(), after="coarsen")
+        if without != "edges":
+            graph.add(StreamingEdgeDetector(edge_threshold),
+                      after="aggregate")
+        graph.add(StreamingPUE(it="sum_inp"), after="aggregate")
+        if extra:
+            graph.add(StreamingPUE(it="sum_inp"), after="aggregate",
+                      name=extra)
+        return graph
+
+    @pytest.mark.parametrize("field, kwargs, rows", [
+        ("seed", dict(seed=9), None),
+        ("skew", dict(seed=5, skew=False), None),
+        ("batch_interval_s", dict(seed=5, batch_interval_s=2.0), None),
+        ("rows_total", dict(seed=5), 3000),
+    ])
+    def test_other_replay_refused_by_field(self, telemetry, edge_threshold,
+                                           state, field, kwargs, rows):
+        source = TelemetryReplaySource(
+            telemetry if rows is None else telemetry[:rows], **kwargs)
+        graph = self.graph_over(source, edge_threshold)
+        with pytest.raises(ValueError, match=f"with {field} .*this one has"):
+            graph.load_state(state)
+        # refused before anything moved
+        assert source.batches_emitted == 0
+        assert graph.stats.nodes == {}
+
+    def test_other_batch_count_refused(self, telemetry, edge_threshold,
+                                       state):
+        # same settings, same row count, other rows: the flush ticks differ
+        t = telemetry["timestamp"]
+        shifted = telemetry.with_column("timestamp", t + (t > 600.0) * 40.0)
+        source = TelemetryReplaySource(shifted, seed=5)
+        assert source.rows_total == state["source"]["rows_total"]
+        with pytest.raises(ValueError, match="with n_batches "):
+            self.graph_over(source, edge_threshold).load_state(state)
+
+    def test_extra_node_refused(self, telemetry, edge_threshold, state):
+        graph = self.graph_over(TelemetryReplaySource(telemetry, seed=5),
+                                edge_threshold, extra="pue_b")
+        with pytest.raises(ValueError, match=r"topology.*\['pue_b'\]"):
+            graph.load_state(state)
+
+    def test_missing_node_refused(self, telemetry, edge_threshold, state):
+        graph = self.graph_over(TelemetryReplaySource(telemetry, seed=5),
+                                edge_threshold, without="edges")
+        with pytest.raises(ValueError, match=r"topology.*\['edges'\]"):
+            graph.load_state(state)
+
+    def test_unstamped_checkpoint_refused(self, telemetry, edge_threshold,
+                                          state):
+        # what the queue-era runtime wrote: no stamp, per-node queue/outbox
+        old = {
+            "source": {k: state["source"][k]
+                       for k in ("pos", "rows_emitted", "batches_emitted")},
+            "nodes": {name: {"op": {"buffers": {}}, "queue": [], "outbox": []}
+                      for name in state["nodes"]},
+            "stats": state["stats"],
+            "flushed": False,
+        }
+        graph = build_graph(telemetry, edge_threshold)
+        with pytest.raises(ValueError, match="format"):
+            graph.load_state(old)
+
+    def test_matching_graph_still_loads(self, telemetry, edge_threshold,
+                                        state):
+        graph = self.graph_over(TelemetryReplaySource(telemetry, seed=5),
+                                edge_threshold)
+        graph.load_state(state)
+        assert graph.source.batches_emitted == 5
 
 
 class _Amplifier(Operator):
@@ -122,32 +208,27 @@ class _Counter(Operator):
 
     def __init__(self):
         self.rows = 0
+        self.arrivals = []
 
     def process(self, batch):
         self.rows += batch.n_rows
+        self.arrivals.append(batch.arrival_time)
         return []
 
 
-class TestBackpressure:
-    def test_stalls_counted_and_nothing_lost(self, telemetry):
+class TestGraphMechanics:
+    def test_many_outputs_per_input_nothing_lost(self, telemetry):
         source = TelemetryReplaySource(telemetry[:2000], skew=False, seed=5)
-        graph = StreamGraph(source, queue_capacity=1)
+        graph = StreamGraph(source)
         graph.add(_Amplifier(factor=5))
         counter = _Counter()
         graph.add(counter, after="amplifier")
-        stats = graph.run()
-        assert stats.total_stalls > 0
-        # backpressure delayed batches but dropped none
+        graph.run()
         assert counter.rows == source.rows_emitted * 5
-        assert stats.node("counter").max_queue == 1
+        # delivered in the order the source emitted them, five at a time
+        assert counter.arrivals == sorted(counter.arrivals)
+        assert len(counter.arrivals) == source.batches_emitted * 5
 
-    def test_queue_capacity_validated(self, telemetry):
-        source = TelemetryReplaySource(telemetry[:100], seed=5)
-        with pytest.raises(ValueError, match="queue_capacity"):
-            StreamGraph(source, queue_capacity=0)
-
-
-class TestGraphMechanics:
     def test_run_without_operators_fails(self, telemetry):
         graph = StreamGraph(TelemetryReplaySource(telemetry[:100], seed=5))
         with pytest.raises(RuntimeError, match="no operators"):

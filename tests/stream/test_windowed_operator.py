@@ -1,0 +1,175 @@
+"""Properties of the one watermark buffer under both windowed operators.
+
+Random small tables — 0, 1 or 2 ``by`` columns, integral and non-integral
+widths (2.5 reaches ``window_index``'s float branch, with timestamps on
+its window edges), NaN values sprinkled in — are cut into random batches
+that straddle windows, delivered out of order within a random skew under a
+random lateness bound, optionally through a ``state_dict`` -> fresh
+operator -> ``load_state`` round trip.  The reference is a plain model of
+the contract: a row is late iff its window lies below the bound the
+*earlier* batches ratcheted; everything else is one ``coarsen_telemetry``
+(then ``cluster_power_series``) call over the surviving rows in arrival
+order, compared bit for bit.
+"""
+
+import math
+import pickle
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from repro.core.aggregate import cluster_power_series
+from repro.core.coarsen import coarsen_telemetry
+from repro.frame.table import Table, concat
+from repro.frame.window import window_index
+from repro.stream import (
+    RecordBatch,
+    StreamingClusterAggregate,
+    StreamingCoarsen,
+)
+
+BY = [(), ("node",), ("node", "slot")]
+
+
+@st.composite
+def scenarios(draw, nan=True):
+    n = draw(st.integers(1, 60))
+    width = draw(st.sampled_from([10.0, 2.5, 1.0, 3.0]))
+    # quarter-second stamps: integral ones and exact edges of 2.5 s windows
+    event = np.array(draw(st.lists(st.integers(0, 160), min_size=n,
+                                   max_size=n)), dtype=np.float64) * 0.25
+    if draw(st.booleans()):
+        event = np.floor(event)  # all integral: window_index's int branch
+    value = np.array(draw(st.lists(
+        st.floats(-1e3, 1e3) | (st.just(math.nan) if nan else st.nothing()),
+        min_size=n, max_size=n)))
+    skew = draw(st.sampled_from([0.0, 2.0, 8.0]))
+    delay = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                   max_size=n))) * skew
+    order = np.argsort(event + delay, kind="stable")
+    n_nodes = draw(st.integers(1, 4))
+    table = Table({
+        "timestamp": event,
+        "node": np.array(draw(st.lists(st.integers(0, n_nodes - 1),
+                                       min_size=n, max_size=n))),
+        "slot": np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                       max_size=n))),
+        "v": value,
+    }).take(order)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = list(zip([0, *cuts], [*cuts, n]))
+    return {
+        "table": table,
+        "bounds": bounds,  # 1 row ... the whole table per batch
+        "width": width,
+        "by": draw(st.sampled_from(BY)),
+        "lateness_s": draw(st.sampled_from([0.0, 1.5, 3.0, 8.0])),
+        "restore_at": draw(st.none() | st.integers(0, len(bounds) - 1)),
+    }
+
+
+def replay(make_op, table, bounds, restore_at):
+    """Feed the batches (checkpointing into a fresh operator before batch
+    ``restore_at``); return the operator and every emitted table."""
+    op = make_op()
+    out = []
+    closed_below = -math.inf
+    for i, (lo, hi) in enumerate(bounds):
+        if i == restore_at:
+            state = pickle.loads(pickle.dumps(op.state_dict()))
+            op = make_op()
+            op.load_state(state)
+        out += op.process(RecordBatch(table[lo:hi], arrival_time=float(i)))
+        assert op._closed_below >= closed_below
+        closed_below = op._closed_below
+    out += op.flush()
+    assert not op._rows and op.flush() == []
+    return op, [b.table for b in out]
+
+
+def model(table, bounds, width, lateness_s, dropped):
+    """``(late, kept)`` row masks by the contract: ``dropped`` rows never
+    count as late, but everything that arrived advances the watermark."""
+    win = window_index(table["timestamp"], width)
+    late = np.zeros(table.n_rows, dtype=bool)
+    closed_below = -math.inf
+    max_event = -math.inf
+    for lo, hi in bounds:
+        late[lo:hi] = ~dropped[lo:hi] & (win[lo:hi] < closed_below)
+        max_event = max(max_event, float(table["timestamp"][lo:hi].max()))
+        closed_below = max(closed_below, int(window_index(
+            np.array([max_event - lateness_s]), width)[0]))
+    return late, ~late & ~dropped
+
+
+def assert_bitwise_equal(a: Table, b: Table) -> None:
+    assert a.columns == b.columns
+    for c in a.columns:
+        assert a[c].dtype == b[c].dtype, c
+        assert a[c].tobytes() == b[c].tobytes(), c
+
+
+@given(scenarios())
+def test_coarsen_then_aggregate_equal_the_batch_kernels(s):
+    table, bounds, width, by = s["table"], s["bounds"], s["width"], s["by"]
+    op, emitted = replay(
+        lambda: StreamingCoarsen(["v"], width=width, by=by,
+                                 lateness_s=s["lateness_s"]),
+        table, bounds, s["restore_at"])
+
+    nan = ~np.isfinite(table["v"])
+    late, kept = model(table, bounds, width, s["lateness_s"], dropped=nan)
+    assert op.nan_rows == int(nan.sum())
+    assert op.late_rows == int(late.sum())
+    in_windows = sum(int(t["count"].sum()) for t in emitted)
+    assert in_windows + op.late_rows + op.nan_rows == table.n_rows
+
+    if not kept.any():
+        assert emitted == []
+        return
+    key = [*by, "timestamp"]
+    streamed = concat(emitted)
+    # no (group, window) is emitted twice
+    seen = set(zip(*(streamed[k].tolist() for k in key)))
+    assert len(seen) == streamed.n_rows
+    reference = coarsen_telemetry(table.filter(kept), ["v"], width=width,
+                                  by=by)
+    assert_bitwise_equal(streamed.sort(key), reference.sort(key))
+
+    # windows leave the coarsen in ascending order, so nothing downstream
+    # is late and the collapse equals the batch one over the same rows
+    agg, series = replay(
+        lambda: StreamingClusterAggregate(value="v", width=width),
+        streamed, _row_bounds(emitted), None)
+    assert agg.late_rows == 0
+    assert_bitwise_equal(concat(series),
+                         cluster_power_series(streamed, value="v"))
+
+
+def _row_bounds(tables):
+    ends = np.cumsum([t.n_rows for t in tables]).tolist()
+    return list(zip([0, *ends[:-1]], ends))
+
+
+@given(scenarios(nan=False))
+def test_aggregate_counts_what_arrives_behind_a_closed_window(s):
+    """Fed out-of-order window starts directly, the aggregate drops and
+    counts exactly the rows behind its zero-lateness bound."""
+    width, bounds = s["width"], s["bounds"]
+    t = s["table"]
+    start = window_index(t["timestamp"], width).astype(np.float64) * width
+    coarse = Table({"timestamp": start, "v_mean": t["v"],
+                    "v_max": t["v"] + 1.0, "node": t["node"]})
+    op, emitted = replay(
+        lambda: StreamingClusterAggregate(value="v", width=width),
+        coarse, bounds, s["restore_at"])
+
+    late, kept = model(coarse, bounds, width, 0.0,
+                       dropped=np.zeros(coarse.n_rows, dtype=bool))
+    assert op.late_rows == int(late.sum())
+    streamed = concat(emitted)
+    assert int(streamed["count_inp"].sum()) + op.late_rows == coarse.n_rows
+    assert len(set(streamed["timestamp"].tolist())) == streamed.n_rows
+    assert_bitwise_equal(
+        streamed.sort("timestamp"),
+        cluster_power_series(coarse.filter(kept), value="v"))

@@ -99,6 +99,21 @@ class TestCliStream:
         assert "resumed from checkpoint" in out
         assert "stream accounting:" in out
 
+    def test_checkpoint_of_another_stream_refused(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "stream.ckpt")
+        assert main(["stream", *self.ARGS, "--max-batches", "10",
+                     "--checkpoint", ckpt]) == 0
+        capsys.readouterr()
+
+        other = ["--nodes", "16", "--jobs", "80", "--days", "0.02",
+                 "--seed", "9", "--minutes", "4", "--no-skew", "--no-stats"]
+        rc = main(["stream", *other, "--checkpoint", ckpt])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "error: checkpoint was taken from a replay with seed 3" in out
+        assert "resumed from checkpoint" not in out
+        assert "streamed cluster series:" not in out
+
 
 class TestCliPipelineFlags:
     ARGS = ["--nodes", "16", "--jobs", "50", "--days", "0.25", "--seed", "3"]

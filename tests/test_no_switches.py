@@ -15,6 +15,12 @@ from pathlib import Path
 
 from repro.parallel import Executor
 from repro.pipeline import PipelineConfig
+from repro.stream import (
+    StreamGraph,
+    StreamingClusterAggregate,
+    StreamingCoarsen,
+    StreamingEdgeDetector,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -46,11 +52,28 @@ def test_env_switches_are_a_closed_set():
     )
 
 
+def _params(cls) -> list[str]:
+    return list(inspect.signature(cls.__init__).parameters)[1:]
+
+
 def test_executor_and_pipeline_knobs_are_a_closed_set():
     """The next transport or start-method knob arrives with its
     measurement, like the env vars above."""
-    params = list(inspect.signature(Executor.__init__).parameters)[1:]
-    assert params == ["backend", "max_workers", "mp_context"]
+    assert _params(Executor) == ["backend", "max_workers", "mp_context"]
     assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
         "chunk_seconds", "backend", "max_workers", "cache_dir",
+    ]
+
+
+def test_stream_knobs_are_a_closed_set():
+    """Queue capacity, a coarsen origin, a NaN switch, an aggregate
+    lateness and a snapshot ring each had one value in use and went; the
+    next stream knob arrives with its measurement."""
+    assert _params(StreamGraph) == ["source", "stats"]
+    assert _params(StreamingCoarsen) == [
+        "values", "width", "by", "time", "lateness_s",
+    ]
+    assert _params(StreamingClusterAggregate) == ["value", "width", "time"]
+    assert _params(StreamingEdgeDetector) == [
+        "threshold_w", "return_fraction", "time", "value",
     ]

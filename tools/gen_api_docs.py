@@ -74,10 +74,11 @@ CLI integration (`python -m repro simulate|export`):
 `TelemetryReplaySource` replays archived telemetry through the modeled
 fan-in path (per-hop delays, out-of-order arrival, loss gaps), and
 incremental operators finalize event-time windows as a bounded-lateness
-watermark passes them.  Scheduling is pull-based and downstream-first
-over bounded queues, so backpressure propagates upstream without
-dropping batches, and the whole graph (source cursor, operator state,
-queued batches, counters) checkpoints to a plain dict or pickle file.
+watermark passes them.  Scheduling is single-threaded and push-down:
+each source batch runs through the whole operator tree before the next
+is pulled.  The whole graph (source cursor, operator state, counters)
+checkpoints to a plain dict or pickle file, and loads only into the
+replay and node set it was taken from (`ValueError` naming what differs).
 
 Two guarantees, both asserted by `tests/stream/`:
 
@@ -97,7 +98,6 @@ CLI integration (`python -m repro stream`):
 | `--batch-interval S` | source flush interval in arrival seconds |
 | `--no-skew` | zero the fan-in delays (arrival = event time) |
 | `--lateness S` | watermark lateness bound (default 8 s) |
-| `--queue-capacity N` | bounded per-node input queue length |
 | `--max-batches N` | pause mid-stream after N source batches |
 | `--checkpoint PATH` | resume from / save a mid-stream checkpoint |
 """,
