@@ -7,46 +7,12 @@ reports peak power, mean wait, utilization, and the facility's overcooling
 exposure (the cost driver Section 5 identifies).
 """
 
-import time
-
-import numpy as np
-
 from benchutil import anchor, emit, to_mw_equiv
 from repro.core.report import render_table
 from repro.datasets import cluster_power_direct
 from repro.frame.join import join
 from repro.machine import ChipPopulation
 from repro.workload import PowerAwareScheduler, schedule_jobs
-
-
-def compare_engines(twin_day, machine_peak):
-    """Time the tightest cap (most veto/re-scan pressure) on both engine
-    paths and verify the event core changes nothing observable."""
-    cat = twin_day.catalog
-    cfg = twin_day.config
-    horizon = twin_day.spec.horizon_s
-    cap = 0.6 * machine_peak
-    runs = {}
-    for engine in ("reference", "event"):
-        sched = PowerAwareScheduler(cap, cfg, seed=twin_day.spec.seed,
-                                    engine=engine)
-        t0 = time.perf_counter()
-        runs[engine] = (sched.run_capped(cat, horizon),
-                        time.perf_counter() - t0)
-    ref, ref_t = runs["reference"]
-    ev, ev_t = runs["event"]
-    ident = (
-        all(np.array_equal(ref.schedule.allocations[c],
-                           ev.schedule.allocations[c])
-            for c in ref.schedule.allocations.columns)
-        and all(np.array_equal(ref.schedule.node_allocations[c],
-                               ev.schedule.node_allocations[c])
-                for c in ref.schedule.node_allocations.columns)
-        and ref.n_power_delayed == ev.n_power_delayed
-        and np.array_equal(ref.commitment[0], ev.commitment[0])
-        and np.array_equal(ref.commitment[1], ev.commitment[1])
-    )
-    return ident, ref_t / ev_t
 
 
 def run_sweep(twin_day):
@@ -90,11 +56,11 @@ def run_sweep(twin_day):
             "delayed": delayed,
             "started": al.n_rows,
         }
-    return results, machine_peak
+    return results
 
 
 def test_power_aware_scheduling(benchmark, twin_day):
-    results, machine_peak = benchmark.pedantic(
+    results = benchmark.pedantic(
         run_sweep, args=(twin_day,), rounds=1, iterations=1
     )
     rows = [
@@ -105,22 +71,12 @@ def test_power_aware_scheduling(benchmark, twin_day):
          d["delayed"], d["started"]]
         for label, d in results.items()
     ]
-    ident, ratio = compare_engines(twin_day, machine_peak)
-    emit("power_aware", "\n".join([
-        render_table(
-            ["cap", "peak (MW eq)", "mean (MW eq)", "mean wait (min)",
-             "utilization", "power-delayed jobs", "jobs started"],
-            rows,
-            title="X5: power-aware scheduling vs the unconstrained baseline",
-        ),
-        "",
-        f"engines bit-identical (schedule + cap accounting): {ident}",
-        f"event/reference runtime at 60% cap: {ratio:.1f}x (floor 0.8x)",
-    ]))
-    assert ident
-    # parity floor: at one busy day the queues are too short for the event
-    # core to pull ahead — the scale regime is bench_sched_scale's job
-    anchor(ratio >= 0.8, "event core at parity or better on the day twin")
+    emit("power_aware", render_table(
+        ["cap", "peak (MW eq)", "mean (MW eq)", "mean wait (min)",
+         "utilization", "power-delayed jobs", "jobs started"],
+        rows,
+        title="X5: power-aware scheduling vs the unconstrained baseline",
+    ))
 
     base = results["none"]
     tight = results["60%"]

@@ -6,10 +6,14 @@ Two equivalent routes produce the job-wise power series (Dataset 3):
   interval join -> grouped collapse (the paper's actual Dask pipeline;
   exercised on windows and in integration tests), and
 * **direct** — evaluate each job's profile on its own 10 s grid and reduce
-  across its nodes immediately (identical math, no dense cluster arrays),
-  which scales to a year of jobs.
+  across its nodes immediately (no dense cluster arrays), which scales to
+  a year of jobs.
 
-Both share the same per-job node-noise seeds, so they agree to sensor noise.
+Both evaluate an allocation through the one kernel in
+:mod:`repro.workload.traces` (:func:`~repro.workload.traces.allocation_noise`,
+:func:`~repro.workload.traces.allocation_power`) and
+:meth:`~repro.machine.node.NodePowerModel.wall_power`, so they agree to
+sensor noise; this module keeps only the reductions.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ from repro.machine.node import NodePowerModel
 from repro.machine.topology import Topology
 from repro.telemetry.collector import TelemetrySampler, LossEvent
 from repro.telemetry.msb import MsbMeters
-from repro.workload.apps import profile_utilization
 from repro.workload.jobs import JobCatalog, generate_jobs
-from repro.workload.scheduler import ScheduleResult, Scheduler, schedule_jobs
+from repro.workload.scheduler import ScheduleResult, Scheduler
 from repro.workload.traces import (
     AllocationIntervalIndex,
     ClusterTraceBuilder,
-    NODE_NOISE_SIGMA,
+    allocation_noise,
+    allocation_power,
 )
 
 #: cap on the per-chunk component-array size in the direct path
@@ -211,13 +215,9 @@ def _job_series_block(
     if len(times) == 0:
         return None
     row = catalog.row_of_allocation(aid)
-    profile = catalog.profile(row)
     nodes = schedule.nodes_of(aid)
-    k_used = int(catalog.table["gpus_used"][row])
     n_nodes = len(nodes)
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A5E, aid]))
-    noise = 1.0 + rng.normal(0.0, NODE_NOISE_SIGMA, size=(n_nodes, 1))
+    noise = allocation_noise(seed, aid, n_nodes)
 
     chunk = max(1, _DIRECT_CHUNK_CELLS // (n_nodes * cfg.gpus_per_node))
     sums = np.empty(len(times))
@@ -226,22 +226,12 @@ def _job_series_block(
     cstats = {k: np.empty(len(times)) for k in _COMPONENT_COLS} if components else {}
     for c0 in range(0, len(times), chunk):
         c1 = min(c0 + chunk, len(times))
-        t_rel = times[c0:c1] - begin
-        cpu_u, gpu_u = profile_utilization(profile, t_rel, end - begin)
-        cu = np.clip(cpu_u[None, :] * noise, 0.0, 1.0)
-        gu = np.clip(gpu_u[None, :] * noise, 0.0, 1.0)
-        cpu_util = np.broadcast_to(
-            cu[:, None, :], (n_nodes, cfg.cpus_per_node, c1 - c0)
+        c_w, g_w = allocation_power(
+            model, catalog, row, nodes, noise, times[c0:c1] - begin, end - begin
         )
-        gpu_util = np.zeros((n_nodes, cfg.gpus_per_node, c1 - c0))
-        gpu_util[:, :k_used, :] = gu[:, None, :]
-        c_w, g_w = model.component_power(nodes, cpu_util, gpu_util)
         cpu_node = c_w.sum(axis=1)
         gpu_node = g_w.sum(axis=1)
-        inp = np.minimum(
-            (cpu_node + gpu_node + cfg.node_other_w) / cfg.psu_efficiency,
-            cfg.node_max_power_w,
-        )
+        inp = model.wall_power(cpu_node, gpu_node)
         sums[c0:c1] = inp.sum(axis=0)
         means[c0:c1] = inp.mean(axis=0)
         maxs[c0:c1] = inp.max(axis=0)
@@ -331,7 +321,8 @@ def cluster_power_window(
     w1: int,
     dt: float = 10.0,
     seed: int = 0,
-    index: AllocationIntervalIndex | None = None,
+    *,
+    index: AllocationIntervalIndex,
 ) -> np.ndarray:
     """Cluster input power over global sample indices ``[w0, w1)``.
 
@@ -342,9 +333,8 @@ def cluster_power_window(
 
     ``index`` (an :class:`~repro.workload.traces.AllocationIntervalIndex`
     over ``schedule.allocations``) prunes the allocation walk to the rows
-    overlapping the window instead of scanning the whole table per window;
-    pruned-away rows are exactly those the scan would skip, and surviving
-    rows accumulate in the same ascending order, so results are identical.
+    overlapping the window, in ascending row order, so windows accumulate
+    in the order one pass would.
     """
     cfg = catalog.config
     model = NodePowerModel(cfg, chips)
@@ -353,12 +343,7 @@ def cluster_power_window(
     idle_w = cfg.node_idle_w
 
     al = schedule.allocations
-    rows = (
-        range(al.n_rows)
-        if index is None
-        else index.active_rows(w0 * dt, w1 * dt).tolist()
-    )
-    for i in rows:
+    for i in index.active_rows(w0 * dt, w1 * dt).tolist():
         aid = int(al["allocation_id"][i])
         begin = float(al["begin_time"][i])
         end = float(al["end_time"][i])
@@ -367,31 +352,18 @@ def cluster_power_window(
         if i1 <= i0:
             continue
         row = catalog.row_of_allocation(aid)
-        profile = catalog.profile(row)
         nodes = schedule.nodes_of(aid)
-        k_used = int(catalog.table["gpus_used"][row])
         n_nodes = len(nodes)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A5E, aid]))
-        noise = 1.0 + rng.normal(0.0, NODE_NOISE_SIGMA, size=(n_nodes, 1))
+        noise = allocation_noise(seed, aid, n_nodes)
 
         chunk = max(1, _DIRECT_CHUNK_CELLS // (n_nodes * cfg.gpus_per_node))
         for c0 in range(i0, i1, chunk):
             c1 = min(c0 + chunk, i1)
-            t_rel = times[c0:c1] - begin
-            cpu_u, gpu_u = profile_utilization(profile, t_rel, end - begin)
-            cu = np.clip(cpu_u[None, :] * noise, 0.0, 1.0)
-            gu = np.clip(gpu_u[None, :] * noise, 0.0, 1.0)
-            cpu_util = np.broadcast_to(
-                cu[:, None, :], (n_nodes, cfg.cpus_per_node, c1 - c0)
+            c_w, g_w = allocation_power(
+                model, catalog, row, nodes, noise,
+                times[c0:c1] - begin, end - begin,
             )
-            gpu_util = np.zeros((n_nodes, cfg.gpus_per_node, c1 - c0))
-            gpu_util[:, :k_used, :] = gu[:, None, :]
-            c_w, g_w = model.component_power(nodes, cpu_util, gpu_util)
-            inp = np.minimum(
-                (c_w.sum(axis=1) + g_w.sum(axis=1) + cfg.node_other_w)
-                / cfg.psu_efficiency,
-                cfg.node_max_power_w,
-            )
+            inp = model.wall_power(c_w.sum(axis=1), g_w.sum(axis=1))
             power[c0:c1] += inp.sum(axis=0) - n_nodes * idle_w
     return power
 

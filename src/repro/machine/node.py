@@ -77,9 +77,17 @@ class NodePowerModel:
         Result is clipped at the node's 2,300 W supply limit (Table 1).
         """
         cpu_w, gpu_w = self.component_power(nodes, cpu_util, gpu_util)
-        dc = cpu_w.sum(axis=1) + gpu_w.sum(axis=1) + self.config.node_other_w
-        wall = dc / self.config.psu_efficiency
-        return np.minimum(wall, self.config.node_max_power_w)
+        return self.wall_power(cpu_w.sum(axis=1), gpu_w.sum(axis=1))
+
+    def wall_power(self, cpu_node_w: np.ndarray, gpu_node_w: np.ndarray) -> np.ndarray:
+        """DC to wall plug: per-node CPU and GPU watts plus 'other', through
+        the PSU efficiency, clipped at the supply limit — the only place
+        the per-sample path applies ``node_max_power_w``."""
+        cfg = self.config
+        return np.minimum(
+            (cpu_node_w + gpu_node_w + cfg.node_other_w) / cfg.psu_efficiency,
+            cfg.node_max_power_w,
+        )
 
     def idle_power(self) -> float:
         """Wall-plug idle power of a nominal node."""

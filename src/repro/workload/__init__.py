@@ -10,11 +10,10 @@ Generates the analogues of the paper's job-scheduler datasets:
 * :mod:`repro.workload.jobs` — the job catalog generator (five scheduling
   classes with Table 3 / Figure 7 distributions),
 * :mod:`repro.workload.scheduler` — an LSF-like allocator producing the
-  allocation history (Datasets C and D),
-* :mod:`repro.workload.traces` — per-job and cluster-wide utilization /
-  power trace synthesis,
-* :mod:`repro.workload.feed` — streaming a (multi-year) schedule into a
-  time-partitioned on-disk dataset.
+  allocation history (Datasets C and D): one event-driven core, with
+  :mod:`repro.workload.powercap`'s admission control as policy hooks,
+* :mod:`repro.workload.traces` — the one allocation → watts kernel and the
+  dense trace painter over it.
 """
 
 from repro.workload.domains import DOMAINS, Domain, domain_by_name
@@ -23,7 +22,6 @@ from repro.workload.apps import (
     PROFILE_KINDS,
     sample_profile,
     profile_utilization,
-    profile_utilization_batch,
 )
 from repro.workload.jobs import JobCatalog, generate_jobs, synthetic_catalog
 from repro.workload.scheduler import Scheduler, schedule_jobs, queue_statistics
@@ -33,14 +31,10 @@ from repro.workload.powercap import (
     estimate_job_peak_w,
 )
 from repro.workload.traces import (
-    job_power_trace,
     AllocationIntervalIndex,
     ClusterTraceBuilder,
-)
-from repro.workload.feed import (
-    schedule_to_partitioned,
-    read_active_allocations,
-    read_schedule_sidecar,
+    allocation_noise,
+    allocation_power,
 )
 
 __all__ = [
@@ -51,7 +45,6 @@ __all__ = [
     "PROFILE_KINDS",
     "sample_profile",
     "profile_utilization",
-    "profile_utilization_batch",
     "JobCatalog",
     "generate_jobs",
     "synthetic_catalog",
@@ -61,10 +54,8 @@ __all__ = [
     "PowerAwareScheduler",
     "PowerCapResult",
     "estimate_job_peak_w",
-    "job_power_trace",
     "AllocationIntervalIndex",
     "ClusterTraceBuilder",
-    "schedule_to_partitioned",
-    "read_active_allocations",
-    "read_schedule_sidecar",
+    "allocation_noise",
+    "allocation_power",
 ]

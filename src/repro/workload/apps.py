@@ -191,71 +191,3 @@ def profile_utilization(
 
     return np.clip(cpu, 0.0, 1.0), np.clip(gpu, 0.0, 1.0)
 
-
-def profile_utilization_batch(
-    kind_code: int,
-    cpu_base: np.ndarray,
-    cpu_amp: np.ndarray,
-    gpu_base: np.ndarray,
-    gpu_amp: np.ndarray,
-    period_s: np.ndarray,
-    duty: np.ndarray,
-    phase_s: np.ndarray,
-    t: np.ndarray,
-    duration: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`profile_utilization` over many jobs of one kind.
-
-    Every argument after ``kind_code`` is an array broadcastable against
-    ``t`` — typically per-job ``(n_jobs, 1)`` parameter columns against
-    ``(n_jobs, n_t)`` sample times — so jobs of the same archetype
-    evaluate as one fused kernel instead of one Python iteration each.
-    The ``steady``/``ramp`` branches may return a broadcastable column
-    instead of the full sample shape; callers normalize with
-    ``np.broadcast_to``.  Bit-identical to the scalar path: each formula
-    below mirrors its :func:`profile_utilization` branch elementwise, and
-    IEEE double arithmetic does not care whether a parameter arrives as a
-    Python-float scalar or an element of a float64 array.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    kind = PROFILE_KINDS[int(kind_code)]
-    cb, ca = cpu_base, cpu_amp
-    gb, ga = gpu_base, gpu_amp
-
-    if kind == "steady":
-        cpu = cb.astype(np.float64, copy=True)
-        gpu = gb.astype(np.float64, copy=True)
-    elif kind == "bsp":
-        frac = np.mod(t + phase_s, period_s) / period_s
-        w = 0.10
-        up = np.clip(frac / w, 0.0, 1.0)
-        down = np.clip((duty - frac) / w, 0.0, 1.0)
-        high = np.minimum(up, down)
-        lo_level = np.maximum(gb - ga, 0.0)
-        gpu = lo_level + (gb + ga - lo_level) * high
-        cpu = np.minimum(cb + ca, 1.0) - ca * high
-    elif kind == "checkpoint":
-        frac = np.mod(t + phase_s, period_s) / period_s
-        dip = frac > 0.92
-        gpu = np.where(dip, np.maximum(gb - ga, 0.02), gb + 0.5 * ga)
-        cpu = np.where(dip, np.minimum(cb + 0.3, 1.0), cb)
-    elif kind == "phased":
-        frac = np.clip(t / np.maximum(duration, 1.0), 0.0, 1.0)
-        gpu = np.where(
-            frac < 0.10,
-            0.3 * gb,
-            np.where(frac < 0.85, np.minimum(gb + ga, 1.0), 0.5 * gb),
-        )
-        cpu = np.where(frac < 0.10, np.minimum(cb + ca, 1.0), cb)
-    elif kind == "ramp":
-        rise = np.clip(t / (0.25 * np.maximum(duration, 1.0)), 0.0, 1.0)
-        fall = np.clip(
-            (duration - t) / (0.15 * np.maximum(duration, 1.0)), 0.0, 1.0
-        )
-        env = np.minimum(rise, fall)
-        gpu = gb + ga * env
-        cpu = cb.astype(np.float64, copy=True)
-    else:  # pragma: no cover - PROFILE_KINDS lookup raises first
-        raise ValueError(f"unknown profile kind {kind!r}")
-
-    return np.clip(cpu, 0.0, 1.0), np.clip(gpu, 0.0, 1.0)

@@ -80,23 +80,6 @@ class JobCatalog:
             raise KeyError(f"unknown allocation_id {allocation_id}")
         return row
 
-    def rows_of_allocations(self, allocation_ids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`row_of_allocation` for an id array."""
-        aids = np.asarray(allocation_ids, dtype=np.int64)
-        rows = aids - 1
-        if len(rows) and (
-            rows.min() < 0
-            or rows.max() >= self.n_jobs
-            or not np.array_equal(self.table["allocation_id"][rows], aids)
-        ):
-            bad = aids[
-                (rows < 0)
-                | (rows >= self.n_jobs)
-                | (self.table["allocation_id"][np.clip(rows, 0, self.n_jobs - 1)] != aids)
-            ]
-            raise KeyError(f"unknown allocation_id {bad[0]}")
-        return rows
-
 
 def _node_counts_for_class(
     rng: np.random.Generator,

@@ -86,15 +86,19 @@ class PowerAwareScheduler(Scheduler):
         power_cap_w: float,
         config: SummitConfig = SUMMIT,
         seed: int = 0,
-        engine: str = "event",
     ):
-        super().__init__(config, seed, engine=engine)
+        super().__init__(config, seed)
         self.power_cap_w = float(power_cap_w)
+        self._idle_floor = config.n_nodes * config.node_idle_w
+
+    def run(self, catalog: JobCatalog, horizon_s: float) -> ScheduleResult:
+        """Schedule under the cap; every run starts from a clean budget."""
+        self._catalog = catalog
+        self._peaks = estimate_job_peak_w(catalog)
         self._committed_w = 0.0
         self._events: list[tuple[float, float]] = []
         self._delayed: set[int] = set()
-        self._peaks: np.ndarray | None = None
-        self._idle_floor = config.n_nodes * config.node_idle_w
+        return super().run(catalog, horizon_s)
 
     def _increment_w(self, row: int) -> float:
         peak = float(self._peaks[row])
@@ -120,12 +124,7 @@ class PowerAwareScheduler(Scheduler):
         self._events.append((now, self._idle_floor + self._committed_w))
 
     def run_capped(self, catalog: JobCatalog, horizon_s: float) -> PowerCapResult:
-        """Schedule under the cap; returns the schedule plus cap telemetry."""
-        self._catalog = catalog
-        self._peaks = estimate_job_peak_w(catalog)
-        self._committed_w = 0.0
-        self._events = []
-        self._delayed = set()
+        """:meth:`run`, returning the schedule plus cap telemetry."""
         schedule = self.run(catalog, horizon_s)
         if self._events:
             times = np.array([e[0] for e in self._events])

@@ -16,21 +16,16 @@ CSM allocator scatters allocations across the floor, which is what makes
 every switchboard carry live load (Figure 4) and spreads heat evenly at
 scale (Figure 17).
 
-Two cores produce bit-identical results (tested property):
-
-* ``engine="event"`` (default) — a discrete-event core in the style of
-  oar3's ``simsim`` and the Firmament replay wrapper: submit and
-  completion events are merged in time order, the pending queue is kept
-  incrementally sorted (``insort`` instead of a full re-sort per event),
-  the running set keeps a sorted end-time mirror so the EASY shadow time
-  and its spare-node count come from ONE walk (no per-event
-  ``sorted(running)`` copies), and drain-window edges advance an O(1)
-  interval pointer.  This is the multi-year / multi-million-job path.
-* ``engine="reference"`` — the original batch-stepped loop, kept as the
-  differential-testing oracle.
-
-Both engines draw from the same placement RNG in the same order, so
-``ScheduleResult`` is identical bit for bit.
+The core is discrete-event, in the style of oar3's ``simsim`` and the
+Firmament replay wrapper: submit and completion events are merged in time
+order, the pending queue is kept incrementally sorted (``insort`` instead
+of a full re-sort per event), the running set keeps a sorted end-time
+mirror so the EASY shadow time and its spare-node count come from ONE walk
+(no per-event ``sorted(running)`` copies), and drain-window edges advance
+an O(1) interval pointer.  The batch-stepped loop it replaced lives on as
+the differential oracle in ``tests/workload/reference_scheduler.py``; it
+drives the same :class:`_Sim` and policy hooks, so the placement RNG is
+drawn in the same order and ``ScheduleResult`` is identical bit for bit.
 """
 
 from __future__ import annotations
@@ -46,8 +41,6 @@ from repro.frame.table import Table
 from repro.obs import trace
 from repro.obs.metrics import REGISTRY
 from repro.workload.jobs import JobCatalog
-
-_ENGINES = ("event", "reference")
 
 
 @dataclass
@@ -93,8 +86,8 @@ def _merged_drain_windows(
     """Sort and merge drain windows into disjoint intervals.
 
     ``any(a <= now < b)`` over the raw tuple and a pointer walk over the
-    merged list agree for every ``now``, so the event core's O(1) check is
-    behavior-identical to the reference scan.
+    merged list agree for every ``now``, so the core's O(1) check is
+    behavior-identical to scanning the raw windows.
     """
     ivs = sorted((float(a), float(b)) for a, b in windows if b > a)
     merged: list[tuple[float, float]] = []
@@ -107,12 +100,13 @@ def _merged_drain_windows(
 
 
 class _Sim:
-    """Mutable machine state shared by both scheduler cores.
+    """Mutable machine state of one run.
 
     Holds the free-node mask, per-job begin/end times, the running heap
-    (completion order) and — for the event core — its sorted end-time
-    mirror ``by_end``.  ``start_job`` / ``release`` are the only writers,
-    so the two cores cannot drift in how they mutate the machine.
+    (completion order) and its sorted end-time mirror ``by_end``.
+    ``start_job`` / ``pop_completion`` / ``release`` are the only writers,
+    so the core and the test oracle cannot drift in how they mutate the
+    machine.
     """
 
     __slots__ = (
@@ -121,7 +115,7 @@ class _Sim:
         "n_started",
     )
 
-    def __init__(self, sched: "Scheduler", catalog: JobCatalog, mirror: bool):
+    def __init__(self, sched: "Scheduler", catalog: JobCatalog):
         t = catalog.table
         n_jobs = catalog.n_jobs
         self.sched = sched
@@ -131,8 +125,8 @@ class _Sim:
         self.free = np.ones(sched.config.n_nodes, dtype=bool)
         self.n_free = sched.config.n_nodes
         self.running: list[tuple[float, int]] = []  # heap of (end_time, row)
-        #: sorted mirror of ``running`` (event core only); None = unused
-        self.by_end: list[tuple[float, int]] | None = [] if mirror else None
+        #: sorted mirror of ``running``
+        self.by_end: list[tuple[float, int]] = []
         self.node_lists: dict[int, np.ndarray] = {}
         self.begin = np.full(n_jobs, -1.0)
         self.end = np.full(n_jobs, -1.0)
@@ -156,16 +150,14 @@ class _Sim:
         self.end[row] = now + float(self.wall[row])
         entry = (self.end[row], row)
         heapq.heappush(self.running, entry)
-        if self.by_end is not None:
-            insort(self.by_end, entry)
+        insort(self.by_end, entry)
         self.n_started += 1
         self.sched.on_start(self.catalog, row, now)
 
     def pop_completion(self) -> tuple[float, int]:
         """Pop the next completion from the heap (and the mirror)."""
         entry = heapq.heappop(self.running)
-        if self.by_end is not None:
-            del self.by_end[bisect_left(self.by_end, entry)]
+        del self.by_end[bisect_left(self.by_end, entry)]
         return entry
 
     def release(self, row: int, now: float) -> None:
@@ -182,10 +174,6 @@ class Scheduler:
     one (running jobs finish normally), so the machine drains toward idle —
     the periodic idle-touching extremes visible in the paper's Figure 5,
     and the February window where the cooling towers were serviced.
-
-    ``engine`` selects the core: ``"event"`` (default, the scalable
-    discrete-event core) or ``"reference"`` (the original loop, kept as
-    the differential-test oracle).  Both are bit-identical.
     """
 
     #: how deep into the priority queue backfill may look (production
@@ -197,20 +185,13 @@ class Scheduler:
         config: SummitConfig = SUMMIT,
         seed: int = 0,
         drain_windows: tuple[tuple[float, float], ...] = (),
-        engine: str = "event",
     ):
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self.config = config
         self.seed = seed
         self.drain_windows = tuple(drain_windows)
-        self.engine = engine
         #: operation counters from the most recent :meth:`run` (events,
         #: submits, completion batches, queue scans, shadow walks, ...)
         self.last_run_stats: dict[str, int] = {}
-
-    def _draining(self, now: float) -> bool:
-        return any(a <= now < b for a, b in self.drain_windows)
 
     # ---- policy hooks (overridden by power-aware variants) ----
 
@@ -229,27 +210,22 @@ class Scheduler:
         are dropped (they would run in the next year).
 
         Besides ``last_run_stats``, the op counters publish into the
-        process-wide :data:`repro.obs.metrics.REGISTRY` (labelled by
-        engine), so a co-simulation driver sees scheduler work alongside
-        every other subsystem's metrics.
+        process-wide :data:`repro.obs.metrics.REGISTRY`, so a
+        co-simulation driver sees scheduler work alongside every other
+        subsystem's metrics.
         """
-        with trace.span("sched.run", engine=self.engine,
-                        jobs=catalog.n_jobs, horizon_s=horizon_s) as sp:
-            if self.engine == "reference":
-                result = self._run_reference(catalog, horizon_s)
-            else:
-                result = self._run_event(catalog, horizon_s)
+        with trace.span("sched.run", jobs=catalog.n_jobs,
+                        horizon_s=horizon_s) as sp:
+            result = self._run_event(catalog, horizon_s)
             sp.set(**self.last_run_stats)
         for key, value in self.last_run_stats.items():
             if key == "max_pending":
-                gauge = REGISTRY.gauge(f"sched.{key}", engine=self.engine)
+                gauge = REGISTRY.gauge(f"sched.{key}")
                 if value > gauge.value:
                     gauge.set(value)
             else:
-                REGISTRY.counter(f"sched.{key}", engine=self.engine).inc(value)
+                REGISTRY.counter(f"sched.{key}").inc(value)
         return result
-
-    # ---------------- event-driven core ----------------
 
     def _run_event(self, catalog: JobCatalog, horizon_s: float) -> ScheduleResult:
         t = catalog.table
@@ -263,7 +239,7 @@ class Scheduler:
         submit_l = submit[order].tolist()
         n_jobs = catalog.n_jobs
 
-        sim = _Sim(self, catalog, mirror=True)
+        sim = _Sim(self, catalog)
         running = sim.running
         by_end = sim.by_end
         node_lists = sim.node_lists
@@ -314,8 +290,7 @@ class Scheduler:
             return shadow, max(0, freed - k_needed)
 
         def try_start(now: float) -> None:
-            """Priority scan with EASY reservation backfill (decision-
-            identical to the reference scan over ``sorted(pending)``)."""
+            """Priority scan with EASY reservation backfill."""
             nonlocal drain_ptr
             if not pending or sim.n_free == 0:
                 return
@@ -377,7 +352,7 @@ class Scheduler:
         for i in range(n_jobs):
             now = submit_l[i]
             # completion events (and the queue scans they unlock) strictly
-            # precede a submit at the same instant, as in the reference
+            # precede a submit at the same instant
             while running and running[0][0] <= now:
                 completion_batch()
             row = order_l[i]
@@ -393,129 +368,6 @@ class Scheduler:
         # horizon closes or the queue drains
         while pending and running and running[0][0] <= horizon_s:
             completion_batch()
-
-        stats["n_events"] = stats["n_submits"] + stats["n_completion_batches"]
-        stats["n_started"] = sim.n_started
-        self.last_run_stats = stats
-        return _assemble(catalog, sim)
-
-    # ---------------- reference core (differential oracle) ----------------
-
-    def _run_reference(
-        self, catalog: JobCatalog, horizon_s: float
-    ) -> ScheduleResult:
-        """The original batch-stepped loop: re-sorts ``pending`` every
-        event and walks ``sorted(running)`` for the reservation (one pass
-        for shadow *and* spare — the historical second walk is folded in).
-        """
-        t = catalog.table
-        submit = t["submit_time"]
-        nodes_req = t["node_count"]
-        wall = t["walltime_s"]
-        sclass = t["sched_class"]
-
-        order = np.argsort(submit, kind="stable")
-        sim = _Sim(self, catalog, mirror=False)
-        running = sim.running
-        node_lists = sim.node_lists
-
-        pending: list[tuple[int, int, int]] = []  # (class, seq, row)
-        stats = {
-            "n_events": 0, "n_submits": 0, "n_completion_batches": 0,
-            "n_queue_scans": 0, "n_scans_skipped": 0, "n_shadow_walks": 0,
-            "max_pending": 0,
-        }
-
-        def shadow_and_spare(k_needed: int) -> tuple[float, int]:
-            """Earliest time the top blocked job can have ``k_needed``
-            nodes, and the spare nodes at that instant — one end-ordered
-            walk of the running set."""
-            stats["n_shadow_walks"] += 1
-            avail = sim.n_free
-            freed = sim.n_free
-            shadow = float("inf")
-            for t_end, row in sorted(running):
-                nn = len(node_lists[row])
-                if shadow == float("inf"):
-                    avail += nn
-                    if avail >= k_needed:
-                        shadow = t_end
-                        freed = avail
-                elif t_end > shadow:
-                    break
-                else:
-                    freed += nn
-            if shadow == float("inf"):
-                return shadow, 0
-            return shadow, max(0, freed - k_needed)
-
-        def try_start(now: float) -> None:
-            """Priority scan with EASY reservation backfill."""
-            if not pending or sim.n_free == 0 or self._draining(now):
-                return
-            stats["n_queue_scans"] += 1
-            pending.sort()
-            still: list[tuple[int, int, int]] = []
-            shadow: float | None = None
-            spare_at_shadow = 0
-            for depth, item in enumerate(pending):
-                if sim.n_free == 0 or depth >= self.BACKFILL_DEPTH:
-                    still.extend(pending[depth:])
-                    break
-                row = item[2]
-                k = int(nodes_req[row])
-                if k <= sim.n_free and not self.admit(catalog, row, now):
-                    # policy veto (e.g. power cap): job waits without
-                    # earning a node reservation
-                    still.append(item)
-                elif k <= sim.n_free and shadow is None:
-                    sim.start_job(row, now)
-                elif k <= sim.n_free:
-                    # backfill candidate: must not delay the reservation —
-                    # either done by the shadow time, or small enough to fit
-                    # in the nodes the blocked job leaves spare
-                    if now + float(wall[row]) <= shadow or k <= spare_at_shadow:
-                        sim.start_job(row, now)
-                        if k > spare_at_shadow:
-                            spare_at_shadow = 0
-                        else:
-                            spare_at_shadow -= k
-                    else:
-                        still.append(item)
-                else:
-                    if shadow is None:
-                        # first blocked job: compute its reservation
-                        shadow, spare_at_shadow = shadow_and_spare(k)
-                    still.append(item)
-            pending[:] = still
-
-        seq = 0
-        for j in order:
-            now = float(submit[j])
-            # release completions (and give queued jobs those nodes) in order
-            while running and running[0][0] <= now:
-                t_end, row_done = heapq.heappop(running)
-                sim.release(row_done, t_end)
-                # drain any other jobs ending at the same instant first
-                while running and running[0][0] <= t_end:
-                    _, r2 = heapq.heappop(running)
-                    sim.release(r2, t_end)
-                stats["n_completion_batches"] += 1
-                try_start(t_end)
-            pending.append((int(sclass[j]), seq, int(j)))
-            seq += 1
-            stats["n_submits"] += 1
-            stats["max_pending"] = max(stats["max_pending"], len(pending))
-            try_start(now)
-
-        while pending and running and running[0][0] <= horizon_s:
-            t_end, row_done = heapq.heappop(running)
-            sim.release(row_done, t_end)
-            while running and running[0][0] <= t_end:
-                _, r2 = heapq.heappop(running)
-                sim.release(r2, t_end)
-            stats["n_completion_batches"] += 1
-            try_start(t_end)
 
         stats["n_events"] = stats["n_submits"] + stats["n_completion_batches"]
         stats["n_started"] = sim.n_started

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from repro.parallel import Executor
 from repro.pipeline import PipelineConfig
+from repro.workload import ClusterTraceBuilder, PowerAwareScheduler, Scheduler
 from repro.stream import (
     StreamGraph,
     StreamingClusterAggregate,
@@ -76,4 +77,19 @@ def test_stream_knobs_are_a_closed_set():
     assert _params(StreamingClusterAggregate) == ["value", "width", "time"]
     assert _params(StreamingEdgeDetector) == [
         "threshold_w", "return_fraction", "time", "value",
+    ]
+
+
+def test_workload_knobs_are_a_closed_set():
+    """Four ``engine=`` options each had one value in use outside tests
+    and went (the reference scheduler is ``tests/workload/
+    reference_scheduler.py``); a second painter or core arrives with the
+    ledger workload that shows it, selected from the data, not by a knob."""
+    assert _params(Scheduler) == ["config", "seed", "drain_windows"]
+    assert _params(PowerAwareScheduler) == ["power_cap_w", "config", "seed"]
+    assert _params(ClusterTraceBuilder) == [
+        "catalog", "schedule", "chips", "seed",
+    ]
+    assert list(inspect.signature(ClusterTraceBuilder.build).parameters)[1:] == [
+        "t0", "t1", "dt", "per_gpu", "track_alloc",
     ]

@@ -1,15 +1,13 @@
-"""Bit-identity property tests: event-driven core vs reference engines.
+"""Bit-identity property tests: event-driven core vs the reference loop.
 
-The event-driven scheduler core and the batched trace painter are pure
-performance work — every observable artifact must be *bit-identical* to
-the straight-line reference implementations.  Hypothesis drives both
-through adversarial workloads (submit-time ties, drain windows, power-cap
-vetoes, zero-node jobs) and compares full ``ScheduleResult`` /
-``TraceArrays`` contents, not summaries.
+The event-driven scheduler core is pure performance work — every
+observable artifact must be *bit-identical* to the straight-line loop in
+``reference_scheduler.py``.  Hypothesis drives both through adversarial
+workloads (submit-time ties, drain windows, power-cap vetoes, zero-node
+jobs) and compares full ``ScheduleResult`` contents, not summaries.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SUMMIT
@@ -18,6 +16,7 @@ from repro.workload.jobs import JobCatalog
 from repro.workload.powercap import PowerAwareScheduler
 from repro.workload.scheduler import Scheduler, queue_statistics
 from repro.workload.traces import ClusterTraceBuilder
+from tests.workload.reference_scheduler import reference
 
 N_NODES = 16
 HORIZON = 50_000.0
@@ -95,12 +94,11 @@ class TestEventCoreBitIdentity:
     def test_schedule_identical_under_ties_and_drains(
         self, catalog, drains, seed
     ):
-        ref = Scheduler(
+        ref = reference(Scheduler(
             catalog.config, seed=seed, drain_windows=drains,
-            engine="reference",
-        ).run(catalog, HORIZON)
+        )).run(catalog, HORIZON)
         ev = Scheduler(
-            catalog.config, seed=seed, drain_windows=drains, engine="event"
+            catalog.config, seed=seed, drain_windows=drains
         ).run(catalog, HORIZON)
         assert_schedules_identical(ref, ev)
 
@@ -109,11 +107,11 @@ class TestEventCoreBitIdentity:
     def test_power_cap_vetoes_identical(self, catalog, seed):
         # a cap low enough to veto often, high enough to admit sometimes
         cap = catalog.config.n_nodes * catalog.config.node_max_power_w * 0.4
-        ref = PowerAwareScheduler(
-            cap, catalog.config, seed=seed, engine="reference"
-        ).run_capped(catalog, HORIZON)
+        ref = reference(PowerAwareScheduler(
+            cap, catalog.config, seed=seed
+        )).run_capped(catalog, HORIZON)
         ev = PowerAwareScheduler(
-            cap, catalog.config, seed=seed, engine="event"
+            cap, catalog.config, seed=seed
         ).run_capped(catalog, HORIZON)
         assert_schedules_identical(ref.schedule, ev.schedule)
         assert ref.n_power_delayed == ev.n_power_delayed
@@ -141,30 +139,6 @@ class TestEventCoreBitIdentity:
         assert "n_dropped" in stats
         assert int(stats["n_dropped"].sum()) == len(res.dropped)
 
-    @given(tied_catalog(min_jobs=5, allow_zero_nodes=False),
-           st.integers(0, 2), st.booleans(), st.booleans())
-    @settings(max_examples=25, deadline=None)
-    def test_trace_arrays_identical(self, catalog, seed, per_gpu, track):
-        sched = Scheduler(catalog.config, seed=seed).run(catalog, HORIZON)
-        builder = ClusterTraceBuilder(catalog, sched, seed=seed)
-        al = sched.allocations
-        t0 = float(al["begin_time"].min()) if al.n_rows else 0.0
-        loop = builder.build(
-            t0, t0 + 3000.0, 30.0, per_gpu=per_gpu, track_alloc=track,
-            engine="loop",
-        )
-        batch = builder.build(
-            t0, t0 + 3000.0, 30.0, per_gpu=per_gpu, track_alloc=track,
-            engine="batch",
-        )
-        assert np.array_equal(loop.node_input_w, batch.node_input_w)
-        assert np.array_equal(loop.node_cpu_w, batch.node_cpu_w)
-        assert np.array_equal(loop.node_gpu_w, batch.node_gpu_w)
-        if per_gpu:
-            assert np.array_equal(loop.gpu_power_w, batch.gpu_power_w)
-        if track:
-            assert np.array_equal(loop.node_alloc, batch.node_alloc)
-
     @given(tied_catalog(min_jobs=5, allow_zero_nodes=False))
     @settings(max_examples=10, deadline=None)
     def test_noise_cache_is_value_transparent(self, catalog):
@@ -179,51 +153,3 @@ class TestEventCoreBitIdentity:
         c = cold.build(0.0, 2000.0, 50.0)
         assert np.array_equal(a.node_input_w, b.node_input_w)
         assert np.array_equal(a.node_input_w, c.node_input_w)
-
-
-class TestEngineValidation:
-    def test_scheduler_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            Scheduler(SUMMIT.scaled(N_NODES), engine="dask")
-
-    def test_power_scheduler_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            PowerAwareScheduler(
-                1e6, SUMMIT.scaled(N_NODES), engine="turbo"
-            )
-
-    def test_builder_rejects_unknown_engine(self):
-        cat = _tiny_catalog()
-        sched = Scheduler(cat.config).run(cat, 10_000.0)
-        with pytest.raises(ValueError, match="engine"):
-            ClusterTraceBuilder(cat, sched, engine="gpu")
-        builder = ClusterTraceBuilder(cat, sched)
-        with pytest.raises(ValueError, match="engine"):
-            builder.build(0.0, 1000.0, 10.0, engine="gpu")
-
-
-def _tiny_catalog():
-    n = 3
-    table = Table(
-        {
-            "allocation_id": np.arange(1, n + 1, dtype=np.int64),
-            "submit_time": np.zeros(n),
-            "node_count": np.full(n, 2, dtype=np.int64),
-            "sched_class": np.full(n, 5, dtype=np.int64),
-            "req_walltime_s": np.full(n, 600.0),
-            "walltime_s": np.full(n, 600.0),
-            "domain": np.array(["Physics"] * n),
-            "project": np.array(["PHY000"] * n),
-            "user_id": np.zeros(n, dtype=np.int64),
-            "gpus_used": np.full(n, 6, dtype=np.int64),
-            "kind_code": np.zeros(n, dtype=np.int64),
-            "cpu_base": np.full(n, 0.3),
-            "cpu_amp": np.zeros(n),
-            "gpu_base": np.full(n, 0.5),
-            "gpu_amp": np.zeros(n),
-            "period_s": np.full(n, 200.0),
-            "duty": np.full(n, 0.6),
-            "phase_s": np.zeros(n),
-        }
-    )
-    return JobCatalog(table=table, config=SUMMIT.scaled(N_NODES))

@@ -109,3 +109,21 @@ class TestPowerAwareScheduler:
             np.sort(res.schedule.allocations["begin_time"]),
             np.sort(baseline.allocations["begin_time"]),
         )
+
+    def test_run_is_a_public_entry_and_starts_clean(self, setup):
+        """``run()`` without ``run_capped()`` used to die on unset per-run
+        state; both entries now reset it, twice in a row on one instance."""
+        from tests.workload.test_event_core import assert_schedules_identical
+
+        cfg, cat, _ = setup
+        cap = 0.6 * cfg.n_nodes * cfg.node_max_power_w
+        want = PowerAwareScheduler(cap, cfg, seed=21).run_capped(
+            cat, 2 * 86400.0)
+        sched = PowerAwareScheduler(cap, cfg, seed=21)
+        for _ in range(2):
+            assert_schedules_identical(
+                sched.run(cat, 2 * 86400.0), want.schedule)
+        again = sched.run_capped(cat, 2 * 86400.0)
+        assert_schedules_identical(again.schedule, want.schedule)
+        assert again.n_power_delayed == want.n_power_delayed
+        assert np.array_equal(again.commitment[1], want.commitment[1])

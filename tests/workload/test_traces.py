@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.workload.traces import ClusterTraceBuilder, job_power_trace
+from repro.workload import traces
+from repro.workload.scheduler import Scheduler
+from repro.workload.traces import ClusterTraceBuilder
+from tests.workload.gen_cosim_golden import TRACE_ARRAYS as ARRAYS
+from tests.workload.test_event_core import HORIZON, tied_catalog
 
 
 @pytest.fixture(scope="module")
@@ -72,25 +77,53 @@ class TestBuild:
         back = t["input_power"].reshape(twin.config.n_nodes, 5)
         assert np.array_equal(back, arr.node_input_w)
 
-
-class TestJobTrace:
-    def test_job_power_trace_columns(self, twin, builder):
-        al = twin.schedule.allocations
-        aid = int(al["allocation_id"][np.argmax(al["node_count"])])
-        t = job_power_trace(builder, aid, dt=10.0)
-        assert set(t.columns) == {
-            "timestamp", "count_hostname", "sum_inp", "mean_inp", "max_inp"
-        }
-        assert np.all(t["sum_inp"] >= t["max_inp"] - 1e-9)
-        assert np.all(t["max_inp"] >= t["mean_inp"] - 1e-9)
-
-    def test_unknown_allocation(self, builder):
-        with pytest.raises(KeyError):
-            job_power_trace(builder, 10_000_000)
-
     def test_deterministic(self, twin):
         a = ClusterTraceBuilder(twin.catalog, twin.schedule, twin.chips, seed=7)
         b = ClusterTraceBuilder(twin.catalog, twin.schedule, twin.chips, seed=7)
         arr_a = a.build(0.0, 100.0, 10.0)
         arr_b = b.build(0.0, 100.0, 10.0)
         assert np.array_equal(arr_a.node_input_w, arr_b.node_input_w)
+
+    def test_chunk_size_changes_no_bit(self, builder, monkeypatch):
+        kw = dict(per_gpu=True, track_alloc=True)
+        want = builder.build(5.0, 1805.0, 10.0, **kw)
+        monkeypatch.setattr(traces, "PAINT_CHUNK_CELLS", 64)
+        got = builder.build(5.0, 1805.0, 10.0, **kw)
+        for name in ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestWindowSplit:
+    """Painting is elementwise in time and disjoint in (node, time), so a
+    window cut anywhere on the sample grid paints the same bits as the
+    whole — what ``Pipeline``'s chunked stages rely on."""
+
+    @given(
+        tied_catalog(min_jobs=5, allow_zero_nodes=False),
+        st.integers(0, 2),
+        st.integers(0, 3000),           # t0
+        st.sampled_from([1, 7, 30]),    # dt
+        st.integers(1, 60),             # samples left of the cut
+        st.integers(1, 60),             # samples right of the cut
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_window_equals_whole(
+        self, catalog, seed, t0, dt, n_left, n_right
+    ):
+        # integral instants: both sides sample the same float times
+        t0, t1, t2 = float(t0), float(t0 + n_left * dt), float(
+            t0 + (n_left + n_right) * dt)
+        sched = Scheduler(catalog.config, seed=seed).run(catalog, HORIZON)
+        kw = dict(per_gpu=True, track_alloc=True)
+        builder = ClusterTraceBuilder(catalog, sched, seed=seed)
+        right = builder.build(t1, t2, float(dt), **kw)
+        left = builder.build(t0, t1, float(dt), **kw)
+        whole = builder.build(t0, t2, float(dt), **kw)  # warm noise cache
+        fresh = ClusterTraceBuilder(catalog, sched, seed=seed).build(
+            t0, t2, float(dt), **kw)
+        for name in ARRAYS:
+            want = getattr(whole, name)
+            glued = np.concatenate(
+                [getattr(left, name), getattr(right, name)], axis=-1)
+            assert np.array_equal(glued, want), name
+            assert np.array_equal(getattr(fresh, name), want), name

@@ -100,15 +100,6 @@ SPECS: dict[str, list] = {
     "ablation_destaging": [
         Scalar("60 s PUE", r"(?m)^60 s\s+([\d.]+)", tol=0.02),
     ],
-    "power_aware": [
-        Exact("engines bit-identical",
-              r"engines bit-identical \(schedule \+ cap accounting\): "
-              r"(\w+)"),
-        # runtime ratio is box-dependent; pin the line + floor only
-        Exact("engine ratio pinned",
-              r"event/reference runtime at 60% cap: [\d.]+x "
-              r"(\(floor [\d.]+x\))"),
-    ],
 }
 
 
