@@ -235,17 +235,21 @@ def cmd_serve(args) -> int:
 
     from repro.serve import QueryService, ServiceConfig, TelemetryServer
 
-    service = QueryService(args.dataset, ServiceConfig(
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
-        tenant_inflight=args.tenant_inflight,
-        cache_bytes=args.cache_mb << 20,
-        fragment_bytes=args.fragment_mb << 20,
-        spill_dir=args.spill_dir,
-        workers=args.workers,
-        slow_query_s=(args.slow_query_ms or 0.0) / 1e3,
-        slow_query_log=args.slow_query_log,
-    ))
+    try:
+        config = ServiceConfig(
+            max_inflight=args.max_inflight,
+            max_queue=args.max_queue,
+            tenant_inflight=args.tenant_inflight,
+            cache_bytes=args.cache_mb << 20,
+            fragment_bytes=args.fragment_mb << 20,
+            workers=args.workers,
+            slow_query_s=(args.slow_query_ms or 0.0) / 1e3,
+            slow_query_log=args.slow_query_log,
+        )
+    except ValueError as err:
+        print(f"error: {err}")
+        return 1
+    service = QueryService(args.dataset, config)
     server = TelemetryServer(service, args.host, args.port)
 
     async def run() -> None:
@@ -272,11 +276,15 @@ def cmd_serve(args) -> int:
 
 def cmd_query(args) -> int:
     from repro.core.report import fmt_si
-    from repro.serve import Query, QueryClient, QueryError
+    from repro.serve import Query, QueryClient, QueryError, ServiceError
 
     with QueryClient(args.host, args.port, tenant=args.tenant) as client:
         if args.stats:
-            stats = client.stats()
+            try:
+                stats = client.stats()
+            except ServiceError as err:
+                print(f"error: {err}")
+                return 1
             tenants = stats.pop("tenants", {})
             for k, v in stats.items():
                 print(f"{k}: {v}")
@@ -446,8 +454,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="in-memory result-cache budget (MiB)")
     p_srv.add_argument("--fragment-mb", type=int, default=128,
                        help="per-shard fragment-cache budget (MiB)")
-    p_srv.add_argument("--spill-dir", default=None,
-                       help="optional on-disk result-cache tier")
     p_srv.add_argument("--workers", type=int, default=None,
                        help="shard-read pool size (default: cores - 1)")
     p_srv.add_argument("--ready-file", default=None,

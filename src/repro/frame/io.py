@@ -1,7 +1,7 @@
 """Table persistence: compressed NPZ archives and CSV for the log-style data.
 
-NPZ (``numpy.savez_compressed``) is what the artifact and result caches
-spill through (dataset shards are ``.rcs``, :mod:`repro.frame.columnar`);
+NPZ (``numpy.savez_compressed``) is the pipeline artifact cache's entry
+format (dataset shards are ``.rcs``, :mod:`repro.frame.columnar`);
 CSV matches the scheduler-allocation and XID-log datasets (C, D, E), which
 the artifact appendix stores as CSV.
 """

@@ -5,10 +5,9 @@ The glue the paper's monitoring story needs on our side of the glass:
 * :mod:`repro.obs.trace` — nested spans with deterministic ids,
   cross-process propagation through ``parallel.Executor`` and the serve
   TCP protocol, JSONL sink (``REPRO_TRACE=<file>``);
-* :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket
-  histograms in mergeable registries; the ``PipelineStats`` /
-  ``ServiceStats`` / ``StreamStats`` / scheduler silos are typed views
-  over these;
+* :mod:`repro.obs.metrics` — counters and gauges in keyed registries;
+  the ``PipelineStats`` / ``ServiceStats`` / ``StreamStats`` / scheduler
+  silos are typed views over these;
 * :mod:`repro.obs.profile` — signal-based wall-clock sampler with
   per-span attribution (``REPRO_PROFILE=1``);
 * :mod:`repro.obs.export` — flame summaries, Chrome ``trace_event``
@@ -25,8 +24,7 @@ from . import trace
 from .events import NdjsonLog
 from .export import (TraceError, build_forest, flame_summary, load_trace,
                      to_chrome, validate_spans)
-from .metrics import (REGISTRY, Counter, Gauge, Histogram, MetricsRegistry,
-                      snapshot_delta)
+from .metrics import REGISTRY, Counter, Gauge, MetricsRegistry
 from .profile import SamplingProfiler, profile_from_env
 from .trace import SpanContext, current_context, span
 
@@ -37,10 +35,8 @@ __all__ = [
     "current_context",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "snapshot_delta",
     "SamplingProfiler",
     "profile_from_env",
     "NdjsonLog",

@@ -12,7 +12,6 @@ The substrate for running the twin + analysis out of core:
 
 from repro.pipeline.cache import (
     ArtifactCache,
-    atomic_put_npz,
     cache_key,
     CACHE_FORMAT_VERSION,
 )
@@ -21,7 +20,6 @@ from repro.pipeline.stats import PipelineStats, StageStats
 
 __all__ = [
     "ArtifactCache",
-    "atomic_put_npz",
     "cache_key",
     "CACHE_FORMAT_VERSION",
     "Pipeline",

@@ -37,8 +37,8 @@ def _canonical(obj, nested: bool = False) -> object:
 
     A dataclass is tagged with its class name; one nested anywhere inside
     another flattens to a plain dict of its fields (``nested``).  Existing
-    digests depend on exactly that shape — spilled results and pipeline
-    artifacts are addressed by them.
+    digests depend on exactly that shape — pipeline artifacts on disk are
+    addressed by them.
     """
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
@@ -81,21 +81,6 @@ def cache_key(*parts, **fields) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def atomic_put_npz(table: Table, path: str | os.PathLike) -> int:
-    """Atomically persist ``table`` as a ``.npz`` at ``path``.
-
-    The write goes to a temporary file in the destination's own directory
-    and is renamed into place with ``os.replace``, so a concurrent reader
-    can never observe a torn archive — it sees either the old complete
-    entry or the new one.  This is the one write path shared by
-    :meth:`ArtifactCache.put` and the query service's
-    :class:`~repro.serve.cache.ResultCache` disk spill, so every cache in
-    the system inherits the same torn-read guarantee.  Returns bytes on
-    disk.
-    """
-    return save_npz(table, path, atomic=True)
-
-
 class ArtifactCache:
     """A directory of content-addressed table artifacts.
 
@@ -104,23 +89,11 @@ class ArtifactCache:
     >>> cache.get(key)            # None on a cold cache
     >>> cache.put(key, table)     # returns bytes written
     >>> cache.get(key)            # Table, bit-identical to what was put
-
-    ``max_bytes`` caps the store: after every put, least-recently-used
-    entries (recency = file mtime, refreshed on every hit) are evicted
-    until the total fits.  The default ``None`` keeps the historical
-    unbounded behavior; long-running services should set a cap so the
-    pipeline cache cannot grow without bound.  The entry just written is
-    never evicted by its own put, so the cap can be exceeded transiently
-    by one oversized artifact.  ``evictions`` counts removals.
     """
 
-    def __init__(self, root: str | os.PathLike, max_bytes: int | None = None):
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
-        self.evictions = 0
 
     def __repr__(self) -> str:
         return f"ArtifactCache({str(self.root)!r}, entries={self.n_entries})"
@@ -137,47 +110,15 @@ class ArtifactCache:
         if not p.exists():
             return None
         try:
-            table = load_npz(p)
+            return load_npz(p)
         except Exception:
             # a torn entry (e.g. process killed mid-rename on a non-POSIX
             # filesystem) is treated as a miss and overwritten
             return None
-        try:
-            os.utime(p)  # refresh recency for LRU eviction
-        except OSError:  # pragma: no cover - entry raced away mid-read
-            pass
-        return table
 
     def put(self, key: str, table: Table) -> int:
         """Store ``table`` under ``key`` atomically; returns bytes on disk."""
-        n = atomic_put_npz(table, self.path(key))
-        if self.max_bytes is not None:
-            self._evict(protect=self.path(key))
-        return n
-
-    def _evict(self, protect: Path | None = None) -> None:
-        """Unlink least-recently-used entries until the cap is respected."""
-        entries = []
-        total = 0
-        for p in self._entries():
-            try:
-                st = p.stat()
-            except FileNotFoundError:  # concurrent eviction/clear
-                continue
-            entries.append((st.st_mtime, st.st_size, p))
-            total += st.st_size
-        entries.sort()
-        for _, size, p in entries:
-            if total <= self.max_bytes:
-                break
-            if protect is not None and p == protect:
-                continue
-            try:
-                p.unlink()
-            except FileNotFoundError:  # pragma: no cover - racing process
-                continue
-            total -= size
-            self.evictions += 1
+        return save_npz(table, self.path(key), atomic=True)
 
     def __contains__(self, key: str) -> bool:
         return self.path(key).exists()

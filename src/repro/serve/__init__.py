@@ -10,7 +10,7 @@ newline-delimited-JSON TCP (:class:`~repro.serve.server.TelemetryServer`
 / :class:`~repro.serve.client.QueryClient`).
 """
 
-from repro.serve.cache import FragmentCache, ResultCache, SingleFlight
+from repro.serve.cache import ResultCache, SingleFlight
 from repro.serve.client import QueryClient, ServiceError
 from repro.serve.planner import QueryPlan, ShardTask, plan_query
 from repro.serve.query import DERIVED, LEVELS, Query, QueryError
@@ -33,7 +33,6 @@ __all__ = [
     "ShardTask",
     "plan_query",
     "ResultCache",
-    "FragmentCache",
     "SingleFlight",
     "Admission",
     "TenantState",

@@ -1,18 +1,17 @@
 """Cross-query result reuse: in-memory LRU + single-flight deduplication.
 
-:class:`ResultCache` keys finished result tables by the query's canonical
+:class:`ResultCache` keys tables by a content hash and holds them in
+memory under a byte cap with least-recently-used eviction.  The service
+keeps two: one of finished results keyed by the query's canonical
 fingerprint (:meth:`repro.serve.query.Query.fingerprint` — the same
 content-addressing scheme as the pipeline's
-:class:`~repro.pipeline.cache.ArtifactCache`), holds them in memory under
-a byte cap with least-recently-used eviction, and can optionally *spill*
-through an ``ArtifactCache`` so evicted results survive on disk — written
-with the same :func:`~repro.pipeline.cache.atomic_put_npz` helper, so a
-concurrent reader can never observe a torn entry.
-
-:class:`FragmentCache` is the same LRU one level down: it keys per-shard
-partial aggregates (*fragments*) instead of finished queries, so queries
-that merely *overlap* — different fingerprints, shared shards — reuse
-each other's shard work and only compute the uncovered remainder.
+:class:`~repro.pipeline.cache.ArtifactCache`), and one of per-shard
+partial aggregates (*fragments*) keyed by
+:meth:`~repro.serve.planner.QueryPlan.fragment_key`, so queries that
+merely *overlap* — different fingerprints, shared shards — reuse each
+other's shard work and only compute the uncovered remainder.  Neither
+outlives the service: a fingerprint does not name the dataset it was
+answered from.
 
 :class:`SingleFlight` collapses N identical concurrent queries into one
 execution: the first caller becomes the *leader* and runs the work; every
@@ -29,37 +28,27 @@ from collections import OrderedDict
 from collections.abc import Awaitable, Callable
 
 from repro.frame.table import Table
-from repro.pipeline.cache import ArtifactCache
 
-__all__ = ["ResultCache", "FragmentCache", "SingleFlight"]
+__all__ = ["ResultCache", "SingleFlight"]
 
 
 class ResultCache:
-    """Byte-capped LRU table cache keyed by query fingerprint.
+    """Byte-capped in-memory LRU of tables keyed by content hash.
 
-    ``max_bytes`` bounds the in-memory tier (eviction never rejects a
-    put: the newest entry stays even if it alone exceeds the cap, exactly
-    like :class:`~repro.pipeline.cache.ArtifactCache`).  ``spill`` is an
-    optional on-disk second tier: puts are written through atomically,
-    in-memory misses consult it and promote hits back into memory.
+    ``max_bytes`` bounds the cache (eviction never rejects a put: the
+    newest entry stays even if it alone exceeds the cap).
     """
 
-    def __init__(
-        self,
-        max_bytes: int = 64 << 20,
-        spill: ArtifactCache | None = None,
-    ):
+    def __init__(self, max_bytes: int = 64 << 20):
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = int(max_bytes)
-        self.spill = spill
         self._entries: OrderedDict[str, Table] = OrderedDict()
         self._bytes: dict[str, int] = {}
         self.n_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.spill_hits = 0
 
     def __repr__(self) -> str:
         return (
@@ -73,29 +62,18 @@ class ResultCache:
         return len(self._entries)
 
     def get(self, key: str) -> Table | None:
-        """The cached result (refreshing its recency), or None."""
+        """The cached table (refreshing its recency), or None."""
         table = self._entries.get(key)
         if table is not None:
             self._entries.move_to_end(key)
             self.hits += 1
             return table
-        if self.spill is not None:
-            table = self.spill.get(key)
-            if table is not None:
-                self.hits += 1
-                self.spill_hits += 1
-                self._insert(key, table)  # promote back into memory
-                return table
         self.misses += 1
         return None
 
     def put(self, key: str, table: Table) -> None:
-        """Insert a finished result (write-through to the spill tier)."""
-        if self.spill is not None:
-            self.spill.put(key, table)
-        self._insert(key, table)
-
-    def _insert(self, key: str, table: Table) -> None:
+        """Insert a table, evicting least-recently-used entries over the
+        byte cap."""
         if key in self._entries:
             self.n_bytes -= self._bytes.pop(key)
             del self._entries[key]
@@ -109,31 +87,12 @@ class ResultCache:
             self.evictions += 1
 
     def clear(self) -> int:
-        """Drop every in-memory entry (the spill tier is left alone)."""
+        """Drop every entry (the counters are kept)."""
         n = len(self._entries)
         self._entries.clear()
         self._bytes.clear()
         self.n_bytes = 0
         return n
-
-
-class FragmentCache(ResultCache):
-    """Byte-capped LRU of per-shard *fragments* — full-shard partial
-    aggregates keyed by :meth:`repro.serve.planner.QueryPlan.fragment_key`
-    (shard generation identity + kernel parameters).
-
-    Mechanically a :class:`ResultCache` (same LRU, byte cap, and
-    counters), but it caches *below* the query level: two queries with
-    different time ranges share every fragment of the shards they both
-    cover, so an overlapping query only computes its uncovered remainder.
-    Fragments are tiny (a few coarsen windows per shard), so the default
-    cap holds thousands of shard-kernels.  Never spilled: a fragment is
-    cheaper to recompute than a full query, and the disk tier belongs to
-    finished results.
-    """
-
-    def __init__(self, max_bytes: int = 128 << 20):
-        super().__init__(max_bytes)
 
 
 class SingleFlight:
@@ -156,37 +115,20 @@ class SingleFlight:
     def n_inflight(self) -> int:
         return len(self._flights)
 
-    def leader(self, key: str) -> bool:
-        """True if the caller just became leader for ``key`` (it must then
-        call :meth:`resolve` or :meth:`fail` exactly once)."""
-        if key in self._flights:
-            return False
-        self._flights[key] = asyncio.get_running_loop().create_future()
-        return True
-
-    async def wait(self, key: str):
-        """Await the in-flight result for ``key`` (follower path)."""
-        return await asyncio.shield(self._flights[key])
-
-    def resolve(self, key: str, value) -> None:
-        fut = self._flights.pop(key)
-        if not fut.done():
-            fut.set_result(value)
-
-    def fail(self, key: str, err: BaseException) -> None:
-        fut = self._flights.pop(key)
-        if not fut.done():
-            fut.set_exception(err)
-            fut.exception()  # mark retrieved: a flight may have no followers
-
     async def run(self, key: str, fn: Callable[[], Awaitable]):
-        """(result, led) — convenience wrapper over leader/wait/resolve."""
-        if not self.leader(key):
-            return await self.wait(key), False
+        """(result, led): lead ``key``'s flight by awaiting ``fn()``, or
+        follow the flight already running under ``key``."""
+        fut = self._flights.get(key)
+        if fut is not None:
+            return await asyncio.shield(fut), False
+        fut = self._flights[key] = asyncio.get_running_loop().create_future()
         try:
             value = await fn()
         except BaseException as err:
-            self.fail(key, err)
+            fut.set_exception(err)
+            fut.exception()  # mark retrieved: a flight may have no followers
             raise
-        self.resolve(key, value)
+        finally:
+            del self._flights[key]
+        fut.set_result(value)
         return value, True

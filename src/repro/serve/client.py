@@ -2,8 +2,8 @@
 
 One persistent connection, one JSON line per request/response.  Result
 tables arrive in wire form and are rebuilt into
-:class:`~repro.frame.table.Table` objects by default, so a client-side
-result compares equal (``==``, bit-for-bit) to the server-side one.
+:class:`~repro.frame.table.Table` objects, so a client-side result
+compares equal (``==``, bit-for-bit) to the server-side one.
 Numeric columns of a rebuilt table are read-only views over the decoded
 bytes; ``np.array(col)`` when one has to be written to.
 """
@@ -21,8 +21,9 @@ __all__ = ["QueryClient", "ServiceError"]
 
 
 class ServiceError(RuntimeError):
-    """The connection failed mid-request (protocol error, server gone) or
-    the response carried a table that does not decode."""
+    """The connection failed mid-request (protocol error, server gone),
+    the response carried a table that does not decode, or a ``stats``
+    request was answered with an error."""
 
 
 class QueryClient:
@@ -65,9 +66,9 @@ class QueryClient:
         except json.JSONDecodeError as err:
             raise ServiceError(f"bad response line: {err}") from err
 
-    def query(self, query: Query | dict, decode: bool = True) -> dict:
-        """Run one query; with ``decode`` the response's ``table`` is a
-        rebuilt :class:`~repro.frame.table.Table`.
+    def query(self, query: Query | dict) -> dict:
+        """Run one query; the response's ``table`` is a rebuilt
+        :class:`~repro.frame.table.Table`.
 
         A table that does not decode, or whose length is not the
         response's ``rows``, raises :class:`ServiceError` naming the
@@ -88,7 +89,7 @@ class QueryClient:
             resp = self.request(payload)
             sp.set(status=resp.get("status"),
                    cache=resp.get("cache"), rows=resp.get("rows"))
-        if decode and "table" in resp:
+        if "table" in resp:
             try:
                 table = table_from_wire(resp["table"])
             except ValueError as err:
@@ -102,7 +103,10 @@ class QueryClient:
         return resp
 
     def stats(self) -> dict:
-        return self.request({"op": "stats"})["stats"]
+        resp = self.request({"op": "stats"})
+        if "stats" not in resp:  # an error answer
+            raise ServiceError(f"stats: {resp.get('error')}")
+        return resp["stats"]
 
     def ping(self) -> bool:
         return self.request({"op": "ping"}).get("status") == "ok"

@@ -32,9 +32,9 @@ and under which cache key.  The coarsen grid is epoch-aligned
 lands on the grid no window straddles it: the full fragment restricted to
 window starts in ``[lo, hi)`` is **bit-identical** to aggregating the raw
 row slice directly.  That is what lets the service memoize one fragment
-per ``(shard, kernel)`` and serve every overlapping query from it
-(:class:`~repro.serve.cache.FragmentCache`), while unaligned bounds fall
-back to a direct, uncached slice computation.
+per ``(shard, kernel)`` and serve every overlapping query from it (the
+service's fragment :class:`~repro.serve.cache.ResultCache`), while
+unaligned bounds fall back to a direct, uncached slice computation.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import SUMMIT
 from repro.frame.table import Table, concat
 from repro.frame.window import window_index, window_span
 from repro.obs import trace
@@ -198,7 +197,7 @@ class QueryPlan:
 
     def run_fragment(self, index: int) -> Table:
         """Shard ``index``'s full fragment: the kernel chain over every
-        row (the unit :class:`~repro.serve.cache.FragmentCache` stores)."""
+        row (the unit the service's fragment cache stores)."""
         with trace.span("serve.fragment.compute", shard=index):
             return self.run_shard_table(
                 self.dataset.read_time_range(
@@ -357,11 +356,7 @@ def _reject_straddled_windows(
     )
 
 
-def plan_query(
-    query: Query,
-    dataset: PartitionedDataset,
-    nodes_per_cabinet: int = SUMMIT.nodes_per_cabinet,
-) -> QueryPlan:
+def plan_query(query: Query, dataset: PartitionedDataset) -> QueryPlan:
     """Validate ``query`` against ``dataset`` and build its plan.
 
     Raises :class:`~repro.serve.query.QueryError` for queries the store
@@ -390,7 +385,7 @@ def plan_query(
 
     with trace.span("serve.plan_query", level=query.level) as sp:
         shards = dataset.select_time(t_lo, t_hi, time=query.time)
-        node_ids = query.node_selection(nodes_per_cabinet)
+        node_ids = query.node_selection()
         node_array = None
         if node_ids is not None:
             node_array = np.asarray(node_ids, dtype=np.int64)

@@ -25,7 +25,7 @@ Levels
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from repro.config import SUMMIT
 from repro.pipeline.cache import cache_key
@@ -154,18 +154,16 @@ class Query:
 
     # ---------------- selections ----------------
 
-    def node_selection(
-        self, nodes_per_cabinet: int = SUMMIT.nodes_per_cabinet
-    ) -> tuple[int, ...] | None:
+    def node_selection(self) -> tuple[int, ...] | None:
         """The selected node ids (union of ``nodes`` and every node of the
-        selected ``cabinets``), or None for all nodes."""
+        selected ``cabinets``, ``SUMMIT.nodes_per_cabinet`` each), or None
+        for all nodes."""
         if self.nodes is None and self.cabinets is None:
             return None
+        per_cab = SUMMIT.nodes_per_cabinet
         picked: set[int] = set(self.nodes or ())
         for cab in self.cabinets or ():
-            picked.update(
-                range(cab * nodes_per_cabinet, (cab + 1) * nodes_per_cabinet)
-            )
+            picked.update(range(cab * per_cab, (cab + 1) * per_cab))
         return tuple(sorted(picked))
 
     # ---------------- identity & wire form ----------------
@@ -218,7 +216,3 @@ class Query:
             raise
         except (TypeError, ValueError) as err:
             raise QueryError(f"malformed query: {err}") from err
-
-    def with_range(self, t_begin: float | None, t_end: float | None) -> "Query":
-        """This query over a different time range (canonicalized)."""
-        return replace(self, t_begin=t_begin, t_end=t_end)

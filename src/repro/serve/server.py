@@ -23,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,13 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import SUMMIT
 from repro.frame.table import Table
 from repro.obs import trace
 from repro.obs.events import NdjsonLog
 from repro.parallel.partition import PartitionedDataset
-from repro.pipeline.cache import ArtifactCache
-from repro.serve.cache import FragmentCache, ResultCache, SingleFlight
+from repro.serve.cache import ResultCache, SingleFlight
 from repro.serve.planner import QueryPlan, ShardTask, plan_query
 from repro.serve.query import Query, QueryError
 from repro.serve.session import Admission, RejectedError
@@ -54,6 +53,9 @@ __all__ = [
 #: response and the connection is closed
 MAX_REQUEST_BYTES = 64 << 10
 
+#: result-table size at which the TCP layer moves wire conversion and
+#: NDJSON encoding off the event loop onto the worker pool
+ENCODE_OFFLOAD_MIN_BYTES = 32 << 10
 
 #: dtype kinds that travel packed (bool, signed, unsigned, float); every
 #: other kind travels as a JSON list
@@ -141,15 +143,14 @@ def table_from_wire(raw: dict) -> Table:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Service knobs (admission bounds, cache tiers, worker pool).
-
-    ``encode_offload_bytes`` is the result-table size at which the TCP
-    layer moves NDJSON encoding off the event loop.
+    """Service knobs (admission bounds, cache byte caps, worker pool).
 
     ``slow_query_log`` names an NDJSON file; every query whose total
     latency reaches ``slow_query_s`` (0.0 = log all) appends one line
     carrying its fingerprint, cache outcome, coverage mix, fragment
-    hit/miss breakdown, and per-shard task timings.
+    hit/miss breakdown, and per-shard task timings.  ``slow_query_s``
+    must be finite and non-negative: the ``stats`` answer reports it,
+    and that answer is strict JSON.
     """
 
     max_inflight: int = 8
@@ -157,12 +158,16 @@ class ServiceConfig:
     tenant_inflight: int = 4
     cache_bytes: int = 64 << 20
     fragment_bytes: int = 128 << 20
-    encode_offload_bytes: int = 32 << 10
-    spill_dir: str | os.PathLike | None = None
     workers: int | None = None
-    nodes_per_cabinet: int = SUMMIT.nodes_per_cabinet
     slow_query_s: float = 0.0
     slow_query_log: str | os.PathLike | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.slow_query_s < math.inf:
+            raise ValueError(
+                "slow_query_s must be finite and >= 0, got "
+                f"{self.slow_query_s!r}"
+            )
 
 
 class QueryService:
@@ -176,7 +181,7 @@ class QueryService:
 
     Cold execution fans the plan's per-shard tasks out concurrently over
     the worker pool and routes fragment-eligible tasks through the
-    :class:`~repro.serve.cache.FragmentCache`: a query overlapping
+    fragment :class:`~repro.serve.cache.ResultCache`: a query overlapping
     previously-computed shards reuses their full-shard aggregates (or
     grid-aligned slices of them) and only computes the uncovered
     remainder, with per-fragment single-flight so concurrent overlapping
@@ -194,13 +199,8 @@ class QueryService:
             dataset = PartitionedDataset(dataset)
         self.dataset = dataset
         self.config = config or ServiceConfig()
-        spill = (
-            ArtifactCache(self.config.spill_dir)
-            if self.config.spill_dir is not None
-            else None
-        )
-        self.cache = ResultCache(self.config.cache_bytes, spill=spill)
-        self.fragments = FragmentCache(self.config.fragment_bytes)
+        self.cache = ResultCache(self.config.cache_bytes)
+        self.fragments = ResultCache(self.config.fragment_bytes)
         #: per-fragment single-flight: concurrent queries needing the same
         #: uncached fragment compute it once and share the result
         self.fragment_flight = SingleFlight()
@@ -278,7 +278,6 @@ class QueryService:
             query.validate()
             key = query.fingerprint()
         except QueryError as err:
-            st.errors += 1
             self.stats.record_error()
             qsp.set(status="error")
             return {"status": "error", "error": str(err)}
@@ -287,79 +286,64 @@ class QueryService:
         cached = self.cache.get(key)
         if cached is not None:
             qsp.set(cache="hit")
-            return self._ok(query, tenant, cached, "hit", t0, 0.0)
+            return self._ok(query, key, tenant, cached, "hit", t0, 0.0)
 
-        if not self.flight.leader(key):
-            # an identical query is already executing: share its outcome
-            try:
-                table, meta = await self.flight.wait(key)
-            except RejectedError as err:
-                st.rejected += 1
-                self.stats.record_rejected()
-                return {"status": "rejected", "reason": err.reason}
-            except QueryError as err:
-                st.errors += 1
-                self.stats.record_error()
-                return {"status": "error", "error": str(err)}
-            qsp.set(cache="shared")
-            return self._ok(query, tenant, table, "shared", t0, 0.0, meta)
-
-        # leader: the flight is registered, so admission's verdict (and
-        # any execution failure) propagates to every follower
-        try:
+        async def execute() -> tuple[Table, dict, float]:
+            # runs once per flight: admission's verdict (and any execution
+            # failure) reaches every caller sharing it
             with trace.span("serve.admit"):
                 queued_s = await self.admission.admit(tenant)
+            try:
+                e0 = time.perf_counter()
+                plan = plan_query(query, self.dataset)
+                frag = {"hits": 0, "shared": 0, "misses": 0,
+                        "full": 0, "aligned": 0, "partial": 0}
+                task_log: list[dict] = []
+                # fan the plan's tasks out concurrently; gather preserves
+                # task order, so the merge is deterministic regardless of
+                # which shard finishes first
+                parts = await asyncio.gather(
+                    *(self._run_task(plan, t, frag, task_log)
+                      for t in plan.tasks())
+                )
+                table = await self._in_pool(
+                    "serve.merge", plan.finalize, list(parts)
+                )
+                exec_s = time.perf_counter() - e0
+            finally:
+                self.admission.release(tenant)
+            meta = {
+                "scanned": len(plan.shards),
+                "pruned": plan.n_shards_pruned,
+                "exec_s": exec_s,
+                "fragments": frag,
+                "tasks": task_log,
+            }
+            # stored before the flight resolves: whoever asks next finds
+            # either the flight or the cache entry
+            self.cache.put(key, table)
+            return table, meta, queued_s
+
+        try:
+            (table, meta, queued_s), led = await self.flight.run(key, execute)
         except RejectedError as err:
-            self.flight.fail(key, err)
+            st.rejected += 1
             self.stats.record_rejected()
             qsp.set(status="rejected")
             return {"status": "rejected", "reason": err.reason}
-        try:
-            e0 = time.perf_counter()
-            plan = plan_query(
-                query, self.dataset,
-                nodes_per_cabinet=self.config.nodes_per_cabinet,
-            )
-            frag = {"hits": 0, "shared": 0, "misses": 0,
-                    "full": 0, "aligned": 0, "partial": 0}
-            task_log: list[dict] = []
-            # fan the plan's tasks out concurrently; gather preserves task
-            # order, so the merge is deterministic regardless of which
-            # shard finishes first
-            parts = await asyncio.gather(
-                *(self._run_task(plan, t, frag, task_log)
-                  for t in plan.tasks())
-            )
-            table = await self._in_pool(
-                "serve.merge", plan.finalize, list(parts)
-            )
-            exec_s = time.perf_counter() - e0
         except QueryError as err:
-            self.flight.fail(key, err)
-            st.errors += 1
             self.stats.record_error()
             qsp.set(status="error")
             return {"status": "error", "error": str(err)}
-        except BaseException as err:
-            self.flight.fail(key, err)
-            raise
-        finally:
-            self.admission.release(tenant)
-        meta = {
-            "scanned": len(plan.shards),
-            "pruned": plan.n_shards_pruned,
-            "exec_s": exec_s,
-            "fragments": frag,
-            "tasks": task_log,
-        }
-        self.cache.put(key, table)
-        self.flight.resolve(key, (table, meta))
-        qsp.set(cache="miss", shards=len(plan.shards))
-        return self._ok(query, tenant, table, "miss", t0, queued_s, meta)
+        if not led:
+            qsp.set(cache="shared")
+            return self._ok(query, key, tenant, table, "shared", t0, 0.0, meta)
+        qsp.set(cache="miss", shards=meta["scanned"])
+        return self._ok(query, key, tenant, table, "miss", t0, queued_s, meta)
 
     async def _run_task(
         self, plan: QueryPlan, task: ShardTask, frag: dict,
-        task_log: list[dict] | None = None,
+        task_log: list[dict],
     ) -> Table:
         """Execute one shard task, going through the fragment cache when
         the task is fragment-eligible (``full``/``aligned`` coverage).
@@ -372,57 +356,50 @@ class QueryService:
         a post-``compact()`` shard can never be served a stale fragment.
         """
         t0 = time.perf_counter()
+        if task.coverage != "raw":
+            frag[task.coverage] += 1
+        key = task.fragment_key
         with trace.span("serve.task", shard=task.index,
                         coverage=task.coverage) as sp:
-            table, source = await self._run_task_inner(plan, task, frag)
-            sp.set(source=source)
-        if task_log is not None:
-            task_log.append({
-                "shard": task.index,
-                "coverage": task.coverage,
-                "source": source,
-                "s": round(time.perf_counter() - t0, 6),
-            })
-        return table
-
-    async def _run_task_inner(
-        self, plan: QueryPlan, task: ShardTask, frag: dict
-    ) -> tuple[Table, str]:
-        if task.coverage in ("full", "aligned"):
-            frag[task.coverage] += 1
-        elif task.coverage == "partial":
-            frag["partial"] += 1
-        key = task.fragment_key
-        if key is None:  # partial / raw: no fragment can stand in
-            table = await self._in_pool(
-                "serve.task.exec", plan.run_task, task, shard=task.index
-            )
-            return table, "direct"
-        fragment = self.fragments.get(key)
-        if fragment is not None:
-            frag["hits"] += 1
-            source = "hit"
-        else:
-            async def compute() -> Table:
-                fragment = await self._in_pool(
-                    "serve.task.exec", plan.run_fragment, task.index,
-                    shard=task.index,
+            if key is None:  # partial / raw: no fragment can stand in
+                table = await self._in_pool(
+                    "serve.task.exec", plan.run_task, task, shard=task.index
                 )
-                # stored before the flight resolves: whoever asks next
-                # finds either the flight or the cache entry
-                self.fragments.put(key, fragment)
-                return fragment
+                source = "direct"
+            else:
+                table = self.fragments.get(key)
+                if table is not None:
+                    frag["hits"] += 1
+                    source = "hit"
+                else:
+                    async def compute() -> Table:
+                        fragment = await self._in_pool(
+                            "serve.task.exec", plan.run_fragment, task.index,
+                            shard=task.index,
+                        )
+                        # stored before the flight resolves: whoever asks
+                        # next finds either the flight or the cache entry
+                        self.fragments.put(key, fragment)
+                        return fragment
 
-            fragment, led = await self.fragment_flight.run(key, compute)
-            source = "miss" if led else "shared"
-            frag["misses" if led else "shared"] += 1
-        if task.coverage == "aligned":
-            return plan.slice_fragment(fragment, task.lo, task.hi), source
-        return fragment, source
+                    table, led = await self.fragment_flight.run(key, compute)
+                    source = "miss" if led else "shared"
+                    frag["misses" if led else "shared"] += 1
+                if task.coverage == "aligned":
+                    table = plan.slice_fragment(table, task.lo, task.hi)
+            sp.set(source=source)
+        task_log.append({
+            "shard": task.index,
+            "coverage": task.coverage,
+            "source": source,
+            "s": round(time.perf_counter() - t0, 6),
+        })
+        return table
 
     def _ok(
         self,
         query: Query,
+        key: str,
         tenant: str,
         table: Table,
         cache: str,
@@ -437,14 +414,12 @@ class QueryService:
         st.wall_s += elapsed
         if cache == "hit":
             st.cache_hits += 1
-        executed = cache == "miss" and meta is not None
-        fragments = meta.get("fragments") if meta else None
+        # a miss or a shared answer carries its flight's meta; a hit none
+        executed = cache == "miss"
+        fragments = meta["fragments"] if meta else None
         if executed:
             st.shards_scanned += meta["scanned"]
-            if fragments:
-                st.frag_hits += (
-                    fragments["hits"] + fragments["shared"]
-                )
+            st.frag_hits += fragments["hits"] + fragments["shared"]
         self.stats.record_ok(
             cache=cache,
             rows=table.n_rows,
@@ -466,15 +441,14 @@ class QueryService:
         if meta is not None:
             resp["shards"] = {"scanned": meta["scanned"],
                               "pruned": meta["pruned"]}
-            if fragments is not None:
-                resp["fragments"] = dict(fragments)
+            resp["fragments"] = dict(fragments)
         if (
             self.slow_log is not None
             and elapsed >= self.config.slow_query_s
         ):
             self.slow_log.emit(
                 "slow_query",
-                fingerprint=query.fingerprint(),
+                fingerprint=key,
                 tenant=tenant,
                 cache=cache,
                 level=query.level,
@@ -487,28 +461,22 @@ class QueryService:
                     if executed else None
                 ),
                 fragments=dict(fragments) if fragments else None,
-                tasks=meta.get("tasks") if executed else None,
+                tasks=meta["tasks"] if executed else None,
             )
         return resp
 
     def snapshot(self) -> dict:
-        """Counters for the ``stats`` op (includes cache tiers)."""
+        """Counters for the ``stats`` op (includes both caches)."""
         out = self.stats.snapshot(self.admission)
-        out["result_cache"] = {
-            "entries": self.cache.n_entries,
-            "bytes": self.cache.n_bytes,
-            "hits": self.cache.hits,
-            "misses": self.cache.misses,
-            "evictions": self.cache.evictions,
-            "spill_hits": self.cache.spill_hits,
-        }
-        out["fragment_cache"] = {
-            "entries": self.fragments.n_entries,
-            "bytes": self.fragments.n_bytes,
-            "hits": self.fragments.hits,
-            "misses": self.fragments.misses,
-            "evictions": self.fragments.evictions,
-        }
+        for name, cache in (("result_cache", self.cache),
+                            ("fragment_cache", self.fragments)):
+            out[name] = {
+                "entries": cache.n_entries,
+                "bytes": cache.n_bytes,
+                "hits": cache.hits,
+                "misses": cache.misses,
+                "evictions": cache.evictions,
+            }
         out["dataset"] = {
             "name": self.dataset.name,
             "partitions": self.dataset.n_partitions,
@@ -639,8 +607,7 @@ class TelemetryServer:
             try:
                 if (
                     isinstance(table, Table)
-                    and table.nbytes()
-                    >= self.service.config.encode_offload_bytes
+                    and table.nbytes() >= ENCODE_OFFLOAD_MIN_BYTES
                 ):
                     # big results: wire conversion + JSON encoding would
                     # stall the event loop for milliseconds per response
@@ -674,10 +641,8 @@ class TelemetryServer:
         if op == "query":
             # the table stays live here; _respond's encode step (possibly
             # on the worker pool) converts it to wire form
-            return dict(
-                await self.service.query(
-                    req.get("query") or {}, tenant=req.get("tenant", "default")
-                )
+            return await self.service.query(
+                req.get("query") or {}, tenant=req.get("tenant", "default")
             )
         return {"status": "error", "error": f"unknown op {op!r}"}
 

@@ -37,15 +37,14 @@ class RejectedError(Exception):
 
 @dataclass
 class TenantState:
-    """Per-tenant accounting (admission reads ``held``; stats reads the
-    rest)."""
+    """Per-tenant accounting (admission keeps ``held`` and ``queued``;
+    the service counts outcomes; stats reads the rest)."""
 
     name: str
     held: int = 0           # running + queued right now
     queries: int = 0
     ok: int = 0
     rejected: int = 0
-    errors: int = 0
     queued: int = 0
     cache_hits: int = 0
     frag_hits: int = 0      # fragments served from cache or a shared flight
@@ -69,8 +68,6 @@ class Admission:
     waiting: int = 0
     rejected_capacity: int = 0
     rejected_quota: int = 0
-    total_admitted: int = 0
-    total_queued: int = 0
     tenants: dict[str, TenantState] = field(default_factory=dict)
     _wakeup: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
 
@@ -96,14 +93,12 @@ class Admission:
         """
         st = self.tenant(tenant)
         if st.held >= self.tenant_inflight:
-            st.rejected += 1
             self.rejected_quota += 1
             raise RejectedError(
                 f"tenant {tenant!r} over quota "
                 f"({st.held}/{self.tenant_inflight} in flight)"
             )
         if self.running >= self.max_inflight and self.waiting >= self.max_queue:
-            st.rejected += 1
             self.rejected_capacity += 1
             raise RejectedError(
                 f"server at capacity ({self.running} running, "
@@ -113,10 +108,8 @@ class Admission:
         # queue-waiters first: a fresh arrival never jumps the line
         if self.running < self.max_inflight and self.waiting == 0:
             self.running += 1
-            self.total_admitted += 1
             return 0.0
         self.waiting += 1
-        self.total_queued += 1
         st.queued += 1
         t0 = time.perf_counter()
         try:
@@ -129,7 +122,6 @@ class Admission:
             raise
         self.waiting -= 1
         self.running += 1
-        self.total_admitted += 1
         return time.perf_counter() - t0
 
     def release(self, tenant: str) -> None:

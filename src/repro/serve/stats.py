@@ -8,13 +8,13 @@ reports *current* tail behavior, not a year-long average.
 
 Re-based on :class:`~repro.obs.metrics.MetricsRegistry`: every counter is
 a registry metric in a per-instance registry (two services in one process
-never share numbers), and latencies are mirrored into registry histograms
-(``serve.latency`` etc.) so the unified metrics snapshot carries the
-distribution without samples.  All mutation and the ``snapshot()`` /
-``report()`` reads take one lock — a snapshot is a consistent point in
-time even when worker-pool callbacks land concurrently (the invariant
-``queries == ok + rejected + errors`` holds in *every* snapshot, hammered
-by ``tests/obs/test_service_stats_atomic.py``).  Output shapes are pinned
+never share numbers); the reservoirs are the one latency estimator every
+reader (``snapshot()``, ``report()``) takes its quantiles from.  All
+mutation and the ``snapshot()`` / ``report()`` reads take one lock — a
+snapshot is a consistent point in time even when worker-pool callbacks
+land concurrently (the invariant ``queries == ok + rejected + errors``
+holds in *every* snapshot, hammered by
+``tests/obs/test_service_stats_atomic.py``).  Output shapes are pinned
 pre-re-base by ``tests/obs/test_stats_compat.py``.
 """
 
@@ -37,11 +37,9 @@ class LatencyReservoir:
 
     def __init__(self, capacity: int = 8192):
         self._samples: deque[float] = deque(maxlen=capacity)
-        self.count = 0
 
     def add(self, seconds: float) -> None:
         self._samples.append(float(seconds))
-        self.count += 1
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -88,13 +86,6 @@ class _CounterField(MetricField):
 
 class ServiceStats:
     """Aggregated counters for one :class:`~repro.serve.server.QueryService`."""
-
-    COUNTERS = (
-        "queries", "ok", "rejected", "errors", "cache_hits", "cache_shared",
-        "executed", "rows_served", "shards_scanned", "shards_pruned",
-        "frag_hits", "frag_shared", "frag_misses",
-        "tasks_full", "tasks_aligned", "tasks_partial", "encode_offloads",
-    )
 
     queries = _CounterField()
     ok = _CounterField()
@@ -144,7 +135,6 @@ class ServiceStats:
             c("serve.ok").inc()
             c("serve.rows_served").inc(rows)
             self.latency.add(elapsed_s)
-            self.registry.histogram("serve.latency").observe(elapsed_s)
             if cache == "hit":
                 c("serve.cache_hits").inc()
             elif cache == "shared":
@@ -156,8 +146,6 @@ class ServiceStats:
                 self.fanout.add(float(shards_scanned))
                 if executed_s is not None:
                     self.exec_latency.add(executed_s)
-                    self.registry.histogram("serve.exec_latency").observe(
-                        executed_s)
                 if fragments:
                     c("serve.frag_hits").inc(fragments.get("hits", 0))
                     c("serve.frag_shared").inc(fragments.get("shared", 0))

@@ -5,8 +5,8 @@ import pytest
 
 from repro.datasets import SimulationSpec
 from repro.frame.table import Table
-from repro.pipeline import ArtifactCache, atomic_put_npz, cache_key
-from repro.pipeline.cache import load_npz
+from repro.frame.io import load_npz, save_npz
+from repro.pipeline import ArtifactCache, cache_key
 
 
 def _table():
@@ -150,74 +150,22 @@ class TestArtifactCache:
 class TestAtomicPut:
     def test_round_trip_and_no_leftovers(self, tmp_path):
         t = _table()
-        n = atomic_put_npz(t, tmp_path / "out.npz")
+        n = save_npz(t, tmp_path / "out.npz", atomic=True)
         assert n == (tmp_path / "out.npz").stat().st_size
         assert load_npz(tmp_path / "out.npz") == t
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.npz"]
 
     def test_replaces_existing_entry(self, tmp_path):
         path = tmp_path / "out.npz"
-        atomic_put_npz(_table(), path)
+        save_npz(_table(), path, atomic=True)
         bigger = Table({"t": np.arange(50, dtype=np.float64)})
-        atomic_put_npz(bigger, path)
+        save_npz(bigger, path, atomic=True)
         assert load_npz(path) == bigger
 
 
 class TestArtifactCacheEviction:
-    def _put(self, cache, label, mtime):
-        key = cache_key("evict", label=label)
-        cache.put(key, _table())
-        import os
-
-        os.utime(cache.path(key), (mtime, mtime))
-        return key
-
     def test_unbounded_by_default(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         for i in range(5):
             cache.put(cache_key("nolimit", i=i), _table())
         assert cache.n_entries == 5
-        assert cache.evictions == 0
-
-    def test_oldest_evicted_first(self, tmp_path):
-        probe = ArtifactCache(tmp_path / "probe")
-        probe.put(cache_key("probe"), _table())
-        one = probe.n_bytes
-
-        cache = ArtifactCache(tmp_path / "c", max_bytes=int(2.5 * one))
-        old = self._put(cache, "old", 1_000.0)
-        mid = self._put(cache, "mid", 2_000.0)
-        new = cache_key("evict", label="new")
-        cache.put(new, _table())  # cap exceeded: "old" must go
-        assert cache.evictions == 1
-        assert old not in cache
-        assert mid in cache and new in cache
-
-    def test_hit_refreshes_recency(self, tmp_path):
-        probe = ArtifactCache(tmp_path / "probe")
-        probe.put(cache_key("probe"), _table())
-        one = probe.n_bytes
-
-        cache = ArtifactCache(tmp_path / "c", max_bytes=int(2.5 * one))
-        old = self._put(cache, "old", 1_000.0)
-        mid = self._put(cache, "mid", 2_000.0)
-        assert cache.get(old) is not None  # now most recent
-        cache.put(cache_key("evict", label="new"), _table())
-        assert old in cache
-        assert mid not in cache
-
-    def test_own_put_never_evicted(self, tmp_path):
-        cache = ArtifactCache(tmp_path, max_bytes=1)  # below any entry size
-        key = cache_key("oversized")
-        cache.put(key, _table())
-        assert key in cache
-        # the next put displaces it (it is then the stalest entry)
-        key2 = cache_key("oversized", n=2)
-        cache.put(key2, _table())
-        assert key2 in cache
-        assert key not in cache
-        assert cache.evictions == 1
-
-    def test_rejects_nonpositive_cap(self, tmp_path):
-        with pytest.raises(ValueError):
-            ArtifactCache(tmp_path, max_bytes=0)

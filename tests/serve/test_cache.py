@@ -1,4 +1,4 @@
-"""ResultCache LRU/spill behavior and SingleFlight dedup semantics."""
+"""ResultCache LRU behavior and SingleFlight dedup semantics."""
 
 import asyncio
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.frame.table import Table
-from repro.pipeline import ArtifactCache
 from repro.serve import ResultCache, SingleFlight
 
 
@@ -69,26 +68,6 @@ class TestResultCache:
         with pytest.raises(ValueError):
             ResultCache(max_bytes=0)
 
-    def test_clear_leaves_spill(self, tmp_path):
-        spill = ArtifactCache(tmp_path)
-        cache = ResultCache(spill=spill)
-        cache.put(_key(0), _table())
-        assert cache.clear() == 1
-        assert cache.n_entries == 0
-        assert spill.n_entries == 1
-
-    def test_spill_promotion(self, tmp_path):
-        one = _table(100).nbytes()
-        spill = ArtifactCache(tmp_path)
-        cache = ResultCache(max_bytes=int(1.5 * one), spill=spill)
-        cache.put(_key(0), _table(100, fill=3.0))
-        cache.put(_key(1), _table(100))        # evicts 0 from memory
-        assert _key(0) not in cache._entries
-        got = cache.get(_key(0))               # served from disk, promoted
-        assert got == _table(100, fill=3.0)
-        assert cache.spill_hits == 1
-        assert _key(0) in cache._entries
-
 
 class TestSingleFlight:
     def test_leader_then_followers_share_result(self):
@@ -139,8 +118,7 @@ class TestSingleFlight:
 
             await flight.run("k", work)
             assert flight.n_inflight == 0
-            assert flight.leader("k")  # fresh flight
-            flight.resolve("k", None)
+            assert await flight.run("k", work) == (1, True)  # fresh flight
 
         asyncio.run(main())
 

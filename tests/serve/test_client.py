@@ -106,3 +106,34 @@ def test_well_formed_table_decodes_to_read_only_views():
     assert resp["table"]["x"].tolist() == [1.0, 2.0]
     assert resp["table"]["host"].tolist() == ["a", "b"]
     assert not resp["table"]["x"].flags.writeable
+
+
+def stats_against_error():
+    return answer_with({"status": "error",
+                        "error": "response could not be encoded: boom"})
+
+
+def test_stats_error_answer_is_a_service_error():
+    host, port, thread = stats_against_error()
+    try:
+        with QueryClient(host, port, timeout=30) as client:
+            with pytest.raises(ServiceError,
+                               match="^stats: response could not be encoded"):
+                client.stats()
+    finally:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+def test_cli_stats_error_answer_exits_1(capsys):
+    from repro.__main__ import main
+
+    host, port, thread = stats_against_error()
+    try:
+        assert main(["query", "--host", host, "--port", str(port),
+                     "--stats"]) == 1
+    finally:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert capsys.readouterr().out == (
+        "error: stats: response could not be encoded: boom\n")

@@ -19,9 +19,9 @@ from repro.frame.table import Table
 from repro.parallel.partition import PartitionedDataset
 from repro.pipeline import Pipeline, PipelineConfig
 from repro.serve import (
-    FragmentCache,
     Query,
     QueryService,
+    ResultCache,
     ServiceConfig,
     plan_query,
 )
@@ -51,7 +51,7 @@ class TestFragmentCacheUnit:
         return Table({"x": np.arange(n, dtype=np.float64)})
 
     def test_miss_then_hit(self):
-        cache = FragmentCache(1 << 20)
+        cache = ResultCache(1 << 20)
         assert cache.get("k") is None
         cache.put("k", self._table())
         assert cache.get("k") == self._table()
@@ -59,7 +59,7 @@ class TestFragmentCacheUnit:
 
     def test_byte_cap_evicts_lru(self):
         one = self._table().nbytes()
-        cache = FragmentCache(one * 2)
+        cache = ResultCache(one * 2)
         cache.put("a", self._table())
         cache.put("b", self._table())
         cache.get("a")  # refresh: b becomes LRU
@@ -68,7 +68,7 @@ class TestFragmentCacheUnit:
         assert cache.evictions == 1
 
     def test_clear_resets_entries_not_counters(self):
-        cache = FragmentCache(1 << 20)
+        cache = ResultCache(1 << 20)
         cache.put("a", self._table())
         cache.get("a")
         assert cache.clear() == 1

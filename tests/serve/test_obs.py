@@ -65,6 +65,14 @@ class TestSlowQueryLog:
             svc.close()
 
 
+    @pytest.mark.parametrize("threshold", [float("inf"), float("nan"), -1e-3])
+    def test_unreportable_threshold_is_refused(self, threshold):
+        # the stats answer reports the threshold and is strict JSON, so a
+        # non-finite one would make every stats request an error
+        with pytest.raises(ValueError, match=f"slow_query_s .* {threshold}"):
+            ServiceConfig(slow_query_s=threshold)
+
+
 class TestSnapshotObs:
     def test_obs_block_shape(self, logged_service):
         run(logged_service.query(Query(t_begin=0.0, t_end=600.0)))

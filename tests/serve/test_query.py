@@ -86,11 +86,11 @@ class TestNodeSelection:
 
     def test_cabinet_expands(self):
         q = Query(cabinets=(1,))
-        assert q.node_selection(nodes_per_cabinet=4) == (4, 5, 6, 7)
+        assert q.node_selection() == tuple(range(18, 36))
 
     def test_union_of_nodes_and_cabinets(self):
         q = Query(nodes=(0, 5), cabinets=(1,))
-        assert q.node_selection(nodes_per_cabinet=4) == (0, 4, 5, 6, 7)
+        assert q.node_selection() == (0, 5, *range(18, 36))
 
 
 class TestFingerprint:
@@ -159,9 +159,3 @@ class TestWireForm:
     def test_malformed_value_becomes_query_error(self):
         with pytest.raises(QueryError):
             Query.from_dict({"width": "wide"})
-
-    def test_with_range(self):
-        q = Query(t_begin=0.0, t_end=600.0)
-        r = q.with_range(100.0, 200.0)
-        assert (r.t_begin, r.t_end) == (100.0, 200.0)
-        assert r.metrics == q.metrics

@@ -30,6 +30,9 @@ from repro.serve.server import MAX_REQUEST_BYTES
 
 from .conftest import SHARD_S
 
+#: the response size at which the TCP layer encodes on the worker pool
+OFFLOAD_AT = "repro.serve.server.ENCODE_OFFLOAD_MIN_BYTES"
+
 
 #: distinct widths that make queries distinct *and* answerable: each
 #: divides the archive's 300 s shards, so no coarsen window straddles one
@@ -249,6 +252,91 @@ class TestQueryFlow:
         assert "queries" in service.report()
 
 
+class TestFlightAccounting:
+    """Every caller of an identical query is counted once, in its tenant
+    and in the service totals, whether it led the flight or followed it."""
+
+    def _service(self, dataset, monkeypatch, **kw):
+        cfg = dict(max_inflight=8, max_queue=8, tenant_inflight=4, workers=2)
+        cfg.update(kw)
+        svc = QueryService(dataset, ServiceConfig(**cfg))
+        real_admit = svc.admission.admit
+        admits = []
+
+        async def admit_after_yield(tenant):
+            # a refusal is otherwise decided before the leader ever yields,
+            # so nobody could follow it: yield once to let followers join
+            admits.append(tenant)
+            await asyncio.sleep(0)
+            return await real_admit(tenant)
+
+        monkeypatch.setattr(svc.admission, "admit", admit_after_yield)
+        return svc, admits
+
+    def _gather(self, svc, calls):
+        async def main():
+            return await asyncio.gather(
+                *[svc.query(q, tenant=t) for q, t in calls])
+
+        try:
+            return run(main())
+        finally:
+            svc.close()
+
+    def _check_totals(self, snap, tenant_queries):
+        assert snap["queries"] == snap["ok"] + snap["rejected"] + snap["errors"]
+        assert snap["queries"] == sum(tenant_queries.values())
+        assert {name: t["queries"] for name, t in snap["tenants"].items()} \
+            == tenant_queries
+
+    def test_rejected_leader_counts_every_follower(self, dataset, monkeypatch):
+        svc, admits = self._service(dataset, monkeypatch, tenant_inflight=1)
+        hold = Query(t_begin=0.0, t_end=1500.0, width=30.0)
+        shared = Query(t_begin=0.0, t_end=1500.0, width=60.0)
+        followers = ["t1", "t2", "t3"]
+        results = self._gather(
+            svc, [(hold, "greedy"), (shared, "greedy")]
+            + [(shared, t) for t in followers])
+        assert [r["status"] for r in results] == ["ok"] + ["rejected"] * 4
+        assert all("quota" in r["reason"] for r in results[1:])
+        assert admits == ["greedy", "greedy"]  # the followers never admit
+        snap = svc.snapshot()
+        assert snap["rejected"] == 4 and snap["rejected_quota"] == 1
+        assert snap["rejected_capacity"] == 0
+        for name in ["greedy", *followers]:
+            assert snap["tenants"][name]["rejected"] == 1
+        assert snap["tenants"]["greedy"]["ok"] == 1
+        self._check_totals(snap, {"greedy": 2, "t1": 1, "t2": 1, "t3": 1})
+
+    def test_failed_leader_counts_every_follower(self, dataset, monkeypatch):
+        svc, admits = self._service(dataset, monkeypatch)
+        straddles = Query(t_begin=0.0, t_end=1500.0, width=7.0)
+        tenants = ["lead", "f1", "f2", "f3"]
+        results = self._gather(svc, [(straddles, t) for t in tenants])
+        assert [r["status"] for r in results] == ["error"] * 4
+        assert all("width 7" in r["error"] for r in results)
+        assert admits == ["lead"]
+        snap = svc.snapshot()
+        assert snap["errors"] == 4 and snap["rejected"] == 0
+        assert snap["ok"] == 0 and snap["executed"] == 0
+        self._check_totals(snap, dict.fromkeys(tenants, 1))
+
+    def test_successful_leader_shares_with_followers(
+        self, dataset, monkeypatch
+    ):
+        svc, admits = self._service(dataset, monkeypatch)
+        q = Query(t_begin=0.0, t_end=1200.0, width=20.0)
+        tenants = [f"t{i}" for i in range(6)]
+        results = self._gather(svc, [(q, t) for t in tenants])
+        assert Counter(r["cache"] for r in results) == {"miss": 1, "shared": 5}
+        assert admits == ["t0"]
+        snap = svc.snapshot()
+        assert snap["executed"] == 1 and snap["cache_shared"] == 5
+        assert snap["ok"] == 6 and snap["rejected"] == snap["errors"] == 0
+        assert all(snap["tenants"][t]["ok"] == 1 for t in tenants)
+        self._check_totals(snap, dict.fromkeys(tenants, 1))
+
+
 class TestWireTables:
     def test_round_trip_bit_identical(self):
         t = Table({
@@ -388,7 +476,7 @@ class TestTCP:
         assert remote["cache"] == "hit"
         assert remote["table"] == local["table"]
 
-    def test_large_results_encode_off_loop(self, dataset):
+    def test_large_results_encode_off_loop(self, dataset, monkeypatch):
         """Big result tables must be wire-encoded on the worker pool, not
         the event loop — and byte-identically to the inline path."""
         def serve_once(svc):
@@ -416,13 +504,11 @@ class TestTCP:
             finally:
                 svc.close()
 
-        offloaded = QueryService(dataset, ServiceConfig(
-            workers=2, encode_offload_bytes=1,
-        ))
-        inline = QueryService(dataset, ServiceConfig(
-            workers=2, encode_offload_bytes=1 << 30,
-        ))
+        offloaded = QueryService(dataset, ServiceConfig(workers=2))
+        inline = QueryService(dataset, ServiceConfig(workers=2))
+        monkeypatch.setattr(OFFLOAD_AT, 1)
         a = serve_once(offloaded)
+        monkeypatch.setattr(OFFLOAD_AT, 1 << 30)
         b = serve_once(inline)
         assert offloaded.stats.encode_offloads > 0
         assert inline.stats.encode_offloads == 0
@@ -471,12 +557,14 @@ class TestTCP:
             assert got[name].dtype == expected[name].dtype
             assert bits(got[name]) == bits(expected[name]), name
 
-    def test_offloaded_and_inline_lines_are_byte_identical(self, gappy):
+    def test_offloaded_and_inline_lines_are_byte_identical(
+        self, gappy, monkeypatch
+    ):
         request = {"op": "query", "query": {"level": "raw"}}
         lines = []
         for offload_at in (1, 1 << 30):
-            svc = QueryService(gappy, ServiceConfig(
-                workers=2, encode_offload_bytes=offload_at))
+            monkeypatch.setattr(OFFLOAD_AT, offload_at)
+            svc = QueryService(gappy, ServiceConfig(workers=2))
             try:
                 lines.extend(exchange(svc, [request]))
             finally:

@@ -243,6 +243,17 @@ class TestServeCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ms", ["inf", "nan", "-1"])
+    def test_serve_refuses_unreportable_slow_query_threshold(
+        self, tmp_path, capsys, ms
+    ):
+        # refused before the dataset is even opened, let alone a port bound
+        rc = main(["serve", str(tmp_path / "no_such_dataset"),
+                   "--slow-query-ms", ms])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: slow_query_s must be finite and >= 0")
+
     def test_export_telemetry_dataset(self, tmp_path, capsys):
         rc = main([
             "export", "--nodes", "20", "--jobs", "60", "--days", "0.25",

@@ -14,7 +14,14 @@ import re
 from pathlib import Path
 
 from repro.parallel import Executor
-from repro.pipeline import PipelineConfig
+from repro.pipeline import ArtifactCache, PipelineConfig
+from repro.serve import (
+    QueryClient,
+    ResultCache,
+    ServiceConfig,
+    SingleFlight,
+    plan_query,
+)
 from repro.workload import ClusterTraceBuilder, PowerAwareScheduler, Scheduler
 from repro.stream import (
     StreamGraph,
@@ -93,3 +100,25 @@ def test_workload_knobs_are_a_closed_set():
     assert list(inspect.signature(ClusterTraceBuilder.build).parameters)[1:] == [
         "t0", "t1", "dt", "per_gpu", "track_alloc",
     ]
+
+
+def test_serve_knobs_are_a_closed_set():
+    """A disk result tier, an encode-offload size, a cabinet width and a
+    client decode switch each had one value in use and went; what is left
+    are deployment and observability settings."""
+    assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+        "max_inflight", "max_queue", "tenant_inflight", "cache_bytes",
+        "fragment_bytes", "workers", "slow_query_s", "slow_query_log",
+    ]
+    assert _params(ResultCache) == ["max_bytes"]
+    assert _params(ArtifactCache) == ["root"]
+    assert list(inspect.signature(plan_query).parameters) == [
+        "query", "dataset",
+    ]
+    assert list(inspect.signature(QueryClient.query).parameters)[1:] == [
+        "query",
+    ]
+    assert [
+        name for name, _ in inspect.getmembers(SingleFlight, callable)
+        if not name.startswith("_")
+    ] == ["run"]

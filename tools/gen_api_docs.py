@@ -112,11 +112,10 @@ an asyncio loop that offloads shard reads to a worker pool.  The plan is
 the same code as `Pipeline.telemetry_series` over the same archive; a
 `width` that does not divide the shard edges is an `error` response.
 
-Load management is explicit: a byte-capped LRU **result cache** (with
-optional disk spill), **single-flight** collapse of concurrent
-identical queries, and **admission control** (bounded in-flight slots,
-bounded FIFO queue, per-tenant quotas) that rejects — never hangs —
-overload.  Transport is newline-delimited JSON over TCP.
+Load management is explicit: a byte-capped in-memory LRU **result
+cache**, **single-flight** collapse of concurrent identical queries, and
+**admission control** (bounded in-flight slots, bounded FIFO queue,
+per-tenant quotas) that rejects — never hangs — overload.  Transport is newline-delimited JSON over TCP.
 
 CLI integration:
 
@@ -133,8 +132,8 @@ CLI integration:
 subsystem: structured **tracing** (`trace.span(...)` context managers
 whose parent/child nesting survives process pools and the TCP boundary
 via explicit `SpanContext` propagation), a **metrics registry**
-(counters, gauges, fixed-bucket histograms — the typed backing store
-for the pipeline/serve/stream stats silos), a **sampling profiler**
+(counters and gauges — the typed backing store for the
+pipeline/serve/stream stats silos), a **sampling profiler**
 (`REPRO_PROFILE=1`), and NDJSON **event logs** (the serve slow-query
 log).  Tracing off is a single branch per call; the benchmarks pin its
 cost below 1% of the hot paths.
