@@ -65,7 +65,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=("serial", "threads", "processes"),
                    default="threads", help="chunk fan-out backend")
     p.add_argument("--workers", type=int, default=None,
-                   help="executor pool size (default: cores - 1)")
+                   help="executor pool size (default: one per core)")
     p.add_argument("--no-stats", action="store_true",
                    help="suppress the pipeline stage-counter report")
 
@@ -84,14 +84,19 @@ def _build_spec(args):
 
 
 def _build_pipeline(args):
+    """The command's pipeline, or None after printing why there is none."""
     from repro.pipeline import Pipeline, PipelineConfig
 
-    return Pipeline(_build_spec(args), PipelineConfig(
-        chunk_seconds=args.chunk_seconds,
-        backend=args.backend,
-        max_workers=args.workers,
-        cache_dir=args.cache_dir,
-    ))
+    try:
+        return Pipeline(_build_spec(args), PipelineConfig(
+            chunk_seconds=args.chunk_seconds,
+            backend=args.backend,
+            max_workers=args.workers,
+            cache_dir=args.cache_dir,
+        ))
+    except ValueError as err:
+        print(f"error: {err}")
+        return None
 
 
 def _maybe_print_stats(args, pipe) -> None:
@@ -103,6 +108,8 @@ def cmd_simulate(args) -> int:
     from repro.core.report import fmt_si, render_series, render_table
 
     pipe = _build_pipeline(args)
+    if pipe is None:
+        return 1
     times, power = pipe.cluster_power(dt=60.0)
     twin = pipe.twin
     st = twin.plant.simulate(times + twin.spec.start_time, power)
@@ -127,6 +134,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_export(args) -> int:
     pipe = _build_pipeline(args)
+    if pipe is None:
+        return 1
     inv = pipe.export(args.output)
     print(f"exported to {args.output}")
     for k, v in inv.items():
@@ -159,6 +168,8 @@ def cmd_stream(args) -> int:
     from repro.core.report import fmt_si
 
     pipe = _build_pipeline(args)
+    if pipe is None:
+        return 1
     twin = pipe.twin
     horizon = min(args.minutes * 60.0, twin.spec.horizon_s)
     arrays = twin.builder.build(0.0, horizon, 1.0)
@@ -455,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     p_srv.add_argument("--fragment-mb", type=int, default=128,
                        help="per-shard fragment-cache budget (MiB)")
     p_srv.add_argument("--workers", type=int, default=None,
-                       help="shard-read pool size (default: cores - 1)")
+                       help="shard-read pool size (default: one per core)")
     p_srv.add_argument("--ready-file", default=None,
                        help="write 'host port' here once accepting "
                             "(for scripted startup)")

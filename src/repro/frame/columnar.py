@@ -29,14 +29,16 @@ raw views is handled twice over: every view's ``base`` chain pins the
 mapping, and the table additionally retains the :class:`RcsFile` via
 :meth:`~repro.frame.table.Table.retain`.
 
-Codec work is **column-parallel in both directions**: :func:`save_rcs`
-encodes and :meth:`RcsFile.read` decodes one column per task on a
-per-call thread pool (zlib releases the GIL), a thread per column up to
-one per core, capped by ``REPRO_MAX_WORKERS``.  The file is laid out
-serially after every column is encoded, so its bytes do not depend on
-the pool width.  With tracing on, a write is an ``rcs.save`` span with an
-``rcs.encode`` child per column and each decoded column an ``rcs.decode``
-span, parented to the caller's span whichever thread ran them.
+Encoding is **column-parallel**: :func:`save_rcs` encodes one column
+per task on a per-call thread pool (zlib releases the GIL), a thread per
+column up to one per core, capped by ``REPRO_MAX_WORKERS``.  The file is
+laid out serially after every column is encoded, so its bytes do not
+depend on the pool width.  Decoding runs on the calling thread: reads
+are parallel across shards (the query service's and the executor's
+pools), the one level of parallelism on the read path.  With tracing
+on, a write is an ``rcs.save`` span with an ``rcs.encode`` child per
+column and each decoded column an ``rcs.decode`` span, parented to the
+caller's span whichever thread ran them.
 
 Anything structurally wrong — truncated file, flipped footer byte, codec
 payload CRC mismatch, out-of-range dictionary code, impossible column
@@ -176,7 +178,8 @@ def _column_task(span: str, path: Path, seq: int | None, fn, name: str,
 def _map_columns(span: str, path: Path, fn, names: list[str],
                  inline: bool = False) -> list:
     """``[fn(name) for name in names]``, one :func:`_column_task` per
-    column of ``path``, results in column order.
+    column of ``path``, results in column order (the encode side of
+    :func:`save_rcs`).
 
     The tasks run on a per-call thread pool — a thread per column up to
     one per core, capped by ``REPRO_MAX_WORKERS`` — or in a plain loop
@@ -511,9 +514,9 @@ class RcsFile:
         """A table of the requested columns (default: all).
 
         Raw columns are zero-copy views over the mapping; encoded columns
-        decode into cached process-local arrays, the ones not yet cached
-        as one task each on the codec thread pool (inflation releases
-        the GIL).  ``rows`` slices every column
+        decode into cached process-local arrays, the ones not yet cached on
+        the calling thread (readers run in parallel one shard per thread,
+        so a pool here would only nest).  ``rows`` slices every column
         (views of views on the raw path).  The returned table retains
         this reader, and each raw view's ``base`` chain pins the mapping,
         so it outlives both this object and — on POSIX — the directory
@@ -525,17 +528,15 @@ class RcsFile:
             raise KeyError(
                 f"no columns {missing} in {self.path}; have {self.columns}"
             )
-        pending = [
-            n for n in names
-            if "enc" in self._cols[n] and n not in self._decoded
-        ]
-        mm = self._mapping()  # before the fan-out: tasks must not race to map
-        _map_columns("rcs.decode", self.path, self._decode, pending)
+        mm = self._mapping()
         cols: dict[str, np.ndarray] = {}
         for name in names:
             meta = self._cols[name]
             if "enc" in meta:
-                view = self._decoded[name]
+                view = self._decoded.get(name)
+                if view is None:
+                    view = _column_task("rcs.decode", self.path, None,
+                                        self._decode, name)
             else:
                 self._advise(name)
                 raw = mm[meta["offset"]:meta["offset"] + meta["nbytes"]]

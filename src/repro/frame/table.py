@@ -78,6 +78,14 @@ class Table:
         if isinstance(key, slice):
             return Table({k: v[key] for k, v in self._cols.items()})
         idx = np.asarray(key)
+        if idx.dtype == np.bool_:
+            # resolve the mask once, not once per column
+            if idx.shape != (self._n,):
+                raise IndexError(
+                    f"boolean index of shape {idx.shape} does not match "
+                    f"{self._n} rows"
+                )
+            idx = np.flatnonzero(idx)
         return Table({k: v[idx] for k, v in self._cols.items()})
 
     def __eq__(self, other: object) -> bool:

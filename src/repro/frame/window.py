@@ -91,7 +91,7 @@ def window_aggregate(
     ``(*by, window index)`` — rows time-ordered within each ``by`` group is
     sufficient — unlocking the run-length group-by kernel (no factorize, no
     argsort).  ``None`` (default) probes for that order in O(n); ``False``
-    forces the generic kernel.  All three produce bit-identical output.
+    skips the run-length path.  All three produce bit-identical output.
     With ``by=()`` key factorization is skipped entirely either way: the
     window column alone needs at most one stable argsort.
     """

@@ -37,12 +37,14 @@ class NotPicklableError(TypeError):
 
 
 def default_workers() -> int:
-    """Worker count heuristic: physical parallelism minus one, at least 1.
+    """Worker count heuristic: one thread per core.
 
-    The ``REPRO_MAX_WORKERS`` environment variable caps the result (useful
+    The thread that calls :meth:`Executor.map` (or the server's event
+    loop) only waits on the pool, so it needs no core of its own.  The
+    ``REPRO_MAX_WORKERS`` environment variable caps the result (useful
     on shared CI runners and inside nested pipelines).
     """
-    return cap_workers((os.cpu_count() or 2) - 1)
+    return cap_workers(os.cpu_count() or 1)
 
 
 def default_mp_context() -> str:
@@ -63,7 +65,7 @@ class Executor:
     backend:
         ``"serial"``, ``"threads"``, or ``"processes"``.
     max_workers:
-        Pool size; defaults to :func:`default_workers`.
+        Pool size, at least 1; defaults to :func:`default_workers`.
     mp_context:
         Start method for the process backend (``"fork"``, ``"spawn"``,
         ``"forkserver"``); defaults to :func:`default_mp_context`.
@@ -78,8 +80,10 @@ class Executor:
     ):
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
         self.backend = backend
-        self.max_workers = max_workers or default_workers()
+        self.max_workers = default_workers() if max_workers is None else max_workers
         self.mp_context = mp_context or default_mp_context()
 
     def __repr__(self) -> str:

@@ -145,6 +145,10 @@ def table_from_wire(raw: dict) -> Table:
 class ServiceConfig:
     """Service knobs (admission bounds, cache byte caps, worker pool).
 
+    ``workers`` (at least 1; default one per core,
+    :func:`~repro.parallel.executor.default_workers`) sizes the shard-task
+    pool, the read path's one level of parallelism.
+
     ``slow_query_log`` names an NDJSON file; every query whose total
     latency reaches ``slow_query_s`` (0.0 = log all) appends one line
     carrying its fingerprint, cache outcome, coverage mix, fragment
@@ -163,6 +167,8 @@ class ServiceConfig:
     slow_query_log: str | os.PathLike | None = None
 
     def __post_init__(self):
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if not 0.0 <= self.slow_query_s < math.inf:
             raise ValueError(
                 "slow_query_s must be finite and >= 0, got "

@@ -15,6 +15,8 @@ from hypothesis.extra import numpy as hnp
 from repro.frame import Table, group_by, window_aggregate
 from repro.frame.ops import lex_sorted, run_starts
 
+from .test_cold_scan_kernels import generic_group_by, generic_kernel
+
 ALL_AGGS = {
     "n": "count",
     "s": ("v", "sum"),
@@ -64,7 +66,7 @@ class TestSortedKernelBitIdentity:
     def test_presorted_single_key(self, t):
         if t.n_rows == 0:
             return
-        ref = group_by(t, "k", ALL_AGGS, presorted=False)
+        ref = generic_group_by(t, "k", ALL_AGGS)
         assert_bitwise_equal(group_by(t, "k", ALL_AGGS, presorted=True), ref)
         assert_bitwise_equal(group_by(t, "k", ALL_AGGS, presorted=None), ref)
 
@@ -74,7 +76,7 @@ class TestSortedKernelBitIdentity:
         if t.n_rows == 0:
             return
         keys = ["k", "k2"]
-        ref = group_by(t, keys, ALL_AGGS, presorted=False)
+        ref = generic_group_by(t, keys, ALL_AGGS)
         assert_bitwise_equal(group_by(t, keys, ALL_AGGS, presorted=True), ref)
         assert_bitwise_equal(group_by(t, keys, ALL_AGGS, presorted=None), ref)
 
@@ -82,14 +84,10 @@ class TestSortedKernelBitIdentity:
     @settings(max_examples=80, deadline=None)
     def test_single_key_no_factorize(self, t):
         """Unsorted single int key: the stable-value-argsort plan must match
-        the factorize kernel bit for bit.  A constant second key forces the
-        reference through the generic plan (single NaN-free keys always take
-        the no-factorize route on their own)."""
+        the factorize kernel bit for bit."""
         if t.n_rows == 0:
             return
-        padded = t.with_column("pad", np.zeros(t.n_rows, dtype=np.int64))
-        ref = group_by(padded, ["k", "pad"], ALL_AGGS, presorted=False)
-        ref = ref.drop(["pad"])
+        ref = generic_group_by(t, "k", ALL_AGGS)
         got = group_by(t, "k", ALL_AGGS, presorted=False)
         assert_bitwise_equal(got, ref)
         assert_bitwise_equal(group_by(t, "k", ALL_AGGS, presorted=None), got)
@@ -100,12 +98,12 @@ class TestSortedKernelBitIdentity:
         if t.n_rows == 0:
             return
         keys = ["k", "k2"]
-        ref = group_by(t, keys, ALL_AGGS, presorted=False)
+        ref = generic_group_by(t, keys, ALL_AGGS)
         assert_bitwise_equal(group_by(t, keys, ALL_AGGS, presorted=None), ref)
 
     def test_single_row(self):
         t = Table({"k": np.array([3]), "v": np.array([1.5])})
-        ref = group_by(t, "k", ALL_AGGS, presorted=False)
+        ref = generic_group_by(t, "k", ALL_AGGS)
         assert_bitwise_equal(group_by(t, "k", ALL_AGGS, presorted=True), ref)
 
     def test_empty(self):
@@ -129,7 +127,7 @@ class TestSortedKernelBitIdentity:
         k = np.array([0.5, 0.5, 1.25, 2.0])
         t = Table({"k": k, "v": np.array([1.0, 2.0, 3.0, 4.0])})
         assert lex_sorted([k])
-        ref = group_by(t, "k", ALL_AGGS, presorted=False)
+        ref = generic_group_by(t, "k", ALL_AGGS)
         assert_bitwise_equal(group_by(t, "k", ALL_AGGS, presorted=True), ref)
 
 
@@ -150,7 +148,9 @@ class TestWindowAggregateBitIdentity:
         v[rng.random(v.shape) < 0.05] = np.nan
         t = Table({"node": node, "timestamp": ts, "v": v})
         kw = dict(time="timestamp", width=10.0, values=["v"], by=["node"])
-        ref = window_aggregate(t, presorted=False, **kw)
+        with generic_kernel():
+            ref = window_aggregate(t, **kw)
+        assert_bitwise_equal(window_aggregate(t, presorted=False, **kw), ref)
         assert_bitwise_equal(window_aggregate(t, presorted=True, **kw), ref)
         assert_bitwise_equal(window_aggregate(t, presorted=None, **kw), ref)
 

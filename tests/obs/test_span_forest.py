@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.frame import Table, columnar, load_rcs, save_rcs
+from repro.frame import Table, columnar, load_rcs, open_rcs, save_rcs
 from repro.obs import trace
 from repro.obs.export import build_forest, validate_spans
 from repro.parallel.executor import Executor
@@ -161,8 +161,42 @@ class TestCrossProcessForest:
 
 class TestStorageSpans:
     """A traced ``save_rcs`` + ``load_rcs``: one ``rcs.save`` with an
-    ``rcs.encode`` child per column, one ``rcs.decode`` per decoded
-    column — same ids and parents on the codec pool as inline."""
+    ``rcs.encode`` child per column (same ids and parents on the codec
+    pool as inline), one ``rcs.decode`` per decoded column."""
+
+    def test_decode_span_ids_pinned(self, tmp_path):
+        """One traced read's ``rcs.decode`` span ids and parents, pinned:
+        one span per decoded column, numbered in column order under the
+        caller's span; a raw or cached column takes none."""
+        rng = np.random.default_rng(0)
+        table = Table({
+            "timestamp": np.arange(2000, dtype=np.float64),
+            "node": np.repeat(np.arange(20, dtype=np.int64), 100),
+            "noise": rng.integers(0, 2**63, 2000, dtype=np.uint64),
+            "power": np.round(np.cumsum(rng.normal(0, 1, 2000)), 1),
+        })
+        save_rcs(table, tmp_path / "t.rcs", compression="auto")
+        shard = open_rcs(tmp_path / "t.rcs")
+        assert shard.codecs == {"timestamp": "qdelta", "node": "delta",
+                                "noise": "raw", "power": "fxor"}
+        pick = ["power", "noise", "timestamp", "node"]
+        trace.enable(None)
+        try:
+            with trace.capture() as records:
+                with trace.span("run", _seq=0, _parent=trace.SpanContext(
+                        "trace-pin", "root-pin")):
+                    assert shard.read(pick) == table.select(pick)
+                    shard.read(["node", "power"])
+        finally:
+            trace.disable()
+        assert sorted((r["name"], r["span"], r["parent"],
+                       r["attrs"].get("column")) for r in records) == [
+            ("rcs.decode", "2957df7947bc1711", "afb50ee4dd0a5025", "power"),
+            ("rcs.decode", "9f7ba5b06e18e17f", "afb50ee4dd0a5025", "node"),
+            ("rcs.decode", "ea4688bca937c181", "afb50ee4dd0a5025",
+             "timestamp"),
+            ("run", "afb50ee4dd0a5025", "root-pin", None),
+        ]
 
     @staticmethod
     def _run(table, pick, path, cap):

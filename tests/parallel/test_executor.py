@@ -1,5 +1,6 @@
 """Unit tests for the Executor backends."""
 
+import asyncio
 import glob
 import os
 import signal
@@ -77,9 +78,9 @@ class TestExecutor:
 @pytest.fixture()
 def pool_widths(monkeypatch, tmp_path):
     """The size of each pool ``REPRO_MAX_WORKERS`` caps, as callables:
-    the executor's default, and the thread pool one ``save_rcs`` / one
-    ``load_rcs`` of a six-column shard builds on a four-core host (1
-    when it runs its columns inline)."""
+    the executor's default, and the thread pool one ``save_rcs`` of a
+    six-column shard builds on a four-core host (1 when it runs its
+    columns inline).  Reads build no pool (``TestOnePoolPerRequest``)."""
     built = []
 
     class Recording(ThreadPoolExecutor):
@@ -101,7 +102,6 @@ def pool_widths(monkeypatch, tmp_path):
         default_workers,
         lambda: codec_width(save_rcs, table, tmp_path / "u.rcs",
                             compression="auto"),
-        lambda: codec_width(load_rcs, tmp_path / "t.rcs"),
     ]
 
 
@@ -110,17 +110,17 @@ class TestDefaultWorkersEnv:
 
     def test_env_caps_workers(self, monkeypatch, pool_widths):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
-        assert [width() for width in pool_widths] == [1, 1, 1]
+        assert [width() for width in pool_widths] == [1, 1]
 
     def test_env_never_drops_below_one(self, monkeypatch, pool_widths):
         for cap in ("0", "-3"):
             monkeypatch.setenv("REPRO_MAX_WORKERS", cap)
-            assert [width() for width in pool_widths] == [1, 1, 1]
+            assert [width() for width in pool_widths] == [1, 1]
 
     def test_env_cannot_raise_above_heuristic(self, monkeypatch, pool_widths):
         monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
         base = [width() for width in pool_widths]
-        assert base[1:] == [4, 4]
+        assert base == [4, 4]  # one thread per core, both pools
         monkeypatch.setenv("REPRO_MAX_WORKERS", str(max(base) + 100))
         assert [width() for width in pool_widths] == base
 
@@ -134,6 +134,72 @@ class TestDefaultWorkersEnv:
     def test_executor_picks_up_cap(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
         assert Executor(backend="threads").max_workers == 1
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_fails_at_construction(self, count):
+        with pytest.raises(ValueError,
+                           match=f"^max_workers must be >= 1, got {count}$"):
+            Executor(backend="threads", max_workers=count)
+
+
+class TestOnePoolPerRequest:
+    """Shard reads decode on the calling thread: the caller's fan-out
+    (an executor map, the query service's pool) is the only pool."""
+
+    @pytest.fixture()
+    def pools_built(self, monkeypatch):
+        """Widths of every ``ThreadPoolExecutor`` built, on a four-core
+        host with no cap (so a nested pool would be wide anywhere)."""
+        built = []
+        real_init = ThreadPoolExecutor.__init__
+
+        def recording_init(pool, max_workers=None, *args, **kwargs):
+            built.append(max_workers)
+            real_init(pool, max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", recording_init)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+        return built
+
+    def test_reads_build_no_pool(self, pools_built, tmp_path):
+        from repro.datasets.store import write_partitioned_series
+        from repro.parallel import PartitionedDataset
+
+        table = big_table(n=4_000).select(["node", "timestamp", "power"])
+        save_rcs(table, tmp_path / "t.rcs", compression="auto")
+        write_partitioned_series(table, tmp_path, "ds", day_s=1_000.0)
+        assert pools_built == [3, 3, 3, 3, 3]  # the encodes: one per shard
+        del pools_built[:]
+
+        shard = open_rcs(tmp_path / "t.rcs")
+        assert set(shard.codecs.values()) != {"raw"}
+        assert shard.read() == table
+        assert open_rcs(tmp_path / "t.rcs").read_time_range(
+            100.0, 3_000.0) == table[100:3_000]
+        assert load_rcs(tmp_path / "t.rcs", ["power", "node"]) == (
+            table.select(["power", "node"]))
+        assert PartitionedDataset(tmp_path / "ds").to_table() == table
+        assert pools_built == []
+
+    def test_cold_query_builds_no_pool(self, pools_built, tmp_path):
+        from repro.datasets.store import write_partitioned_series
+        from repro.serve import Query, QueryService
+
+        table = big_table(n=4_000).select(["node", "timestamp", "power"])
+        write_partitioned_series(table.rename({"power": "input_power"}),
+                                 tmp_path, "ds", day_s=1_000.0)
+        service = QueryService(tmp_path / "ds")
+        try:
+            assert pools_built[-1] == service._pool._max_workers == 4
+            del pools_built[:]
+            answer = asyncio.run(service.query(Query(t_begin=0.0,
+                                                     t_end=4_000.0)))
+            assert answer["status"] == "ok" and answer["cache"] == "miss"
+            assert answer["shards"]["scanned"] == 4
+        finally:
+            service.close()
+        assert pools_built == []
 
 
 class TestProcessBackendErrors:

@@ -4,6 +4,7 @@ explicit overload rejection, and the TCP wire protocol."""
 import asyncio
 import base64
 import json
+import os
 import re
 import socket
 import threading
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import cap_workers
 from repro.datasets.store import write_partitioned_series
 from repro.frame.table import Table
+from repro.parallel.executor import default_workers
 from repro.serve import (
     Query,
     QueryClient,
@@ -250,6 +253,27 @@ class TestQueryFlow:
         assert snap["dataset"]["partitions"] == service.dataset.n_partitions
         assert "default" in snap["tenants"]
         assert "queries" in service.report()
+
+
+class TestWorkerPool:
+    """The shard-task pool: one thread per core by default, and a count
+    below 1 fails where it is configured, naming the field."""
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_count_below_one_names_the_field(self, workers):
+        with pytest.raises(ValueError,
+                           match=f"^workers must be >= 1, got {workers}$"):
+            ServiceConfig(workers=workers)
+
+    def test_default_is_one_thread_per_core(self, dataset, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+        svc = QueryService(dataset)
+        try:
+            assert svc._pool._max_workers == default_workers() == (
+                cap_workers(os.cpu_count())) == 4
+        finally:
+            svc.close()
 
 
 class TestFlightAccounting:

@@ -152,6 +152,14 @@ class TestCliPipelineFlags:
         b = (tmp_path / "b" / "job_series" / "manifest.json").read_bytes()
         assert a == b
 
+    def test_export_refuses_zero_workers(self, tmp_path, capsys):
+        rc = main(["export", *self.ARGS, "--workers", "0",
+                   "--output", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "error: max_workers must be >= 1, got 0\n")
+        assert not (tmp_path / "out").exists()
+
     def test_chunked_simulate_matches_default(self, capsys):
         assert main(["simulate", *self.ARGS, "--no-stats"]) == 0
         ref = capsys.readouterr().out
@@ -253,6 +261,15 @@ class TestServeCli:
         assert rc == 1
         out = capsys.readouterr().out
         assert out.startswith("error: slow_query_s must be finite and >= 0")
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_serve_refuses_worker_count_below_one(self, tmp_path, capsys,
+                                                  workers):
+        rc = main(["serve", str(tmp_path / "no_such_dataset"),
+                   "--workers", workers])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            f"error: workers must be >= 1, got {workers}\n")
 
     def test_export_telemetry_dataset(self, tmp_path, capsys):
         rc = main([

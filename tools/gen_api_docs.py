@@ -64,7 +64,7 @@ CLI integration (`python -m repro simulate|export`):
 | `--chunk-seconds S` | shard width (default 86400, one day) |
 | `--cache-dir DIR` | enable the artifact cache |
 | `--backend {serial,threads,processes}` | chunk fan-out backend |
-| `--workers N` | executor pool size (default: cores - 1, capped by `REPRO_MAX_WORKERS`) |
+| `--workers N` | executor pool size, at least 1 (default: one per core, capped by `REPRO_MAX_WORKERS`) |
 | `--no-stats` | suppress the per-stage counter report |
 """,
     "repro.stream": """\
