@@ -27,7 +27,7 @@ from repro.datasets import SimulationSpec, simulate_twin
 from repro.frame.table import concat
 from repro.parallel import PartitionedDataset
 from repro.pipeline import Pipeline, PipelineConfig
-from repro.serve import Query
+from repro.plan import Query
 from repro.telemetry import compression_ratio
 
 

@@ -287,7 +287,8 @@ def cmd_serve(args) -> int:
 
 def cmd_query(args) -> int:
     from repro.core.report import fmt_si
-    from repro.serve import Query, QueryClient, QueryError, ServiceError
+    from repro.plan import Query, QueryError
+    from repro.serve import QueryClient, ServiceError
 
     with QueryClient(args.host, args.port, tenant=args.tenant) as client:
         if args.stats:

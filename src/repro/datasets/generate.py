@@ -138,16 +138,6 @@ class TwinData:
         times, power = self.cluster_power(dt)
         return self.plant.simulate(times + self.spec.start_time, power)
 
-    def pipeline(self, config=None):
-        """A chunked :class:`~repro.pipeline.runner.Pipeline` over this twin.
-
-        ``config`` is a :class:`~repro.pipeline.runner.PipelineConfig`;
-        chunked results are bit-identical to the direct methods above.
-        """
-        from repro.pipeline.runner import Pipeline
-
-        return Pipeline(self, config)
-
 
 def simulate_twin(spec: SimulationSpec) -> TwinData:
     """Generate a deployment: jobs -> schedule -> machine population."""

@@ -8,25 +8,12 @@ all implemented with vectorized numpy kernels (``argsort`` + ``reduceat``),
 never per-row Python loops.
 """
 
-from repro.frame.table import Table, concat, describe
+from repro.frame.table import Table, concat
 from repro.frame.ops import factorize, multi_factorize
 from repro.frame.groupby import group_by, AGGREGATIONS
-from repro.frame.join import join, interval_join, asof_join
-from repro.frame.window import window_aggregate, resample_stats
-from repro.frame.rolling import (
-    rolling_mean,
-    rolling_sum,
-    rolling_max,
-    rolling_min,
-    exponential_smooth,
-    value_counts,
-)
-from repro.frame.io import (
-    save_npz,
-    load_npz,
-    write_csv,
-    read_csv,
-)
+from repro.frame.join import join, interval_join
+from repro.frame.window import window_aggregate
+from repro.frame.io import save_npz, load_npz, write_csv
 from repro.frame.columnar import (
     RcsFile,
     save_rcs,
@@ -45,26 +32,16 @@ from repro.frame.encodings import (
 __all__ = [
     "Table",
     "concat",
-    "describe",
     "factorize",
     "multi_factorize",
     "group_by",
     "AGGREGATIONS",
     "join",
     "interval_join",
-    "asof_join",
     "window_aggregate",
-    "resample_stats",
-    "rolling_mean",
-    "rolling_sum",
-    "rolling_max",
-    "rolling_min",
-    "exponential_smooth",
-    "value_counts",
     "save_npz",
     "load_npz",
     "write_csv",
-    "read_csv",
     "RcsFile",
     "save_rcs",
     "open_rcs",

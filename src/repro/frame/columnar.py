@@ -544,32 +544,22 @@ class RcsFile:
             cols[name] = view if rows is None else view[rows]
         return Table(cols).retain(self)
 
-    def read_into(self, out: dict[str, np.ndarray]) -> None:
-        """Decode/copy columns straight into caller-owned arrays.
-
-        Each ``out`` value must be a writeable C-contiguous ``(n_rows,)``
-        array of the column's exact dtype — typically a row-slice of a
-        preallocated stitched table, which is how
-        :meth:`~repro.parallel.PartitionedDataset.to_table` avoids a
-        second full-size copy per shard.  The decode cache is bypassed
-        (the destination belongs to the caller); already-cached columns
-        are copied from the cache.  On a decode error the destination's
-        contents are unspecified.
-        """
-        self.read_range_into(out, 0, self.n_rows)
-
     def read_range_into(
         self, out: dict[str, np.ndarray], lo: int, hi: int
     ) -> None:
-        """:meth:`read_into` restricted to rows ``[lo, hi)``.
+        """Decode/copy rows ``[lo, hi)`` of columns straight into
+        caller-owned arrays.
 
         Each ``out`` value must be a writeable ``(hi - lo,)`` array of the
-        column's exact dtype.  Raw columns copy the row range straight
-        out of the mapping; encoded columns decode into the destination
-        when the whole shard is asked for (the no-intermediate path) and
-        otherwise copy the range from the reader's decode cache.  This is
-        what lets a multi-shard merged read land every shard's slice in
-        one preallocated buffer with no per-shard intermediates.
+        column's exact dtype — typically a row-slice of a preallocated
+        stitched table.  Raw columns copy the row range straight out of
+        the mapping; encoded columns decode into the destination when the
+        whole shard is asked for (the no-intermediate path; the decode
+        cache is bypassed, since the destination belongs to the caller)
+        and otherwise copy the range from the reader's decode cache.  This
+        is what lets a multi-shard merged read land every shard's slice in
+        one preallocated buffer with no per-shard intermediates.  On a
+        decode error the destination's contents are unspecified.
         """
         if not 0 <= lo <= hi <= self.n_rows:
             raise ValueError(

@@ -3,7 +3,8 @@
 NPZ (``numpy.savez_compressed``) is the pipeline artifact cache's entry
 format (dataset shards are ``.rcs``, :mod:`repro.frame.columnar`);
 CSV matches the scheduler-allocation and XID-log datasets (C, D, E), which
-the artifact appendix stores as CSV.
+the artifact appendix stores as CSV.  CSV is write-only here: nothing in
+the stack reads its own exports back.
 """
 
 from __future__ import annotations
@@ -46,22 +47,10 @@ def save_npz(table: Table, path: str | os.PathLike, atomic: bool = False) -> int
     return path.stat().st_size
 
 
-def load_npz(
-    path: str | os.PathLike, columns: list[str] | None = None
-) -> Table:
-    """Load a table written by :func:`save_npz` (column order = file order).
-
-    ``columns`` projects the read: only the named members are extracted
-    (zip members are independent, so unrequested columns are never
-    decompressed).
-    """
+def load_npz(path: str | os.PathLike) -> Table:
+    """Load a table written by :func:`save_npz` (column order = file order)."""
     with zipfile.ZipFile(path) as zf:
         names = [n[:-4] for n in zf.namelist() if n.endswith(".npy")]
-        if columns is not None:
-            missing = [c for c in columns if c not in names]
-            if missing:
-                raise KeyError(f"no columns {missing} in {path}; have {names}")
-            names = list(columns)
         cols: dict[str, np.ndarray] = {}
         for name in names:
             with zf.open(name + ".npy") as member:
@@ -101,35 +90,3 @@ def write_csv(table: Table, path: str | os.PathLike) -> int:
     data = buf.getvalue()
     path.write_text(data)
     return len(data.encode())
-
-
-def _infer_column(raw: list[str]) -> np.ndarray:
-    """Infer int64 / float64 / unicode for a CSV column."""
-    try:
-        return np.array([int(x) for x in raw], dtype=np.int64)
-    except ValueError:
-        pass
-    try:
-        return np.array([float(x) for x in raw], dtype=np.float64)
-    except ValueError:
-        pass
-    return np.array(raw)
-
-
-def read_csv(path: str | os.PathLike) -> Table:
-    """Read a CSV written by :func:`write_csv` with dtype inference."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError(f"empty CSV file: {path}")
-    names = lines[0].split(",")
-    raw_cols: list[list[str]] = [[] for _ in names]
-    for line in lines[1:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(names):
-            raise ValueError(f"ragged CSV row in {path}: {line!r}")
-        for col, val in zip(raw_cols, parts):
-            col.append(val)
-    return Table({n: _infer_column(c) for n, c in zip(names, raw_cols)})

@@ -1,4 +1,4 @@
-"""Vectorized joins: hash equi-join, as-of join, and interval join.
+"""Vectorized joins: hash equi-join and interval join.
 
 The interval join is the workhorse of the paper's pipeline: it assigns each
 (node, timestamp) telemetry sample the job allocation covering it (Datasets
@@ -113,102 +113,6 @@ def _mask_fill(col: np.ndarray, bad: np.ndarray) -> np.ndarray:
     elif col.dtype.kind == "b":
         col[bad] = False
     return col
-
-
-def asof_join(
-    left: Table,
-    right: Table,
-    on: str,
-    direction: str = "backward",
-    suffix: str = "_right",
-    by: str | None = None,
-) -> Table:
-    """Join each left row to the nearest right row at-or-before (``backward``)
-    or at-or-after (``forward``) it on the ordered column ``on``.
-
-    ``right`` must be sorted by ``on`` (within each ``by`` group when ``by``
-    is given — e.g. per-node sensor streams).  Left rows with no candidate
-    get missing markers (NaN / -1 / "").  Used to attach ~15 s facility
-    plant samples to the 10 s cluster timeline.
-
-    With ``by``, the match is restricted to right rows of the same group,
-    via the same disjoint-range linearization the interval join uses.
-    """
-    if direction not in ("backward", "forward"):
-        raise ValueError("direction must be 'backward' or 'forward'")
-    if by is not None:
-        # linearize (group, time) and fall back to the global path; a
-        # cross-group "nearest" candidate lands outside the left row's
-        # group band and is rejected by the band check below
-        both = np.concatenate([left[by], right[by]])
-        _, codes = factorize(both)
-        l_code = codes[: left.n_rows].astype(np.float64)
-        r_code = codes[left.n_rows:].astype(np.float64)
-        lt_raw = np.asarray(left[on], dtype=np.float64)
-        rt_raw = np.asarray(right[on], dtype=np.float64)
-        if lt_raw.size and (lt_raw.min() < 0 or lt_raw.max() >= _TIME_SPAN):
-            raise ValueError("times out of supported range [0, 2**32)")
-        lt = l_code * _TIME_SPAN + lt_raw
-        r_order = np.lexsort((rt_raw, r_code))
-        right = right[r_order]
-        rt = r_code[r_order] * _TIME_SPAN + rt_raw[r_order]
-        out = _asof_core(left, right, lt, rt, direction, suffix, on=on)
-        # reject matches from a different group
-        if right.n_rows:
-            if direction == "backward":
-                pos = np.searchsorted(rt, lt, side="right") - 1
-            else:
-                pos = np.searchsorted(rt, lt, side="left")
-            ok = (pos >= 0) & (pos < len(rt))
-            pos_safe = np.clip(pos, 0, max(len(rt) - 1, 0))
-            same = ok & (r_code[r_order][pos_safe] == l_code)
-            if not same.all():
-                cols = dict(out.as_dict())
-                for name in right.columns:
-                    if name == on or name == by:
-                        continue
-                    target = name if name in cols else name + suffix
-                    if target in cols and target not in left.columns:
-                        cols[target] = _mask_fill(cols[target], ~same)
-                out = Table(cols)
-        return out
-    rt = right[on]
-    if rt.size > 1 and np.any(np.diff(rt) < 0):
-        raise ValueError(f"right table must be sorted by {on!r}")
-    lt = left[on]
-    return _asof_core(left, right, lt, rt, direction, suffix, on=on)
-
-
-def _asof_core(
-    left: Table,
-    right: Table,
-    lt: np.ndarray,
-    rt: np.ndarray,
-    direction: str,
-    suffix: str,
-    on: str | None = None,
-) -> Table:
-    lt = np.asarray(lt)
-    rt = np.asarray(rt)
-    if direction == "backward":
-        pos = np.searchsorted(rt, lt, side="right") - 1
-        bad = pos < 0
-        pos = np.where(bad, 0, pos)
-    else:
-        pos = np.searchsorted(rt, lt, side="left")
-        bad = pos >= len(rt)
-        pos = np.where(bad, max(len(rt) - 1, 0), pos)
-
-    out = {name: left[name] for name in left.columns}
-    for name in right.columns:
-        if name == on:
-            continue
-        col = right[name][pos] if len(rt) else _empty_like(right[name], left.n_rows)
-        if bad.any():
-            col = _mask_fill(col, bad)
-        out_name = name if name not in out else name + suffix
-        out[out_name] = col
-    return Table(out)
 
 
 def _empty_like(col: np.ndarray, n: int) -> np.ndarray:

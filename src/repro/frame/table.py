@@ -108,29 +108,6 @@ class Table:
         )
         return f"Table({self._n} rows; {cols})"
 
-    # ---------------- construction helpers ----------------
-
-    @classmethod
-    def empty(cls, schema: Mapping[str, Any]) -> "Table":
-        """An empty table with the given name -> dtype schema."""
-        return cls({k: np.empty(0, dtype=dt) for k, dt in schema.items()})
-
-    @classmethod
-    def from_rows(
-        cls, rows: Sequence[Mapping[str, Any]], schema: Mapping[str, Any] | None = None
-    ) -> "Table":
-        """Build a table from a sequence of row dicts (convenience, not a hot
-        path).  ``schema`` forces dtypes; otherwise numpy infers them."""
-        if not rows:
-            return cls.empty(schema or {})
-        names = schema.keys() if schema else rows[0].keys()
-        cols = {}
-        for name in names:
-            values = [r[name] for r in rows]
-            dt = schema[name] if schema else None
-            cols[name] = np.asarray(values, dtype=dt)
-        return cls(cols)
-
     def to_rows(self) -> list[dict[str, Any]]:
         """Materialize as a list of row dicts (convenience, not a hot path)."""
         names = self.columns
@@ -282,43 +259,3 @@ def concat(tables: Sequence[Table]) -> Table:
         {n: np.concatenate([t[n] for t in tables]) for n in names}
     )
 
-
-def describe(table: Table) -> Table:
-    """Per-column summary of a table's numeric columns.
-
-    Returns one row per numeric column with ``column, dtype, count, mean,
-    std, min, median, max`` (NaNs excluded) — the quick-look tool every
-    dataset in `repro.datasets` is inspected with.
-    """
-    names, dtypes, counts = [], [], []
-    means, stds, mins, medians, maxs = [], [], [], [], []
-    for name in table.columns:
-        col = table[name]
-        if col.dtype.kind not in "iuf":
-            continue
-        v = col.astype(np.float64)
-        v = v[np.isfinite(v)]
-        names.append(name)
-        dtypes.append(str(col.dtype))
-        counts.append(len(v))
-        if len(v):
-            means.append(float(v.mean()))
-            stds.append(float(v.std()))
-            mins.append(float(v.min()))
-            medians.append(float(np.median(v)))
-            maxs.append(float(v.max()))
-        else:
-            for lst in (means, stds, mins, medians, maxs):
-                lst.append(float("nan"))
-    return Table(
-        {
-            "column": np.array(names),
-            "dtype": np.array(dtypes),
-            "count": np.array(counts, dtype=np.int64),
-            "mean": np.array(means),
-            "std": np.array(stds),
-            "min": np.array(mins),
-            "median": np.array(medians),
-            "max": np.array(maxs),
-        }
-    )

@@ -38,7 +38,10 @@ def window_index(
     t = np.asarray(times, dtype=np.float64)
     width = float(width)
     origin = float(origin)
-    if width.is_integer() and origin.is_integer():
+    # the exact path needs both as int64 (a width of 1e308 is not)
+    if width.is_integer() and origin.is_integer() and max(
+        abs(width), abs(origin)
+    ) < 2.0**63:
         with np.errstate(invalid="ignore"):
             ti = t.astype(np.int64)
         if np.array_equal(ti, t):  # all integral, within int64 range
@@ -113,82 +116,3 @@ def window_aggregate(
     times = grouped["_win"].astype(np.float64) * width + origin
     return grouped.drop(["_win"]).with_column(out_time, times)
 
-
-def resample_stats(
-    table: Table,
-    *,
-    time: str,
-    width: float,
-    values: Sequence[str],
-    by: Sequence[str] = (),
-    origin: float = 0.0,
-    presorted: bool | None = None,
-) -> Table:
-    """Shorthand for :func:`window_aggregate` with the paper's five stats."""
-    return window_aggregate(
-        table,
-        time=time,
-        width=width,
-        values=values,
-        stats=DEFAULT_STATS,
-        by=by,
-        origin=origin,
-        presorted=presorted,
-    )
-
-
-def recoarsen(
-    coarse: Table,
-    *,
-    time: str,
-    width: float,
-    values: Sequence[str],
-    by: Sequence[str] = (),
-    origin: float = 0.0,
-) -> Table:
-    """Coarsen an already-coarsened stats table to wider windows.
-
-    Combines per-window ``{col}_count/min/max/mean/std`` columns exactly
-    (counts add, minima of minima, pooled mean/variance) rather than
-    approximating from means — the same trick the paper's Dask pipeline uses
-    when collapsing Dataset 0 into cluster-level series.
-
-    Expects ``coarse`` to carry a shared ``count`` column.
-    """
-    win = window_index(coarse[time], width, origin)
-    work = coarse.with_column("_win", win)
-    n = work["count"].astype(np.float64)
-
-    # Pre-compute weighted moments so plain sums recombine them.
-    prepared: dict[str, np.ndarray] = {"_win": work["_win"], "count": work["count"]}
-    for col in values:
-        mean = work[f"{col}_mean"].astype(np.float64)
-        std = work[f"{col}_std"].astype(np.float64)
-        prepared[f"{col}_min"] = work[f"{col}_min"]
-        prepared[f"{col}_max"] = work[f"{col}_max"]
-        prepared[f"_{col}_wsum"] = mean * n
-        prepared[f"_{col}_wsq"] = (std * std + mean * mean) * n
-    for key in by:
-        prepared[key] = work[key]
-    prep = Table(prepared)
-
-    aggs: dict[str, tuple[str, str] | str] = {"count": ("count", "sum")}
-    for col in values:
-        aggs[f"{col}_min"] = (f"{col}_min", "min")
-        aggs[f"{col}_max"] = (f"{col}_max", "max")
-        aggs[f"_{col}_wsum"] = (f"_{col}_wsum", "sum")
-        aggs[f"_{col}_wsq"] = (f"_{col}_wsq", "sum")
-
-    grouped = group_by(prep, list(by) + ["_win"], aggs)
-    total = grouped["count"].astype(np.float64)
-    out = {k: grouped[k] for k in list(by) + ["count"]}
-    out["timestamp"] = grouped["_win"].astype(np.float64) * width + origin
-    for col in values:
-        mean = grouped[f"_{col}_wsum"] / total
-        second = grouped[f"_{col}_wsq"] / total
-        var = np.maximum(second - mean * mean, 0.0)
-        out[f"{col}_min"] = grouped[f"{col}_min"]
-        out[f"{col}_max"] = grouped[f"{col}_max"]
-        out[f"{col}_mean"] = mean
-        out[f"{col}_std"] = np.sqrt(var)
-    return Table(out)

@@ -11,7 +11,7 @@ execution model have callers here:
   map engine.
 
 What to run over the partitions is decided by the query plan
-(:mod:`repro.serve.planner`), the one sequencer of read → coarsen →
+(:mod:`repro.plan`), the one sequencer of read → coarsen →
 aggregate.
 """
 

@@ -377,10 +377,6 @@ class PartitionedDataset:
         for i in range(self.n_partitions):
             yield self.read(i)
 
-    def shard_path(self, index: int) -> Path:
-        """Filesystem path of one shard (for process-backend workers)."""
-        return self.root / self.partitions[index].filename
-
     def time_bounds(
         self, index: int, time: str = "timestamp"
     ) -> tuple[float, float, bool]:
@@ -430,28 +426,6 @@ class PartitionedDataset:
                     continue
             out.append(p.index)
         return out
-
-    def scan(
-        self,
-        columns: list[str] | None = None,
-        t_begin: float | None = None,
-        t_end: float | None = None,
-        time: str = "timestamp",
-    ):
-        """Yield (projected, time-pruned) shard tables in time order.
-
-        Whole shards outside the time range are skipped via zone maps;
-        surviving shards are row-sliced.  With no time range this is just
-        a projected iteration.
-        """
-        if t_begin is None and t_end is None:
-            for i in range(self.n_partitions):
-                yield self.read(i, columns)
-            return
-        lo = -float("inf") if t_begin is None else t_begin
-        hi = float("inf") if t_end is None else t_end
-        for i in self.select_time(lo, hi, time=time):
-            yield self.read_time_range(i, lo, hi, columns, time=time)
 
     def to_table(self, columns: list[str] | None = None) -> Table:
         """Materialize the whole dataset (small datasets / tests only).

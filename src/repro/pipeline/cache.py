@@ -1,8 +1,8 @@
 """Content-addressed on-disk artifact cache for pipeline stages.
 
 Each cached artifact is one compressed NPZ file addressed by the SHA-256 of
-its *provenance*: the simulation spec, the stage name and parameters, and
-the chunk's time window.  Because every input that determines a chunk's
+its *provenance* (a :func:`repro.plan.cache_key`): the simulation spec, the
+stage name and parameters, and the chunk's time window.  Because every input that determines a chunk's
 content is folded into the key, a cache entry can never be stale — changing
 the spec, the stage, or the chunk simply addresses a different file.  The
 layout mirrors git's object store (``<2-hex-prefix>/<hash>.npz``) so a year
@@ -15,70 +15,11 @@ two workers computing the same artifact and one rename winning.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import os
 from pathlib import Path
 
-from repro.frame.encodings import compression_mode
 from repro.frame.io import load_npz, save_npz
 from repro.frame.table import Table
-
-#: bump when stage semantics change in a way that invalidates old artifacts
-#: (2: fused-stage keys carry the projection and time-range pushdown;
-#:  3: keys carry the column-compression mode, so runs against compressed
-#:  and raw stores address disjoint artifacts)
-CACHE_FORMAT_VERSION = 3
-
-
-def _canonical(obj, nested: bool = False) -> object:
-    """Reduce ``obj`` to JSON-serializable canonical form for hashing.
-
-    A dataclass is tagged with its class name; one nested anywhere inside
-    another flattens to a plain dict of its fields (``nested``).  Existing
-    digests depend on exactly that shape — pipeline artifacts on disk are
-    addressed by them.
-    """
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        # repr round-trips doubles exactly; avoids 0.1+0.2 style surprises
-        return repr(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        flat = {
-            f.name: _canonical(getattr(obj, f.name), True)
-            for f in dataclasses.fields(obj)
-        }
-        if nested:
-            return flat
-        return {"__dataclass__": type(obj).__name__, "fields": flat}
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v, nested) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v, nested) for v in obj]
-    raise TypeError(f"cannot build a cache key from {type(obj).__name__}: {obj!r}")
-
-
-def cache_key(*parts, **fields) -> str:
-    """SHA-256 hex digest of the canonical JSON of ``parts`` and ``fields``.
-
-    Accepts strings, numbers, tuples/lists, dicts, and dataclasses (e.g.
-    :class:`~repro.datasets.generate.SimulationSpec`).  The active
-    ``REPRO_RCS_COMPRESSION`` mode is folded into every key: stage outputs
-    are required to be bit-identical across compressed and raw stores (and
-    the differential tests prove it), but sharing artifacts across the two
-    would mask exactly the class of encode/decode bug those tests exist to
-    catch.
-    """
-    payload = {
-        "version": CACHE_FORMAT_VERSION,
-        "compression": compression_mode(),
-        "parts": _canonical(list(parts)),
-        "fields": _canonical(fields),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class ArtifactCache:

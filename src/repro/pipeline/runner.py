@@ -25,11 +25,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import SUMMIT
+from repro.datasets.generate import (
+    SimulationSpec,
+    TwinData,
+    cluster_power_window,
+    job_power_series_direct,
+    simulate_twin,
+)
+from repro.datasets.store import (
+    dataset_inventory,
+    write_log_csvs,
+    write_partitioned_series,
+)
 from repro.frame.table import Table, concat
 from repro.obs import trace
 from repro.parallel.executor import Executor
-from repro.pipeline.cache import ArtifactCache, cache_key
+from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.stats import PipelineStats
+from repro.plan import Query, cache_key, plan_query
+from repro.stream import (
+    OnlineSpectral,
+    StreamGraph,
+    StreamingClusterAggregate,
+    StreamingCoarsen,
+    StreamingEdgeDetector,
+    StreamingPUE,
+    TelemetryReplaySource,
+)
+from repro.workload.traces import AllocationIntervalIndex
 
 __all__ = ["PipelineConfig", "Pipeline", "chunk_windows"]
 
@@ -102,8 +126,6 @@ class _ClusterChunk:
     __slots__ = ("catalog", "schedule", "chips", "dt", "seed", "index")
 
     def __init__(self, twin, dt: float):
-        from repro.workload.traces import AllocationIntervalIndex
-
         self.catalog = twin.catalog
         self.schedule = twin.schedule
         self.chips = twin.chips
@@ -114,8 +136,6 @@ class _ClusterChunk:
         self.index = AllocationIntervalIndex(twin.schedule.allocations)
 
     def __call__(self, span: tuple[int, int]) -> Table:
-        from repro.datasets.generate import cluster_power_window
-
         w0, w1 = span
         power = cluster_power_window(
             self.catalog, self.schedule, self.chips, w0, w1,
@@ -138,8 +158,6 @@ class _JobChunk:
         self.seed = twin.spec.seed
 
     def __call__(self, rows: np.ndarray) -> Table:
-        from repro.datasets.generate import job_power_series_direct
-
         return job_power_series_direct(
             self.catalog, self.schedule, self.chips,
             dt=self.dt, components=self.components, seed=self.seed,
@@ -165,8 +183,6 @@ class Pipeline:
     """
 
     def __init__(self, source, config: PipelineConfig | None = None):
-        from repro.datasets.generate import SimulationSpec, TwinData
-
         self.config = config or PipelineConfig()
         self.executor = Executor(
             backend=self.config.backend,
@@ -194,8 +210,6 @@ class Pipeline:
     def twin(self):
         """The simulated deployment (built on first use, stage ``simulate``)."""
         if self._twin is None:
-            from repro.datasets.generate import simulate_twin
-
             t0 = _time.perf_counter()
             with trace.span("pipeline.simulate"):
                 self._twin = simulate_twin(self.spec)
@@ -347,15 +361,15 @@ class Pipeline:
         """Archived telemetry -> the answer to ``query`` (default: the
         cluster power series, Dataset A -> Dataset 1).
 
-        Builds the :class:`~repro.serve.planner.QueryPlan` of ``query`` (a
-        :class:`~repro.serve.query.Query`; ``None`` is ``Query()``) over
+        Builds the :class:`~repro.plan.QueryPlan` of ``query`` (a
+        :class:`~repro.plan.Query`; ``None`` is ``Query()``) over
         ``dataset`` — the one place that sequences prune -> projected read
         -> node filter -> coarsen -> aggregate — and runs its per-shard
         tasks as stage ``fused`` through this pipeline's executor, so the
         per-node coarsened intermediate (typically 10x the final series)
         never crosses the executor boundary; the query service executes the
         same plan object behind its caches.  Planning raises
-        :class:`~repro.serve.query.QueryError` for a query the archive
+        :class:`~repro.plan.QueryError` for a query the archive
         cannot answer, including a ``width`` that does not divide the shard
         edges.
 
@@ -363,15 +377,10 @@ class Pipeline:
         stored in the artifact cache only under a caller-supplied
         ``cache_token`` naming the archive's provenance; each key folds in
         the shard's generation-stamped identity with the kernel parameters
-        (:meth:`~repro.serve.planner.QueryPlan.fragment_key`) and the
+        (:meth:`~repro.plan.QueryPlan.fragment_key`) and the
         task's row-slice bounds.  The single merged-read task of a
         ``level="raw"`` plan has no shard identity and runs uncached.
         """
-        # serve.planner imports pipeline.cache: importing it at module
-        # level would be a cycle
-        from repro.serve.planner import plan_query
-        from repro.serve.query import Query
-
         plan = plan_query(query or Query(), dataset)
         tasks = plan.tasks()
         keys = None
@@ -419,17 +428,6 @@ class Pipeline:
         fan-in path's maximum skew so nothing is late under ``skew=True``
         either.  Returns the un-run :class:`~repro.stream.runtime.StreamGraph`.
         """
-        from repro.config import SUMMIT
-        from repro.stream import (
-            OnlineSpectral,
-            StreamGraph,
-            StreamingClusterAggregate,
-            StreamingCoarsen,
-            StreamingEdgeDetector,
-            StreamingPUE,
-            TelemetryReplaySource,
-        )
-
         source = TelemetryReplaySource(
             telemetry,
             batch_interval_s=batch_interval_s,
@@ -471,12 +469,6 @@ class Pipeline:
         files, same bytes) but the two series derivations run as chunked,
         cached stages before the writes.
         """
-        from repro.datasets.store import (
-            dataset_inventory,
-            write_log_csvs,
-            write_partitioned_series,
-        )
-
         twin = self.twin
         t0 = _time.perf_counter()
         with trace.span("pipeline.export"):

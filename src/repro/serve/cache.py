@@ -3,11 +3,11 @@
 :class:`ResultCache` keys tables by a content hash and holds them in
 memory under a byte cap with least-recently-used eviction.  The service
 keeps two: one of finished results keyed by the query's canonical
-fingerprint (:meth:`repro.serve.query.Query.fingerprint` — the same
+fingerprint (:meth:`repro.plan.Query.fingerprint` — the same
 content-addressing scheme as the pipeline's
 :class:`~repro.pipeline.cache.ArtifactCache`), and one of per-shard
 partial aggregates (*fragments*) keyed by
-:meth:`~repro.serve.planner.QueryPlan.fragment_key`, so queries that
+:meth:`~repro.plan.QueryPlan.fragment_key`, so queries that
 merely *overlap* — different fingerprints, shared shards — reuse each
 other's shard work and only compute the uncovered remainder.  Neither
 outlives the service: a fingerprint does not name the dataset it was

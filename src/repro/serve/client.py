@@ -14,7 +14,7 @@ import json
 import socket
 
 from repro.obs import trace
-from repro.serve.query import Query
+from repro.plan import Query
 from repro.serve.server import table_from_wire
 
 __all__ = ["QueryClient", "ServiceError"]

@@ -1,7 +1,7 @@
 """The query service and its TCP front end.
 
 :class:`QueryService` is the in-process engine: one event loop accepting
-declarative :class:`~repro.serve.query.Query` objects, answering them from
+declarative :class:`~repro.plan.Query` objects, answering them from
 the :class:`~repro.serve.cache.ResultCache`, collapsing identical
 concurrent queries through :class:`~repro.serve.cache.SingleFlight`, and
 executing cache misses by fanning the plan's shard tasks out over a
@@ -34,10 +34,10 @@ import numpy as np
 from repro.frame.table import Table
 from repro.obs import trace
 from repro.obs.events import NdjsonLog
+from repro.parallel.executor import default_workers
 from repro.parallel.partition import PartitionedDataset
+from repro.plan import Query, QueryError, QueryPlan, ShardTask, plan_query
 from repro.serve.cache import ResultCache, SingleFlight
-from repro.serve.planner import QueryPlan, ShardTask, plan_query
-from repro.serve.query import Query, QueryError
 from repro.serve.session import Admission, RejectedError
 from repro.serve.stats import ServiceStats
 
@@ -219,8 +219,6 @@ class QueryService:
         self.stats = ServiceStats()
         workers = self.config.workers
         if workers is None:
-            from repro.parallel.executor import default_workers
-
             workers = default_workers()
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="serve"

@@ -35,6 +35,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.config import SUMMIT
+from repro.core.aggregate import cluster_power_series
+from repro.core.pue import pue_series
+from repro.core.spectral import welch_window
 from repro.frame.table import Table, concat
 from repro.frame.window import (
     DEFAULT_STATS,
@@ -261,8 +264,6 @@ class StreamingClusterAggregate(_WindowedOperator):
         return table.select(cols)
 
     def _kernel(self, rows: Table) -> Table:
-        from repro.core.aggregate import cluster_power_series
-
         return cluster_power_series(rows, value=self.value, presorted=True)
 
 
@@ -463,8 +464,6 @@ class StreamingPUE(Operator):
         return float(self.overhead) * it
 
     def process(self, batch: RecordBatch) -> list[RecordBatch]:
-        from repro.core.pue import pue_series
-
         work = batch.table
         for c in (self.it, self.time):
             if c not in work:
@@ -519,8 +518,6 @@ class OnlineSpectral(Operator):
         value: str = "sum_inp",
         window: str = "hann",
     ):
-        from repro.core.spectral import welch_window
-
         if nperseg < 2:
             raise ValueError("nperseg must be >= 2")
         self.dt = float(dt)

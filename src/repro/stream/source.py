@@ -27,6 +27,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.frame.table import Table
+from repro.parallel.partition import PartitionedDataset
 from repro.stream.batch import RecordBatch
 from repro.telemetry.collector import LossEvent
 from repro.telemetry.ingest import sample_propagation_delays
@@ -106,8 +107,6 @@ class TelemetryReplaySource:
             if "node" in telemetry and "node" not in need:
                 need.append("node")
             return telemetry.select(need)
-        from repro.parallel.partition import PartitionedDataset
-
         if not isinstance(telemetry, PartitionedDataset):
             raise TypeError(
                 "telemetry must be a Table or PartitionedDataset, got "

@@ -299,18 +299,6 @@ class TestFormatErrors:
 
 
 class TestNpzProjection:
-    def test_load_columns(self, tmp_path):
-        t = make()
-        save_npz(t, tmp_path / "t.npz")
-        out = load_npz(tmp_path / "t.npz", ["f", "i"])
-        assert out.columns == ["f", "i"]
-        assert_tables_identical(out, t.select(["f", "i"]))
-
-    def test_missing_column_raises(self, tmp_path):
-        save_npz(make(), tmp_path / "t.npz")
-        with pytest.raises(KeyError, match="nope"):
-            load_npz(tmp_path / "t.npz", ["nope"])
-
     def test_uncompressed_member_direct_read(self, tmp_path):
         # np.savez writes ZIP_STORED members; save_npz only deflated ones
         t = make()
@@ -326,7 +314,8 @@ class TestNpzProjection:
         assert not list(tmp_path.glob(".*tmp"))
 
 class TestReadInto:
-    """``RcsFile.read_into``: decode straight into caller-owned arrays."""
+    """Whole-shard ``RcsFile.read_range_into``: decode straight into
+    caller-owned arrays, bypassing the decode cache."""
 
     @staticmethod
     def _wide(n=800):
@@ -345,7 +334,7 @@ class TestReadInto:
         assert r.has_encoded  # the shard must mix encoded and raw columns
         assert "raw" in r.codecs.values()
         out = {c: np.empty(r.n_rows, dt) for c, dt in r.dtypes.items()}
-        r.read_into(out)
+        r.read_range_into(out, 0, r.n_rows)
         want = r.read()
         for c in table.columns:
             a, b = out[c], np.asarray(want[c])
@@ -357,7 +346,7 @@ class TestReadInto:
         r = open_rcs(tmp_path / "w.rcs")
         cached = r.read(["power"])["power"]  # populates the decode cache
         dest = {"power": np.empty(r.n_rows, np.float64)}
-        r.read_into(dest)
+        r.read_range_into(dest, 0, r.n_rows)
         assert dest["power"] is not cached
         assert dest["power"].base is None
         assert np.array_equal(dest["power"], cached)
@@ -366,7 +355,8 @@ class TestReadInto:
         save_rcs(self._wide(), tmp_path / "w.rcs", compression="auto")
         r = open_rcs(tmp_path / "w.rcs")
         with pytest.raises(KeyError, match="ghost"):
-            r.read_into({"ghost": np.empty(r.n_rows, np.float64)})
+            r.read_range_into({"ghost": np.empty(r.n_rows, np.float64)},
+                              0, r.n_rows)
 
 
 class TestReadRangeInto:
@@ -383,19 +373,6 @@ class TestReadRangeInto:
         for c in table.columns:
             a, b = out[c], np.asarray(want[c])
             assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), c
-
-    def test_full_range_is_read_into(self, tmp_path):
-        table = TestReadInto._wide()
-        save_rcs(table, tmp_path / "w.rcs", compression="auto")
-        r = open_rcs(tmp_path / "w.rcs")
-        a = {c: np.empty(r.n_rows, dt) for c, dt in r.dtypes.items()}
-        b = {c: np.empty(r.n_rows, dt) for c, dt in r.dtypes.items()}
-        r.read_range_into(a, 0, r.n_rows)
-        open_rcs(tmp_path / "w.rcs").read_into(b)
-        for c in table.columns:
-            assert np.array_equal(
-                a[c].view(np.uint8), b[c].view(np.uint8)
-            ), c
 
     def test_bad_range_and_shape_raise(self, tmp_path):
         save_rcs(TestReadInto._wide(), tmp_path / "w.rcs")
@@ -593,7 +570,8 @@ class TestColumnErrorContext:
         return flip
 
     @pytest.mark.parametrize("codec", list(CASES))
-    @pytest.mark.parametrize("entry", ["read", "read_into", "range_into"])
+    @pytest.mark.parametrize("entry", ["read", "range_into_all",
+                                       "range_into"])
     def test_note_names_file_and_column(self, corrupt, codec, entry,
                                         monkeypatch):
         _wide_pool(monkeypatch, None)
@@ -603,8 +581,8 @@ class TestColumnErrorContext:
         with pytest.raises(ColumnarFormatError) as err:
             if entry == "read":
                 r.read()
-            elif entry == "read_into":
-                r.read_into(dest)
+            elif entry == "range_into_all":
+                r.read_range_into(dest, 0, r.n_rows)
             else:
                 r.read_range_into({codec: dest[codec][:10]}, 5, 15)
         assert str(err.value).startswith(

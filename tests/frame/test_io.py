@@ -1,9 +1,11 @@
 """Unit tests for NPZ/CSV persistence."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from repro.frame import Table, save_npz, load_npz, write_csv, read_csv
+from repro.frame import Table, save_npz, load_npz, write_csv
 
 
 def make():
@@ -37,6 +39,13 @@ class TestNpz:
 
 
 class TestCsv:
+    """CSV is write-only: these read the file back with the stdlib."""
+
+    @staticmethod
+    def rows(path):
+        with open(path, newline="") as f:
+            return list(csv.reader(f))
+
     def test_roundtrip(self, tmp_path):
         t = Table(
             {
@@ -46,39 +55,22 @@ class TestCsv:
             }
         )
         write_csv(t, tmp_path / "t.csv")
-        assert read_csv(tmp_path / "t.csv") == t
+        assert self.rows(tmp_path / "t.csv") == [
+            ["i", "f", "s"], ["1", "1.5", "x"], ["2", "-0.25", "yz"],
+        ]
 
     def test_float_precision(self, tmp_path):
         t = Table({"f": np.array([1.0 / 3.0, 1e-17])})
         write_csv(t, tmp_path / "t.csv")
-        out = read_csv(tmp_path / "t.csv")
-        assert np.array_equal(out["f"], t["f"])
+        _, *body = self.rows(tmp_path / "t.csv")
+        assert np.array_equal([float(v) for v, in body], t["f"])
 
     def test_rejects_commas_in_strings(self, tmp_path):
         t = Table({"s": np.array(["a,b"])})
         with pytest.raises(ValueError, match="delimiters"):
             write_csv(t, tmp_path / "t.csv")
 
-    def test_int_column_inference(self, tmp_path):
-        t = Table({"i": np.array([10, 20], dtype=np.int64)})
-        write_csv(t, tmp_path / "t.csv")
-        assert read_csv(tmp_path / "t.csv")["i"].dtype == np.int64
-
     def test_empty_table_roundtrip(self, tmp_path):
         t = Table({"a": np.empty(0, np.int64)})
         write_csv(t, tmp_path / "t.csv")
-        out = read_csv(tmp_path / "t.csv")
-        assert out.n_rows == 0
-        assert out.columns == ["a"]
-
-    def test_ragged_row_raises(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("a,b\n1,2\n3\n")
-        with pytest.raises(ValueError, match="ragged"):
-            read_csv(p)
-
-    def test_empty_file_raises(self, tmp_path):
-        p = tmp_path / "empty.csv"
-        p.write_text("")
-        with pytest.raises(ValueError):
-            read_csv(p)
+        assert self.rows(tmp_path / "t.csv") == [["a"]]

@@ -1,9 +1,9 @@
-"""Unit tests for equi-join, as-of join, and interval join."""
+"""Unit tests for equi-join and interval join."""
 
 import numpy as np
 import pytest
 
-from repro.frame import Table, join, asof_join, interval_join
+from repro.frame import Table, join, interval_join
 
 
 class TestEquiJoin:
@@ -68,37 +68,6 @@ class TestEquiJoin:
         l = Table({"k": np.array([1])})
         with pytest.raises(ValueError):
             join(l, l, "k", how="outer")
-
-
-class TestAsofJoin:
-    def test_backward(self):
-        r = Table({"t": np.array([0.0, 10.0, 20.0]), "v": np.array([1.0, 2.0, 3.0])})
-        l = Table({"t": np.array([5.0, 10.0, 25.0])})
-        out = asof_join(l, r, "t")
-        assert np.allclose(out["v"], [1.0, 2.0, 3.0])
-
-    def test_backward_before_first_is_nan(self):
-        r = Table({"t": np.array([10.0]), "v": np.array([1.0])})
-        l = Table({"t": np.array([5.0])})
-        out = asof_join(l, r, "t")
-        assert np.isnan(out["v"][0])
-
-    def test_forward(self):
-        r = Table({"t": np.array([10.0, 20.0]), "v": np.array([1.0, 2.0])})
-        l = Table({"t": np.array([5.0, 15.0, 25.0])})
-        out = asof_join(l, r, "t", direction="forward")
-        assert np.allclose(out["v"][:2], [1.0, 2.0])
-        assert np.isnan(out["v"][2])
-
-    def test_unsorted_right_raises(self):
-        r = Table({"t": np.array([10.0, 0.0]), "v": np.array([1.0, 2.0])})
-        with pytest.raises(ValueError, match="sorted"):
-            asof_join(Table({"t": np.array([1.0])}), r, "t")
-
-    def test_bad_direction(self):
-        r = Table({"t": np.array([0.0]), "v": np.array([1.0])})
-        with pytest.raises(ValueError):
-            asof_join(r, r, "t", direction="nearest")
 
 
 class TestIntervalJoin:
@@ -171,59 +140,3 @@ class TestIntervalJoin:
         out = interval_join(s, iv, time="t", begin="b", end="e", by="node",
                             id_columns=("allocation_id", "proj"))
         assert out["proj"][0] == ""
-
-
-class TestAsofJoinGrouped:
-    def test_per_group_backward(self):
-        r = Table({
-            "node": np.array([0, 0, 1]),
-            "t": np.array([0.0, 20.0, 10.0]),
-            "v": np.array([1.0, 2.0, 9.0]),
-        })
-        l = Table({"node": np.array([0, 1, 1]), "t": np.array([25.0, 15.0, 5.0])})
-        out = asof_join(l, r, "t", by="node")
-        assert out["v"][0] == 2.0   # node 0 latest at 20
-        assert out["v"][1] == 9.0   # node 1 at 10
-        assert np.isnan(out["v"][2])  # node 1 has nothing before t=5... at 10 > 5
-
-    def test_no_cross_group_leak(self):
-        r = Table({
-            "node": np.array([0]),
-            "t": np.array([0.0]),
-            "v": np.array([7.0]),
-        })
-        l = Table({"node": np.array([1]), "t": np.array([100.0])})
-        out = asof_join(l, r, "t", by="node")
-        assert np.isnan(out["v"][0])
-
-    def test_grouped_forward(self):
-        r = Table({
-            "node": np.array([0, 1]),
-            "t": np.array([50.0, 60.0]),
-            "v": np.array([5.0, 6.0]),
-        })
-        l = Table({"node": np.array([0, 1, 0]), "t": np.array([10.0, 10.0, 70.0])})
-        out = asof_join(l, r, "t", direction="forward", by="node")
-        assert out["v"][0] == 5.0
-        assert out["v"][1] == 6.0
-        assert np.isnan(out["v"][2])
-
-    def test_grouped_matches_per_group_global(self, rng):
-        """Grouped asof equals running the global asof per group."""
-        n_r, n_l = 60, 40
-        r = Table({
-            "g": rng.integers(0, 4, n_r),
-            "t": np.round(rng.uniform(0, 1000, n_r), 3),
-            "v": rng.normal(size=n_r),
-        }).sort(["g", "t"])
-        l = Table({
-            "g": rng.integers(0, 4, n_l),
-            "t": np.round(rng.uniform(0, 1000, n_l), 3),
-        })
-        out = asof_join(l, r, "t", by="g")
-        for i in range(n_l):
-            sub_r = r.filter(r["g"] == l["g"][i]).sort("t")
-            sub_l = Table({"t": np.array([l["t"][i]])})
-            ref = asof_join(sub_l, sub_r.drop(["g"]), "t")
-            a, b = out["v"][i], ref["v"][0]
-            assert (np.isnan(a) and np.isnan(b)) or a == b

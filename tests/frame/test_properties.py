@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.frame import Table, group_by, join, resample_stats
+from repro.frame import Table, group_by, join, window_aggregate
 from repro.frame.ops import multi_factorize
 
 finite_floats = st.floats(
@@ -111,7 +111,7 @@ class TestWindowProperties:
     @settings(max_examples=40, deadline=None)
     def test_window_mean_weighted_equals_global(self, vals):
         t = Table({"t": np.arange(len(vals), dtype=np.float64), "p": vals})
-        w = resample_stats(t, time="t", width=7.0, values=["p"])
+        w = window_aggregate(t, time="t", width=7.0, values=["p"])
         weighted = (w["p_mean"] * w["count"]).sum() / w["count"].sum()
         assert np.isclose(weighted, vals.mean(), rtol=1e-9, atol=1e-9)
 
@@ -124,6 +124,6 @@ class TestWindowProperties:
     @settings(max_examples=40, deadline=None)
     def test_window_extrema_bound_global(self, vals):
         t = Table({"t": np.arange(len(vals), dtype=np.float64), "p": vals})
-        w = resample_stats(t, time="t", width=13.0, values=["p"])
+        w = window_aggregate(t, time="t", width=13.0, values=["p"])
         assert np.isclose(w["p_min"].min(), vals.min())
         assert np.isclose(w["p_max"].max(), vals.max())

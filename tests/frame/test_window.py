@@ -1,11 +1,11 @@
-"""Unit tests for windowed aggregation and exact recoarsening."""
+"""Unit tests for window indexing and windowed aggregation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.frame import Table, window_aggregate, resample_stats
-from repro.frame.window import recoarsen, window_index, window_span
+from repro.frame import Table, window_aggregate
+from repro.frame.window import window_index, window_span
 
 
 class TestWindowIndex:
@@ -20,6 +20,11 @@ class TestWindowIndex:
     def test_negative_width(self):
         with pytest.raises(ValueError):
             window_index(np.array([0.0]), 0.0)
+
+    def test_width_beyond_int64_takes_the_float_path(self):
+        # integral, but no int64: the exact path would overflow
+        idx = window_index(np.array([0.0, 5.0, 1800.0]), 1e308)
+        assert np.array_equal(idx, [0, 0, 0])
 
 
 class TestWindowIndexBoundaries:
@@ -75,7 +80,7 @@ class TestWindowIndexBoundaries:
 class TestWindowAggregate:
     def test_stats_per_window(self):
         t = Table({"t": np.arange(20.0), "p": np.arange(20.0)})
-        w = resample_stats(t, time="t", width=10.0, values=["p"])
+        w = window_aggregate(t, time="t", width=10.0, values=["p"])
         assert w.n_rows == 2
         assert np.array_equal(w["count"], [10, 10])
         assert np.allclose(w["p_mean"], [4.5, 14.5])
@@ -91,13 +96,13 @@ class TestWindowAggregate:
                 "p": np.array([1.0, 3.0, 10.0, 30.0]),
             }
         )
-        w = resample_stats(t, time="t", width=10.0, values=["p"], by=["node"])
+        w = window_aggregate(t, time="t", width=10.0, values=["p"], by=["node"])
         assert w.n_rows == 2
         assert np.allclose(np.sort(w["p_mean"]), [2.0, 20.0])
 
     def test_empty_windows_absent(self):
         t = Table({"t": np.array([0.0, 100.0]), "p": np.array([1.0, 2.0])})
-        w = resample_stats(t, time="t", width=10.0, values=["p"])
+        w = window_aggregate(t, time="t", width=10.0, values=["p"])
         assert w.n_rows == 2
         assert np.array_equal(np.sort(w["timestamp"]), [0.0, 100.0])
 
@@ -110,32 +115,9 @@ class TestWindowAggregate:
     def test_missing_column_raises(self):
         t = Table({"t": np.arange(3.0)})
         with pytest.raises(KeyError):
-            resample_stats(t, time="t", width=1.0, values=["p"])
+            window_aggregate(t, time="t", width=1.0, values=["p"])
 
     def test_multiple_values(self):
         t = Table({"t": np.arange(10.0), "a": np.arange(10.0), "b": np.ones(10)})
-        w = resample_stats(t, time="t", width=10.0, values=["a", "b"])
+        w = window_aggregate(t, time="t", width=10.0, values=["a", "b"])
         assert np.isclose(w["b_std"][0], 0.0)
-
-
-class TestRecoarsen:
-    def test_exact_against_raw(self, rng):
-        raw = Table({"t": np.arange(120.0), "p": rng.normal(50.0, 5.0, 120)})
-        fine = resample_stats(raw, time="t", width=10.0, values=["p"])
-        wide = recoarsen(fine, time="timestamp", width=60.0, values=["p"])
-        direct = resample_stats(raw, time="t", width=60.0, values=["p"])
-        wide = wide.sort("timestamp")
-        direct = direct.sort("timestamp")
-        assert np.array_equal(wide["count"], direct["count"])
-        assert np.allclose(wide["p_mean"], direct["p_mean"])
-        assert np.allclose(wide["p_min"], direct["p_min"])
-        assert np.allclose(wide["p_max"], direct["p_max"])
-        assert np.allclose(wide["p_std"], direct["p_std"], atol=1e-8)
-
-    def test_uneven_counts(self):
-        raw = Table({"t": np.array([0.0, 1.0, 11.0]), "p": np.array([1.0, 3.0, 8.0])})
-        fine = resample_stats(raw, time="t", width=10.0, values=["p"])
-        wide = recoarsen(fine, time="timestamp", width=20.0, values=["p"])
-        assert wide.n_rows == 1
-        assert wide["count"][0] == 3
-        assert np.isclose(wide["p_mean"][0], 4.0)

@@ -15,7 +15,6 @@ from repro.core import (
     tag_allocations,
 )
 from repro.core.validation import msb_validation
-from repro.frame.window import recoarsen
 
 
 @pytest.fixture(scope="module")
@@ -69,21 +68,3 @@ class TestFullPath:
         assert out["mean_diff_w"] < 0
         assert 0.04 < out["relative_diff"] < 0.2
         assert np.nanmean(out["per_msb"]["phase_corr"]) > 0.3
-
-
-class TestPartitionedPipeline:
-    def test_recoarsen_matches_fine_pipeline(self, twin, window):
-        """10 s stats recoarsened to 60 s equal direct 60 s coarsening."""
-        _, tel = window
-        fine = coarsen_telemetry(tel, ["input_power"], width=10.0)
-        wide = recoarsen(
-            fine, time="timestamp", width=60.0, values=["input_power"],
-            by=["node"],
-        )
-        direct = coarsen_telemetry(tel, ["input_power"], width=60.0)
-        wide = wide.sort(["node", "timestamp"])
-        direct = direct.sort(["node", "timestamp"])
-        assert np.array_equal(wide["count"], direct["count"])
-        assert np.allclose(wide["input_power_mean"], direct["input_power_mean"])
-        assert np.allclose(wide["input_power_std"], direct["input_power_std"],
-                           atol=1e-6)

@@ -1,0 +1,30 @@
+"""The one test oracle for the query plan: an in-memory single pass.
+
+``single_pass(telemetry, query)`` masks the in-memory table by the query's
+time range and node selection, then runs the kernels once — no shards, no
+plan, no pipeline, no service.  Every archive route
+(``plan_query(q, ds).execute()``, ``Pipeline.telemetry_series``, the query
+service) must equal it bit for bit, at the cluster and node levels.
+"""
+
+import numpy as np
+
+from repro.core.aggregate import cluster_power_series
+from repro.core.coarsen import coarsen_telemetry
+from repro.plan import Query
+
+
+def single_pass(telemetry, query=Query()):
+    """Ground truth for ``query`` over the un-archived ``telemetry``."""
+    t = np.asarray(telemetry[query.time], dtype=np.float64)
+    lo = -np.inf if query.t_begin is None else query.t_begin
+    hi = np.inf if query.t_end is None else query.t_end
+    sub = telemetry.filter((t >= lo) & (t < hi))
+    nodes = query.node_selection()
+    if nodes is not None:
+        sub = sub.filter(np.isin(np.asarray(sub[query.by]), nodes))
+    coarse = coarsen_telemetry(sub, list(query.metrics), width=query.width,
+                               by=(query.by,), time=query.time)
+    if query.level == "node":
+        return coarse.sort([query.by, query.time])
+    return cluster_power_series(coarse, value=query.metrics[0])

@@ -184,7 +184,8 @@ class TestOnePoolPerRequest:
 
     def test_cold_query_builds_no_pool(self, pools_built, tmp_path):
         from repro.datasets.store import write_partitioned_series
-        from repro.serve import Query, QueryService
+        from repro.plan import Query
+        from repro.serve import QueryService
 
         table = big_table(n=4_000).select(["node", "timestamp", "power"])
         write_partitioned_series(table.rename({"power": "input_power"}),

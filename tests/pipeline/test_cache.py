@@ -6,7 +6,8 @@ import pytest
 from repro.datasets import SimulationSpec
 from repro.frame.table import Table
 from repro.frame.io import load_npz, save_npz
-from repro.pipeline import ArtifactCache, cache_key
+from repro.pipeline import ArtifactCache
+from repro.plan import cache_key
 
 
 def _table():
@@ -51,7 +52,7 @@ class TestCacheKey:
         it — under a field, a tuple, a dict value — a plain dict."""
         import dataclasses
 
-        from repro.pipeline.cache import _canonical
+        from repro.plan import _canonical
 
         @dataclasses.dataclass(frozen=True)
         class Leaf:

@@ -13,11 +13,10 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from repro.core.aggregate import cluster_power_series
-from repro.core.coarsen import coarsen_telemetry
 from repro.parallel.partition import PartitionedDataset
 from repro.pipeline import Pipeline, PipelineConfig
-from repro.serve import Query, QueryError, plan_query
+from repro.plan import Query, QueryError, plan_query
+from tests.oracle import single_pass
 
 DAY = 86_400.0
 
@@ -54,21 +53,6 @@ def build_dataset(telemetry, root, shard_s=900.0):
         sub = telemetry.filter((t >= lo) & (t < lo + shard_s))
         ds.append(sub, lo, lo + shard_s)
     return ds
-
-
-def single_pass(telemetry, query=Query()):
-    """Ground truth for ``query``: mask the in-memory table, then one pass
-    of the kernels — no shards, no plan, no pipeline."""
-    t = telemetry["timestamp"]
-    lo = -np.inf if query.t_begin is None else query.t_begin
-    hi = np.inf if query.t_end is None else query.t_end
-    sub = telemetry.filter((t >= lo) & (t < hi))
-    if query.nodes is not None:
-        sub = sub.filter(np.isin(sub["node"], query.nodes))
-    coarse = coarsen_telemetry(sub, list(query.metrics), width=query.width)
-    if query.level == "node":
-        return coarse.sort(["node", "timestamp"])
-    return cluster_power_series(coarse, value=query.metrics[0])
 
 
 class TestClusterPowerEquivalence:

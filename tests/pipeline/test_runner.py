@@ -71,7 +71,7 @@ class TestConstruction:
         assert pipe.stats.stage("simulate").calls == 1
 
     def test_twin_data_pipeline_helper(self, twin_small):
-        pipe = twin_small.pipeline()
+        pipe = Pipeline(twin_small)
         assert isinstance(pipe, Pipeline)
         assert pipe.twin is twin_small
         # no simulate stage when the twin is handed in pre-built

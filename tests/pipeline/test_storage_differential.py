@@ -17,10 +17,10 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from repro.core.aggregate import cluster_power_series
-from repro.core.coarsen import coarsen_telemetry
+import repro.plan
 from repro.pipeline import Pipeline, PipelineConfig
-from repro.serve import Query
+from repro.plan import Query
+from tests import oracle
 
 STORES = ("compressed", "raw")
 
@@ -41,9 +41,7 @@ def telemetry(twin_small):
 
 @pytest.fixture(scope="module")
 def single_pass(telemetry):
-    return cluster_power_series(
-        coarsen_telemetry(telemetry, ["input_power"], width=10.0)
-    )
+    return oracle.single_pass(telemetry)
 
 
 @pytest.fixture(scope="module")
@@ -105,17 +103,13 @@ class TestPushdownRoutes:
     def test_time_range_pushdown_identical_across_stores(self, stores,
                                                          twin_small,
                                                          telemetry):
-        t = telemetry["timestamp"]
-        ref = cluster_power_series(coarsen_telemetry(
-            telemetry.filter((t >= 1000.0) & (t < 2600.0)),
-            ["input_power"], width=10.0,
-        ))
+        query = Query(t_begin=1000.0, t_end=2600.0)
+        ref = oracle.single_pass(telemetry, query)
         assert ref.n_rows > 0
         for kind in STORES:
             pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
-            assert_tables_equal(pipe.telemetry_series(
-                stores[kind], Query(t_begin=1000.0, t_end=2600.0),
-            ), ref)
+            assert_tables_equal(pipe.telemetry_series(stores[kind], query),
+                                ref)
 
     def test_zone_pruned_scan_identical(self, stores):
         picks = {
@@ -182,12 +176,10 @@ class TestCacheIsolation:
 
     def test_format_version_bump_invalidates(self, stores, twin_small,
                                              single_pass, tmp_path):
-        import repro.pipeline.cache as cache_mod
-
         cfg = dict(backend="serial", cache_dir=tmp_path / "cache",
                    cache_token="tel-hour")
-        with patch.object(cache_mod, "CACHE_FORMAT_VERSION",
-                          cache_mod.CACHE_FORMAT_VERSION - 1):
+        with patch.object(repro.plan, "CACHE_FORMAT_VERSION",
+                          repro.plan.CACHE_FORMAT_VERSION - 1):
             old, _ = series_over(stores["compressed"], twin_small, **cfg)
         assert_tables_equal(old, single_pass)
         # same store, bumped version: every artifact re-addresses (no

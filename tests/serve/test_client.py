@@ -10,7 +10,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import Query, QueryClient, ServiceError
+from repro.plan import Query
+from repro.serve import QueryClient, ServiceError
 
 
 def b64(values, dtype="<f8"):

@@ -18,16 +18,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.frame.table import Table
 from repro.parallel.partition import PartitionedDataset
 from repro.pipeline import Pipeline, PipelineConfig
-from repro.serve import (
-    Query,
-    QueryService,
-    ResultCache,
-    ServiceConfig,
-    plan_query,
-)
+from repro.plan import Query, plan_query
+from repro.serve import QueryService, ResultCache, ServiceConfig
+from tests.oracle import single_pass
 
 from .conftest import SHARD_S, SPEC
-from .test_planner import _reference_cluster
 
 
 def run(coro):
@@ -180,9 +175,7 @@ class TestServiceEquivalence:
             svc.close()
         pipe = Pipeline(SPEC, PipelineConfig(backend="serial"))
         assert resp["table"] == pipe.telemetry_series(dataset, q)
-        assert resp["table"] == _reference_cluster(
-            telemetry, 0.0, SPEC.horizon_s
-        )
+        assert resp["table"] == single_pass(telemetry, q)
 
     def test_concurrent_overlap_shares_flights(self, dataset):
         """8 concurrent overlapping queries: every distinct fragment is

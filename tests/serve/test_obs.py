@@ -9,7 +9,8 @@ import pytest
 
 from repro.obs import trace
 from repro.obs.export import validate_spans
-from repro.serve import Query, QueryService, ServiceConfig
+from repro.plan import Query
+from repro.serve import QueryService, ServiceConfig
 
 
 def run(coro):
@@ -110,11 +111,13 @@ class TestTracedQuery:
                    (tmp_path / "trace.jsonl").read_text().splitlines()]
         forest = validate_spans(records)
         names = {r["name"] for r in records}
-        assert {"serve.query", "serve.admit", "serve.plan_query",
-                "serve.task", "serve.task.exec",
+        assert {"serve.query", "serve.admit", "plan.query",
+                "serve.task", "serve.task.exec", "plan.fragment",
                 "serve.merge"} <= names
-        assert "serve.plan" not in names  # one name for the planning step
-        (plan,) = [r for r in records if r["name"] == "serve.plan_query"]
+        # one name per step, named after the module that runs it
+        assert not {"serve.plan", "serve.plan_query",
+                    "serve.fragment.compute"} & names
+        (plan,) = [r for r in records if r["name"] == "plan.query"]
         assert plan["attrs"]["shards"] == resp["shards"]["scanned"]
         assert plan["attrs"]["pruned"] == resp["shards"]["pruned"]
 
@@ -127,6 +130,7 @@ class TestTracedQuery:
 
         for root in forest:
             walk(root)
-        assert ("serve.query", "serve.plan_query") in edges
+        assert ("serve.query", "plan.query") in edges
         assert ("serve.task", "serve.task.exec") in edges
+        assert ("serve.task.exec", "plan.fragment") in edges
         assert ("serve.query", "serve.merge") in edges

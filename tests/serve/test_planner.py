@@ -5,25 +5,13 @@ one route from archive to answer; the reference never touches it)."""
 import numpy as np
 import pytest
 
-from repro.core.aggregate import cluster_power_series
 from repro.core.coarsen import coarsen_telemetry
 from repro.core.pue import pue_series
 from repro.pipeline import Pipeline, PipelineConfig
-from repro.serve import Query, QueryError, plan_query
+from repro.plan import Query, QueryError, plan_query
+from tests.oracle import single_pass
 
 from .conftest import SPEC, SHARD_S
-
-
-def _reference_cluster(telemetry, t0, t1, width=10.0, nodes=None,
-                       metric="input_power"):
-    """Single-pass ground truth: mask, coarsen, aggregate."""
-    t = np.asarray(telemetry["timestamp"], dtype=np.float64)
-    sub = telemetry.filter((t >= t0) & (t < t1))
-    if nodes is not None:
-        sub = sub.filter(np.isin(np.asarray(sub["node"]), nodes))
-    coarse = coarsen_telemetry(sub, [metric], width=width, by=("node",),
-                               drop_nan=True)
-    return cluster_power_series(coarse, value=metric)
 
 
 class TestBitIdentity:
@@ -35,22 +23,22 @@ class TestBitIdentity:
         out = plan_query(q, dataset).execute()
         pipe = Pipeline(SPEC, PipelineConfig(backend="serial"))
         assert out == pipe.telemetry_series(dataset, q)
-        assert out == _reference_cluster(telemetry, 0.0, SPEC.horizon_s)
+        assert out == single_pass(telemetry, q)
 
     def test_cluster_matches_single_pass(self, dataset, telemetry):
         out = plan_query(
             Query(t_begin=300.0, t_end=1200.0, width=10.0), dataset
         ).execute()
-        assert out == _reference_cluster(telemetry, 300.0, 1200.0)
+        assert out == single_pass(
+            telemetry, Query(t_begin=300.0, t_end=1200.0))
 
     def test_node_filter_matches_single_pass(self, dataset, telemetry):
         sel = (3, 7, 20)
         out = plan_query(
             Query(t_begin=0.0, t_end=900.0, nodes=sel, width=10.0), dataset
         ).execute()
-        ref = _reference_cluster(telemetry, 0.0, 900.0,
-                                 nodes=np.asarray(sel))
-        assert out == ref
+        assert out == single_pass(
+            telemetry, Query(t_begin=0.0, t_end=900.0, nodes=sel))
 
     def test_cabinet_filter_matches_explicit_nodes(self, dataset):
         by_cabinet = plan_query(Query(t_begin=0.0, t_end=600.0,
@@ -174,11 +162,9 @@ class TestPlanErrors:
         # one surviving shard
         out = plan_query(Query(width=7.0, t_begin=0.0, t_end=SHARD_S - 10.0),
                          dataset).execute()
-        assert out == _reference_cluster(telemetry, 0.0, SHARD_S - 10.0,
-                                         width=7.0)
+        assert out == single_pass(
+            telemetry, Query(width=7.0, t_begin=0.0, t_end=SHARD_S - 10.0))
         # every divisor of the shard extent
         for width in (12.0, 30.0, 60.0, 150.0, SHARD_S):
             out = plan_query(Query(width=width), dataset).execute()
-            assert out == _reference_cluster(
-                telemetry, -np.inf, np.inf, width=width
-            ), width
+            assert out == single_pass(telemetry, Query(width=width)), width

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve import DERIVED, LEVELS, Query, QueryError
+from repro.plan import DERIVED, LEVELS, Query, QueryError
 
 
 class TestCanonicalization:
@@ -61,6 +61,14 @@ class TestValidation:
         dict(t_end=float("nan")),
         dict(derived="pue", pue_overhead=float("nan")),
         dict(derived="pue", pue_overhead=float("inf")),
+        # ids that are not integers, or whose node ids do not fit int64
+        dict(nodes=(1.5,)),
+        dict(nodes=(True,)),
+        dict(nodes=(float("inf"),)),
+        dict(nodes=(1e19,)),
+        dict(nodes=(2**63,)),
+        dict(cabinets=(10**18,)),
+        dict(cabinets=(2**63 // 18,)),
     ])
     def test_rejects(self, bad):
         kw = dict(metrics=("input_power",))
@@ -70,6 +78,12 @@ class TestValidation:
 
     def test_infinite_bounds_mean_open(self):
         Query(t_begin=float("-inf"), t_end=float("inf")).validate()
+
+    def test_largest_ids_accepted(self):
+        top = 2**63 // 18 - 1  # the last cabinet whose nodes fit int64
+        assert Query(cabinets=(top,)).node_selection()[-1] == (
+            (top + 1) * 18 - 1)
+        assert Query(nodes=(2**63 - 1,)).validate().nodes == (2**63 - 1,)
 
     def test_node_level_multi_metric_ok(self):
         Query(level="node", metrics=("input_power", "gpu_power_total")
@@ -120,7 +134,7 @@ class TestFingerprint:
         through ``dataclasses.asdict``: spilled results and pipeline
         artifacts written by older code must still be found."""
         from repro.datasets import SimulationSpec
-        from repro.pipeline.cache import cache_key
+        from repro.plan import cache_key
 
         monkeypatch.delenv("REPRO_RCS_COMPRESSION", raising=False)
         assert Query().fingerprint() == (

@@ -19,13 +19,12 @@ from repro.config import cap_workers
 from repro.datasets.store import write_partitioned_series
 from repro.frame.table import Table
 from repro.parallel.executor import default_workers
+from repro.plan import Query, plan_query
 from repro.serve import (
-    Query,
     QueryClient,
     QueryService,
     ServiceConfig,
     TelemetryServer,
-    plan_query,
     table_from_wire,
     table_to_wire,
 )
@@ -692,6 +691,14 @@ class TestTCP:
         (b'{"query": {"pue_overhead": "nan", "derived": "pue"}}', 1),
         (b'{"query": {"t_begin": "nan"}}', 1),
         (b'{"query": {"t_end": "nan"}}', 1),
+        # hostile numbers: ids past int64 (alone or as a cabinet's nodes),
+        # a width past int64, a fraction or a bool posing as a node id
+        (b'{"query": {"nodes": [1e19]}}', 1),
+        (b'{"query": {"nodes": [Infinity]}}', 1),
+        (b'{"query": {"cabinets": [1000000000000000000]}}', 1),
+        (b'{"query": {"width": 1e308}}', 1),
+        (b'{"query": {"nodes": [1.5]}}', 1),
+        (b'{"query": {"nodes": [true]}}', 1),
         # a 7 s window straddles the archive's 300 s shard edges
         (b'{"query": {"width": 7}}', 1),
         # the one case that ends the connection (the stream is misaligned)

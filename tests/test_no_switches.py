@@ -13,15 +13,11 @@ import inspect
 import re
 from pathlib import Path
 
+import repro.frame
 from repro.parallel import Executor
 from repro.pipeline import ArtifactCache, PipelineConfig
-from repro.serve import (
-    QueryClient,
-    ResultCache,
-    ServiceConfig,
-    SingleFlight,
-    plan_query,
-)
+from repro.plan import plan_query
+from repro.serve import QueryClient, ResultCache, ServiceConfig, SingleFlight
 from repro.workload import ClusterTraceBuilder, PowerAwareScheduler, Scheduler
 from repro.stream import (
     StreamGraph,
@@ -122,3 +118,16 @@ def test_serve_knobs_are_a_closed_set():
         name for name, _ in inspect.getmembers(SingleFlight, callable)
         if not name.startswith("_")
     ] == ["run"]
+
+
+def test_frame_surface_is_a_closed_set():
+    """Rolling kernels, an as-of join, a CSV reader, a stats describer, a
+    recoarsener and two ``Table`` constructors had no caller outside tests
+    and went; a new frame verb arrives with its first caller."""
+    assert repro.frame.__all__ == [
+        "Table", "concat", "factorize", "multi_factorize", "group_by",
+        "AGGREGATIONS", "join", "interval_join", "window_aggregate",
+        "save_npz", "load_npz", "write_csv", "RcsFile", "save_rcs",
+        "open_rcs", "load_rcs", "zone_map", "CODECS", "ColumnarFormatError",
+        "compression_mode", "decode_column", "encode_column",
+    ]

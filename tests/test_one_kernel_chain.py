@@ -1,6 +1,6 @@
 """Guard: one place sequences the kernels over an archive.
 
-``serve/planner.py`` (``QueryPlan``) is the only module under ``src/repro``
+``plan.py`` (``QueryPlan``) is the only module under ``src/repro``
 that calls ``coarsen_telemetry``, and the only one besides the streaming
 aggregate (which collapses its own watermark-closed buffers, never an
 archive) that calls ``cluster_power_series``.  A call site that shows up
@@ -27,7 +27,7 @@ def _call_sites(call: str) -> set[str]:
 
 
 def test_kernels_are_sequenced_in_one_place():
-    assert _call_sites("coarsen_telemetry") == {"serve/planner.py"}
+    assert _call_sites("coarsen_telemetry") == {"plan.py"}
     assert _call_sites("cluster_power_series") == {
-        "serve/planner.py", "stream/operators.py",
+        "plan.py", "stream/operators.py",
     }

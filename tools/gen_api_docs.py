@@ -31,6 +31,7 @@ PACKAGES = [
     "repro.telemetry",
     "repro.core",
     "repro.datasets",
+    "repro.plan",
     "repro.pipeline",
     "repro.stream",
     "repro.serve",
@@ -108,9 +109,10 @@ CLI integration (`python -m repro stream`):
 at once.  A declarative `Query` is validated and canonicalized (its
 SHA-256 fingerprint is spelling-invariant), planned into the storage
 pushdowns (zone-map shard pruning + column projection), and executed on
-an asyncio loop that offloads shard reads to a worker pool.  The plan is
-the same code as `Pipeline.telemetry_series` over the same archive; a
-`width` that does not divide the shard edges is an `error` response.
+an asyncio loop that offloads shard reads to a worker pool.  `Query` and
+the plan live in `repro.plan`, the same code `Pipeline.telemetry_series`
+runs over the same archive; a `width` that does not divide the shard
+edges is an `error` response.
 
 Load management is explicit: a byte-capped in-memory LRU **result
 cache**, **single-flight** collapse of concurrent identical queries, and
