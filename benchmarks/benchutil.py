@@ -65,7 +65,7 @@ TRACE_OVERHEAD_BUDGET = 0.01
 
 def disabled_span_cost(n: int = 200_000) -> float:
     """Measured per-call seconds of the tracing-disabled ``span()`` fast
-    path (one branch, a counter bump, and a shared no-op object)."""
+    path (one branch and a shared no-op object)."""
     import time
 
     from repro.obs import trace

@@ -35,7 +35,8 @@ Observability
 Every command honours ``REPRO_TRACE`` (``1`` or a path: record spans to
 a JSONL trace file, wrapped in a ``cli.<command>`` root span) and
 ``REPRO_PROFILE`` (``1`` or an interval in ms: sample the main thread's
-wall clock and print per-span hot sites to stderr on exit).
+wall clock and print per-span hot sites to stderr on exit; any other
+value is an error before the command runs).
 """
 
 from __future__ import annotations
@@ -529,7 +530,11 @@ def _run_command(args) -> int:
     from repro.obs.profile import profile_from_env
 
     trace_file = trace.enabled_from_env()
-    profiler = profile_from_env()
+    try:
+        profiler = profile_from_env()
+    except ValueError as err:
+        print(f"error: {err}")
+        return 1
     if trace_file is None and profiler is None:
         return args.fn(args)
     # a profiler without REPRO_TRACE still needs live spans for per-span

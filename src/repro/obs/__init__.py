@@ -5,9 +5,10 @@ The glue the paper's monitoring story needs on our side of the glass:
 * :mod:`repro.obs.trace` — nested spans with deterministic ids,
   cross-process propagation through ``parallel.Executor`` and the serve
   TCP protocol, JSONL sink (``REPRO_TRACE=<file>``);
-* :mod:`repro.obs.metrics` — counters and gauges in keyed registries;
-  the ``PipelineStats`` / ``ServiceStats`` / ``StreamStats`` / scheduler
-  silos are typed views over these;
+* :mod:`repro.obs.metrics` — counters and gauges in a keyed registry,
+  where the scheduler mirrors its ``sched.*`` op counters (the
+  ``PipelineStats`` / ``ServiceStats`` / ``StreamStats`` counters are
+  plain attributes of their own);
 * :mod:`repro.obs.profile` — signal-based wall-clock sampler with
   per-span attribution (``REPRO_PROFILE=1``);
 * :mod:`repro.obs.export` — flame summaries, Chrome ``trace_event``
@@ -16,7 +17,7 @@ The glue the paper's monitoring story needs on our side of the glass:
   slow-query log).
 
 Everything is stdlib-only and free when disabled: a ``trace.span()``
-call with tracing off is one branch plus a shared no-op context
+call with tracing off is one branch returning a shared no-op context
 manager.
 """
 

@@ -1,19 +1,18 @@
-"""Metrics registry: counters and gauges, the backing store of the stats
-views.
+"""Metrics registry: counters and gauges keyed by name and labels.
 
-One process-wide :data:`REGISTRY` plus private registries for subsystems
-that need isolation (each ``QueryService`` owns its own so two services
-in one process never cross-contaminate).  ``snapshot()`` is a JSON-able
-copy of a whole registry.  Metrics never cross a process boundary:
-executor workers ship their spans home (:func:`repro.obs.trace.merge_spans`),
-not their counters.
+One process-wide :data:`REGISTRY`, where the scheduler mirrors its
+``sched.*`` op counters; ``snapshot()`` is a JSON-able copy of a whole
+registry.  The pipeline, serve and stream stats keep plain-attribute
+records of their own.  Metrics never cross a process boundary: executor
+workers ship their spans home (:func:`repro.obs.trace.merge_spans`), not
+their counters.
 """
 
 from __future__ import annotations
 
 import threading
 
-__all__ = ["Counter", "Gauge", "MetricField", "MetricsRegistry", "REGISTRY"]
+__all__ = ["Counter", "Gauge", "MetricsRegistry", "REGISTRY"]
 
 
 class Counter:
@@ -94,30 +93,7 @@ class MetricsRegistry:
             out[name] = {"kind": metric.kind, "state": metric.state()}
         return out
 
-    def clear(self) -> None:
-        with self._lock:
-            self._metrics.clear()
 
-
-class MetricField:
-    """A data descriptor mapping ``view.<attr>`` onto the registry metric
-    the owner's ``_metric(attr)`` returns, so the stats views' call sites
-    keep mutating plain attributes (``st.calls += 2``)."""
-
-    __slots__ = ("attr",)
-
-    def __set_name__(self, owner, attr):
-        self.attr = attr
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return obj._metric(self.attr).value
-
-    def __set__(self, obj, value):
-        obj._metric(self.attr).value = value
-
-
-#: the process-wide registry, for subsystems without their own
-#: (scheduler op counters, executor internals, ad-hoc instrumentation)
+#: the process-wide registry (scheduler op counters, ad-hoc
+#: instrumentation)
 REGISTRY = MetricsRegistry()

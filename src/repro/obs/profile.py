@@ -15,6 +15,7 @@ the previous ``SIGALRM`` disposition on exit.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 from collections import Counter as _TallyCounter
@@ -90,13 +91,19 @@ class SamplingProfiler:
 
 def profile_from_env() -> SamplingProfiler | None:
     """An armed profiler when ``REPRO_PROFILE`` asks for one: ``1`` uses
-    the default interval, any other value is the interval in ms."""
-    raw = os.environ.get("REPRO_PROFILE", "").strip().lower()
-    if raw in ("", "0", "off", "false"):
+    the default interval, any other value is the interval in ms; one
+    that is not a finite positive number is a ``ValueError``."""
+    raw = os.environ.get("REPRO_PROFILE", "")
+    val = raw.strip().lower()
+    if val in ("", "0", "off", "false"):
         return None
-    if raw in ("1", "true", "on"):
+    if val in ("1", "true", "on"):
         return SamplingProfiler()
     try:
-        return SamplingProfiler(float(raw) / 1e3)
+        ms = float(val)
     except ValueError:
-        return SamplingProfiler()
+        ms = math.nan
+    if not 0.0 < ms < math.inf:
+        raise ValueError("REPRO_PROFILE must be 1 or an interval in ms, "
+                         f"got {raw!r}")
+    return SamplingProfiler(ms / 1e3)

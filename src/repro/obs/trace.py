@@ -11,7 +11,7 @@ Design constraints, in order:
 
 * **disabled is free** — tracing is off by default; ``span()`` then costs
   one branch and returns a shared no-op context manager, so hot paths keep
-  their performance (the pipeline/service benches pin this below 1%);
+  their performance;
 * **ids are deterministic below a parent** — a span's id is a hash of
   its parent's id, its name, and its sibling sequence number, so the
   subtree under any given context is identical across fork, spawn, and
@@ -58,7 +58,6 @@ __all__ = [
     "flush",
     "capture",
     "merge_spans",
-    "disabled_span_calls",
 ]
 
 #: fields every span record carries (the JSONL schema, validated by
@@ -136,9 +135,6 @@ class _NullSpan:
     def set(self, **attrs) -> "_NullSpan":
         return self
 
-    def next_child_seq(self) -> int:
-        return 0
-
     @property
     def context(self) -> None:
         return None
@@ -176,7 +172,6 @@ _ROOT_SALT = f"{os.getpid()}:{time.time_ns()}"
 #: the inherited records, not duplicate them into the file (worker spans
 #: travel home via :func:`capture`, never via the worker's own sink)
 _owner_pid = os.getpid()
-_disabled_calls = 0  # read by the overhead benches
 
 #: the active span for the current thread/task (contextvars propagate
 #: into asyncio tasks automatically; threads start empty)
@@ -186,12 +181,6 @@ _current: ContextVar[_Span | None] = ContextVar("repro_obs_span",
 #: capture, tests)
 _capture: ContextVar[list | None] = ContextVar("repro_obs_capture",
                                                default=None)
-
-
-def disabled_span_calls() -> int:
-    """How many ``span()`` calls took the disabled fast path (the
-    overhead benches multiply this by the measured per-call cost)."""
-    return _disabled_calls
 
 
 def is_enabled() -> bool:
@@ -241,7 +230,7 @@ def enabled_from_env() -> str | None:
     if val.lower() in ("", "0", "off", "false"):
         return None
     if val.lower() in ("1", "true", "on"):
-        return os.environ.get("REPRO_TRACE_FILE", "repro-trace.jsonl")
+        return "repro-trace.jsonl"
     return val
 
 
@@ -353,8 +342,6 @@ def span(name: str, _parent: SpanContext | None = None,
     returns a shared no-op context manager.
     """
     if not _enabled:
-        global _disabled_calls
-        _disabled_calls += 1
         return _NULL_CM
     return _SpanCM(name, attrs, _parent, _seq)
 
@@ -398,16 +385,3 @@ def merge_spans(records: list[dict]) -> None:
     """
     for record in records:
         _write(record)
-
-
-@contextmanager
-def activated(ctx: SpanContext | None, name: str, seq: int | None = None,
-              **attrs):
-    """Open a span as a child of an explicit remote context.
-
-    Sugar for worker entry points: ``with trace.activated(ctx,
-    "executor.task", seq=index): ...``.  With ``ctx=None`` the span
-    parents normally (or becomes a root).
-    """
-    with span(name, _parent=ctx, _seq=seq, **attrs) as sp:
-        yield sp

@@ -6,13 +6,9 @@ bytes produced, and artifact-cache hit/miss counts.  The counters answer the
 operational questions the paper's own pipeline had to answer: where does the
 year-scale run spend its time, and how much work does a warm cache skip?
 
-Since the ``repro.obs`` re-base the numbers live in a per-run
-:class:`~repro.obs.metrics.MetricsRegistry` (one per
-:class:`PipelineStats`, so concurrent pipelines never share counters);
-:class:`StageStats` is a typed view whose attributes read and write
-registry counters labeled by stage name.  The public surface —
-``record()``, attribute access, ``report()``, ``merge()`` — is unchanged
-and pinned by ``tests/obs/test_stats_compat.py``.
+Each :class:`StageStats` holds its counters as plain attributes; the
+``report()`` text and attribute values are pinned by
+``tests/obs/test_stats_compat.py``.
 """
 
 from __future__ import annotations
@@ -20,30 +16,19 @@ from __future__ import annotations
 import threading
 
 from repro.core.report import render_table
-from repro.obs.metrics import MetricField, MetricsRegistry
 
 
 class StageStats:
-    """Counters for one named pipeline stage: each attribute is a view of
-    the registry counter ``pipeline.<attr>{stage=<name>}``."""
+    """Counters for one named pipeline stage."""
 
     FIELDS = ("calls", "wall_s", "rows_in", "rows_out", "bytes_out",
               "cache_hits", "cache_misses")
+    __slots__ = ("name",) + FIELDS
 
-    calls = MetricField()
-    wall_s = MetricField()
-    rows_in = MetricField()
-    rows_out = MetricField()
-    bytes_out = MetricField()
-    cache_hits = MetricField()
-    cache_misses = MetricField()
-
-    def __init__(self, name: str, registry: MetricsRegistry | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self._registry = registry if registry is not None else MetricsRegistry()
-
-    def _metric(self, attr: str):
-        return self._registry.counter(f"pipeline.{attr}", stage=self.name)
+        for k in self.FIELDS:
+            setattr(self, k, 0)
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -60,7 +45,6 @@ class PipelineStats:
     """Aggregated per-stage counters for one pipeline run."""
 
     def __init__(self):
-        self.registry = MetricsRegistry()
         self.stages: dict[str, StageStats] = {}
         self._lock = threading.Lock()
 
@@ -69,7 +53,7 @@ class PipelineStats:
         with self._lock:
             st = self.stages.get(name)
             if st is None:
-                st = self.stages[name] = StageStats(name, self.registry)
+                st = self.stages[name] = StageStats(name)
             return st
 
     def record(
@@ -138,17 +122,3 @@ class PipelineStats:
         else:
             line = "cache: disabled"
         return table + "\n" + line
-
-    def merge(self, other: "PipelineStats") -> None:
-        """Fold another run's counters into this one."""
-        for name, st in other.stages.items():
-            self.record(
-                name,
-                wall_s=st.wall_s,
-                calls=st.calls,
-                rows_in=st.rows_in,
-                rows_out=st.rows_out,
-                bytes_out=st.bytes_out,
-                cache_hits=st.cache_hits,
-                cache_misses=st.cache_misses,
-            )

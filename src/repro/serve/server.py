@@ -38,7 +38,7 @@ from repro.parallel.executor import default_workers
 from repro.parallel.partition import PartitionedDataset
 from repro.plan import Query, QueryError, QueryPlan, ShardTask, plan_query
 from repro.serve.cache import ResultCache, SingleFlight
-from repro.serve.session import Admission, RejectedError
+from repro.serve.session import MAX_TENANT_NAME, Admission, RejectedError
 from repro.serve.stats import ServiceStats
 
 __all__ = [
@@ -246,7 +246,7 @@ class QueryService:
             return loop.run_in_executor(self._pool, fn, *args)
 
         def run():
-            with trace.activated(ctx, name, **attrs):
+            with trace.span(name, _parent=ctx, **attrs):
                 return fn(*args)
 
         return loop.run_in_executor(self._pool, run)
@@ -266,15 +266,18 @@ class QueryService:
 
     async def _query(self, query: Query | dict, tenant: str, qsp) -> dict:
         t0 = time.perf_counter()
+        # straight off the wire: an unhashable tenant would raise out of
+        # the tenant table and drop the connection
         if not isinstance(tenant, str):
-            # straight off the wire: an unhashable one would raise out of
-            # the tenant table and drop the connection
-            self.stats.record_error()
-            qsp.set(status="error")
-            return {"status": "error",
-                    "error": "tenant must be a string, got "
-                             f"{type(tenant).__name__}"}
-        st = self.admission.tenant(tenant)
+            return self._error(qsp, "tenant must be a string, got "
+                                    f"{type(tenant).__name__}")
+        if len(tenant) > MAX_TENANT_NAME:
+            return self._error(qsp, "tenant name exceeds "
+                                    f"{MAX_TENANT_NAME} characters")
+        try:
+            st = self.admission.tenant(tenant)
+        except RejectedError as err:
+            return self._rejected(qsp, err)
         st.queries += 1
         try:
             if not isinstance(query, Query):
@@ -282,9 +285,7 @@ class QueryService:
             query.validate()
             key = query.fingerprint()
         except QueryError as err:
-            self.stats.record_error()
-            qsp.set(status="error")
-            return {"status": "error", "error": str(err)}
+            return self._error(qsp, str(err))
         qsp.set(level=query.level, fingerprint=key)
 
         cached = self.cache.get(key)
@@ -332,18 +333,24 @@ class QueryService:
             (table, meta, queued_s), led = await self.flight.run(key, execute)
         except RejectedError as err:
             st.rejected += 1
-            self.stats.record_rejected()
-            qsp.set(status="rejected")
-            return {"status": "rejected", "reason": err.reason}
+            return self._rejected(qsp, err)
         except QueryError as err:
-            self.stats.record_error()
-            qsp.set(status="error")
-            return {"status": "error", "error": str(err)}
+            return self._error(qsp, str(err))
         if not led:
             qsp.set(cache="shared")
             return self._ok(query, key, tenant, table, "shared", t0, 0.0, meta)
         qsp.set(cache="miss", shards=meta["scanned"])
         return self._ok(query, key, tenant, table, "miss", t0, queued_s, meta)
+
+    def _error(self, qsp, error: str) -> dict:
+        self.stats.record_error()
+        qsp.set(status="error")
+        return {"status": "error", "error": error}
+
+    def _rejected(self, qsp, err: RejectedError) -> dict:
+        self.stats.record_rejected()
+        qsp.set(status="rejected")
+        return {"status": "rejected", "reason": err.reason}
 
     async def _run_task(
         self, plan: QueryPlan, task: ShardTask, frag: dict,
@@ -617,7 +624,7 @@ class TelemetryServer:
                     # stall the event loop for milliseconds per response
                     # (convoying every other connection) — do it on the
                     # worker pool instead
-                    self.service.stats.encode_offloads += 1
+                    self.service.stats.record_offload()
                     payload = await self.service._in_pool(
                         "serve.encode", self._encode, resp, offloaded=True
                     )

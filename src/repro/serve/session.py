@@ -10,7 +10,10 @@ every query is admitted, queued, or rejected before any work happens.
   that waited reports its queue time, so clients can observe pressure;
 * a **per-tenant quota** (``tenant_inflight``) bounds how much of the
   service any one tenant can hold (running + queued), so a greedy tenant
-  degrades itself, not its neighbours.
+  degrades itself, not its neighbours;
+* the **tenant table** holds at most :data:`MAX_TENANTS` names, so a
+  client cycling names cannot grow it (or the ``stats`` answer that lists
+  it) without bound.
 
 Beyond both bounds the query is rejected immediately with a reason —
 ``REJECTED`` is a fast, cheap answer; a hung socket is not.  Cache hits
@@ -25,6 +28,12 @@ import time
 from dataclasses import dataclass, field
 
 __all__ = ["TenantState", "Admission", "RejectedError"]
+
+#: distinct tenants one service tracks; a new name past this is rejected
+MAX_TENANTS = 1024
+
+#: longest tenant name a query may carry (a longer one is an error)
+MAX_TENANT_NAME = 128
 
 
 class RejectedError(Exception):
@@ -80,8 +89,14 @@ class Admission:
             raise ValueError("tenant_inflight must be >= 1")
 
     def tenant(self, name: str) -> TenantState:
+        """The accounting for ``name``, created on first sight; raises
+        :class:`RejectedError` for a new name once the table is full."""
         st = self.tenants.get(name)
         if st is None:
+            if len(self.tenants) >= MAX_TENANTS:
+                self.rejected_capacity += 1
+                raise RejectedError(
+                    f"tenant table full ({MAX_TENANTS} tenants)")
             st = self.tenants[name] = TenantState(name)
         return st
 

@@ -6,16 +6,15 @@ look like, who is being throttled.  Latencies are kept in a bounded
 reservoir (the most recent ``capacity`` samples), so a long-running server
 reports *current* tail behavior, not a year-long average.
 
-Re-based on :class:`~repro.obs.metrics.MetricsRegistry`: every counter is
-a registry metric in a per-instance registry (two services in one process
-never share numbers); the reservoirs are the one latency estimator every
-reader (``snapshot()``, ``report()``) takes its quantiles from.  All
-mutation and the ``snapshot()`` / ``report()`` reads take one lock — a
-snapshot is a consistent point in time even when worker-pool callbacks
-land concurrently (the invariant ``queries == ok + rejected + errors``
-holds in *every* snapshot, hammered by
-``tests/obs/test_service_stats_atomic.py``).  Output shapes are pinned
-pre-re-base by ``tests/obs/test_stats_compat.py``.
+Every counter is a plain int on the instance (two services in one
+process never share numbers); the reservoirs are the one latency
+estimator every reader (``snapshot()``, ``report()``) takes its quantiles
+from.  Every mutation and the ``snapshot()`` / ``report()`` reads take
+one lock — a snapshot is a consistent point in time even when
+worker-pool callbacks land concurrently (the invariant ``queries == ok +
+rejected + errors`` holds in *every* snapshot, and no bump is lost,
+hammered by ``tests/obs/test_service_stats_atomic.py``).  Output shapes
+are pinned by ``tests/obs/test_stats_compat.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from collections import deque
 import numpy as np
 
 from repro.core.report import render_table
-from repro.obs.metrics import MetricField, MetricsRegistry
 from repro.serve.session import Admission
 
 __all__ = ["LatencyReservoir", "ServiceStats"]
@@ -65,56 +63,32 @@ class LatencyReservoir:
         return float(np.mean(np.fromiter(self._samples, float)))
 
 
-class _CounterField(MetricField):
-    """:class:`~repro.obs.metrics.MetricField` over the registry counter
-    ``serve.<attr>``, with reads and writes going through the instance
-    lock — attribute mutation (``stats.encode_offloads += 1``) stays safe
-    from any thread."""
-
-    __slots__ = ()
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        with obj._lock:
-            return super().__get__(obj, objtype)
-
-    def __set__(self, obj, value):
-        with obj._lock:
-            super().__set__(obj, value)
-
-
 class ServiceStats:
     """Aggregated counters for one :class:`~repro.serve.server.QueryService`."""
 
-    queries = _CounterField()
-    ok = _CounterField()
-    rejected = _CounterField()
-    errors = _CounterField()
-    cache_hits = _CounterField()
-    cache_shared = _CounterField()   # single-flight followers
-    executed = _CounterField()       # plans that actually ran shard tasks
-    rows_served = _CounterField()
-    shards_scanned = _CounterField()
-    shards_pruned = _CounterField()
-    # fragment-cache accounting (executed queries only)
-    frag_hits = _CounterField()      # tasks served straight from the cache
-    frag_shared = _CounterField()    # tasks that joined another query's compute
-    frag_misses = _CounterField()    # tasks that computed (and cached) a fragment
-    tasks_full = _CounterField()     # shard fully covered -> fragment as-is
-    tasks_aligned = _CounterField()  # grid-aligned partial -> fragment slice
-    tasks_partial = _CounterField()  # unaligned partial -> direct, uncached
-    encode_offloads = _CounterField()  # large NDJSON encodes moved off the loop
-
     def __init__(self):
         self._lock = threading.RLock()
-        self.registry = MetricsRegistry()
+        self.queries = 0
+        self.ok = 0
+        self.rejected = 0
+        self.errors = 0
+        self.cache_hits = 0
+        self.cache_shared = 0     # single-flight followers
+        self.executed = 0         # plans that actually ran shard tasks
+        self.rows_served = 0
+        self.shards_scanned = 0
+        self.shards_pruned = 0
+        # fragment-cache accounting (executed queries only)
+        self.frag_hits = 0        # tasks served straight from the cache
+        self.frag_shared = 0      # tasks that joined another query's compute
+        self.frag_misses = 0      # tasks that computed (and cached) a fragment
+        self.tasks_full = 0       # shard fully covered -> fragment as-is
+        self.tasks_aligned = 0    # grid-aligned partial -> fragment slice
+        self.tasks_partial = 0    # unaligned partial -> direct, uncached
+        self.encode_offloads = 0  # large NDJSON encodes moved off the loop
         self.fanout = LatencyReservoir()  # shards scanned per executed query
         self.latency = LatencyReservoir()
         self.exec_latency = LatencyReservoir()
-
-    def _metric(self, attr: str):
-        return self.registry.counter(f"serve.{attr}")
 
     # ---------------- recording ----------------
 
@@ -130,39 +104,43 @@ class ServiceStats:
         fragments: dict | None = None,
     ) -> None:
         with self._lock:
-            c = self.registry.counter
-            c("serve.queries").inc()
-            c("serve.ok").inc()
-            c("serve.rows_served").inc(rows)
+            self.queries += 1
+            self.ok += 1
+            self.rows_served += rows
             self.latency.add(elapsed_s)
             if cache == "hit":
-                c("serve.cache_hits").inc()
+                self.cache_hits += 1
             elif cache == "shared":
-                c("serve.cache_shared").inc()
+                self.cache_shared += 1
             else:
-                c("serve.executed").inc()
-                c("serve.shards_scanned").inc(shards_scanned)
-                c("serve.shards_pruned").inc(shards_pruned)
+                self.executed += 1
+                self.shards_scanned += shards_scanned
+                self.shards_pruned += shards_pruned
                 self.fanout.add(float(shards_scanned))
                 if executed_s is not None:
                     self.exec_latency.add(executed_s)
                 if fragments:
-                    c("serve.frag_hits").inc(fragments.get("hits", 0))
-                    c("serve.frag_shared").inc(fragments.get("shared", 0))
-                    c("serve.frag_misses").inc(fragments.get("misses", 0))
-                    c("serve.tasks_full").inc(fragments.get("full", 0))
-                    c("serve.tasks_aligned").inc(fragments.get("aligned", 0))
-                    c("serve.tasks_partial").inc(fragments.get("partial", 0))
+                    self.frag_hits += fragments.get("hits", 0)
+                    self.frag_shared += fragments.get("shared", 0)
+                    self.frag_misses += fragments.get("misses", 0)
+                    self.tasks_full += fragments.get("full", 0)
+                    self.tasks_aligned += fragments.get("aligned", 0)
+                    self.tasks_partial += fragments.get("partial", 0)
 
     def record_rejected(self) -> None:
         with self._lock:
-            self.registry.counter("serve.queries").inc()
-            self.registry.counter("serve.rejected").inc()
+            self.queries += 1
+            self.rejected += 1
 
     def record_error(self) -> None:
         with self._lock:
-            self.registry.counter("serve.queries").inc()
-            self.registry.counter("serve.errors").inc()
+            self.queries += 1
+            self.errors += 1
+
+    def record_offload(self) -> None:
+        """One large answer encoded on the worker pool."""
+        with self._lock:
+            self.encode_offloads += 1
 
     # ---------------- views ----------------
 

@@ -7,43 +7,28 @@ NaN-dropped rows), and the event-time lag of finalized output.
 ``report()`` renders the same style of counter table the chunked pipeline
 prints.
 
-Backed by a :class:`~repro.obs.metrics.MetricsRegistry` (one per
-:class:`StreamStats`): :class:`NodeStats` attributes are views over
-registry counters labeled by node name.  Direct attribute mutation,
-``report()``, and ``state_dict()``/``load_state()`` checkpointing have
-pinned shapes (``tests/obs/test_stats_compat.py``).
+:class:`NodeStats` holds its counters as plain attributes, bumped in the
+runtime's per-batch loop.  Direct attribute mutation, ``report()``, and
+``state_dict()``/``load_state()`` checkpointing have pinned shapes
+(``tests/obs/test_stats_compat.py``).
 """
 
 from __future__ import annotations
 
 from repro.core.report import render_table
-from repro.obs.metrics import MetricField, MetricsRegistry
 
 
 class NodeStats:
-    """Counters for one stream node (the source or an operator): each
-    attribute is a view of the registry metric
-    ``stream.<attr>{node=<name>}``."""
+    """Counters for one stream node (the source or an operator)."""
 
     FIELDS = ("batches_in", "batches_out", "rows_in", "rows_out",
               "late_rows", "nan_rows", "wall_s", "lag_sum_s", "lag_n")
+    __slots__ = ("name",) + FIELDS
 
-    batches_in = MetricField()
-    batches_out = MetricField()
-    rows_in = MetricField()
-    rows_out = MetricField()
-    late_rows = MetricField()
-    nan_rows = MetricField()
-    wall_s = MetricField()
-    lag_sum_s = MetricField()
-    lag_n = MetricField()
-
-    def __init__(self, name: str, registry: MetricsRegistry | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self._registry = registry if registry is not None else MetricsRegistry()
-
-    def _metric(self, attr: str):
-        return self._registry.counter(f"stream.{attr}", node=self.name)
+        for k in self.FIELDS:
+            setattr(self, k, 0)
 
     @property
     def mean_lag_s(self) -> float:
@@ -59,14 +44,13 @@ class StreamStats:
     """Aggregated per-node counters for one streaming run."""
 
     def __init__(self):
-        self.registry = MetricsRegistry()
         self.nodes: dict[str, NodeStats] = {}
 
     def node(self, name: str) -> NodeStats:
         """The (auto-created) stats record for ``name``."""
         st = self.nodes.get(name)
         if st is None:
-            st = self.nodes[name] = NodeStats(name, self.registry)
+            st = self.nodes[name] = NodeStats(name)
         return st
 
     # ---------------- roll-ups ----------------

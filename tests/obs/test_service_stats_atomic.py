@@ -4,11 +4,14 @@ Before the obs re-base, counters were mutated without a lock from
 worker-pool callbacks; a snapshot taken mid-update could observe
 ``queries`` incremented but not yet ``ok`` (or half a fragment batch).
 Now every record and every snapshot takes the stats lock, so the
-invariants below hold in *every* snapshot, not just the final one.
+invariants below hold in *every* snapshot, not just the final one, and
+no bump is lost: the encode-offload counter the TCP layer bumps from the
+event loop while pool callbacks record lands exactly.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.serve.stats import ServiceStats
@@ -20,6 +23,7 @@ THREADS = 8
 def _hammer(stats: ServiceStats, start: threading.Event) -> None:
     start.wait()
     for i in range(RECORDS_PER_THREAD):
+        stats.record_offload()  # as the TCP layer counts an offload
         kind = i % 5
         if kind == 0:
             stats.record_rejected()
@@ -42,13 +46,20 @@ def test_snapshot_consistent_under_concurrent_records():
                for _ in range(THREADS)]
     for t in threads:
         t.start()
-    start.set()
-
-    snapshots = []
-    while any(t.is_alive() for t in threads):
-        snapshots.append(stats.snapshot())
-    for t in threads:
-        t.join()
+    # switch threads often, so a read-modify-write outside the lock
+    # would lose bumps
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start.set()
+        snapshots = []
+        while any(t.is_alive() for t in threads):
+            snapshots.append(stats.snapshot())
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     snapshots.append(stats.snapshot())
 
     for snap in snapshots:
@@ -72,6 +83,7 @@ def test_snapshot_consistent_under_concurrent_records():
     assert final["errors"] == total // 5
     assert final["cache_hits"] == total // 5
     assert final["executed"] == 2 * (total // 5)
+    assert final["encode_offloads"] == total
 
 
 def test_report_renders_under_concurrent_records():

@@ -1,8 +1,8 @@
 """Golden-compat pins for the stats silos' public output shapes.
 
 These literals were captured from the pre-``repro.obs`` implementations
-of ``PipelineStats``, ``ServiceStats`` and ``StreamStats``.  The
-registry re-base must be observably invisible: same ``report()`` text,
+of ``PipelineStats``, ``ServiceStats`` and ``StreamStats``.  However the
+counters are stored, the output must not move: same ``report()`` text,
 same ``snapshot()`` dict, same ``state_dict()`` keys and values, byte
 for byte.  A diff here means a caller-visible behavior change, not a
 formatting preference.
@@ -177,14 +177,6 @@ def test_pipeline_counter_access_pinned():
     assert ps.total_cache_hits == 1
     assert ps.total_cache_misses == 3
     assert ps.cache_hit_ratio == 0.25
-
-
-def test_pipeline_merge_pinned():
-    a, b = make_pipeline_stats(), make_pipeline_stats()
-    a.merge(b)
-    st = a.stage("coarsen")
-    assert (st.calls, st.cache_hits, st.cache_misses) == (4, 2, 6)
-    assert st.wall_s == 1.0
 
 
 def test_service_snapshot_shape_pinned():

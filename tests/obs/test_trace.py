@@ -17,12 +17,10 @@ def _tracing_off_after():
     trace.disable()
 
 
-def test_disabled_span_is_noop_and_counted():
-    before = trace.disabled_span_calls()
+def test_disabled_span_is_noop():
     with trace.span("anything", a=1) as sp:
         sp.set(b=2)
         assert sp.context is None
-    assert trace.disabled_span_calls() == before + 1
     assert trace.current_context() is None
 
 
@@ -134,8 +132,6 @@ def test_enabled_from_env(monkeypatch):
     assert trace.enabled_from_env() is None
     monkeypatch.setenv("REPRO_TRACE", "1")
     assert trace.enabled_from_env() == "repro-trace.jsonl"
-    monkeypatch.setenv("REPRO_TRACE_FILE", "/tmp/x.jsonl")
-    assert trace.enabled_from_env() == "/tmp/x.jsonl"
     monkeypatch.setenv("REPRO_TRACE", "/tmp/direct.jsonl")
     assert trace.enabled_from_env() == "/tmp/direct.jsonl"
 

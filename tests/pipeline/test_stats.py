@@ -43,17 +43,6 @@ class TestPipelineStats:
         s.record("x", wall_s=0.1)
         assert "cache: disabled" in s.report()
 
-    def test_merge(self):
-        a, b = PipelineStats(), PipelineStats()
-        a.record("s", wall_s=1.0, cache_hits=1)
-        b.record("s", wall_s=2.0, cache_misses=1)
-        b.record("t", rows_out=7)
-        a.merge(b)
-        assert a.stage("s").wall_s == 3.0
-        assert a.stage("s").cache_hits == 1
-        assert a.stage("s").cache_misses == 1
-        assert a.stage("t").rows_out == 7
-
     def test_thread_safety(self):
         s = PipelineStats()
         with ThreadPoolExecutor(max_workers=8) as pool:

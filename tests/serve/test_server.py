@@ -29,6 +29,7 @@ from repro.serve import (
     table_to_wire,
 )
 from repro.serve.server import MAX_REQUEST_BYTES
+from repro.serve.session import MAX_TENANT_NAME, MAX_TENANTS
 
 from .conftest import SHARD_S
 
@@ -611,6 +612,28 @@ class TestTCP:
         assert strict_loads(second) == {"status": "ok", "op": "ping"}
         assert service.stats.errors == 1
 
+    def test_tenant_table_is_bounded(self, service):
+        """A client cycling tenant names meets one rejection past the
+        table's bound, keeps its connection, and cannot grow ``stats``."""
+        query = Query(t_begin=0.0, t_end=300.0, width=60.0).to_dict()
+        names = [f"t{i}" for i in range(MAX_TENANTS + 1)] + ["t0"]
+        lines = exchange(service, [
+            {"op": "query", "query": query, "tenant": name} for name in names
+        ] + [{"op": "ping"}, {"op": "stats"}])
+        *answers, ping, stats = [strict_loads(line) for line in lines]
+        assert Counter(a["status"] for a in answers) == {
+            "ok": MAX_TENANTS + 1, "rejected": 1}
+        assert answers[-2] == {
+            "status": "rejected",
+            "reason": f"tenant table full ({MAX_TENANTS} tenants)",
+        }
+        assert answers[-1]["status"] == "ok"  # a known tenant still served
+        assert ping == {"status": "ok", "op": "ping"}
+        snap = stats["stats"]
+        assert len(snap["tenants"]) == MAX_TENANTS
+        assert snap["rejected"] == snap["rejected_capacity"] == 1
+        assert snap["queries"] == len(names)
+
     def test_bad_json_line_is_error_not_disconnect(self, service):
         async def main():
             server = TelemetryServer(service)
@@ -686,6 +709,8 @@ class TestTCP:
         (b'{"op": "query", "query": [1]}', 1),
         (b'{"op": "query", "tenant": ["a"]}', 1),
         (b'{"op": "query", "tenant": 7}', 1),
+        (b'{"op": "query", "tenant": "%s"}' % (b"t" * (MAX_TENANT_NAME + 1)),
+         1),
         (b'{"query": {"width": "inf"}}', 1),
         (b'{"query": {"width": "nan"}}', 1),
         (b'{"query": {"pue_overhead": "nan", "derived": "pue"}}', 1),

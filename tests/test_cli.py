@@ -12,6 +12,21 @@ class TestCli:
         assert "4,626" in out
         assert "27,756" in out
 
+    def test_profile_env_prints_a_profile(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        assert main(["spec"]) == 0
+        err = capsys.readouterr().err
+        assert "samples @" in err or "no samples collected" in err
+
+    @pytest.mark.parametrize("value", ["fast", "inf", "nan", "-5"])
+    def test_profile_env_refuses_a_non_interval(self, monkeypatch, capsys,
+                                                value):
+        monkeypatch.setenv("REPRO_PROFILE", value)
+        assert main(["spec"]) == 1
+        out = capsys.readouterr().out
+        assert out == ("error: REPRO_PROFILE must be 1 or an interval in ms, "
+                       f"got {value!r}\n")
+
     def test_simulate_small(self, capsys):
         rc = main([
             "simulate", "--nodes", "20", "--jobs", "60", "--days", "0.25",

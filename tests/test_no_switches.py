@@ -14,12 +14,15 @@ import re
 from pathlib import Path
 
 import repro.frame
+import repro.obs
+from repro.obs import trace
 from repro.parallel import Executor
-from repro.pipeline import ArtifactCache, PipelineConfig
+from repro.pipeline import ArtifactCache, PipelineConfig, StageStats
 from repro.plan import plan_query
 from repro.serve import QueryClient, ResultCache, ServiceConfig, SingleFlight
 from repro.workload import ClusterTraceBuilder, PowerAwareScheduler, Scheduler
 from repro.stream import (
+    NodeStats,
     StreamGraph,
     StreamingClusterAggregate,
     StreamingCoarsen,
@@ -30,7 +33,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 ALLOWED = {
     "REPRO_TRACE",
-    "REPRO_TRACE_FILE",
     "REPRO_PROFILE",
     "REPRO_MAX_WORKERS",
     "REPRO_MP_CONTEXT",
@@ -131,3 +133,28 @@ def test_frame_surface_is_a_closed_set():
         "open_rcs", "load_rcs", "zone_map", "CODECS", "ColumnarFormatError",
         "compression_mode", "decode_column", "encode_column",
     ]
+
+
+def test_obs_surface_is_a_closed_set():
+    """A disabled-span counter, a second trace-file variable, an
+    ``activated`` wrapper and descriptor views of private registries had
+    no reader and went: the stats records hold plain counters."""
+    assert repro.obs.__all__ == [
+        "trace", "span", "SpanContext", "current_context", "Counter",
+        "Gauge", "MetricsRegistry", "REGISTRY", "SamplingProfiler",
+        "profile_from_env", "NdjsonLog", "TraceError", "load_trace",
+        "validate_spans", "build_forest", "flame_summary", "to_chrome",
+    ]
+    assert trace.__all__ == [
+        "SpanContext", "span", "current_context", "current_span", "enable",
+        "disable", "is_enabled", "enabled_from_env", "trace_path", "flush",
+        "capture", "merge_spans",
+    ]
+    assert StageStats.FIELDS == (
+        "calls", "wall_s", "rows_in", "rows_out", "bytes_out",
+        "cache_hits", "cache_misses",
+    )
+    assert NodeStats.FIELDS == (
+        "batches_in", "batches_out", "rows_in", "rows_out", "late_rows",
+        "nan_rows", "wall_s", "lag_sum_s", "lag_n",
+    )

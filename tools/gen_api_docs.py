@@ -134,18 +134,17 @@ CLI integration:
 subsystem: structured **tracing** (`trace.span(...)` context managers
 whose parent/child nesting survives process pools and the TCP boundary
 via explicit `SpanContext` propagation), a **metrics registry**
-(counters and gauges — the typed backing store for the
-pipeline/serve/stream stats silos), a **sampling profiler**
-(`REPRO_PROFILE=1`), and NDJSON **event logs** (the serve slow-query
-log).  Tracing off is a single branch per call; the benchmarks pin its
-cost below 1% of the hot paths.
+(counters and gauges — the scheduler's `sched.*` mirror; the
+pipeline/serve/stream stats keep plain attributes of their own), a
+**sampling profiler** (`REPRO_PROFILE=1`), and NDJSON **event logs**
+(the serve slow-query log).  Tracing off is a single branch per call.
 
 Environment and CLI integration:
 
 | knob | meaning |
 |---|---|
-| `REPRO_TRACE=FILE` (or `1` + `REPRO_TRACE_FILE`) | capture spans from any `python -m repro ...` run |
-| `REPRO_PROFILE=1` (or an interval in ms) | print a sampled self-time profile on exit |
+| `REPRO_TRACE=FILE` (or `1`: `repro-trace.jsonl`) | capture spans from any `python -m repro ...` run |
+| `REPRO_PROFILE=1` (or an interval in ms; anything else is an error) | print a sampled self-time profile on exit |
 | `python -m repro trace FILE [--depth N] [--chrome OUT]` | flame summary / Chrome `trace_event` export |
 | `python -m repro serve ... --slow-query-ms N --slow-query-log FILE` | NDJSON record per slow query |
 | `python tools/check_trace.py FILE --require-span ... --require-child P:C` | validate a captured trace (CI gate) |
