@@ -25,14 +25,15 @@ def cluster_power_series(
     ``presorted=True`` declares the rows already timestamp-ordered (the
     streaming aggregate's buffers are built that way), collapsing through
     the run-length kernel instead of a sort; ``None`` probes.  Output is
-    bit-identical either way.
+    bit-identical either way, and timestamp-ordered unsorted: a one-key
+    :func:`group_by` emits ascending keys, NaN last, on every route.
     """
     mean_col = f"{value}_mean"
     max_col = f"{value}_max"
     for c in (mean_col, max_col, "timestamp"):
         if c not in coarse:
             raise KeyError(f"expected coarsened column {c!r}")
-    g = group_by(
+    return group_by(
         coarse,
         "timestamp",
         {
@@ -43,7 +44,6 @@ def cluster_power_series(
         },
         presorted=presorted,
     )
-    return g.sort("timestamp")
 
 
 def cluster_component_series(

@@ -4,10 +4,15 @@ Section 3 of the paper: 1 Hz per-node samples are coarsened to 10-second
 windows, keeping count/min/max/mean/std per window so that downstream
 cluster-level summation loses no envelope information.  This module provides
 the generic windowed group-by those datasets are built with.
+
+:func:`window_index` bins up to eight finite stamps (``|t|``, ``|origin|``
+< 2**52) in Python scalars, op for op the array path's IEEE-754 double and
+exact integer arithmetic, so the same bits; anything else takes the array path.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -17,6 +22,28 @@ from repro.frame.table import Table
 
 #: Statistics stored per window (Dataset 0 of the artifact appendix).
 DEFAULT_STATS = ("count", "min", "max", "mean", "std")
+
+_TINY = 8  # stamps :func:`_tiny_window_index` takes
+
+
+def _tiny_window_index(ts: list[float], width: float, origin: float
+                       ) -> list[int] | None:
+    """:func:`window_index` in Python scalars; None: the array path decides."""
+    if not abs(origin) < 2.0**52 or not all(abs(x) < 2.0**52 for x in ts):
+        return None  # NaN, ±inf or beyond the exact-integer doubles
+    if (width.is_integer() and origin.is_integer() and width < 2.0**63
+            and all(x.is_integer() for x in ts)):
+        return [(int(x) - int(origin)) // int(width) for x in ts]
+    out = []
+    for x in ts:
+        q = (x - origin) / width
+        if not abs(q) < 2.0**62:
+            return None  # the array path's int64 cast decides
+        k = math.floor(q)
+        k -= x < origin + float(k) * width
+        k += x >= origin + float(k + 1) * width
+        out.append(k)
+    return out
 
 
 def window_index(
@@ -38,13 +65,17 @@ def window_index(
     t = np.asarray(times, dtype=np.float64)
     width = float(width)
     origin = float(origin)
-    # the exact path needs both as int64 (a width of 1e308 is not)
+    k = (_tiny_window_index(t.ravel().tolist(), width, origin)
+         if t.size <= _TINY else None)
+    if k is not None:
+        return np.array(k, dtype=np.int64).reshape(t.shape)
+    # the exact path needs int64 width/origin (1e308 is not), integral stamps
     if width.is_integer() and origin.is_integer() and max(
         abs(width), abs(origin)
-    ) < 2.0**63:
+    ) < 2.0**63 and (t.size == 0 or float(t.flat[0]).is_integer()):
         with np.errstate(invalid="ignore"):
             ti = t.astype(np.int64)
-        if np.array_equal(ti, t):  # all integral, within int64 range
+        if (ti == t).all():  # all integral, within int64 range
             return (ti - int(origin)) // int(width)
     k = np.floor((t - origin) / width).astype(np.int64)
     # FP boundary guard: force span(k)[0] <= t < span(k)[1] in the exact
@@ -101,9 +132,18 @@ def window_aggregate(
     missing = [c for c in (time, *values, *by) if c not in table]
     if missing:
         raise KeyError(f"columns not in table: {missing}")
-    win = window_index(table[time], width, origin)
-    work = table.select(list(by) + list(values)).with_column("_win", win)
+    return _aggregate_windows(table, window_index(table[time], width, origin),
+                              width, values, stats, by, origin, out_time,
+                              presorted)
 
+
+def _aggregate_windows(table: Table, win: np.ndarray, width: float,
+                       values: Sequence[str], stats: Sequence[str],
+                       by: Sequence[str], origin: float, out_time: str,
+                       presorted: bool | None) -> Table:
+    """:func:`window_aggregate` given each row's window index ``win``."""
+    cols = {c: table[c] for c in (*by, *values)}
+    cols["_win"] = win
     aggs: dict[str, tuple[str, str] | str] = {}
     for stat in stats:
         if stat == "count":
@@ -112,7 +152,8 @@ def window_aggregate(
         for col in values:
             aggs[f"{col}_{stat}"] = (col, stat)
 
-    grouped = group_by(work, list(by) + ["_win"], aggs, presorted=presorted)
-    times = grouped["_win"].astype(np.float64) * width + origin
-    return grouped.drop(["_win"]).with_column(out_time, times)
+    out = group_by(Table(cols), [*by, "_win"], aggs,
+                   presorted=presorted).as_dict()
+    out[out_time] = out.pop("_win").astype(np.float64) * width + origin
+    return Table(out)
 

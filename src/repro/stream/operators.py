@@ -41,7 +41,7 @@ from repro.core.spectral import welch_window
 from repro.frame.table import Table, concat
 from repro.frame.window import (
     DEFAULT_STATS,
-    window_aggregate,
+    _aggregate_windows,
     window_index,
     window_span,
 )
@@ -78,14 +78,16 @@ class _WindowedOperator(Operator):
     """The one watermark buffer under both windowed operators.
 
     Rows wait, append-only and in arrival order, until the watermark's
-    window index passes theirs.  The closed rows are then cut out once,
-    stable-sorted into the archive's ``(*by, window)`` order — arrival
-    order inside a (group, window) survives, so every float reduction sees
-    the same values in the same order as the batch path — and handed to
-    the subclass's :meth:`_kernel`, which may take the run-length route.
-    Rows whose window already closed are **late**: dropped and counted.
-    Memory is bounded by the windows still open (window width + allowed
-    lateness), never by stream length.
+    window index passes theirs.  Each arrival chunk keeps its window
+    indices and their ``(min, max)``: whether anything closes is a scalar
+    compare, and a cut moves whole chunks, splitting one only where it
+    straddles the bound.  The closed rows and their indices go, in arrival
+    order, to :meth:`_kernel`, whose group-by stable-sorts them into the
+    archive's ``(*by, window)`` order — so every float reduction sees the
+    same values in the same order as the batch path.  Rows whose window
+    already closed are **late**: dropped and counted.  Memory is bounded by
+    the open windows (width + lateness), never by stream length.  The spans
+    are derived: a checkpoint holds the rows alone.
     """
 
     _COUNTERS = ("late_rows", "nan_rows", "lag_sum_s", "lag_n")
@@ -98,8 +100,8 @@ class _WindowedOperator(Operator):
         self.width = float(width)
         self.by = list(by)
         self.watermark = BoundedLatenessWatermark(lateness_s)
-        self._rows: list[Table] = []  # open rows, in arrival order
-        self._wins: list[np.ndarray] = []  # their window indices
+        # open chunks in arrival order: (rows, window indices, (min, max))
+        self._rows: list[tuple[Table, np.ndarray, tuple[int, int]]] = []
         self._closed_below = -math.inf  # ratchets with the watermark
         self._last_arrival = float("nan")
         self.late_rows = 0
@@ -112,9 +114,12 @@ class _WindowedOperator(Operator):
         buffering."""
         raise NotImplementedError
 
-    def _kernel(self, rows: Table) -> Table:
-        """Aggregate closed rows, given in ``(*by, window)`` order."""
+    def _kernel(self, rows: Table, win: np.ndarray, presorted: bool) -> Table:
+        """Aggregate closed ``_reads`` columns of window indices ``win``."""
         raise NotImplementedError
+
+    def _buffer(self, rows: Table, win: np.ndarray) -> None:
+        self._rows.append((rows, win, (int(win.min()), int(win.max()))))
 
     def process(self, batch: RecordBatch) -> list[RecordBatch]:
         work = self._admit(batch.table)
@@ -123,13 +128,12 @@ class _WindowedOperator(Operator):
         self.watermark.observe(batch.table[self.time])
         if work.n_rows:
             win = window_index(work[self.time], self.width)
-            late = win < self._closed_below
-            if late.any():
-                self.late_rows += int(late.sum())
-                work, win = work.filter(~late), win[~late]
+            if int(win.min()) < self._closed_below:
+                keep = win >= self._closed_below
+                self.late_rows += len(win) - int(keep.sum())
+                work, win = work.filter(keep), win[keep]
             if len(win):
-                self._rows.append(work)
-                self._wins.append(win)
+                self._buffer(work, win)
         return self._cut(batch.arrival_time)
 
     def _cut(self, arrival_time: float, flush: bool = False
@@ -145,23 +149,29 @@ class _WindowedOperator(Operator):
             bound = int(window_index(np.array([wm]), self.width)[0])
             if bound > self._closed_below:
                 self._closed_below = bound
-        if not any((w < bound).any() for w in self._wins):
+        if not any(lo < bound for _, _, (lo, _) in self._rows):
             return []  # nothing buffered, or nothing closes yet
-        rows = self._rows[0] if len(self._rows) == 1 else concat(self._rows)
-        win = np.concatenate(self._wins)
-        closed = win < bound
-        if closed.all():
-            self._rows, self._wins = [], []
-        else:
-            self._rows, self._wins = [rows.filter(~closed)], [win[~closed]]
-            rows, win = rows.filter(closed), win[closed]
-        # lexsort is stable and its last key is the primary one
-        order = np.lexsort((win, *(rows[k] for k in reversed(self.by))))
-        out = self._kernel(rows.take(order))
+        buffered, self._rows = self._rows, []
+        chunks, wins = [], []
+        for rows, win, (lo, hi) in buffered:
+            if lo >= bound:
+                self._rows.append((rows, win, (lo, hi)))
+                continue
+            reads = rows.select(self._reads)
+            if hi >= bound:  # straddles: the open part stays buffered
+                closed = win < bound
+                self._buffer(rows.filter(~closed), win[~closed])
+                reads, win = reads.filter(closed), win[closed]
+            chunks.append(reads)
+            wins.append(win)
+        rows = chunks[0] if len(chunks) == 1 else concat(chunks)
+        win = wins[0] if len(wins) == 1 else np.concatenate(wins)
+        first, last = int(win.min()), int(win.max())
+        out = self._kernel(rows, win, presorted=not self.by and first == last)
         if not flush:
-            for k in np.unique(win):
+            for k in ([first] if first == last else np.unique(win).tolist()):
                 self.lag_sum_s += arrival_time - window_span(
-                    int(k), self.width)[1]
+                    k, self.width)[1]
                 self.lag_n += 1
         return [RecordBatch(table=out, arrival_time=arrival_time)]
 
@@ -170,7 +180,8 @@ class _WindowedOperator(Operator):
 
     def state_dict(self) -> dict:
         return {
-            "rows": concat(self._rows).as_dict() if self._rows else None,
+            "rows": (concat([rows for rows, _, _ in self._rows]).as_dict()
+                     if self._rows else None),
             "watermark": self.watermark.state_dict(),
             "closed_below": self._closed_below,
             "last_arrival": self._last_arrival,
@@ -178,9 +189,9 @@ class _WindowedOperator(Operator):
         }
 
     def load_state(self, state: dict) -> None:
-        self._rows = [] if state["rows"] is None else [Table(state["rows"])]
-        self._wins = [window_index(t[self.time], self.width)
-                      for t in self._rows]
+        self._rows = []
+        for rows in [] if state["rows"] is None else [Table(state["rows"])]:
+            self._buffer(rows, window_index(rows[self.time], self.width))
         self.watermark.load_state(state["watermark"])
         self._closed_below = state["closed_below"]
         self._last_arrival = state["last_arrival"]
@@ -213,6 +224,7 @@ class StreamingCoarsen(_WindowedOperator):
     ):
         super().__init__(time, width, by, lateness_s)
         self.values = list(values)
+        self._reads = [*self.by, *self.values]
 
     def _admit(self, table: Table) -> Table:
         missing = [c for c in (self.time, *self.values, *self.by)
@@ -229,11 +241,10 @@ class StreamingCoarsen(_WindowedOperator):
         self.nan_rows += int((~ok).sum())
         return table.filter(ok)
 
-    def _kernel(self, rows: Table) -> Table:
-        return window_aggregate(
-            rows, time=self.time, width=self.width, values=self.values,
-            stats=DEFAULT_STATS, by=self.by, presorted=True,
-        )
+    def _kernel(self, rows: Table, win: np.ndarray, presorted: bool) -> Table:
+        return _aggregate_windows(rows, win, self.width, self.values,
+                                  DEFAULT_STATS, self.by, 0.0, "timestamp",
+                                  presorted)
 
 
 class StreamingClusterAggregate(_WindowedOperator):
@@ -254,17 +265,17 @@ class StreamingClusterAggregate(_WindowedOperator):
     ):
         super().__init__(time, width, (), 0.0)
         self.value = value
+        self._reads = [f"{value}_mean", f"{value}_max", time]
 
     def _admit(self, table: Table) -> Table:
         # buffer only what the kernel reads
-        cols = [f"{self.value}_mean", f"{self.value}_max", self.time]
-        for c in cols:
+        for c in self._reads:
             if c not in table:
                 raise KeyError(f"expected coarsened column {c!r}")
-        return table.select(cols)
+        return table.select(self._reads)
 
-    def _kernel(self, rows: Table) -> Table:
-        return cluster_power_series(rows, value=self.value, presorted=True)
+    def _kernel(self, rows: Table, win: np.ndarray, presorted: bool) -> Table:
+        return cluster_power_series(rows, self.value, presorted)
 
 
 #: output schema of the streaming edge detector (matches

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.frame.groupby as groupby_mod
 from repro.frame import Table, group_by
 
 
@@ -143,3 +145,57 @@ class TestAgainstBruteForce:
             assert np.isclose(g["lo"][i], vals.min())
             assert np.isclose(g["hi"][i], vals.max())
             assert np.isclose(g["sd"][i], vals.std(), atol=1e-10)
+
+
+@st.composite
+def one_key_cases(draw):
+    """A one-key table for one kernel route: ``sorted`` (rows ordered,
+    ``presorted=True``), ``single`` (unsorted NaN-free keys, float or
+    integer) or ``generic`` (at least one NaN key)."""
+    route = draw(st.sampled_from(["sorted", "single", "generic"]))
+    if route == "single" and draw(st.booleans()):
+        pool = draw(st.lists(st.integers(-10**9, 10**9), min_size=1,
+                             max_size=6, unique=True))
+    else:
+        pool = draw(st.lists(st.floats(-1e6, 1e6) | st.just(-0.0),
+                             min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(1, 60))
+    k = np.array(draw(st.lists(st.sampled_from(pool), min_size=n,
+                               max_size=n)))
+    if route == "sorted":
+        k = np.sort(k, kind="stable")
+    if route == "generic":
+        k = np.insert(k.astype(np.float64), draw(st.integers(0, n)),
+                      np.nan)
+    return route, Table({"k": k, "v": np.arange(float(len(k)))})
+
+
+class TestOneKeyOrder:
+    """A one-key group_by emits its keys ascending, NaN last, on every
+    kernel route: ``cluster_power_series`` returns that order unsorted."""
+
+    PLAN = {"sorted": "_plan_sorted", "single": "_plan_single_key",
+            "generic": "_plan_generic"}
+    PRESORTED = {"sorted": True, "single": False, "generic": None}
+
+    @given(one_key_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_keys_ascend_on_every_route(self, case):
+        route, t = case
+        taken = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in self.PLAN.values():
+                real = getattr(groupby_mod, name)
+                mp.setattr(groupby_mod, name,
+                           lambda *a, _real=real, _name=name:
+                           taken.append(_name) or _real(*a))
+            g = group_by(t, "k", {"n": "count", "m": ("v", "mean")},
+                         presorted=self.PRESORTED[route])
+        assert taken == [self.PLAN[route]]
+        keys = g["k"]
+        nan = np.isnan(keys) if keys.dtype.kind == "f" else np.zeros(
+            len(keys), dtype=bool)
+        assert nan.sum() == (route == "generic")
+        assert not nan.any() or nan[-1]
+        finite = keys[~nan]
+        assert np.all(finite[:-1] < finite[1:])

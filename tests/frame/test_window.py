@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.frame import Table, window_aggregate
-from repro.frame.window import window_index, window_span
+from repro.frame.window import (
+    _TINY,
+    _tiny_window_index,
+    window_index,
+    window_span,
+)
 
 
 class TestWindowIndex:
@@ -75,6 +80,96 @@ class TestWindowIndexBoundaries:
         hi = np.array([window_span(int(k), width)[1] for k in idx])
         assert np.all(lo <= t)
         assert np.all(t < hi)
+
+
+def _array_path(t: np.ndarray, width: float, origin: float) -> np.ndarray:
+    """window_index of ``t`` through the array path: the same stamps,
+    padded past the tiny-input limit with copies of themselves (so the
+    padded input is integral exactly when ``t`` is)."""
+    padded = np.resize(t, _TINY + 1)
+    with np.errstate(invalid="ignore"):
+        return window_index(padded, width, origin)[: len(t)]
+
+
+@st.composite
+def tiny_cases(draw, n=st.integers(1, _TINY)):
+    """Stamps on ``k*width + origin`` (window_span's arithmetic) and their
+    ``nextafter`` neighbours, integral and fractional stamps, under
+    integral or fractional widths and origins."""
+    width = draw(st.one_of(
+        st.integers(1, 10**6).map(float),
+        st.sampled_from([0.1, 0.3, 2.5, 1 / 3, 1e-3, 7.25]),
+        st.floats(1e-3, 1e6),
+    ))
+    origin = draw(st.one_of(
+        st.just(0.0),
+        st.integers(-10**6, 10**6).map(float),
+        st.floats(-1e6, 1e6),
+    ))
+
+    def on_edge(case):
+        k, step = case
+        t = float(k) * width + origin
+        return t if step == 0 else float(np.nextafter(t, step * np.inf))
+
+    stamp = st.one_of(
+        st.tuples(st.integers(-10**6, 10**6),
+                  st.sampled_from([-1, 0, 1])).map(on_edge),
+        st.integers(-(2**52) + 1, 2**52 - 1).map(float),
+        st.floats(-1e12, 1e12),
+    )
+    size = draw(n)
+    t = np.array(draw(st.lists(stamp, min_size=size, max_size=size)),
+                 dtype=np.float64)
+    if draw(st.booleans()):
+        t = np.floor(t)  # all integral: the exact int64 route, if allowed
+    return t, width, origin
+
+
+class TestTinyPath:
+    """``window_index`` on up to eight stamps runs in Python scalars; it
+    must return the array path's bits for every input, and leave what it
+    cannot represent exactly to that path."""
+
+    @given(tiny_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_array_path(self, case):
+        t, width, origin = case
+        got = window_index(t, width, origin)
+        assert got.dtype == np.int64 and got.shape == t.shape
+        assert np.array_equal(got, _array_path(t, width, origin))
+        if len(t) % 2 == 0:  # the planner's straddle check passes n x 2
+            pairs = window_index(t.reshape(-1, 2), width, origin)
+            assert pairs.shape == (len(t) // 2, 2)
+            assert np.array_equal(pairs.ravel(), got)
+
+    @given(tiny_cases(n=st.just(_TINY + 1)))
+    @settings(max_examples=100, deadline=None)
+    def test_nine_stamps_take_the_array_path(self, case):
+        t, width, origin = case
+        per_stamp = [int(window_index(t[i:i + 1], width, origin)[0])
+                     for i in range(len(t))]
+        assert window_index(t, width, origin).tolist() == per_stamp
+
+    @pytest.mark.parametrize("stamp", [
+        np.nan, np.inf, -np.inf, 2.0**52, -(2.0**52), 2.0**60, 1e300,
+    ])
+    @pytest.mark.parametrize("width, origin", [(10.0, 0.0), (2.5, 0.3)])
+    def test_unrepresentable_stamps_defer(self, stamp, width, origin):
+        t = np.array([5.0, stamp, 12.5])
+        assert _tiny_window_index(t.tolist(), width, origin) is None
+        with np.errstate(invalid="ignore"):
+            got = window_index(t, width, origin)
+        assert np.array_equal(got, _array_path(t, width, origin))
+
+    def test_huge_origin_and_tiny_width_defer(self):
+        assert _tiny_window_index([1.0], 1.0, 2.0**52) is None
+        # |t / width| beyond 2**62: the array path's int64 cast decides
+        assert _tiny_window_index([1e12], 1e-9, 0.0) is None
+
+    def test_empty(self):
+        got = window_index(np.empty(0), 10.0)
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 class TestWindowAggregate:

@@ -15,6 +15,14 @@ resumed graph emits.
 
     PYTHONPATH=src python tests/stream/gen_stream_batches.py          # rewrite
     PYTHONPATH=src python tests/stream/gen_stream_batches.py --check  # diff
+
+``--checkpoint`` writes ``tests/golden/stream_checkpoint_v2.pkl`` instead:
+the graph state of one configuration (:data:`CHECKPOINT_CONFIG`) pickled
+after batch 77.  The committed file was written by the runtime whose
+windowed buffer held its open rows as one table, before it kept per-chunk
+window spans; ``test_batch_golden.py`` resumes it on the current tree and
+expects the golden's batches.  Rewrite it only when the checkpoint format
+changes.
 """
 
 from __future__ import annotations
@@ -42,11 +50,15 @@ from repro.stream import (
 from repro.telemetry.collector import LossEvent
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "stream_batches.json"
+CHECKPOINT = GOLDEN.with_name("stream_checkpoint_v2.pkl")
 
 NODES = ("coarsen", "aggregate", "edges", "pue")
 COUNTERS = ("batches_in", "batches_out", "rows_in", "rows_out",
             "late_rows", "nan_rows", "lag_sum_s", "lag_n")
 PAUSE_AFTER = 77
+#: (skew, lateness_s, loss) of the committed checkpoint: late rows and
+#: NaN-blanked rows on both sides of the pause
+CHECKPOINT_CONFIG = (True, 3.0, True)
 LOSS = (
     LossEvent(t_begin=200.0, t_end=260.0, nodes=(3, 4, 5, 17), scope="all"),
     LossEvent(t_begin=500.0, t_end=540.0, scope="power"),
@@ -103,6 +115,10 @@ def summarize(graphs) -> dict:
     }
 
 
+def config_key(skew, lateness_s, loss) -> str:
+    return f"skew={int(skew)} lateness={lateness_s:g} loss={int(loss)}"
+
+
 def compute(resume: bool) -> dict:
     """Summary per configuration, run straight or paused and resumed."""
     telemetry = twin_telemetry()
@@ -122,8 +138,7 @@ def compute(resume: bool) -> dict:
         else:
             first.run()
             graphs = [first]
-        key = f"skew={int(skew)} lateness={lateness_s:g} loss={int(loss)}"
-        out[key] = summarize(graphs)
+        out[config_key(skew, lateness_s, loss)] = summarize(graphs)
     return out
 
 
@@ -137,7 +152,21 @@ def dumps(golden: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def paused_graph(telemetry, threshold_w) -> StreamGraph:
+    """The :data:`CHECKPOINT_CONFIG` graph, run for its first
+    :data:`PAUSE_AFTER` batches."""
+    graph = build_graph(telemetry, threshold_w, *CHECKPOINT_CONFIG)
+    graph.run(max_batches=PAUSE_AFTER)
+    return graph
+
+
 def main(argv) -> int:
+    if "--checkpoint" in argv:
+        telemetry = twin_telemetry()
+        state = paused_graph(telemetry, edge_threshold(telemetry)).state_dict()
+        CHECKPOINT.write_bytes(pickle.dumps(state, protocol=4))
+        print(f"wrote {CHECKPOINT}")
+        return 0
     golden = compute(resume=False)
     if compute(resume=True) != golden:
         print("a resumed run emits other batches than a straight one")

@@ -173,3 +173,55 @@ def test_aggregate_counts_what_arrives_behind_a_closed_window(s):
     assert_bitwise_equal(
         streamed.sort("timestamp"),
         cluster_power_series(coarse.filter(kept), value="v"))
+
+
+def test_a_chunk_straddling_several_windows_and_the_bound():
+    """Width 1.0 under skew 8: an arrival chunk spans three or more
+    windows with the watermark's bound inside them, so the cut splits it
+    and buffers the open part alone — which then goes through a
+    ``state_dict`` round trip.  Emission still equals the batch kernels
+    over the rows the model keeps."""
+    width, lateness_s, n = 1.0, 3.0, 160
+    rng = np.random.default_rng(29)
+    event = np.sort(rng.integers(0, 160, n)) * 0.25
+    arrival = event + rng.uniform(0.0, 1.0, n) * 8.0
+    table = Table({
+        "timestamp": event,
+        "node": rng.integers(0, 3, n),
+        "slot": rng.integers(0, 2, n),
+        "v": rng.normal(0.0, 1e3, n),
+    }).take(np.argsort(arrival, kind="stable"))
+    bounds = [(lo, min(lo + 16, n)) for lo in range(0, n, 16)]
+    late, kept = model(table, bounds, width, lateness_s,
+                       dropped=np.zeros(n, dtype=bool))
+
+    win = window_index(table["timestamp"], width)
+    straddled = []
+    max_event = -math.inf
+    for i, (lo, hi) in enumerate(bounds):
+        max_event = max(max_event, float(table["timestamp"][lo:hi].max()))
+        bound = int(window_index(np.array([max_event - lateness_s]),
+                                 width)[0])
+        w = win[lo:hi][kept[lo:hi]]
+        if len(w) and w.min() < bound <= w.max() and w.max() - w.min() >= 2:
+            straddled.append(i)
+    assert straddled, "the scenario must split a chunk of 3+ windows"
+
+    for by in BY:
+        op, emitted = replay(
+            lambda: StreamingCoarsen(["v"], width=width, by=by,
+                                     lateness_s=lateness_s),
+            table, bounds, straddled[0] + 1)
+        assert op.late_rows == int(late.sum())
+        key = [*by, "timestamp"]
+        streamed = concat(emitted)
+        assert_bitwise_equal(
+            streamed.sort(key),
+            coarsen_telemetry(table.filter(kept), ["v"], width=width,
+                              by=by).sort(key))
+        agg, series = replay(
+            lambda: StreamingClusterAggregate(value="v", width=width),
+            streamed, _row_bounds(emitted), len(emitted) // 2)
+        assert agg.late_rows == 0
+        assert_bitwise_equal(concat(series),
+                             cluster_power_series(streamed, value="v"))

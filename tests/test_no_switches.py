@@ -15,6 +15,10 @@ from pathlib import Path
 
 import repro.frame
 import repro.obs
+from repro.core.aggregate import cluster_power_series
+from repro.core.coarsen import coarsen_telemetry
+from repro.frame import group_by, window_aggregate
+from repro.frame.window import window_index
 from repro.obs import trace
 from repro.parallel import Executor
 from repro.pipeline import ArtifactCache, PipelineConfig, StageStats
@@ -83,6 +87,26 @@ def test_stream_knobs_are_a_closed_set():
     assert _params(StreamingEdgeDetector) == [
         "threshold_w", "return_fraction", "time", "value",
     ]
+
+
+def test_windowed_kernel_signatures_are_a_closed_set():
+    """The streaming buffer hands the kernels its window indices through
+    a private helper, not a parameter; the operators' constructors are
+    pinned above.  A knob here arrives with its measurement."""
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(window_index) == ["times", "width", "origin"]
+    assert params(window_aggregate) == [
+        "table", "time", "width", "values", "stats", "by", "origin",
+        "out_time", "presorted",
+    ]
+    assert params(group_by) == ["table", "keys", "aggs", "presorted"]
+    assert params(coarsen_telemetry) == [
+        "telemetry", "values", "width", "by", "time", "drop_nan",
+        "presorted",
+    ]
+    assert params(cluster_power_series) == ["coarse", "value", "presorted"]
 
 
 def test_workload_knobs_are_a_closed_set():
