@@ -85,16 +85,18 @@ def _build_spec(args):
 
 
 def _build_pipeline(args):
-    """The command's pipeline, or None after printing why there is none."""
+    """The command's pipeline, or None after printing why there is none
+    (``stream`` takes no pipeline flags: it runs the default config)."""
     from repro.pipeline import Pipeline, PipelineConfig
 
     try:
-        return Pipeline(_build_spec(args), PipelineConfig(
+        config = None if args.command == "stream" else PipelineConfig(
             chunk_seconds=args.chunk_seconds,
             backend=args.backend,
             max_workers=args.workers,
             cache_dir=args.cache_dir,
-        ))
+        )
+        return Pipeline(_build_spec(args), config)
     except ValueError as err:
         print(f"error: {err}")
         return None
@@ -421,7 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         "stream", help="replay telemetry through the live streaming engine"
     )
     _add_twin_args(p_str)
-    _add_pipeline_args(p_str)
+    p_str.add_argument("--no-stats", action="store_true",
+                       help="suppress the per-node stream counter report")
     p_str.add_argument("--minutes", type=float, default=30.0,
                        help="length of telemetry to replay")
     p_str.add_argument("--batch-interval", type=float, default=5.0,

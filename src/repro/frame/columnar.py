@@ -11,7 +11,7 @@ numpy array, padded to a 64-byte boundary so every mapped view is
 cache-line aligned, or a **compressed encoding** of it —
 delta/zigzag/varint for sorted integer-like columns, quantized-delta and
 XOR-shuffle for floats, dictionary coding for low-cardinality keys, and
-optional zstd/zlib framing (see :mod:`repro.frame.encodings`).  The footer
+zlib framing (see :mod:`repro.frame.encodings`).  The footer
 is JSON holding, per column: name, dtype, byte offset, byte length, a
 **zone map** (min / max / null count / sorted flag), and — for encoded
 columns — the self-describing ``enc`` record (codec, parameters, payload
@@ -212,13 +212,12 @@ def save_rcs(
     path: str | os.PathLike,
     atomic: bool = False,
     zones: dict[str, dict] | None = None,
-    compression: str | None = None,
 ) -> int:
     """Write ``table`` as an ``.rcs`` shard; returns bytes on disk.
 
     Columns are written as raw little-endian buffers (non-native byte
-    order is normalized) or, under ``compression`` mode ``auto`` (the
-    default, overridable via ``REPRO_RCS_COMPRESSION``), as the smallest
+    order is normalized) or, under :func:`compression_mode` ``auto`` (the
+    default; ``REPRO_RCS_COMPRESSION`` sets it), as the smallest
     applicable codec from :mod:`repro.frame.encodings` — recorded
     per-column in the footer so decode is self-describing.  A column no
     codec shrinks stays raw and keeps its zero-copy read path.  ``zones``
@@ -236,11 +235,7 @@ def save_rcs(
     path.parent.mkdir(parents=True, exist_ok=True)
     if zones is None:
         zones = zone_map(table)
-    mode = compression_mode() if compression is None else compression
-    if mode not in ("auto", "off"):
-        raise ValueError(
-            f"compression must be 'auto' or 'off', got {mode!r}"
-        )
+    mode = compression_mode()
 
     cols: dict[str, np.ndarray] = {}
     for name in table.columns:
@@ -449,11 +444,6 @@ class RcsFile:
             name: (meta.get("enc") or {}).get("codec", "raw")
             for name, meta in self._cols.items()
         }
-
-    @property
-    def has_encoded(self) -> bool:
-        """True when any column needs decoding (reads are not zero-copy)."""
-        return any("enc" in meta for meta in self._cols.values())
 
     def __repr__(self) -> str:
         return (

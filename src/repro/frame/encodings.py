@@ -35,10 +35,10 @@ Codecs
     General-purpose framing of the raw buffer (what ``.npz`` does per
     member) — the fallback when nothing structural applies.
 
-Framing is ``zstd`` when the optional ``zstandard`` module is importable
-and ``zlib`` otherwise; the frame tag is recorded per column, so a file
-written with zstd on a machine without it fails with a clean
-:class:`ColumnarFormatError` instead of garbage.
+Framing is ``zlib``, so shard bytes do not depend on which packages are
+installed.  The frame tag is recorded per column; a footer naming a frame
+this build does not know fails with a clean :class:`ColumnarFormatError`
+instead of garbage.
 
 Every encoded payload carries a CRC-32 that is verified before decoding:
 a flipped byte raises :class:`ColumnarFormatError`, never returns silently
@@ -59,11 +59,6 @@ import os
 import zlib
 
 import numpy as np
-
-try:  # optional: the container image may not ship zstandard
-    import zstandard as _zstd
-except ImportError:  # pragma: no cover - exercised via _FRAMES contents
-    _zstd = None
 
 __all__ = [
     "ColumnarFormatError",
@@ -91,9 +86,9 @@ class ColumnarFormatError(ValueError):
 _MODES = ("auto", "off")
 
 
-def compression_mode(default: str = "auto") -> str:
-    """Write-side codec policy: ``REPRO_RCS_COMPRESSION`` or ``default``."""
-    mode = os.environ.get("REPRO_RCS_COMPRESSION") or default
+def compression_mode() -> str:
+    """Write-side codec policy: ``REPRO_RCS_COMPRESSION``, else ``auto``."""
+    mode = os.environ.get("REPRO_RCS_COMPRESSION") or "auto"
     if mode not in _MODES:
         raise ValueError(
             f"REPRO_RCS_COMPRESSION must be one of {_MODES}, got {mode!r}"
@@ -195,22 +190,7 @@ def varint_decode(buf: bytes, count: int) -> np.ndarray:
 
 
 # ---------------- framing ----------------
-
-#: frame tag -> (compress, decompress); ``none`` stores the payload as-is
-_FRAMES: dict[str, tuple] = {
-    "zlib": (
-        lambda b: zlib.compress(b, level=6),
-        lambda b: zlib.decompress(b),
-    ),
-}
-if _zstd is not None:  # pragma: no cover - container image has no zstandard
-    _FRAMES["zstd"] = (
-        lambda b: _zstd.ZstdCompressor(level=3).compress(b),
-        lambda b: _zstd.ZstdDecompressor().decompress(b),
-    )
-
-#: the frame used for new writes: zstd when importable, else zlib
-DEFAULT_FRAME = "zstd" if _zstd is not None else "zlib"
+# a column's frame tag is ``zlib``, or ``none`` for a payload stored as-is
 
 #: a frame must shrink its payload by at least this fraction to be kept —
 #: decompression costs real read latency (zlib inflates at a few hundred
@@ -220,30 +200,29 @@ DEFAULT_FRAME = "zstd" if _zstd is not None else "zlib"
 FRAME_MIN_SAVING = 0.25
 
 
-def frame_compress(payload: bytes, frame: str | None = None) -> tuple[str, bytes]:
-    """Compress ``payload``; returns ``(tag, bytes)``.
+def frame_compress(payload: bytes) -> tuple[str, bytes]:
+    """Compress ``payload`` with zlib; returns ``(tag, bytes)``.
 
     Falls back to ``("none", payload)`` when framing does not shrink it
     by at least :data:`FRAME_MIN_SAVING` (decode speed pays for bytes).
     """
-    tag = frame or DEFAULT_FRAME
-    framed = _FRAMES[tag][0](payload)
+    framed = zlib.compress(payload, level=6)
     if len(framed) >= len(payload) * (1.0 - FRAME_MIN_SAVING):
         return "none", payload
-    return tag, framed
+    return "zlib", framed
 
 
 def frame_decompress(tag: str, buf: bytes) -> bytes:
     """Inverse of :func:`frame_compress`; clean errors on corruption."""
     if tag == "none":
         return buf
-    if tag not in _FRAMES:
+    if tag != "zlib":
         raise ColumnarFormatError(
             f"column framed with {tag!r}, which this build cannot decode "
-            f"(have {['none', *sorted(_FRAMES)]})"
+            "(have ['none', 'zlib'])"
         )
     try:
-        return _FRAMES[tag][1](buf)
+        return zlib.decompress(buf)
     except Exception as exc:
         raise ColumnarFormatError(
             f"truncated or corrupt {tag} frame: {exc}"

@@ -128,10 +128,6 @@ class Table:
         dropped = set(names)
         return Table({k: v for k, v in self._cols.items() if k not in dropped})
 
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        """Rename columns (unmentioned columns keep their names)."""
-        return Table({mapping.get(k, k): v for k, v in self._cols.items()})
-
     def with_column(self, name: str, values: Any) -> "Table":
         """A new table with column ``name`` added or replaced."""
         arr = np.asarray(values)
@@ -172,10 +168,6 @@ class Table:
     def head(self, n: int = 5) -> "Table":
         """First ``n`` rows."""
         return self[:n]
-
-    def tail(self, n: int = 5) -> "Table":
-        """Last ``n`` rows."""
-        return self[self._n - min(n, self._n):]
 
     def sort(self, by: str | Sequence[str], ascending: bool = True) -> "Table":
         """Stable lexicographic sort by one or more key columns.

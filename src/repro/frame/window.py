@@ -3,11 +3,12 @@
 Section 3 of the paper: 1 Hz per-node samples are coarsened to 10-second
 windows, keeping count/min/max/mean/std per window so that downstream
 cluster-level summation loses no envelope information.  This module provides
-the generic windowed group-by those datasets are built with.
+the generic windowed group-by those datasets are built with.  The grid is
+epoch-aligned: window ``k`` is ``[k*width, (k+1)*width)``.
 
-:func:`window_index` bins up to eight finite stamps (``|t|``, ``|origin|``
-< 2**52) in Python scalars, op for op the array path's IEEE-754 double and
-exact integer arithmetic, so the same bits; anything else takes the array path.
+:func:`window_index` bins up to eight finite stamps (``|t|`` < 2**52) in
+Python scalars, op for op the array path's IEEE-754 double and exact integer
+arithmetic, so the same bits; anything else takes the array path.
 """
 
 from __future__ import annotations
@@ -26,78 +27,71 @@ DEFAULT_STATS = ("count", "min", "max", "mean", "std")
 _TINY = 8  # stamps :func:`_tiny_window_index` takes
 
 
-def _tiny_window_index(ts: list[float], width: float, origin: float
-                       ) -> list[int] | None:
+def _tiny_window_index(ts: list[float], width: float) -> list[int] | None:
     """:func:`window_index` in Python scalars; None: the array path decides."""
-    if not abs(origin) < 2.0**52 or not all(abs(x) < 2.0**52 for x in ts):
+    if not all(abs(x) < 2.0**52 for x in ts):
         return None  # NaN, ±inf or beyond the exact-integer doubles
-    if (width.is_integer() and origin.is_integer() and width < 2.0**63
+    if (width.is_integer() and width < 2.0**63
             and all(x.is_integer() for x in ts)):
-        return [(int(x) - int(origin)) // int(width) for x in ts]
+        return [int(x) // int(width) for x in ts]
     out = []
     for x in ts:
-        q = (x - origin) / width
+        q = x / width
         if not abs(q) < 2.0**62:
             return None  # the array path's int64 cast decides
         k = math.floor(q)
-        k -= x < origin + float(k) * width
-        k += x >= origin + float(k + 1) * width
+        k -= x < float(k) * width
+        k += x >= float(k + 1) * width
         out.append(k)
     return out
 
 
-def window_index(
-    times: np.ndarray, width: float, origin: float = 0.0
-) -> np.ndarray:
-    """Index of the window ``[origin + k*width, origin + (k+1)*width)``
-    containing each timestamp.
+def window_index(times: np.ndarray, width: float) -> np.ndarray:
+    """Index of the window ``[k*width, (k+1)*width)`` containing each
+    timestamp.
 
     Timestamps exactly on a window edge are guaranteed to land in the
     window *starting* there, consistent with :func:`window_span`'s
-    half-open arithmetic: when ``times``, ``width`` and ``origin`` are all
-    integral the index is computed with exact int64 floor division, and
-    otherwise the float division is post-corrected against the span
-    boundaries (``floor((t - origin)/width)`` alone can mis-bin an
-    edge timestamp by one ulp of rounding).
+    half-open arithmetic: when ``times`` and ``width`` are all integral
+    the index is computed with exact int64 floor division, and otherwise
+    the float division is post-corrected against the span boundaries
+    (``floor(t/width)`` alone can mis-bin an edge timestamp by one ulp of
+    rounding).
     """
     if width <= 0:
         raise ValueError("window width must be positive")
     t = np.asarray(times, dtype=np.float64)
     width = float(width)
-    origin = float(origin)
-    k = (_tiny_window_index(t.ravel().tolist(), width, origin)
+    k = (_tiny_window_index(t.ravel().tolist(), width)
          if t.size <= _TINY else None)
     if k is not None:
         return np.array(k, dtype=np.int64).reshape(t.shape)
-    # the exact path needs int64 width/origin (1e308 is not), integral stamps
-    if width.is_integer() and origin.is_integer() and max(
-        abs(width), abs(origin)
-    ) < 2.0**63 and (t.size == 0 or float(t.flat[0]).is_integer()):
+    # the exact path needs an int64 width (1e308 is not), integral stamps
+    if width.is_integer() and width < 2.0**63 and (
+        t.size == 0 or float(t.flat[0]).is_integer()
+    ):
         with np.errstate(invalid="ignore"):
             ti = t.astype(np.int64)
         if (ti == t).all():  # all integral, within int64 range
-            return (ti - int(origin)) // int(width)
-    k = np.floor((t - origin) / width).astype(np.int64)
+            return ti // int(width)
+    k = np.floor(t / width).astype(np.int64)
     # FP boundary guard: force span(k)[0] <= t < span(k)[1] in the exact
     # arithmetic window_span uses (NaN timestamps compare False: untouched)
-    k = np.where(t < origin + k.astype(np.float64) * width, k - 1, k)
-    k = np.where(t >= origin + (k + 1).astype(np.float64) * width, k + 1, k)
+    k = np.where(t < k.astype(np.float64) * width, k - 1, k)
+    k = np.where(t >= (k + 1).astype(np.float64) * width, k + 1, k)
     return k
 
 
-def window_span(
-    index: int, width: float, origin: float = 0.0
-) -> tuple[float, float]:
+def window_span(index: int, width: float) -> tuple[float, float]:
     """``(start, end)`` of window ``index`` — inverse of :func:`window_index`
-    (the same arithmetic that rebuilds the ``out_time`` column, so streaming
-    finalization timestamps match batch output exactly).
+    (the same arithmetic that rebuilds the window-start column, so
+    streaming finalization timestamps match batch output exactly).
 
     ``end`` is computed as window ``index + 1``'s start — not
     ``start + width`` — so consecutive spans tile the time axis with no
     FP gap and the half-open invariant ``start <= t < end`` holds for
     every timestamp :func:`window_index` bins to ``index``."""
-    start = float(index) * width + origin
-    return (start, float(index + 1) * width + origin)
+    return (float(index) * width, float(index + 1) * width)
 
 
 def window_aggregate(
@@ -108,15 +102,13 @@ def window_aggregate(
     values: Sequence[str],
     stats: Sequence[str] = DEFAULT_STATS,
     by: Sequence[str] = (),
-    origin: float = 0.0,
-    out_time: str = "timestamp",
     presorted: bool | None = None,
 ) -> Table:
     """Aggregate ``values`` over fixed windows of ``width`` seconds.
 
-    Output has one row per (``by`` group, window), a window-start ``out_time``
-    column, and per value column ``{col}_{stat}`` columns (plus a single
-    shared ``count`` column if ``"count"`` is requested).
+    Output has one row per (``by`` group, window), a window-start
+    ``timestamp`` column, and per value column ``{col}_{stat}`` columns
+    (plus a single shared ``count`` column if ``"count"`` is requested).
 
     Empty windows simply do not appear (matching the telemetry semantics:
     BMCs only push on change, the archive stores what arrived).
@@ -132,15 +124,13 @@ def window_aggregate(
     missing = [c for c in (time, *values, *by) if c not in table]
     if missing:
         raise KeyError(f"columns not in table: {missing}")
-    return _aggregate_windows(table, window_index(table[time], width, origin),
-                              width, values, stats, by, origin, out_time,
-                              presorted)
+    return _aggregate_windows(table, window_index(table[time], width), width,
+                              values, stats, by, presorted)
 
 
 def _aggregate_windows(table: Table, win: np.ndarray, width: float,
                        values: Sequence[str], stats: Sequence[str],
-                       by: Sequence[str], origin: float, out_time: str,
-                       presorted: bool | None) -> Table:
+                       by: Sequence[str], presorted: bool | None) -> Table:
     """:func:`window_aggregate` given each row's window index ``win``."""
     cols = {c: table[c] for c in (*by, *values)}
     cols["_win"] = win
@@ -154,6 +144,6 @@ def _aggregate_windows(table: Table, win: np.ndarray, width: float,
 
     out = group_by(Table(cols), [*by, "_win"], aggs,
                    presorted=presorted).as_dict()
-    out[out_time] = out.pop("_win").astype(np.float64) * width + origin
+    out["timestamp"] = out.pop("_win").astype(np.float64) * width
     return Table(out)
 

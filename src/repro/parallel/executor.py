@@ -16,7 +16,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
@@ -122,15 +122,6 @@ class Executor:
             attrs["label"] = label
         with trace.span("executor.map", **attrs) as sp:
             return self._dispatch(fn, items, label, sp.context)
-
-    def starmap(
-        self,
-        fn: Callable[..., Any],
-        arg_tuples: Sequence[tuple],
-        label: str | None = None,
-    ) -> list[Any]:
-        """Like :meth:`map` but unpacks each tuple into positional args."""
-        return self.map(_StarCall(fn), list(arg_tuples), label=label)
 
     def _effective_backend(self, items: list[Any]) -> str:
         if self.backend == "serial" or len(items) <= 1:
@@ -293,15 +284,3 @@ def _describe_item(item: Any) -> str:
     if isinstance(item, (int, float, str)):
         return repr(item)
     return f"<{type(item).__name__}>"
-
-
-class _StarCall:
-    """Picklable ``fn(*args)`` adapter (lambdas do not survive processes)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[..., Any]):
-        self.fn = fn
-
-    def __call__(self, args: tuple) -> Any:
-        return self.fn(*args)

@@ -179,13 +179,6 @@ class PartitionedDataset:
         return sum(p.n_bytes for p in self.partitions)
 
     @property
-    def time_range(self) -> tuple[float, float]:
-        """(first shard begin, last shard end); (0, 0) when empty."""
-        if not self.partitions:
-            return (0.0, 0.0)
-        return (self.partitions[0].t_begin, self.partitions[-1].t_end)
-
-    @property
     def column_names(self) -> list[str]:
         """Column names from the first shard's zone map (no shard is
         opened; empty for a dataset with no shards)."""

@@ -37,7 +37,7 @@ class ArtifactCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def __repr__(self) -> str:
-        return f"ArtifactCache({str(self.root)!r}, entries={self.n_entries})"
+        return f"ArtifactCache({str(self.root)!r})"
 
     def path(self, key: str) -> Path:
         """Filesystem path an artifact with ``key`` would live at."""
@@ -60,30 +60,3 @@ class ArtifactCache:
     def put(self, key: str, table: Table) -> int:
         """Store ``table`` under ``key`` atomically; returns bytes on disk."""
         return save_npz(table, self.path(key), atomic=True)
-
-    def __contains__(self, key: str) -> bool:
-        return self.path(key).exists()
-
-    # ---------------- maintenance ----------------
-
-    def _entries(self) -> list[Path]:
-        return sorted(self.root.glob("??/*.npz"))
-
-    @property
-    def n_entries(self) -> int:
-        return len(self._entries())
-
-    @property
-    def n_bytes(self) -> int:
-        """Total bytes across cached artifacts."""
-        return sum(p.stat().st_size for p in self._entries())
-
-    def clear(self) -> int:
-        """Delete every artifact; returns the number removed."""
-        entries = self._entries()
-        for p in entries:
-            p.unlink()
-        for d in self.root.glob("??"):
-            if d.is_dir() and not any(d.iterdir()):
-                d.rmdir()
-        return len(entries)

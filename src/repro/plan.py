@@ -85,8 +85,8 @@ DERIVED = ("pue",)
 #:  and raw stores address disjoint artifacts)
 CACHE_FORMAT_VERSION = 3
 
-#: the window-start column every aggregated level carries
-#: (``window_aggregate``'s ``out_time``); fragments are sliced on it
+#: the window-start column every aggregated level carries; fragments are
+#: sliced on it
 OUT_TIME = "timestamp"
 
 #: node ids are int64: every id a selection expands to must stay below this

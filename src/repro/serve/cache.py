@@ -111,10 +111,6 @@ class SingleFlight:
     def __init__(self):
         self._flights: dict[str, asyncio.Future] = {}
 
-    @property
-    def n_inflight(self) -> int:
-        return len(self._flights)
-
     async def run(self, key: str, fn: Callable[[], Awaitable]):
         """(result, led): lead ``key``'s flight by awaiting ``fn()``, or
         follow the flight already running under ``key``."""

@@ -3,8 +3,9 @@
 The counters answer the operational questions a shared telemetry front end
 gets asked: how many queries, how many served from cache, what do p50/p99
 look like, who is being throttled.  Latencies are kept in a bounded
-reservoir (the most recent ``capacity`` samples), so a long-running server
-reports *current* tail behavior, not a year-long average.
+reservoir (the most recent :data:`RESERVOIR_SAMPLES` samples), so a
+long-running server reports *current* tail behavior, not a year-long
+average.
 
 Every counter is a plain int on the instance (two services in one
 process never share numbers); the reservoirs are the one latency
@@ -29,12 +30,16 @@ from repro.serve.session import Admission
 
 __all__ = ["LatencyReservoir", "ServiceStats"]
 
+#: latency samples a :class:`LatencyReservoir` keeps
+RESERVOIR_SAMPLES = 8192
+
 
 class LatencyReservoir:
-    """The most recent ``capacity`` latency samples, in seconds."""
+    """The most recent :data:`RESERVOIR_SAMPLES` latency samples, in
+    seconds."""
 
-    def __init__(self, capacity: int = 8192):
-        self._samples: deque[float] = deque(maxlen=capacity)
+    def __init__(self):
+        self._samples: deque[float] = deque(maxlen=RESERVOIR_SAMPLES)
 
     def add(self, seconds: float) -> None:
         self._samples.append(float(seconds))

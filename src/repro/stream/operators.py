@@ -243,8 +243,7 @@ class StreamingCoarsen(_WindowedOperator):
 
     def _kernel(self, rows: Table, win: np.ndarray, presorted: bool) -> Table:
         return _aggregate_windows(rows, win, self.width, self.values,
-                                  DEFAULT_STATS, self.by, 0.0, "timestamp",
-                                  presorted)
+                                  DEFAULT_STATS, self.by, presorted)
 
 
 class StreamingClusterAggregate(_WindowedOperator):
@@ -441,38 +440,31 @@ class StreamingEdgeDetector(Operator):
         self.edges_found = state["edges_found"]
 
 
+#: facility overhead as a fraction of IT power: the memoryless stand-in
+#: for the central plant when streaming (``Query.pue_overhead``'s default)
+PUE_OVERHEAD = 0.1
+
+#: span of :class:`StreamingPUE`'s trailing ``pue_roll`` mean, seconds
+PUE_ROLLING_S = 600.0
+
+
 class StreamingPUE(Operator):
     """Rolling PUE over a streamed cluster series.
 
     The instantaneous column is the elementwise
-    :func:`~repro.core.pue.pue_series` (bit-identical to batch); the
-    ``pue_roll`` column is a trailing ``rolling_s``-second mean maintained
-    from a bounded buffer of recent samples.  ``overhead`` is a constant
-    fraction of IT power, the name of an overhead column carried by the
-    input, or a callable ``(it_w, times) -> overhead_w`` — a memoryless
-    stand-in for the central plant when streaming.
+    :func:`~repro.core.pue.pue_series` with a :data:`PUE_OVERHEAD`
+    fraction of IT power as overhead (bit-identical to batch); the
+    ``pue_roll`` column is a trailing :data:`PUE_ROLLING_S`-second mean
+    maintained from a bounded buffer of recent samples.
     """
 
     name = "pue"
 
-    def __init__(
-        self,
-        it: str = "sum_inp",
-        overhead: float | str | object = 0.1,
-        time: str = "timestamp",
-        rolling_s: float = 600.0,
-    ):
+    def __init__(self, it: str = "sum_inp", time: str = "timestamp"):
         self.it = it
-        self.overhead = overhead
         self.time = time
-        self.rolling_s = float(rolling_s)
         self._roll_t: list[float] = []
         self._roll_v: list[float] = []
-
-    def _overhead_of(self, it: np.ndarray, times: np.ndarray) -> np.ndarray:
-        if callable(self.overhead):
-            return np.asarray(self.overhead(it, times), dtype=np.float64)
-        return float(self.overhead) * it
 
     def process(self, batch: RecordBatch) -> list[RecordBatch]:
         work = batch.table
@@ -481,16 +473,12 @@ class StreamingPUE(Operator):
                 raise KeyError(f"series lacks column {c!r}")
         it = np.asarray(work[self.it], dtype=np.float64)
         times = np.asarray(work[self.time], dtype=np.float64)
-        if isinstance(self.overhead, str):
-            ov = np.asarray(work[self.overhead], dtype=np.float64)
-        else:
-            ov = self._overhead_of(it, times)
-        pue = pue_series(it, ov)
+        pue = pue_series(it, PUE_OVERHEAD * it)
         roll = np.empty(len(pue))
         for i, (t, v) in enumerate(zip(times, pue)):
             self._roll_t.append(float(t))
             self._roll_v.append(float(v))
-            while self._roll_t and self._roll_t[0] < t - self.rolling_s:
+            while self._roll_t and self._roll_t[0] < t - PUE_ROLLING_S:
                 self._roll_t.pop(0)
                 self._roll_v.pop(0)
             roll[i] = sum(self._roll_v) / len(self._roll_v)

@@ -53,13 +53,9 @@ class StreamGraph:
     retrieved with :meth:`result`.
     """
 
-    def __init__(
-        self,
-        source: TelemetryReplaySource,
-        stats: StreamStats | None = None,
-    ):
+    def __init__(self, source: TelemetryReplaySource):
         self.source = source
-        self.stats = stats if stats is not None else StreamStats()
+        self.stats = StreamStats()
         # insertion order is parents first: add() needs the upstream node
         self._nodes: dict[str, _Node] = {}
         self._roots: list[_Node] = []
@@ -99,10 +95,6 @@ class StreamGraph:
                 ) from None
         self._nodes[final] = node
         return final
-
-    @property
-    def node_names(self) -> list[str]:
-        return list(self._nodes)
 
     # ---------------- scheduling ----------------
 

@@ -27,7 +27,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.frame.table import Table
-from repro.parallel.partition import PartitionedDataset
 from repro.stream.batch import RecordBatch
 from repro.telemetry.collector import LossEvent
 from repro.telemetry.ingest import sample_propagation_delays
@@ -43,16 +42,14 @@ class TelemetryReplaySource:
 
     def __init__(
         self,
-        telemetry,
+        telemetry: Table,
         *,
         time: str = "timestamp",
-        columns: Sequence[str] | None = None,
         batch_interval_s: float = 5.0,
         skew: bool = True,
         seed: int = 0,
         loss_events: Sequence[LossEvent] = (),
     ):
-        telemetry = self._resolve_input(telemetry, time, columns)
         if time not in telemetry:
             raise KeyError(f"telemetry lacks event-time column {time!r}")
         if batch_interval_s <= 0:
@@ -86,37 +83,6 @@ class TelemetryReplaySource:
         self.batches_emitted = 0
 
     # ---------------- construction helpers ----------------
-
-    @staticmethod
-    def _resolve_input(telemetry, time: str, columns) -> Table:
-        """Materialize the replay input, pushing projection into reads.
-
-        ``telemetry`` may be a
-        :class:`~repro.parallel.partition.PartitionedDataset`, in which
-        case only the consumed columns are read (zero-copy on ``.rcs``
-        shards).  ``columns`` restricts the replayed payload; the event-time
-        column always rides along, and so does ``node`` when present (loss
-        events mask by node).
-        """
-        need = None
-        if columns is not None:
-            need = list(dict.fromkeys(list(columns) + [time]))
-        if isinstance(telemetry, Table):
-            if need is None:
-                return telemetry
-            if "node" in telemetry and "node" not in need:
-                need.append("node")
-            return telemetry.select(need)
-        if not isinstance(telemetry, PartitionedDataset):
-            raise TypeError(
-                "telemetry must be a Table or PartitionedDataset, got "
-                f"{type(telemetry).__name__}"
-            )
-        if need is not None and "node" not in need and (
-            "node" in telemetry.column_names
-        ):
-            need.append("node")
-        return telemetry.to_table(columns=need)
 
     def _apply_loss(self, telemetry: Table, events: list[LossEvent]) -> Table:
         if not events:

@@ -218,7 +218,9 @@ class TestBooleanMask:
     def test_mmap_backed_rcs_columns(self, tmp_path_factory, case):
         n, mask = case
         path = tmp_path_factory.mktemp("mask") / "raw.rcs"
-        save_rcs(Table(_mask_columns(n, n)), path, compression="off")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_RCS_COMPRESSION", "off")
+            save_rcs(Table(_mask_columns(n, n)), path)
         table = open_rcs(path).read()
         # every column is a read-only view over the mapping
         assert not any(table[c].flags.owndata or table[c].flags.writeable

@@ -144,8 +144,9 @@ class TestProjection:
         with pytest.raises(KeyError, match="nope"):
             load_rcs(tmp_path / "t.rcs", ["nope"])
 
-    def test_reads_are_views_not_copies(self, tmp_path):
-        save_rcs(make(), tmp_path / "t.rcs", compression="off")
+    def test_reads_are_views_not_copies(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "off")
+        save_rcs(make(), tmp_path / "t.rcs")
         out = load_rcs(tmp_path / "t.rcs", ["f"])
         base = out["f"]
         while not isinstance(base, np.memmap):
@@ -153,9 +154,10 @@ class TestProjection:
             assert base is not None, "column is a fresh copy, not a view"
         assert isinstance(base, np.memmap)
 
-    def test_encoded_reads_are_cached_per_reader(self, tmp_path):
+    def test_encoded_reads_are_cached_per_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
         t = Table({"t": np.arange(512, dtype=np.float64)})
-        save_rcs(t, tmp_path / "t.rcs", compression="auto")
+        save_rcs(t, tmp_path / "t.rcs")
         rf = open_rcs(tmp_path / "t.rcs")
         assert rf.codecs["t"] != "raw"
         first = rf.read(["t"])["t"]
@@ -327,11 +329,13 @@ class TestReadInto:
             "noise": rng.normal(0.0, 1e9, n),                # raw
         })
 
-    def test_matches_read_for_every_column(self, tmp_path):
+    def test_matches_read_for_every_column(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
         table = self._wide()
-        save_rcs(table, tmp_path / "w.rcs", compression="auto")
+        save_rcs(table, tmp_path / "w.rcs")
         r = open_rcs(tmp_path / "w.rcs")
-        assert r.has_encoded  # the shard must mix encoded and raw columns
+        # the shard must mix encoded and raw columns
+        assert set(r.codecs.values()) - {"raw"}
         assert "raw" in r.codecs.values()
         out = {c: np.empty(r.n_rows, dt) for c, dt in r.dtypes.items()}
         r.read_range_into(out, 0, r.n_rows)
@@ -340,9 +344,11 @@ class TestReadInto:
             a, b = out[c], np.asarray(want[c])
             assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), c
 
-    def test_cached_columns_are_copied_not_aliased(self, tmp_path):
+    def test_cached_columns_are_copied_not_aliased(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
         table = self._wide()
-        save_rcs(table, tmp_path / "w.rcs", compression="auto")
+        save_rcs(table, tmp_path / "w.rcs")
         r = open_rcs(tmp_path / "w.rcs")
         cached = r.read(["power"])["power"]  # populates the decode cache
         dest = {"power": np.empty(r.n_rows, np.float64)}
@@ -351,8 +357,9 @@ class TestReadInto:
         assert dest["power"].base is None
         assert np.array_equal(dest["power"], cached)
 
-    def test_missing_column_raises(self, tmp_path):
-        save_rcs(self._wide(), tmp_path / "w.rcs", compression="auto")
+    def test_missing_column_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
+        save_rcs(self._wide(), tmp_path / "w.rcs")
         r = open_rcs(tmp_path / "w.rcs")
         with pytest.raises(KeyError, match="ghost"):
             r.read_range_into({"ghost": np.empty(r.n_rows, np.float64)},
@@ -362,9 +369,10 @@ class TestReadInto:
 class TestReadRangeInto:
     """``RcsFile.read_range_into``: row-ranged decode into merge buffers."""
 
-    def test_matches_sliced_read(self, tmp_path):
+    def test_matches_sliced_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
         table = TestReadInto._wide()
-        save_rcs(table, tmp_path / "w.rcs", compression="auto")
+        save_rcs(table, tmp_path / "w.rcs")
         r = open_rcs(tmp_path / "w.rcs")
         lo, hi = 123, 457
         out = {c: np.empty(hi - lo, dt) for c, dt in r.dtypes.items()}
@@ -550,13 +558,14 @@ class TestColumnErrorContext:
     }
 
     @pytest.fixture()
-    def corrupt(self, tmp_path):
+    def corrupt(self, tmp_path, monkeypatch):
         """``corrupt(codec)``: a shard whose ``codec`` column has one
         payload byte flipped."""
         rng = np.random.default_rng(11)
         table = Table({c: make_col(rng) for c, make_col in self.CASES.items()})
         path = tmp_path / "part-g001-00003.rcs"
-        save_rcs(table, path, compression="auto")
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
+        save_rcs(table, path)
         assert open_rcs(path).codecs == {c: c for c in self.CASES}
         blob = path.read_bytes()
 

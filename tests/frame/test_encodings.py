@@ -382,7 +382,9 @@ class TestContainerFuzz:
     def shard(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("fuzz") / "t.rcs"
         table = _fuzz_table()
-        save_rcs(table, path, compression="auto")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_RCS_COMPRESSION", "auto")
+            save_rcs(table, path)
         rf = open_rcs(path)
         assert set(rf.codecs.values()) & {"delta", "qdelta", "dict"}
         assert "raw" not in rf.codecs.values()
@@ -441,10 +443,12 @@ class TestContainerFuzz:
         with pytest.raises(ColumnarFormatError, match="CRC|footer"):
             open_rcs(bad)
 
-    def test_raw_shard_structural_validation_still_applies(self, tmp_path):
+    def test_raw_shard_structural_validation_still_applies(self, tmp_path,
+                                                           monkeypatch):
         # compression off: the v1-era structural errors are preserved
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "off")
         path = tmp_path / "raw.rcs"
-        save_rcs(_fuzz_table(), path, compression="off")
+        save_rcs(_fuzz_table(), path)
         rf = open_rcs(path)
         assert set(rf.codecs.values()) == {"raw"}
         blob = path.read_bytes()

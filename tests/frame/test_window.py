@@ -19,8 +19,10 @@ class TestWindowIndex:
         assert np.array_equal(idx, [0, 0, 1, 2])
 
     def test_origin(self):
-        idx = window_index(np.array([5.0]), 10.0, origin=5.0)
-        assert idx[0] == 0
+        """The grid is epoch-aligned: window 0 starts at t = 0."""
+        assert window_span(0, 10.0) == (0.0, 10.0)
+        idx = window_index(np.array([-0.0, 0.0, 5.0, -1e-9]), 10.0)
+        assert np.array_equal(idx, [0, 0, 0, -1])
 
     def test_negative_width(self):
         with pytest.raises(ValueError):
@@ -34,42 +36,40 @@ class TestWindowIndex:
 
 class TestWindowIndexBoundaries:
     """The half-open invariant ``span(k)[0] <= t < span(k)[1]`` must hold in
-    window_span's own arithmetic even where ``floor((t-origin)/width)``
-    rounds across an edge — the integer route and the FP guard both."""
+    window_span's own arithmetic even where ``floor(t/width)`` rounds
+    across an edge — the integer route and the FP guard both."""
 
     @given(
         st.integers(min_value=-10**9, max_value=10**9),
         st.integers(min_value=1, max_value=10**6),
-        st.integers(min_value=-10**6, max_value=10**6),
     )
     @settings(max_examples=200, deadline=None)
-    def test_integral_inputs_exact(self, t, width, origin):
-        k = int(window_index(np.array([float(t)]), float(width), float(origin))[0])
-        lo, hi = window_span(k, float(width), float(origin))
+    def test_integral_inputs_exact(self, t, width):
+        k = int(window_index(np.array([float(t)]), float(width))[0])
+        lo, hi = window_span(k, float(width))
         assert lo <= t < hi
         # edge timestamps land in the window *starting* there
         if t == lo:
-            assert window_index(np.array([lo]), float(width), float(origin))[0] == k
+            assert window_index(np.array([lo]), float(width))[0] == k
 
     @given(
         st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
         st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     )
     @settings(max_examples=200, deadline=None)
-    def test_float_inputs_within_span(self, t, width, origin):
-        k = int(window_index(np.array([t]), width, origin)[0])
-        lo, hi = window_span(k, width, origin)
+    def test_float_inputs_within_span(self, t, width):
+        k = int(window_index(np.array([t]), width)[0])
+        lo, hi = window_span(k, width)
         assert lo <= t < hi
 
     @given(st.integers(min_value=-10**6, max_value=10**6))
     @settings(max_examples=200, deadline=None)
     def test_exact_edges_fractional_width(self, k):
-        """A timestamp manufactured exactly on edge k*width+origin must get
-        index k even for widths with no exact binary representation."""
-        width, origin = 0.1, 0.3
-        lo = float(k) * width + origin  # window_span's arithmetic
-        idx = int(window_index(np.array([lo]), width, origin)[0])
+        """A timestamp manufactured exactly on edge k*width must get index
+        k even for widths with no exact binary representation."""
+        width = 0.1
+        lo = float(k) * width  # window_span's arithmetic
+        idx = int(window_index(np.array([lo]), width)[0])
         assert idx == k
 
     def test_mixed_edge_array(self):
@@ -82,34 +82,29 @@ class TestWindowIndexBoundaries:
         assert np.all(t < hi)
 
 
-def _array_path(t: np.ndarray, width: float, origin: float) -> np.ndarray:
+def _array_path(t: np.ndarray, width: float) -> np.ndarray:
     """window_index of ``t`` through the array path: the same stamps,
     padded past the tiny-input limit with copies of themselves (so the
     padded input is integral exactly when ``t`` is)."""
     padded = np.resize(t, _TINY + 1)
     with np.errstate(invalid="ignore"):
-        return window_index(padded, width, origin)[: len(t)]
+        return window_index(padded, width)[: len(t)]
 
 
 @st.composite
 def tiny_cases(draw, n=st.integers(1, _TINY)):
-    """Stamps on ``k*width + origin`` (window_span's arithmetic) and their
+    """Stamps on ``k*width`` (window_span's arithmetic) and their
     ``nextafter`` neighbours, integral and fractional stamps, under
-    integral or fractional widths and origins."""
+    integral or fractional widths."""
     width = draw(st.one_of(
         st.integers(1, 10**6).map(float),
         st.sampled_from([0.1, 0.3, 2.5, 1 / 3, 1e-3, 7.25]),
         st.floats(1e-3, 1e6),
     ))
-    origin = draw(st.one_of(
-        st.just(0.0),
-        st.integers(-10**6, 10**6).map(float),
-        st.floats(-1e6, 1e6),
-    ))
 
     def on_edge(case):
         k, step = case
-        t = float(k) * width + origin
+        t = float(k) * width
         return t if step == 0 else float(np.nextafter(t, step * np.inf))
 
     stamp = st.one_of(
@@ -123,7 +118,7 @@ def tiny_cases(draw, n=st.integers(1, _TINY)):
                  dtype=np.float64)
     if draw(st.booleans()):
         t = np.floor(t)  # all integral: the exact int64 route, if allowed
-    return t, width, origin
+    return t, width
 
 
 class TestTinyPath:
@@ -134,38 +129,39 @@ class TestTinyPath:
     @given(tiny_cases())
     @settings(max_examples=400, deadline=None)
     def test_matches_the_array_path(self, case):
-        t, width, origin = case
-        got = window_index(t, width, origin)
+        t, width = case
+        got = window_index(t, width)
         assert got.dtype == np.int64 and got.shape == t.shape
-        assert np.array_equal(got, _array_path(t, width, origin))
+        assert np.array_equal(got, _array_path(t, width))
         if len(t) % 2 == 0:  # the planner's straddle check passes n x 2
-            pairs = window_index(t.reshape(-1, 2), width, origin)
+            pairs = window_index(t.reshape(-1, 2), width)
             assert pairs.shape == (len(t) // 2, 2)
             assert np.array_equal(pairs.ravel(), got)
 
     @given(tiny_cases(n=st.just(_TINY + 1)))
     @settings(max_examples=100, deadline=None)
     def test_nine_stamps_take_the_array_path(self, case):
-        t, width, origin = case
-        per_stamp = [int(window_index(t[i:i + 1], width, origin)[0])
+        t, width = case
+        per_stamp = [int(window_index(t[i:i + 1], width)[0])
                      for i in range(len(t))]
-        assert window_index(t, width, origin).tolist() == per_stamp
+        assert window_index(t, width).tolist() == per_stamp
 
     @pytest.mark.parametrize("stamp", [
         np.nan, np.inf, -np.inf, 2.0**52, -(2.0**52), 2.0**60, 1e300,
     ])
-    @pytest.mark.parametrize("width, origin", [(10.0, 0.0), (2.5, 0.3)])
-    def test_unrepresentable_stamps_defer(self, stamp, width, origin):
-        t = np.array([5.0, stamp, 12.5])
-        assert _tiny_window_index(t.tolist(), width, origin) is None
+    @pytest.mark.parametrize("width, first", [(10.0, 0.0), (2.5, 0.3)])
+    def test_unrepresentable_stamps_defer(self, stamp, width, first):
+        """One such stamp defers the whole call, whether its finite
+        neighbours would take the integer or the float route."""
+        t = np.array([first, stamp, 12.5])
+        assert _tiny_window_index(t.tolist(), width) is None
         with np.errstate(invalid="ignore"):
-            got = window_index(t, width, origin)
-        assert np.array_equal(got, _array_path(t, width, origin))
+            got = window_index(t, width)
+        assert np.array_equal(got, _array_path(t, width))
 
-    def test_huge_origin_and_tiny_width_defer(self):
-        assert _tiny_window_index([1.0], 1.0, 2.0**52) is None
+    def test_tiny_width_defers(self):
         # |t / width| beyond 2**62: the array path's int64 cast decides
-        assert _tiny_window_index([1e12], 1e-9, 0.0) is None
+        assert _tiny_window_index([1e12], 1e-9) is None
 
     def test_empty(self):
         got = window_index(np.empty(0), 10.0)

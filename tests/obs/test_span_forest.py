@@ -164,7 +164,7 @@ class TestStorageSpans:
     ``rcs.encode`` child per column (same ids and parents on the codec
     pool as inline), one ``rcs.decode`` per decoded column."""
 
-    def test_decode_span_ids_pinned(self, tmp_path):
+    def test_decode_span_ids_pinned(self, tmp_path, monkeypatch):
         """One traced read's ``rcs.decode`` span ids and parents, pinned:
         one span per decoded column, numbered in column order under the
         caller's span; a raw or cached column takes none."""
@@ -175,7 +175,8 @@ class TestStorageSpans:
             "noise": rng.integers(0, 2**63, 2000, dtype=np.uint64),
             "power": np.round(np.cumsum(rng.normal(0, 1, 2000)), 1),
         })
-        save_rcs(table, tmp_path / "t.rcs", compression="auto")
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
+        save_rcs(table, tmp_path / "t.rcs")
         shard = open_rcs(tmp_path / "t.rcs")
         assert shard.codecs == {"timestamp": "qdelta", "node": "delta",
                                 "noise": "raw", "power": "fxor"}
@@ -204,10 +205,11 @@ class TestStorageSpans:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(columnar.os, "cpu_count", lambda: 4)
             mp.setenv("REPRO_MAX_WORKERS", cap)
+            mp.setenv("REPRO_RCS_COMPRESSION", "auto")
             trace.enable(None)
             with trace.capture() as records:
                 with trace.span("run", _parent=ctx, _seq=0):
-                    save_rcs(table, path, compression="auto")
+                    save_rcs(table, path)
                     assert load_rcs(path, pick) == table.select(pick)
             trace.disable()
         return records

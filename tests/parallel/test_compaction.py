@@ -164,7 +164,7 @@ class TestIdempotenceAndAppends:
         ds = interleaved_dataset(tmp_path / "ds", n_appends=8)
         ds.compact(target_rows=1000)
         n = ds.n_partitions
-        t0 = ds.time_range[1]
+        t0 = ds.partitions[-1].t_end
         before = ds.to_table()
         ds.append(
             Table({

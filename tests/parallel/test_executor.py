@@ -14,7 +14,7 @@ import pytest
 from repro.frame import (Table, columnar, compression_mode, load_rcs,
                          open_rcs, save_rcs)
 from repro.parallel import Executor, NotPicklableError
-from repro.parallel.executor import default_workers, _StarCall
+from repro.parallel.executor import default_workers
 
 
 def square(x):
@@ -44,27 +44,12 @@ class TestExecutor:
         with pytest.raises(RuntimeError, match="partition failed"):
             ex.map(boom, [1, 2])
 
-    def test_starmap(self):
-        ex = Executor(backend="serial")
-        assert ex.starmap(pow, [(2, 3), (3, 2)]) == [8, 9]
-
-    def test_starmap_threads(self):
-        ex = Executor(backend="threads", max_workers=2)
-        assert ex.starmap(pow, [(2, 3), (3, 2), (2, 5)]) == [8, 9, 32]
-
     def test_single_item_runs_inline(self):
         ex = Executor(backend="processes")
         assert ex.map(square, [4]) == [16]
 
     def test_empty_items(self):
         assert Executor().map(square, []) == []
-
-    def test_starcall_picklable(self):
-        import pickle
-
-        sc = _StarCall(pow)
-        sc2 = pickle.loads(pickle.dumps(sc))
-        assert sc2((2, 4)) == 16
 
     def test_numpy_payloads(self):
         ex = Executor(backend="threads", max_workers=3)
@@ -91,8 +76,9 @@ def pool_widths(monkeypatch, tmp_path):
 
     monkeypatch.setattr(columnar, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(columnar.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
     table = Table({f"c{i}": np.arange(500.0) + i for i in range(6)})
-    save_rcs(table, tmp_path / "t.rcs", compression="auto")
+    save_rcs(table, tmp_path / "t.rcs")
 
     def codec_width(call, *args, **kwargs):
         del built[:]
@@ -101,8 +87,7 @@ def pool_widths(monkeypatch, tmp_path):
 
     return [
         default_workers,
-        lambda: codec_width(save_rcs, table, tmp_path / "u.rcs",
-                            compression="auto"),
+        lambda: codec_width(save_rcs, table, tmp_path / "u.rcs"),
     ]
 
 
@@ -163,12 +148,14 @@ class TestOnePoolPerRequest:
         monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
         return built
 
-    def test_reads_build_no_pool(self, pools_built, tmp_path):
+    def test_reads_build_no_pool(self, pools_built, tmp_path, monkeypatch):
         from repro.datasets.store import write_partitioned_series
         from repro.parallel import PartitionedDataset
 
         table = big_table(n=4_000).select(["node", "timestamp", "power"])
-        save_rcs(table, tmp_path / "t.rcs", compression="auto")
+        with monkeypatch.context() as mp:
+            mp.setenv("REPRO_RCS_COMPRESSION", "auto")
+            save_rcs(table, tmp_path / "t.rcs")
         write_partitioned_series(table, tmp_path, "ds", day_s=1_000.0)
         # the encodes: the ``auto`` save above, then one per shard of the
         # dataset unless ``REPRO_RCS_COMPRESSION=off`` keeps it raw
@@ -192,8 +179,10 @@ class TestOnePoolPerRequest:
         from repro.serve import QueryService
 
         table = big_table(n=4_000).select(["node", "timestamp", "power"])
-        write_partitioned_series(table.rename({"power": "input_power"}),
-                                 tmp_path, "ds", day_s=1_000.0)
+        write_partitioned_series(
+            Table({"node": table["node"], "timestamp": table["timestamp"],
+                   "input_power": table["power"]}),
+            tmp_path, "ds", day_s=1_000.0)
         service = QueryService(tmp_path / "ds")
         try:
             assert pools_built[-1] == service._pool._max_workers == 4
@@ -254,10 +243,6 @@ def double_power(t: Table) -> Table:
     return t.with_column("power", t["power"] * 2.0)
 
 
-def scale_power(t: Table, factor: float) -> Table:
-    return t.with_column("power", t["power"] * factor)
-
-
 def return_input(t: Table) -> Table:
     return t
 
@@ -292,12 +277,6 @@ class TestProcessTransport:
         assert_same_tables(serial.map(double_power, items),
                            procs.map(double_power, items))
 
-    def test_starmap_matches_serial(self, mp_context):
-        serial, procs = self.both(mp_context)
-        items = [(big_table(s), float(s + 1)) for s in range(3)]
-        assert_same_tables(serial.starmap(scale_power, items),
-                           procs.starmap(scale_power, items))
-
     def test_task_returning_its_input(self, mp_context):
         _, procs = self.both(mp_context)
         items = [big_table(s) for s in range(2)]
@@ -314,14 +293,15 @@ class TestProcessTransport:
         assert_same_tables([double_power(t) for t in items], large)
 
     @pytest.mark.parametrize("compression", ["off", "auto"])
-    def test_map_over_rcs_tables(self, mp_context, compression, tmp_path):
+    def test_map_over_rcs_tables(self, mp_context, compression, tmp_path,
+                                 monkeypatch):
         """Raw shards read as mmap views, compressed ones as decoded
         arrays; either pickles as a self-contained copy."""
+        monkeypatch.setenv("REPRO_RCS_COMPRESSION", compression)
         serial, procs = self.both(mp_context)
         items = []
         for i in range(3):
-            save_rcs(big_table(i, n=2_000), tmp_path / f"s{i}.rcs",
-                     compression=compression)
+            save_rcs(big_table(i, n=2_000), tmp_path / f"s{i}.rcs")
             items.append(open_rcs(tmp_path / f"s{i}.rcs").read())
         assert_same_tables(serial.map(double_power, items),
                            procs.map(double_power, items))

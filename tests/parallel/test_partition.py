@@ -64,7 +64,8 @@ class TestAccess:
         assert sum(t.n_rows for t in ds) == 30
 
     def test_time_range(self, ds):
-        assert ds.time_range == (0.0, 30.0)
+        assert [(p.t_begin, p.t_end) for p in ds.partitions] == [
+            (0.0, 10.0), (10.0, 20.0), (20.0, 30.0)]
 
     def test_select_time(self, ds):
         assert ds.select_time(5.0, 15.0) == [0, 1]

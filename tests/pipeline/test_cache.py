@@ -103,9 +103,9 @@ class TestArtifactCache:
     def test_contains_and_layout(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = cache_key("layout")
-        assert key not in cache
+        assert not cache.path(key).exists()
         cache.put(key, _table())
-        assert key in cache
+        assert cache.path(key).exists()
         assert cache.path(key).parent.name == key[:2]
 
     def test_empty_table_roundtrip(self, tmp_path):
@@ -131,15 +131,6 @@ class TestArtifactCache:
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_bytes(b"not an npz")
         assert cache.get(key) is None
-
-    def test_clear_and_counters(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        for i in range(3):
-            cache.put(cache_key("entry", i=i), _table())
-        assert cache.n_entries == 3
-        assert cache.n_bytes > 0
-        assert cache.clear() == 3
-        assert cache.n_entries == 0
 
     def test_no_temp_files_left(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -169,4 +160,4 @@ class TestArtifactCacheEviction:
         cache = ArtifactCache(tmp_path)
         for i in range(5):
             cache.put(cache_key("nolimit", i=i), _table())
-        assert cache.n_entries == 5
+        assert len(list(tmp_path.glob("??/*.npz"))) == 5

@@ -136,7 +136,8 @@ class TestStreamingRoute:
     def test_streamed_aggregate_identical(self, stores, twin_small,
                                           telemetry):
         results = {}
-        for kind, source in [("memory", telemetry), *stores.items()]:
+        read_back = [(kind, ds.to_table()) for kind, ds in stores.items()]
+        for kind, source in [("memory", telemetry), *read_back]:
             pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
             graph = pipe.stream_graph(source, skew=False, seed=3,
                                       spectral=False)

@@ -103,7 +103,7 @@ class TestSingleFlight:
                 *[flight.run("k", boom) for _ in range(3)],
                 return_exceptions=True,
             )
-            return results, flight.n_inflight
+            return results, len(flight._flights)
 
         results, inflight = asyncio.run(main())
         assert all(isinstance(r, RuntimeError) for r in results)
@@ -117,7 +117,7 @@ class TestSingleFlight:
                 return 1
 
             await flight.run("k", work)
-            assert flight.n_inflight == 0
+            assert not flight._flights
             assert await flight.run("k", work) == (1, True)  # fresh flight
 
         asyncio.run(main())

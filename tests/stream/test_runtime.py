@@ -246,7 +246,7 @@ class TestGraphMechanics:
         second = graph.add(StreamingCoarsen(["input_power"]), after=first)
         assert first == "coarsen"
         assert second == "coarsen2"
-        assert graph.node_names == ["coarsen", "coarsen2"]
+        assert list(graph.state_dict()["nodes"]) == ["coarsen", "coarsen2"]
 
     def test_fan_out_delivers_to_both_children(self, telemetry):
         source = TelemetryReplaySource(telemetry[:3000], skew=False, seed=5)

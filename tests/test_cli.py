@@ -129,6 +129,20 @@ class TestCliStream:
         assert "resumed from checkpoint" not in out
         assert "streamed cluster series:" not in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--cache-dir", None), ("--chunk-seconds", "60"),
+        ("--backend", "serial"), ("--workers", "2"),
+    ])
+    def test_pipeline_flags_refused(self, tmp_path, capsys, flag, value):
+        """``stream`` runs no chunked stage, so a pipeline flag is a usage
+        error — and leaves no empty cache directory behind."""
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exc:
+            main(["stream", *self.ARGS, flag, value or str(cache)])
+        assert exc.value.code == 2
+        assert not cache.exists()
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCliPipelineFlags:
     ARGS = ["--nodes", "16", "--jobs", "50", "--days", "0.25", "--seed", "3"]

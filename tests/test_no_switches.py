@@ -17,13 +17,14 @@ import repro.frame
 import repro.obs
 from repro.core.aggregate import cluster_power_series
 from repro.core.coarsen import coarsen_telemetry
-from repro.frame import group_by, window_aggregate
+from repro.frame import compression_mode, group_by, save_rcs, window_aggregate
 from repro.frame.window import window_index
 from repro.obs import trace
 from repro.parallel import Executor
 from repro.pipeline import ArtifactCache, PipelineConfig, StageStats
 from repro.plan import plan_query
 from repro.serve import QueryClient, ResultCache, ServiceConfig, SingleFlight
+from repro.serve.stats import LatencyReservoir
 from repro.workload import ClusterTraceBuilder, PowerAwareScheduler, Scheduler
 from repro.stream import (
     NodeStats,
@@ -31,6 +32,8 @@ from repro.stream import (
     StreamingClusterAggregate,
     StreamingCoarsen,
     StreamingEdgeDetector,
+    StreamingPUE,
+    TelemetryReplaySource,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -77,9 +80,16 @@ def test_executor_and_pipeline_knobs_are_a_closed_set():
 
 def test_stream_knobs_are_a_closed_set():
     """Queue capacity, a coarsen origin, a NaN switch, an aggregate
-    lateness and a snapshot ring each had one value in use and went; the
-    next stream knob arrives with its measurement."""
-    assert _params(StreamGraph) == ["source", "stats"]
+    lateness, a snapshot ring, a stats injector, a dataset replay input
+    with its projection, and two PUE overhead kinds with a rolling span
+    each had one value in use and went; the next stream knob arrives with
+    its measurement."""
+    assert _params(StreamGraph) == ["source"]
+    assert _params(TelemetryReplaySource) == [
+        "telemetry", "time", "batch_interval_s", "skew", "seed",
+        "loss_events",
+    ]
+    assert _params(StreamingPUE) == ["it", "time"]
     assert _params(StreamingCoarsen) == [
         "values", "width", "by", "time", "lateness_s",
     ]
@@ -92,14 +102,15 @@ def test_stream_knobs_are_a_closed_set():
 def test_windowed_kernel_signatures_are_a_closed_set():
     """The streaming buffer hands the kernels its window indices through
     a private helper, not a parameter; the operators' constructors are
-    pinned above.  A knob here arrives with its measurement."""
+    pinned above.  The grid is epoch-aligned, so no window origin and no
+    renamed window-start column.  A knob here arrives with its
+    measurement."""
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert params(window_index) == ["times", "width", "origin"]
+    assert params(window_index) == ["times", "width"]
     assert params(window_aggregate) == [
-        "table", "time", "width", "values", "stats", "by", "origin",
-        "out_time", "presorted",
+        "table", "time", "width", "values", "stats", "by", "presorted",
     ]
     assert params(group_by) == ["table", "keys", "aggs", "presorted"]
     assert params(coarsen_telemetry) == [
@@ -125,14 +136,16 @@ def test_workload_knobs_are_a_closed_set():
 
 
 def test_serve_knobs_are_a_closed_set():
-    """A disk result tier, an encode-offload size, a cabinet width and a
-    client decode switch each had one value in use and went; what is left
-    are deployment and observability settings."""
+    """A disk result tier, an encode-offload size, a cabinet width, a
+    client decode switch and a latency-reservoir size each had one value
+    in use and went; what is left are deployment and observability
+    settings."""
     assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
         "max_inflight", "max_queue", "tenant_inflight", "cache_bytes",
         "fragment_bytes", "workers", "slow_query_s", "slow_query_log",
     ]
     assert _params(ResultCache) == ["max_bytes"]
+    assert _params(LatencyReservoir) == []
     assert _params(ArtifactCache) == ["root"]
     assert list(inspect.signature(plan_query).parameters) == [
         "query", "dataset",
@@ -149,7 +162,13 @@ def test_serve_knobs_are_a_closed_set():
 def test_frame_surface_is_a_closed_set():
     """Rolling kernels, an as-of join, a CSV reader, a stats describer, a
     recoarsener and two ``Table`` constructors had no caller outside tests
-    and went; a new frame verb arrives with its first caller."""
+    and went; a new frame verb arrives with its first caller.  The codec
+    policy has one control, ``REPRO_RCS_COMPRESSION`` (no per-call
+    ``compression=``); ``atomic`` is the fsync hook durable writes use."""
+    assert list(inspect.signature(save_rcs).parameters) == [
+        "table", "path", "atomic", "zones",
+    ]
+    assert list(inspect.signature(compression_mode).parameters) == []
     assert repro.frame.__all__ == [
         "Table", "concat", "factorize", "multi_factorize", "group_by",
         "AGGREGATIONS", "join", "interval_join", "window_aggregate",

@@ -88,10 +88,11 @@ class TestPowerAwareScheduler:
         assert res.n_power_delayed > 0
         # mean start delay grows vs the unconstrained baseline
         from repro.frame.join import join
+        from repro.frame.table import Table
 
-        b = baseline.allocations.rename({"begin_time": "b0"}).select(
-            ["allocation_id", "b0"]
-        )
+        base = baseline.allocations
+        b = Table({"allocation_id": base["allocation_id"],
+                   "b0": base["begin_time"]})
         j = join(res.schedule.allocations, b, "allocation_id", how="inner")
         sub = join(j, cat.table.select(["allocation_id", "submit_time"]),
                    "allocation_id", how="inner")
