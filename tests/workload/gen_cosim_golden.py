@@ -13,7 +13,11 @@ The first 16 hex digits of a SHA-256 (dtype, shape, bytes) of
   ``datasets.generate`` half of the chain);
 * all four parts of ``ScheduleResult`` for three seeds under two drain
   windows, and ``PowerAwareScheduler.run_capped``'s schedule, commitment
-  series and ``n_power_delayed`` at a 40 % cap.
+  series and ``n_power_delayed`` at a 40 % cap;
+* the same two runs on a 6,000-job full-machine catalog whose submits
+  arrive in waves, so the pending queue runs ~4,000 deep (plain) and
+  ~5,700 deep (capped) — the backlog regime of the ledger's
+  ``cosim_backlog``, where backfill depth and queue rescans matter.
 
 Written before a change to the painter, the power kernel or the scheduler
 core and checked after it, this is what "same bits" means for them.
@@ -34,8 +38,9 @@ import numpy as np
 
 from repro.config import SUMMIT
 from repro.datasets import SimulationSpec, simulate_twin
-from repro.workload import (ClusterTraceBuilder, PowerAwareScheduler,
-                            Scheduler, synthetic_catalog)
+from repro.workload import (ClusterTraceBuilder, JobCatalog,
+                            PowerAwareScheduler, Scheduler,
+                            synthetic_catalog)
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "cosim_arrays.json"
 
@@ -43,6 +48,9 @@ TRACE_ARRAYS = ("times", "node_input_w", "node_cpu_w", "node_gpu_w",
                 "gpu_power_w", "node_alloc")
 DRAINS = ((20_000.0, 30_000.0), (90_000.0, 100_000.0))
 SCHED_HORIZON = 2 * 86_400.0
+#: submit-time quantum of the deep-queue entry (the ledger's
+#: ``cosim_backlog`` floors its submits the same way)
+BURST_S = 300_000.0
 
 
 def digest(array) -> str:
@@ -107,16 +115,41 @@ def compute() -> dict:
         result = Scheduler(config, seed=seed, drain_windows=DRAINS).run(
             catalog, SCHED_HORIZON)
         out[f"schedule seed={seed} two drains"] = schedule_digests(result)
+    out["run_capped 40% cap"] = capped_digests(config, 1, catalog,
+                                               SCHED_HORIZON)
+
+    deep, horizon = burst_catalog(6000, seed=29)
+    out["burst 4626x6000 schedule"] = schedule_digests(
+        Scheduler(SUMMIT, seed=29).run(deep, horizon))
+    out["burst 4626x6000 run_capped 40% cap"] = capped_digests(
+        SUMMIT, 29, deep, horizon)
+    return out
+
+
+def capped_digests(config, seed: int, catalog, horizon: float) -> dict:
     cap = 0.4 * config.n_nodes * config.node_max_power_w
-    capped = PowerAwareScheduler(cap, config, seed=1).run_capped(
-        catalog, SCHED_HORIZON)
-    out["run_capped 40% cap"] = {
+    capped = PowerAwareScheduler(cap, config, seed=seed).run_capped(
+        catalog, horizon)
+    return {
         "schedule": schedule_digests(capped.schedule),
         "commitment_times": digest(capped.commitment[0]),
         "commitment_watts": digest(capped.commitment[1]),
         "n_power_delayed": capped.n_power_delayed,
     }
-    return out
+
+
+def burst_catalog(n_jobs: int, seed: int) -> tuple[JobCatalog, float]:
+    """A full-machine catalog at 95 % load whose submits are floored into
+    ``BURST_S`` waves, so the pending queue runs thousands deep; returns
+    it with a horizon 10 % past the demand-derived load span."""
+    probe = synthetic_catalog(SUMMIT, n_jobs=n_jobs, horizon_s=1.0, seed=seed)
+    t = probe.table
+    span = float((t["node_count"] * t["walltime_s"]).sum()) / (
+        SUMMIT.n_nodes * 0.95)
+    cat = synthetic_catalog(SUMMIT, n_jobs=n_jobs, horizon_s=span, seed=seed)
+    submit = np.floor(cat.table["submit_time"] / BURST_S) * BURST_S
+    return (JobCatalog(cat.table.with_column("submit_time", submit), SUMMIT),
+            1.1 * span)
 
 
 def main(argv) -> int:
