@@ -26,6 +26,26 @@ an O(1) interval pointer.  The batch-stepped loop it replaced lives on as
 the differential oracle in ``tests/workload/reference_scheduler.py``; it
 drives the same :class:`_Sim` and policy hooks, so the placement RNG is
 drawn in the same order and ``ScheduleResult`` is identical bit for bit.
+
+The event clock is a plain Python float (see :class:`_Sim`).  A queue scan
+runs in two phases over the first ``min(len(pending), BACKFILL_DEPTH)``
+entries: phase 1 starts fitting, admitted jobs in priority order until the
+first job that does not fit, whose EASY reservation (shadow time and spare
+nodes) is then computed once; phase 2 backfills the rest of the window
+against it.  ``admit`` is called exactly when a job fits the free nodes, in
+queue order, so a policy's veto bookkeeping sees the same calls as a
+one-loop scan.
+
+A scan that starts nothing leaves the queue *settled*, and further scans
+are skipped (counted in ``n_scans_skipped``) until a completion batch, a
+start, or a submit inserted inside the backfill window unsettles it.  The
+skip is exact because nothing such a scan reads has changed: the free-node
+count, the running set (hence the reservation), the window's entries and
+the policy's committed state are all as they were, and a later ``now``
+only tightens ``now + wall <= shadow``, so it would start nothing again.
+Policies must therefore decide ``admit`` from state that only starts and
+releases change, not from ``now`` (:class:`~repro.workload.powercap.
+PowerAwareScheduler` decides from committed watts).
 """
 
 from __future__ import annotations
@@ -107,12 +127,23 @@ class _Sim:
     ``start_job`` / ``pop_completion`` / ``release`` are the only writers,
     so the core and the test oracle cannot drift in how they mutate the
     machine.
+
+    Everything the event loop touches per event is a plain Python object:
+    node demands, walltimes and begin/end times are lists, and the clock
+    is a Python float — an end time is ``now + wall_l[row]`` pushed as
+    ``(end, row)``, never read back out of a numpy array, so heap compares
+    and the backfill test do no numpy-scalar arithmetic.  (The catalog's
+    float64 values convert exactly, so no bit moves.)  Placement draws
+    ``placement_rng.choice(n_free, k)`` as indices into
+    ``free.nonzero()[0]``: the same draws as choosing from the free-id
+    array itself (``tests/workload/test_scheduler_properties.py`` pins
+    that contract), without materializing it first.
     """
 
     __slots__ = (
         "sched", "catalog", "free", "n_free", "running", "by_end",
-        "node_lists", "begin", "end", "placement_rng", "nodes_req", "wall",
-        "n_started",
+        "node_lists", "begin", "end", "placement_rng", "nodes_req_l",
+        "wall_l", "n_started",
     )
 
     def __init__(self, sched: "Scheduler", catalog: JobCatalog):
@@ -120,35 +151,36 @@ class _Sim:
         n_jobs = catalog.n_jobs
         self.sched = sched
         self.catalog = catalog
-        self.nodes_req = t["node_count"]
-        self.wall = t["walltime_s"]
+        self.nodes_req_l: list[int] = t["node_count"].tolist()
+        self.wall_l: list[float] = t["walltime_s"].tolist()
         self.free = np.ones(sched.config.n_nodes, dtype=bool)
         self.n_free = sched.config.n_nodes
         self.running: list[tuple[float, int]] = []  # heap of (end_time, row)
         #: sorted mirror of ``running``
         self.by_end: list[tuple[float, int]] = []
         self.node_lists: dict[int, np.ndarray] = {}
-        self.begin = np.full(n_jobs, -1.0)
-        self.end = np.full(n_jobs, -1.0)
+        self.begin = [-1.0] * n_jobs
+        self.end = [-1.0] * n_jobs
         self.placement_rng = np.random.default_rng(
             np.random.SeedSequence([sched.seed, 0x5CED])
         )
         self.n_started = 0
 
     def start_job(self, row: int, now: float) -> None:
-        k = int(self.nodes_req[row])
-        free_ids = np.flatnonzero(self.free)
-        if k == len(free_ids):
-            chosen = free_ids
-        else:
-            chosen = self.placement_rng.choice(free_ids, size=k, replace=False)
-            chosen.sort()
-        self.free[chosen] = False
+        k = self.nodes_req_l[row]
+        free_ids = self.free.nonzero()[0]
+        if k != self.n_free:
+            free_ids = free_ids[
+                self.placement_rng.choice(self.n_free, size=k, replace=False)
+            ]
+            free_ids.sort()
+        self.free[free_ids] = False
         self.n_free -= k
-        self.node_lists[row] = chosen
+        self.node_lists[row] = free_ids
         self.begin[row] = now
-        self.end[row] = now + float(self.wall[row])
-        entry = (self.end[row], row)
+        end = now + self.wall_l[row]
+        self.end[row] = end
+        entry = (end, row)
         heapq.heappush(self.running, entry)
         insort(self.by_end, entry)
         self.n_started += 1
@@ -161,9 +193,8 @@ class _Sim:
         return entry
 
     def release(self, row: int, now: float) -> None:
-        nl = self.node_lists[row]
-        self.free[nl] = True
-        self.n_free += len(nl)
+        self.free[self.node_lists[row]] = True
+        self.n_free += self.nodes_req_l[row]
         self.sched.on_release(self.catalog, row, now)
 
 
@@ -196,7 +227,11 @@ class Scheduler:
     # ---- policy hooks (overridden by power-aware variants) ----
 
     def admit(self, catalog: JobCatalog, row: int, now: float) -> bool:
-        """Policy veto: may job ``row`` start right now?  Base: always."""
+        """Policy veto: may job ``row`` start right now?  Base: always.
+
+        The answer may depend on what ``on_start`` / ``on_release`` track,
+        not on ``now``: the core skips rescans of a settled queue.
+        """
         return True
 
     def on_start(self, catalog: JobCatalog, row: int, now: float) -> None:
@@ -213,7 +248,14 @@ class Scheduler:
         process-wide :data:`repro.obs.metrics.REGISTRY`, so a
         co-simulation driver sees scheduler work alongside every other
         subsystem's metrics.
+
+        Raises ``ValueError`` (naming the column, the ``allocation_id`` and
+        the value) for a catalog row the event loop cannot order: a
+        negative ``node_count``, a non-finite ``submit_time``, or a
+        ``walltime_s`` that is negative or not finite.  A job wider than
+        the machine is not an error: it never starts and is ``dropped``.
         """
+        _check_catalog(catalog)
         with trace.span("sched.run", jobs=catalog.n_jobs,
                         horizon_s=horizon_s) as sp:
             result = self._run_event(catalog, horizon_s)
@@ -231,8 +273,6 @@ class Scheduler:
         t = catalog.table
         submit = t["submit_time"]
         sclass_l = t["sched_class"].tolist()
-        nodes_req_l = t["node_count"].tolist()
-        wall_l = t["walltime_s"].tolist()
 
         order = np.argsort(submit, kind="stable")
         order_l = order.tolist()
@@ -240,15 +280,19 @@ class Scheduler:
         n_jobs = catalog.n_jobs
 
         sim = _Sim(self, catalog)
+        nodes_req_l = sim.nodes_req_l
+        wall_l = sim.wall_l
         running = sim.running
         by_end = sim.by_end
-        node_lists = sim.node_lists
 
         # pending queue: kept sorted by (class, seq) at all times, plus a
         # sorted multiset of its node demands so a scan that cannot start
         # anything (every demand > n_free) is skipped in O(1)
         pending: list[tuple[int, int, int]] = []
         pending_ks: list[int] = []
+        # True after a scan that started nothing, until something it read
+        # changes (see the module docstring)
+        settled = False
 
         drains = _merged_drain_windows(self.drain_windows)
         n_drains = len(drains)
@@ -275,7 +319,7 @@ class Scheduler:
             freed = sim.n_free
             shadow = inf
             for t_end, row in by_end:
-                nn = len(node_lists[row])
+                nn = nodes_req_l[row]
                 if shadow == inf:
                     avail += nn
                     if avail >= k_needed:
@@ -291,61 +335,68 @@ class Scheduler:
 
         def try_start(now: float) -> None:
             """Priority scan with EASY reservation backfill."""
-            nonlocal drain_ptr
-            if not pending or sim.n_free == 0:
+            nonlocal drain_ptr, settled
+            n_free = sim.n_free
+            if not pending or n_free == 0:
                 return
             while drain_ptr < n_drains and now >= drains[drain_ptr][1]:
                 drain_ptr += 1
             if drain_ptr < n_drains and drains[drain_ptr][0] <= now:
                 return
-            if pending_ks[0] > sim.n_free:
-                # nothing fits and no admit() side effects are reachable:
-                # the whole scan is a provable no-op
+            if settled or pending_ks[0] > n_free:
+                # nothing the scan reads has changed since one that started
+                # nothing, or nothing fits: either way a provable no-op
                 stats["n_scans_skipped"] += 1
                 return
             stats["n_queue_scans"] += 1
-            shadow: float | None = None
-            spare_at_shadow = 0
+            stop = min(len(pending), depth_cap)
             started: list[int] = []
+            # phase 1: start fitting, admitted jobs in priority order up to
+            # the first one that does not fit; a policy veto (e.g. a power
+            # cap) makes a job wait without earning a node reservation
             idx = 0
-            n_pend = len(pending)
-            while idx < n_pend:
-                if sim.n_free == 0 or idx >= depth_cap:
-                    break
+            while idx < stop and n_free:
                 row = pending[idx][2]
                 k = nodes_req_l[row]
-                if k <= sim.n_free and not admit(catalog, row, now):
-                    # policy veto (e.g. power cap): job waits without
-                    # earning a node reservation
-                    pass
-                elif k <= sim.n_free and shadow is None:
+                if k > n_free:
+                    break
+                if admit(catalog, row, now):
                     sim.start_job(row, now)
+                    n_free -= k
                     started.append(idx)
-                elif k <= sim.n_free:
-                    # backfill candidate: must not delay the reservation
-                    if now + wall_l[row] <= shadow or k <= spare_at_shadow:
-                        sim.start_job(row, now)
-                        if k > spare_at_shadow:
-                            spare_at_shadow = 0
-                        else:
-                            spare_at_shadow -= k
-                        started.append(idx)
-                else:
-                    if shadow is None:
-                        shadow, spare_at_shadow = shadow_and_spare(k)
                 idx += 1
+            if idx < stop and n_free:
+                # phase 2: pending[idx] is the highest-priority blocked job;
+                # it earns the reservation, and later entries backfill only
+                # if they cannot delay it
+                shadow, spare = shadow_and_spare(nodes_req_l[pending[idx][2]])
+                for idx in range(idx + 1, stop):
+                    row = pending[idx][2]
+                    k = nodes_req_l[row]
+                    if k <= n_free and admit(catalog, row, now) and (
+                        now + wall_l[row] <= shadow or k <= spare
+                    ):
+                        sim.start_job(row, now)
+                        n_free -= k
+                        spare = spare - k if k <= spare else 0
+                        started.append(idx)
+                        if n_free == 0:
+                            break
+            settled = not started
             for i in reversed(started):
                 row = pending[i][2]
                 del pending[i]
                 del pending_ks[bisect_left(pending_ks, nodes_req_l[row])]
 
         def completion_batch() -> None:
+            nonlocal settled
             t_end, row_done = sim.pop_completion()
             sim.release(row_done, t_end)
             while running and running[0][0] <= t_end:
                 _, r2 = sim.pop_completion()
                 sim.release(r2, t_end)
             stats["n_completion_batches"] += 1
+            settled = False
             try_start(t_end)
 
         seq = 0
@@ -356,7 +407,11 @@ class Scheduler:
             while running and running[0][0] <= now:
                 completion_batch()
             row = order_l[i]
-            insort(pending, (sclass_l[row], seq, row))
+            item = (sclass_l[row], seq, row)
+            pos = bisect_left(pending, item)
+            pending.insert(pos, item)
+            if pos < depth_cap:
+                settled = False
             insort(pending_ks, nodes_req_l[row])
             seq += 1
             stats["n_submits"] += 1
@@ -375,13 +430,35 @@ class Scheduler:
         return _assemble(catalog, sim)
 
 
+def _check_catalog(catalog: JobCatalog) -> None:
+    """Reject the rows that would silently corrupt a schedule: a NaN time
+    compares false against everything, so it stalls the completion heap or
+    reorders submits; a negative node count cannot be placed."""
+    t = catalog.table
+    wall = t["walltime_s"]
+    for name, ok, rule in (
+        ("node_count", t["node_count"] >= 0, ">= 0"),
+        ("submit_time", np.isfinite(t["submit_time"]), "finite"),
+        ("walltime_s", np.isfinite(wall) & (wall >= 0), "finite and >= 0"),
+    ):
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            row = int(bad[0])
+            raise ValueError(
+                f"catalog column {name!r} must be {rule}, but allocation_id "
+                f"{int(t['allocation_id'][row])} has {t[name][row].item()!r}"
+                f" ({len(bad)} bad row{'s' if len(bad) > 1 else ''})"
+            )
+
+
 def _assemble(catalog: JobCatalog, sim: _Sim) -> ScheduleResult:
     """Build the result tables from the simulated machine state."""
     t = catalog.table
     alloc_ids = t["allocation_id"]
     nodes_req = t["node_count"]
     sclass = t["sched_class"]
-    begin, end = sim.begin, sim.end
+    begin = np.array(sim.begin, dtype=np.float64)
+    end = np.array(sim.end, dtype=np.float64)
 
     started = begin >= 0.0
     started_rows = np.flatnonzero(started)
@@ -401,7 +478,7 @@ def _assemble(catalog: JobCatalog, sim: _Sim) -> ScheduleResult:
     counts = nodes_req[started_rows].astype(np.intp)
     rep_rows = np.repeat(started_rows, counts)
     all_nodes = (
-        np.concatenate([sim.node_lists[int(r)] for r in started_rows])
+        np.concatenate([sim.node_lists[r] for r in started_rows.tolist()])
         if len(started_rows)
         else np.empty(0, dtype=np.int64)
     )

@@ -8,7 +8,7 @@ jobs) and compares full ``ScheduleResult`` contents, not summaries.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import SUMMIT
 from repro.frame.table import Table
@@ -22,38 +22,20 @@ N_NODES = 16
 HORIZON = 50_000.0
 
 
-@st.composite
-def tied_catalog(draw, min_jobs=1, max_jobs=40, allow_zero_nodes=True):
-    """Catalogs stressing the queues: quantized submits (many exact ties),
-    walltime ties, and optionally zero-node jobs."""
-    n = draw(st.integers(min_jobs, max_jobs))
-    # submits on a coarse grid -> heavy exact-tie batches
-    submits = sorted(
-        draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
-    )
-    lo = 0 if allow_zero_nodes else 1
-    nodes = draw(st.lists(st.integers(lo, N_NODES), min_size=n, max_size=n))
-    walls = draw(
-        st.lists(st.sampled_from([10.0, 500.0, 500.0, 2000.0]),
-                 min_size=n, max_size=n)
-    )
-    classes = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
-    kinds = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+def make_catalog(submits, nodes, walls, classes, kinds, gpus) -> JobCatalog:
+    n = len(submits)
     table = Table(
         {
             "allocation_id": np.arange(1, n + 1, dtype=np.int64),
-            "submit_time": np.array(submits, dtype=np.float64) * 500.0,
+            "submit_time": np.array(submits, dtype=np.float64),
             "node_count": np.array(nodes, dtype=np.int64),
             "sched_class": np.array(classes, dtype=np.int64),
-            "req_walltime_s": np.array(walls),
-            "walltime_s": np.array(walls),
+            "req_walltime_s": np.array(walls, dtype=np.float64),
+            "walltime_s": np.array(walls, dtype=np.float64),
             "domain": np.array(["Physics"] * n),
             "project": np.array(["PHY000"] * n),
             "user_id": np.zeros(n, dtype=np.int64),
-            "gpus_used": np.array(
-                draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)),
-                dtype=np.int64,
-            ),
+            "gpus_used": np.array(gpus, dtype=np.int64),
             "kind_code": np.array(kinds, dtype=np.int64),
             "cpu_base": np.full(n, 0.3),
             "cpu_amp": np.full(n, 0.1),
@@ -65,6 +47,43 @@ def tied_catalog(draw, min_jobs=1, max_jobs=40, allow_zero_nodes=True):
         }
     )
     return JobCatalog(table=table, config=SUMMIT.scaled(N_NODES))
+
+
+@st.composite
+def tied_catalog(draw, min_jobs=1, max_jobs=40, allow_zero_nodes=True):
+    """Catalogs stressing the queues: quantized submits (many exact ties),
+    walltime ties, and optionally zero-node jobs."""
+    n = draw(st.integers(min_jobs, max_jobs))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    # submits on a coarse grid -> heavy exact-tie batches
+    submits = [500.0 * s for s in sorted(column(st.integers(0, 10)))]
+    nodes = column(st.integers(0 if allow_zero_nodes else 1, N_NODES))
+    walls = column(st.sampled_from([10.0, 500.0, 500.0, 2000.0]))
+    classes = column(st.integers(1, 5))
+    kinds = column(st.integers(0, 4))
+    return make_catalog(submits, nodes, walls, classes, kinds,
+                        column(st.integers(1, 6)))
+
+
+#: every job submitted at t=0, in this order: A (15 nodes) starts; B (16)
+#: blocks and takes the reservation at t=500; C and D (1 node each) fit
+#: but would overrun it.  At ``BACKFILL_DEPTH`` 2, D lands behind the
+#: window of a scan (C's) that started nothing, so its scan is skipped.
+BEHIND_WINDOW = make_catalog(
+    submits=[0.0] * 4, nodes=[15, 16, 1, 1], walls=[500.0, 500.0, 2000.0,
+                                                    2000.0],
+    classes=[1, 1, 5, 5], kinds=[0] * 4, gpus=[6] * 4,
+)
+
+
+def with_depth(cls, depth: int):
+    """``cls`` with a shallower backfill window; both cores read
+    ``sched.BACKFILL_DEPTH``."""
+    return type(f"{cls.__name__}Depth{depth}", (cls,),
+                {"BACKFILL_DEPTH": depth})
 
 
 drain_windows_st = st.lists(
@@ -117,6 +136,56 @@ class TestEventCoreBitIdentity:
         assert ref.n_power_delayed == ev.n_power_delayed
         assert np.array_equal(ref.commitment[0], ev.commitment[0])
         assert np.array_equal(ref.commitment[1], ev.commitment[1])
+
+    @given(tied_catalog(), drain_windows_st, st.sampled_from([1, 2, 4, 8]),
+           st.integers(0, 3))
+    @example(BEHIND_WINDOW, (), 2, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_identical_at_shallow_backfill_depth(
+        self, catalog, drains, depth, seed
+    ):
+        cls = with_depth(Scheduler, depth)
+        ref = reference(cls(
+            catalog.config, seed=seed, drain_windows=drains,
+        )).run(catalog, HORIZON)
+        sched = cls(catalog.config, seed=seed, drain_windows=drains)
+        ev = sched.run(catalog, HORIZON)
+        assert_schedules_identical(ref, ev)
+        if catalog is BEHIND_WINDOW:
+            assert sched.last_run_stats["n_scans_skipped"] > 0
+
+    @given(tied_catalog(), st.sampled_from([1, 2, 4, 8]), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_power_cap_identical_at_shallow_backfill_depth(
+        self, catalog, depth, seed
+    ):
+        cls = with_depth(PowerAwareScheduler, depth)
+        cap = catalog.config.n_nodes * catalog.config.node_max_power_w * 0.4
+        ref = reference(cls(cap, catalog.config, seed=seed)).run_capped(
+            catalog, HORIZON)
+        ev = cls(cap, catalog.config, seed=seed).run_capped(catalog, HORIZON)
+        assert_schedules_identical(ref.schedule, ev.schedule)
+        assert ref.n_power_delayed == ev.n_power_delayed
+        assert np.array_equal(ref.commitment[0], ev.commitment[0])
+        assert np.array_equal(ref.commitment[1], ev.commitment[1])
+
+    def test_scan_behind_the_window_is_skipped(self):
+        """The settled rule on ``BEHIND_WINDOW``: at depth 2, D's submit
+        lands behind the window of C's fruitless scan and is skipped; at
+        depth 64 it is inside the window and rescanned.  The schedule is
+        the same either way."""
+        shallow = with_depth(Scheduler, 2)(BEHIND_WINDOW.config)
+        deep = Scheduler(BEHIND_WINDOW.config)
+        a = shallow.run(BEHIND_WINDOW, HORIZON)
+        b = deep.run(BEHIND_WINDOW, HORIZON)
+        assert_schedules_identical(a, b)
+        assert a.allocations["begin_time"].tolist() == [0.0, 500.0, 1000.0,
+                                                        1000.0]
+        # B's submit: nothing fits (k=16 > 1 free); D's: settled
+        assert shallow.last_run_stats["n_scans_skipped"] == 2
+        assert deep.last_run_stats["n_scans_skipped"] == 1
+        assert (shallow.last_run_stats["n_queue_scans"] + 1
+                == deep.last_run_stats["n_queue_scans"])
 
     @given(tied_catalog(min_jobs=3, allow_zero_nodes=True), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import SUMMIT
 from repro.frame.table import Table
-from repro.workload import generate_jobs, schedule_jobs
+from repro.workload import generate_jobs, schedule_jobs, synthetic_catalog
 from repro.workload.jobs import JobCatalog
 from repro.workload.scheduler import Scheduler
 
@@ -213,6 +213,55 @@ class TestDrainWindows:
         in_drain = (times >= 47_000.0) & (times < 55_000.0)
         outside = (times < 35_000.0)
         assert power[in_drain].min() < power[outside].mean() * 0.85
+
+
+class TestMalformedRows:
+    """A row the event loop cannot order is refused up front: a NaN time
+    compares false against everything, so it would stall the completion
+    heap or reorder submits without any error."""
+
+    N_NODES = 16
+
+    def catalog(self, column=None, value=None, row=7):
+        cfg = SUMMIT.scaled(self.N_NODES)
+        cat = synthetic_catalog(cfg, n_jobs=200, horizon_s=86_400.0, seed=4)
+        if column is None:
+            return cat
+        col = cat.table[column].copy()
+        col[row] = value
+        return JobCatalog(cat.table.with_column(column, col), cfg)
+
+    @pytest.mark.parametrize("column, value", [
+        ("walltime_s", np.nan),
+        ("walltime_s", np.inf),
+        ("walltime_s", -1.0),
+        ("submit_time", np.nan),
+        ("submit_time", -np.inf),
+        ("node_count", -1),
+    ])
+    def test_bad_value_names_column_row_and_value(self, column, value):
+        cat = self.catalog(column, value)
+        aid = int(cat.table["allocation_id"][7])
+        with pytest.raises(ValueError) as err:
+            Scheduler(cat.config).run(cat, 86_400.0)
+        msg = str(err.value)
+        assert repr(column) in msg
+        assert f"allocation_id {aid}" in msg
+        assert repr(cat.table[column][7].item()) in msg
+
+    def test_zero_walltime_and_zero_nodes_are_valid(self):
+        cat = self.catalog("walltime_s", 0.0)
+        Scheduler(cat.config).run(cat, 86_400.0)
+        cat = self.catalog("node_count", 0)
+        Scheduler(cat.config).run(cat, 86_400.0)
+
+    def test_job_wider_than_machine_is_dropped(self):
+        cat = self.catalog("node_count", self.N_NODES + 1)
+        aid = int(cat.table["allocation_id"][7])
+        res = Scheduler(cat.config).run(cat, 86_400.0)
+        assert aid in res.dropped.tolist()
+        assert aid not in res.allocations["allocation_id"].tolist()
+        assert res.allocations.n_rows + len(res.dropped) == cat.n_jobs
 
 
 class TestQueueStatistics:

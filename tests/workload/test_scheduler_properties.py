@@ -47,6 +47,37 @@ def random_catalog(draw):
     return JobCatalog(table=table, config=SUMMIT.scaled(N_NODES))
 
 
+@st.composite
+def placement_steps(draw):
+    """A sequence of (free mask, k) placement requests, 0 <= k <= free."""
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        mask = np.array(draw(st.lists(st.booleans(), min_size=1,
+                                      max_size=64)))
+        k = draw(st.integers(0, int(mask.sum())))
+        steps.append((mask, k))
+    return steps
+
+
+class TestPlacementContract:
+    @given(placement_steps(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_index_draw_equals_free_id_draw(self, steps, seed):
+        """``_Sim.start_job`` draws ``choice(n_free, k)`` indices into
+        ``free.nonzero()[0]``; the golden schedules were drawn as
+        ``choice(flatnonzero(free), k)``.  Both must consume one generator
+        identically, step for step — a numpy release that changes this
+        fails here by name, not as a ``cosim_arrays.json`` diff."""
+        by_index = np.random.default_rng(seed)
+        by_ids = np.random.default_rng(seed)
+        for free, k in steps:
+            n = int(free.sum())
+            a = free.nonzero()[0][by_index.choice(n, size=k, replace=False)]
+            b = by_ids.choice(np.flatnonzero(free), size=k, replace=False)
+            assert np.array_equal(a, b)
+        assert by_index.random() == by_ids.random()
+
+
 class TestSchedulerInvariants:
     @given(random_catalog())
     @settings(max_examples=60, deadline=None)
