@@ -12,16 +12,17 @@ from benchutil import emit, full_scale_ratio
 from repro.config import SUMMIT
 from repro.core.report import fmt_si, render_table
 from repro.datasets import dataset_inventory
-from repro.telemetry import compression_ratio
+from repro.frame.encodings import encode_column
 from repro.telemetry.schema import N_METRICS
 
 
 def build_inventory(twin_year):
     inv = dataset_inventory(twin_year)
-    # compression ratio of a representative telemetry channel
+    # compression ratio of a representative telemetry channel, through
+    # the column codec the .rcs store writes
     arr = twin_year.builder.build(0.0, 3600.0, 1.0)
     node0 = np.round(arr.node_input_w[0])
-    ratio = compression_ratio(node0)
+    ratio = node0.nbytes / len(encode_column(node0)[1])
     return inv, ratio
 
 

@@ -26,10 +26,6 @@ class SchedulingClass:
     max_nodes: int
     max_walltime_h: float
 
-    def contains(self, node_count: int) -> bool:
-        """Return True if ``node_count`` falls in this class's node range."""
-        return self.min_nodes <= node_count <= self.max_nodes
-
 
 #: Table 3 of the paper.  Class 1 and 2 are "leadership"/large-scale
 #: (>20% of the machine); classes 3-5 are small-scale.
@@ -40,17 +36,6 @@ SCHEDULING_CLASSES: tuple[SchedulingClass, ...] = (
     SchedulingClass(4, 46, 91, 6.0),
     SchedulingClass(5, 1, 45, 2.0),
 )
-
-
-def class_of_node_count(node_count: int) -> int:
-    """Map a job's node count to its Summit scheduling class (1-5).
-
-    Raises ``ValueError`` for node counts outside 1..4608.
-    """
-    for cls in SCHEDULING_CLASSES:
-        if cls.contains(node_count):
-            return cls.index
-    raise ValueError(f"node count {node_count} outside Summit's schedulable range")
 
 
 @dataclass(frozen=True)
@@ -124,11 +109,6 @@ class SummitConfig:
         return self.n_nodes * self.gpus_per_node
 
     @property
-    def n_cpus(self) -> int:
-        """Total CPU count (9,252 at full scale)."""
-        return self.n_nodes * self.cpus_per_node
-
-    @property
     def node_idle_w(self) -> float:
         """Wall-plug idle power of one node (component idle / PSU efficiency)."""
         dc = (
@@ -137,11 +117,6 @@ class SummitConfig:
             + self.node_other_w
         )
         return dc / self.psu_efficiency
-
-    @property
-    def max_job_nodes(self) -> int:
-        """Largest schedulable allocation (4,608 = 256 cabinets x 18)."""
-        return SCHEDULING_CLASSES[0].max_nodes
 
     def scaled(self, n_nodes: int) -> "SummitConfig":
         """Return a reduced-scale twin with ``n_nodes`` nodes.
@@ -189,16 +164,6 @@ class SummitConfig:
             prev_min = lo
         return tuple(out)
 
-    def class_of(self, node_count: int) -> int:
-        """Scheduling class index for ``node_count`` on this machine."""
-        for cls in self.scheduling_classes():
-            if cls.contains(node_count):
-                return cls.index
-        raise ValueError(
-            f"node count {node_count} outside schedulable range for "
-            f"{self.n_nodes}-node machine"
-        )
-
 
 #: The full-scale Summit machine.
 SUMMIT = SummitConfig()
@@ -229,7 +194,3 @@ def fahrenheit_to_celsius(f: float) -> float:
     """Convert Fahrenheit to Celsius (facility data is logged in F)."""
     return (f - 32.0) * 5.0 / 9.0
 
-
-def celsius_to_fahrenheit(c: float) -> float:
-    """Convert Celsius to Fahrenheit."""
-    return c * 9.0 / 5.0 + 32.0

@@ -4,14 +4,14 @@ Pipeline stages mirror the artifact appendix's derived datasets:
 
 1 Hz telemetry --:mod:`~repro.core.coarsen`--> 10 s per-node stats
 (Dataset 0) --:mod:`~repro.core.aggregate`--> cluster-level series
-(Datasets 1-2) --:mod:`~repro.core.jobjoin`--> job-wise series and
+(Dataset 1) --:mod:`~repro.core.jobjoin`--> job-wise series and
 summaries (Datasets 3-7) --> analyses:
 
 * :mod:`~repro.core.edges` — rising/falling edge detection, durations,
   snapshot superposition (Figures 10-12),
 * :mod:`~repro.core.spectral` — differenced FFT dominant frequency and
   amplitude (Figure 10),
-* :mod:`~repro.core.density` — KDE / CDF / boxplot statistics
+* :mod:`~repro.core.density` — KDE / quantile / boxplot statistics
   (Figures 5-9),
 * :mod:`~repro.core.validation` — MSB meter vs per-node summation
   (Figure 4),
@@ -27,11 +27,10 @@ summaries (Datasets 3-7) --> analyses:
 """
 
 from repro.core.coarsen import coarsen_telemetry
-from repro.core.aggregate import cluster_power_series, cluster_component_series
+from repro.core.aggregate import cluster_power_series
 from repro.core.jobjoin import (
     tag_allocations,
     job_power_series,
-    job_component_series,
     job_power_summary,
     job_component_summary,
 )
@@ -45,13 +44,9 @@ from repro.core.edges import (
 )
 from repro.core.spectral import dominant_mode, job_spectral_summary
 from repro.core.density import (
-    ecdf,
-    cdf_at,
     quantiles,
     boxplot_stats,
-    kde_1d,
     kde_2d,
-    skewness,
 )
 from repro.core.lag import estimate_lag_s
 from repro.core.validation import msb_validation
@@ -74,10 +69,8 @@ from repro.core.fingerprint import (
 __all__ = [
     "coarsen_telemetry",
     "cluster_power_series",
-    "cluster_component_series",
     "tag_allocations",
     "job_power_series",
-    "job_component_series",
     "job_power_summary",
     "job_component_summary",
     "job_energy",
@@ -88,13 +81,9 @@ __all__ = [
     "superimpose",
     "dominant_mode",
     "job_spectral_summary",
-    "ecdf",
-    "cdf_at",
     "quantiles",
     "boxplot_stats",
-    "kde_1d",
     "kde_2d",
-    "skewness",
     "estimate_lag_s",
     "msb_validation",
     "weekly_summary",

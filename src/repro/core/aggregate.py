@@ -1,4 +1,4 @@
-"""Cluster-level collapses of the coarsened per-node data (Datasets 1-2).
+"""Cluster-level collapses of the coarsened per-node data (Dataset 1).
 
 The per-timestamp summation of per-node 10 s means approximates total
 cluster power (validated against the MSB meters in Figure 4 /
@@ -44,55 +44,3 @@ def cluster_power_series(
         },
         presorted=presorted,
     )
-
-
-def cluster_component_series(
-    coarse: Table,
-    cpu_value: str = "cpu_power",
-    gpu_value: str = "gpu_power",
-) -> Table:
-    """Dataset 2: per-window cross-node stats of CPU and GPU node power.
-
-    Returns the artifact's columns: ``mean/std/min/max_cpu_power`` and
-    ``mean/std/max_gpu_power`` per timestamp.
-    """
-    aggs = {
-        "mean_cpu_power": (f"{cpu_value}_mean", "mean"),
-        "std_cpu_power": (f"{cpu_value}_mean", "std"),
-        "min_cpu_power": (f"{cpu_value}_mean", "min"),
-        "max_cpu_power": (f"{cpu_value}_mean", "max"),
-        "mean_gpu_power": (f"{gpu_value}_mean", "mean"),
-        "std_gpu_power": (f"{gpu_value}_mean", "std"),
-        "max_gpu_power": (f"{gpu_value}_mean", "max"),
-    }
-    for out, (col, _) in aggs.items():
-        if col not in coarse:
-            raise KeyError(f"expected coarsened column {col!r}")
-    return group_by(coarse, "timestamp", aggs).sort("timestamp")
-
-
-def component_sums_from_sockets(telemetry: Table) -> Table:
-    """Derive per-node ``cpu_power``/``gpu_power`` columns from the raw
-    per-socket / per-GPU telemetry channels, in place of the aggregate
-    channels when only the full schema is available."""
-    cols = dict(telemetry.as_dict())
-    cpu = None
-    for s in range(2):
-        c = cols.get(f"p{s}_power")
-        if c is not None:
-            cpu = c if cpu is None else cpu + c
-    if cpu is None and "p0_power" not in cols:
-        raise KeyError("no per-socket CPU power channels present")
-    gpu = None
-    if "gpu_power_total" in cols:
-        gpu = cols["gpu_power_total"]
-    else:
-        for name, c in cols.items():
-            if "_gpu" in name and name.endswith("_power"):
-                gpu = c if gpu is None else gpu + c
-    if gpu is None:
-        raise KeyError("no GPU power channels present")
-    out = Table(cols)
-    out = out.with_column("cpu_power", cpu)
-    out = out.with_column("gpu_power", gpu)
-    return out

@@ -1,4 +1,4 @@
-"""Distribution statistics: KDE, CDF, quantiles, boxplots (Figures 5-9).
+"""Distribution statistics: KDE, quantiles, boxplots (Figures 5-9).
 
 Thin, tested wrappers over scipy/numpy so every figure's statistical
 machinery lives in one place with consistent NaN handling.
@@ -13,23 +13,6 @@ from scipy import stats
 def _clean(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64).ravel()
     return v[np.isfinite(v)]
-
-
-def ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: (sorted values, cumulative fraction in (0, 1])."""
-    v = np.sort(_clean(values))
-    if len(v) == 0:
-        return v, v
-    return v, np.arange(1, len(v) + 1) / len(v)
-
-
-def cdf_at(values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Empirical CDF evaluated at ``points``."""
-    v = np.sort(_clean(values))
-    points = np.asarray(points, dtype=np.float64)
-    if len(v) == 0:
-        return np.full(points.shape, np.nan)
-    return np.searchsorted(v, points, side="right") / len(v)
 
 
 def quantiles(
@@ -74,22 +57,6 @@ def boxplot_stats(values: np.ndarray) -> dict[str, float]:
     }
 
 
-def kde_1d(
-    values: np.ndarray, grid: np.ndarray | None = None, n_grid: int = 256
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian KDE over a 1-D sample; returns (grid, density)."""
-    v = _clean(values)
-    if len(v) < 2 or np.ptp(v) == 0:
-        g = grid if grid is not None else np.linspace(v.min() - 1, v.max() + 1, n_grid) if len(v) else np.linspace(0, 1, n_grid)
-        d = np.zeros_like(g)
-        return g, d
-    kde = stats.gaussian_kde(v)
-    if grid is None:
-        pad = 0.1 * np.ptp(v)
-        grid = np.linspace(v.min() - pad, v.max() + pad, n_grid)
-    return grid, kde(grid)
-
-
 def kde_2d(
     x: np.ndarray,
     y: np.ndarray,
@@ -127,28 +94,6 @@ def kde_2d(
     mx, my = np.meshgrid(gx, gy, indexing="ij")
     dens = kde(np.vstack([mx.ravel(), my.ravel()])).reshape(n_grid, n_grid)
     return {"x": gx, "y": gy, "density": dens}
-
-
-def skewness(values: np.ndarray) -> float:
-    """Sample skewness (Fisher), NaN-safe — Figure 15's skew statistic."""
-    v = _clean(values)
-    if len(v) < 3 or v.std() == 0:
-        return float("nan")
-    return float(stats.skew(v))
-
-
-def modality_count(
-    values: np.ndarray, n_grid: int = 256, rel_prominence: float = 0.08
-) -> int:
-    """Number of KDE modes with prominence above ``rel_prominence`` of the
-    peak — quantifies Figure 6's "multi-modal pattern" for classes 3-5."""
-    from scipy.signal import find_peaks
-
-    g, d = kde_1d(values, n_grid=n_grid)
-    if d.max() <= 0:
-        return 0
-    peaks, _ = find_peaks(d, prominence=rel_prominence * d.max())
-    return int(len(peaks))
 
 
 def modality_count_2d(density: np.ndarray, rel_threshold: float = 0.05) -> int:

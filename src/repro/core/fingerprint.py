@@ -185,61 +185,3 @@ def portrait_prediction_error(
         "n_test": float(len(te)),
     }
 
-
-class OnlinePowerPredictor:
-    """Streaming job-power prediction with converging uncertainty (§9).
-
-    The paper sketches the mechanism: a queued job assumes its user's
-    portrait with a default uncertainty; as the job runs, observed power
-    updates the estimate and the uncertainty converges, while reliance on
-    the portrait wanes.  Implemented as a conjugate normal update: the
-    portrait supplies the prior mean and the prior is worth
-    ``prior_weight`` observations.
-
-    >>> p = OnlinePowerPredictor(prior_mean_w=1200.0, prior_weight=5.0)
-    >>> p.update(900.0); p.update(950.0)
-    >>> 900.0 < p.mean() < 1200.0
-    True
-    """
-
-    def __init__(self, prior_mean_w: float, prior_weight: float = 5.0,
-                 prior_sigma_w: float = 300.0):
-        if prior_weight <= 0:
-            raise ValueError("prior_weight must be positive")
-        self.prior_mean = float(prior_mean_w)
-        self.prior_weight = float(prior_weight)
-        self.prior_sigma = float(prior_sigma_w)
-        self._n = 0
-        self._sum = 0.0
-        self._sumsq = 0.0
-
-    def update(self, observed_w: float | np.ndarray) -> None:
-        """Fold one or more observed power samples into the estimate."""
-        obs = np.atleast_1d(np.asarray(observed_w, dtype=np.float64))
-        self._n += len(obs)
-        self._sum += float(obs.sum())
-        self._sumsq += float((obs * obs).sum())
-
-    def mean(self) -> float:
-        """Posterior mean: portrait-weighted until data takes over."""
-        total_w = self.prior_weight + self._n
-        return (self.prior_mean * self.prior_weight + self._sum) / total_w
-
-    def uncertainty(self) -> float:
-        """Posterior standard error of the mean — converges as samples
-        arrive (the paper's "uncertainty in the fingerprint would
-        converge")."""
-        total_w = self.prior_weight + self._n
-        if self._n < 2:
-            return self.prior_sigma / np.sqrt(total_w)
-        emp_var = max(
-            self._sumsq / self._n - (self._sum / self._n) ** 2, 0.0
-        )
-        blended = (
-            self.prior_weight * self.prior_sigma**2 + self._n * emp_var
-        ) / total_w
-        return float(np.sqrt(blended / total_w))
-
-    def portrait_reliance(self) -> float:
-        """Fraction of the estimate still carried by the portrait prior."""
-        return self.prior_weight / (self.prior_weight + self._n)

@@ -49,29 +49,6 @@ def job_power_series(tagged: Table, value: str = "input_power") -> Table:
     return g.sort(["allocation_id", "timestamp"])
 
 
-def job_component_series(
-    tagged: Table,
-    cpu_value: str = "cpu_power",
-    gpu_value: str = "gpu_power",
-) -> Table:
-    """Dataset 4: per-(job, timestamp) CPU/GPU node-power stats."""
-    active = tagged.filter(tagged["allocation_id"] >= 0)
-    g = group_by(
-        active,
-        ["allocation_id", "timestamp"],
-        {
-            "count_hostname": "count",
-            "mean_cpu_power": (f"{cpu_value}_mean", "mean"),
-            "std_cpu_power": (f"{cpu_value}_mean", "std"),
-            "max_cpu_power": (f"{cpu_value}_mean", "max"),
-            "mean_gpu_power": (f"{gpu_value}_mean", "mean"),
-            "std_gpu_power": (f"{gpu_value}_mean", "std"),
-            "max_gpu_power": (f"{gpu_value}_mean", "max"),
-        },
-    )
-    return g.sort(["allocation_id", "timestamp"])
-
-
 def job_power_summary(job_series: Table) -> Table:
     """Dataset 5: per-job aggregates over the job's run.
 

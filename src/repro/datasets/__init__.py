@@ -22,7 +22,6 @@ from repro.datasets.store import (
 )
 from repro.datasets.thermal import (
     thermal_cluster_series,
-    thermal_job_series,
     temperature_band_counts,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "write_log_csvs",
     "write_partitioned_series",
     "thermal_cluster_series",
-    "thermal_job_series",
     "temperature_band_counts",
 ]

@@ -11,7 +11,7 @@ Two equivalent routes produce the job-wise power series (Dataset 3):
 
 Both evaluate an allocation through the one kernel in
 :mod:`repro.workload.traces` (:func:`~repro.workload.traces.allocation_noise`,
-:func:`~repro.workload.traces.allocation_power`) and
+:func:`~repro.workload.traces.allocation_chunks`) and
 :meth:`~repro.machine.node.NodePowerModel.wall_power`, so they agree to
 sensor noise; this module keeps only the reductions.
 """
@@ -39,12 +39,9 @@ from repro.workload.scheduler import ScheduleResult, Scheduler
 from repro.workload.traces import (
     AllocationIntervalIndex,
     ClusterTraceBuilder,
+    allocation_chunks,
     allocation_noise,
-    allocation_power,
 )
-
-#: cap on the per-chunk component-array size in the direct path
-_DIRECT_CHUNK_CELLS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,6 @@ def _job_series_block(
     This is the per-job kernel shared by the single-pass path and the
     chunked pipeline, so both produce bit-identical samples.
     """
-    cfg = catalog.config
     al = schedule.allocations
     aid = int(al["allocation_id"][i])
     begin = float(al["begin_time"][i])
@@ -204,34 +200,31 @@ def _job_series_block(
     times = _job_grids(begin, end, dt)
     if len(times) == 0:
         return None
-    row = catalog.row_of_allocation(aid)
     nodes = schedule.nodes_of(aid)
     n_nodes = len(nodes)
-    noise = allocation_noise(seed, aid, n_nodes)
 
-    chunk = max(1, _DIRECT_CHUNK_CELLS // (n_nodes * cfg.gpus_per_node))
     sums = np.empty(len(times))
     means = np.empty(len(times))
     maxs = np.empty(len(times))
     cstats = {k: np.empty(len(times)) for k in _COMPONENT_COLS} if components else {}
-    for c0 in range(0, len(times), chunk):
-        c1 = min(c0 + chunk, len(times))
-        c_w, g_w = allocation_power(
-            model, catalog, row, nodes, noise, times[c0:c1] - begin, end - begin
-        )
+    for chunk, c_w, g_w in allocation_chunks(
+        model, catalog, catalog.row_of_allocation(aid), nodes,
+        allocation_noise(seed, aid, n_nodes), times, 0, len(times),
+        begin, end,
+    ):
         cpu_node = c_w.sum(axis=1)
         gpu_node = g_w.sum(axis=1)
         inp = model.wall_power(cpu_node, gpu_node)
-        sums[c0:c1] = inp.sum(axis=0)
-        means[c0:c1] = inp.mean(axis=0)
-        maxs[c0:c1] = inp.max(axis=0)
+        sums[chunk] = inp.sum(axis=0)
+        means[chunk] = inp.mean(axis=0)
+        maxs[chunk] = inp.max(axis=0)
         if components:
-            cstats["mean_cpu_power"][c0:c1] = cpu_node.mean(axis=0)
-            cstats["std_cpu_power"][c0:c1] = cpu_node.std(axis=0)
-            cstats["max_cpu_power"][c0:c1] = cpu_node.max(axis=0)
-            cstats["mean_gpu_power"][c0:c1] = gpu_node.mean(axis=0)
-            cstats["std_gpu_power"][c0:c1] = gpu_node.std(axis=0)
-            cstats["max_gpu_power"][c0:c1] = gpu_node.max(axis=0)
+            cstats["mean_cpu_power"][chunk] = cpu_node.mean(axis=0)
+            cstats["std_cpu_power"][chunk] = cpu_node.std(axis=0)
+            cstats["max_cpu_power"][chunk] = cpu_node.max(axis=0)
+            cstats["mean_gpu_power"][chunk] = gpu_node.mean(axis=0)
+            cstats["std_gpu_power"][chunk] = gpu_node.std(axis=0)
+            cstats["max_gpu_power"][chunk] = gpu_node.max(axis=0)
 
     block = {
         "allocation_id": np.full(len(times), aid, np.int64),
@@ -341,20 +334,14 @@ def cluster_power_window(
         i1 = int(np.searchsorted(times, end, side="left"))
         if i1 <= i0:
             continue
-        row = catalog.row_of_allocation(aid)
         nodes = schedule.nodes_of(aid)
         n_nodes = len(nodes)
-        noise = allocation_noise(seed, aid, n_nodes)
-
-        chunk = max(1, _DIRECT_CHUNK_CELLS // (n_nodes * cfg.gpus_per_node))
-        for c0 in range(i0, i1, chunk):
-            c1 = min(c0 + chunk, i1)
-            c_w, g_w = allocation_power(
-                model, catalog, row, nodes, noise,
-                times[c0:c1] - begin, end - begin,
-            )
+        for chunk, c_w, g_w in allocation_chunks(
+            model, catalog, catalog.row_of_allocation(aid), nodes,
+            allocation_noise(seed, aid, n_nodes), times, i0, i1, begin, end,
+        ):
             inp = model.wall_power(c_w.sum(axis=1), g_w.sum(axis=1))
-            power[c0:c1] += inp.sum(axis=0) - n_nodes * idle_w
+            power[chunk] += inp.sum(axis=0) - n_nodes * idle_w
     return power
 
 

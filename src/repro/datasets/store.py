@@ -100,8 +100,8 @@ def dataset_inventory(twin, root: str | Path | None = None) -> dict[str, object]
     """Table 2 analogue: per-stream row counts and footprints.
 
     Raw 1 Hz telemetry is accounted analytically (rows = nodes x seconds,
-    with the per-node metric count) and cross-checked against the measured
-    compression ratio; materialized datasets report their on-disk size.
+    with the per-node metric count); materialized datasets report their
+    on-disk size.
     """
     spec = twin.spec
     seconds = spec.horizon_s

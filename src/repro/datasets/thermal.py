@@ -4,8 +4,8 @@ The MTW operations room (Figure 2) watches a *histogram-based
 component-wise temperature distribution* of the whole platform next to the
 plant telemetry.  These builders produce exactly that: per 10-second
 interval, the number of GPUs in each temperature band, the hot-component
-count, and summary statistics, joined with the cooling-plant channels —
-cluster-wide (Datasets 8-9) or restricted to one job (Datasets 10-11).
+count, and summary statistics, joined with the cooling-plant channels,
+cluster-wide (Datasets 8-9).
 """
 
 from __future__ import annotations
@@ -92,60 +92,3 @@ def thermal_cluster_series(
     cols["pue"] = st.pue
     return Table(cols)
 
-
-def thermal_job_series(
-    twin,
-    allocation_id: int,
-    dt: float = 10.0,
-    bands: tuple[float, ...] = DEFAULT_BANDS,
-) -> Table:
-    """Dataset 10/11 analogue: per-interval thermal state of one job.
-
-    Same columns as :func:`thermal_cluster_series` plus ``allocation_id``,
-    computed over the job's nodes only.
-    """
-    al = twin.schedule.allocations
-    sel = al["allocation_id"] == allocation_id
-    if not sel.any():
-        raise KeyError(f"allocation {allocation_id} never started")
-    begin = float(al["begin_time"][sel][0])
-    end = float(al["end_time"][sel][0])
-    job_nodes = twin.schedule.nodes_of(int(allocation_id))
-
-    arr = twin.builder.build(begin, max(end, begin + dt), dt, per_gpu=True)
-    st = twin.plant.simulate(
-        arr.times + twin.spec.start_time, arr.cluster_power_w()
-    )
-    temps = twin.thermal.gpu_temperature(
-        job_nodes, arr.gpu_power_w[job_nodes], st.mtw_supply_c, dt
-    )
-
-    n_t = arr.n_times
-    band_counts = np.empty((n_t, len(bands) + 1), dtype=np.int64)
-    gmean = np.empty(n_t)
-    gmax = np.empty(n_t)
-    n_hot = np.empty(n_t, dtype=np.int64)
-    for k in range(n_t):
-        slice_t = temps[:, :, k]
-        band_counts[k] = temperature_band_counts(slice_t, bands)
-        finite = slice_t[np.isfinite(slice_t)]
-        n_hot[k] = int((finite >= HOT_THRESHOLD_C).sum())
-        gmean[k] = finite.mean() if finite.size else np.nan
-        gmax[k] = finite.max() if finite.size else np.nan
-
-    cols: dict[str, np.ndarray] = {
-        "allocation_id": np.full(n_t, allocation_id, dtype=np.int64),
-        "timestamp": arr.times,
-        "n_reporting": np.full(n_t, temps[:, :, 0].size, dtype=np.int64),
-        "n_hot": n_hot,
-        "gpu_core_mean": gmean,
-        "gpu_core_max": gmax,
-    }
-    labels = [f"band_lt_{int(bands[0])}"] + [
-        f"band_{int(a)}_{int(b)}" for a, b in zip(bands[:-1], bands[1:])
-    ] + [f"band_ge_{int(bands[-1])}"]
-    for i, lab in enumerate(labels):
-        cols[lab] = band_counts[:, i]
-    cols["mtwst"] = st.mtw_supply_c
-    cols["mtwrt"] = st.mtw_return_c
-    return Table(cols)

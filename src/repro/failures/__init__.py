@@ -10,13 +10,12 @@
   that reproduce Figure 15's skews.
 """
 
-from repro.failures.xid import XID_TYPES, XidType, xid_by_name
+from repro.failures.xid import XID_TYPES, XidType
 from repro.failures.model import FailureLog, generate_failures, job_thermal_summary
 
 __all__ = [
     "XID_TYPES",
     "XidType",
-    "xid_by_name",
     "FailureLog",
     "generate_failures",
     "job_thermal_summary",

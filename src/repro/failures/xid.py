@@ -81,24 +81,6 @@ XID_TYPES: tuple[XidType, ...] = (
             None, 0.0),
 )
 
-_BY_NAME = {t.name: t for t in XID_TYPES}
-_BY_CODE = {t.code: t for t in XID_TYPES}
-
 #: total failures in 2020 (Section 6.1)
 TOTAL_ANNUAL_FAILURES = sum(t.annual_count for t in XID_TYPES)
 
-
-def xid_by_name(name: str) -> XidType:
-    """Look up a type by its Table 4 name."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise KeyError(f"unknown XID type {name!r}; known: {sorted(_BY_NAME)}") from None
-
-
-def xid_by_code(code: int) -> XidType:
-    """Look up a type by XID code."""
-    try:
-        return _BY_CODE[code]
-    except KeyError:
-        raise KeyError(f"unknown XID code {code}") from None

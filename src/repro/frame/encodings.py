@@ -13,10 +13,8 @@ Codecs
     Pass-through (the PR 4 format).  The only codec whose reads stay
     zero-copy mmap views; every other codec decodes into fresh arrays.
 ``delta``
-    Integer columns: delta -> zigzag -> LEB128 varint -> frame.  This is
-    the archive codec from :mod:`repro.telemetry.compression` promoted
-    into the storage layer (that module now imports the primitives from
-    here).  Sorted columns (timestamps, node ids) shrink dramatically.
+    Integer columns: delta -> zigzag -> LEB128 varint -> frame.  Sorted
+    columns (timestamps, node ids) shrink dramatically.
 ``qdelta``
     Float columns that are exact integral multiples of a small quantum
     (true of everything the twin's sensors emit): quantize at the detected
@@ -97,8 +95,6 @@ def compression_mode() -> str:
 
 
 # ---------------- zigzag + varint primitives ----------------
-# (the archive codec of telemetry.compression, promoted to the storage
-# layer; that module re-exports these so its blob format is unchanged)
 
 
 def zigzag_encode(d: np.ndarray) -> np.ndarray:

@@ -114,40 +114,3 @@ def _lognormal_unit_mean(
         return np.ones(n)
     return rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma, size=n)
 
-
-#: V100 slowdown (clock throttle) temperature and hard shutdown temperature.
-#: Section 5: the facility keeps temperatures "under the threshold where the
-#: system can operate without adverse effects such as thermal-induced
-#: throttling or even device shutdowns" — these are those thresholds.
-GPU_THROTTLE_TEMP_C = 83.0
-GPU_SHUTDOWN_TEMP_C = 90.0
-#: power reduction per degC above the throttle point (clock capping)
-THROTTLE_W_PER_C = 18.0
-
-
-def gpu_thermal_throttle(
-    power_w: np.ndarray, core_temp_c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the V100 thermal-protection ladder to GPU power.
-
-    Returns ``(effective_power_w, state)`` where state is 0 = nominal,
-    1 = throttled (power linearly reduced above 83 degC), 2 = shut down
-    (idle power only, >= 90 degC).  Summit's cooling keeps GPUs far from
-    these thresholds (Figure 17: the vast majority below 60 degC); the
-    model exists so what-if studies (warmer water, denser load) can
-    quantify when protection would engage.
-    """
-    p = np.asarray(power_w, dtype=np.float64)
-    t = np.asarray(core_temp_c, dtype=np.float64)
-    state = np.zeros(np.broadcast(p, t).shape, dtype=np.int64)
-    out = np.broadcast_to(p, state.shape).copy()
-
-    throttled = (t >= GPU_THROTTLE_TEMP_C) & (t < GPU_SHUTDOWN_TEMP_C)
-    reduction = (t - GPU_THROTTLE_TEMP_C) * THROTTLE_W_PER_C
-    out = np.where(throttled, np.maximum(out - reduction, 0.3 * out), out)
-    state[throttled] = 1
-
-    dead = t >= GPU_SHUTDOWN_TEMP_C
-    out = np.where(dead, SUMMIT.gpu_idle_w, out)
-    state[dead] = 2
-    return out, state

@@ -66,19 +66,6 @@ class NodePowerModel:
         gpu_w = gpu_power(gpu_util, self.config, gf)
         return cpu_w, gpu_w
 
-    def input_power(
-        self,
-        nodes: np.ndarray,
-        cpu_util: np.ndarray,
-        gpu_util: np.ndarray,
-    ) -> np.ndarray:
-        """Wall-plug node power: (components + 'other') / PSU efficiency.
-
-        Result is clipped at the node's 2,300 W supply limit (Table 1).
-        """
-        cpu_w, gpu_w = self.component_power(nodes, cpu_util, gpu_util)
-        return self.wall_power(cpu_w.sum(axis=1), gpu_w.sum(axis=1))
-
     def wall_power(self, cpu_node_w: np.ndarray, gpu_node_w: np.ndarray) -> np.ndarray:
         """DC to wall plug: per-node CPU and GPU watts plus 'other', through
         the PSU efficiency, clipped at the supply limit — the only place

@@ -78,18 +78,6 @@ class Topology:
     def n_gpus(self) -> int:
         return self.config.n_nodes * self.config.gpus_per_node
 
-    def gpu_node(self) -> np.ndarray:
-        """Node id per global GPU index (GPU g lives in node g // 6)."""
-        return np.arange(self.n_gpus, dtype=np.int64) // self.config.gpus_per_node
-
-    def gpu_slot(self) -> np.ndarray:
-        """Slot (0..5) per global GPU index."""
-        return np.arange(self.n_gpus, dtype=np.int64) % self.config.gpus_per_node
-
-    def gpu_cooling_position(self) -> np.ndarray:
-        """Water-path position (0..2) per global GPU index."""
-        return GPU_COOLING_POSITION[self.gpu_slot()]
-
     def nodes_of_msb(self, msb: int) -> np.ndarray:
         """Node ids fed by switchboard ``msb``."""
         if not 0 <= msb < self.n_msbs:

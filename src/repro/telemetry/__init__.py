@@ -2,13 +2,14 @@
 
 Models the OpenBMC -> collector pipeline: per-node 1 Hz sampling of
 instantaneous (500 us) power readings, sensor noise and quantization,
-fan-in timestamping delay (mean 2.5 s, max 5 s), data-loss episodes, the
-lossless compression stage, and the independent MSB revenue meters used to
-validate per-node aggregation (Figure 4).
+fan-in timestamping delay (mean 2.5 s, max 5 s), data-loss episodes, and
+the independent MSB revenue meters used to validate per-node aggregation
+(Figure 4).  The archive's lossless compression is the ``.rcs`` column
+codec of :mod:`repro.frame.encodings`.
 """
 
-from repro.telemetry.schema import METRICS, power_metrics, temperature_metrics
-from repro.telemetry.sensors import quantize_power, sensor_noise
+from repro.telemetry.schema import METRICS
+from repro.telemetry.sensors import quantize_power
 from repro.telemetry.collector import TelemetrySampler, LossEvent
 from repro.telemetry.msb import MsbMeters
 from repro.telemetry.ingest import (
@@ -17,18 +18,10 @@ from repro.telemetry.ingest import (
     sample_propagation_delays,
     FAN_IN_RATIO,
 )
-from repro.telemetry.compression import (
-    encode_timeseries,
-    decode_timeseries,
-    compression_ratio,
-)
 
 __all__ = [
     "METRICS",
-    "power_metrics",
-    "temperature_metrics",
     "quantize_power",
-    "sensor_noise",
     "TelemetrySampler",
     "LossEvent",
     "MsbMeters",
@@ -36,7 +29,4 @@ __all__ = [
     "ingest_budget",
     "sample_propagation_delays",
     "FAN_IN_RATIO",
-    "encode_timeseries",
-    "decode_timeseries",
-    "compression_ratio",
 ]

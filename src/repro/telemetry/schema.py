@@ -78,12 +78,3 @@ METRICS: tuple[Metric, ...] = _build_metrics()
 #: metric count per node (Table 2-(a): "over 100 metrics")
 N_METRICS = len(METRICS)
 
-
-def power_metrics() -> list[str]:
-    """Names of all power channels."""
-    return [m.name for m in METRICS if m.kind == "power"]
-
-
-def temperature_metrics() -> list[str]:
-    """Names of all temperature channels."""
-    return [m.name for m in METRICS if m.kind == "temperature"]

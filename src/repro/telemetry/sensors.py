@@ -30,25 +30,6 @@ def quantize_temperature(values: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(values, dtype=np.float64) / TEMP_QUANTUM_C) * TEMP_QUANTUM_C
 
 
-def sensor_noise(
-    rng: np.random.Generator,
-    true_values: np.ndarray,
-    dynamic_w: np.ndarray | float,
-    gain: np.ndarray | float = 1.0,
-) -> np.ndarray:
-    """Measured power from true power.
-
-    ``dynamic_w`` is the local short-term swing of the signal (e.g. the
-    width of the sub-second oscillation): instantaneous sampling turns it
-    into white noise of ``SAMPLING_NOISE_FRACTION * dynamic_w``.  ``gain``
-    is the fixed per-sensor calibration factor.
-    """
-    true_values = np.asarray(true_values, dtype=np.float64)
-    sigma = SAMPLING_NOISE_FRACTION * np.asarray(dynamic_w, dtype=np.float64)
-    noisy = true_values * gain + rng.normal(0.0, 1.0, true_values.shape) * sigma
-    return quantize_power(np.maximum(noisy, 0.0))
-
-
 def sensor_gains(rng: np.random.Generator, n: int) -> np.ndarray:
     """Fixed per-sensor gain factors (drawn once per deployment)."""
     return rng.normal(1.0, GAIN_SIGMA, n)

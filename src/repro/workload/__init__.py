@@ -24,7 +24,7 @@ from repro.workload.apps import (
     profile_utilization,
 )
 from repro.workload.jobs import JobCatalog, generate_jobs, synthetic_catalog
-from repro.workload.scheduler import Scheduler, schedule_jobs, queue_statistics
+from repro.workload.scheduler import Scheduler, schedule_jobs
 from repro.workload.powercap import (
     PowerAwareScheduler,
     PowerCapResult,
@@ -33,6 +33,7 @@ from repro.workload.powercap import (
 from repro.workload.traces import (
     AllocationIntervalIndex,
     ClusterTraceBuilder,
+    allocation_chunks,
     allocation_noise,
     allocation_power,
 )
@@ -50,12 +51,12 @@ __all__ = [
     "synthetic_catalog",
     "Scheduler",
     "schedule_jobs",
-    "queue_statistics",
     "PowerAwareScheduler",
     "PowerCapResult",
     "estimate_job_peak_w",
     "AllocationIntervalIndex",
     "ClusterTraceBuilder",
+    "allocation_chunks",
     "allocation_noise",
     "allocation_power",
 ]

@@ -67,11 +67,6 @@ def domain_by_name(name: str) -> Domain:
         ) from None
 
 
-def total_projects() -> int:
-    """Total number of distinct projects across all domains."""
-    return sum(d.n_projects for d in DOMAINS)
-
-
 def project_id(domain: Domain, index: int) -> str:
     """Deterministic project identifier, e.g. ``MAT003``."""
     prefix = domain.name[:3].upper()

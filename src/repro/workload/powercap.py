@@ -69,9 +69,6 @@ class PowerCapResult:
     #: jobs whose start the cap delayed at least once
     n_power_delayed: int
 
-    def peak_commitment_w(self) -> float:
-        return float(self.commitment[1].max()) if len(self.commitment[1]) else 0.0
-
 
 class PowerAwareScheduler(Scheduler):
     """EASY scheduler with admission control against a cluster power cap.

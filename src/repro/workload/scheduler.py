@@ -509,61 +509,3 @@ def schedule_jobs(
     """Convenience wrapper: schedule ``catalog`` on its machine."""
     return Scheduler(config or catalog.config).run(catalog, horizon_s)
 
-
-def queue_statistics(
-    schedule: ScheduleResult, catalog: JobCatalog
-) -> Table:
-    """Per-class queueing metrics: mean/median wait, bounded slowdown, and
-    the jobs the horizon dropped.
-
-    Bounded slowdown uses the standard 10-second floor:
-    ``max(1, (wait + run) / max(run, 10 s))`` — the scheduling-literature
-    metric a facility would watch when tuning the policies the paper's
-    conclusion advocates.  ``n_dropped`` counts the class's jobs still
-    pending when the horizon closed (classes whose every job was dropped
-    have no started rows here; see ``ScheduleResult.dropped_by_class`` for
-    the complete breakdown).
-    """
-    from repro.frame.groupby import group_by
-    from repro.frame.join import join
-
-    al = schedule.allocations
-    sub = join(
-        al,
-        catalog.table.select(["allocation_id", "submit_time"]),
-        "allocation_id",
-        how="inner",
-    )
-    wait = sub["begin_time"] - sub["submit_time"]
-    run = sub["end_time"] - sub["begin_time"]
-    slowdown = np.maximum(
-        (wait + run) / np.maximum(run, 10.0), 1.0
-    )
-    work = Table(
-        {
-            "sched_class": sub["sched_class"],
-            "wait_s": wait,
-            "slowdown": slowdown,
-        }
-    )
-    out = group_by(
-        work,
-        "sched_class",
-        {
-            "n_jobs": "count",
-            "mean_wait_s": ("wait_s", "mean"),
-            "median_wait_s": ("wait_s", "median"),
-            "max_wait_s": ("wait_s", "max"),
-            "mean_slowdown": ("slowdown", "mean"),
-            "median_slowdown": ("slowdown", "median"),
-        },
-    )
-    out = out.sort("sched_class")
-    dbc = schedule.dropped_by_class
-    drop_map = dict(
-        zip(dbc["sched_class"].tolist(), dbc["n_dropped"].tolist())
-    )
-    n_dropped = np.array(
-        [drop_map.get(int(c), 0) for c in out["sched_class"]], dtype=np.int64
-    )
-    return out.with_column("n_dropped", n_dropped)

@@ -8,10 +8,11 @@ as in the real system.
 
 This module holds the only copy of "allocation → watts":
 :func:`allocation_noise` (the per-node noise stream, keyed by allocation
-id) and :func:`allocation_power` (profile x noise → per-component DC
-watts).  :class:`ClusterTraceBuilder` scatters it into dense arrays;
-:mod:`repro.datasets.generate` reduces it per job and superposes it onto
-the idle floor; DC → wall is
+id), :func:`allocation_power` (profile x noise → per-component DC
+watts) and :func:`allocation_chunks`, which evaluates it over bounded
+time chunks.  :class:`ClusterTraceBuilder` scatters the chunks into
+dense arrays; :mod:`repro.datasets.generate` reduces them per job and
+superposes them onto the idle floor; DC → wall is
 :meth:`~repro.machine.node.NodePowerModel.wall_power` for all three.
 
 Painting walks the allocations overlapping the window (pruned against a
@@ -26,6 +27,7 @@ simulations should build day-sized windows and stream them out.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +89,40 @@ def allocation_power(
         gpu_util = gpu_util.copy()
         gpu_util[:, k_used:, :] = 0.0
     return model.component_power(nodes, cpu_util, gpu_util)
+
+
+def allocation_chunks(
+    model: NodePowerModel,
+    catalog: JobCatalog,
+    row: int,
+    nodes: np.ndarray,
+    noise: np.ndarray,
+    times: np.ndarray,
+    i0: int,
+    i1: int,
+    begin: float,
+    end: float,
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """:func:`allocation_power` over bounded time chunks.
+
+    Yields ``(chunk, cpu_w, gpu_w)`` for consecutive slices ``chunk`` of
+    ``[i0, i1)`` of at most :data:`PAINT_CHUNK_CELLS` node-samples: the
+    allocation running ``[begin, end)`` evaluated at ``times[chunk]``.
+    No chunk is one sample wide unless ``[i0, i1)`` is: numpy sums a
+    one-column ``(k, 1)`` block across nodes in another order than a
+    wider one, and the per-job and cluster reductions would then depend
+    on the chunk size.
+    """
+    step = max(2, PAINT_CHUNK_CELLS // len(nodes))
+    c0 = i0
+    while c0 < i1:
+        c1 = i1 if i1 - c0 <= step + 1 else c0 + step
+        chunk = slice(c0, c1)
+        yield (chunk, *allocation_power(
+            model, catalog, row, nodes, noise,
+            times[chunk] - begin, end - begin,
+        ))
+        c0 = c1
 
 
 class AllocationIntervalIndex:
@@ -262,19 +298,15 @@ class ClusterTraceBuilder:
             i1 = int(np.searchsorted(times, end, side="left"))
             if nodes is None or len(nodes) == 0 or i1 <= i0:
                 continue
-            row = self.catalog.row_of_allocation(aid)
-            noise = self._noise_of(aid, len(nodes))
-            step = max(1, PAINT_CHUNK_CELLS // len(nodes))
-            for c0 in range(i0, i1, step):
-                c1 = min(c0 + step, i1)
-                c_w, g_w = allocation_power(
-                    self.node_model, self.catalog, row, nodes, noise,
-                    times[c0:c1] - begin, end - begin,
-                )
-                cpu_w[nodes, c0:c1] = c_w.sum(axis=1)
-                gpu_w[nodes, c0:c1] = g_w.sum(axis=1)
+            for chunk, c_w, g_w in allocation_chunks(
+                self.node_model, self.catalog,
+                self.catalog.row_of_allocation(aid), nodes,
+                self._noise_of(aid, len(nodes)), times, i0, i1, begin, end,
+            ):
+                cpu_w[nodes, chunk] = c_w.sum(axis=1)
+                gpu_w[nodes, chunk] = g_w.sum(axis=1)
                 if gpu_detail is not None:
-                    gpu_detail[nodes, :, c0:c1] = g_w
+                    gpu_detail[nodes, :, chunk] = g_w
             if alloc_of is not None:
                 alloc_of[nodes, i0:i1] = aid
 

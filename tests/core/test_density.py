@@ -5,36 +5,12 @@ import pytest
 
 from repro.core.density import (
     boxplot_stats,
-    cdf_at,
-    ecdf,
-    kde_1d,
     kde_2d,
-    modality_count,
     quantiles,
-    skewness,
 )
 
 
 class TestEcdf:
-    def test_basic(self):
-        x, f = ecdf(np.array([3.0, 1.0, 2.0]))
-        assert np.array_equal(x, [1, 2, 3])
-        assert np.allclose(f, [1 / 3, 2 / 3, 1.0])
-
-    def test_nan_dropped(self):
-        x, _ = ecdf(np.array([1.0, np.nan, 2.0]))
-        assert len(x) == 2
-
-    def test_cdf_at(self):
-        v = np.arange(1, 11, dtype=np.float64)
-        assert cdf_at(v, np.array([5.0]))[0] == 0.5
-        assert cdf_at(v, np.array([0.0]))[0] == 0.0
-        assert cdf_at(v, np.array([100.0]))[0] == 1.0
-
-    def test_cdf_at_empty(self):
-        out = cdf_at(np.array([]), np.array([1.0]))
-        assert np.isnan(out[0])
-
     def test_quantiles(self):
         q = quantiles(np.arange(101, dtype=np.float64), (0.2, 0.8))
         assert np.allclose(q, [20.0, 80.0])
@@ -67,21 +43,6 @@ class TestBoxplot:
 
 
 class TestKde:
-    def test_kde_1d_integrates_to_one(self, rng):
-        v = rng.normal(0, 1, 500)
-        g, d = kde_1d(v, n_grid=512)
-        integral = np.trapezoid(d, g)
-        assert integral == pytest.approx(1.0, abs=0.05)
-
-    def test_kde_1d_peak_near_mean(self, rng):
-        v = rng.normal(10.0, 1.0, 2000)
-        g, d = kde_1d(v)
-        assert abs(g[np.argmax(d)] - 10.0) < 0.5
-
-    def test_kde_1d_degenerate(self):
-        g, d = kde_1d(np.array([1.0, 1.0, 1.0]))
-        assert np.all(d == 0.0)
-
     def test_kde_2d_shape(self, rng):
         x = rng.lognormal(10, 1, 300)
         y = rng.lognormal(15, 1, 300)
@@ -102,33 +63,6 @@ class TestKde:
     def test_kde_2d_too_few_points(self):
         out = kde_2d(np.array([1.0]), np.array([2.0]))
         assert np.all(out["density"] == 0)
-
-
-class TestSkewness:
-    def test_symmetric_near_zero(self, rng):
-        assert abs(skewness(rng.normal(0, 1, 20_000))) < 0.1
-
-    def test_right_skew_positive(self, rng):
-        assert skewness(rng.lognormal(0, 1, 5000)) > 1.0
-
-    def test_too_short(self):
-        assert np.isnan(skewness(np.array([1.0, 2.0])))
-
-
-class TestModality:
-    def test_unimodal(self, rng):
-        assert modality_count(rng.normal(0, 1, 3000)) == 1
-
-    def test_bimodal(self, rng):
-        v = np.concatenate([rng.normal(-5, 0.5, 1500), rng.normal(5, 0.5, 1500)])
-        assert modality_count(v) == 2
-
-    def test_trimodal(self, rng):
-        v = np.concatenate(
-            [rng.normal(-10, 0.5, 1000), rng.normal(0, 0.5, 1000),
-             rng.normal(10, 0.5, 1000)]
-        )
-        assert modality_count(v) == 3
 
 
 class TestModality2d:

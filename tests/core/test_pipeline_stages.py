@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    cluster_component_series,
     cluster_power_series,
     coarsen_telemetry,
     job_energy,
     job_power_series,
     job_power_summary,
-    job_component_series,
     job_component_summary,
     tag_allocations,
 )
-from repro.core.aggregate import component_sums_from_sockets
 from repro.frame import Table
 
 
@@ -64,29 +61,10 @@ class TestClusterSeries:
         assert np.allclose(s["sum_inp"], [500 + 1004.5, 500 + 1014.5, 500 + 1024.5])
         assert np.array_equal(s["count_inp"], [2, 2, 2])
 
-    def test_component_series(self, telemetry):
-        c = coarsen_telemetry(telemetry, ["cpu_power", "gpu_power"], width=10.0)
-        s = cluster_component_series(c)
-        assert np.allclose(s["mean_cpu_power"], 200.0)
-        assert np.allclose(s["mean_gpu_power"], 350.0)
-        assert np.allclose(s["max_gpu_power"], 600.0)
-
     def test_missing_column_raises(self, telemetry):
         c = coarsen_telemetry(telemetry, ["input_power"], width=10.0)
         with pytest.raises(KeyError):
-            cluster_component_series(c)
-
-    def test_component_sums_from_sockets(self):
-        t = Table(
-            {
-                "p0_power": np.array([100.0]),
-                "p1_power": np.array([120.0]),
-                "gpu_power_total": np.array([900.0]),
-            }
-        )
-        out = component_sums_from_sockets(t)
-        assert out["cpu_power"][0] == 220.0
-        assert out["gpu_power"][0] == 900.0
+            cluster_power_series(c, value="gpu_power")
 
 
 class TestJobJoin:
@@ -122,24 +100,22 @@ class TestJobJoin:
         assert np.isclose(summ["max_sum_inp"][0], 1514.5)
         assert np.isclose(summ["mean_sum_inp"][0], 1509.5)
 
-    def test_component_series_and_summary(self, telemetry):
-        c = coarsen_telemetry(
-            telemetry, ["cpu_power", "gpu_power"], width=10.0
-        )
-        na = Table(
+    def test_component_series_and_summary(self):
+        jc = Table(
             {
-                "allocation_id": np.array([9], dtype=np.int64),
-                "node": np.array([1], dtype=np.int64),
-                "begin_time": np.array([0.0]),
-                "end_time": np.array([30.0]),
+                "allocation_id": np.array([9, 9, 9], dtype=np.int64),
+                "timestamp": np.array([0.0, 10.0, 20.0]),
+                "mean_cpu_power": np.array([200.0, 200.0, 200.0]),
+                "max_cpu_power": np.array([200.0, 150.0, 180.0]),
+                "mean_gpu_power": np.array([600.0, 500.0, 700.0]),
+                "max_gpu_power": np.array([600.0, 650.0, 700.0]),
             }
         )
-        tagged = tag_allocations(c, na)
-        jc = job_component_series(tagged)
-        assert np.allclose(jc["mean_gpu_power"], 600.0)
         summ = job_component_summary(jc)
         assert np.isclose(summ["mean_mean_gpu_pwr"][0], 600.0)
         assert np.isclose(summ["max_cpu_pwr"][0], 200.0)
+        assert np.isclose(summ["max_gpu_pwr"][0], 700.0)
+        assert summ["end_time"][0] == 20.0
 
 
 class TestEnergy:

@@ -176,49 +176,6 @@ class TestReport:
         assert "no data" in render_series("x", np.array([]))
 
 
-class TestOnlinePredictor:
-    def test_prior_only(self):
-        from repro.core.fingerprint import OnlinePowerPredictor
-
-        p = OnlinePowerPredictor(prior_mean_w=1500.0)
-        assert p.mean() == 1500.0
-        assert p.portrait_reliance() == 1.0
-
-    def test_mean_moves_toward_data(self):
-        from repro.core.fingerprint import OnlinePowerPredictor
-
-        p = OnlinePowerPredictor(prior_mean_w=1500.0, prior_weight=5.0)
-        for _ in range(50):
-            p.update(900.0)
-        assert 900.0 < p.mean() < 1000.0
-        assert p.portrait_reliance() < 0.1
-
-    def test_uncertainty_converges(self, rng):
-        from repro.core.fingerprint import OnlinePowerPredictor
-
-        p = OnlinePowerPredictor(prior_mean_w=1000.0)
-        u0 = p.uncertainty()
-        p.update(rng.normal(1000.0, 50.0, 10))
-        u10 = p.uncertainty()
-        p.update(rng.normal(1000.0, 50.0, 500))
-        u510 = p.uncertainty()
-        assert u10 < u0
-        assert u510 < u10
-
-    def test_vector_update(self):
-        from repro.core.fingerprint import OnlinePowerPredictor
-
-        p = OnlinePowerPredictor(prior_mean_w=0.0, prior_weight=1e-9)
-        p.update(np.array([1.0, 2.0, 3.0]))
-        assert p.mean() == pytest.approx(2.0, abs=1e-6)
-
-    def test_invalid_prior_weight(self):
-        from repro.core.fingerprint import OnlinePowerPredictor
-
-        with pytest.raises(ValueError):
-            OnlinePowerPredictor(1000.0, prior_weight=0.0)
-
-
 class TestRenderGrid:
     def test_shape_and_scale(self):
         from repro.core.report import render_grid

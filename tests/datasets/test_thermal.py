@@ -1,4 +1,4 @@
-"""Unit tests for the thermal dataset builders (Datasets 8-11 analogues)."""
+"""Unit tests for the thermal dataset builders (Datasets 8-9 analogues)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.datasets import (
     temperature_band_counts,
     thermal_cluster_series,
-    thermal_job_series,
 )
 from repro.datasets.thermal import DEFAULT_BANDS, HOT_THRESHOLD_C
 
@@ -56,22 +55,3 @@ class TestClusterSeries:
         # band starts at 70: n_hot >= band_ge_70
         assert np.all(series["n_hot"] >= series[ge_cols[0]] - 1e-9)
 
-
-class TestJobSeries:
-    def test_one_job(self, twin):
-        al = twin.schedule.allocations
-        # pick a longer job
-        idx = int(np.argmax(al["end_time"] - al["begin_time"]))
-        aid = int(al["allocation_id"][idx])
-        try:
-            js = thermal_job_series(twin, aid, dt=10.0)
-        except MemoryError:
-            pytest.skip("job window too large for dense build")
-        assert js.n_rows >= 1
-        assert np.all(js["allocation_id"] == aid)
-        nodes = twin.schedule.nodes_of(aid)
-        assert js["n_reporting"].max() == len(nodes) * twin.config.gpus_per_node
-
-    def test_unknown_job(self, twin):
-        with pytest.raises(KeyError):
-            thermal_job_series(twin, 99_999_999)

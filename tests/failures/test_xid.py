@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.failures.xid import (
-    TOTAL_ANNUAL_FAILURES,
-    XID_TYPES,
-    xid_by_code,
-    xid_by_name,
-)
+from repro.failures.xid import TOTAL_ANNUAL_FAILURES, XID_TYPES
+
+BY_NAME = {t.name: t for t in XID_TYPES}
 
 
 class TestTaxonomy:
@@ -51,7 +48,7 @@ class TestTaxonomy:
         }
 
     def test_nvlink_super_offender_encoded(self):
-        nv = xid_by_name("NVLINK error")
+        nv = BY_NAME["NVLINK error"]
         assert nv.max_node_share == pytest.approx(0.969)
         assert nv.defect_share > 0.95
 
@@ -60,7 +57,7 @@ class TestTaxonomy:
             assert t.defect_share >= t.max_node_share - 1e-9, t.name
 
     def test_double_bit_temp_cap(self):
-        assert xid_by_name("Double-bit error").temp_cap_c == pytest.approx(46.1)
+        assert BY_NAME["Double-bit error"].temp_cap_c == pytest.approx(46.1)
 
     def test_no_left_skew(self):
         """Figure 15: almost no distributions are left-skewed; only the
@@ -73,7 +70,7 @@ class TestTaxonomy:
         for name in ("Double-bit error", "Fallen off the bus",
                      "Internal microcontroller warning",
                      "Page retirement failure"):
-            assert xid_by_name(name).z_skew > 0.5, name
+            assert BY_NAME[name].z_skew > 0.5, name
 
     def test_slot_weights_length(self):
         for t in XID_TYPES:
@@ -83,17 +80,8 @@ class TestTaxonomy:
     def test_gpu4_bumps(self):
         """Figure 16: double-bit and page-retirement events spike on GPU 4."""
         for name in ("Double-bit error", "Page retirement event"):
-            w = xid_by_name(name).slot_weights
+            w = BY_NAME[name].slot_weights
             assert w[4] == max(w[1:]), name
-
-    def test_lookup_by_code(self):
-        assert xid_by_code(48).name == "Double-bit error"
-        with pytest.raises(KeyError):
-            xid_by_code(999)
-
-    def test_lookup_by_name_unknown(self):
-        with pytest.raises(KeyError):
-            xid_by_name("Quantum flux")
 
     def test_shared_defect_groups(self):
         retire = {t.name for t in XID_TYPES if t.defect_group == "retire"}

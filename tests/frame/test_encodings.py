@@ -9,8 +9,7 @@ Three layers of defense, mirroring the module's contract:
   raise a clean :class:`ColumnarFormatError`, never silently wrong data;
 * **container fuzz** — the same holds for whole ``.rcs`` shards: any
   single-byte flip or truncation either errors or reads back identical
-  (flips can land in alignment padding), extending the
-  ``decode_timeseries`` hardening tests to the storage layer.
+  (flips can land in alignment padding).
 """
 
 import zlib

@@ -87,56 +87,3 @@ class TestChipPopulation:
         pop = ChipPopulation(cfg, seed=1)
         assert np.all(pop.gpu_power_factor == 1.0)
 
-
-class TestThermalThrottle:
-    def test_nominal_untouched(self):
-        from repro.machine.components import gpu_thermal_throttle
-
-        p, s = gpu_thermal_throttle(np.array([300.0]), np.array([55.0]))
-        assert p[0] == 300.0
-        assert s[0] == 0
-
-    def test_throttle_reduces_power(self):
-        from repro.machine.components import gpu_thermal_throttle
-
-        p, s = gpu_thermal_throttle(np.array([300.0]), np.array([86.0]))
-        assert p[0] < 300.0
-        assert p[0] >= 0.3 * 300.0
-        assert s[0] == 1
-
-    def test_shutdown_drops_to_idle(self):
-        from repro.machine.components import gpu_thermal_throttle
-
-        p, s = gpu_thermal_throttle(np.array([300.0]), np.array([95.0]))
-        assert p[0] == SUMMIT.gpu_idle_w
-        assert s[0] == 2
-
-    def test_summit_operating_point_never_throttles(self):
-        """At Summit's MTW supply temperature, even worst-case chips at TDP
-        stay below the throttle point — the overcooling margin of §5."""
-        from repro.machine.components import gpu_thermal_throttle
-        from repro.cooling import ComponentThermalModel
-
-        cfg = SUMMIT.scaled(90)
-        tm = ComponentThermalModel(cfg, seed=0)
-        nodes = np.arange(cfg.n_nodes)
-        temps = tm.gpu_temperature(
-            nodes, np.full((cfg.n_nodes, 6), 330.0), 21.7, 10.0
-        )
-        _, state = gpu_thermal_throttle(np.full_like(temps, 330.0), temps)
-        assert (state > 0).mean() < 0.001
-
-    def test_hot_water_would_throttle(self):
-        """A what-if: +25 degC supply water pushes the hottest chips into
-        the protection ladder — the headroom the MTW design buys."""
-        from repro.machine.components import gpu_thermal_throttle
-        from repro.cooling import ComponentThermalModel
-
-        cfg = SUMMIT.scaled(90)
-        tm = ComponentThermalModel(cfg, seed=0)
-        nodes = np.arange(cfg.n_nodes)
-        temps = tm.gpu_temperature(
-            nodes, np.full((cfg.n_nodes, 6), 330.0), 46.0, 10.0
-        )
-        _, state = gpu_thermal_throttle(np.full_like(temps, 330.0), temps)
-        assert (state > 0).any()

@@ -12,18 +12,24 @@ def model():
     return NodePowerModel(SUMMIT.scaled(20), seed=1)
 
 
+def input_power(model, nodes, cpu_util, gpu_util):
+    """Wall-plug node power: the components through the PSU."""
+    cpu_w, gpu_w = model.component_power(nodes, cpu_util, gpu_util)
+    return model.wall_power(cpu_w.sum(axis=1), gpu_w.sum(axis=1))
+
+
 class TestNodePower:
     def test_idle_near_config(self, model):
         cfg = model.config
         nodes = np.arange(5)
-        p = model.input_power(
-            nodes, np.zeros((5, 2)), np.zeros((5, 6))
+        p = input_power(
+            model, nodes, np.zeros((5, 2)), np.zeros((5, 6))
         )
         assert np.allclose(p, cfg.node_idle_w, rtol=0.02)
 
     def test_peak_capped_at_supply_limit(self, model):
         nodes = np.arange(5)
-        p = model.input_power(nodes, np.ones((5, 2)), np.ones((5, 6)))
+        p = input_power(model, nodes, np.ones((5, 2)), np.ones((5, 6)))
         assert np.all(p <= model.config.node_max_power_w + 1e-9)
         assert np.all(p > 2000.0)
 
@@ -37,7 +43,7 @@ class TestNodePower:
         nodes = np.arange(3)
         cpu = np.zeros((3, 2, 4))
         gpu = np.tile(np.linspace(0, 1, 4), (3, 6, 1))
-        p = model.input_power(nodes, cpu, gpu)
+        p = input_power(model, nodes, cpu, gpu)
         assert p.shape == (3, 4)
         assert np.all(np.diff(p, axis=1) >= -1e-9)
 
@@ -50,12 +56,12 @@ class TestNodePower:
     def test_chip_variation_visible(self, model):
         """Two nodes at equal load draw different power (Section 6.2)."""
         nodes = np.arange(20)
-        p = model.input_power(nodes, np.full((20, 2), 0.8), np.full((20, 6), 0.8))
+        p = input_power(model, nodes, np.full((20, 2), 0.8), np.full((20, 6), 0.8))
         assert p.std() > 5.0  # watts of spread from manufacturing variation
 
     def test_gpu_dominates_dynamic_range(self, model):
         nodes = np.arange(2)
-        p_gpu = model.input_power(nodes, np.zeros((2, 2)), np.ones((2, 6)))
-        p_cpu = model.input_power(nodes, np.ones((2, 2)), np.zeros((2, 6)))
-        idle = model.input_power(nodes, np.zeros((2, 2)), np.zeros((2, 6)))
+        p_gpu = input_power(model, nodes, np.zeros((2, 2)), np.ones((2, 6)))
+        p_cpu = input_power(model, nodes, np.ones((2, 2)), np.zeros((2, 6)))
+        idle = input_power(model, nodes, np.zeros((2, 2)), np.zeros((2, 6)))
         assert np.all((p_gpu - idle) > 2.5 * (p_cpu - idle))

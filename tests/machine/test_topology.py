@@ -50,20 +50,9 @@ class TestScaled:
 
 
 class TestGpuMaps:
-    def test_gpu_node_slot(self):
-        t = Topology(SUMMIT.scaled(36))
-        assert np.array_equal(t.gpu_node()[:7], [0, 0, 0, 0, 0, 0, 1])
-        assert np.array_equal(t.gpu_slot()[:7], [0, 1, 2, 3, 4, 5, 0])
-
     def test_cooling_position_per_socket(self):
         assert np.array_equal(GPU_COOLING_POSITION, [0, 1, 2, 0, 1, 2])
         assert np.array_equal(GPU_CPU_SOCKET, [0, 0, 0, 1, 1, 1])
-
-    def test_cooling_position_lookup(self):
-        t = Topology(SUMMIT.scaled(36))
-        pos = t.gpu_cooling_position()
-        assert pos.shape == (36 * 6,)
-        assert np.array_equal(pos[:6], [0, 1, 2, 0, 1, 2])
 
 
 class TestGrids:

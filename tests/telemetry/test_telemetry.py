@@ -9,10 +9,7 @@ from repro.telemetry import (
     LossEvent,
     MsbMeters,
     TelemetrySampler,
-    power_metrics,
     quantize_power,
-    sensor_noise,
-    temperature_metrics,
 )
 from repro.telemetry.schema import METRICS, N_METRICS
 from repro.telemetry.sensors import quantize_temperature, sensor_gains
@@ -27,8 +24,8 @@ class TestSchema:
         assert len(names) == len(set(names))
 
     def test_kind_partition(self):
-        p = set(power_metrics())
-        t = set(temperature_metrics())
+        p = {m.name for m in METRICS if m.kind == "power"}
+        t = {m.name for m in METRICS if m.kind == "temperature"}
         assert not (p & t)
         assert "input_power" in p
         assert "gpu0_core_temp" in t
@@ -40,21 +37,6 @@ class TestSensors:
 
     def test_quantize_temperature(self):
         assert np.array_equal(quantize_temperature(np.array([45.4])), [45.0])
-
-    def test_sensor_noise_unbiased(self, rng):
-        true = np.full(20_000, 1000.0)
-        meas = sensor_noise(rng, true, dynamic_w=100.0)
-        assert abs(meas.mean() - 1000.0) < 1.0
-        assert 15.0 < meas.std() < 40.0  # 0.25 * 100 W plus quantization
-
-    def test_sensor_noise_nonnegative(self, rng):
-        meas = sensor_noise(rng, np.full(1000, 2.0), dynamic_w=50.0)
-        assert np.all(meas >= 0.0)
-
-    def test_gain_applies(self, rng):
-        true = np.full(10_000, 1000.0)
-        meas = sensor_noise(rng, true, dynamic_w=0.0, gain=1.02)
-        assert abs(meas.mean() - 1020.0) < 1.0
 
     def test_sensor_gains_near_one(self, rng):
         g = sensor_gains(rng, 5000)

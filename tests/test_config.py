@@ -7,8 +7,6 @@ from repro.config import (
     SCHEDULING_CLASSES,
     SUMMIT,
     SummitConfig,
-    celsius_to_fahrenheit,
-    class_of_node_count,
     fahrenheit_to_celsius,
 )
 
@@ -19,29 +17,10 @@ class TestSchedulingClasses:
         assert [c.max_nodes for c in SCHEDULING_CLASSES] == [4608, 2764, 921, 91, 45]
         assert [c.max_walltime_h for c in SCHEDULING_CLASSES] == [24, 24, 12, 6, 2]
 
-    def test_class_of_node_count(self):
-        assert class_of_node_count(4608) == 1
-        assert class_of_node_count(1000) == 2
-        assert class_of_node_count(100) == 3
-        assert class_of_node_count(50) == 4
-        assert class_of_node_count(1) == 5
-
-    def test_class_of_out_of_range(self):
-        with pytest.raises(ValueError):
-            class_of_node_count(0)
-        with pytest.raises(ValueError):
-            class_of_node_count(5000)
-
-    def test_contains(self):
-        assert SCHEDULING_CLASSES[0].contains(3000)
-        assert not SCHEDULING_CLASSES[0].contains(100)
-
 
 class TestSummitConfig:
     def test_totals(self):
         assert SUMMIT.n_gpus == 27_756
-        assert SUMMIT.n_cpus == 9_252
-        assert SUMMIT.max_job_nodes == 4608
 
     def test_node_idle_consistent_with_system_idle(self):
         # idle power x nodes ~ 2.5 MW (Section 4.1)
@@ -73,7 +52,7 @@ class TestSummitConfig:
             assert classes[0].max_nodes <= cfg.n_nodes
             # every node count from 1..max is classifiable
             for k in (1, classes[0].max_nodes, classes[0].max_nodes // 2):
-                assert cfg.class_of(k) in (1, 2, 3, 4, 5)
+                assert any(c.min_nodes <= k <= c.max_nodes for c in classes)
 
     def test_scaled_classes_nonempty(self):
         for n in (10, 50, 90, 300):
@@ -84,11 +63,6 @@ class TestSummitConfig:
     def test_full_scale_classes_identical(self):
         assert SUMMIT.scheduling_classes() == SCHEDULING_CLASSES
 
-    def test_class_of_scaled_out_of_range(self):
-        cfg = SUMMIT.scaled(90)
-        with pytest.raises(ValueError):
-            cfg.class_of(10_000)
-
     def test_frozen(self):
         with pytest.raises(Exception):
             SUMMIT.n_nodes = 1
@@ -97,8 +71,7 @@ class TestSummitConfig:
 class TestTemperatureConversion:
     def test_roundtrip(self):
         assert fahrenheit_to_celsius(70.0) == pytest.approx(21.111, abs=1e-3)
-        assert celsius_to_fahrenheit(fahrenheit_to_celsius(85.0)) == pytest.approx(85.0)
 
     def test_known_points(self):
         assert fahrenheit_to_celsius(32.0) == 0.0
-        assert celsius_to_fahrenheit(100.0) == 212.0
+        assert fahrenheit_to_celsius(212.0) == 100.0

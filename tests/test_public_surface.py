@@ -1,27 +1,30 @@
-"""Guard: every public name of the infrastructure layers has a caller
-outside the tests.
+"""Guard: every public name under ``src/repro`` has a caller outside the
+tests.
 
-The public defs, classes, methods and properties of ``repro.frame``,
-``parallel``, ``pipeline``, ``plan``, ``stream``, ``serve`` and ``obs`` are
-read with :mod:`ast`.  A name is used when an ``ast.Name`` or
-``ast.Attribute`` node of that name appears in non-test code (``src/``,
-``benchmarks/``, ``examples/``, ``ledger/``, ``tools/``), or when
-``ledger/layers.py`` — which patches entry points by name — spells it as a
-string; a method or property is reached only through an attribute, so for
-those a bare ``ast.Name`` does not count.  Imports, ``__all__`` and other
-strings do not count.  Matching is by bare name, so a name shared with
-another API (``os.rename``) reads as used: the guard under-reports, never
-over-reports.
+The public defs, classes, methods and properties of every module under
+``src/repro`` are read with :mod:`ast`; the module list is the tree itself
+(:data:`MODULES`), so a new module or package starts inside the guard.  A
+name is used when an ``ast.Name`` or ``ast.Attribute`` node of that name
+appears in non-test code (``src/``, ``benchmarks/``, ``examples/``,
+``ledger/``, ``tools/``), or when ``ledger/layers.py`` — which patches entry
+points by name — spells it as a string; a method or property is reached
+only through an attribute, so for those a bare ``ast.Name`` does not count.
+Imports, ``__all__`` and other strings do not count.  Matching is by bare
+name, so a name shared with another API (``os.rename``) reads as used: the
+guard under-reports, never over-reports.
 
 A name no such node refers to is surface only a test reaches: delete it, or
 give it an entry in :data:`ALLOWED` with the reason it stays.
 """
 
 import ast
+import os
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("frame", "parallel", "pipeline", "plan.py", "stream", "serve", "obs")
+SRC = ROOT / "src" / "repro"
+#: every module the guard reads; ``__init__.py`` files only re-export
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 CALLERS = ("src", "benchmarks", "examples", "ledger", "tools")
 BY_NAME = ROOT / "ledger" / "layers.py"
 
@@ -33,6 +36,12 @@ ALLOWED = {
                                            "replay's arrival model",
     "validate_spans": "the span-forest tests check captured in-memory "
                       "records; tools read files through load_trace",
+    "export_datasets": "TestExportEquivalence's reference for "
+                       "Pipeline.export",
+    "welch_psd": "the reference for OnlineSpectral in "
+                 "tests/stream/test_equivalence.py",
+    "PlantState.to_columns": "ROADMAP item 11 archives the plant series "
+                             "through it",
 }
 
 
@@ -44,20 +53,18 @@ def surface() -> dict[str, str]:
     """Qualified public name -> the bare name a caller spells
     (``Class.member`` for a method or property)."""
     found = {}
-    for layer in LAYERS:
-        path = ROOT / "src" / "repro" / layer
-        for module in sorted([path] if path.is_file() else path.rglob("*.py")):
-            for node in ast.parse(module.read_text()).body:
-                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    continue
-                if not _public(node.name):
-                    continue
-                found[node.name] = node.name
-                if isinstance(node, ast.ClassDef):
-                    for member in node.body:
-                        if (isinstance(member, ast.FunctionDef)
-                                and _public(member.name)):
-                            found[f"{node.name}.{member.name}"] = member.name
+    for module in MODULES:
+        for node in ast.parse(module.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not _public(node.name):
+                continue
+            found[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef)
+                            and _public(member.name)):
+                        found[f"{node.name}.{member.name}"] = member.name
     return found
 
 
@@ -97,3 +104,16 @@ def test_allow_list_is_not_stale():
     assert not gone, f"allow-listed names that no longer exist: {gone}"
     now_used = sorted(set(ALLOWED) - set(unused()))
     assert not now_used, f"allow-listed names that now have a caller: {now_used}"
+
+
+def test_scan_covers_every_module():
+    on_disk = {
+        os.path.relpath(os.path.join(folder, name), SRC)
+        for folder, _, files in os.walk(SRC)
+        for name in files
+        if name.endswith(".py") and name != "__init__.py"
+    }
+    scanned = {os.path.relpath(module, SRC) for module in MODULES}
+    assert scanned == on_disk
+    assert {"config.py", "plan.py", "core/fingerprint.py",
+            "workload/traces.py"} <= scanned

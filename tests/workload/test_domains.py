@@ -7,7 +7,6 @@ from repro.workload.domains import (
     DOMAINS,
     domain_by_name,
     project_id,
-    total_projects,
 )
 
 
@@ -35,9 +34,6 @@ class TestCatalog:
             assert d.walltime_scale > 0
             assert d.failure_rate_scale > 0
             assert d.n_projects >= 1
-
-    def test_total_projects(self):
-        assert total_projects() == sum(d.n_projects for d in DOMAINS)
 
     def test_project_id_format(self):
         d = domain_by_name("Physics")

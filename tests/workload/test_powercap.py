@@ -65,7 +65,7 @@ class TestPowerAwareScheduler:
         cfg, cat, _ = setup
         cap = 0.7 * cfg.n_nodes * cfg.node_max_power_w
         res = PowerAwareScheduler(cap, cfg, seed=21).run_capped(cat, 2 * 86400.0)
-        assert res.peak_commitment_w() <= cap + 1e-6
+        assert res.commitment[1].max() <= cap + 1e-6
 
     def test_realized_power_under_cap(self, setup):
         cfg, cat, _ = setup

@@ -263,33 +263,3 @@ class TestMalformedRows:
         assert aid not in res.allocations["allocation_id"].tolist()
         assert res.allocations.n_rows + len(res.dropped) == cat.n_jobs
 
-
-class TestQueueStatistics:
-    def test_per_class_rows(self, sched_pair):
-        from repro.workload import queue_statistics
-
-        cat, res = sched_pair
-        qs = queue_statistics(res, cat)
-        assert qs.n_rows <= 5
-        assert np.all(qs["mean_wait_s"] >= -1e-9)
-        assert np.all(qs["mean_slowdown"] >= 1.0)
-        assert np.all(qs["median_wait_s"] <= qs["max_wait_s"] + 1e-9)
-
-    def test_immediate_start_zero_wait(self):
-        from repro.workload import queue_statistics
-
-        cfg = SUMMIT.scaled(10)
-        cat = tiny_catalog(cfg, [(0.0, 4, 3, 100.0)])
-        res = Scheduler(cfg).run(cat, 1000.0)
-        qs = queue_statistics(res, cat)
-        assert qs["mean_wait_s"][0] == 0.0
-        assert qs["mean_slowdown"][0] == 1.0
-
-    def test_blocked_job_waits(self):
-        from repro.workload import queue_statistics
-
-        cfg = SUMMIT.scaled(10)
-        cat = tiny_catalog(cfg, [(0.0, 10, 2, 100.0), (1.0, 10, 2, 50.0)])
-        res = Scheduler(cfg).run(cat, 10_000.0)
-        qs = queue_statistics(res, cat)
-        assert qs["max_wait_s"].max() == pytest.approx(99.0)

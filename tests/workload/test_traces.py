@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets.generate import cluster_power_window, job_power_series_direct
 from repro.workload import traces
 from repro.workload.scheduler import Scheduler
-from repro.workload.traces import ClusterTraceBuilder
+from repro.workload.traces import AllocationIntervalIndex, ClusterTraceBuilder
 from tests.workload.gen_cosim_golden import TRACE_ARRAYS as ARRAYS
 from tests.workload.test_event_core import HORIZON, tied_catalog
 
@@ -84,13 +85,33 @@ class TestBuild:
         arr_b = b.build(0.0, 100.0, 10.0)
         assert np.array_equal(arr_a.node_input_w, arr_b.node_input_w)
 
-    def test_chunk_size_changes_no_bit(self, builder, monkeypatch):
+    def test_chunk_size_changes_no_bit(self, twin, builder, monkeypatch):
+        """The painter and both direct routes (the per-job series and the
+        cluster superposition) give the same bits at any chunk size."""
         kw = dict(per_gpu=True, track_alloc=True)
-        want = builder.build(5.0, 1805.0, 10.0, **kw)
+        index = AllocationIntervalIndex(twin.schedule.allocations)
+        rows = index.active_rows(5.0, 1805.0)
+        inputs = (twin.catalog, twin.schedule, twin.chips)
+
+        def run():
+            return (
+                builder.build(5.0, 1805.0, 10.0, **kw),
+                job_power_series_direct(*inputs, dt=60.0, components=True,
+                                        seed=twin.spec.seed, rows=rows),
+                cluster_power_window(*inputs, 0, 181, seed=twin.spec.seed,
+                                     index=index),
+            )
+
+        want = run()
         monkeypatch.setattr(traces, "PAINT_CHUNK_CELLS", 64)
-        got = builder.build(5.0, 1805.0, 10.0, **kw)
+        got = run()
         for name in ARRAYS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(getattr(got[0], name),
+                                  getattr(want[0], name)), name
+        assert got[1].columns == want[1].columns
+        for name in want[1].columns:
+            assert np.array_equal(got[1][name], want[1][name]), name
+        assert np.array_equal(got[2], want[2])
 
 
 class TestWindowSplit:
