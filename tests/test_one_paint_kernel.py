@@ -3,7 +3,8 @@
 ``workload/traces.py`` holds the only allocation → watts kernel under
 ``src/repro``: ``allocation_noise`` (the one ``0x7A5E`` stream),
 ``allocation_power`` (the one caller of ``NodePowerModel.component_power``
-outside ``machine/node.py``), and DC → wall goes through
+outside ``machine/node.py``, itself called only by the one chunk loop,
+``allocation_chunks``), and DC → wall goes through
 ``NodePowerModel.wall_power`` (the one per-sample reader of
 ``node_max_power_w``; ``powercap`` budgets with the nominal scalar).  The
 painter, the per-job series and the cluster superposition each used to
@@ -31,6 +32,7 @@ def test_allocation_to_watts_has_one_route():
     }
     assert (SRC / "workload/traces.py").read_text().count(
         "component_power(") == 1
+    assert _files_with("allocation_power(") == {"workload/traces.py"}
     assert _files_with("0x7A5E") == {"workload/traces.py"}
     assert _files_with("node_max_power_w") == {
         "config.py", "machine/node.py", "workload/powercap.py",
