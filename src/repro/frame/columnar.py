@@ -425,19 +425,6 @@ class RcsFile:
         return list(self._cols)
 
     @property
-    def zones(self) -> dict[str, dict]:
-        """Zone map per column (min / max / nulls / sorted)."""
-        return {name: meta["zone"] for name, meta in self._cols.items()}
-
-    @property
-    def dtypes(self) -> dict[str, np.dtype]:
-        """Column name -> dtype, from the footer alone (no data touched)."""
-        return {
-            name: np.dtype(meta["dtype"])
-            for name, meta in self._cols.items()
-        }
-
-    @property
     def codecs(self) -> dict[str, str]:
         """Column name -> codec (``raw`` for uncompressed columns)."""
         return {
@@ -480,20 +467,17 @@ class RcsFile:
         except (AttributeError, ValueError, OSError):
             pass
 
-    def _decode(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
-        """Decode one encoded column: into the reader's cache (read-only),
-        or straight into a caller-owned ``out``, which is not cached."""
+    def _decode(self, name: str) -> np.ndarray:
+        """Decode one encoded column into the reader's cache (read-only)."""
         meta = self._cols[name]
         mm = self._mapping()
         self._advise(name)
         payload = bytes(mm[meta["offset"]:meta["offset"] + meta["nbytes"]])
         got = decode_column(
-            meta["enc"], payload, np.dtype(meta["dtype"]), self.n_rows,
-            out=out,
+            meta["enc"], payload, np.dtype(meta["dtype"]), self.n_rows
         )
-        if out is None:
-            got.setflags(write=False)
-            self._decoded[name] = got
+        got.setflags(write=False)
+        self._decoded[name] = got
         return got
 
     def read(
@@ -533,57 +517,6 @@ class RcsFile:
                 view = raw.view(np.dtype(meta["dtype"]))
             cols[name] = view if rows is None else view[rows]
         return Table(cols).retain(self)
-
-    def read_range_into(
-        self, out: dict[str, np.ndarray], lo: int, hi: int
-    ) -> None:
-        """Decode/copy rows ``[lo, hi)`` of columns straight into
-        caller-owned arrays.
-
-        Each ``out`` value must be a writeable ``(hi - lo,)`` array of the
-        column's exact dtype — typically a row-slice of a preallocated
-        stitched table.  Raw columns copy the row range straight out of
-        the mapping; encoded columns decode into the destination when the
-        whole shard is asked for (the no-intermediate path; the decode
-        cache is bypassed, since the destination belongs to the caller)
-        and otherwise copy the range from the reader's decode cache.  This
-        is what lets a multi-shard merged read land every shard's slice in
-        one preallocated buffer with no per-shard intermediates.  On a
-        decode error the destination's contents are unspecified.
-        """
-        if not 0 <= lo <= hi <= self.n_rows:
-            raise ValueError(
-                f"row range [{lo}, {hi}) outside [0, {self.n_rows}) "
-                f"in {self.path}"
-            )
-        missing = [n for n in out if n not in self._cols]
-        if missing:
-            raise KeyError(
-                f"no columns {missing} in {self.path}; have {self.columns}"
-            )
-        n = hi - lo
-        for name, dest in out.items():
-            if dest.shape != (n,):
-                raise ValueError(
-                    f"destination for {name!r} has shape {dest.shape}, "
-                    f"need ({n},)"
-                )
-        mm = self._mapping()
-        for name, dest in out.items():
-            meta = self._cols[name]
-            self._advise(name)
-            if "enc" not in meta:
-                raw = mm[meta["offset"]:meta["offset"] + meta["nbytes"]]
-                np.copyto(dest, raw.view(np.dtype(meta["dtype"]))[lo:hi],
-                          casting="no")
-            elif name in self._decoded:
-                np.copyto(dest, self._decoded[name][lo:hi], casting="no")
-            else:
-                whole = lo == 0 and hi == self.n_rows
-                got = _column_task("rcs.decode", self.path, None,
-                                   self._decode, name, dest if whole else None)
-                if not whole:
-                    np.copyto(dest, got[lo:hi], casting="no")
 
     def read_time_range(
         self,

@@ -285,91 +285,6 @@ class PartitionedDataset:
             f"shard {meta.filename} vanished and {self.root} is now empty"
         )
 
-    def read_time_range_merged(
-        self,
-        indices: list[int],
-        t_begin: float,
-        t_end: float,
-        columns: list[str] | None = None,
-        time: str = "timestamp",
-    ) -> Table:
-        """Many shards' ``[t_begin, t_end)`` slices as one table.
-
-        Equivalent to concatenating :meth:`read_time_range` over
-        ``indices`` (same rows, same order), but shards with a uniform
-        schema and a sorted time column decode straight into one
-        preallocated merge buffer per column
-        (:meth:`~repro.frame.columnar.RcsFile.read_range_into`): no
-        per-shard intermediate arrays and no second concat copy.  Schema
-        drift, unsorted time columns, and shards that vanish mid-read
-        (concurrent :meth:`compact`) all fall back to the
-        read-then-concat path, which carries the compaction retry logic.
-        """
-        if not indices:
-            # zero-row table with the projected schema
-            return self.read_time_range(0, -np.inf, -np.inf, columns, time)
-        try:
-            merged = self._stitch(indices, columns, (t_begin, t_end), time)
-        except FileNotFoundError:
-            merged = None
-        if merged is not None:
-            return merged
-        parts = [
-            self.read_time_range(i, t_begin, t_end, columns, time=time)
-            for i in indices
-        ]
-        return parts[0] if len(parts) == 1 else concat(parts)
-
-    def _stitch(
-        self,
-        indices,
-        columns: list[str] | None,
-        t_range: tuple[float, float] | None = None,
-        time: str = "timestamp",
-    ) -> Table | None:
-        """Shards ``indices`` (row-sliced to the half-open ``t_range`` when
-        given) decoded into one preallocated table, or ``None`` when only
-        read-then-concat can build it: a column some shard lacks (``read``
-        raises its usual ``KeyError`` with the shard path), schema drift
-        (concat's promotion rules apply), or an unsorted time column (the
-        slice needs a mask)."""
-        readers = [
-            open_rcs(self.root / self.partitions[i].filename)
-            for i in indices
-        ]
-        names = readers[0].columns if columns is None else list(columns)
-        dtypes = readers[0].dtypes
-        need = names if t_range is None else [*names, time]
-        if any(n not in dtypes for n in need) or any(
-            theirs.get(n) != dtypes[n]
-            for theirs in (r.dtypes for r in readers[1:])
-            for n in names
-        ):
-            return None
-        spans = []
-        for r in readers:
-            lo, hi = 0, r.n_rows
-            if t_range is not None:
-                if not r.zones.get(time, {}).get("sorted"):
-                    return None
-                t = r.read([time])[time]
-                lo = int(np.searchsorted(t, t_range[0], side="left"))
-                hi = int(np.searchsorted(t, t_range[1], side="left"))
-            spans.append((r, lo, hi))
-        total = sum(hi - lo for _, lo, hi in spans)
-        cols = {n: np.empty(total, dtypes[n]) for n in names}
-        row = 0
-        for r, lo, hi in spans:
-            r.read_range_into(
-                {n: cols[n][row:row + (hi - lo)] for n in names}, lo, hi
-            )
-            row += hi - lo
-        return Table(cols)
-
-    def __iter__(self):
-        for i in range(self.n_partitions):
-            yield self.read(i)
-
     def time_bounds(
         self, index: int, time: str = "timestamp"
     ) -> tuple[float, float, bool]:
@@ -423,18 +338,12 @@ class PartitionedDataset:
     def to_table(self, columns: list[str] | None = None) -> Table:
         """Materialize the whole dataset (small datasets / tests only).
 
-        Datasets with a uniform schema are *stitched*: the result table
-        is allocated once and every shard decodes (or, for raw columns,
-        copies) directly into its row-slice — skipping the per-shard
-        intermediate arrays and the second full-size copy a
-        read-then-concat pays.  Schema-drifted datasets fall back to
-        read + :func:`~repro.frame.table.concat`.
+        Every shard is read, projected onto ``columns``, and one
+        :func:`~repro.frame.table.concat` copies the pieces into a table
+        of owned arrays.
         """
         if not self.partitions:
             raise ValueError("empty dataset")
-        stitched = self._stitch(range(self.n_partitions), columns)
-        if stitched is not None:
-            return stitched
         return concat(
             [self.read(i, columns) for i in range(self.n_partitions)]
         )

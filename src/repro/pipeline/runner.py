@@ -378,8 +378,9 @@ class Pipeline:
         ``cache_token`` naming the archive's provenance; each key folds in
         the shard's generation-stamped identity with the kernel parameters
         (:meth:`~repro.plan.QueryPlan.fragment_key`) and the
-        task's row-slice bounds.  The single merged-read task of a
-        ``level="raw"`` plan has no shard identity and runs uncached.
+        task's row-slice bounds.  The per-shard tasks of a
+        ``level="raw"`` plan run uncached: their answer is the archive's
+        own rows, already on disk.
         """
         plan = plan_query(query or Query(), dataset)
         tasks = plan.tasks()

@@ -363,12 +363,13 @@ class ShardTask:
     * ``"partial"`` — an unaligned bound: a boundary window would
       aggregate a different row subset than the full fragment's, so the
       task computes its exact row slice directly and is never cached;
-    * ``"raw"`` — no aggregation kernels: one merged multi-shard read
-      over the whole plan (``index`` is -1).
+    * ``"raw"`` — no aggregation kernels: the shard's projected,
+      node-filtered row slice, never cached (no ``fragment_key``).
 
-    ``lo``/``hi`` are the task's slice bounds with unconstrained sides
-    widened to ±inf — canonical, so every query that fully covers a shard
-    shares the same fragment regardless of its own range.
+    ``lo``/``hi`` are the task's slice bounds.  On the kernel levels an
+    unconstrained side is widened to ±inf — canonical, so every query that
+    fully covers a shard shares the same fragment regardless of its own
+    range; a raw task carries the query's range as planned.
     """
 
     index: int
@@ -450,15 +451,13 @@ class QueryPlan:
     def tasks(self) -> list[ShardTask]:
         """The plan's independent fan-out units, in shard-time order.
 
-        Kernel levels get one task per surviving shard, classified by
-        fragment reusability (see :class:`ShardTask`); the raw level gets
-        a single merged-read task (per-shard kernels do no work there, so
-        one preallocated multi-shard read beats N reads + concat).
+        One task per surviving shard: kernel-level tasks are classified
+        by fragment reusability (see :class:`ShardTask`), raw-level ones
+        read the query's range uncached.
         """
-        if not self.shards:
-            return []
         if self.query.level == "raw":
-            return [ShardTask(-1, self.t_lo, self.t_hi, "raw")]
+            return [ShardTask(i, self.t_lo, self.t_hi, "raw")
+                    for i in self.shards]
         out = []
         for i in self.shards:
             data_lo, data_hi, incl = self.dataset.time_bounds(
@@ -507,13 +506,6 @@ class QueryPlan:
         """Execute one task directly (no fragment cache involved — the
         service layers caching on top via :meth:`run_fragment` +
         :meth:`slice_fragment` for ``full``/``aligned`` tasks)."""
-        if task.coverage == "raw":
-            return self._filter_nodes(
-                self.dataset.read_time_range_merged(
-                    self.shards, task.lo, task.hi,
-                    columns=self.projection, time=self.query.time,
-                )
-            )
         if task.coverage == "full":
             return self.run_fragment(task.index)
         return self.run_shard_table(
@@ -530,14 +522,16 @@ class QueryPlan:
         two shards, so per-shard aggregation followed by this merge
         matches one global pass; the final sort restores the single-pass
         row order (``timestamp`` for cluster level, group-major for node
-        level, archive order for raw).
+        level, archive order for raw).  A raw answer is always concatenated,
+        even from one table, so it owns its arrays instead of borrowing the
+        shard's mapping.
         """
         q = self.query
         tables = [t for t in tables if t.n_rows]
         if not tables:
             return self._empty_result()
         if q.level == "raw":
-            return tables[0] if len(tables) == 1 else concat(tables)
+            return concat(tables)
         merged = concat(tables) if len(tables) > 1 else tables[0]
         if q.level == "node":
             merged = merged.sort([q.by, q.time])

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.frame.table import Table
 from repro.stream.batch import RecordBatch
-from repro.telemetry.collector import LossEvent
+from repro.telemetry.collector import LossEvent, apply_loss
 from repro.telemetry.ingest import sample_propagation_delays
 
 
@@ -61,10 +61,10 @@ class TelemetryReplaySource:
         self.skew = bool(skew)
         self.seed = int(seed)
         self.rows_total = telemetry.n_rows
-        self.loss_dropped = 0
-        self.loss_blanked = 0
-
-        work = self._apply_loss(telemetry, list(loss_events))
+        work, self.loss_dropped, self.loss_blanked = apply_loss(
+            telemetry, loss_events,
+            np.asarray(telemetry[self.time], dtype=np.float64),
+        )
         event = np.asarray(work[self.time], dtype=np.float64)
         if self.skew:
             rng = np.random.default_rng(
@@ -83,37 +83,6 @@ class TelemetryReplaySource:
         self.batches_emitted = 0
 
     # ---------------- construction helpers ----------------
-
-    def _apply_loss(self, telemetry: Table, events: list[LossEvent]) -> Table:
-        if not events:
-            return telemetry
-        node = telemetry["node"] if "node" in telemetry else np.zeros(
-            telemetry.n_rows, dtype=np.int64
-        )
-        t = np.asarray(telemetry[self.time], dtype=np.float64)
-        cols = {k: v for k, v in telemetry.as_dict().items()}
-        drop = np.zeros(telemetry.n_rows, dtype=bool)
-        for ev in events:
-            m = ev.mask(node, t)
-            if not m.any():
-                continue
-            if ev.scope == "all":
-                drop |= m
-            elif ev.scope in ("temperature", "power"):
-                frag = "temp" if ev.scope == "temperature" else "power"
-                for name in list(cols):
-                    if frag in name:
-                        col = cols[name].astype(np.float64, copy=True)
-                        col[m] = np.nan
-                        cols[name] = col
-                self.loss_blanked += int(m.sum())
-            else:
-                raise ValueError(f"unknown loss scope {ev.scope!r}")
-        out = Table(cols)
-        if drop.any():
-            self.loss_dropped = int(drop.sum())
-            out = out.filter(~drop)
-        return out
 
     def _flush_slices(self) -> list[tuple[int, int, float]]:
         """``(start_row, end_row, flush_time)`` per non-empty flush tick."""

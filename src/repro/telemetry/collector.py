@@ -47,6 +47,50 @@ class LossEvent:
         return m
 
 
+#: blanking scope -> the column-name fragment it sets to NaN
+_BLANKED = {"temperature": "temp", "power": "power"}
+
+
+def apply_loss(
+    table: Table, events: Sequence[LossEvent], t: np.ndarray
+) -> tuple[Table, int, int]:
+    """``table`` with ``events`` applied, each masked on the times ``t``.
+
+    An ``"all"`` event drops its rows; ``"temperature"`` and ``"power"``
+    set every column whose name holds ``temp`` / ``power`` to NaN on
+    theirs (in float64 copies: ``table`` is never written).  Returns
+    ``(table, dropped, blanked)``: the rows dropped, and the rows blanked
+    summed over blanking events.  An event that matches no row is
+    skipped; one that matches with another scope is a ``ValueError``.
+    """
+    if not events:
+        return table, 0, 0
+    node = table["node"] if "node" in table else np.zeros(
+        table.n_rows, dtype=np.int64
+    )
+    cols = table.as_dict()
+    drop = np.zeros(table.n_rows, dtype=bool)
+    blanked = 0
+    for ev in events:
+        m = ev.mask(node, t)
+        if not m.any():
+            continue
+        if ev.scope == "all":
+            drop |= m
+        elif ev.scope in _BLANKED:
+            for name in cols:
+                if _BLANKED[ev.scope] in name:
+                    col = cols[name].astype(np.float64, copy=True)
+                    col[m] = np.nan
+                    cols[name] = col
+            blanked += int(m.sum())
+        else:
+            raise ValueError(f"unknown loss scope {ev.scope!r}")
+    out = Table(cols)
+    dropped = int(drop.sum())
+    return (out.filter(~drop) if dropped else out), dropped, blanked
+
+
 class TelemetrySampler:
     """Produce Dataset A-style rows from dense traces."""
 
@@ -136,28 +180,5 @@ class TelemetrySampler:
                     raw + rng.normal(0.0, 0.4, raw.shape)
                 )
 
-        table = Table(cols)
-
-        # apply loss events
-        drop = np.zeros(table.n_rows, dtype=bool)
-        for ev in self.loss_events:
-            m = ev.mask(table["node"], true_t)
-            if not m.any():
-                continue
-            if ev.scope == "all":
-                drop |= m
-            elif ev.scope == "temperature":
-                for name in table.columns:
-                    if "temp" in name:
-                        col = table[name]
-                        col[m] = np.nan
-            elif ev.scope == "power":
-                for name in table.columns:
-                    if "power" in name:
-                        col = table[name]
-                        col[m] = np.nan
-            else:
-                raise ValueError(f"unknown loss scope {ev.scope!r}")
-        if drop.any():
-            table = table.filter(~drop)
+        table, _, _ = apply_loss(Table(cols), self.loss_events, true_t)
         return table

@@ -195,7 +195,8 @@ class TestZoneMaps:
 
     def test_persisted_in_footer(self, tmp_path):
         save_rcs(make(), tmp_path / "t.rcs")
-        zones = open_rcs(tmp_path / "t.rcs").zones
+        zones = {name: meta["zone"]
+                 for name, meta in open_rcs(tmp_path / "t.rcs")._cols.items()}
         assert zones == zone_map(make())
 
 
@@ -315,87 +316,22 @@ class TestNpzProjection:
         assert_tables_identical(load_npz(tmp_path / "t.npz"), t)
         assert not list(tmp_path.glob(".*tmp"))
 
-class TestReadInto:
-    """Whole-shard ``RcsFile.read_range_into``: decode straight into
-    caller-owned arrays, bypassing the decode cache."""
-
-    @staticmethod
-    def _wide(n=800):
-        rng = np.random.default_rng(21)
-        return Table({
-            "t": np.arange(n, dtype=np.float64),             # qdelta
-            "node": np.arange(n, dtype=np.int64) % 16,       # dict/delta
-            "power": np.cumsum(rng.integers(-3, 4, n)) * 0.1,  # qdelta
-            "noise": rng.normal(0.0, 1e9, n),                # raw
-        })
-
-    def test_matches_read_for_every_column(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
-        table = self._wide()
-        save_rcs(table, tmp_path / "w.rcs")
-        r = open_rcs(tmp_path / "w.rcs")
-        # the shard must mix encoded and raw columns
-        assert set(r.codecs.values()) - {"raw"}
-        assert "raw" in r.codecs.values()
-        out = {c: np.empty(r.n_rows, dt) for c, dt in r.dtypes.items()}
-        r.read_range_into(out, 0, r.n_rows)
-        want = r.read()
-        for c in table.columns:
-            a, b = out[c], np.asarray(want[c])
-            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), c
-
-    def test_cached_columns_are_copied_not_aliased(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
-        table = self._wide()
-        save_rcs(table, tmp_path / "w.rcs")
-        r = open_rcs(tmp_path / "w.rcs")
-        cached = r.read(["power"])["power"]  # populates the decode cache
-        dest = {"power": np.empty(r.n_rows, np.float64)}
-        r.read_range_into(dest, 0, r.n_rows)
-        assert dest["power"] is not cached
-        assert dest["power"].base is None
-        assert np.array_equal(dest["power"], cached)
-
-    def test_missing_column_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
-        save_rcs(self._wide(), tmp_path / "w.rcs")
-        r = open_rcs(tmp_path / "w.rcs")
-        with pytest.raises(KeyError, match="ghost"):
-            r.read_range_into({"ghost": np.empty(r.n_rows, np.float64)},
-                              0, r.n_rows)
-
-
-class TestReadRangeInto:
-    """``RcsFile.read_range_into``: row-ranged decode into merge buffers."""
-
-    def test_matches_sliced_read(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RCS_COMPRESSION", "auto")
-        table = TestReadInto._wide()
-        save_rcs(table, tmp_path / "w.rcs")
-        r = open_rcs(tmp_path / "w.rcs")
-        lo, hi = 123, 457
-        out = {c: np.empty(hi - lo, dt) for c, dt in r.dtypes.items()}
-        r.read_range_into(out, lo, hi)
-        want = r.read(rows=slice(lo, hi))
-        for c in table.columns:
-            a, b = out[c], np.asarray(want[c])
-            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), c
-
-    def test_bad_range_and_shape_raise(self, tmp_path):
-        save_rcs(TestReadInto._wide(), tmp_path / "w.rcs")
-        r = open_rcs(tmp_path / "w.rcs")
-        with pytest.raises(ValueError, match="row range"):
-            r.read_range_into({"t": np.empty(5)}, 3, r.n_rows + 3)
-        with pytest.raises(ValueError, match="shape"):
-            r.read_range_into({"t": np.empty(5)}, 0, 10)
+def _mixed_table(n=800):
+    """Columns that land on several codecs and on raw."""
+    rng = np.random.default_rng(21)
+    return Table({
+        "t": np.arange(n, dtype=np.float64),             # qdelta
+        "node": np.arange(n, dtype=np.int64) % 16,       # dict/delta
+        "power": np.cumsum(rng.integers(-3, 4, n)) * 0.1,  # qdelta
+        "noise": rng.normal(0.0, 1e9, n),                # raw
+    })
 
 
 class TestMadvise:
     """Readahead hints: purely advisory, issued once per column."""
 
     def test_advise_is_idempotent_per_column(self, tmp_path):
-        save_rcs(TestReadInto._wide(), tmp_path / "w.rcs")
+        save_rcs(_mixed_table(), tmp_path / "w.rcs")
         r = open_rcs(tmp_path / "w.rcs")
         r.read(["t"])
         r.read(["t", "node"])
@@ -579,21 +515,13 @@ class TestColumnErrorContext:
         return flip
 
     @pytest.mark.parametrize("codec", list(CASES))
-    @pytest.mark.parametrize("entry", ["read", "range_into_all",
-                                       "range_into"])
+    @pytest.mark.parametrize("entry", ["read", "projected"])
     def test_note_names_file_and_column(self, corrupt, codec, entry,
                                         monkeypatch):
         _wide_pool(monkeypatch, None)
         path = corrupt(codec)
-        r = open_rcs(path)
-        dest = {codec: np.empty(r.n_rows, r.dtypes[codec])}
         with pytest.raises(ColumnarFormatError) as err:
-            if entry == "read":
-                r.read()
-            elif entry == "range_into_all":
-                r.read_range_into(dest, 0, r.n_rows)
-            else:
-                r.read_range_into({codec: dest[codec][:10]}, 5, 15)
+            open_rcs(path).read(None if entry == "read" else [codec])
         assert str(err.value).startswith(
             f"column payload CRC mismatch (codec {codec!r}): stored 0x")
         assert err.value.__notes__ == [f"column {codec!r} of {path}"]

@@ -455,80 +455,3 @@ class TestContainerFuzz:
         bad.write_bytes(blob[:10])
         with pytest.raises(ValueError, match="too short|trailer"):
             open_rcs(bad)
-
-class TestDecodeInto:
-    """``decode_column(out=...)``: the stitched-read destination contract."""
-
-    @staticmethod
-    def _cases():
-        rng = np.random.default_rng(11)
-        return {
-            "delta": np.cumsum(rng.integers(0, 5, 2000)),
-            "qdelta": np.cumsum(rng.integers(-40, 40, 2000)) * 0.1,
-            "fxor": (rng.normal(2000, 1, 2000) // 1).astype(np.float64),
-            "dict": np.repeat(np.arange(6, dtype=np.int64), 400),
-            "zframe": np.zeros(2000, dtype="U4"),
-        }
-
-    @pytest.mark.parametrize("codec", ["delta", "qdelta", "fxor", "dict",
-                                       "zframe"])
-    def test_every_codec_fills_the_destination(self, codec):
-        arr = self._cases()[codec]
-        attempt = getattr(enc, f"_try_{codec}")
-        meta, payload = attempt(np.ascontiguousarray(arr))
-        assert meta["codec"] == codec
-        meta["crc"] = zlib.crc32(payload) & 0xFFFFFFFF
-        buf = np.empty(len(arr), dtype=arr.dtype)
-        got = decode_column(meta, payload, arr.dtype, len(arr), out=buf)
-        assert got is buf  # the caller's array, not a fresh allocation
-        if arr.dtype.kind == "U":
-            assert np.array_equal(buf, arr)
-        else:
-            assert_bitwise_equal(buf, np.ascontiguousarray(arr))
-
-    def test_row_slice_destination(self):
-        # the stitched to_table decodes shards into row-slices of one array
-        arr = np.cumsum(np.random.default_rng(12).integers(-9, 9, 500)) * 0.5
-        meta, payload = enc._try_qdelta(arr)
-        meta["crc"] = zlib.crc32(payload) & 0xFFFFFFFF
-        big = np.full(1500, np.nan)
-        decode_column(meta, payload, arr.dtype, len(arr), out=big[500:1000])
-        assert_bitwise_equal(big[500:1000].copy(), arr)
-        assert np.isnan(big[:500]).all() and np.isnan(big[1000:]).all()
-
-    def test_destination_validation(self):
-        arr = np.arange(100, dtype=np.int64)
-        meta, payload = enc._try_delta(arr)
-        meta["crc"] = zlib.crc32(payload) & 0xFFFFFFFF
-        bad = [
-            np.empty(100, dtype=np.float64),        # wrong dtype
-            np.empty(99, dtype=np.int64),           # wrong shape
-            np.empty(200, dtype=np.int64)[::2],     # non-contiguous
-        ]
-        frozen = np.empty(100, dtype=np.int64)
-        frozen.setflags(write=False)                # read-only
-        bad.append(frozen)
-        for out in bad:
-            with pytest.raises(ValueError, match="out must be"):
-                decode_column(meta, payload, arr.dtype, 100, out=out)
-
-    def test_narrow_int_goes_through_the_copy_path(self):
-        # delta's in-place fast path is int64-only; an int16 column must
-        # still land bit-exactly in an int16 destination
-        arr = np.cumsum(
-            np.random.default_rng(13).integers(0, 3, 300)
-        ).astype(np.int16)
-        meta, payload = enc._try_delta(arr)
-        meta["crc"] = zlib.crc32(payload) & 0xFFFFFFFF
-        buf = np.empty(300, dtype=np.int16)
-        assert decode_column(meta, payload, arr.dtype, 300, out=buf) is buf
-        assert_bitwise_equal(buf, arr)
-
-    def test_corruption_still_raises_with_destination(self):
-        arr = np.cumsum(np.random.default_rng(14).integers(0, 5, 400))
-        meta, payload = enc._try_delta(arr)
-        meta["crc"] = zlib.crc32(payload) & 0xFFFFFFFF
-        buf = np.empty(400, dtype=np.int64)
-        with pytest.raises(ColumnarFormatError, match="CRC"):
-            decode_column(meta, payload[:-1] + b"\x7f", arr.dtype, 400,
-                          out=buf)

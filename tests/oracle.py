@@ -4,7 +4,10 @@
 time range and node selection, then runs the kernels once — no shards, no
 plan, no pipeline, no service.  Every archive route
 (``plan_query(q, ds).execute()``, ``Pipeline.telemetry_series``, the query
-service) must equal it bit for bit, at the cluster and node levels.
+service) must equal it bit for bit at the cluster and node levels.  At the
+raw level it is the projected row set in the table's own order; the archive
+hands rows back shard by shard, so compare the two as whole rows with
+:func:`by_rows`.
 """
 
 import numpy as np
@@ -23,8 +26,17 @@ def single_pass(telemetry, query=Query()):
     nodes = query.node_selection()
     if nodes is not None:
         sub = sub.filter(np.isin(np.asarray(sub[query.by]), nodes))
+    if query.level == "raw":
+        return sub.select(
+            list(dict.fromkeys([query.by, query.time, *query.metrics])))
     coarse = coarsen_telemetry(sub, list(query.metrics), width=query.width,
                                by=(query.by,), time=query.time)
     if query.level == "node":
         return coarse.sort([query.by, query.time])
     return cluster_power_series(coarse, value=query.metrics[0])
+
+
+def by_rows(table):
+    """``table`` sorted on every column: equal for two tables exactly when
+    they hold the same rows, whatever order each came in."""
+    return table.sort(table.columns)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.frame import ColumnarFormatError, Table
+from repro.frame import ColumnarFormatError, Table, concat
 from repro.parallel import PartitionedDataset
 
 
@@ -59,9 +59,6 @@ class TestCreation:
 class TestAccess:
     def test_read_roundtrip(self, ds):
         assert ds.read(1) == shard(10.0)
-
-    def test_iteration(self, ds):
-        assert sum(t.n_rows for t in ds) == 30
 
     def test_time_range(self, ds):
         assert [(p.t_begin, p.t_end) for p in ds.partitions] == [
@@ -235,12 +232,12 @@ class TestPredicatePushdown:
         assert d.select_where("node", 3, 3) == [0, 1]
 
     def test_scan_equals_filtered_full_read(self, tmp_path):
-        # a pruned scan: zone maps pick the shards, one merged read slices
+        # a pruned scan: zone maps pick the shards, each is sliced
         d = PartitionedDataset.create(tmp_path / "t", "t")
         for lo in (0.0, 10.0, 20.0):
             d.append(mixed_shard(lo), lo, lo + 10.0)
-        got = d.read_time_range_merged(d.select_time(5.0, 25.0), 5.0, 25.0,
-                                       ["timestamp", "v"])
+        got = concat([d.read_time_range(i, 5.0, 25.0, ["timestamp", "v"])
+                      for i in d.select_time(5.0, 25.0)])
         full = d.to_table()
         t = full["timestamp"]
         want = full.filter((t >= 5.0) & (t < 25.0)).select(["timestamp", "v"])
@@ -249,7 +246,7 @@ class TestPredicatePushdown:
             assert np.array_equal(got[c], want[c])
 
 class TestStitchedToTable:
-    """The single-allocation ``to_table`` path and its fallbacks."""
+    """``to_table``: every shard read, then one concat into owned arrays."""
 
     @staticmethod
     def _mixed_shard(lo, n=600, seed=0):
@@ -262,14 +259,11 @@ class TestStitchedToTable:
         })
 
     def test_matches_read_concat(self, tmp_path):
-        from repro.frame.table import concat
-
         d = PartitionedDataset.create(tmp_path / "s", "stitch")
         for i in range(4):
             d.append(self._mixed_shard(i * 600.0, seed=i),
                      i * 600.0, (i + 1) * 600.0)
         stitched = d.to_table()
-        assert stitched is not None  # the rcs fast path applies
         manual = concat([d.read(i) for i in range(d.n_partitions)])
         assert stitched.columns == manual.columns
         for c in stitched.columns:
@@ -293,14 +287,13 @@ class TestStitchedToTable:
             d.to_table(columns=["ghost"])
 
     def test_schema_drift_falls_back_to_promotion(self, tmp_path):
-        # same column name, different dtypes across shards: the stitch
-        # bails out and concat's numpy promotion applies, as before
+        # same column name, different dtypes across shards: concat's
+        # numpy promotion applies
         d = PartitionedDataset.create(tmp_path / "d", "drift")
         d.append(Table({"timestamp": np.arange(5.0),
                         "v": np.arange(5, dtype=np.int32)}), 0.0, 5.0)
         d.append(Table({"timestamp": np.arange(5.0, 10.0),
                         "v": np.arange(5, dtype=np.int64)}), 5.0, 10.0)
-        assert d._stitch(range(d.n_partitions), None) is None
         t = d.to_table()
         assert t.n_rows == 10
         assert t["v"].dtype == np.int64
@@ -314,60 +307,3 @@ class TestStitchedToTable:
             arr = np.asarray(t[c])
             assert arr.flags.writeable, c
             assert arr.base is None, c
-
-
-class TestMergedTimeRangeRead:
-    def _concat_reference(self, ds, idx, lo, hi, columns=None):
-        from repro.frame.table import concat
-
-        parts = [ds.read_time_range(i, lo, hi, columns) for i in idx]
-        return parts[0] if len(parts) == 1 else concat(parts)
-
-    def test_matches_per_shard_concat(self, ds):
-        idx = ds.select_time(3.0, 27.0)
-        merged = ds.read_time_range_merged(idx, 3.0, 27.0)
-        assert merged == self._concat_reference(ds, idx, 3.0, 27.0)
-
-    def test_projection_and_open_range(self, ds):
-        idx = ds.select_time(-np.inf, np.inf)
-        merged = ds.read_time_range_merged(idx, -np.inf, np.inf, ["v"])
-        assert merged.columns == ["v"]
-        assert merged == self._concat_reference(
-            ds, idx, -np.inf, np.inf, ["v"]
-        )
-
-    def test_empty_selection_has_schema(self, ds):
-        merged = ds.read_time_range_merged([], 5.0, 5.0)
-        assert merged.n_rows == 0
-        assert merged.columns == ["timestamp", "v"]
-
-    def test_compressed_shards_match(self, tmp_path):
-        rng = np.random.default_rng(5)
-        d = PartitionedDataset.create(tmp_path / "c", "c")
-        for k in range(4):
-            n = 200
-            t = Table({
-                "timestamp": np.arange(k * n, (k + 1) * n, dtype=np.float64),
-                "node": np.arange(n, dtype=np.int64) % 8,
-                "v": rng.normal(size=n),
-            })
-            d.append(t, float(k * n), float((k + 1) * n))
-        idx = d.select_time(150.0, 650.0)
-        merged = d.read_time_range_merged(idx, 150.0, 650.0, ["node", "v"])
-        assert merged == self._concat_reference(
-            d, idx, 150.0, 650.0, ["node", "v"]
-        )
-
-    def test_unsorted_time_falls_back_to_concat(self, tmp_path):
-        # searchsorted slicing needs a sorted time column: a shard without
-        # one sends the whole read down the per-shard mask path
-        d = PartitionedDataset.create(tmp_path / "z", "z")
-        d.append(shard(0.0), 0.0, 10.0)
-        d.append(shard(10.0).take(np.arange(10)[::-1]), 10.0, 20.0)
-        idx = d.select_time(2.0, 18.0)
-        assert d._stitch(idx, None, (2.0, 18.0)) is None
-        merged = d.read_time_range_merged(idx, 2.0, 18.0)
-        assert merged == self._concat_reference(d, idx, 2.0, 18.0)
-        assert np.array_equal(
-            np.sort(merged["timestamp"]), np.arange(2.0, 18.0)
-        )

@@ -343,7 +343,7 @@ class TestPushdownEquivalence:
         assert (warm.stats.stage("fused").cache_hits
                 == cold.stats.stage("fused").cache_misses)
         # raw content is never hashed: without a token nothing is cached,
-        # nor is the merged read of a raw plan, which has no shard identity
+        # nor are a raw plan's per-shard reads, which are archive rows
         for kwargs in (dict(), dict(query=Query(level="raw"),
                                     cache_token=f"tel-{fmt}")):
             bare = Pipeline(twin_small, cfg)

@@ -118,12 +118,14 @@ class TestTaskClassification:
                 base.shards[0]
             )
 
-    def test_raw_level_is_one_merged_task(self, dataset):
+    def test_raw_level_is_one_task_per_shard(self, dataset):
         plan = plan_query(Query(t_begin=0.0, t_end=900.0, level="raw"),
                           dataset)
         tasks = plan.tasks()
-        assert len(tasks) == 1 and tasks[0].coverage == "raw"
-        assert tasks[0].fragment_key is None
+        assert [t.index for t in tasks] == plan.shards
+        assert len(tasks) > 1
+        for t in tasks:
+            assert t.coverage == "raw" and t.fragment_key is None
 
     def test_aligned_slice_is_bit_identical(self, dataset):
         # the property the whole cache rests on: slice-of-full-fragment

@@ -17,10 +17,17 @@ import repro.frame
 import repro.obs
 from repro.core.aggregate import cluster_power_series
 from repro.core.coarsen import coarsen_telemetry
-from repro.frame import compression_mode, group_by, save_rcs, window_aggregate
+from repro.frame import (
+    RcsFile,
+    compression_mode,
+    decode_column,
+    group_by,
+    save_rcs,
+    window_aggregate,
+)
 from repro.frame.window import window_index
 from repro.obs import trace
-from repro.parallel import Executor
+from repro.parallel import Executor, PartitionedDataset
 from repro.pipeline import ArtifactCache, PipelineConfig, StageStats
 from repro.plan import plan_query
 from repro.serve import QueryClient, ResultCache, ServiceConfig, SingleFlight
@@ -176,6 +183,40 @@ def test_frame_surface_is_a_closed_set():
         "open_rcs", "load_rcs", "zone_map", "CODECS", "ColumnarFormatError",
         "compression_mode", "decode_column", "encode_column",
     ]
+
+
+def test_read_surface_is_a_closed_set():
+    """A second multi-shard reader that decoded every shard into one
+    preallocated table (``read_time_range_merged``, ``read_range_into``,
+    ``decode_column(out=)``) had no ledger number behind it and went:
+    a multi-shard read is per-shard reads plus ``concat``.  A
+    destination-buffer path arrives with its ledger verdict."""
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    def methods(cls):
+        return [
+            name for name, _ in inspect.getmembers(cls, callable)
+            if not name.startswith("_")
+        ]
+
+    assert params(decode_column) == ["meta", "payload", "dtype", "n_rows"]
+    assert methods(RcsFile) == ["read", "read_time_range"]
+    assert params(RcsFile.read) == ["self", "columns", "rows"]
+    assert params(RcsFile.read_time_range) == [
+        "self", "t_begin", "t_end", "columns", "time",
+    ]
+    assert methods(PartitionedDataset) == [
+        "append", "compact", "create", "encoding_summary", "read",
+        "read_time_range", "select_time", "select_where", "time_bounds",
+        "to_table",
+    ]
+    assert params(PartitionedDataset.read) == ["self", "index", "columns"]
+    assert params(PartitionedDataset.read_time_range) == [
+        "self", "index", "t_begin", "t_end", "columns", "time",
+    ]
+    assert params(PartitionedDataset.to_table) == ["self", "columns"]
+    assert "__iter__" not in vars(PartitionedDataset)
 
 
 def test_obs_surface_is_a_closed_set():
