@@ -25,6 +25,7 @@ from repro.frame import (
     save_rcs,
     window_aggregate,
 )
+from repro.frame.encodings import frame_compress, frame_decompress
 from repro.frame.window import window_index
 from repro.obs import trace
 from repro.parallel import Executor, PartitionedDataset
@@ -183,6 +184,20 @@ def test_frame_surface_is_a_closed_set():
         "open_rcs", "load_rcs", "zone_map", "CODECS", "ColumnarFormatError",
         "compression_mode", "decode_column", "encode_column",
     ]
+
+
+def test_one_deflate_with_no_knob():
+    """Columns are framed by one zlib deflate at one level and one
+    strategy: no parameter selects another, and no second framing path
+    (a plain ``zlib.compress``) sits beside it.  The reader takes the
+    column's bound, never a setting."""
+    assert list(inspect.signature(frame_compress).parameters) == ["payload"]
+    assert list(inspect.signature(frame_decompress).parameters) == [
+        "tag", "buf", "limit",
+    ]
+    text = (SRC / "frame" / "encodings.py").read_text()
+    assert len(re.findall(r"\bcompressobj\(", text)) == 1
+    assert "zlib.compress(" not in text
 
 
 def test_read_surface_is_a_closed_set():
