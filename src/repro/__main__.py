@@ -395,7 +395,7 @@ def cmd_spec(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Summit power/energy/thermal twin (SC '21 reproduction)",
@@ -558,4 +558,4 @@ def _run_command(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -24,8 +24,8 @@ from repro.machine.components import ChipPopulation
 from repro.machine.topology import GPU_COOLING_POSITION, Topology
 
 
-def first_order_lag(x: np.ndarray, dt: float, tau: float, axis: int = -1) -> np.ndarray:
-    """First-order low-pass along ``axis`` with time constant ``tau``.
+def first_order_lag(x: np.ndarray, dt: float, tau: float) -> np.ndarray:
+    """First-order low-pass along the last axis with time constant ``tau``.
 
     Initialized at the first sample (no start-up transient), which matches
     snapshots cut out of a longer steady simulation.
@@ -37,9 +37,8 @@ def first_order_lag(x: np.ndarray, dt: float, tau: float, axis: int = -1) -> np.
     b = np.array([alpha])
     a = np.array([1.0, alpha - 1.0])
     # direct-form-II-transposed state for y[-1] = x[0]: z[-1] = (1-alpha)*y[-1]
-    x0 = np.take(x, [0], axis=axis)
-    zi = (1.0 - alpha) * x0
-    y, _ = lfilter(b, a, x, axis=axis, zi=zi)
+    zi = (1.0 - alpha) * x[..., :1]
+    y, _ = lfilter(b, a, x, axis=-1, zi=zi)
     return y
 
 
@@ -81,7 +80,6 @@ class ComponentThermalModel:
         gpu_power_w: np.ndarray,
         supply_c: np.ndarray | float,
         dt: float,
-        lag: bool = True,
     ) -> np.ndarray:
         """GPU core temperatures.
 
@@ -122,7 +120,7 @@ class ComponentThermalModel:
                 )
 
         steady = water_in + preheat + r * p
-        out = first_order_lag(steady, dt, self.TAU_S) if lag else steady
+        out = first_order_lag(steady, dt, self.TAU_S)
         return out[..., 0] if single else out
 
     def cpu_temperature(
@@ -131,7 +129,6 @@ class ComponentThermalModel:
         cpu_power_w: np.ndarray,
         supply_c: np.ndarray | float,
         dt: float,
-        lag: bool = True,
     ) -> np.ndarray:
         """CPU core temperatures, shape like ``cpu_power_w`` ``(n, 2[, t])``.
 
@@ -147,5 +144,5 @@ class ComponentThermalModel:
         cab = self.cabinet_offset_c[self.topology.node_cabinet[nodes]]
         water_in = np.asarray(supply_c, dtype=np.float64) + cab[:, None, None]
         steady = water_in + r * p
-        out = first_order_lag(steady, dt, self.TAU_S) if lag else steady
+        out = first_order_lag(steady, dt, self.TAU_S)
         return out[..., 0] if single else out

@@ -36,7 +36,6 @@ from repro.core.jobjoin import (
 )
 from repro.core.energy import job_energy
 from repro.core.edges import (
-    Edge,
     detect_edges,
     edges_per_job,
     extract_snapshot,
@@ -74,7 +73,6 @@ __all__ = [
     "job_power_summary",
     "job_component_summary",
     "job_energy",
-    "Edge",
     "detect_edges",
     "edges_per_job",
     "extract_snapshot",

@@ -15,49 +15,50 @@ import numpy as np
 
 from repro.config import SUMMIT
 from repro.frame.table import Table
-from repro.frame.window import window_aggregate, DEFAULT_STATS
+from repro.frame.window import window_aggregate
+
+
+def finite_rows(telemetry: Table, values: Sequence[str]) -> tuple[Table, int]:
+    """``(rows, dropped)``: the rows of ``telemetry`` whose every float
+    ``values`` column is finite, in their order, and how many went.
+
+    Raises ``KeyError`` naming the ``values``, ``node`` or ``timestamp``
+    columns ``telemetry`` lacks.
+    """
+    missing = [c for c in ("timestamp", *values, "node")
+               if c not in telemetry]
+    if missing:
+        raise KeyError(f"telemetry lacks columns {missing}")
+    ok = np.ones(telemetry.n_rows, dtype=bool)
+    for c in values:
+        col = telemetry[c]
+        if col.dtype.kind == "f":
+            ok &= np.isfinite(col)
+    if ok.all():
+        return telemetry, 0
+    return telemetry.filter(ok), int((~ok).sum())
 
 
 def coarsen_telemetry(
     telemetry: Table,
     values: Sequence[str],
     width: float = SUMMIT.coarsen_window_s,
-    by: Sequence[str] = ("node",),
-    time: str = "timestamp",
-    drop_nan: bool = True,
-    presorted: bool | None = None,
 ) -> Table:
     """Per-node windowed statistics of raw telemetry.
 
-    ``drop_nan`` removes rows where any requested value is NaN *before*
-    windowing (the telemetry path blanks lost sensors to NaN; the real
-    pipeline simply never received those payloads).  Window ``count``
-    therefore reflects the samples that actually arrived.
-
-    ``presorted=True`` declares the telemetry time-ordered within each
-    ``by`` group (the archived layout: node-major, time ascending), which
-    routes the windowed group-by through the run-length kernel — no
-    factorize, no argsort; the default ``None`` probes for that order in
-    O(n).  Either way the output is bit-identical to the generic kernel.
+    Rows where any requested value is NaN are dropped *before* windowing
+    (the telemetry path blanks lost sensors to NaN; the real pipeline
+    simply never received those payloads).  Window ``count`` therefore
+    reflects the samples that actually arrived.  The windowed group-by
+    probes, in O(n), for the archived layout (node-major, time ascending)
+    and takes the run-length kernel when it holds — bit-identical to the
+    generic kernel either way.
     """
-    missing = [c for c in values if c not in telemetry]
-    if missing:
-        raise KeyError(f"telemetry lacks columns {missing}")
-    work = telemetry
-    if drop_nan:
-        ok = np.ones(work.n_rows, dtype=bool)
-        for c in values:
-            col = work[c]
-            if col.dtype.kind == "f":
-                ok &= np.isfinite(col)
-        if not ok.all():
-            work = work.filter(ok)  # order-preserving: sortedness survives
+    work, _ = finite_rows(telemetry, values)  # order-preserving
     return window_aggregate(
         work,
-        time=time,
+        time="timestamp",
         width=width,
         values=list(values),
-        stats=DEFAULT_STATS,
-        by=list(by),
-        presorted=presorted,
+        by=["node"],
     )

@@ -15,10 +15,9 @@ def _clean(values: np.ndarray) -> np.ndarray:
     return v[np.isfinite(v)]
 
 
-def quantiles(
-    values: np.ndarray, qs: tuple[float, ...] = (0.2, 0.5, 0.8)
-) -> np.ndarray:
-    """Selected quantiles (NaN-safe)."""
+def quantiles(values: np.ndarray) -> np.ndarray:
+    """The 20/50/80 % quantiles (NaN-safe)."""
+    qs = (0.2, 0.5, 0.8)
     v = _clean(values)
     if len(v) == 0:
         return np.full(len(qs), np.nan)
@@ -96,9 +95,9 @@ def kde_2d(
     return {"x": gx, "y": gy, "density": dens}
 
 
-def modality_count_2d(density: np.ndarray, rel_threshold: float = 0.05) -> int:
-    """Number of local maxima of a 2-D KDE field above ``rel_threshold`` of
-    its peak — Figure 6's "several high-density regions" made countable.
+def modality_count_2d(density: np.ndarray) -> int:
+    """Number of local maxima of a 2-D KDE field above 5 % of its peak —
+    Figure 6's "several high-density regions" made countable.
 
     A cell is a mode if it is >= all 8 neighbours and above the threshold.
     """
@@ -114,4 +113,4 @@ def modality_count_2d(density: np.ndarray, rel_threshold: float = 0.05) -> int:
                 continue
             is_max &= core >= pad[1 + dx: d.shape[0] + 1 + dx,
                                   1 + dy: d.shape[1] + 1 + dy]
-    return int(((d > rel_threshold * d.max()) & is_max).sum())
+    return int(((d > 0.05 * d.max()) & is_max).sum())

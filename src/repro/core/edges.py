@@ -16,82 +16,64 @@ Definitions straight from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.config import SUMMIT
-from repro.frame.table import Table
+from repro.frame.table import Table, concat
 
-EDGE_COLUMNS = (
-    "start_index",
-    "time",
-    "direction",
-    "amplitude_w",
-    "initial_w",
-    "peak_w",
-    "duration_s",
-    "returned",
+#: ``(column, dtype)`` of an edge table, in column order: the batch
+#: detector and the streaming one emit exactly this schema
+EDGE_SCHEMA = (
+    ("start_index", np.int64),
+    ("time", np.float64),
+    ("direction", np.int64),      # +1 rising, -1 falling
+    ("amplitude_w", np.float64),  # cumulative signed change over the steps
+    ("initial_w", np.float64),
+    ("peak_w", np.float64),
+    ("duration_s", np.float64),
+    ("returned", np.bool_),       # False if truncated by the end of series
 )
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One detected edge."""
-
-    start_index: int
-    time: float
-    direction: int          # +1 rising, -1 falling
-    amplitude_w: float      # cumulative signed change over the edge steps
-    initial_w: float
-    peak_w: float
-    duration_s: float
-    returned: bool          # False if truncated by the end of the series
-
-
-def _empty_edges() -> Table:
-    return Table(
-        {
-            "start_index": np.empty(0, np.int64),
-            "time": np.empty(0),
-            "direction": np.empty(0, np.int64),
-            "amplitude_w": np.empty(0),
-            "initial_w": np.empty(0),
-            "peak_w": np.empty(0),
-            "duration_s": np.empty(0),
-            "returned": np.empty(0, bool),
-        }
-    )
+def edge_table(rows: list[dict]) -> Table:
+    """The edge table of ``rows`` (dicts holding at least every
+    :data:`EDGE_SCHEMA` column)."""
+    return Table({
+        name: np.array([r[name] for r in rows], dtype=dtype)
+        for name, dtype in EDGE_SCHEMA
+    })
 
 
 def detect_edges(
     times: np.ndarray,
     power_w: np.ndarray,
     threshold_w: float,
-    return_fraction: float = SUMMIT.edge_return_fraction,
 ) -> Table:
     """Detect edges in one power series; returns an edge table.
 
-    ``times`` must be evenly spaced and aligned with ``power_w``.
+    ``times`` must be evenly spaced and aligned with ``power_w``.  An
+    edge's duration ends when power has returned
+    ``SUMMIT.edge_return_fraction`` of the way from its peak.
     """
     times = np.asarray(times, dtype=np.float64)
     power_w = np.asarray(power_w, dtype=np.float64)
     if times.shape != power_w.shape:
         raise ValueError("times and power must align")
     if len(power_w) < 2:
-        return _empty_edges()
+        return edge_table([])
 
     d = np.diff(power_w)
     sign = np.where(d > threshold_w, 1, np.where(d < -threshold_w, -1, 0))
     if not sign.any():
-        return _empty_edges()
+        return edge_table([])
 
     # runs of identical nonzero sign -> one edge each
     boundaries = np.flatnonzero(np.diff(sign) != 0) + 1
     run_starts = np.concatenate([[0], boundaries])
     run_ends = np.concatenate([boundaries, [len(sign)]])
 
-    rows: list[Edge] = []
+    return_fraction = SUMMIT.edge_return_fraction
+    rows: list[dict] = []
     n = len(power_w)
     for rs, re_ in zip(run_starts, run_ends):
         s = sign[rs]
@@ -126,35 +108,21 @@ def detect_edges(
         else:
             duration = times[target_hit] - times[start]
             returned = True
-        rows.append(
-            Edge(start, float(times[start]), int(s), float(amplitude),
-                 float(initial), float(peak), float(duration), returned)
-        )
-
-    if not rows:
-        return _empty_edges()
-    return Table(
-        {
-            "start_index": np.array([e.start_index for e in rows], np.int64),
-            "time": np.array([e.time for e in rows]),
-            "direction": np.array([e.direction for e in rows], np.int64),
-            "amplitude_w": np.array([e.amplitude_w for e in rows]),
-            "initial_w": np.array([e.initial_w for e in rows]),
-            "peak_w": np.array([e.peak_w for e in rows]),
-            "duration_s": np.array([e.duration_s for e in rows]),
-            "returned": np.array([e.returned for e in rows], bool),
-        }
-    )
+        rows.append({
+            "start_index": start, "time": float(times[start]),
+            "direction": int(s), "amplitude_w": float(amplitude),
+            "initial_w": float(initial), "peak_w": float(peak),
+            "duration_s": float(duration), "returned": returned,
+        })
+    return edge_table(rows)
 
 
-def edges_per_job(
-    job_series: Table,
-    threshold_w_per_node: float = SUMMIT.edge_threshold_w_per_node,
-    value: str = "sum_inp",
-) -> tuple[Table, Table]:
-    """Run edge detection over every job in a Dataset 3-style series.
+def edges_per_job(job_series: Table) -> tuple[Table, Table]:
+    """Run edge detection over every job's ``sum_inp`` in a Dataset
+    3-style series.
 
-    The threshold scales with the job's node count (868 W/node).  Returns
+    The threshold scales with the job's node count
+    (``SUMMIT.edge_threshold_w_per_node``, 868 W/node).  Returns
     ``(edges, per_job)``:
 
     * ``edges`` — all edges with an ``allocation_id`` column added,
@@ -169,7 +137,7 @@ def edges_per_job(
     ends = np.concatenate([bounds, [len(ids_sorted)]])
 
     ts_all = job_series["timestamp"][order]
-    p_all = job_series[value][order]
+    p_all = job_series["sum_inp"][order]
     nodes_all = job_series["count_hostname"][order]
 
     edge_parts: list[Table] = []
@@ -188,7 +156,7 @@ def edges_per_job(
             o2 = np.argsort(ts, kind="stable")
             ts, p = ts[o2], p[o2]
         nc = int(nodes_all[s:e].max())
-        thr = threshold_w_per_node * nc
+        thr = SUMMIT.edge_threshold_w_per_node * nc
         edges = detect_edges(ts, p, thr)
         n_r = int((edges["direction"] == 1).sum())
         n_f = int((edges["direction"] == -1).sum())
@@ -214,11 +182,9 @@ def edges_per_job(
         }
     )
     if edge_parts:
-        from repro.frame.table import concat
-
         all_edges = concat(edge_parts)
     else:
-        all_edges = _empty_edges().with_column(
+        all_edges = edge_table([]).with_column(
             "allocation_id", np.empty(0, np.int64)
         )
     return all_edges, per_job

@@ -2,29 +2,23 @@
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.config import SUMMIT
 from repro.frame.groupby import group_by
 from repro.frame.table import Table
 
 
-def job_energy(
-    job_series: Table,
-    window_s: float = 10.0,
-    gpu_series: Table | None = None,
-) -> Table:
+def job_energy(job_series: Table) -> Table:
     """Per-job total energy from the job-wise power series.
 
     Energy is the window-width-weighted sum of the per-window summed power
-    (each row of Dataset 3 represents ``window_s`` seconds of the whole
-    allocation).  Columns: ``allocation_id, energy, num_nodes, begin_time,
-    end_time`` plus ``gpu_energy`` when a Dataset 4-style GPU series is
-    provided.
+    (each row of Dataset 3 represents one ``SUMMIT.coarsen_window_s``
+    window of the whole allocation).  Columns: ``allocation_id, energy,
+    num_nodes, begin_time, end_time``.
     """
     work = job_series.with_column(
-        "_window_j", job_series["sum_inp"] * window_s
+        "_window_j", job_series["sum_inp"] * SUMMIT.coarsen_window_s
     )
-    g = group_by(
+    return group_by(
         work,
         "allocation_id",
         {
@@ -34,17 +28,3 @@ def job_energy(
             "end_time": ("timestamp", "max"),
         },
     )
-    if gpu_series is not None:
-        gw = gpu_series.with_column(
-            "_gpu_j",
-            gpu_series["mean_gpu_power"]
-            * gpu_series["count_hostname"]
-            * window_s,
-        )
-        gg = group_by(gw, "allocation_id", {"gpu_energy": ("_gpu_j", "sum")})
-        from repro.frame.join import join
-
-        g = join(g, gg, "allocation_id", how="left")
-        ge = g["gpu_energy"]
-        g = g.with_column("gpu_energy", np.where(np.isnan(ge), 0.0, ge))
-    return g

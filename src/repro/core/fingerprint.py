@@ -81,9 +81,10 @@ def job_fingerprints(
 
 
 def kmeans(
-    x: np.ndarray, k: int, seed: int = 0, n_iter: int = 50
+    x: np.ndarray, k: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Plain Lloyd's k-means (k-means++ init); returns (centers, labels)."""
+    """Plain Lloyd's k-means (k-means++ init, at most 50 rounds); returns
+    (centers, labels)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if k <= 0 or k > n:
@@ -100,7 +101,7 @@ def kmeans(
         d2 = np.minimum(d2, ((x - centers[i]) ** 2).sum(axis=1))
 
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(n_iter):
+    for _ in range(50):
         dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist.argmin(axis=1)
         if np.array_equal(new_labels, labels):
@@ -126,10 +127,9 @@ def user_portraits(
 
 def portrait_prediction_error(
     fingerprints: dict[str, np.ndarray],
-    train_fraction: float = 0.7,
     seed: int = 0,
 ) -> dict[str, float]:
-    """Predict per-node mean power of held-out jobs.
+    """Predict per-node mean power of the held-out 30 % of jobs.
 
     Compares the global-history baseline (predict the training mean) with
     the user-portrait predictor.  Following the paper ("queued jobs will
@@ -150,7 +150,7 @@ def portrait_prediction_error(
         raise ValueError("need at least 10 jobs")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0A7]))
     perm = rng.permutation(n)
-    n_train = int(round(train_fraction * n))
+    n_train = int(round(0.7 * n))
     tr, te = perm[:n_train], perm[n_train:]
 
     global_mean = y[tr].mean()

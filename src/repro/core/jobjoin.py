@@ -29,8 +29,8 @@ def tag_allocations(coarse: Table, node_allocations: Table) -> Table:
     )
 
 
-def job_power_series(tagged: Table, value: str = "input_power") -> Table:
-    """Dataset 3: per-(job, timestamp) power across the job's nodes.
+def job_power_series(tagged: Table) -> Table:
+    """Dataset 3: per-(job, timestamp) input power across the job's nodes.
 
     Columns: ``allocation_id, timestamp, count_hostname, sum_inp, mean_inp,
     max_inp``.  Idle rows (allocation_id == -1) are dropped.
@@ -41,9 +41,9 @@ def job_power_series(tagged: Table, value: str = "input_power") -> Table:
         ["allocation_id", "timestamp"],
         {
             "count_hostname": "count",
-            "sum_inp": (f"{value}_mean", "sum"),
-            "mean_inp": (f"{value}_mean", "mean"),
-            "max_inp": (f"{value}_max", "max"),
+            "sum_inp": ("input_power_mean", "sum"),
+            "mean_inp": ("input_power_mean", "mean"),
+            "max_inp": ("input_power_max", "max"),
         },
     )
     return g.sort(["allocation_id", "timestamp"])

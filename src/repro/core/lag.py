@@ -16,13 +16,12 @@ def estimate_lag_s(
     response: np.ndarray,
     dt: float,
     max_lag_s: float,
-    difference: bool = True,
 ) -> tuple[float, float]:
     """Lag (seconds) at which ``response`` best tracks ``driver``.
 
     Positive lag means the response *follows* the driver.  Both series are
-    first-differenced by default (power/tonnage are strongly trending, and
-    it is the transition timing the question is about).
+    first-differenced (power/tonnage are strongly trending, and it is the
+    transition timing the question is about).
 
     Returns ``(lag_s, peak_correlation)``; ``(nan, nan)`` when either
     series is too short or constant.
@@ -31,9 +30,8 @@ def estimate_lag_s(
     y = np.asarray(response, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError("driver and response must have equal length")
-    if difference:
-        x = np.diff(x)
-        y = np.diff(y)
+    x = np.diff(x)
+    y = np.diff(y)
     n = len(x)
     max_k = int(round(max_lag_s / dt))
     if n < 4 or max_k < 1 or x.std() == 0 or y.std() == 0:

@@ -9,6 +9,10 @@ from repro.frame.table import Table
 
 SECONDS_PER_WEEK = 7 * 86_400.0
 
+#: facility overhead as a fraction of IT power: the memoryless stand-in for
+#: the central plant that a PUE query and the streaming PUE both apply
+PUE_OVERHEAD = 0.1
+
 
 def pue_series(it_power_w: np.ndarray, overhead_w: np.ndarray) -> np.ndarray:
     """PUE = (IT + overhead) / IT, elementwise."""

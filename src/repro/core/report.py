@@ -14,15 +14,15 @@ import numpy as np
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
-def fmt_si(value: float, unit: str = "", digits: int = 3) -> str:
-    """Format with SI prefix: 5_500_000 W -> '5.50 MW'."""
+def fmt_si(value: float, unit: str = "") -> str:
+    """Format with SI prefix to three digits: 5_500_000 W -> '5.50 MW'."""
     if value is None or (isinstance(value, float) and not np.isfinite(value)):
         return "nan"
     v = float(value)
     for factor, prefix in ((1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "k")):
         if abs(v) >= factor:
-            return f"{v / factor:.{digits - 1}f} {prefix}{unit}".rstrip()
-    return f"{v:.{digits - 1}f} {unit}".rstrip()
+            return f"{v / factor:.2f} {prefix}{unit}".rstrip()
+    return f"{v:.2f} {unit}".rstrip()
 
 
 def render_table(
@@ -84,16 +84,14 @@ def sparkline(values: np.ndarray, width: int = 60) -> str:
     return "".join(out)
 
 
-def render_series(
-    name: str, values: np.ndarray, unit: str = "", width: int = 60
-) -> str:
+def render_series(name: str, values: np.ndarray, unit: str = "") -> str:
     """One labeled sparkline row with min/mean/max annotations."""
     v = np.asarray(values, dtype=np.float64)
     finite = v[np.isfinite(v)]
     if len(finite) == 0:
         return f"{name:28s} (no data)"
     return (
-        f"{name:28s} {sparkline(v, width)} "
+        f"{name:28s} {sparkline(v)} "
         f"[{fmt_si(float(finite.min()), unit)} .. "
         f"{fmt_si(float(finite.max()), unit)}; "
         f"mean {fmt_si(float(finite.mean()), unit)}]"
@@ -117,20 +115,15 @@ def render_hist(
     return "\n".join(lines)
 
 
-def render_cdf_quantiles(
-    name: str,
-    values: np.ndarray,
-    unit: str = "",
-    qs: tuple[float, ...] = (0.2, 0.5, 0.8, 0.95, 1.0),
-) -> str:
-    """One-line CDF summary: quantiles of a sample."""
+def render_cdf_quantiles(name: str, values: np.ndarray, unit: str = "") -> str:
+    """One-line CDF summary: the 20/50/80/95/100 % quantiles of a sample."""
     v = np.asarray(values, dtype=np.float64)
     v = v[np.isfinite(v)]
     if len(v) == 0:
         return f"{name:28s} (no data)"
     parts = [
         f"p{int(q * 100):02d}={fmt_si(float(np.quantile(v, q)), unit)}"
-        for q in qs
+        for q in (0.2, 0.5, 0.8, 0.95, 1.0)
     ]
     return f"{name:28s} n={len(v):<7d} " + "  ".join(parts)
 
@@ -142,13 +135,12 @@ def render_grid(
     grid: np.ndarray,
     title: str | None = None,
     missing_mask: np.ndarray | None = None,
-    missing_char: str = "G",
-    legend: bool = True,
 ) -> str:
-    """ASCII heatmap of a 2-D field (the Figure 17 cabinet view).
+    """ASCII heatmap of a 2-D field (the Figure 17 cabinet view), with a
+    scale legend.
 
     NaN cells render as space (no cabinet / not in job); cells flagged in
-    ``missing_mask`` render as ``missing_char`` (the paper's bright-green
+    ``missing_mask`` render as ``G`` (the paper's bright-green
     lost-telemetry cabinet).
     """
     g = np.asarray(grid, dtype=np.float64)
@@ -163,16 +155,15 @@ def render_grid(
         row_chars = []
         for c in range(g.shape[1]):
             if missing_mask is not None and missing_mask[r, c]:
-                row_chars.append(missing_char)
+                row_chars.append("G")
             elif not np.isfinite(g[r, c]):
                 row_chars.append(" ")
             else:
                 idx = int((g[r, c] - lo) / span * (len(_SHADES) - 1))
                 row_chars.append(_SHADES[idx])
         lines.append("|" + "".join(row_chars) + "|")
-    if legend:
-        lines.append(
-            f"scale: '{_SHADES[0]}'={_cell(lo)} .. '{_SHADES[-1]}'={_cell(hi)}"
-            + (f"; '{missing_char}'=missing" if missing_mask is not None else "")
-        )
+    lines.append(
+        f"scale: '{_SHADES[0]}'={_cell(lo)} .. '{_SHADES[-1]}'={_cell(hi)}"
+        + ("; 'G'=missing" if missing_mask is not None else "")
+    )
     return "\n".join(lines)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import SUMMIT
 from repro.frame.table import Table
 
 
@@ -35,38 +36,31 @@ def dominant_mode(
     return (float(freqs[k]), float(2.0 * mag[k] / n))
 
 
-def welch_window(nperseg: int, window: str = "hann") -> np.ndarray:
-    """Taper for one Welch segment: ``"hann"`` or ``"boxcar"``."""
-    if window == "hann":
-        return np.hanning(nperseg)
-    if window == "boxcar":
-        return np.ones(nperseg)
-    raise ValueError(f"unknown window {window!r} (use 'hann' or 'boxcar')")
+#: samples per Welch segment; segments advance by half of it
+WELCH_NPERSEG = 64
 
 
-def welch_psd(
-    x: np.ndarray,
-    dt: float,
-    nperseg: int = 64,
-    hop: int | None = None,
-    window: str = "hann",
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Averaged periodogram of ``x`` over ``nperseg``-sample segments.
+def welch_window(nperseg: int) -> np.ndarray:
+    """Hann taper for one Welch segment."""
+    return np.hanning(nperseg)
 
-    Segments start at ``0, hop, 2*hop, ...`` while they fit entirely inside
-    ``x`` (trailing partial segments are ignored); each is tapered and its
-    ``|rfft|^2 / sum(w^2)`` accumulated.  Returns ``(freqs, psd,
-    n_segments)`` — the batch reference the streaming
-    :class:`~repro.stream.operators.OnlineSpectral` estimator matches
-    exactly, since both walk the same segments in the same order.
+
+def welch_psd(x: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Averaged periodogram of ``x`` over :data:`WELCH_NPERSEG`-sample
+    segments.
+
+    Segments start at ``0, hop, 2*hop, ...`` (``hop`` half a segment)
+    while they fit entirely inside ``x`` (trailing partial segments are
+    ignored); each is Hann-tapered and its ``|rfft|^2 / sum(w^2)``
+    accumulated.  Returns ``(freqs, psd, n_segments)`` — the batch
+    reference the streaming :class:`~repro.stream.operators.OnlineSpectral`
+    estimator matches exactly, since both walk the same segments in the
+    same order.
     """
     x = np.asarray(x, dtype=np.float64)
-    if nperseg < 2:
-        raise ValueError("nperseg must be >= 2")
-    hop = int(hop) if hop is not None else nperseg // 2
-    if not 1 <= hop <= nperseg:
-        raise ValueError("hop must be in [1, nperseg]")
-    win = welch_window(nperseg, window)
+    nperseg = WELCH_NPERSEG
+    hop = nperseg // 2
+    win = welch_window(nperseg)
     wss = float(np.sum(win * win))
     freqs = np.fft.rfftfreq(nperseg, d=dt)
     psd_sum = np.zeros(nperseg // 2 + 1)
@@ -81,12 +75,9 @@ def welch_psd(
     return (freqs, psd, n_segments)
 
 
-def job_spectral_summary(
-    job_series: Table,
-    dt: float = 10.0,
-    value: str = "sum_inp",
-) -> Table:
-    """Per-job dominant frequency and amplitude from a Dataset 3 series.
+def job_spectral_summary(job_series: Table) -> Table:
+    """Per-job dominant frequency and amplitude of ``sum_inp`` in a
+    Dataset 3 series (sampled every ``SUMMIT.coarsen_window_s``).
 
     Columns: ``allocation_id, fft_freq_hz, fft_amplitude_w, n_samples``.
     Jobs with under 4 samples get NaN mode values (kept, so the caller sees
@@ -96,7 +87,7 @@ def job_spectral_summary(
     order = np.argsort(ids, kind="stable")
     ids_sorted = ids[order]
     ts_all = job_series["timestamp"][order]
-    p_all = job_series[value][order]
+    p_all = job_series["sum_inp"][order]
     bounds = np.flatnonzero(np.diff(ids_sorted)) + 1
     starts = np.concatenate([[0], bounds])
     ends = np.concatenate([bounds, [len(ids_sorted)]])
@@ -112,7 +103,7 @@ def job_spectral_summary(
         if len(ts) > 1 and np.any(np.diff(ts) < 0):
             o2 = np.argsort(ts, kind="stable")
             p = p[o2]
-        f, a = dominant_mode(p, dt)
+        f, a = dominant_mode(p, SUMMIT.coarsen_window_s)
         out_id[i] = ids_sorted[s]
         out_f[i] = f
         out_a[i] = a

@@ -18,9 +18,9 @@ from repro.frame.table import Table
 def msb_validation(
     meter_w: np.ndarray,
     summation_w: np.ndarray,
-    msb_names: tuple[str, ...] | None = None,
 ) -> dict[str, object]:
-    """Compare meter and summation series (both ``(n_msbs, n_t)``).
+    """Compare meter and summation series (both ``(n_msbs, n_t)``); the
+    MSBs are named ``A``, ``B``, ... in row order.
 
     Returns
     -------
@@ -40,8 +40,7 @@ def msb_validation(
     if meter_w.shape != summation_w.shape:
         raise ValueError("meter and summation shapes differ")
     n_msb, n_t = meter_w.shape
-    if msb_names is None:
-        msb_names = tuple(chr(ord("A") + i) for i in range(n_msb))
+    msb_names = tuple(chr(ord("A") + i) for i in range(n_msb))
 
     diffs = summation_w - meter_w
     mean_diff = diffs.mean(axis=1)

@@ -123,10 +123,12 @@ class TwinData:
             seed=self.spec.seed,
         )
 
-    def job_series(self, dt: float = 10.0, components: bool = False) -> Table:
-        """Dataset 3 (or 3+4 with ``components``) for every started job."""
+    def job_series(self, components: bool = False) -> Table:
+        """Dataset 3 (or 3+4 with ``components``) for every started job,
+        at the coarsen window."""
         return job_power_series_direct(
-            self.catalog, self.schedule, self.chips, dt=dt,
+            self.catalog, self.schedule, self.chips,
+            dt=self.config.coarsen_window_s,
             components=components, seed=self.spec.seed,
         )
 

@@ -30,9 +30,9 @@ def write_partitioned_series(
     name: str,
     day_s: float = 86_400.0,
     t_end: float | None = None,
-    time: str = "timestamp",
 ) -> PartitionedDataset:
-    """Write ``table`` as a day-partitioned dataset under ``root / name``.
+    """Write ``table`` as a ``day_s``-partitioned dataset under
+    ``root / name``, split on its ``timestamp`` column.
 
     ``t_end`` bounds the partition sweep; when None it is taken from the
     last sample (+1 s), since jobs started before the horizon close may run
@@ -45,7 +45,7 @@ def write_partitioned_series(
     input falls back to the per-day boolean mask.  Both paths write
     identical shards.
     """
-    t = table[time]
+    t = table["timestamp"]
     if t_end is None:
         t_end = float(t.max()) + 1.0
     ds = PartitionedDataset.create(Path(root) / name, name)
@@ -65,9 +65,7 @@ def write_partitioned_series(
     return ds
 
 
-def export_datasets(
-    twin, root: str | Path, day_s: float = 86_400.0
-) -> dict[str, object]:
+def export_datasets(twin, root: str | Path) -> dict[str, object]:
     """Write the twin's core datasets to ``root`` in the artifact layout.
 
     * ``allocations.csv`` — Dataset C analogue,
@@ -88,10 +86,10 @@ def export_datasets(
     series = twin.job_series()
     times, power = twin.cluster_power()
 
-    write_partitioned_series(series, root, "job_series", day_s)
+    write_partitioned_series(series, root, "job_series")
     write_partitioned_series(
         Table({"timestamp": times, "sum_inp": power}),
-        root, "cluster_power", day_s, t_end=twin.spec.horizon_s,
+        root, "cluster_power", t_end=twin.spec.horizon_s,
     )
     return dataset_inventory(twin, root)
 

@@ -14,22 +14,21 @@ import numpy as np
 
 from repro.frame.table import Table
 
-#: default temperature band edges (degC) for the operator histogram
+#: temperature band edges (degC) of the operator histogram
 DEFAULT_BANDS: tuple[float, ...] = (30.0, 40.0, 50.0, 55.0, 60.0, 65.0, 70.0)
 
 #: a GPU at or above this core temperature counts as "hot"
 HOT_THRESHOLD_C = 65.0
 
 
-def temperature_band_counts(
-    temps: np.ndarray, bands: tuple[float, ...] = DEFAULT_BANDS
-) -> np.ndarray:
-    """Histogram GPU temperatures into operator bands.
+def temperature_band_counts(temps: np.ndarray) -> np.ndarray:
+    """Histogram GPU temperatures into the :data:`DEFAULT_BANDS`.
 
     ``temps`` is any-shape array of component temperatures for one
-    interval; returns ``len(bands) + 1`` counts for ``(-inf, b0), [b0, b1),
-    ..., [b_last, inf)``.  NaNs (lost sensors) are excluded.
+    interval; returns ``len(DEFAULT_BANDS) + 1`` counts for ``(-inf, b0),
+    [b0, b1), ..., [b_last, inf)``.  NaNs (lost sensors) are excluded.
     """
+    bands = DEFAULT_BANDS
     t = np.asarray(temps, dtype=np.float64).ravel()
     t = t[np.isfinite(t)]
     edges = np.concatenate([[-np.inf], bands, [np.inf]])
@@ -42,7 +41,6 @@ def thermal_cluster_series(
     t0: float,
     t1: float,
     dt: float = 10.0,
-    bands: tuple[float, ...] = DEFAULT_BANDS,
 ) -> Table:
     """Dataset 8/9 analogue: cluster-wide thermal state per interval.
 
@@ -60,6 +58,7 @@ def thermal_cluster_series(
     )
 
     n_t = arr.n_times
+    bands = DEFAULT_BANDS
     n_bands = len(bands) + 1
     band_counts = np.empty((n_t, n_bands), dtype=np.int64)
     gmean = np.empty(n_t)
@@ -69,7 +68,7 @@ def thermal_cluster_series(
     for k in range(n_t):
         slice_t = temps[:, :, k]
         finite = slice_t[np.isfinite(slice_t)]
-        band_counts[k] = temperature_band_counts(slice_t, bands)
+        band_counts[k] = temperature_band_counts(slice_t)
         n_rep[k] = finite.size
         n_hot[k] = int((finite >= HOT_THRESHOLD_C).sum())
         gmean[k] = finite.mean() if finite.size else np.nan

@@ -44,6 +44,9 @@ IDLE_GPU_TEMP_C = 25.0
 #: chip-to-chip temperature spread at equal power (degC, one sigma)
 CHIP_TEMP_SIGMA_C = 3.0
 
+#: share of failure-time temperatures lost to the spring/summer outage
+TEMP_LOSS_FRACTION = 0.12
+
 
 @dataclass
 class FailureLog:
@@ -82,11 +85,9 @@ class FailureLog:
         return {t.name: float(s) for t, s in zip(XID_TYPES, share)}
 
 
-def job_thermal_summary(
-    catalog: JobCatalog,
-    supply_c: float = fahrenheit_to_celsius(70.0) + 0.6,
-) -> Table:
-    """Per-job GPU temperature distribution summary (Dataset 10 condensed).
+def job_thermal_summary(catalog: JobCatalog) -> Table:
+    """Per-job GPU temperature distribution summary (Dataset 10 condensed),
+    at the nominal 70 degF supply plus the usual 0.6 degC.
 
     Derived in closed form from the job's profile parameters and the nominal
     thermal model: mean temperature from mean GPU power, std pooled from the
@@ -120,6 +121,7 @@ def job_thermal_summary(
     u_mean = np.clip(u_mean, 0.0, 1.0)
 
     p_mean = cfg.gpu_idle_w + dyn * u_mean
+    supply_c = fahrenheit_to_celsius(70.0) + 0.6
     temp_mean = supply_c + 1.2 + r_nom * p_mean
     temporal = r_nom * dyn * u_amp * 0.5
     temp_std = np.sqrt(temporal**2 + CHIP_TEMP_SIGMA_C**2)
@@ -188,14 +190,13 @@ def generate_failures(
     schedule: ScheduleResult,
     seed: int = 0,
     intensity: float = 1.0,
-    temp_loss_fraction: float = 0.12,
 ) -> FailureLog:
     """Generate the XID log for a scheduled twin period.
 
     ``intensity`` linearly scales all rates (use >1 to collect meaningful
-    hardware-failure statistics on a small twin).  ``temp_loss_fraction``
-    blanks that share of temperatures to NaN, modeling the paper's
-    spring/summer telemetry loss.
+    hardware-failure statistics on a small twin).  A
+    :data:`TEMP_LOSS_FRACTION` share of temperatures is blanked to NaN,
+    modeling the paper's spring/summer telemetry loss.
     """
     cfg = catalog.config
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFA11]))
@@ -392,7 +393,7 @@ def generate_failures(
         temps[sel] = tv
     temps = np.maximum(temps, 18.0)
 
-    lost = rng.random(n) < temp_loss_fraction
+    lost = rng.random(n) < TEMP_LOSS_FRACTION
     temps[lost] = np.nan
 
     codes = np.array([t.code for t in XID_TYPES], dtype=np.int64)

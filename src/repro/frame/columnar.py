@@ -548,8 +548,6 @@ def open_rcs(path: str | os.PathLike) -> RcsFile:
     return RcsFile(path)
 
 
-def load_rcs(
-    path: str | os.PathLike, columns: list[str] | None = None
-) -> Table:
-    """Load (a projection of) an ``.rcs`` shard as a table."""
-    return RcsFile(path).read(columns)
+def load_rcs(path: str | os.PathLike) -> Table:
+    """Load a whole ``.rcs`` shard as a table."""
+    return RcsFile(path).read()

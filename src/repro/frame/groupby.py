@@ -36,19 +36,7 @@ from repro.frame.ops import lex_sorted, multi_factorize, run_starts
 from repro.frame.table import Table
 
 #: Supported aggregation names.
-AGGREGATIONS = (
-    "count",
-    "sum",
-    "mean",
-    "min",
-    "max",
-    "std",
-    "var",
-    "first",
-    "last",
-    "median",
-    "nunique",
-)
+AGGREGATIONS = ("count", "sum", "mean", "min", "max", "std")
 
 
 def _grouped_sum(sorted_vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -72,30 +60,13 @@ class _GroupPlan:
     path) and value columns are consumed without a gather.
     """
 
-    __slots__ = ("starts", "counts", "n_groups", "key_uniques", "order", "_codes")
+    __slots__ = ("starts", "counts", "key_uniques", "order")
 
     def __init__(self, starts, counts, key_uniques, order):
         self.starts = starts
         self.counts = counts
-        self.n_groups = len(starts)
         self.key_uniques = key_uniques
         self.order = order
-        self._codes = None
-
-    def codes(self) -> np.ndarray:
-        """Dense group code per row (built lazily; only median/nunique and
-        the generic kernel need it)."""
-        if self._codes is None:
-            in_group_order = np.repeat(
-                np.arange(self.n_groups, dtype=np.intp), self.counts
-            )
-            if self.order is None:
-                self._codes = in_group_order
-            else:
-                codes = np.empty(len(in_group_order), dtype=np.intp)
-                codes[self.order] = in_group_order
-                self._codes = codes
-        return self._codes
 
 
 def _plan_sorted(key_arrays: list[np.ndarray]) -> _GroupPlan:
@@ -153,9 +124,7 @@ def _plan_generic(key_arrays: list[np.ndarray]) -> _GroupPlan:
     counts = np.bincount(codes, minlength=n_groups).astype(np.intp, copy=False)
     starts = np.zeros(n_groups, dtype=np.intp)
     np.cumsum(counts[:-1], out=starts[1:])
-    plan = _GroupPlan(starts, counts, key_uniques, order=order)
-    plan._codes = codes
-    return plan
+    return _GroupPlan(starts, counts, key_uniques, order=order)
 
 
 def _resolve_plan(
@@ -228,7 +197,7 @@ def group_by(
                 out_cols[out_name] = np.empty(0, dtype=np.int64)
             else:
                 col, how = spec  # type: ignore[misc]
-                dtype = np.int64 if how in ("count", "nunique") else np.float64
+                dtype = np.int64 if how == "count" else np.float64
                 out_cols[out_name] = np.empty(0, dtype=dtype)
         return Table(out_cols)
 
@@ -252,7 +221,7 @@ def group_by(
 
     float_sums: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     def float_sum(name: str, vals: np.ndarray) -> tuple:
-        """mean and std/var of a column share its float64 cast and sums"""
+        """mean and std of a column share its float64 cast and sums"""
         if name not in float_sums:
             v = vals.astype(np.float64, copy=False)
             float_sums[name] = (v, _grouped_sum(v, starts))
@@ -277,37 +246,13 @@ def group_by(
             out_cols[out_name] = np.minimum.reduceat(vals, starts)
         elif how == "max":
             out_cols[out_name] = np.maximum.reduceat(vals, starts)
-        elif how in ("std", "var"):
+        elif how == "std":
             v, s = float_sum(col, vals)
             ss = _grouped_sum(v * v, starts)
             mean = s / counts
             var = ss / counts - mean * mean
             np.maximum(var, 0.0, out=var)  # guard fp cancellation
-            out_cols[out_name] = var if how == "var" else np.sqrt(var)
-        elif how == "first":
-            out_cols[out_name] = vals[starts]
-        elif how == "last":
-            out_cols[out_name] = vals[starts + counts - 1]
-        elif how == "median":
-            # secondary sort by value within groups, then index the middles
-            order2 = np.lexsort((table[col], plan.codes()))
-            v2 = table[col][order2]
-            lo = starts + (counts - 1) // 2
-            hi = starts + counts // 2
-            out_cols[out_name] = 0.5 * (
-                v2[lo].astype(np.float64) + v2[hi].astype(np.float64)
-            )
-        elif how == "nunique":
-            codes = plan.codes()
-            order2 = np.lexsort((table[col], codes))
-            v2 = table[col][order2]
-            c2 = codes[order2]
-            new_val = np.empty(len(v2), dtype=bool)
-            new_val[0] = True
-            new_val[1:] = (v2[1:] != v2[:-1]) | (c2[1:] != c2[:-1])
-            out_cols[out_name] = np.bincount(
-                c2[new_val], minlength=plan.n_groups
-            ).astype(np.int64)
+            out_cols[out_name] = np.sqrt(var)
         else:
             raise ValueError(
                 f"unknown aggregation {how!r}; expected one of {AGGREGATIONS}"

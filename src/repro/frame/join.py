@@ -40,14 +40,13 @@ def join(
     right: Table,
     on: str | Sequence[str],
     how: str = "inner",
-    suffix: str = "_right",
 ) -> Table:
     """Equi-join two tables on one or more key columns.
 
     ``how`` is ``"inner"`` or ``"left"``.  For a left join, unmatched rows
     receive NaN in float columns, -1 in integer columns, and ``""`` in string
     columns from the right side.  Right-side columns that collide with
-    left-side names get ``suffix`` appended.  Output preserves the order of
+    left-side names get ``_right`` appended.  Output preserves the order of
     the left table (duplicated per right match).
     """
     on_names = [on] if isinstance(on, str) else list(on)
@@ -95,7 +94,7 @@ def join(
         col = right[name][right_idx]
         if how == "left" and not valid.all():
             col = _mask_fill(col, ~valid)
-        out_name = name if name not in out else name + suffix
+        out_name = name if name not in out else name + "_right"
         out[out_name] = col
     return Table(out)
 
@@ -129,9 +128,11 @@ def interval_join(
     end: str,
     by: str | None = None,
     id_columns: Sequence[str] = ("allocation_id",),
-    fill: int = -1,
 ) -> Table:
     """Assign each sample the interval (job allocation) covering it.
+
+    A sample covered by no interval gets -1 in integer id columns and
+    ``""`` in string ones.
 
     Parameters
     ----------
@@ -142,9 +143,6 @@ def interval_join(
         Table with ``begin``/``end`` columns (half-open ``[begin, end)``),
         the same ``by`` column, and the ``id_columns`` to propagate.  Within
         each ``by`` group the intervals must be non-overlapping.
-    fill:
-        Value for samples covered by no interval (propagated id columns are
-        cast to int64; string id columns get ``""``).
 
     Notes
     -----
@@ -198,6 +196,6 @@ def interval_join(
         col = intervals[idc][src]
         col = _mask_fill(np.asarray(col), ~covered) if not covered.all() else np.asarray(col).copy()
         if col.dtype.kind in "iu":
-            col[~covered] = fill
+            col[~covered] = -1
         out[idc] = col
     return Table(out)

@@ -169,8 +169,8 @@ class Table:
         """First ``n`` rows."""
         return self[:n]
 
-    def sort(self, by: str | Sequence[str], ascending: bool = True) -> "Table":
-        """Stable lexicographic sort by one or more key columns.
+    def sort(self, by: str | Sequence[str]) -> "Table":
+        """Stable ascending lexicographic sort by one or more key columns.
 
         With multiple keys the first name is the primary key (numpy's
         ``lexsort`` takes them last-key-primary, so we reverse).
@@ -182,8 +182,6 @@ class Table:
             order = np.argsort(self._cols[keys[0]], kind="stable")
         else:
             order = np.lexsort([self._cols[k] for k in reversed(keys)])
-        if not ascending:
-            order = order[::-1]
         return self[order]
 
     def unique(self, column: str) -> np.ndarray:

@@ -100,45 +100,40 @@ def window_aggregate(
     time: str,
     width: float,
     values: Sequence[str],
-    stats: Sequence[str] = DEFAULT_STATS,
     by: Sequence[str] = (),
-    presorted: bool | None = None,
 ) -> Table:
     """Aggregate ``values`` over fixed windows of ``width`` seconds.
 
     Output has one row per (``by`` group, window), a window-start
-    ``timestamp`` column, and per value column ``{col}_{stat}`` columns
-    (plus a single shared ``count`` column if ``"count"`` is requested).
+    ``timestamp`` column, a shared ``count`` column, and per value column
+    the ``{col}_{stat}`` columns of the other :data:`DEFAULT_STATS`.
 
     Empty windows simply do not appear (matching the telemetry semantics:
     BMCs only push on change, the archive stores what arrived).
 
-    ``presorted=True`` declares the rows already ordered by
-    ``(*by, window index)`` — rows time-ordered within each ``by`` group is
-    sufficient — unlocking the run-length group-by kernel (no factorize, no
-    argsort).  ``None`` (default) probes for that order in O(n); ``False``
-    skips the run-length path.  All three produce bit-identical output.
-    With ``by=()`` key factorization is skipped entirely either way: the
-    window column alone needs at most one stable argsort.
+    Rows already ordered by ``(*by, window index)`` — rows time-ordered
+    within each ``by`` group is sufficient — are found by an O(n) probe and
+    take the run-length group-by kernel (no factorize, no argsort); the
+    output is bit-identical either way.  With ``by=()`` key factorization
+    is skipped entirely: the window column alone needs at most one stable
+    argsort.
     """
     missing = [c for c in (time, *values, *by) if c not in table]
     if missing:
         raise KeyError(f"columns not in table: {missing}")
     return _aggregate_windows(table, window_index(table[time], width), width,
-                              values, stats, by, presorted)
+                              values, by, None)
 
 
 def _aggregate_windows(table: Table, win: np.ndarray, width: float,
-                       values: Sequence[str], stats: Sequence[str],
-                       by: Sequence[str], presorted: bool | None) -> Table:
-    """:func:`window_aggregate` given each row's window index ``win``."""
+                       values: Sequence[str], by: Sequence[str],
+                       presorted: bool | None) -> Table:
+    """:func:`window_aggregate` given each row's window index ``win``;
+    ``presorted`` as :func:`~repro.frame.groupby.group_by` takes it."""
     cols = {c: table[c] for c in (*by, *values)}
     cols["_win"] = win
-    aggs: dict[str, tuple[str, str] | str] = {}
-    for stat in stats:
-        if stat == "count":
-            aggs["count"] = "count"
-            continue
+    aggs: dict[str, tuple[str, str] | str] = {"count": "count"}
+    for stat in DEFAULT_STATS[1:]:
         for col in values:
             aggs[f"{col}_{stat}"] = (col, stat)
 
@@ -146,4 +141,3 @@ def _aggregate_windows(table: Table, win: np.ndarray, width: float,
                    presorted=presorted).as_dict()
     out["timestamp"] = out.pop("_win").astype(np.float64) * width
     return Table(out)
-

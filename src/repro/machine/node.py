@@ -26,10 +26,9 @@ class NodePowerModel:
         self,
         config: SummitConfig = SUMMIT,
         chips: ChipPopulation | None = None,
-        seed: int = 0,
     ):
         self.config = config
-        self.chips = chips if chips is not None else ChipPopulation(config, seed)
+        self.chips = chips if chips is not None else ChipPopulation(config, 0)
 
     def component_power(
         self,

@@ -90,10 +90,10 @@ class Topology:
             raise IndexError(f"cabinet {cabinet} out of range")
         return np.flatnonzero(self.node_cabinet == cabinet)
 
-    def cabinet_grid(self, per_cabinet: np.ndarray, fill: float = np.nan) -> np.ndarray:
+    def cabinet_grid(self, per_cabinet: np.ndarray) -> np.ndarray:
         """Scatter a per-cabinet value vector onto the (row, col) floor grid.
 
-        Cells with no cabinet get ``fill``.  This renders the Figure 17
+        Cells with no cabinet are NaN.  This renders the Figure 17
         heatmaps.
         """
         per_cabinet = np.asarray(per_cabinet, dtype=np.float64)
@@ -101,7 +101,7 @@ class Topology:
             raise ValueError(
                 f"expected {self.n_cabinets} cabinet values, got {per_cabinet.shape[0]}"
             )
-        grid = np.full((self.n_rows, self.cabinets_per_row), fill)
+        grid = np.full((self.n_rows, self.cabinets_per_row), np.nan)
         grid[self.cabinet_row, self.cabinet_col] = per_cabinet
         return grid
 

@@ -21,8 +21,8 @@ class Counter:
     __slots__ = ("value",)
     kind = "counter"
 
-    def __init__(self, value: float = 0):
-        self.value = value
+    def __init__(self):
+        self.value = 0
 
     def inc(self, amount: float = 1) -> None:
         self.value += amount
@@ -37,8 +37,8 @@ class Gauge:
     __slots__ = ("value",)
     kind = "gauge"
 
-    def __init__(self, value: float = 0):
-        self.value = value
+    def __init__(self):
+        self.value = 0
 
     def set(self, value: float) -> None:
         self.value = value

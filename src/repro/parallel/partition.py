@@ -184,13 +184,10 @@ class PartitionedDataset:
         opened; empty for a dataset with no shards)."""
         return list(self.partitions[0].zone) if self.partitions else []
 
-    def read(self, index: int, columns: list[str] | None = None) -> Table:
-        """Load one shard, optionally projected onto ``columns``.
-
-        The projection is zero-copy for raw columns: only the named
-        columns' byte ranges are mapped.
-        """
-        return load_rcs(self.root / self.partitions[index].filename, columns)
+    def read(self, index: int) -> Table:
+        """Load one whole shard (a projected read is
+        :meth:`read_time_range` with ``columns``)."""
+        return load_rcs(self.root / self.partitions[index].filename)
 
     def read_time_range(
         self,
@@ -335,18 +332,15 @@ class PartitionedDataset:
             out.append(p.index)
         return out
 
-    def to_table(self, columns: list[str] | None = None) -> Table:
+    def to_table(self) -> Table:
         """Materialize the whole dataset (small datasets / tests only).
 
-        Every shard is read, projected onto ``columns``, and one
-        :func:`~repro.frame.table.concat` copies the pieces into a table
-        of owned arrays.
+        Every shard is read, and one :func:`~repro.frame.table.concat`
+        copies the pieces into a table of owned arrays.
         """
         if not self.partitions:
             raise ValueError("empty dataset")
-        return concat(
-            [self.read(i, columns) for i in range(self.n_partitions)]
-        )
+        return concat([self.read(i) for i in range(self.n_partitions)])
 
     # ---------------- maintenance ----------------
 

@@ -522,6 +522,8 @@ class TelemetryServer:
 
     A request line longer than :data:`MAX_REQUEST_BYTES` is answered with
     an ``error`` response, counted in ``errors``, and ends the connection.
+    An exception raised while answering a request is an ``internal
+    error`` response, also counted in ``errors``; the connection stays.
     """
 
     def __init__(
@@ -612,7 +614,16 @@ class TelemetryServer:
             if isinstance(raw_ctx, dict) else None
         )
         with trace.span("serve.request", _parent=ctx, op=op) as sp:
-            resp = await self._dispatch_op(op, req)
+            try:
+                resp = await self._dispatch_op(op, req)
+            except Exception as err:
+                # a fault inside the service: the client gets one answer
+                # and keeps its connection, and the fault is counted
+                self.service.stats.record_error()
+                resp = {
+                    "status": "error",
+                    "error": f"internal error: {type(err).__name__}: {err}",
+                }
             sp.set(status=resp.get("status"))
             table = resp.get("table")
             try:

@@ -68,16 +68,15 @@ class StreamGraph:
         self,
         op: Operator,
         after: str | None = None,
-        name: str | None = None,
         collect: bool | None = None,
     ) -> str:
         """Attach ``op`` downstream of node ``after`` (or of the source).
 
         ``collect=None`` collects output only if the node is still a leaf
         when :meth:`run` starts; ``True``/``False`` force it.  Returns the
-        node's (unique) name.
+        node's name: the operator's, suffixed ``2``, ``3``, ... when taken.
         """
-        base = name or op.name
+        base = op.name
         final = base
         suffix = 2
         while final in self._nodes:

@@ -44,28 +44,26 @@ class TelemetryReplaySource:
         self,
         telemetry: Table,
         *,
-        time: str = "timestamp",
         batch_interval_s: float = 5.0,
         skew: bool = True,
         seed: int = 0,
         loss_events: Sequence[LossEvent] = (),
     ):
-        if time not in telemetry:
-            raise KeyError(f"telemetry lacks event-time column {time!r}")
+        if "timestamp" not in telemetry:
+            raise KeyError("telemetry lacks event-time column 'timestamp'")
         if batch_interval_s <= 0:
             raise ValueError(
                 f"batch_interval_s must be positive, got {batch_interval_s}"
             )
-        self.time = time
         self.batch_interval_s = float(batch_interval_s)
         self.skew = bool(skew)
         self.seed = int(seed)
         self.rows_total = telemetry.n_rows
         work, self.loss_dropped, self.loss_blanked = apply_loss(
             telemetry, loss_events,
-            np.asarray(telemetry[self.time], dtype=np.float64),
+            np.asarray(telemetry["timestamp"], dtype=np.float64),
         )
-        event = np.asarray(work[self.time], dtype=np.float64)
+        event = np.asarray(work["timestamp"], dtype=np.float64)
         if self.skew:
             rng = np.random.default_rng(
                 np.random.SeedSequence([self.seed, 0x57EA])

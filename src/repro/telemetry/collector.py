@@ -112,17 +112,15 @@ class TelemetrySampler:
         self,
         arrays: TraceArrays,
         gpu_temps: np.ndarray | None = None,
-        cpu_temps: np.ndarray | None = None,
     ) -> Table:
         """Long telemetry table from physical arrays.
 
-        ``gpu_temps``: optional ``(n_nodes, 6, n_t)`` core temperatures;
-        ``cpu_temps``: optional ``(n_nodes, 2, n_t)``.
+        ``gpu_temps``: optional ``(n_nodes, 6, n_t)`` core temperatures.
 
         Output columns: ``node``, ``timestamp`` (collector-stamped),
         ``input_power``, ``p0_power``, ``p1_power``, optional
         ``p{s}_gpu{g}_power`` (when per-GPU detail is present), optional
-        ``gpu{g}_core_temp``, ``p{s}_core_temp_max``.
+        ``gpu{g}_core_temp``.
         """
         rng = self._rng
         n, n_t = arrays.node_input_w.shape
@@ -171,12 +169,6 @@ class TelemetrySampler:
             for g in range(self.config.gpus_per_node):
                 raw = gpu_temps[:, g, :].reshape(-1)
                 cols[f"gpu{g}_core_temp"] = quantize_temperature(
-                    raw + rng.normal(0.0, 0.4, raw.shape)
-                )
-        if cpu_temps is not None:
-            for s in range(self.config.cpus_per_node):
-                raw = cpu_temps[:, s, :].reshape(-1)
-                cols[f"p{s}_core_temp_max"] = quantize_temperature(
                     raw + rng.normal(0.0, 0.4, raw.shape)
                 )
 

@@ -4,8 +4,7 @@ The production path is BMC -> per-rack websocket fan-in (288:1 via
 IBM-CRASSD service nodes) -> aggregation/stamping -> point of analysis.
 The paper reports a 460k metrics/s ingest rate, an average 2.5 s (max 5 s)
 stamping delay, and a 4.1 s mean end-to-end propagation delay.  This model
-reproduces that budget so ingest sizing questions ("what if we doubled the
-metric count?") can be answered quantitatively.
+reproduces that budget for Summit's metric catalog at any machine size.
 """
 
 from __future__ import annotations
@@ -27,6 +26,10 @@ AGGREGATION_MEAN_S = 2.5      # stamping delay at the aggregation point
 AGGREGATION_MAX_S = 5.0
 ANALYSIS_HOP_S = 0.85         # hand-off + query path to the analysis point
 
+#: *compressed* wire footprint per sample: ~2.2 B reproduces the paper's
+#: "460k metrics/s -> ~1 MB/s"
+BYTES_PER_METRIC = 2.2
+
 
 @dataclass(frozen=True)
 class IngestBudget:
@@ -40,19 +43,12 @@ class IngestBudget:
     max_delay_s: float
 
 
-def ingest_budget(
-    config: SummitConfig = SUMMIT,
-    metrics_per_node: int = N_METRICS,
-    bytes_per_metric: float = 2.2,
-) -> IngestBudget:
-    """Size the ingest path.
-
-    ``bytes_per_metric`` is the *compressed* wire footprint per sample;
-    ~2.2 B reproduces the paper's "460k metrics/s -> ~1 MB/s" claim.
-    """
+def ingest_budget(config: SummitConfig = SUMMIT) -> IngestBudget:
+    """Size the ingest path for :data:`~repro.telemetry.schema.N_METRICS`
+    metrics per node, each :data:`BYTES_PER_METRIC` on the wire."""
     n_nodes = config.n_nodes
     n_service = max(1, -(-n_nodes // FAN_IN_RATIO))
-    rate = n_nodes * metrics_per_node * config.telemetry_rate_hz
+    rate = n_nodes * N_METRICS * config.telemetry_rate_hz
     # calibration: the measured end-to-end mean on the real system is 4.1 s
     mean_delay = (
         BMC_EMIT_JITTER_S / 2
@@ -65,7 +61,7 @@ def ingest_budget(
         n_nodes=n_nodes,
         n_service_nodes=n_service,
         metrics_per_second=rate,
-        bytes_per_second=rate * bytes_per_metric,
+        bytes_per_second=rate * BYTES_PER_METRIC,
         mean_delay_s=mean_delay,
         max_delay_s=max_delay,
     )

@@ -47,12 +47,10 @@ class MsbMeters:
         )
         self._seed = seed
 
-    def measure(
-        self, node_input_w: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
+    def measure(self, node_input_w: np.ndarray) -> np.ndarray:
         """Meter readings, shape ``(n_msbs, n_t)``, from true node power
         ``(n_nodes, n_t)``."""
-        rng = rng or np.random.default_rng(np.random.SeedSequence([self._seed, 0x3E7]))
+        rng = np.random.default_rng(np.random.SeedSequence([self._seed, 0x3E7]))
         node_input_w = np.asarray(node_input_w, dtype=np.float64)
         n_msb = self.topology.n_msbs
         n_t = node_input_w.shape[1]

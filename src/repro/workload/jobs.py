@@ -166,26 +166,24 @@ def _walltimes_for_class(
     return np.clip(wt, 30.0, cap_s)
 
 
-def generate_jobs(
-    config: SummitConfig = SUMMIT,
-    n_jobs: int = 10_000,
-    horizon_s: float = 7 * 86400.0,
-    seed: int = 0,
-    utilization_hint: float | None = None,
-) -> JobCatalog:
-    """Generate a job catalog of ``n_jobs`` submitted over ``horizon_s``.
+def _job_shapes(
+    rng: np.random.Generator,
+    config: SummitConfig,
+    n_jobs: int,
+    horizon_s: float,
+    utilization_hint: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(class, node count, walltime, submit time)`` per job, drawn from
+    ``rng`` in a fixed order: the class mix, each class's node counts and
+    walltimes, the utilization thinning, then sorted submit times.
 
-    ``utilization_hint`` (0..1), when given, rescales the job count so that
-    the total requested node-seconds ≈ hint * machine node-seconds — useful
-    to hit the paper's 5-6 MW average band without hand-tuning per scale.
+    ``utilization_hint`` (0..1), when given, keeps a random subset of jobs
+    whose requested node-seconds ≈ hint * machine node-seconds.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x10B5]))
     classes_cfg = config.scheduling_classes()
-
     cls_draw = rng.choice(
         [c.index for c in classes_cfg], size=n_jobs, p=CLASS_WEIGHTS
     )
-
     node_count = np.empty(n_jobs, dtype=np.int64)
     walltime = np.empty(n_jobs, dtype=np.float64)
     for cls in classes_cfg:
@@ -212,6 +210,28 @@ def generate_jobs(
             n_jobs = keep
 
     submit = np.sort(rng.uniform(0.0, horizon_s, size=n_jobs))
+    return cls_draw, node_count, walltime, submit
+
+
+def generate_jobs(
+    config: SummitConfig = SUMMIT,
+    n_jobs: int = 10_000,
+    horizon_s: float = 7 * 86400.0,
+    seed: int = 0,
+    utilization_hint: float | None = None,
+) -> JobCatalog:
+    """Generate a job catalog of ``n_jobs`` submitted over ``horizon_s``.
+
+    ``utilization_hint`` (0..1), when given, rescales the job count so that
+    the total requested node-seconds ≈ hint * machine node-seconds — useful
+    to hit the paper's 5-6 MW average band without hand-tuning per scale.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x10B5]))
+    classes_cfg = config.scheduling_classes()
+    cls_draw, node_count, walltime, submit = _job_shapes(
+        rng, config, n_jobs, horizon_s, utilization_hint
+    )
+    n_jobs = len(submit)
 
     # domain / project / user assignment
     dom_weights = np.array([d.weight for d in DOMAINS])
@@ -311,8 +331,6 @@ def synthetic_catalog(
     n_jobs: int = 100_000,
     horizon_s: float = 365 * 86400.0,
     seed: int = 0,
-    utilization_hint: float | None = None,
-    class_weights: tuple[float, ...] = CLASS_WEIGHTS,
 ) -> JobCatalog:
     """Fully vectorized catalog for scale benchmarks and stress tests.
 
@@ -321,41 +339,12 @@ def synthetic_catalog(
     O(n) Python pass that dominates above ~100k jobs) is replaced by
     independent vectorized profile draws — fine for scheduler and trace
     throughput work, wrong for Section 9 fingerprinting studies.
-    ``class_weights`` reshapes the class mix (e.g. all-small-job fleets
-    for trace-synthesis stress).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CA1E]))
     classes_cfg = config.scheduling_classes()
-
-    cls_draw = rng.choice(
-        [c.index for c in classes_cfg], size=n_jobs, p=class_weights
+    cls_draw, node_count, walltime, submit = _job_shapes(
+        rng, config, n_jobs, horizon_s, None
     )
-    node_count = np.empty(n_jobs, dtype=np.int64)
-    walltime = np.empty(n_jobs, dtype=np.float64)
-    for cls in classes_cfg:
-        mask = cls_draw == cls.index
-        k = int(mask.sum())
-        node_count[mask] = _node_counts_for_class(
-            rng, cls.index, cls.min_nodes, cls.max_nodes, k
-        )
-        walltime[mask] = _walltimes_for_class(
-            rng, cls.index, cls.max_walltime_h * 3600.0, k
-        )
-
-    if utilization_hint is not None:
-        demand = float((node_count * walltime).sum())
-        capacity = config.n_nodes * horizon_s
-        scale = utilization_hint * capacity / max(demand, 1.0)
-        if scale < 1.0:
-            keep = int(max(1, round(n_jobs * scale)))
-            keep_idx = rng.choice(n_jobs, size=keep, replace=False)
-            keep_idx.sort()
-            cls_draw = cls_draw[keep_idx]
-            node_count = node_count[keep_idx]
-            walltime = walltime[keep_idx]
-            n_jobs = keep
-
-    submit = np.sort(rng.uniform(0.0, horizon_s, size=n_jobs))
 
     # profile parameters: one vector draw per column, kind mix close to
     # the per-domain sampler's aggregate behavior

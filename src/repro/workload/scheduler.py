@@ -503,9 +503,7 @@ def _assemble(catalog: JobCatalog, sim: _Sim) -> ScheduleResult:
     )
 
 
-def schedule_jobs(
-    catalog: JobCatalog, horizon_s: float, config: SummitConfig | None = None
-) -> ScheduleResult:
+def schedule_jobs(catalog: JobCatalog, horizon_s: float) -> ScheduleResult:
     """Convenience wrapper: schedule ``catalog`` on its machine."""
-    return Scheduler(config or catalog.config).run(catalog, horizon_s)
+    return Scheduler(catalog.config).run(catalog, horizon_s)
 

@@ -185,25 +185,20 @@ class TraceArrays:
         """Total input power time series (the Figure 5/10/11 quantity)."""
         return self.node_input_w.sum(axis=0)
 
-    def to_table(self, metrics: tuple[str, ...] = ("input", "cpu", "gpu")) -> Table:
+    def to_table(self) -> Table:
         """Long-format table: one row per (node, time).
 
-        Columns: ``node``, ``timestamp``, and ``input_power`` /
-        ``cpu_power`` / ``gpu_power`` as requested.
+        Columns: ``node``, ``timestamp``, ``input_power``, ``cpu_power``
+        and ``gpu_power``.
         """
         n, t = self.node_input_w.shape
         cols: dict[str, np.ndarray] = {
             "node": np.repeat(np.arange(n, dtype=np.int64), t),
             "timestamp": np.tile(self.times, n),
+            "input_power": self.node_input_w.reshape(-1),
+            "cpu_power": self.node_cpu_w.reshape(-1),
+            "gpu_power": self.node_gpu_w.reshape(-1),
         }
-        src = {
-            "input": ("input_power", self.node_input_w),
-            "cpu": ("cpu_power", self.node_cpu_w),
-            "gpu": ("gpu_power", self.node_gpu_w),
-        }
-        for m in metrics:
-            name, arr = src[m]
-            cols[name] = arr.reshape(-1)
         if self.node_alloc is not None:
             cols["allocation_id"] = self.node_alloc.reshape(-1)
         return Table(cols)

@@ -12,8 +12,8 @@ from repro.core.density import (
 
 class TestEcdf:
     def test_quantiles(self):
-        q = quantiles(np.arange(101, dtype=np.float64), (0.2, 0.8))
-        assert np.allclose(q, [20.0, 80.0])
+        q = quantiles(np.arange(101, dtype=np.float64))
+        assert np.allclose(q, [20.0, 50.0, 80.0])
 
 
 class TestBoxplot:

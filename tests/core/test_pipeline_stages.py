@@ -128,26 +128,6 @@ class TestEnergy:
                 "sum_inp": np.array([1000.0, 2000.0, 3000.0]),
             }
         )
-        e = job_energy(js, window_s=10.0)
+        e = job_energy(js)  # 10 s windows
         assert np.isclose(e["energy"][0], 60_000.0)
         assert e["num_nodes"][0] == 4
-
-    def test_gpu_energy_join(self):
-        js = Table(
-            {
-                "allocation_id": np.array([1], dtype=np.int64),
-                "timestamp": np.array([0.0]),
-                "count_hostname": np.array([2], dtype=np.int64),
-                "sum_inp": np.array([1000.0]),
-            }
-        )
-        gs = Table(
-            {
-                "allocation_id": np.array([1], dtype=np.int64),
-                "timestamp": np.array([0.0]),
-                "count_hostname": np.array([2], dtype=np.int64),
-                "mean_gpu_power": np.array([300.0]),
-            }
-        )
-        e = job_energy(js, window_s=10.0, gpu_series=gs)
-        assert np.isclose(e["gpu_energy"][0], 300.0 * 2 * 10.0)

@@ -191,7 +191,7 @@ class TestRenderGrid:
         from repro.core.report import render_grid
 
         g = np.array([[1.0, np.nan]])
-        out = render_grid(g, legend=False)
+        out = render_grid(g)
         assert out.splitlines()[0][2] == " "
 
     def test_missing_mask(self):
@@ -199,8 +199,8 @@ class TestRenderGrid:
 
         g = np.array([[1.0, np.nan]])
         mask = np.array([[False, True]])
-        out = render_grid(g, missing_mask=mask, legend=False)
-        assert "G" in out
+        out = render_grid(g, missing_mask=mask)
+        assert out.splitlines()[0] == "| G|"
 
     def test_all_nan(self):
         from repro.core.report import render_grid

@@ -51,8 +51,7 @@ class TestDominantMode:
 
 class TestJobSummary:
     def test_per_job_rows(self):
-        dt = 10.0
-        t = np.arange(0, 2000, dt)
+        t = np.arange(0, 2000, 10.0)  # the coarsen window
         p1 = 100 + 50 * np.sign(np.sin(2 * np.pi * t / 200.0))
         p2 = np.full_like(t, 300.0)
         js = Table(
@@ -64,7 +63,7 @@ class TestJobSummary:
                 "sum_inp": np.concatenate([p1, p2]),
             }
         )
-        out = job_spectral_summary(js, dt=dt)
+        out = job_spectral_summary(js)
         assert out.n_rows == 2
         row1 = out.filter(out["allocation_id"] == 1)
         assert row1["fft_freq_hz"][0] == pytest.approx(0.005, rel=0.2)

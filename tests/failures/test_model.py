@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.failures import generate_failures, job_thermal_summary
+from repro.failures.model import TEMP_LOSS_FRACTION
 from repro.failures.xid import XID_TYPES
 
 
@@ -56,9 +57,9 @@ class TestFailureLog:
 
     def test_temp_loss_fraction(self, twin):
         log = generate_failures(twin.catalog, twin.schedule, seed=3,
-                                intensity=40.0, temp_loss_fraction=0.5)
+                                intensity=40.0)
         missing = np.isnan(log.table["gpu_temp_c"]).mean()
-        assert 0.35 < missing < 0.65
+        assert abs(missing - TEMP_LOSS_FRACTION) < 0.07
 
     def test_double_bit_temp_cap(self, failures):
         t = failures.table

@@ -128,26 +128,26 @@ class TestRoundtripProperties:
             st.lists(st.sampled_from(list(cols)), min_size=1, unique=True)
         )
         assert_tables_identical(
-            load_rcs(root / "t.rcs", pick), t.select(pick)
+            open_rcs(root / "t.rcs").read(pick), t.select(pick)
         )
 
 
 class TestProjection:
     def test_subset_and_order(self, tmp_path):
         save_rcs(make(), tmp_path / "t.rcs")
-        out = load_rcs(tmp_path / "t.rcs", ["s", "i"])
+        out = open_rcs(tmp_path / "t.rcs").read(["s", "i"])
         assert out.columns == ["s", "i"]
         assert_tables_identical(out, make().select(["s", "i"]))
 
     def test_missing_column_raises(self, tmp_path):
         save_rcs(make(), tmp_path / "t.rcs")
         with pytest.raises(KeyError, match="nope"):
-            load_rcs(tmp_path / "t.rcs", ["nope"])
+            open_rcs(tmp_path / "t.rcs").read(["nope"])
 
     def test_reads_are_views_not_copies(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RCS_COMPRESSION", "off")
         save_rcs(make(), tmp_path / "t.rcs")
-        out = load_rcs(tmp_path / "t.rcs", ["f"])
+        out = open_rcs(tmp_path / "t.rcs").read(["f"])
         base = out["f"]
         while not isinstance(base, np.memmap):
             base = base.base
@@ -476,7 +476,7 @@ class TestColumnParallelEncode:
         got = []
         for cap in ("1", "2"):
             _wide_pool(monkeypatch, cap)
-            got.append(load_rcs(tmp_path / "t.rcs", pick))
+            got.append(open_rcs(tmp_path / "t.rcs").read(pick))
         assert got[0] == got[1] == table.select(pick)
 
 

@@ -40,24 +40,6 @@ class TestSingleKey:
         expect = [np.std([2.0, 4.0]), np.std([1.0, 3.0, 5.0])]
         assert np.allclose(g["sd"], expect)
 
-    def test_var(self, t):
-        g = group_by(t, "k", {"var": ("v", "var")})
-        assert np.allclose(g["var"], [np.var([2.0, 4.0]), np.var([1, 3, 5.0])])
-
-    def test_first_last(self, t):
-        g = group_by(t, "k", {"f": ("v", "first"), "l": ("v", "last")})
-        assert np.allclose(g["f"], [2.0, 1.0])
-        assert np.allclose(g["l"], [4.0, 5.0])
-
-    def test_median_even_and_odd(self, t):
-        g = group_by(t, "k", {"md": ("v", "median")})
-        assert np.allclose(g["md"], [3.0, 3.0])
-
-    def test_nunique(self):
-        t = Table({"k": np.array([1, 1, 1, 2]), "v": np.array([5, 5, 6, 7])})
-        g = group_by(t, "k", {"u": ("v", "nunique")})
-        assert np.array_equal(g["u"], [2, 1])
-
     def test_count_via_tuple(self, t):
         g = group_by(t, "k", {"n": ("v", "count")})
         assert np.array_equal(g["n"], [2, 3])

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.frame import Table, group_by, window_aggregate
 from repro.frame.ops import lex_sorted, run_starts
+from repro.frame.window import _aggregate_windows, window_index
 
 from .test_cold_scan_kernels import generic_group_by, generic_kernel
 
@@ -24,16 +25,17 @@ ALL_AGGS = {
     "lo": ("v", "min"),
     "hi": ("v", "max"),
     "sd": ("v", "std"),
-    "var": ("v", "var"),
-    "f": ("v", "first"),
-    "l": ("v", "last"),
-    "med": ("v", "median"),
-    "u": ("v", "nunique"),
 }
 
 values_with_nan = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 ) | st.just(float("nan"))
+
+
+def windowed(t: Table, presorted, width, values, by) -> Table:
+    """``window_aggregate`` over ``timestamp`` on a declared kernel route."""
+    win = window_index(t["timestamp"], width)
+    return _aggregate_windows(t, win, width, values, by, presorted)
 
 
 def assert_bitwise_equal(a: Table, b: Table) -> None:
@@ -147,12 +149,12 @@ class TestWindowAggregateBitIdentity:
         v = rng.normal(0, 1, n_nodes * n_t)
         v[rng.random(v.shape) < 0.05] = np.nan
         t = Table({"node": node, "timestamp": ts, "v": v})
-        kw = dict(time="timestamp", width=10.0, values=["v"], by=["node"])
+        kw = dict(width=10.0, values=["v"], by=["node"])
         with generic_kernel():
-            ref = window_aggregate(t, **kw)
-        assert_bitwise_equal(window_aggregate(t, presorted=False, **kw), ref)
-        assert_bitwise_equal(window_aggregate(t, presorted=True, **kw), ref)
-        assert_bitwise_equal(window_aggregate(t, presorted=None, **kw), ref)
+            ref = window_aggregate(t, time="timestamp", **kw)
+        assert_bitwise_equal(windowed(t, False, **kw), ref)
+        assert_bitwise_equal(windowed(t, True, **kw), ref)
+        assert_bitwise_equal(window_aggregate(t, time="timestamp", **kw), ref)
 
     @given(
         st.integers(min_value=0, max_value=300),
@@ -164,13 +166,13 @@ class TestWindowAggregateBitIdentity:
         rng = np.random.default_rng(seed)
         ts = rng.uniform(0, 100, n)
         t = Table({"timestamp": ts, "v": rng.normal(0, 1, n)})
-        kw = dict(time="timestamp", width=7.5, values=["v"])
-        ref = window_aggregate(t, presorted=False, **kw)
-        assert_bitwise_equal(window_aggregate(t, presorted=None, **kw), ref)
+        kw = dict(width=7.5, values=["v"], by=())
+        ref = windowed(t, False, **kw)
+        assert_bitwise_equal(window_aggregate(t, time="timestamp", **kw), ref)
         ts.sort()
         t2 = Table({"timestamp": ts, "v": t["v"]})
-        ref2 = window_aggregate(t2, presorted=False, **kw)
-        assert_bitwise_equal(window_aggregate(t2, presorted=True, **kw), ref2)
+        ref2 = windowed(t2, False, **kw)
+        assert_bitwise_equal(windowed(t2, True, **kw), ref2)
 
 
 class TestOpsHelpers:

@@ -109,7 +109,6 @@ class TestVerbs:
     def test_sort_single_key(self):
         t = Table({"a": np.array([3, 1, 2])})
         assert np.array_equal(t.sort("a")["a"], [1, 2, 3])
-        assert np.array_equal(t.sort("a", ascending=False)["a"], [3, 2, 1])
 
     def test_sort_multi_key_primary_first(self):
         t = Table({"a": np.array([1, 0, 1, 0]), "b": np.array([9, 8, 7, 6])})

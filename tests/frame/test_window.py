@@ -197,11 +197,12 @@ class TestWindowAggregate:
         assert w.n_rows == 2
         assert np.array_equal(np.sort(w["timestamp"]), [0.0, 100.0])
 
-    def test_custom_stats(self):
+    def test_columns_are_the_default_stats(self):
         t = Table({"t": np.arange(10.0), "p": np.arange(10.0)})
-        w = window_aggregate(t, time="t", width=5.0, values=["p"], stats=("mean",))
-        assert "p_mean" in w.columns
-        assert "p_min" not in w.columns
+        w = window_aggregate(t, time="t", width=5.0, values=["p"])
+        assert w.columns == [
+            "count", "p_min", "p_max", "p_mean", "p_std", "timestamp",
+        ]
 
     def test_missing_column_raises(self):
         t = Table({"t": np.arange(3.0)})

@@ -9,7 +9,7 @@ from repro.machine import NodePowerModel
 
 @pytest.fixture()
 def model():
-    return NodePowerModel(SUMMIT.scaled(20), seed=1)
+    return NodePowerModel(SUMMIT.scaled(20))
 
 
 def input_power(model, nodes, cpu_util, gpu_util):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.frame import Table, columnar, load_rcs, open_rcs, save_rcs
+from repro.frame import Table, columnar, open_rcs, save_rcs
 from repro.obs import trace
 from repro.obs.export import build_forest, validate_spans
 from repro.parallel.executor import Executor
@@ -210,7 +210,7 @@ class TestStorageSpans:
             with trace.capture() as records:
                 with trace.span("run", _parent=ctx, _seq=0):
                     save_rcs(table, path)
-                    assert load_rcs(path, pick) == table.select(pick)
+                    assert open_rcs(path).read(pick) == table.select(pick)
             trace.disable()
         return records
 

@@ -14,25 +14,23 @@ import numpy as np
 
 from repro.core.aggregate import cluster_power_series
 from repro.core.coarsen import coarsen_telemetry
-from repro.plan import Query
+from repro.plan import BY, OUT_TIME, Query
 
 
 def single_pass(telemetry, query=Query()):
     """Ground truth for ``query`` over the un-archived ``telemetry``."""
-    t = np.asarray(telemetry[query.time], dtype=np.float64)
+    t = np.asarray(telemetry[OUT_TIME], dtype=np.float64)
     lo = -np.inf if query.t_begin is None else query.t_begin
     hi = np.inf if query.t_end is None else query.t_end
     sub = telemetry.filter((t >= lo) & (t < hi))
     nodes = query.node_selection()
     if nodes is not None:
-        sub = sub.filter(np.isin(np.asarray(sub[query.by]), nodes))
+        sub = sub.filter(np.isin(np.asarray(sub[BY]), nodes))
     if query.level == "raw":
-        return sub.select(
-            list(dict.fromkeys([query.by, query.time, *query.metrics])))
-    coarse = coarsen_telemetry(sub, list(query.metrics), width=query.width,
-                               by=(query.by,), time=query.time)
+        return sub.select(list(dict.fromkeys([BY, OUT_TIME, *query.metrics])))
+    coarse = coarsen_telemetry(sub, list(query.metrics), width=query.width)
     if query.level == "node":
-        return coarse.sort([query.by, query.time])
+        return coarse.sort([BY, OUT_TIME])
     return cluster_power_series(coarse, value=query.metrics[0])
 
 

@@ -11,7 +11,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from repro.frame import (Table, columnar, compression_mode, load_rcs,
+from repro.frame import (Table, columnar, compression_mode,
                          open_rcs, save_rcs)
 from repro.parallel import Executor, NotPicklableError
 from repro.parallel.executor import default_workers
@@ -168,7 +168,7 @@ class TestOnePoolPerRequest:
         assert shard.read() == table
         assert open_rcs(tmp_path / "t.rcs").read_time_range(
             100.0, 3_000.0) == table[100:3_000]
-        assert load_rcs(tmp_path / "t.rcs", ["power", "node"]) == (
+        assert open_rcs(tmp_path / "t.rcs").read(["power", "node"]) == (
             table.select(["power", "node"]))
         assert PartitionedDataset(tmp_path / "ds").to_table() == table
         assert pools_built == []

@@ -169,7 +169,8 @@ class TestProjectionPushdown:
     def test_read_projected(self, layout_ds, mode):
         d = layout_ds(mode)
         d.append(mixed_shard(0.0), 0.0, 10.0)
-        got = d.read(0, columns=["v", "timestamp"])
+        got = d.read_time_range(0, -np.inf, np.inf,
+                                columns=["v", "timestamp"])
         assert got.columns == ["v", "timestamp"]
         full = d.read(0)
         for c in got.columns:
@@ -183,7 +184,8 @@ class TestProjectionPushdown:
         d = layout_ds(mode)
         d.append(mixed_shard(0.0), 0.0, 10.0)
         d.append(mixed_shard(10.0), 10.0, 20.0)
-        got = d.to_table(columns=["node"])
+        got = concat([d.read_time_range(i, -np.inf, np.inf, columns=["node"])
+                      for i in range(d.n_partitions)])
         assert got.columns == ["node"]
         assert got.n_rows == 20
 
@@ -276,7 +278,9 @@ class TestStitchedToTable:
         for i in range(3):
             d.append(self._mixed_shard(i * 600.0, seed=i),
                      i * 600.0, (i + 1) * 600.0)
-        t = d.to_table(columns=["timestamp", "power"])
+        t = concat([d.read_time_range(i, -np.inf, np.inf,
+                                      columns=["timestamp", "power"])
+                    for i in range(d.n_partitions)])
         assert t.columns == ["timestamp", "power"]
         assert t.n_rows == 1800
 
@@ -284,7 +288,7 @@ class TestStitchedToTable:
         d = PartitionedDataset.create(tmp_path / "m", "miss")
         d.append(self._mixed_shard(0.0), 0.0, 600.0)
         with pytest.raises(KeyError, match="ghost"):
-            d.to_table(columns=["ghost"])
+            d.read_time_range(0, -np.inf, np.inf, columns=["ghost"])
 
     def test_schema_drift_falls_back_to_promotion(self, tmp_path):
         # same column name, different dtypes across shards: concat's

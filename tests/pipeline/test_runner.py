@@ -24,10 +24,6 @@ class TestChunkWindows:
         assert len(wins) == 3
         assert wins[-1] == (2 * DAY, 2.5 * DAY)
 
-    def test_origin_offset(self):
-        wins = chunk_windows(DAY, DAY, origin=5 * DAY)
-        assert wins == [(5 * DAY, 6 * DAY)]
-
     def test_empty_horizon(self):
         assert chunk_windows(0.0, DAY) == []
         assert chunk_windows(-1.0, DAY) == []

@@ -128,7 +128,10 @@ class TestPushdownRoutes:
             )
             for kind in STORES:
                 assert_tables_equal(
-                    stores[kind].read(i, ["timestamp", "input_power"]), want
+                    stores[kind].read_time_range(
+                        i, -np.inf, np.inf,
+                        columns=["timestamp", "input_power"]),
+                    want,
                 )
 
 
@@ -139,8 +142,7 @@ class TestStreamingRoute:
         read_back = [(kind, ds.to_table()) for kind, ds in stores.items()]
         for kind, source in [("memory", telemetry), *read_back]:
             pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
-            graph = pipe.stream_graph(source, skew=False, seed=3,
-                                      spectral=False)
+            graph = pipe.stream_graph(source, skew=False, spectral=False)
             graph.run()
             agg = graph.result("aggregate")
             assert agg is not None and agg.n_rows > 0

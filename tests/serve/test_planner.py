@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.coarsen import coarsen_telemetry
-from repro.core.pue import pue_series
+from repro.core.pue import PUE_OVERHEAD, pue_series
 from repro.datasets.store import write_partitioned_series
 from repro.parallel.partition import PartitionedDataset
 from repro.pipeline import Pipeline, PipelineConfig
@@ -67,7 +67,6 @@ class TestLevels:
         sub = telemetry.filter((t >= 0.0) & (t < 600.0))
         ref = coarsen_telemetry(
             sub, ["input_power", "gpu_power_total"], width=10.0,
-            by=("node",), drop_nan=True,
         ).sort(["node", "timestamp"])
         assert out == ref
 
@@ -111,13 +110,12 @@ class TestLevels:
         assert by_rows(after) == by_rows(before)
 
     def test_derived_pue_columns(self, dataset):
-        q = Query(t_begin=0.0, t_end=600.0, derived="pue",
-                  pue_overhead=0.08)
+        q = Query(t_begin=0.0, t_end=600.0, derived="pue")
         out = plan_query(q, dataset).execute()
         assert "pue" in out
         it = np.asarray(out["sum_inp"], dtype=np.float64)
         assert np.array_equal(np.asarray(out["pue"]),
-                              pue_series(it, 0.08 * it))
+                              pue_series(it, PUE_OVERHEAD * it))
 
 
 class TestPushdown:
@@ -153,8 +151,9 @@ class TestPlanErrors:
             plan_query(Query(metrics=("warp_core_power",)), dataset)
 
     def test_unknown_time_column(self, dataset):
-        with pytest.raises(QueryError):
-            plan_query(Query(time="arrival"), dataset)
+        # the time column is the archive's, not the client's to name
+        with pytest.raises(QueryError, match="unknown query fields"):
+            plan_query(Query.from_dict({"time": "arrival"}), dataset)
 
     def test_empty_dataset(self, tmp_path):
         empty = PartitionedDataset.create(tmp_path / "empty", "empty")

@@ -53,14 +53,14 @@ class TestValidation:
         dict(derived="entropy"),
         dict(derived="pue", level="node",
              metrics=("input_power",)),
-        dict(derived="pue", pue_overhead=-0.5),
+        dict(nodes=()),                                # empty selections
         # non-finite numbers slip past ``<= 0`` style comparisons
         dict(width=float("inf")),
         dict(width=float("nan")),
         dict(t_begin=float("nan")),
         dict(t_end=float("nan")),
-        dict(derived="pue", pue_overhead=float("nan")),
-        dict(derived="pue", pue_overhead=float("inf")),
+        dict(cabinets=()),
+        dict(metrics="input_power"),                   # a name, not a list
         # ids that are not integers, or whose node ids do not fit int64
         dict(nodes=(1.5,)),
         dict(nodes=(True,)),
@@ -130,26 +130,28 @@ class TestFingerprint:
         assert set(fp) <= set("0123456789abcdef")
 
     def test_digests_pinned(self, monkeypatch):
-        """Literal digests captured before ``cache_key`` stopped going
-        through ``dataclasses.asdict``: spilled results and pipeline
-        artifacts written by older code must still be found."""
+        """Literal digests.  The ``cache_key`` one dates from before
+        ``cache_key`` stopped going through ``dataclasses.asdict``:
+        pipeline artifacts written by older code must still be found.  The
+        query ones were re-pinned when ``Query`` lost its ``time``, ``by``
+        and ``pue_overhead`` fields (result-cache keys live in memory)."""
         from repro.datasets import SimulationSpec
         from repro.plan import cache_key
 
         monkeypatch.delenv("REPRO_RCS_COMPRESSION", raising=False)
         assert Query().fingerprint() == (
-            "ce5e14f23d17190dc6b4bdd714771e9bf877c3000015cbeaaf71403480bf95c6"
+            "fa8cc4c680d6b48546b1b1ef4417274c162b78113ab90e483db6b57e201f6150"
         )
         assert Query(t_begin=0.37, t_end=1800.0, nodes=(3, 1, 2),
                      width=30.0).fingerprint() == (
-            "0c44abb8ee8a8f719024b8d9b54c8ce4f895f76d44aa053e1210f2a2d2600076"
+            "392f932a29355bfa0d06c5f4dace3c42b654619d37b990236c6ae4aa0b7dcb1a"
         )
         assert Query(cabinets=(1,), level="node",
                      metrics=("a", "b")).fingerprint() == (
-            "b2fc08a1fe67503025a3942c2a98a9706c70fb201bc2bb20aae727b62343d84f"
+            "41a5b65ad290b4461da184559c5902493635f4267750a3516d2fdd9ea3a3b38d"
         )
-        assert Query(derived="pue", pue_overhead=0.25).fingerprint() == (
-            "4c4786676f376cc39a5bd5dcde6cddbfa521f5ca9a8a11eaa583ebca50079755"
+        assert Query(derived="pue").fingerprint() == (
+            "f2746438d406343d6c5a9d2c255b13ff1debf8128d0fe3efd4f86e501e9adbe1"
         )
         assert cache_key(SimulationSpec(), stage="x", window=(0.0, 1.5)) == (
             "4e8f5fc6731525e59fb49711034fc6e94e62815bf0430c100666e854db0b212f"

@@ -19,7 +19,7 @@ from repro.config import cap_workers
 from repro.datasets.store import write_partitioned_series
 from repro.frame.table import Table
 from repro.parallel.executor import default_workers
-from repro.plan import Query, plan_query
+from repro.plan import Query, QueryPlan, plan_query
 from repro.serve import (
     QueryClient,
     QueryService,
@@ -612,6 +612,26 @@ class TestTCP:
         assert strict_loads(second) == {"status": "ok", "op": "ping"}
         assert service.stats.errors == 1
 
+    def test_internal_error_is_an_error_line_not_a_dropped_socket(
+        self, service, monkeypatch
+    ):
+        """An exception out of the service — here the merge — answers the
+        request with one ``internal error`` line, counts it, and leaves the
+        connection serving."""
+        def broken(plan, tables):
+            raise KeyError("timestamp")
+
+        monkeypatch.setattr(QueryPlan, "finalize", broken)
+        query = Query(t_begin=0.0, t_end=300.0).to_dict()
+        first, second = exchange(service, [{"op": "query", "query": query},
+                                           {"op": "ping"}])
+        assert strict_loads(first) == {
+            "status": "error",
+            "error": "internal error: KeyError: 'timestamp'",
+        }
+        assert strict_loads(second) == {"status": "ok", "op": "ping"}
+        assert service.stats.errors == 1
+
     def test_tenant_table_is_bounded(self, service):
         """A client cycling tenant names meets one rejection past the
         table's bound, keeps its connection, and cannot grow ``stats``."""
@@ -714,6 +734,9 @@ class TestTCP:
         (b'{"query": {"width": "inf"}}', 1),
         (b'{"query": {"width": "nan"}}', 1),
         (b'{"query": {"pue_overhead": "nan", "derived": "pue"}}', 1),
+        # the archive's time and node columns are not the client's to name
+        (b'{"query": {"time": "node"}}', 1),
+        (b'{"query": {"by": "timestamp"}}', 1),
         (b'{"query": {"t_begin": "nan"}}', 1),
         (b'{"query": {"t_end": "nan"}}', 1),
         # hostile numbers: ids past int64 (alone or as a cabinet's nodes),

@@ -135,30 +135,30 @@ class TestOnlineSpectral:
     @pytest.mark.parametrize("chunks", [5, 32, 999])
     def test_matches_welch_psd(self, batch_series, chunks):
         power = np.asarray(batch_series["sum_inp"], dtype=np.float64)
-        op = OnlineSpectral(dt=10.0, nperseg=32, value="sum_inp")
+        op = OnlineSpectral(dt=10.0, value="sum_inp")
         for s in range(0, len(power), chunks):
             t = Table({"sum_inp": power[s:s + chunks]})
             op.process(RecordBatch(table=t, arrival_time=0.0))
-        freqs, psd, n_seg = welch_psd(np.diff(power), dt=10.0, nperseg=32)
+        freqs, psd, n_seg = welch_psd(np.diff(power), dt=10.0)
         assert n_seg > 1
         assert op.n_segments == n_seg
         assert np.array_equal(op.freqs(), freqs)
         assert np.array_equal(op.periodogram(), psd)
 
     def test_dominant_mode_before_any_segment(self):
-        op = OnlineSpectral(dt=1.0, nperseg=16)
+        op = OnlineSpectral(dt=1.0)
         f, p = op.dominant_mode()
         assert np.isnan(f) and np.isnan(p)
 
     def test_checkpoint_roundtrip(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=300)
-        one = OnlineSpectral(dt=1.0, nperseg=32, value="v")
+        one = OnlineSpectral(dt=1.0, value="v")
         one.process(RecordBatch(table=Table({"v": x}), arrival_time=0.0))
 
-        a = OnlineSpectral(dt=1.0, nperseg=32, value="v")
+        a = OnlineSpectral(dt=1.0, value="v")
         a.process(RecordBatch(table=Table({"v": x[:143]}), arrival_time=0.0))
-        b = OnlineSpectral(dt=1.0, nperseg=32, value="v")
+        b = OnlineSpectral(dt=1.0, value="v")
         b.load_state(a.state_dict())
         b.process(RecordBatch(table=Table({"v": x[143:]}), arrival_time=0.0))
         assert b.n_segments == one.n_segments

@@ -116,7 +116,7 @@ class TestCheckpointMismatch:
         return half.state_dict()
 
     @staticmethod
-    def graph_over(source, edge_threshold, extra=None, without=None):
+    def graph_over(source, edge_threshold, extra=False, without=None):
         graph = StreamGraph(source)
         graph.add(StreamingCoarsen(["input_power"], lateness_s=3.0))
         graph.add(StreamingClusterAggregate(), after="coarsen")
@@ -124,9 +124,8 @@ class TestCheckpointMismatch:
             graph.add(StreamingEdgeDetector(edge_threshold),
                       after="aggregate")
         graph.add(StreamingPUE(it="sum_inp"), after="aggregate")
-        if extra:
-            graph.add(StreamingPUE(it="sum_inp"), after="aggregate",
-                      name=extra)
+        if extra:  # a second PUE node: "pue2"
+            graph.add(StreamingPUE(it="sum_inp"), after="aggregate")
         return graph
 
     @pytest.mark.parametrize("field, kwargs, rows", [
@@ -158,8 +157,8 @@ class TestCheckpointMismatch:
 
     def test_extra_node_refused(self, telemetry, edge_threshold, state):
         graph = self.graph_over(TelemetryReplaySource(telemetry, seed=5),
-                                edge_threshold, extra="pue_b")
-        with pytest.raises(ValueError, match=r"topology.*\['pue_b'\]"):
+                                edge_threshold, extra=True)
+        with pytest.raises(ValueError, match=r"topology.*\['pue2'\]"):
             graph.load_state(state)
 
     def test_missing_node_refused(self, telemetry, edge_threshold, state):
@@ -255,8 +254,8 @@ class TestGraphMechanics:
         graph.add(StreamingClusterAggregate(), after="coarsen")
         a = _Counter()
         b = _Counter()
-        graph.add(a, after="aggregate", name="a")
-        graph.add(b, after="aggregate", name="b")
+        assert graph.add(a, after="aggregate") != graph.add(
+            b, after="aggregate")
         graph.run()
         assert a.rows == b.rows > 0
 

@@ -1,8 +1,8 @@
 """Properties of the one watermark buffer under both windowed operators.
 
-Random small tables — 0, 1 or 2 ``by`` columns, integral and non-integral
-widths (2.5 reaches ``window_index``'s float branch, with timestamps on
-its window edges), NaN values sprinkled in — are cut into random batches
+Random small tables over a few nodes — integral and quarter-second stamps
+(the quarter ones reach ``window_index``'s float branch, with stamps on
+the 10 s window edges), NaN values sprinkled in — are cut into random batches
 that straddle windows, delivered out of order within a random skew under a
 random lateness bound, optionally through a ``state_dict`` -> fresh
 operator -> ``load_state`` round trip.  The reference is a plain model of
@@ -28,22 +28,23 @@ from repro.stream import (
     StreamingCoarsen,
 )
 
-BY = [(), ("node",), ("node", "slot")]
+#: the coarsen window and grouping every windowed operator uses
+WIDTH = 10.0
+BY = ("node",)
 
 
 @st.composite
 def scenarios(draw, nan=True):
     n = draw(st.integers(1, 60))
-    width = draw(st.sampled_from([10.0, 2.5, 1.0, 3.0]))
-    # quarter-second stamps: integral ones and exact edges of 2.5 s windows
-    event = np.array(draw(st.lists(st.integers(0, 160), min_size=n,
+    # quarter-second stamps over 16 windows, exact window edges included
+    event = np.array(draw(st.lists(st.integers(0, 640), min_size=n,
                                    max_size=n)), dtype=np.float64) * 0.25
     if draw(st.booleans()):
         event = np.floor(event)  # all integral: window_index's int branch
     value = np.array(draw(st.lists(
         st.floats(-1e3, 1e3) | (st.just(math.nan) if nan else st.nothing()),
         min_size=n, max_size=n)))
-    skew = draw(st.sampled_from([0.0, 2.0, 8.0]))
+    skew = draw(st.sampled_from([0.0, 8.0, 32.0]))
     delay = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
                                    max_size=n))) * skew
     order = np.argsort(event + delay, kind="stable")
@@ -52,8 +53,6 @@ def scenarios(draw, nan=True):
         "timestamp": event,
         "node": np.array(draw(st.lists(st.integers(0, n_nodes - 1),
                                        min_size=n, max_size=n))),
-        "slot": np.array(draw(st.lists(st.integers(0, 1), min_size=n,
-                                       max_size=n))),
         "v": value,
     }).take(order)
     cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
@@ -61,9 +60,7 @@ def scenarios(draw, nan=True):
     return {
         "table": table,
         "bounds": bounds,  # 1 row ... the whole table per batch
-        "width": width,
-        "by": draw(st.sampled_from(BY)),
-        "lateness_s": draw(st.sampled_from([0.0, 1.5, 3.0, 8.0])),
+        "lateness_s": draw(st.sampled_from([0.0, 6.0, 12.0, 32.0])),
         "restore_at": draw(st.none() | st.integers(0, len(bounds) - 1)),
     }
 
@@ -87,10 +84,10 @@ def replay(make_op, table, bounds, restore_at):
     return op, [b.table for b in out]
 
 
-def model(table, bounds, width, lateness_s, dropped):
+def model(table, bounds, lateness_s, dropped):
     """``(late, kept)`` row masks by the contract: ``dropped`` rows never
     count as late, but everything that arrived advances the watermark."""
-    win = window_index(table["timestamp"], width)
+    win = window_index(table["timestamp"], WIDTH)
     late = np.zeros(table.n_rows, dtype=bool)
     closed_below = -math.inf
     max_event = -math.inf
@@ -98,7 +95,7 @@ def model(table, bounds, width, lateness_s, dropped):
         late[lo:hi] = ~dropped[lo:hi] & (win[lo:hi] < closed_below)
         max_event = max(max_event, float(table["timestamp"][lo:hi].max()))
         closed_below = max(closed_below, int(window_index(
-            np.array([max_event - lateness_s]), width)[0]))
+            np.array([max_event - lateness_s]), WIDTH)[0]))
     return late, ~late & ~dropped
 
 
@@ -111,14 +108,13 @@ def assert_bitwise_equal(a: Table, b: Table) -> None:
 
 @given(scenarios())
 def test_coarsen_then_aggregate_equal_the_batch_kernels(s):
-    table, bounds, width, by = s["table"], s["bounds"], s["width"], s["by"]
+    table, bounds = s["table"], s["bounds"]
     op, emitted = replay(
-        lambda: StreamingCoarsen(["v"], width=width, by=by,
-                                 lateness_s=s["lateness_s"]),
+        lambda: StreamingCoarsen(["v"], lateness_s=s["lateness_s"]),
         table, bounds, s["restore_at"])
 
     nan = ~np.isfinite(table["v"])
-    late, kept = model(table, bounds, width, s["lateness_s"], dropped=nan)
+    late, kept = model(table, bounds, s["lateness_s"], dropped=nan)
     assert op.nan_rows == int(nan.sum())
     assert op.late_rows == int(late.sum())
     in_windows = sum(int(t["count"].sum()) for t in emitted)
@@ -127,19 +123,18 @@ def test_coarsen_then_aggregate_equal_the_batch_kernels(s):
     if not kept.any():
         assert emitted == []
         return
-    key = [*by, "timestamp"]
+    key = [*BY, "timestamp"]
     streamed = concat(emitted)
     # no (group, window) is emitted twice
     seen = set(zip(*(streamed[k].tolist() for k in key)))
     assert len(seen) == streamed.n_rows
-    reference = coarsen_telemetry(table.filter(kept), ["v"], width=width,
-                                  by=by)
+    reference = coarsen_telemetry(table.filter(kept), ["v"])
     assert_bitwise_equal(streamed.sort(key), reference.sort(key))
 
     # windows leave the coarsen in ascending order, so nothing downstream
     # is late and the collapse equals the batch one over the same rows
     agg, series = replay(
-        lambda: StreamingClusterAggregate(value="v", width=width),
+        lambda: StreamingClusterAggregate(value="v"),
         streamed, _row_bounds(emitted), None)
     assert agg.late_rows == 0
     assert_bitwise_equal(concat(series),
@@ -155,16 +150,16 @@ def _row_bounds(tables):
 def test_aggregate_counts_what_arrives_behind_a_closed_window(s):
     """Fed out-of-order window starts directly, the aggregate drops and
     counts exactly the rows behind its zero-lateness bound."""
-    width, bounds = s["width"], s["bounds"]
+    bounds = s["bounds"]
     t = s["table"]
-    start = window_index(t["timestamp"], width).astype(np.float64) * width
+    start = window_index(t["timestamp"], WIDTH).astype(np.float64) * WIDTH
     coarse = Table({"timestamp": start, "v_mean": t["v"],
                     "v_max": t["v"] + 1.0, "node": t["node"]})
     op, emitted = replay(
-        lambda: StreamingClusterAggregate(value="v", width=width),
+        lambda: StreamingClusterAggregate(value="v"),
         coarse, bounds, s["restore_at"])
 
-    late, kept = model(coarse, bounds, width, 0.0,
+    late, kept = model(coarse, bounds, 0.0,
                        dropped=np.zeros(coarse.n_rows, dtype=bool))
     assert op.late_rows == int(late.sum())
     streamed = concat(emitted)
@@ -176,52 +171,48 @@ def test_aggregate_counts_what_arrives_behind_a_closed_window(s):
 
 
 def test_a_chunk_straddling_several_windows_and_the_bound():
-    """Width 1.0 under skew 8: an arrival chunk spans three or more
+    """Skew 80 s over 10 s windows: an arrival chunk spans three or more
     windows with the watermark's bound inside them, so the cut splits it
     and buffers the open part alone — which then goes through a
     ``state_dict`` round trip.  Emission still equals the batch kernels
     over the rows the model keeps."""
-    width, lateness_s, n = 1.0, 3.0, 160
+    lateness_s, n = 30.0, 160
     rng = np.random.default_rng(29)
-    event = np.sort(rng.integers(0, 160, n)) * 0.25
-    arrival = event + rng.uniform(0.0, 1.0, n) * 8.0
+    event = np.sort(rng.integers(0, 160, n)) * 2.5
+    arrival = event + rng.uniform(0.0, 1.0, n) * 80.0
     table = Table({
         "timestamp": event,
         "node": rng.integers(0, 3, n),
-        "slot": rng.integers(0, 2, n),
         "v": rng.normal(0.0, 1e3, n),
     }).take(np.argsort(arrival, kind="stable"))
     bounds = [(lo, min(lo + 16, n)) for lo in range(0, n, 16)]
-    late, kept = model(table, bounds, width, lateness_s,
+    late, kept = model(table, bounds, lateness_s,
                        dropped=np.zeros(n, dtype=bool))
 
-    win = window_index(table["timestamp"], width)
+    win = window_index(table["timestamp"], WIDTH)
     straddled = []
     max_event = -math.inf
     for i, (lo, hi) in enumerate(bounds):
         max_event = max(max_event, float(table["timestamp"][lo:hi].max()))
         bound = int(window_index(np.array([max_event - lateness_s]),
-                                 width)[0])
+                                 WIDTH)[0])
         w = win[lo:hi][kept[lo:hi]]
         if len(w) and w.min() < bound <= w.max() and w.max() - w.min() >= 2:
             straddled.append(i)
     assert straddled, "the scenario must split a chunk of 3+ windows"
 
-    for by in BY:
-        op, emitted = replay(
-            lambda: StreamingCoarsen(["v"], width=width, by=by,
-                                     lateness_s=lateness_s),
-            table, bounds, straddled[0] + 1)
-        assert op.late_rows == int(late.sum())
-        key = [*by, "timestamp"]
-        streamed = concat(emitted)
-        assert_bitwise_equal(
-            streamed.sort(key),
-            coarsen_telemetry(table.filter(kept), ["v"], width=width,
-                              by=by).sort(key))
-        agg, series = replay(
-            lambda: StreamingClusterAggregate(value="v", width=width),
-            streamed, _row_bounds(emitted), len(emitted) // 2)
-        assert agg.late_rows == 0
-        assert_bitwise_equal(concat(series),
-                             cluster_power_series(streamed, value="v"))
+    op, emitted = replay(
+        lambda: StreamingCoarsen(["v"], lateness_s=lateness_s),
+        table, bounds, straddled[0] + 1)
+    assert op.late_rows == int(late.sum())
+    key = [*BY, "timestamp"]
+    streamed = concat(emitted)
+    assert_bitwise_equal(
+        streamed.sort(key),
+        coarsen_telemetry(table.filter(kept), ["v"]).sort(key))
+    agg, series = replay(
+        lambda: StreamingClusterAggregate(value="v"),
+        streamed, _row_bounds(emitted), len(emitted) // 2)
+    assert agg.late_rows == 0
+    assert_bitwise_equal(concat(series),
+                         cluster_power_series(streamed, value="v"))

@@ -18,6 +18,7 @@ import repro.obs
 from repro.core.aggregate import cluster_power_series
 from repro.core.coarsen import coarsen_telemetry
 from repro.frame import (
+    AGGREGATIONS,
     RcsFile,
     compression_mode,
     decode_column,
@@ -30,12 +31,13 @@ from repro.frame.window import window_index
 from repro.obs import trace
 from repro.parallel import Executor, PartitionedDataset
 from repro.pipeline import ArtifactCache, PipelineConfig, StageStats
-from repro.plan import plan_query
+from repro.plan import Query, plan_query
 from repro.serve import QueryClient, ResultCache, ServiceConfig, SingleFlight
 from repro.serve.stats import LatencyReservoir
 from repro.workload import ClusterTraceBuilder, PowerAwareScheduler, Scheduler
 from repro.stream import (
     NodeStats,
+    OnlineSpectral,
     StreamGraph,
     StreamingClusterAggregate,
     StreamingCoarsen,
@@ -89,22 +91,19 @@ def test_executor_and_pipeline_knobs_are_a_closed_set():
 def test_stream_knobs_are_a_closed_set():
     """Queue capacity, a coarsen origin, a NaN switch, an aggregate
     lateness, a snapshot ring, a stats injector, a dataset replay input
-    with its projection, and two PUE overhead kinds with a rolling span
-    each had one value in use and went; the next stream knob arrives with
-    its measurement."""
+    with its projection, two PUE overhead kinds with a rolling span, a
+    time column, a coarsen width and grouping, an edge return fraction
+    and a Welch segment, hop and taper each had one value in use and went;
+    the next stream knob arrives with its measurement."""
     assert _params(StreamGraph) == ["source"]
     assert _params(TelemetryReplaySource) == [
-        "telemetry", "time", "batch_interval_s", "skew", "seed",
-        "loss_events",
+        "telemetry", "batch_interval_s", "skew", "seed", "loss_events",
     ]
-    assert _params(StreamingPUE) == ["it", "time"]
-    assert _params(StreamingCoarsen) == [
-        "values", "width", "by", "time", "lateness_s",
-    ]
-    assert _params(StreamingClusterAggregate) == ["value", "width", "time"]
-    assert _params(StreamingEdgeDetector) == [
-        "threshold_w", "return_fraction", "time", "value",
-    ]
+    assert _params(StreamingPUE) == ["it"]
+    assert _params(StreamingCoarsen) == ["values", "lateness_s"]
+    assert _params(StreamingClusterAggregate) == ["value"]
+    assert _params(StreamingEdgeDetector) == ["threshold_w", "value"]
+    assert _params(OnlineSpectral) == ["dt", "value"]
 
 
 def test_windowed_kernel_signatures_are_a_closed_set():
@@ -112,19 +111,18 @@ def test_windowed_kernel_signatures_are_a_closed_set():
     a private helper, not a parameter; the operators' constructors are
     pinned above.  The grid is epoch-aligned, so no window origin and no
     renamed window-start column.  A knob here arrives with its
-    measurement."""
+    measurement.  The stats are the archive's; the time and node columns
+    are the archive's, so no kernel takes them."""
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
     assert params(window_index) == ["times", "width"]
     assert params(window_aggregate) == [
-        "table", "time", "width", "values", "stats", "by", "presorted",
+        "table", "time", "width", "values", "by",
     ]
     assert params(group_by) == ["table", "keys", "aggs", "presorted"]
-    assert params(coarsen_telemetry) == [
-        "telemetry", "values", "width", "by", "time", "drop_nan",
-        "presorted",
-    ]
+    assert AGGREGATIONS == ("count", "sum", "mean", "min", "max", "std")
+    assert params(coarsen_telemetry) == ["telemetry", "values", "width"]
     assert params(cluster_power_series) == ["coarse", "value", "presorted"]
 
 
@@ -146,8 +144,9 @@ def test_workload_knobs_are_a_closed_set():
 def test_serve_knobs_are_a_closed_set():
     """A disk result tier, an encode-offload size, a cabinet width, a
     client decode switch and a latency-reservoir size each had one value
-    in use and went; what is left are deployment and observability
-    settings."""
+    in use and went, and so did the query's time, node and PUE-overhead
+    fields; what is left are deployment and observability settings and
+    what a client asks."""
     assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
         "max_inflight", "max_queue", "tenant_inflight", "cache_bytes",
         "fragment_bytes", "workers", "slow_query_s", "slow_query_log",
@@ -157,6 +156,10 @@ def test_serve_knobs_are_a_closed_set():
     assert _params(ArtifactCache) == ["root"]
     assert list(inspect.signature(plan_query).parameters) == [
         "query", "dataset",
+    ]
+    assert [f.name for f in dataclasses.fields(Query)] == [
+        "t_begin", "t_end", "nodes", "cabinets", "metrics", "width",
+        "level", "derived",
     ]
     assert list(inspect.signature(QueryClient.query).parameters)[1:] == [
         "query",
@@ -226,11 +229,11 @@ def test_read_surface_is_a_closed_set():
         "read_time_range", "select_time", "select_where", "time_bounds",
         "to_table",
     ]
-    assert params(PartitionedDataset.read) == ["self", "index", "columns"]
+    assert params(PartitionedDataset.read) == ["self", "index"]
     assert params(PartitionedDataset.read_time_range) == [
         "self", "index", "t_begin", "t_end", "columns", "time",
     ]
-    assert params(PartitionedDataset.to_table) == ["self", "columns"]
+    assert params(PartitionedDataset.to_table) == ["self"]
     assert "__iter__" not in vars(PartitionedDataset)
 
 
