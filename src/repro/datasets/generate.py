@@ -209,13 +209,11 @@ def _job_series_block(
     means = np.empty(len(times))
     maxs = np.empty(len(times))
     cstats = {k: np.empty(len(times)) for k in _COMPONENT_COLS} if components else {}
-    for chunk, c_w, g_w in allocation_chunks(
+    for chunk, cpu_node, gpu_node, _ in allocation_chunks(
         model, catalog, catalog.row_of_allocation(aid), nodes,
         allocation_noise(seed, aid, n_nodes), times, 0, len(times),
         begin, end,
     ):
-        cpu_node = c_w.sum(axis=1)
-        gpu_node = g_w.sum(axis=1)
         inp = model.wall_power(cpu_node, gpu_node)
         sums[chunk] = inp.sum(axis=0)
         means[chunk] = inp.mean(axis=0)
@@ -338,11 +336,11 @@ def cluster_power_window(
             continue
         nodes = schedule.nodes_of(aid)
         n_nodes = len(nodes)
-        for chunk, c_w, g_w in allocation_chunks(
+        for chunk, c_w, g_w, _ in allocation_chunks(
             model, catalog, catalog.row_of_allocation(aid), nodes,
             allocation_noise(seed, aid, n_nodes), times, i0, i1, begin, end,
         ):
-            inp = model.wall_power(c_w.sum(axis=1), g_w.sum(axis=1))
+            inp = model.wall_power(c_w, g_w)
             power[chunk] += inp.sum(axis=0) - n_nodes * idle_w
     return power
 

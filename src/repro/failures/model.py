@@ -221,21 +221,6 @@ def generate_failures(
     scale = sim_nh / FULL_YEAR_NODE_HOURS * intensity
     t0, t1 = float(al["begin_time"].min()), float(al["end_time"].max())
 
-    # allocation -> node-list index, built once (nodes_of() scans the whole
-    # per-node table and would make this loop quadratic at year scale)
-    na = schedule.node_allocations
-    na_order = np.argsort(na["allocation_id"], kind="stable")
-    na_ids = na["allocation_id"][na_order]
-    na_nodes = na["node"][na_order]
-    bounds = np.flatnonzero(np.diff(na_ids)) + 1
-    alloc_nodes: dict[int, np.ndarray] = {
-        int(a): seg
-        for a, seg in zip(
-            na_ids[np.concatenate([[0], bounds])] if len(na_ids) else [],
-            np.split(na_nodes, bounds),
-        )
-    }
-
     # defect pools: correlated types share nodes.  Pools are disjoint
     # slices of one permutation; on toy machines with fewer nodes than
     # 8 x groups the slices shrink (and may repeat within a type).
@@ -271,7 +256,7 @@ def generate_failures(
             pos = 0
             for j in np.flatnonzero(per_job):
                 cnt = int(per_job[j])
-                nl = alloc_nodes[int(al["allocation_id"][j])]
+                nl = schedule.nodes_of(int(al["allocation_id"][j]))
                 nodes[pos: pos + cnt] = nl[rng.integers(0, len(nl), size=cnt)]
                 pos += cnt
             gpus_used = cat["gpus_used"][rows[jobs_hit]]

@@ -10,13 +10,11 @@
 """
 
 from repro.machine.topology import Topology
-from repro.machine.components import ChipPopulation, gpu_power, cpu_power
+from repro.machine.components import ChipPopulation
 from repro.machine.node import NodePowerModel
 
 __all__ = [
     "Topology",
     "ChipPopulation",
-    "gpu_power",
-    "cpu_power",
     "NodePowerModel",
 ]

@@ -14,37 +14,55 @@ import numpy as np
 from repro.config import SummitConfig, SUMMIT
 
 
-def gpu_power(
-    utilization: np.ndarray,
-    config: SummitConfig = SUMMIT,
-    power_factor: np.ndarray | float = 1.0,
+#: Per-chip clip, a multiple of TDP: V100 boost can exceed nominal TDP
+#: briefly; the P9 barely can.
+GPU_CAP_OF_TDP = 1.1
+CPU_CAP_OF_TDP = 1.05
+
+
+def node_chip_power(
+    util: np.ndarray,
+    factors: np.ndarray,
+    n_active: int,
+    idle_w: float,
+    tdp_w: float,
+    cap_w: float,
+    detail: np.ndarray | None = None,
 ) -> np.ndarray:
-    """DC power of V100 GPUs at the given utilization (0..1).
+    """DC watts of one chip kind summed over each node's slots: ``(k, t)``.
 
-    Dynamic power scales linearly between idle and TDP; the per-chip
-    ``power_factor`` scales only the dynamic part (leakage spread is folded
-    in).  Output is clipped to 1.1x TDP — V100 boost can exceed nominal TDP
-    briefly.
+    The first ``n_active`` chips of every node run at the node's
+    utilisation ``util`` ``(k, t)``, clipped to 0..1; the rest idle.  A
+    chip's dynamic power scales linearly between ``idle_w`` and
+    ``tdp_w``, its manufacturing ``factors[:, s]`` (``(k, slots)``) scale
+    only the dynamic part (leakage spread is folded in), and its watts are
+    clipped at ``cap_w``.  Factors are positive, so no chip draws less
+    than ``idle_w``.  P9 dynamic range is shallower than the
+    GPU's (high uncore/idle draw), which is why Figure 12 shows CPU
+    temperature nearly flat through MW-scale power edges.
+
+    Slots are added in slot order, the order numpy's axis-1 sum of the
+    ``(k, slots, t)`` chip array uses, so the sum is that array's sum to
+    the bit.  ``detail`` ``(k, slots, t)``, when given, receives each
+    chip's watts.
     """
-    u = np.clip(np.asarray(utilization, dtype=np.float64), 0.0, 1.0)
-    dyn = (config.gpu_tdp_w - config.gpu_idle_w) * u * power_factor
-    return np.clip(config.gpu_idle_w + dyn, 0.0, config.gpu_tdp_w * 1.1)
-
-
-def cpu_power(
-    utilization: np.ndarray,
-    config: SummitConfig = SUMMIT,
-    power_factor: np.ndarray | float = 1.0,
-) -> np.ndarray:
-    """DC power of Power9 CPUs at the given utilization (0..1).
-
-    P9 dynamic range is shallower than the GPU's (high uncore/idle draw),
-    which is why Figure 12 shows CPU temperature nearly flat through MW-scale
-    power edges.
-    """
-    u = np.clip(np.asarray(utilization, dtype=np.float64), 0.0, 1.0)
-    dyn = (config.cpu_tdp_w - config.cpu_idle_w) * u * power_factor
-    return np.clip(config.cpu_idle_w + dyn, 0.0, config.cpu_tdp_w * 1.05)
+    dyn = (tdp_w - idle_w) * np.clip(util, 0.0, 1.0)
+    total = None
+    for s in range(factors.shape[1]):
+        if s < n_active:
+            w = dyn * factors[:, s:s + 1]
+            w += idle_w
+            np.minimum(w, cap_w, out=w)
+        else:
+            # zero utilisation is exactly idle
+            w = idle_w
+        if detail is not None:
+            detail[:, s, :] = w
+        if total is None:
+            total = w if s < n_active else np.full(dyn.shape, idle_w)
+        else:
+            total += w
+    return total
 
 
 class ChipPopulation:

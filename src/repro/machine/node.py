@@ -1,7 +1,8 @@
 """The IBM AC922 node power model (Figure 1-(a), Table 1).
 
-Assembles per-component DC power into wall-plug ("input") power through the
-two node power supplies.  All methods are vectorized over (nodes, time).
+Sums per-chip DC power into per-node CPU and GPU watts, then takes them to
+wall-plug ("input") power through the two node power supplies.  All
+methods are vectorized over (nodes, time).
 """
 
 from __future__ import annotations
@@ -9,14 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import SummitConfig, SUMMIT
-from repro.machine.components import ChipPopulation, cpu_power, gpu_power
+from repro.machine.components import (CPU_CAP_OF_TDP, GPU_CAP_OF_TDP,
+                                      ChipPopulation, node_chip_power)
 
 
 class NodePowerModel:
     """Compute node input power from component utilizations.
 
-    Utilization arrays are shaped ``(n_nodes, ...)`` and broadcast over any
-    trailing time axis; component power factors come from a
+    Utilization arrays are shaped ``(nodes, time)``, one row per node;
+    per-chip power factors come from a
     :class:`~repro.machine.components.ChipPopulation` so two nodes at equal
     load draw measurably different power (the basis of Figure 4's per-node
     error discussion and Figure 17's spread).
@@ -30,39 +32,42 @@ class NodePowerModel:
         self.config = config
         self.chips = chips if chips is not None else ChipPopulation(config, 0)
 
-    def component_power(
+    def node_dc_power(
         self,
         nodes: np.ndarray,
         cpu_util: np.ndarray,
         gpu_util: np.ndarray,
+        gpus_used: int,
+        gpu_detail: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-component DC power.
+        """Per-node DC watts of the two CPUs and the six GPUs.
 
         Parameters
         ----------
         nodes:
-            Node ids, shape ``(n,)``.
-        cpu_util:
-            Shape ``(n, 2)`` or ``(n, 2, t)`` utilizations in 0..1.
-        gpu_util:
-            Shape ``(n, 6)`` or ``(n, 6, t)``.
+            Node ids, shape ``(k,)``.
+        cpu_util, gpu_util:
+            Shape ``(k, t)``: one utilisation row per node, shared by
+            its CPUs and by its first ``gpus_used`` GPUs (the rest idle).
+        gpu_detail:
+            Optional ``(k, 6, t)`` array that receives each GPU's watts.
 
         Returns
         -------
         (cpu_w, gpu_w):
-            Arrays matching the input shapes, watts per component.
+            ``(k, t)`` arrays, watts summed over each node's chips.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        cf = self.chips.cpu_factors_of_nodes(nodes)
-        gf = self.chips.gpu_factors_of_nodes(nodes)
-        cpu_util = np.asarray(cpu_util, dtype=np.float64)
-        gpu_util = np.asarray(gpu_util, dtype=np.float64)
-        if cpu_util.ndim == 3:
-            cf = cf[..., None]
-        if gpu_util.ndim == 3:
-            gf = gf[..., None]
-        cpu_w = cpu_power(cpu_util, self.config, cf)
-        gpu_w = gpu_power(gpu_util, self.config, gf)
+        cfg = self.config
+        cpu_w = node_chip_power(
+            cpu_util, self.chips.cpu_factors_of_nodes(nodes),
+            cfg.cpus_per_node, cfg.cpu_idle_w, cfg.cpu_tdp_w,
+            cfg.cpu_tdp_w * CPU_CAP_OF_TDP,
+        )
+        gpu_w = node_chip_power(
+            gpu_util, self.chips.gpu_factors_of_nodes(nodes), gpus_used,
+            cfg.gpu_idle_w, cfg.gpu_tdp_w, cfg.gpu_tdp_w * GPU_CAP_OF_TDP,
+            gpu_detail,
+        )
         return cpu_w, gpu_w
 
     def wall_power(self, cpu_node_w: np.ndarray, gpu_node_w: np.ndarray) -> np.ndarray:

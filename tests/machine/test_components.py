@@ -4,7 +4,28 @@ import numpy as np
 import pytest
 
 from repro.config import SUMMIT
-from repro.machine import ChipPopulation, cpu_power, gpu_power
+from repro.machine import ChipPopulation
+from repro.machine.components import (CPU_CAP_OF_TDP, GPU_CAP_OF_TDP,
+                                      node_chip_power)
+
+
+def _one_chip(u, factor, idle_w, tdp_w, cap_w):
+    """Watts of a single chip on a single node at utilisations ``u``."""
+    u = np.asarray(u, dtype=np.float64)
+    return node_chip_power(u[None, :], np.array([[factor]]), 1,
+                           idle_w, tdp_w, cap_w)[0]
+
+
+def gpu_power(u, power_factor=1.0):
+    cfg = SUMMIT
+    return _one_chip(u, power_factor, cfg.gpu_idle_w, cfg.gpu_tdp_w,
+                     cfg.gpu_tdp_w * GPU_CAP_OF_TDP)
+
+
+def cpu_power(u, power_factor=1.0):
+    cfg = SUMMIT
+    return _one_chip(u, power_factor, cfg.cpu_idle_w, cfg.cpu_tdp_w,
+                     cfg.cpu_tdp_w * CPU_CAP_OF_TDP)
 
 
 class TestPowerCurves:
