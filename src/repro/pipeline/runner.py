@@ -239,29 +239,31 @@ class Pipeline:
         """
         with trace.span("pipeline.stage", stage=stage,
                         items=len(items)) as sp:
+            t0 = _time.perf_counter()
             results: list[Table | None] = [None] * len(items)
             hits = 0
             if self.cache is not None and keys is not None:
-                t0 = _time.perf_counter()
                 for idx, key in enumerate(keys):
                     got = self.cache.get(key)
                     if got is not None:
                         results[idx] = got
                         hits += 1
-                lookup_s = _time.perf_counter() - t0
-            else:
-                lookup_s = 0.0
 
             miss_idx = [i for i, r in enumerate(results) if r is None]
-            wall = lookup_s
+            task_s = factory_s = 0.0
             bytes_out = 0
             if miss_idx:
+                # building the task may simulate the twin: that time is
+                # the ``simulate`` stage's, not this one's
+                t1 = _time.perf_counter()
+                task = task_factory()
+                factory_s = _time.perf_counter() - t1
                 outs = self.executor.map(
-                    task_factory(), [items[i] for i in miss_idx], label=stage
+                    task, [items[i] for i in miss_idx], label=stage
                 )
                 for i, (elapsed, table) in zip(miss_idx, outs):
                     results[i] = table
-                    wall += elapsed
+                    task_s += elapsed
                     if self.cache is not None and keys is not None:
                         bytes_out += self.cache.put(keys[i], table)
 
@@ -270,7 +272,8 @@ class Pipeline:
             tables: list[Table] = results  # type: ignore[assignment]
             self.stats.record(
                 stage,
-                wall_s=wall,
+                wall_s=_time.perf_counter() - t0 - factory_s,
+                task_s=task_s,
                 calls=len(miss_idx),
                 rows_in=rows_in,
                 rows_out=sum(t.n_rows for t in tables),

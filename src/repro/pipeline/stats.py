@@ -1,8 +1,10 @@
 """Per-stage instrumentation for the chunked pipeline.
 
 Every pipeline stage (a fan-out of chunk tasks through the
-:class:`~repro.parallel.executor.Executor`) records wall time, rows in/out,
-bytes produced, and artifact-cache hit/miss counts.  The counters answer the
+:class:`~repro.parallel.executor.Executor`) records its wall time, the
+summed run time of its tasks, rows in/out, bytes produced, and
+artifact-cache hit/miss counts.  A stage whose task seconds exceed its
+wall seconds ran its tasks in parallel.  The counters answer the
 operational questions the paper's own pipeline had to answer: where does the
 year-scale run spend its time, and how much work does a warm cache skip?
 
@@ -21,8 +23,8 @@ from repro.core.report import render_table
 class StageStats:
     """Counters for one named pipeline stage."""
 
-    FIELDS = ("calls", "wall_s", "rows_in", "rows_out", "bytes_out",
-              "cache_hits", "cache_misses")
+    FIELDS = ("calls", "wall_s", "task_s", "rows_in", "rows_out",
+              "bytes_out", "cache_hits", "cache_misses")
     __slots__ = ("name",) + FIELDS
 
     def __init__(self, name: str):
@@ -61,6 +63,7 @@ class PipelineStats:
         name: str,
         *,
         wall_s: float = 0.0,
+        task_s: float = 0.0,
         calls: int = 1,
         rows_in: int = 0,
         rows_out: int = 0,
@@ -68,11 +71,15 @@ class PipelineStats:
         cache_hits: int = 0,
         cache_misses: int = 0,
     ) -> None:
-        """Accumulate counters onto stage ``name`` (thread-safe)."""
+        """Accumulate counters onto stage ``name`` (thread-safe).
+
+        ``wall_s`` is the stage's own elapsed time, ``task_s`` the sum of
+        its tasks' run times (0 for a stage that fans nothing out)."""
         st = self.stage(name)
         with self._lock:
             st.calls += calls
             st.wall_s += wall_s
+            st.task_s += task_s
             st.rows_in += rows_in
             st.rows_out += rows_out
             st.bytes_out += bytes_out
@@ -103,13 +110,15 @@ class PipelineStats:
                 st.name,
                 st.calls,
                 f"{st.wall_s:.3f}",
+                f"{st.task_s:.3f}" if st.task_s else "-",
                 st.rows_in,
                 st.rows_out,
                 st.bytes_out,
                 f"{st.cache_hits}/{st.cache_hits + st.cache_misses}",
             ])
         table = render_table(
-            ["stage", "calls", "seconds", "rows in", "rows out", "bytes", "cache"],
+            ["stage", "calls", "seconds", "task s", "rows in", "rows out",
+             "bytes", "cache"],
             rows,
             title="pipeline stages",
         )

@@ -1,10 +1,14 @@
 """Runner-level behavior: windowing, config validation, laziness, stats."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.datasets import SimulationSpec, simulate_twin
+from repro.frame.table import Table
 from repro.pipeline import Pipeline, PipelineConfig, chunk_windows
+from repro.pipeline.runner import _Timed
 
 DAY = 86_400.0
 TINY = SimulationSpec(n_nodes=8, n_jobs=20, horizon_s=0.2 * DAY, seed=11)
@@ -87,6 +91,22 @@ class TestStatsIntegration:
         assert st.wall_s > 0
         report = pipe.stats.report()
         assert "cluster_power" in report
+
+    def test_fanned_out_stage_records_wall_below_task_seconds(self):
+        """Two 0.2 s tasks on two threads: the stage takes ~0.2 s of wall
+        time while its tasks ran 0.4 s between them."""
+        pipe = Pipeline(TINY, PipelineConfig(backend="threads",
+                                             max_workers=2))
+
+        def nap(seconds):
+            time.sleep(seconds)
+            return Table({"x": np.zeros(1)})
+
+        pipe._run_stage("nap", [0.2, 0.2], lambda: _Timed(nap))
+        st = pipe.stats.stage("nap")
+        assert st.task_s >= 0.4
+        assert st.wall_s < st.task_s
+        assert "simulate" not in pipe.stats.stages  # nothing built a twin
 
     def test_warm_rerun_skips_majority_of_stage_work(self, tmp_path):
         # the PR's acceptance criterion: >= 50% of chunk tasks served from
