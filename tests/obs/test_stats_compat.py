@@ -19,10 +19,10 @@ from repro.stream.stats import StreamStats
 
 PIPELINE_REPORT = (
     "pipeline stages\n"
-    "stage    calls  seconds  rows in  rows out  bytes  cache\n"
-    "-------  -----  -------  -------  --------  -----  -----\n"
-    "coarsen  2      0.500    100      10        800    1/4  \n"
-    "fused    1      1.250    50       5         400    0/0  \n"
+    "stage    calls  seconds  task s  rows in  rows out  bytes  cache\n"
+    "-------  -----  -------  ------  -------  --------  -----  -----\n"
+    "coarsen  2      0.500    0.750   100      10        800    1/4  \n"
+    "fused    1      1.250    -       50       5         400    0/0  \n"
     "cache: 1/4 chunk tasks served from cache (25%)"
 )
 
@@ -122,8 +122,8 @@ STREAM_STATE = {
 
 def make_pipeline_stats() -> PipelineStats:
     ps = PipelineStats()
-    ps.record("coarsen", wall_s=0.5, calls=2, rows_in=100, rows_out=10,
-              bytes_out=800, cache_hits=1, cache_misses=3)
+    ps.record("coarsen", wall_s=0.5, task_s=0.75, calls=2, rows_in=100,
+              rows_out=10, bytes_out=800, cache_hits=1, cache_misses=3)
     ps.record("fused", wall_s=1.25, calls=1, rows_in=50, rows_out=5,
               bytes_out=400)
     return ps
@@ -171,7 +171,8 @@ def test_pipeline_report_shape_pinned():
 def test_pipeline_counter_access_pinned():
     ps = make_pipeline_stats()
     st = ps.stage("coarsen")
-    assert (st.calls, st.wall_s, st.rows_in, st.rows_out) == (2, 0.5, 100, 10)
+    assert (st.calls, st.wall_s, st.task_s) == (2, 0.5, 0.75)
+    assert (st.rows_in, st.rows_out) == (100, 10)
     assert (st.bytes_out, st.cache_hits, st.cache_misses) == (800, 1, 3)
     assert st.cache_hit_ratio == 0.25
     assert ps.total_cache_hits == 1
