@@ -7,7 +7,7 @@ from repro.config import SUMMIT
 from repro.frame.table import Table
 from repro.workload import generate_jobs, schedule_jobs, synthetic_catalog
 from repro.workload.jobs import JobCatalog
-from repro.workload.scheduler import Scheduler
+from repro.workload.scheduler import ScheduleResult, Scheduler
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +153,26 @@ class TestBehavior:
         assert len(nodes) == 3
         assert len(set(nodes.tolist())) == 3
         assert nodes.min() >= 0 and nodes.max() < 10
+
+    def test_nodes_of_matches_a_table_scan(self, sched_pair):
+        """The index answers what a scan of the per-node table answers,
+        for every allocation and for ids with no rows."""
+        _, res = sched_pair
+        na = res.node_allocations
+        for aid in [*res.allocations["allocation_id"].tolist(), -1, 10**9]:
+            want = np.sort(na["node"][na["allocation_id"] == aid])
+            assert np.array_equal(res.nodes_of(aid), want)
+
+    def test_nodes_of_sorts_an_unordered_table(self):
+        ids = np.array([5, 3, 5, 3, 3], dtype=np.int64)
+        nodes = np.array([9, 2, 1, 0, 7], dtype=np.int64)
+        res = ScheduleResult(Table({"allocation_id": ids[:0]}),
+                             Table({"allocation_id": ids, "node": nodes}),
+                             ids[:0])
+        assert res.nodes_of(3).tolist() == [0, 2, 7]
+        assert res.nodes_of(5).tolist() == [1, 9]
+        assert res.nodes_of(4).tolist() == []
+        assert not res.nodes_of(3).flags.writeable
 
     def test_placement_scatters_across_machine(self):
         """Allocations spread over the floor (Summit CSM behavior), so every
