@@ -85,6 +85,7 @@ from repro.obs import trace
 __all__ = [
     "RCS_MAGIC2",
     "RCS_VERSION",
+    "TIME_COLUMN",
     "ColumnarFormatError",
     "RcsFile",
     "save_rcs",
@@ -96,6 +97,10 @@ __all__ = [
 
 RCS_MAGIC2 = b"RCS2"
 RCS_VERSION = 2
+
+#: the archive's time column: time-range reads slice on it, zone maps
+#: prune on it
+TIME_COLUMN = "timestamp"
 
 #: column buffers start on 64-byte boundaries (cache-line aligned views)
 _ALIGN = 64
@@ -523,19 +528,19 @@ class RcsFile:
         t_begin: float,
         t_end: float,
         columns: list[str] | None = None,
-        time: str = "timestamp",
     ) -> Table:
-        """Rows with ``t_begin <= time < t_end`` (zero-copy when sorted + raw).
+        """Rows with ``t_begin <= TIME_COLUMN < t_end`` (zero-copy when
+        sorted + raw).
 
         A time column the zone map marks sorted is sliced with two
         ``searchsorted`` probes — only the time column's pages (or its
         cached decode) are touched before slicing; otherwise a boolean
         mask is applied (which materializes fresh arrays).
         """
-        if time not in self._cols:
-            raise KeyError(f"no time column {time!r} in {self.path}")
-        t = self.read([time])[time]
-        if self._cols[time]["zone"]["sorted"]:
+        if TIME_COLUMN not in self._cols:
+            raise KeyError(f"no time column {TIME_COLUMN!r} in {self.path}")
+        t = self.read([TIME_COLUMN])[TIME_COLUMN]
+        if self._cols[TIME_COLUMN]["zone"]["sorted"]:
             lo = int(np.searchsorted(t, t_begin, side="left"))
             hi = int(np.searchsorted(t, t_end, side="left"))
             return self.read(columns, rows=slice(lo, hi))

@@ -1,14 +1,14 @@
-"""repro.obs — unified observability: tracing, metrics, profiling.
+"""repro.obs — unified observability: tracing, counters, profiling.
 
 The glue the paper's monitoring story needs on our side of the glass:
 
 * :mod:`repro.obs.trace` — nested spans with deterministic ids,
   cross-process propagation through ``parallel.Executor`` and the serve
   TCP protocol, JSONL sink (``REPRO_TRACE=<file>``);
-* :mod:`repro.obs.metrics` — counters and gauges in a keyed registry,
-  where the scheduler mirrors its ``sched.*`` op counters (the
-  ``PipelineStats`` / ``ServiceStats`` / ``StreamStats`` counters are
-  plain attributes of their own);
+* :mod:`repro.obs.counters` — the one counter record (``Counters``: plain
+  attributes named by ``FIELDS``) and its per-owner table
+  (``CounterTable``) under ``PipelineStats``, ``StreamStats`` and
+  ``ServiceStats``;
 * :mod:`repro.obs.profile` — signal-based wall-clock sampler with
   per-span attribution (``REPRO_PROFILE=1``);
 * :mod:`repro.obs.export` — flame summaries, Chrome ``trace_event``
@@ -25,7 +25,7 @@ from . import trace
 from .events import NdjsonLog
 from .export import (TraceError, build_forest, flame_summary, load_trace,
                      to_chrome, validate_spans)
-from .metrics import REGISTRY, Counter, Gauge, MetricsRegistry
+from .counters import Counters, CounterTable
 from .profile import SamplingProfiler, profile_from_env
 from .trace import SpanContext, current_context, span
 
@@ -34,10 +34,8 @@ __all__ = [
     "span",
     "SpanContext",
     "current_context",
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "REGISTRY",
+    "Counters",
+    "CounterTable",
     "SamplingProfiler",
     "profile_from_env",
     "NdjsonLog",

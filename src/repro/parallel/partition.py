@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.frame.columnar import load_rcs, open_rcs, save_rcs, zone_map
+from repro.frame.columnar import (TIME_COLUMN, load_rcs, open_rcs,
+                                  save_rcs, zone_map)
 from repro.frame.encodings import ColumnarFormatError
 from repro.frame.table import Table, concat
 
@@ -195,9 +196,9 @@ class PartitionedDataset:
         t_begin: float,
         t_end: float,
         columns: list[str] | None = None,
-        time: str = "timestamp",
     ) -> Table:
-        """One shard's rows with ``t_begin <= time < t_end``, projected.
+        """One shard's rows with ``t_begin <= TIME_COLUMN < t_end``,
+        projected.
 
         When the shard's zone map marks the time column sorted, rows are
         sliced with two ``searchsorted`` probes (zero-copy for raw
@@ -215,11 +216,9 @@ class PartitionedDataset:
         """
         meta = self.partitions[index]
         try:
-            return self._read_time_range_meta(meta, t_begin, t_end,
-                                              columns, time)
+            return self._read_time_range_meta(meta, t_begin, t_end, columns)
         except FileNotFoundError:
-            return self._reread_time_range(meta, t_begin, t_end,
-                                           columns, time)
+            return self._reread_time_range(meta, t_begin, t_end, columns)
 
     def _read_time_range_meta(
         self,
@@ -227,10 +226,9 @@ class PartitionedDataset:
         t_begin: float,
         t_end: float,
         columns: list[str] | None,
-        time: str,
     ) -> Table:
         return open_rcs(self.root / meta.filename).read_time_range(
-            t_begin, t_end, columns, time=time
+            t_begin, t_end, columns
         )
 
     def _reread_time_range(
@@ -239,7 +237,6 @@ class PartitionedDataset:
         t_begin: float,
         t_end: float,
         columns: list[str] | None,
-        time: str,
     ) -> Table:
         """Recover one vanished shard's slice from the current manifest.
 
@@ -263,17 +260,17 @@ class PartitionedDataset:
                 if lo >= hi:
                     # nothing can overlap: return an empty projected slice
                     return fresh._read_time_range_meta(
-                        fresh.partitions[0], -np.inf, -np.inf, columns, time
+                        fresh.partitions[0], -np.inf, -np.inf, columns
                     )
                 parts = [
                     fresh._read_time_range_meta(
-                        fresh.partitions[j], lo, hi, columns, time
+                        fresh.partitions[j], lo, hi, columns
                     )
-                    for j in fresh.select_time(lo, hi, time=time)
+                    for j in fresh.select_time(lo, hi)
                 ]
                 if not parts:
                     return fresh._read_time_range_meta(
-                        fresh.partitions[0], -np.inf, -np.inf, columns, time
+                        fresh.partitions[0], -np.inf, -np.inf, columns
                     )
                 return parts[0] if len(parts) == 1 else concat(parts)
             except FileNotFoundError as err:
@@ -282,21 +279,17 @@ class PartitionedDataset:
             f"shard {meta.filename} vanished and {self.root} is now empty"
         )
 
-    def time_bounds(
-        self, index: int, time: str = "timestamp"
-    ) -> tuple[float, float, bool]:
+    def time_bounds(self, index: int) -> tuple[float, float, bool]:
         """(lo, hi, inclusive_hi) pruning bounds for one shard: the zone
         map's actual data min/max when it has any, else the partition's
         declared half-open extent."""
         meta = self.partitions[index]
-        zone = meta.zone.get(time)
+        zone = meta.zone.get(TIME_COLUMN)
         if zone is not None and zone["min"] is not None:
             return float(zone["min"]), float(zone["max"]), True
         return meta.t_begin, meta.t_end, False
 
-    def select_time(
-        self, t_begin: float, t_end: float, time: str = "timestamp"
-    ) -> list[int]:
+    def select_time(self, t_begin: float, t_end: float) -> list[int]:
         """Indices of shards whose rows can overlap ``[t_begin, t_end)``.
 
         Uses zone maps (actual per-shard data bounds) — tighter than the
@@ -308,7 +301,7 @@ class PartitionedDataset:
         for p in self.partitions:
             if p.n_rows == 0:
                 continue
-            lo, hi, incl = self.time_bounds(p.index, time)
+            lo, hi, incl = self.time_bounds(p.index)
             if lo < t_end and (hi >= t_begin if incl else hi > t_begin):
                 out.append(p.index)
         return out
@@ -358,7 +351,7 @@ class PartitionedDataset:
         return out
 
     def compact(
-        self, target_rows: int | None = None, time: str = "timestamp"
+        self, target_rows: int | None = None, time: str = TIME_COLUMN
     ) -> dict:
         """Merge runs of small shards into larger sorted ones, in place.
 

@@ -8,8 +8,8 @@ wall seconds ran its tasks in parallel.  The counters answer the
 operational questions the paper's own pipeline had to answer: where does the
 year-scale run spend its time, and how much work does a warm cache skip?
 
-Each :class:`StageStats` holds its counters as plain attributes; the
-``report()`` text and attribute values are pinned by
+Each :class:`StageStats` is a :class:`~repro.obs.counters.Counters`
+record; the ``report()`` text and attribute values are pinned by
 ``tests/obs/test_stats_compat.py``.
 """
 
@@ -18,19 +18,15 @@ from __future__ import annotations
 import threading
 
 from repro.core.report import render_table
+from repro.obs.counters import Counters, CounterTable
 
 
-class StageStats:
+class StageStats(Counters):
     """Counters for one named pipeline stage."""
 
     FIELDS = ("calls", "wall_s", "task_s", "rows_in", "rows_out",
               "bytes_out", "cache_hits", "cache_misses")
-    __slots__ = ("name",) + FIELDS
-
-    def __init__(self, name: str):
-        self.name = name
-        for k in self.FIELDS:
-            setattr(self, k, 0)
+    __slots__ = FIELDS
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -38,25 +34,15 @@ class StageStats:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.FIELDS)
-        return f"StageStats(name={self.name!r}, {fields})"
 
+class PipelineStats(CounterTable):
+    """Per-stage counters for one pipeline run, keyed by stage name."""
 
-class PipelineStats:
-    """Aggregated per-stage counters for one pipeline run."""
+    record_type = StageStats
 
     def __init__(self):
-        self.stages: dict[str, StageStats] = {}
+        super().__init__()
         self._lock = threading.Lock()
-
-    def stage(self, name: str) -> StageStats:
-        """The (auto-created) stats record for ``name``."""
-        with self._lock:
-            st = self.stages.get(name)
-            if st is None:
-                st = self.stages[name] = StageStats(name)
-            return st
 
     def record(
         self,
@@ -75,8 +61,8 @@ class PipelineStats:
 
         ``wall_s`` is the stage's own elapsed time, ``task_s`` the sum of
         its tasks' run times (0 for a stage that fans nothing out)."""
-        st = self.stage(name)
         with self._lock:
+            st = self.get(name)
             st.calls += calls
             st.wall_s += wall_s
             st.task_s += task_s
@@ -86,46 +72,33 @@ class PipelineStats:
             st.cache_hits += cache_hits
             st.cache_misses += cache_misses
 
-    # ---------------- roll-ups ----------------
-
-    @property
-    def total_cache_hits(self) -> int:
-        return sum(s.cache_hits for s in self.stages.values())
-
-    @property
-    def total_cache_misses(self) -> int:
-        return sum(s.cache_misses for s in self.stages.values())
-
     @property
     def cache_hit_ratio(self) -> float:
         """Fraction of cache-checked chunk tasks served from the cache."""
-        total = self.total_cache_hits + self.total_cache_misses
-        return self.total_cache_hits / total if total else 0.0
+        hits = self.total("cache_hits")
+        total = hits + self.total("cache_misses")
+        return hits / total if total else 0.0
 
     def report(self) -> str:
         """Rendered per-stage counter table plus the cache roll-up line."""
-        rows = []
-        for st in self.stages.values():
-            rows.append([
-                st.name,
-                st.calls,
-                f"{st.wall_s:.3f}",
-                f"{st.task_s:.3f}" if st.task_s else "-",
-                st.rows_in,
-                st.rows_out,
-                st.bytes_out,
-                f"{st.cache_hits}/{st.cache_hits + st.cache_misses}",
-            ])
+        rows = [
+            [name, st.calls, f"{st.wall_s:.3f}",
+             f"{st.task_s:.3f}" if st.task_s else "-",
+             st.rows_in, st.rows_out, st.bytes_out,
+             f"{st.cache_hits}/{st.cache_hits + st.cache_misses}"]
+            for name, st in self.records.items()
+        ]
         table = render_table(
             ["stage", "calls", "seconds", "task s", "rows in", "rows out",
              "bytes", "cache"],
             rows,
             title="pipeline stages",
         )
-        total = self.total_cache_hits + self.total_cache_misses
+        hits = self.total("cache_hits")
+        total = hits + self.total("cache_misses")
         if total:
             line = (
-                f"cache: {self.total_cache_hits}/{total} chunk tasks served "
+                f"cache: {hits}/{total} chunk tasks served "
                 f"from cache ({100.0 * self.cache_hit_ratio:.0f}%)"
             )
         else:

@@ -59,6 +59,7 @@ from repro.config import SUMMIT
 from repro.core.aggregate import cluster_power_series
 from repro.core.coarsen import coarsen_telemetry
 from repro.core.pue import PUE_OVERHEAD, pue_series
+from repro.frame.columnar import TIME_COLUMN
 from repro.frame.encodings import compression_mode
 from repro.frame.table import Table, concat
 from repro.frame.window import window_index, window_span
@@ -88,7 +89,7 @@ CACHE_FORMAT_VERSION = 3
 
 #: the archive's time column, and the window-start column every
 #: aggregated level carries; fragments are sliced on it
-OUT_TIME = "timestamp"
+OUT_TIME = TIME_COLUMN
 
 #: the archive's node column: node selections filter it, the node level
 #: groups by it
@@ -454,7 +455,7 @@ class QueryPlan:
                     for i in self.shards]
         out = []
         for i in self.shards:
-            data_lo, data_hi, incl = self.dataset.time_bounds(i, OUT_TIME)
+            data_lo, data_hi, incl = self.dataset.time_bounds(i)
             free_lo = self.t_lo <= data_lo
             free_hi = self.t_hi > data_hi if incl else self.t_hi >= data_hi
             lo = -np.inf if free_lo else self.t_lo
@@ -477,8 +478,7 @@ class QueryPlan:
         with trace.span("plan.fragment", shard=index):
             return self.run_shard_table(
                 self.dataset.read_time_range(
-                    index, -np.inf, np.inf,
-                    columns=self.projection, time=OUT_TIME,
+                    index, -np.inf, np.inf, columns=self.projection,
                 )
             )
 
@@ -502,8 +502,7 @@ class QueryPlan:
             return self.run_fragment(task.index)
         return self.run_shard_table(
             self.dataset.read_time_range(
-                task.index, task.lo, task.hi,
-                columns=self.projection, time=OUT_TIME,
+                task.index, task.lo, task.hi, columns=self.projection,
             )
         )
 
@@ -536,7 +535,7 @@ class QueryPlan:
         kernels over an empty projected slice)."""
         empty = self.dataset.read_time_range(
             self.shards[0] if self.shards else 0,
-            -np.inf, -np.inf, columns=self.projection, time=OUT_TIME,
+            -np.inf, -np.inf, columns=self.projection,
         )
         if self.query.level == "raw":
             return empty
@@ -595,7 +594,7 @@ def _reject_straddled_windows(
     """
     spans = []
     for i in shards:
-        lo, hi, from_zone = dataset.time_bounds(i, OUT_TIME)
+        lo, hi, from_zone = dataset.time_bounds(i)
         if from_zone:  # otherwise no finite timestamp, so no window
             spans.append((dataset.partitions[i].filename, lo, hi))
     if len(spans) < 2:
@@ -656,7 +655,7 @@ def plan_query(query: Query, dataset: PartitionedDataset) -> QueryPlan:
     t_hi = np.inf if query.t_end is None else query.t_end
 
     with trace.span("plan.query", level=query.level) as sp:
-        shards = dataset.select_time(t_lo, t_hi, time=OUT_TIME)
+        shards = dataset.select_time(t_lo, t_hi)
         node_ids = query.node_selection()
         node_array = None
         if node_ids is not None:

@@ -7,71 +7,48 @@ NaN-dropped rows), and the event-time lag of finalized output.
 ``report()`` renders the same style of counter table the chunked pipeline
 prints.
 
-:class:`NodeStats` holds its counters as plain attributes, bumped in the
-runtime's per-batch loop.  Direct attribute mutation, ``report()``, and
-``state_dict()``/``load_state()`` checkpointing have pinned shapes
-(``tests/obs/test_stats_compat.py``).
+:class:`NodeStats` is a :class:`~repro.obs.counters.Counters` record,
+bumped lock-free in the runtime's per-batch loop.  Direct attribute
+mutation, ``report()``, and ``state_dict()``/``load_state()``
+checkpointing have pinned shapes (``tests/obs/test_stats_compat.py``).
 """
 
 from __future__ import annotations
 
 from repro.core.report import render_table
+from repro.obs.counters import Counters, CounterTable
 
 
-class NodeStats:
+class NodeStats(Counters):
     """Counters for one stream node (the source or an operator)."""
 
     FIELDS = ("batches_in", "batches_out", "rows_in", "rows_out",
               "late_rows", "nan_rows", "wall_s", "lag_sum_s", "lag_n")
-    __slots__ = ("name",) + FIELDS
-
-    def __init__(self, name: str):
-        self.name = name
-        for k in self.FIELDS:
-            setattr(self, k, 0)
+    __slots__ = FIELDS
 
     @property
     def mean_lag_s(self) -> float:
         """Mean event-time lag of finalized output (arrival - window end)."""
         return self.lag_sum_s / self.lag_n if self.lag_n else 0.0
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.FIELDS)
-        return f"NodeStats(name={self.name!r}, {fields})"
 
+class StreamStats(CounterTable):
+    """Per-node counters for one streaming run, keyed by node name."""
 
-class StreamStats:
-    """Aggregated per-node counters for one streaming run."""
-
-    def __init__(self):
-        self.nodes: dict[str, NodeStats] = {}
-
-    def node(self, name: str) -> NodeStats:
-        """The (auto-created) stats record for ``name``."""
-        st = self.nodes.get(name)
-        if st is None:
-            st = self.nodes[name] = NodeStats(name)
-        return st
-
-    # ---------------- roll-ups ----------------
+    record_type = NodeStats
+    node = CounterTable.get
 
     @property
     def total_late_rows(self) -> int:
-        return sum(s.late_rows for s in self.nodes.values())
+        return self.total("late_rows")
 
     def report(self) -> str:
         """Rendered per-node counter table plus the accounting roll-up."""
-        rows = []
-        for st in self.nodes.values():
-            rows.append([
-                st.name,
-                st.batches_in,
-                st.rows_in,
-                st.rows_out,
-                st.late_rows,
-                f"{st.mean_lag_s:.2f}" if st.lag_n else "-",
-                f"{st.wall_s:.3f}",
-            ])
+        rows = [
+            [name, st.batches_in, st.rows_in, st.rows_out, st.late_rows,
+             f"{st.mean_lag_s:.2f}" if st.lag_n else "-", f"{st.wall_s:.3f}"]
+            for name, st in self.records.items()
+        ]
         table = render_table(
             ["node", "batches", "rows in", "rows out", "late", "lag s",
              "seconds"],
@@ -80,17 +57,3 @@ class StreamStats:
         )
         return (f"{table}\nwatermark accounting: {self.total_late_rows} "
                 "late rows dropped")
-
-    # ---------------- checkpointing ----------------
-
-    def state_dict(self) -> dict:
-        return {
-            name: {k: getattr(st, k) for k in NodeStats.FIELDS}
-            for name, st in self.nodes.items()
-        }
-
-    def load_state(self, state: dict) -> None:
-        for name, counters in state.items():
-            st = self.node(name)
-            for k, v in counters.items():
-                setattr(st, k, v)

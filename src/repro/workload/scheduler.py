@@ -60,7 +60,6 @@ import numpy as np
 from repro.config import SummitConfig, SUMMIT
 from repro.frame.table import Table
 from repro.obs import trace
-from repro.obs.metrics import REGISTRY
 from repro.workload.jobs import JobCatalog
 
 
@@ -272,10 +271,8 @@ class Scheduler:
         """Schedule every catalog job; jobs still pending at ``horizon_s``
         are dropped (they would run in the next year).
 
-        Besides ``last_run_stats``, the op counters publish into the
-        process-wide :data:`repro.obs.metrics.REGISTRY`, so a
-        co-simulation driver sees scheduler work alongside every other
-        subsystem's metrics.
+        The op counters land in ``last_run_stats`` and on the
+        ``sched.run`` span.
 
         Raises ``ValueError`` (naming the column, the ``allocation_id`` and
         the value) for a catalog row the event loop cannot order: a
@@ -288,13 +285,6 @@ class Scheduler:
                         horizon_s=horizon_s) as sp:
             result = self._run_event(catalog, horizon_s)
             sp.set(**self.last_run_stats)
-        for key, value in self.last_run_stats.items():
-            if key == "max_pending":
-                gauge = REGISTRY.gauge(f"sched.{key}")
-                if value > gauge.value:
-                    gauge.set(value)
-            else:
-                REGISTRY.counter(f"sched.{key}").inc(value)
         return result
 
     def _run_event(self, catalog: JobCatalog, horizon_s: float) -> ScheduleResult:

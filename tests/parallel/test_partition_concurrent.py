@@ -52,7 +52,7 @@ def _canonical(table: Table) -> dict[str, np.ndarray]:
 
 def _window(ds: PartitionedDataset, lo: float, hi: float) -> Table:
     parts = [
-        ds.read_time_range(i, lo, hi, time="timestamp")
+        ds.read_time_range(i, lo, hi)
         for i in ds.select_time(lo, hi)
     ]
     parts = [p for p in parts if p.n_rows]

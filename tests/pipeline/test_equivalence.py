@@ -124,8 +124,8 @@ class TestFusedEquivalence:
         pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
         got = pipe.telemetry_series(ds)
         assert_tables_equal(got, single_pass(telemetry))
-        assert pipe.stats.stage("fused").calls == ds.n_partitions
-        assert list(pipe.stats.stages) == ["fused"]
+        assert pipe.stats.get("fused").calls == ds.n_partitions
+        assert list(pipe.stats.records) == ["fused"]
 
     def test_stale_handle_after_compact(self, twin_small, telemetry,
                                         tmp_path):
@@ -201,15 +201,15 @@ class TestCacheEquivalence:
         assert_tables_equal(cold.job_series(), single_pass_series)
         _, cold_p = cold.cluster_power()
         assert np.array_equal(cold_p, single_pass_power[1])
-        assert cold.stats.total_cache_hits == 0
-        assert cold.stats.total_cache_misses > 0
+        assert cold.stats.total("cache_hits") == 0
+        assert cold.stats.total("cache_misses") > 0
 
         warm = Pipeline(twin_small, cfg)
         assert_tables_equal(warm.job_series(), single_pass_series)
         _, warm_p = warm.cluster_power()
         assert np.array_equal(warm_p, single_pass_power[1])
-        assert warm.stats.total_cache_misses == 0
-        assert warm.stats.total_cache_hits == cold.stats.total_cache_misses
+        assert warm.stats.total("cache_misses") == 0
+        assert warm.stats.total("cache_hits") == cold.stats.total("cache_misses")
 
     def test_warm_across_chunk_size_change_is_a_miss(self, twin_small,
                                                      single_pass_power,
@@ -225,7 +225,7 @@ class TestCacheEquivalence:
             cache_dir=tmp_path / "cache"))
         _, p = b.cluster_power()
         assert np.array_equal(p, single_pass_power[1])
-        assert b.stats.total_cache_misses > 0
+        assert b.stats.total("cache_misses") > 0
 
 
 class TestExportEquivalence:
@@ -321,8 +321,8 @@ class TestPushdownEquivalence:
         # zone maps admit the two in-range shards plus the one holding the
         # 0-5 s collector-delay spillover at the range edge — the rest of
         # the dataset is never opened
-        assert pipe.stats.stage("fused").calls < ds.n_partitions
-        assert pipe.stats.stage("fused").calls <= 3
+        assert pipe.stats.get("fused").calls < ds.n_partitions
+        assert pipe.stats.get("fused").calls <= 3
 
     @pytest.mark.parametrize("fmt", list(LAYOUTS))
     def test_dataset_cache_cold_then_warm(self, twin_small, telemetry,
@@ -333,23 +333,23 @@ class TestPushdownEquivalence:
             cold.telemetry_series(datasets[fmt], cache_token=f"tel-{fmt}"),
             single_pass(telemetry),
         )
-        assert cold.stats.stage("fused").cache_misses > 0
+        assert cold.stats.get("fused").cache_misses > 0
         warm = Pipeline(twin_small, cfg)
         assert_tables_equal(
             warm.telemetry_series(datasets[fmt], cache_token=f"tel-{fmt}"),
             single_pass(telemetry),
         )
-        assert warm.stats.stage("fused").cache_misses == 0
-        assert (warm.stats.stage("fused").cache_hits
-                == cold.stats.stage("fused").cache_misses)
+        assert warm.stats.get("fused").cache_misses == 0
+        assert (warm.stats.get("fused").cache_hits
+                == cold.stats.get("fused").cache_misses)
         # raw content is never hashed: without a token nothing is cached,
         # nor are a raw plan's per-shard reads, which are archive rows
         for kwargs in (dict(), dict(query=Query(level="raw"),
                                     cache_token=f"tel-{fmt}")):
             bare = Pipeline(twin_small, cfg)
             bare.telemetry_series(datasets[fmt], **kwargs)
-            assert bare.stats.total_cache_hits == 0
-            assert bare.stats.total_cache_misses == 0
+            assert bare.stats.total("cache_hits") == 0
+            assert bare.stats.total("cache_misses") == 0
 
     def test_time_range_addresses_different_cache_entries(self, twin_small,
                                                           telemetry, datasets,
@@ -363,7 +363,7 @@ class TestPushdownEquivalence:
             ds, cache_token="tok")
         pruned_pipe = Pipeline(twin_small, cfg)
         pruned = pruned_pipe.telemetry_series(ds, query, cache_token="tok")
-        assert pruned_pipe.stats.stage("fused").cache_hits == 0
+        assert pruned_pipe.stats.get("fused").cache_hits == 0
         assert_tables_equal(pruned, single_pass(telemetry, query))
         assert_tables_equal(full, single_pass(telemetry))
         # a shard the range covers whole *is* the full run's artifact, and
@@ -374,4 +374,4 @@ class TestPushdownEquivalence:
                 again.telemetry_series(ds, query, cache_token="tok"),
                 single_pass(telemetry, query),
             )
-            assert again.stats.stage("fused").cache_misses == 0
+            assert again.stats.get("fused").cache_misses == 0

@@ -63,19 +63,19 @@ class TestConstruction:
     def test_twin_is_lazy_from_spec(self):
         pipe = Pipeline(TINY, PipelineConfig(backend="serial"))
         assert pipe._twin is None
-        assert pipe.stats.stage("simulate").calls == 0
+        assert pipe.stats.get("simulate").calls == 0
         twin = pipe.twin
         assert twin.spec == TINY
-        assert pipe.stats.stage("simulate").calls == 1
+        assert pipe.stats.get("simulate").calls == 1
         assert pipe.twin is twin
-        assert pipe.stats.stage("simulate").calls == 1
+        assert pipe.stats.get("simulate").calls == 1
 
     def test_twin_data_pipeline_helper(self, twin_small):
         pipe = Pipeline(twin_small)
         assert isinstance(pipe, Pipeline)
         assert pipe.twin is twin_small
         # no simulate stage when the twin is handed in pre-built
-        assert pipe.stats.stage("simulate").calls == 0
+        assert pipe.stats.get("simulate").calls == 0
 
 
 class TestStatsIntegration:
@@ -84,7 +84,7 @@ class TestStatsIntegration:
         pipe = Pipeline(twin, PipelineConfig(chunk_seconds=0.05 * DAY,
                                              backend="serial"))
         times, power = pipe.cluster_power()
-        st = pipe.stats.stage("cluster_power")
+        st = pipe.stats.get("cluster_power")
         assert st.calls == 4  # 0.2 d horizon / 0.05 d chunks
         assert st.rows_in == len(times)
         assert st.rows_out == len(power)
@@ -103,10 +103,10 @@ class TestStatsIntegration:
             return Table({"x": np.zeros(1)})
 
         pipe._run_stage("nap", [0.2, 0.2], lambda: _Timed(nap))
-        st = pipe.stats.stage("nap")
+        st = pipe.stats.get("nap")
         assert st.task_s >= 0.4
         assert st.wall_s < st.task_s
-        assert "simulate" not in pipe.stats.stages  # nothing built a twin
+        assert "simulate" not in pipe.stats.records  # nothing built a twin
 
     def test_warm_rerun_skips_majority_of_stage_work(self, tmp_path):
         # the PR's acceptance criterion: >= 50% of chunk tasks served from
@@ -117,14 +117,14 @@ class TestStatsIntegration:
         cold = Pipeline(twin, cfg)
         cold.cluster_power()
         cold.job_series()
-        total = cold.stats.total_cache_misses
+        total = cold.stats.total("cache_misses")
         assert total >= 2
 
         warm = Pipeline(twin, cfg)
         wt, wp = warm.cluster_power()
         ws = warm.job_series()
         assert warm.stats.cache_hit_ratio >= 0.5
-        assert warm.stats.total_cache_hits == total
+        assert warm.stats.total("cache_hits") == total
         _, cp = Pipeline(twin, PipelineConfig(
             chunk_seconds=0.05 * DAY, backend="serial")).cluster_power()
         assert np.array_equal(wp, cp)
@@ -136,4 +136,4 @@ class TestStatsIntegration:
             chunk_seconds=0.1 * DAY, backend="serial",
             cache_dir=tmp_path / "c"))
         pipe.cluster_power()
-        assert pipe.stats.stage("cluster_power").bytes_out > 0
+        assert pipe.stats.get("cluster_power").bytes_out > 0

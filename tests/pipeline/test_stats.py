@@ -10,7 +10,7 @@ class TestPipelineStats:
         s = PipelineStats()
         s.record("a", wall_s=1.0, rows_in=10, rows_out=5, bytes_out=100)
         s.record("a", wall_s=0.5, rows_in=2, cache_hits=3, cache_misses=1)
-        st = s.stage("a")
+        st = s.get("a")
         assert st.calls == 2
         assert st.wall_s == 1.5
         assert st.rows_in == 12
@@ -24,10 +24,10 @@ class TestPipelineStats:
         assert s.cache_hit_ratio == 0.0
         s.record("a", cache_hits=3, cache_misses=1)
         s.record("b", cache_hits=1, cache_misses=3)
-        assert s.stage("a").cache_hit_ratio == 0.75
+        assert s.get("a").cache_hit_ratio == 0.75
         assert s.cache_hit_ratio == 0.5
-        assert s.total_cache_hits == 4
-        assert s.total_cache_misses == 4
+        assert s.total("cache_hits") == 4
+        assert s.total("cache_misses") == 4
 
     def test_report_lists_stages_and_rollup(self):
         s = PipelineStats()
@@ -49,5 +49,5 @@ class TestPipelineStats:
             list(pool.map(
                 lambda _: s.record("hot", calls=1, rows_out=1), range(400)
             ))
-        assert s.stage("hot").calls == 400
-        assert s.stage("hot").rows_out == 400
+        assert s.get("hot").calls == 400
+        assert s.get("hot").rows_out == 400

@@ -162,10 +162,10 @@ class TestCacheIsolation:
         with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": "auto"}):
             cold, pipe_cold = series_over(stores["compressed"], twin_small,
                                           **cfg)
-            assert pipe_cold.stats.stage("fused").cache_misses > 0
+            assert pipe_cold.stats.get("fused").cache_misses > 0
             warm, pipe_warm = series_over(stores["compressed"], twin_small,
                                           **cfg)
-        assert pipe_warm.stats.stage("fused").cache_misses == 0
+        assert pipe_warm.stats.get("fused").cache_misses == 0
         assert_tables_equal(warm, single_pass)
         # a compression-off run shares the directory but not the artifacts:
         # the storage config is folded into every key (same store both
@@ -173,8 +173,8 @@ class TestCacheIsolation:
         with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": "off"}):
             raw, pipe_raw = series_over(stores["compressed"], twin_small,
                                         **cfg)
-        assert pipe_raw.stats.stage("fused").cache_hits == 0
-        assert pipe_raw.stats.stage("fused").cache_misses > 0
+        assert pipe_raw.stats.get("fused").cache_hits == 0
+        assert pipe_raw.stats.get("fused").cache_misses > 0
         assert_tables_equal(raw, single_pass)
 
     def test_format_version_bump_invalidates(self, stores, twin_small,
@@ -188,7 +188,7 @@ class TestCacheIsolation:
         # same store, bumped version: every artifact re-addresses (no
         # stale pre-bump artifact is ever served)...
         bumped, pipe = series_over(stores["compressed"], twin_small, **cfg)
-        assert pipe.stats.stage("fused").cache_hits == 0
-        assert pipe.stats.stage("fused").cache_misses > 0
+        assert pipe.stats.get("fused").cache_hits == 0
+        assert pipe.stats.get("fused").cache_misses > 0
         # ...and the output is bit-identical anyway
         assert_tables_equal(bumped, old)

@@ -143,7 +143,7 @@ class TestCheckpointMismatch:
             graph.load_state(state)
         # refused before anything moved
         assert source.batches_emitted == 0
-        assert graph.stats.nodes == {}
+        assert graph.stats.records == {}
 
     def test_other_batch_count_refused(self, telemetry, edge_threshold,
                                        state):

@@ -230,7 +230,9 @@ def test_read_surface_is_a_closed_set():
     preallocated table (``read_time_range_merged``, ``read_range_into``,
     ``decode_column(out=)``) had no ledger number behind it and went:
     a multi-shard read is per-shard reads plus ``concat``.  A
-    destination-buffer path arrives with its ledger verdict."""
+    destination-buffer path arrives with its ledger verdict.  Every read
+    slices and prunes on ``TIME_COLUMN``: the ``time=`` parameter every
+    caller set to it went (``compact(time=)`` stays for the CLI)."""
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
@@ -244,7 +246,7 @@ def test_read_surface_is_a_closed_set():
     assert methods(RcsFile) == ["read", "read_time_range"]
     assert params(RcsFile.read) == ["self", "columns", "rows"]
     assert params(RcsFile.read_time_range) == [
-        "self", "t_begin", "t_end", "columns", "time",
+        "self", "t_begin", "t_end", "columns",
     ]
     assert methods(PartitionedDataset) == [
         "append", "compact", "create", "encoding_summary", "read",
@@ -253,21 +255,26 @@ def test_read_surface_is_a_closed_set():
     ]
     assert params(PartitionedDataset.read) == ["self", "index"]
     assert params(PartitionedDataset.read_time_range) == [
-        "self", "index", "t_begin", "t_end", "columns", "time",
+        "self", "index", "t_begin", "t_end", "columns",
     ]
+    assert params(PartitionedDataset.select_time) == [
+        "self", "t_begin", "t_end",
+    ]
+    assert params(PartitionedDataset.time_bounds) == ["self", "index"]
     assert params(PartitionedDataset.to_table) == ["self"]
     assert "__iter__" not in vars(PartitionedDataset)
 
 
 def test_obs_surface_is_a_closed_set():
     """A disabled-span counter, a second trace-file variable, an
-    ``activated`` wrapper and descriptor views of private registries had
-    no reader and went: the stats records hold plain counters."""
+    ``activated`` wrapper, descriptor views of private registries and the
+    process-wide metrics registry had no reader and went: every stats
+    family holds plain counters in one record type."""
     assert repro.obs.__all__ == [
-        "trace", "span", "SpanContext", "current_context", "Counter",
-        "Gauge", "MetricsRegistry", "REGISTRY", "SamplingProfiler",
-        "profile_from_env", "NdjsonLog", "TraceError", "load_trace",
-        "validate_spans", "build_forest", "flame_summary", "to_chrome",
+        "trace", "span", "SpanContext", "current_context", "Counters",
+        "CounterTable", "SamplingProfiler", "profile_from_env", "NdjsonLog",
+        "TraceError", "load_trace", "validate_spans", "build_forest",
+        "flame_summary", "to_chrome",
     ]
     assert trace.__all__ == [
         "SpanContext", "span", "current_context", "current_span", "enable",
