@@ -133,11 +133,12 @@ CLI integration:
 `repro.obs` is the zero-dependency observability layer shared by every
 subsystem: structured **tracing** (`trace.span(...)` context managers
 whose parent/child nesting survives process pools and the TCP boundary
-via explicit `SpanContext` propagation), a **metrics registry**
-(counters and gauges — the scheduler's `sched.*` mirror; the
-pipeline/serve/stream stats keep plain attributes of their own), a
-**sampling profiler** (`REPRO_PROFILE=1`), and NDJSON **event logs**
-(the serve slow-query log).  Tracing off is a single branch per call.
+via explicit `SpanContext` propagation), one **counter record**
+(`Counters`: plain attributes named by `FIELDS`; `CounterTable`: one
+record per name, owned by the pipeline, stream graph or service it
+counts for — `PipelineStats`, `StreamStats` and `ServiceStats` are
+built on them), a **sampling profiler** (`REPRO_PROFILE=1`), and
+NDJSON **event logs** (the serve slow-query log).  Tracing off is a single branch per call.
 
 Environment and CLI integration:
 
