@@ -17,7 +17,6 @@ constant (vectorized with ``scipy.signal.lfilter``).
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.config import SummitConfig, SUMMIT
 from repro.machine.components import ChipPopulation
@@ -30,6 +29,8 @@ def first_order_lag(x: np.ndarray, dt: float, tau: float) -> np.ndarray:
     Initialized at the first sample (no start-up transient), which matches
     snapshots cut out of a longer steady simulation.
     """
+    from scipy.signal import lfilter
+
     if tau <= 0:
         return np.asarray(x, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)

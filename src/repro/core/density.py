@@ -7,7 +7,6 @@ machinery lives in one place with consistent NaN handling.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def _clean(values: np.ndarray) -> np.ndarray:
@@ -68,6 +67,8 @@ def kde_2d(
     Returns ``{"x": grid_x, "y": grid_y, "density": (n, n)}``; with
     ``log_*`` the KDE runs in log10 space (energy/power span decades).
     """
+    from scipy import stats
+
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     ok = np.isfinite(x) & np.isfinite(y)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.config import SUMMIT
 from repro.failures.xid import XID_TYPES
@@ -49,6 +48,8 @@ def cooccurrence_matrix(
     are NaN-masked in ``significant``.  Types with zero variance (no
     failures) are NaN throughout.
     """
+    from scipy import stats
+
     m = log.node_type_matrix(n_nodes).astype(np.float64)
     k = m.shape[1]
     std = m.std(axis=0)
@@ -158,6 +159,8 @@ def thermal_extremity(
     Returns ``{"table", "z_by_type", "temp_by_type"}`` where ``table`` has
     per-type n / skewness / max temp / fraction at or above 60 degC.
     """
+    from scipy import stats
+
     t = log.table
     keep = (t["allocation_id"] > 0) & np.isfinite(t["gpu_temp_c"])
     if log.n_failures:

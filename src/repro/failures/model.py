@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.config import SummitConfig, SUMMIT, fahrenheit_to_celsius
 from repro.frame.table import Table
@@ -198,6 +197,8 @@ def generate_failures(
     :data:`TEMP_LOSS_FRACTION` share of temperatures is blanked to NaN,
     modeling the paper's spring/summer telemetry loss.
     """
+    from scipy import stats
+
     cfg = catalog.config
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFA11]))
     al = schedule.allocations

@@ -5,6 +5,11 @@
 sits beside it.  Each package is imported alone in a fresh interpreter and
 the ``repro`` packages it pulled in are checked, so a function-level import
 cannot hide a cycle: there are none left to hide one.
+
+scipy is imported inside the functions that call it (the KDE, the
+failure statistics, the thermal lag and the XID temperature draw), so no
+package import pays for it: the service, the query client and the
+pipeline never call it.
 """
 
 import json
@@ -62,3 +67,22 @@ def test_serve_borrows_only_what_the_ledger_imports():
         if not getattr(repro.serve, name).__module__.startswith("repro.serve")
     }
     assert borrowed == {"Query", "plan_query"}
+
+
+SCIPY_PROBE = """
+import sys
+import repro.{name}
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("name", [
+    "plan", "serve", "stream", "pipeline", "core", "datasets", "__main__",
+])
+def test_package_import_loads_no_scipy(name):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE.format(name=name)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]", out
