@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -229,7 +230,11 @@ def cmd_stream(args) -> int:
 def cmd_compact(args) -> int:
     from repro.parallel.partition import PartitionedDataset
 
-    ds = PartitionedDataset(args.dataset)
+    try:
+        ds = PartitionedDataset(args.dataset)
+    except FileNotFoundError as err:
+        print(f"error: {err}")
+        return 1
     stats = ds.compact(target_rows=args.target_rows, time=args.time)
     before = stats["before"]
     print(f"compacted {ds.name}: "
@@ -263,7 +268,11 @@ def cmd_serve(args) -> int:
     except ValueError as err:
         print(f"error: {err}")
         return 1
-    service = QueryService(args.dataset, config)
+    try:
+        service = QueryService(args.dataset, config)
+    except FileNotFoundError as err:
+        print(f"error: {err}")
+        return 1
     server = TelemetryServer(service, args.host, args.port)
 
     async def run() -> None:
@@ -273,9 +282,12 @@ def cmd_serve(args) -> int:
               f"{ds.n_partitions} shards, fragment cache "
               f"{args.fragment_mb} MiB) on {host}:{port}", flush=True)
         if args.ready_file:
-            # written after bind: pollers know the port is accepting
-            with open(args.ready_file, "w") as fh:
-                fh.write(f"{host} {port}\n")
+            # written after bind, so pollers know the port is accepting,
+            # and renamed into place, so they never read a partial line
+            ready = Path(args.ready_file)
+            tmp = ready.with_name(f".{ready.name}.{os.getpid()}.tmp")
+            tmp.write_text(f"{host} {port}\n")
+            os.replace(tmp, ready)
         await server.serve_forever()
 
     try:
@@ -293,7 +305,12 @@ def cmd_query(args) -> int:
     from repro.plan import Query, QueryError
     from repro.serve import QueryClient, ServiceError
 
-    with QueryClient(args.host, args.port, tenant=args.tenant) as client:
+    try:
+        client = QueryClient(args.host, args.port, tenant=args.tenant)
+    except OSError as err:
+        print(f"error: cannot reach {args.host}:{args.port}: {err}")
+        return 1
+    with client:
         if args.stats:
             try:
                 stats = client.stats()
