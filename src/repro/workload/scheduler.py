@@ -27,6 +27,14 @@ the differential oracle in ``tests/workload/reference_scheduler.py``; it
 drives the same :class:`_Sim` and policy hooks, so the placement RNG is
 drawn in the same order and ``ScheduleResult`` is identical bit for bit.
 
+The output is sized by itself: every placement is written once, into its
+row's slice of one preallocated buffer, and Dataset D is that buffer (or
+one boolean gather of it, when some job never started) beside three
+``np.repeat`` columns.  ``tracemalloc`` puts the peak of a 20k-job
+full-machine run at 1.07x the bytes of ``allocations`` +
+``node_allocations``, 1.15x when part of the backlog is dropped
+(``tests/workload/test_schedule_memory.py`` holds it to 1.3x).
+
 The event clock is a plain Python float (see :class:`_Sim`).  A queue scan
 runs in two phases over the first ``min(len(pending), BACKFILL_DEPTH)``
 entries: phase 1 starts fitting, admitted jobs in priority order until the
@@ -107,24 +115,43 @@ class ScheduleResult:
         """``(ids, bounds, nodes)``: the ascending allocation ids, and
         ``nodes[bounds[i]:bounds[i + 1]]`` the nodes of ``ids[i]``.
 
-        ``node_allocations`` in one stable sort by (allocation, node) and
-        one split, built on first use.  The sort key is
-        ``id * (max node + 1) + node``: the (allocation, node) order, at
-        ~9 ms for the two million rows where ``np.lexsort`` takes 0.25 s.
+        Built on first use.  A :meth:`Scheduler.run` output is already in
+        (allocation, node) order (catalog ids are 1-based row numbers and
+        each placement is sorted), which one pass over boolean
+        temporaries confirms; then ``nodes`` is a read-only view of
+        ``node_allocations["node"]`` and only the group starts are new
+        arrays.  Any other table takes one stable sort by the key
+        ``id * (max node + 1) + node`` and two gathers.  On the 2.07M rows
+        of ``cosim_backlog``'s schedule (2-core Xeon) the view route takes
+        ~9 ms, where the sort route took ~24 ms on the same ordered rows
+        and ~0.4 s on a shuffled copy.
         """
         na = self.node_allocations
-        key = na["allocation_id"] * (int(na["node"].max(initial=0)) + 1)
-        key += na["node"]
-        order = np.argsort(key, kind="stable")
-        del key  # one full-table temporary at a time keeps the peak RSS down
-        ids = na["allocation_id"][order]
+        ids, nodes = na["allocation_id"], na["node"]
+        if _in_node_order(ids, nodes):
+            nodes = nodes.view()
+        else:
+            key = ids * (int(nodes.max(initial=0)) + 1)
+            key += nodes
+            order = np.argsort(key, kind="stable")
+            del key  # one full-table temporary at a time keeps the peak down
+            ids = ids[order]
+            nodes = nodes[order]
+            del order
         first = np.ones(len(ids), dtype=bool)
-        first[1:] = ids[1:] != ids[:-1]
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        ids = ids[starts]
-        nodes = na["node"][order]
         nodes.setflags(write=False)
-        return ids, np.append(starts, len(nodes)), nodes
+        return ids[starts], np.append(starts, len(nodes)), nodes
+
+
+def _in_node_order(ids: np.ndarray, nodes: np.ndarray) -> bool:
+    """Whether the rows are in ascending (allocation, node) order, checked
+    with boolean temporaries only."""
+    ok = nodes[1:] >= nodes[:-1]
+    ok |= ids[1:] != ids[:-1]
+    ok &= ids[1:] >= ids[:-1]
+    return bool(ok.all())
 
 
 def _merged_drain_windows(
@@ -150,10 +177,20 @@ class _Sim:
     """Mutable machine state of one run.
 
     Holds the free-node mask, per-job begin/end times, the running heap
-    (completion order) and its sorted end-time mirror ``by_end``.
-    ``start_job`` / ``pop_completion`` / ``release`` are the only writers,
-    so the core and the test oracle cannot drift in how they mutate the
-    machine.
+    (completion order), its sorted end-time mirror ``by_end`` and the
+    placement buffer ``placed``.  ``start_job`` / ``pop_completion`` /
+    ``release`` are the only writers, so the core and the test oracle
+    cannot drift in how they mutate the machine.
+
+    ``placed`` is one int64 array with a slice per catalog row:
+    ``placed[offset[row]:offset[row] + node_count]``, the offsets being the
+    running sum of the node counts of the jobs that fit the machine.
+    ``start_job`` writes the job's sorted placement into its slice and
+    ``release`` frees the nodes the slice names.  Rows sit in catalog
+    order, so once every job has started the buffer *is* Dataset D's
+    ``node`` column: :func:`_assemble` takes it out of the finished run.
+    The run's peak stays close to its output instead of holding a per-job
+    array for every start and a concatenated copy besides.
 
     Everything the event loop touches per event is a plain Python object:
     node demands, walltimes and begin/end times are lists, and the clock
@@ -169,23 +206,29 @@ class _Sim:
 
     __slots__ = (
         "sched", "catalog", "free", "n_free", "running", "by_end",
-        "node_lists", "begin", "end", "placement_rng", "nodes_req_l",
+        "placed", "offset", "begin", "end", "placement_rng", "nodes_req_l",
         "wall_l", "n_started",
     )
 
     def __init__(self, sched: "Scheduler", catalog: JobCatalog):
         t = catalog.table
         n_jobs = catalog.n_jobs
+        n_nodes = sched.config.n_nodes
         self.sched = sched
         self.catalog = catalog
         self.nodes_req_l: list[int] = t["node_count"].tolist()
         self.wall_l: list[float] = t["walltime_s"].tolist()
-        self.free = np.ones(sched.config.n_nodes, dtype=bool)
-        self.n_free = sched.config.n_nodes
+        self.free = np.ones(n_nodes, dtype=bool)
+        self.n_free = n_nodes
         self.running: list[tuple[float, int]] = []  # heap of (end_time, row)
         #: sorted mirror of ``running``
         self.by_end: list[tuple[float, int]] = []
-        self.node_lists: dict[int, np.ndarray] = {}
+        # row r's placement is placed[offset[r]:offset[r] + node_count[r]];
+        # a job wider than the machine never starts and reserves no slots
+        slots = np.cumsum(_slot_counts(t["node_count"], n_nodes))
+        self.placed = np.empty(int(slots[-1]) if n_jobs else 0, dtype=np.int64)
+        self.offset: list[int] = [0]
+        self.offset += slots[:-1].tolist()
         self.begin = [-1.0] * n_jobs
         self.end = [-1.0] * n_jobs
         self.placement_rng = np.random.default_rng(
@@ -203,7 +246,8 @@ class _Sim:
             free_ids.sort()
         self.free[free_ids] = False
         self.n_free -= k
-        self.node_lists[row] = free_ids
+        o = self.offset[row]
+        self.placed[o:o + k] = free_ids
         self.begin[row] = now
         end = now + self.wall_l[row]
         self.end[row] = end
@@ -220,9 +264,17 @@ class _Sim:
         return entry
 
     def release(self, row: int, now: float) -> None:
-        self.free[self.node_lists[row]] = True
-        self.n_free += self.nodes_req_l[row]
+        k = self.nodes_req_l[row]
+        o = self.offset[row]
+        self.free[self.placed[o:o + k]] = True
+        self.n_free += k
         self.sched.on_release(self.catalog, row, now)
+
+
+def _slot_counts(node_count: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Placement-buffer slots per catalog row: its node count if the job
+    fits the machine, else 0 (it can never start)."""
+    return np.where(node_count <= n_nodes, node_count, 0)
 
 
 class Scheduler:
@@ -492,20 +544,21 @@ def _assemble(catalog: JobCatalog, sim: _Sim) -> ScheduleResult:
         }
     )
 
-    # per-node expansion (Dataset D)
-    counts = nodes_req[started_rows].astype(np.intp)
-    rep_rows = np.repeat(started_rows, counts)
-    all_nodes = (
-        np.concatenate([sim.node_lists[r] for r in started_rows.tolist()])
-        if len(started_rows)
-        else np.empty(0, dtype=np.int64)
-    )
+    # per-node expansion (Dataset D): the placement buffer holds every
+    # started job's nodes in row order, so when every job started it is
+    # the node column itself.  Otherwise one gather drops the unused slots,
+    # and the buffer is let go before the other columns are built.
+    nodes, sim.placed = sim.placed, None
+    if len(started_rows) < len(started):
+        slots = _slot_counts(nodes_req, len(sim.free))
+        nodes = nodes[np.repeat(started, slots)]
+    counts = allocations["node_count"]
     node_allocations = Table(
         {
-            "allocation_id": alloc_ids[rep_rows],
-            "node": all_nodes.astype(np.int64),
-            "begin_time": begin[rep_rows],
-            "end_time": end[rep_rows],
+            "allocation_id": np.repeat(allocations["allocation_id"], counts),
+            "node": nodes,
+            "begin_time": np.repeat(allocations["begin_time"], counts),
+            "end_time": np.repeat(allocations["end_time"], counts),
         }
     )
 

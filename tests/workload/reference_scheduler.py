@@ -43,7 +43,6 @@ def run_reference(
     order = np.argsort(submit, kind="stable")
     sim = _Sim(sched, catalog)
     running = sim.running
-    node_lists = sim.node_lists
 
     pending: list[tuple[int, int, int]] = []  # (class, seq, row)
     stats = {
@@ -61,7 +60,7 @@ def run_reference(
         freed = sim.n_free
         shadow = float("inf")
         for t_end, row in sorted(running):
-            nn = len(node_lists[row])
+            nn = int(nodes_req[row])
             if shadow == float("inf"):
                 avail += nn
                 if avail >= k_needed:
