@@ -25,7 +25,11 @@ Codecs
     Slowly varying fixed-width columns (Gorilla-style): XOR each element
     with its predecessor, byte-transpose the XOR stream so the
     mostly-zero high bytes group together, then frame.  Works on floats,
-    ints, bools and fixed-width strings alike.
+    ints, bools and fixed-width strings alike.  Decode walks the inflated
+    byte planes and writes each plane's prefix XOR straight into its
+    byte lane of the output, so no transposed copy is made; the planes
+    that never change after row 0 share one fill of the output with
+    row 0.
 ``dict``
     Low-cardinality columns (cabinet, class, domain, state strings):
     unique values once + a narrow code per row, framed.
@@ -41,8 +45,11 @@ times the deflate time and buys almost no bytes.  The stream is still plain zlib
 the reader inflates shards framed at any level or strategy alike.  The
 frame tag is recorded per column; a footer naming a frame this build does
 not know fails with a clean :class:`ColumnarFormatError` instead of
-garbage.  Inflation stops at the most bytes the column's codec can need,
-so a crafted frame cannot balloon far past its column's size.
+garbage.  Inflation stops at the most bytes the column's codec can need
+(one past the column's bytes for ``fxor`` and ``zframe``, a 10-byte
+varint per row for the others), so a crafted frame cannot balloon past
+its column's size; the bytes inflate in steps into one buffer, never
+into blocks that are then joined.
 
 Every encoded payload carries a CRC-32 that is verified before decoding:
 a flipped byte raises :class:`ColumnarFormatError`, never returns silently
@@ -216,11 +223,27 @@ def frame_compress(payload: bytes) -> tuple[str, bytes]:
     return "zlib", framed
 
 
-def frame_decompress(tag: str, buf: bytes, limit: int) -> bytes:
+#: bytes inflated (and compressed bytes fed) per step: CPython returns a
+#: step this size as one block, so no step is copied twice, and the
+#: unconsumed input it copies per step stays this small too
+_INFLATE_STEP = 1 << 15
+
+#: deflate cannot expand its input more than 1032-fold (a 258-byte match
+#: costs at least two bits)
+_DEFLATE_MAX_RATIO = 1032
+
+
+def frame_decompress(tag: str, buf: bytes, limit: int) -> bytes | memoryview:
     """Inverse of :func:`frame_compress`; clean errors on corruption.
 
-    Inflates at most ``limit`` (> 0) bytes: a frame whose stream goes on
-    past that is refused without being inflated further.
+    Inflates fewer than ``limit`` (> 0) bytes: a frame whose stream
+    reaches that many is refused without being inflated further.  The
+    stream is inflated step by step straight into one buffer of
+    ``limit`` bytes (fewer when deflate's expansion ceiling says the
+    stream cannot fill it, so a huge claimed bound reserves no more than
+    the stream could inflate to), which is returned as a writable
+    ``memoryview``: the inflated bytes are held once, never as zlib's
+    output blocks plus their join.
     """
     if tag == "none":
         return buf
@@ -229,23 +252,40 @@ def frame_decompress(tag: str, buf: bytes, limit: int) -> bytes:
             f"column framed with {tag!r}, which this build cannot decode "
             "(have ['none', 'zlib'])"
         )
+    dest = memoryview(
+        np.empty(min(limit, _DEFLATE_MAX_RATIO * len(buf)), dtype=np.uint8)
+    )
+    src = memoryview(buf)
     inflate = zlib.decompressobj()
+    pos = fed = 0
+    pending = b""
     try:
-        out = inflate.decompress(buf, limit)
-    except Exception as exc:
+        while not inflate.eof and pos < len(dest):
+            if not pending:
+                pending = src[fed:fed + _INFLATE_STEP]
+                fed += len(pending)
+            step = inflate.decompress(
+                pending, min(_INFLATE_STEP, len(dest) - pos)
+            )
+            pending = inflate.unconsumed_tail
+            if not step and not pending and fed >= len(src):
+                break  # input spent, stream unfinished
+            dest[pos:pos + len(step)] = step
+            pos += len(step)
+    except zlib.error as exc:
         raise ColumnarFormatError(
             f"truncated or corrupt {tag} frame: {exc}"
         ) from exc
+    if pos >= limit:
+        raise ColumnarFormatError(
+            f"corrupt {tag} frame: inflates past the {limit:,}-byte "
+            "bound of its column"
+        )
     if not inflate.eof:
-        if len(out) >= limit:
-            raise ColumnarFormatError(
-                f"corrupt {tag} frame: inflates past the {limit:,}-byte "
-                "bound of its column"
-            )
         raise ColumnarFormatError(
             f"truncated or corrupt {tag} frame: incomplete stream"
         )
-    return out
+    return dest[:pos]
 
 
 # ---------------- helpers ----------------
@@ -360,11 +400,6 @@ def _shuffle(raw: np.ndarray, itemsize: int) -> bytes:
     return raw.reshape(-1, itemsize).T.copy().tobytes()
 
 
-def _unshuffle(buf: bytes, itemsize: int, n: int) -> np.ndarray:
-    mat = np.frombuffer(buf, dtype=np.uint8).reshape(itemsize, n)
-    return np.ascontiguousarray(mat.T).reshape(-1)
-
-
 def _xor_stream(arr: np.ndarray) -> np.ndarray:
     """Per-element XOR with predecessor over the byte matrix (first kept)."""
     mat = arr.view(np.uint8).reshape(len(arr), arr.dtype.itemsize)
@@ -373,9 +408,25 @@ def _xor_stream(arr: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _unxor_stream(flat: np.ndarray, itemsize: int, n: int) -> np.ndarray:
-    mat = flat.reshape(n, itemsize)
-    return np.bitwise_xor.accumulate(mat, axis=0, dtype=np.uint8).reshape(-1)
+def _unxor_planes(planes: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Inverse of :func:`_xor_stream` + :func:`_shuffle`, in one pass.
+
+    ``planes`` is the ``(itemsize, n)`` plane-major byte matrix.  Each
+    live plane's prefix XOR is written straight into its byte lane of the
+    output (a strided view), so no transposed copy is made.  A plane that
+    is zero after row 0 (a byte that never changes, such as the high
+    bytes of small ints) keeps its first byte in every row, so when any
+    plane is, the output is first filled with row 0 — one contiguous
+    fill, not a strided one per plane.
+    """
+    out = np.empty(planes.shape[1], dtype=dtype)
+    lanes = out.view(np.uint8).reshape(planes.shape[::-1])
+    live = planes[:, 1:].any(axis=1)
+    if not live.all():
+        out[:] = np.ascontiguousarray(planes[:, :1].T).view(dtype).reshape(-1)
+    for j in np.flatnonzero(live):
+        np.bitwise_xor.accumulate(planes[j], out=lanes[:, j])
+    return out
 
 
 def _code_dtype(k: int) -> np.dtype:
@@ -514,11 +565,16 @@ def decode_column(
             f"column payload CRC mismatch (codec {codec!r}): stored "
             f"{crc:#010x}, computed {zlib.crc32(payload) & 0xFFFFFFFF:#010x}"
         )
-    # no codec's unframed payload exceeds a 10-byte varint per row plus
-    # the 8-byte delta seed (dict values are fewer than rows)
-    raw = frame_decompress(
-        meta.get("frame", "none"), payload, n_rows * (dtype.itemsize + 10) + 8
-    )
+    size = n_rows * dtype.itemsize
+    if codec in ("fxor", "zframe"):
+        # fixed-width payloads hold exactly the column's bytes: one byte
+        # more tells a stream that goes on past them
+        limit = size + 1
+    else:
+        # a 10-byte varint per row plus the 8-byte delta seed (dict
+        # values are fewer than rows)
+        limit = size + n_rows * 10 + 8
+    raw = frame_decompress(meta.get("frame", "none"), payload, limit)
     want_raw = meta.get("raw")
     try:
         if codec == "delta":
@@ -534,13 +590,15 @@ def decode_column(
                 got = _delta_ints(raw, n_rows) * lsb
             got = got.astype(dtype, copy=False)
         elif codec == "fxor":
-            if len(raw) != n_rows * dtype.itemsize:
+            if len(raw) != size:
                 raise ColumnarFormatError(
                     f"corrupt fxor payload: {len(raw)} bytes for "
                     f"{n_rows} x {dtype.itemsize}-byte rows"
                 )
-            flat = _unshuffle(raw, dtype.itemsize, n_rows)
-            got = _unxor_stream(flat, dtype.itemsize, n_rows).view(dtype)
+            planes = np.frombuffer(raw, dtype=np.uint8).reshape(
+                dtype.itemsize, n_rows
+            )
+            got = _unxor_planes(planes, dtype)
         elif codec == "dict":
             k = int(meta["n_values"])
             codes_dt = np.dtype(meta["codes"])
@@ -559,12 +617,14 @@ def decode_column(
                 )
             got = values[codes]
         elif codec == "zframe":
-            if len(raw) != n_rows * dtype.itemsize:
+            if len(raw) != size:
                 raise ColumnarFormatError(
                     f"corrupt zframe payload: {len(raw)} bytes, expected "
-                    f"{n_rows * dtype.itemsize}"
+                    f"{size}"
                 )
-            got = np.frombuffer(raw, dtype=dtype).copy()
+            # an inflated buffer is the column's own; a stored one is
+            # copied below
+            got = np.frombuffer(raw, dtype=dtype)
         else:
             raise ColumnarFormatError(f"unknown column codec {codec!r}")
     except ColumnarFormatError:

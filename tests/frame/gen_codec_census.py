@@ -17,7 +17,9 @@ The tables are the shapes the archive holds:
 For each column it records the elected codec, its frame tag, the stored
 (framed) bytes and the unframed payload bytes; a column no codec shrinks
 reads ``raw`` / ``none``.  Each table also carries its row count and
-totals.  The codec policy is pinned to ``auto``.
+totals.  The codec policy is pinned to ``auto``.  Every encoded column is
+decoded back through ``decode_column`` and must equal its source byte
+for byte, so a census run also checks the decoders on these shapes.
 
 Written before a change to the codecs or their framing and checked after
 it, the diff of this file is that change's bytes table.
@@ -41,7 +43,7 @@ import numpy as np
 from repro.datasets import SimulationSpec, simulate_twin
 from repro.datasets.store import write_partitioned_series
 from repro.frame import Table
-from repro.frame.encodings import encode_column
+from repro.frame.encodings import decode_column, encode_column
 from repro.pipeline import Pipeline, PipelineConfig
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "codec_census.json"
@@ -62,6 +64,12 @@ def census(table: Table) -> dict:
                      "payload": col.nbytes}
         else:
             meta, framed = enc
+            got = decode_column(meta, framed, col.dtype, len(col))
+            if got.tobytes() != col.tobytes():
+                raise AssertionError(
+                    f"column {name!r}: decode_column does not give back "
+                    f"the {meta['codec']!r}-encoded column"
+                )
             payload = (zlib.decompress(framed) if meta["frame"] == "zlib"
                        else framed)
             entry = {"codec": meta["codec"], "frame": meta["frame"],

@@ -109,8 +109,9 @@ class TestPrimitives:
     def test_frame_stops_at_its_limit(self):
         tag, framed = frame_compress(bytes(1000))
         assert frame_decompress(tag, framed, 1001) == bytes(1000)
-        with pytest.raises(ColumnarFormatError, match="bound"):
-            frame_decompress(tag, framed, 999)
+        for limit in (999, 1000):  # a stream that reaches the limit
+            with pytest.raises(ColumnarFormatError, match="bound"):
+                frame_decompress(tag, framed, limit)
 
     def test_compression_mode_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_RCS_COMPRESSION", raising=False)
@@ -367,6 +368,27 @@ class TestPayloadCorruption:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("codec", ["fxor", "zframe"])
+    def test_fixed_width_frame_inflates_no_further_than_its_column(self, codec):
+        # a valid-CRC frame of twice the column's bytes: a fixed-width
+        # codec's bound is its column's bytes plus one, so inflation stops
+        # there.  The column is 800 KB so zlib's window and the step
+        # buffers (~80 KiB, fixed) stay inside the margin.
+        n = 100_000
+        column = n * 8
+        deflate = zlib.compressobj(9)
+        framed = deflate.compress(bytes(2 * column)) + deflate.flush()
+        meta = {"codec": codec, "frame": "zlib", "raw": column,
+                "crc": zlib.crc32(framed) & 0xFFFFFFFF}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ColumnarFormatError):
+                decode_column(meta, framed, np.dtype("<f8"), n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * column
 
     def test_wrong_row_count_claims(self):
         arr, meta, payload = self.encoded()
