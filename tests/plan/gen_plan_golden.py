@@ -15,9 +15,9 @@ For each query it records
 
 * the answer's per-column dtype and SHA-256 of its bytes;
 * ``Query.fingerprint()``;
-* every shard task's coverage and ``fragment_key``;
-* the artifact keys ``Pipeline.telemetry_series`` looks up under a fixed
-  ``cache_token``.
+* every shard task's coverage and ``fragment_key``,
+
+and checks that ``Pipeline.telemetry_series`` gives the same answer.
 
 It also records the artifact keys ``Pipeline.cluster_power`` looks up for
 the twin's ``SimulationSpec``: the canonical form of a nested dataclass.
@@ -55,7 +55,6 @@ GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "plan_answers.json"
 
 SPEC = SimulationSpec(n_nodes=36, n_jobs=120, horizon_s=1800.0, seed=7)
 SHARD_S = 150.0
-CACHE_TOKEN = "plan-golden"
 RANGES = {"open": (None, None), "aligned": (60.0, 1260.0),
           "unaligned": (97.0, 1234.5)}
 SELECTIONS = {"all": {}, "nodes": {"nodes": (0, 5, 17, 30)},
@@ -99,18 +98,15 @@ def queries():
 
 def archive_answers(dataset, pipe) -> dict:
     out = {"shards": [p.filename for p in dataset.partitions]}
-    lookups = recorded_lookups(pipe)
     for label, query in queries():
         plan = plan_query(query, dataset)
-        lookups.clear()
-        series = pipe.telemetry_series(dataset, query, cache_token=CACHE_TOKEN)
+        series = pipe.telemetry_series(dataset, query)
         answer = plan.execute()
         assert series == answer, label
         out[label] = {
             "answer": answer_digests(answer),
             "fingerprint": query.fingerprint(),
             "tasks": [[t.coverage, t.fragment_key] for t in plan.tasks()],
-            "pipeline_keys": list(lookups),
         }
     return out
 
