@@ -157,10 +157,14 @@ def cmd_export(args) -> int:
         twin = pipe.twin
         horizon = min(args.telemetry_minutes * 60.0, twin.spec.horizon_s)
         telemetry = twin.sampler().sample(twin.builder.build(0.0, horizon, 1.0))
-        ds = write_partitioned_series(
-            telemetry, args.output, "telemetry",
-            day_s=args.telemetry_shard_seconds,
-        )
+        try:
+            ds = write_partitioned_series(
+                telemetry, args.output, "telemetry",
+                day_s=args.telemetry_shard_seconds,
+            )
+        except ValueError as err:
+            print(f"error: {err}")
+            return 1
         print(f"  telemetry: {ds.n_rows:,} rows in {ds.n_partitions} shards "
               f"(serve with: python -m repro serve "
               f"{os.path.join(args.output, 'telemetry')})")
@@ -179,12 +183,16 @@ def cmd_stream(args) -> int:
     arrays = twin.builder.build(0.0, horizon, 1.0)
     telemetry = twin.sampler().sample(arrays)
 
-    graph = pipe.stream_graph(
-        telemetry,
-        skew=not args.no_skew,
-        lateness_s=args.lateness,
-        batch_interval_s=args.batch_interval,
-    )
+    try:
+        graph = pipe.stream_graph(
+            telemetry,
+            skew=not args.no_skew,
+            lateness_s=args.lateness,
+            batch_interval_s=args.batch_interval,
+        )
+    except ValueError as err:
+        print(f"error: {err}")
+        return 1
     if args.checkpoint and os.path.exists(args.checkpoint):
         try:
             graph.load_checkpoint(args.checkpoint)
@@ -235,7 +243,7 @@ def cmd_compact(args) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}")
         return 1
-    stats = ds.compact(target_rows=args.target_rows, time=args.time)
+    stats = ds.compact(target_rows=args.target_rows)
     before = stats["before"]
     print(f"compacted {ds.name}: "
           f"{before['n_partitions']} -> {stats['n_partitions']} shards, "
@@ -466,8 +474,6 @@ def main(argv: list[str]) -> int:
     p_cmp.add_argument("dataset", help="dataset directory (holds manifest.json)")
     p_cmp.add_argument("--target-rows", type=int, default=None,
                        help="rows per merged shard (default: largest shard)")
-    p_cmp.add_argument("--time", default="timestamp",
-                       help="time column to re-sort by")
     p_cmp.set_defaults(fn=cmd_compact)
 
     p_srv = sub.add_parser(

@@ -45,36 +45,6 @@ def welch_window(nperseg: int) -> np.ndarray:
     return np.hanning(nperseg)
 
 
-def welch_psd(x: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Averaged periodogram of ``x`` over :data:`WELCH_NPERSEG`-sample
-    segments.
-
-    Segments start at ``0, hop, 2*hop, ...`` (``hop`` half a segment)
-    while they fit entirely inside ``x`` (trailing partial segments are
-    ignored); each is Hann-tapered and its ``|rfft|^2 / sum(w^2)``
-    accumulated.  Returns ``(freqs, psd, n_segments)`` — the batch
-    reference the streaming :class:`~repro.stream.operators.OnlineSpectral`
-    estimator matches exactly, since both walk the same segments in the
-    same order.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    nperseg = WELCH_NPERSEG
-    hop = nperseg // 2
-    win = welch_window(nperseg)
-    wss = float(np.sum(win * win))
-    freqs = np.fft.rfftfreq(nperseg, d=dt)
-    psd_sum = np.zeros(nperseg // 2 + 1)
-    n_segments = 0
-    start = 0
-    while start + nperseg <= len(x):
-        spec = np.fft.rfft(x[start:start + nperseg] * win)
-        psd_sum += (spec.real * spec.real + spec.imag * spec.imag) / wss
-        n_segments += 1
-        start += hop
-    psd = psd_sum / n_segments if n_segments else psd_sum
-    return (freqs, psd, n_segments)
-
-
 def job_spectral_summary(job_series: Table) -> Table:
     """Per-job dominant frequency and amplitude of ``sum_inp`` in a
     Dataset 3 series (sampled every ``SUMMIT.coarsen_window_s``).

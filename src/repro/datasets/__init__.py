@@ -15,7 +15,6 @@ from repro.datasets.generate import (
     cluster_power_direct,
 )
 from repro.datasets.store import (
-    export_datasets,
     dataset_inventory,
     write_log_csvs,
     write_partitioned_series,
@@ -31,7 +30,6 @@ __all__ = [
     "simulate_twin",
     "job_power_series_direct",
     "cluster_power_direct",
-    "export_datasets",
     "dataset_inventory",
     "write_log_csvs",
     "write_partitioned_series",

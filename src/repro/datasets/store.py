@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +40,14 @@ def write_partitioned_series(
     past it.
 
     When the time column is already sorted (probed in O(n) with
-    :func:`~repro.frame.ops.lex_sorted` — true for every series this module
+    :func:`~repro.frame.ops.lex_sorted` — true for every series the export
     writes) each day's rows are located with two ``searchsorted`` probes
     and sliced, instead of rescanning all rows once per day; unsorted
     input falls back to the per-day boolean mask.  Both paths write
     identical shards.
     """
+    if not 0.0 < day_s < math.inf:
+        raise ValueError(f"day_s must be finite and > 0, got {day_s!r}")
     t = table["timestamp"]
     if t_end is None:
         t_end = float(t.max()) + 1.0
@@ -63,35 +66,6 @@ def write_partitioned_series(
                 ds.append(table.filter(sel), day, day + day_s)
         day += day_s
     return ds
-
-
-def export_datasets(twin, root: str | Path) -> dict[str, object]:
-    """Write the twin's core datasets to ``root`` in the artifact layout.
-
-    * ``allocations.csv`` — Dataset C analogue,
-    * ``node_allocations.csv`` — Dataset D analogue (per job-node rows),
-    * ``xid_log.csv`` — Dataset E analogue,
-    * ``job_series/`` — Dataset 3 analogue, partitioned by day,
-    * ``cluster_power/`` — Dataset 1 analogue, partitioned by day.
-
-    :meth:`repro.pipeline.runner.Pipeline.export` writes the same files
-    with the two series derivations run as chunked, cached stages.
-
-    Returns the inventory dict of :func:`dataset_inventory`.
-    """
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    write_log_csvs(twin, root)
-
-    series = twin.job_series()
-    times, power = twin.cluster_power()
-
-    write_partitioned_series(series, root, "job_series")
-    write_partitioned_series(
-        Table({"timestamp": times, "sum_inp": power}),
-        root, "cluster_power", t_end=twin.spec.horizon_s,
-    )
-    return dataset_inventory(twin, root)
 
 
 def dataset_inventory(twin, root: str | Path | None = None) -> dict[str, object]:

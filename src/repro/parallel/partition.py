@@ -350,9 +350,7 @@ class PartitionedDataset:
                 out[codec] = out.get(codec, 0) + 1
         return out
 
-    def compact(
-        self, target_rows: int | None = None, time: str = TIME_COLUMN
-    ) -> dict:
+    def compact(self, target_rows: int | None = None) -> dict:
         """Merge runs of small shards into larger sorted ones, in place.
 
         Streaming appends leave datasets as many small shards (one per
@@ -363,7 +361,7 @@ class PartitionedDataset:
         fast path.  Compaction restores the invariants dataset writers
         establish: consecutive shards are concatenated (greedily, up to
         ``target_rows`` rows per output; default: the largest current
-        shard size), re-sorted stably by ``time``, re-encoded
+        shard size), re-sorted stably by :data:`TIME_COLUMN`, re-encoded
         (``REPRO_RCS_COMPRESSION`` applies), and their zone maps rebuilt.
         Single shards already sorted and big enough are left untouched —
         compacting an already-compact dataset is a no-op.
@@ -401,7 +399,7 @@ class PartitionedDataset:
             if len(group) > 1:
                 return True
             p = group[0]
-            zone = p.zone.get(time)
+            zone = p.zone.get(TIME_COLUMN)
             # a lone unsorted shard is rewritten to restore the fast path
             return zone is not None and not zone["sorted"]
 
@@ -422,9 +420,9 @@ class PartitionedDataset:
             merged = concat(
                 [load_rcs(self.root / p.filename) for p in group]
             )
-            if time in merged.columns:
+            if TIME_COLUMN in merged.columns:
                 order = np.argsort(
-                    np.asarray(merged[time]), kind="stable"
+                    np.asarray(merged[TIME_COLUMN]), kind="stable"
                 )
                 merged = merged.take(order)
             meta = self._write_shard(

@@ -2,22 +2,25 @@
 
 The year-scale problem in the paper — 8.5 TB of 1 Hz telemetry — cannot be
 materialized in one in-memory pass.  :class:`Pipeline` therefore runs every
-dataset derivation as a DAG of *time-window shards*: the horizon is split
-into ``chunk_seconds`` windows, each window's work is one task fanned out
-through :class:`~repro.parallel.executor.Executor`, and per-stage counters
-(wall time, rows, bytes, cache hits) land in a
+dataset derivation as a stage of independent shard tasks fanned out
+through :class:`~repro.parallel.executor.Executor`: the twin stages split
+the horizon into ``chunk_seconds`` windows, and the archive stage runs one
+task per surviving shard of a :class:`~repro.plan.QueryPlan`.  Per-stage
+counters (wall time, rows, bytes, cache hits) land in a
 :class:`~repro.pipeline.stats.PipelineStats` report.
 
 Chunked results are **bit-identical** to the single-pass path (the per-job
 and per-sample kernels are elementwise in time and shared with the direct
 path; asserted by the equivalence test suite).  With a ``cache_dir``, every
-chunk artifact is stored content-addressed
+twin-stage chunk artifact is stored content-addressed
 (:class:`~repro.pipeline.cache.ArtifactCache`), so a re-run with the same
-spec skips the chunk computation entirely.
+spec skips the chunk computation entirely.  The archive stage is never
+cached: its input is already on disk.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time as _time
 from collections.abc import Callable, Sequence
@@ -74,9 +77,10 @@ class PipelineConfig:
     cache_dir: str | os.PathLike | None = None
 
     def __post_init__(self):
-        if self.chunk_seconds <= 0:
+        if not 0.0 < self.chunk_seconds < math.inf:
             raise ValueError(
-                f"chunk_seconds must be positive, got {self.chunk_seconds}"
+                "chunk_seconds must be finite and > 0, got "
+                f"{self.chunk_seconds!r}"
             )
 
 
@@ -177,7 +181,6 @@ class Pipeline:
     :meth:`cluster_power`     ``TwinData.cluster_power``
     :meth:`job_series`        ``TwinData.job_series``
     :meth:`telemetry_series`  ``plan_query(query, dataset).execute()``
-    :meth:`export`            :func:`repro.datasets.store.export_datasets`
     ========================  =======================================
     """
 
@@ -359,9 +362,7 @@ class Pipeline:
         ]
         return combined.take(np.argsort(sample_rows, kind="stable"))
 
-    def telemetry_series(
-        self, dataset, query=None, cache_token: str | None = None
-    ) -> Table:
+    def telemetry_series(self, dataset, query=None) -> Table:
         """Archived telemetry -> the answer to ``query`` (default: the
         cluster power series, Dataset A -> Dataset 1).
 
@@ -376,32 +377,10 @@ class Pipeline:
         :class:`~repro.plan.QueryError` for a query the archive
         cannot answer, including a ``width`` that does not divide the shard
         edges.
-
-        Raw archive content is never hashed, so per-shard results are
-        stored in the artifact cache only under a caller-supplied
-        ``cache_token`` naming the archive's provenance; each key folds in
-        the shard's generation-stamped identity with the kernel parameters
-        (:meth:`~repro.plan.QueryPlan.fragment_key`) and the
-        task's row-slice bounds.  The per-shard tasks of a
-        ``level="raw"`` plan run uncached: their answer is the archive's
-        own rows, already on disk.
         """
         plan = plan_query(query or Query(), dataset)
-        tasks = plan.tasks()
-        keys = None
-        if (
-            self.cache is not None
-            and cache_token is not None
-            and plan.query.level != "raw"
-        ):
-            keys = [
-                cache_key(cache_token, stage="fused",
-                          shard=plan.fragment_key(t.index),
-                          lo=t.lo, hi=t.hi)
-                for t in tasks
-            ]
         tables = self._run_stage(
-            "fused", tasks, lambda: _Timed(plan.run_task), keys,
+            "fused", plan.tasks(), lambda: _Timed(plan.run_task),
             rows_in=plan.rows_in,
         )
         return plan.finalize(tables)
@@ -468,11 +447,12 @@ class Pipeline:
     # ---------------- end-to-end export ----------------
 
     def export(self, root) -> dict[str, object]:
-        """Run the export: logs + chunked job series + cluster power.
+        """Write the twin's logs (Datasets C, D, E as CSV) and its job
+        and cluster power series (Datasets 3 and 1, partitioned by day) to
+        ``root``; return :func:`~repro.datasets.store.dataset_inventory`.
 
-        Equivalent to :func:`repro.datasets.store.export_datasets` (same
-        files, same bytes) but the two series derivations run as chunked,
-        cached stages before the writes.
+        The series run as chunked, cached stages; the files are
+        byte-identical to writing ``TwinData``'s single-pass series.
         """
         twin = self.twin
         t0 = _time.perf_counter()

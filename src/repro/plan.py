@@ -29,7 +29,7 @@ time- and node-filtered archive rows.
 Shard tasks (:meth:`QueryPlan.tasks`) are independent and side-effect
 free: the query service fans them out behind its fragment cache,
 :meth:`repro.pipeline.runner.Pipeline.telemetry_series` fans them out
-through its executor and artifact cache, and :meth:`QueryPlan.finalize`
+through its executor, and :meth:`QueryPlan.finalize`
 merges the per-shard results either way.  Each task also carries its
 **fragment identity**.  The coarsen grid is epoch-aligned
 (``window_index`` puts row ``t`` in window ``k`` iff exactly
@@ -81,10 +81,8 @@ __all__ = [
 LEVELS = ("cluster", "node", "raw")
 DERIVED = ("pue",)
 
-#: bump when stage semantics change in a way that invalidates old artifacts
-#: (2: fused-stage keys carry the projection and time-range pushdown;
-#:  3: keys carry the column-compression mode, so runs against compressed
-#:  and raw stores address disjoint artifacts)
+#: bump when stage semantics change in a way that invalidates old artifacts;
+#: it only grows, so no key of an older layout is ever addressed again
 CACHE_FORMAT_VERSION = 3
 
 #: the archive's time column, and the window-start column every

@@ -19,8 +19,8 @@ the batch analyses in :mod:`repro.core` is exact:
 * :class:`StreamingPUE` is the elementwise :func:`~repro.core.pue.pue_series`
   plus a rolling-window mean.
 * :class:`OnlineSpectral` is an incremental Welch periodogram over the
-  differenced series, matching :func:`~repro.core.spectral.welch_psd` on the
-  same samples exactly.
+  differenced series, equal to the batch periodogram of the same samples
+  (same segments, same ops).
 
 Records whose window already finalized are **late**: they are dropped and
 counted (never silently folded in), which is what lets watermark accounting
@@ -444,8 +444,8 @@ class OnlineSpectral(Operator):
     on arrival, collected into :data:`~repro.core.spectral.WELCH_NPERSEG`-
     sample segments advancing by half a segment, and each full segment's
     Hann-windowed periodogram is accumulated.
-    The running estimate matches :func:`~repro.core.spectral.welch_psd`
-    over the same differenced samples exactly (same segments, same ops).
+    The running estimate equals the batch Welch average over the same
+    differenced samples exactly (same segments, same ops).
     """
 
     name = "spectral"

@@ -51,7 +51,7 @@ class TelemetryReplaySource:
     ):
         if "timestamp" not in telemetry:
             raise KeyError("telemetry lacks event-time column 'timestamp'")
-        if batch_interval_s <= 0:
+        if not batch_interval_s > 0:  # NaN too
             raise ValueError(
                 f"batch_interval_s must be positive, got {batch_interval_s}"
             )

@@ -27,7 +27,7 @@ class BoundedLatenessWatermark:
     __slots__ = ("lateness_s", "_max_event")
 
     def __init__(self, lateness_s: float = 0.0):
-        if lateness_s < 0:
+        if not lateness_s >= 0:  # NaN too
             raise ValueError(f"lateness_s must be >= 0, got {lateness_s}")
         self.lateness_s = float(lateness_s)
         self._max_event = -math.inf

@@ -5,14 +5,15 @@ import csv
 import numpy as np
 import pytest
 
-from repro.datasets import export_datasets, dataset_inventory
+from repro.datasets import dataset_inventory
 from repro.parallel import PartitionedDataset
+from repro.pipeline import Pipeline, PipelineConfig
 
 
 @pytest.fixture(scope="module")
 def exported(twin, tmp_path_factory):
     root = tmp_path_factory.mktemp("export")
-    inv = export_datasets(twin, root)
+    inv = Pipeline(twin, PipelineConfig(backend="serial")).export(root)
     return root, inv
 
 

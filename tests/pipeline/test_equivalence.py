@@ -13,6 +13,8 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
+from repro.datasets.store import write_log_csvs, write_partitioned_series
+from repro.frame.table import Table
 from repro.parallel.partition import PartitionedDataset
 from repro.pipeline import Pipeline, PipelineConfig
 from repro.plan import Query, QueryError, plan_query
@@ -228,12 +230,21 @@ class TestCacheEquivalence:
         assert b.stats.total("cache_misses") > 0
 
 
+def export_single_pass(twin, root: Path) -> None:
+    """The export with both series derived in one in-memory pass."""
+    write_log_csvs(twin, root)
+    write_partitioned_series(twin.job_series(), root, "job_series")
+    times, power = twin.cluster_power()
+    write_partitioned_series(
+        Table({"timestamp": times, "sum_inp": power}),
+        root, "cluster_power", t_end=twin.spec.horizon_s,
+    )
+
+
 class TestExportEquivalence:
     def test_export_matches_classic_path(self, twin_small, tmp_path):
-        from repro.datasets.store import export_datasets
-
         ref_root = tmp_path / "ref"
-        export_datasets(twin_small, ref_root)
+        export_single_pass(twin_small, ref_root)
         pipe = Pipeline(twin_small, PipelineConfig(chunk_seconds=0.5 * DAY,
                                                    backend="serial"))
         got_root = tmp_path / "got"
@@ -247,7 +258,7 @@ class TestPushdownEquivalence:
     """Projection + predicate pushdown never changes a bit.
 
     compressed == raw shards, projected == full, pruned == filtered —
-    across backends, cache cold/warm.
+    across backends.
     """
 
     SHARD_S = 900.0
@@ -324,54 +335,14 @@ class TestPushdownEquivalence:
         assert pipe.stats.get("fused").calls < ds.n_partitions
         assert pipe.stats.get("fused").calls <= 3
 
-    @pytest.mark.parametrize("fmt", list(LAYOUTS))
-    def test_dataset_cache_cold_then_warm(self, twin_small, telemetry,
-                                          datasets, tmp_path, fmt):
-        cfg = PipelineConfig(backend="serial", cache_dir=tmp_path / "cache")
-        cold = Pipeline(twin_small, cfg)
-        assert_tables_equal(
-            cold.telemetry_series(datasets[fmt], cache_token=f"tel-{fmt}"),
-            single_pass(telemetry),
-        )
-        assert cold.stats.get("fused").cache_misses > 0
-        warm = Pipeline(twin_small, cfg)
-        assert_tables_equal(
-            warm.telemetry_series(datasets[fmt], cache_token=f"tel-{fmt}"),
-            single_pass(telemetry),
-        )
-        assert warm.stats.get("fused").cache_misses == 0
-        assert (warm.stats.get("fused").cache_hits
-                == cold.stats.get("fused").cache_misses)
-        # raw content is never hashed: without a token nothing is cached,
-        # nor are a raw plan's per-shard reads, which are archive rows
-        for kwargs in (dict(), dict(query=Query(level="raw"),
-                                    cache_token=f"tel-{fmt}")):
-            bare = Pipeline(twin_small, cfg)
-            bare.telemetry_series(datasets[fmt], **kwargs)
-            assert bare.stats.total("cache_hits") == 0
-            assert bare.stats.total("cache_misses") == 0
-
-    def test_time_range_addresses_different_cache_entries(self, twin_small,
-                                                          telemetry, datasets,
-                                                          tmp_path):
-        # a pruned run must never serve (or poison) the full run's artifacts
-        cfg = PipelineConfig(backend="serial", cache_dir=tmp_path / "cache")
-        ds = datasets["rcs"]
-        # unaligned bounds: the edge shards' tasks carry their own slice
-        query = Query(t_begin=self.SHARD_S + 5.0, t_end=3 * self.SHARD_S - 5.0)
-        full = Pipeline(twin_small, cfg).telemetry_series(
-            ds, cache_token="tok")
-        pruned_pipe = Pipeline(twin_small, cfg)
-        pruned = pruned_pipe.telemetry_series(ds, query, cache_token="tok")
-        assert pruned_pipe.stats.get("fused").cache_hits == 0
-        assert_tables_equal(pruned, single_pass(telemetry, query))
-        assert_tables_equal(full, single_pass(telemetry))
-        # a shard the range covers whole *is* the full run's artifact, and
-        # the pruned run left every one of them intact
-        for query in (Query(**self.RANGE), Query()):
-            again = Pipeline(twin_small, cfg)
-            assert_tables_equal(
-                again.telemetry_series(ds, query, cache_token="tok"),
-                single_pass(telemetry, query),
-            )
-            assert again.stats.get("fused").cache_misses == 0
+    def test_archive_stage_is_never_cached(self, twin_small, datasets,
+                                           tmp_path):
+        # the archive is already on disk: a cache_dir caches twin stages
+        # only, and the fused stage neither looks up nor writes artifacts
+        cache_dir = tmp_path / "cache"
+        pipe = Pipeline(twin_small, PipelineConfig(backend="serial",
+                                                   cache_dir=cache_dir))
+        pipe.telemetry_series(datasets["rcs"])
+        assert pipe.stats.get("fused").cache_misses == 0
+        assert pipe.stats.get("fused").cache_hits == 0
+        assert not any(p.is_file() for p in cache_dir.rglob("*"))

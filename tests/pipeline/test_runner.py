@@ -49,6 +49,9 @@ class TestConfig:
             PipelineConfig(chunk_seconds=0.0)
         with pytest.raises(ValueError):
             PipelineConfig(chunk_seconds=-5.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                PipelineConfig(chunk_seconds=bad)
 
     def test_bad_backend_rejected(self):
         with pytest.raises(ValueError):

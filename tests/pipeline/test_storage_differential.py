@@ -5,10 +5,10 @@ compressed ``.rcs`` (per-column codecs) and raw ``.rcs``
 (``REPRO_RCS_COMPRESSION=off``) — and every pipeline route over them must
 produce results bit-identical to the in-memory table's single-pass
 reference: batch over the serial, threads and processes backends,
-projection + time-range pushdown, the streaming engine, and warm artifact
-caches (whose keys are proven disjoint across storage configs and
+projection + time-range pushdown, and the streaming engine.  The artifact
+cache's keys are proven disjoint across storage configs and
 ``CACHE_FORMAT_VERSION`` bumps, so no stale artifact can ever leak
-between configurations).
+between configurations.
 """
 
 import os
@@ -68,34 +68,32 @@ def stores(telemetry, tmp_path_factory):
     return out
 
 
-def series_over(store, twin, cache_token=None, **cfg):
+def series_over(store, twin, **cfg):
     defaults = dict(backend="serial")
     defaults.update(cfg)
-    pipe = Pipeline(twin, PipelineConfig(**defaults))
-    got = pipe.telemetry_series(store, cache_token=cache_token)
-    return got, pipe
+    return Pipeline(twin, PipelineConfig(**defaults)).telemetry_series(store)
 
 
 class TestBatchRoutes:
     @pytest.mark.parametrize("kind", STORES)
     def test_fused_serial(self, stores, twin_small, single_pass, kind):
-        got, _ = series_over(stores[kind], twin_small)
+        got = series_over(stores[kind], twin_small)
         assert_tables_equal(got, single_pass)
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_compressed_store_backends(self, stores, twin_small,
                                        single_pass, backend):
-        # processes: decoded columns cannot ship as mmap refs — the shm
-        # copy fallback must still be bit-identical
-        got, _ = series_over(stores["compressed"], twin_small,
-                             backend=backend, max_workers=2)
+        # processes: each shard's result is pickled back to the parent,
+        # and must still be bit-identical
+        got = series_over(stores["compressed"], twin_small,
+                          backend=backend, max_workers=2)
         assert_tables_equal(got, single_pass)
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_raw_store_backends(self, stores, twin_small, single_pass,
                                 backend):
-        got, _ = series_over(stores["raw"], twin_small,
-                             backend=backend, max_workers=2)
+        got = series_over(stores["raw"], twin_small,
+                          backend=backend, max_workers=2)
         assert_tables_equal(got, single_pass)
 
 
@@ -152,43 +150,45 @@ class TestStreamingRoute:
 
 
 class TestCacheIsolation:
-    def test_warm_cache_per_store_config(self, stores, twin_small,
-                                         single_pass, tmp_path):
+    """The artifact cache's keys, through ``Pipeline.cluster_power``."""
+
+    def power_over(self, twin, cache_dir):
+        pipe = Pipeline(twin, PipelineConfig(
+            backend="serial", chunk_seconds=21_600.0, cache_dir=cache_dir))
+        _, power = pipe.cluster_power()
+        return power, pipe.stats.get("cluster_power")
+
+    def test_warm_cache_per_store_config(self, twin_small,
+                                         single_pass_power, tmp_path):
         cache_dir = tmp_path / "cache"
-        cfg = dict(backend="serial", cache_dir=cache_dir,
-                   cache_token="tel-hour")
         # pin both storage configs: the ambient env (e.g. CI's
         # compression-off job) must not collapse the two key spaces
         with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": "auto"}):
-            cold, pipe_cold = series_over(stores["compressed"], twin_small,
-                                          **cfg)
-            assert pipe_cold.stats.get("fused").cache_misses > 0
-            warm, pipe_warm = series_over(stores["compressed"], twin_small,
-                                          **cfg)
-        assert pipe_warm.stats.get("fused").cache_misses == 0
-        assert_tables_equal(warm, single_pass)
+            _, cold = self.power_over(twin_small, cache_dir)
+            assert cold.cache_misses > 0
+            warm_power, warm = self.power_over(twin_small, cache_dir)
+        assert warm.cache_misses == 0
+        assert np.array_equal(warm_power, single_pass_power[1])
         # a compression-off run shares the directory but not the artifacts:
-        # the storage config is folded into every key (same store both
-        # times, so the shard identity in the key cannot be what differs)
+        # the storage config is folded into every key (same spec both
+        # times, so nothing else in the key can be what differs)
         with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": "off"}):
-            raw, pipe_raw = series_over(stores["compressed"], twin_small,
-                                        **cfg)
-        assert pipe_raw.stats.get("fused").cache_hits == 0
-        assert pipe_raw.stats.get("fused").cache_misses > 0
-        assert_tables_equal(raw, single_pass)
+            raw_power, raw = self.power_over(twin_small, cache_dir)
+        assert raw.cache_hits == 0
+        assert raw.cache_misses == cold.cache_misses
+        assert np.array_equal(raw_power, single_pass_power[1])
 
-    def test_format_version_bump_invalidates(self, stores, twin_small,
-                                             single_pass, tmp_path):
-        cfg = dict(backend="serial", cache_dir=tmp_path / "cache",
-                   cache_token="tel-hour")
+    def test_format_version_bump_invalidates(self, twin_small,
+                                             single_pass_power, tmp_path):
+        cache_dir = tmp_path / "cache"
         with patch.object(repro.plan, "CACHE_FORMAT_VERSION",
                           repro.plan.CACHE_FORMAT_VERSION - 1):
-            old, _ = series_over(stores["compressed"], twin_small, **cfg)
-        assert_tables_equal(old, single_pass)
-        # same store, bumped version: every artifact re-addresses (no
+            old, _ = self.power_over(twin_small, cache_dir)
+        assert np.array_equal(old, single_pass_power[1])
+        # same spec, bumped version: every artifact re-addresses (no
         # stale pre-bump artifact is ever served)...
-        bumped, pipe = series_over(stores["compressed"], twin_small, **cfg)
-        assert pipe.stats.get("fused").cache_hits == 0
-        assert pipe.stats.get("fused").cache_misses > 0
+        bumped, stats = self.power_over(twin_small, cache_dir)
+        assert stats.cache_hits == 0
+        assert stats.cache_misses > 0
         # ...and the output is bit-identical anyway
-        assert_tables_equal(bumped, old)
+        assert np.array_equal(bumped, old)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.edges import detect_edges
 from repro.core.pue import pue_series
-from repro.core.spectral import welch_psd
+from repro.core.spectral import WELCH_NPERSEG, welch_window
 from repro.frame.table import Table
 from repro.stream import (
     OnlineSpectral,
@@ -129,6 +129,33 @@ class TestEdgeDetectorUnit:
         streamed = out[0].table
         assert streamed == batch
         assert bool(streamed["returned"][0]) is False
+
+
+def welch_psd(x: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Batch reference for :class:`OnlineSpectral`: the averaged
+    periodogram of ``x`` over ``WELCH_NPERSEG``-sample segments.
+
+    Segments start at ``0, hop, 2*hop, ...`` (``hop`` half a segment)
+    while they fit entirely inside ``x`` (trailing partial segments are
+    ignored); each is Hann-tapered and its ``|rfft|^2 / sum(w^2)``
+    accumulated.  Returns ``(freqs, psd, n_segments)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    nperseg = WELCH_NPERSEG
+    hop = nperseg // 2
+    win = welch_window(nperseg)
+    wss = float(np.sum(win * win))
+    freqs = np.fft.rfftfreq(nperseg, d=dt)
+    psd_sum = np.zeros(nperseg // 2 + 1)
+    n_segments = 0
+    start = 0
+    while start + nperseg <= len(x):
+        spec = np.fft.rfft(x[start:start + nperseg] * win)
+        psd_sum += (spec.real * spec.real + spec.imag * spec.imag) / wss
+        n_segments += 1
+        start += hop
+    psd = psd_sum / n_segments if n_segments else psd_sum
+    return (freqs, psd, n_segments)
 
 
 class TestOnlineSpectral:

@@ -1,8 +1,16 @@
 """Unit tests for the ``python -m repro`` CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+TINY = ["--nodes", "8", "--jobs", "20", "--days", "0.01"]
 
 
 class TestCli:
@@ -304,13 +312,36 @@ class TestServeCli:
         assert capsys.readouterr().out == (
             f"error: workers must be >= 1, got {workers}\n")
 
-    @pytest.mark.parametrize("command", ["serve", "compact"])
+    @pytest.mark.parametrize("argv, says", [
+        pytest.param(["serve", None], "no dataset at ", id="serve"),
+        pytest.param(["compact", None], "no dataset at ", id="compact"),
+        pytest.param(["simulate", *TINY, "--chunk-seconds", "nan"],
+                     "chunk_seconds must be finite and > 0, got nan",
+                     id="simulate-chunk-nan"),
+        pytest.param(["simulate", *TINY, "--chunk-seconds", "inf"],
+                     "chunk_seconds must be finite and > 0, got inf",
+                     id="simulate-chunk-inf"),
+        pytest.param(["stream", *TINY, "--minutes", "1",
+                      "--batch-interval", "0"],
+                     "batch_interval_s must be positive, got 0.0",
+                     id="stream-batch-interval-0"),
+        pytest.param(["stream", *TINY, "--minutes", "1",
+                      "--batch-interval", "nan"],
+                     "batch_interval_s must be positive, got nan",
+                     id="stream-batch-interval-nan"),
+        pytest.param(["stream", *TINY, "--minutes", "1", "--lateness", "-1"],
+                     "lateness_s must be >= 0, got -1.0",
+                     id="stream-lateness-negative"),
+    ])
     def test_missing_dataset_is_one_error_line(self, tmp_path, capsys,
-                                               command):
-        rc = main([command, str(tmp_path / "no_such_dataset")])
-        assert rc == 1
+                                               argv, says):
+        """A missing dataset or a refused argument is one ``error:``
+        line and exit 1, never a traceback."""
+        argv = [str(tmp_path / "no_such_dataset") if a is None else a
+                for a in argv]
+        assert main(argv) == 1
         out = capsys.readouterr().out
-        assert out.startswith("error: no dataset at ")
+        assert out.startswith(f"error: {says}")
         assert out.count("\n") == 1
 
     @pytest.mark.parametrize("stats", [False, True], ids=["query", "stats"])
@@ -369,3 +400,19 @@ class TestServeCli:
         ds = PartitionedDataset(tmp_path / "out" / "telemetry")
         assert ds.n_rows == 20 * 300
         assert ds.n_partitions >= 3  # 300 s of samples in 100 s shards
+
+    def test_export_refuses_zero_telemetry_shard_width(self, tmp_path):
+        # a zero shard width would never advance the shard writer's sweep;
+        # the timeout turns a hang into a failure
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "export", *TINY,
+             "--output", str(tmp_path / "out"), "--telemetry-minutes", "1",
+             "--telemetry-shard-seconds", "0"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines()[-1] == (
+            "error: day_s must be finite and > 0, got 0.0")
+        assert proc.stderr == ""
+        assert not (tmp_path / "out" / "telemetry").exists()

@@ -30,7 +30,8 @@ from repro.frame.encodings import frame_compress, frame_decompress
 from repro.frame.window import window_index
 from repro.obs import trace
 from repro.parallel import Executor, PartitionedDataset
-from repro.pipeline import ArtifactCache, PipelineConfig, StageStats
+from repro.pipeline import (ArtifactCache, Pipeline, PipelineConfig,
+                            StageStats)
 from repro.plan import Query, plan_query
 from repro.serve import QueryClient, ResultCache, ServiceConfig, SingleFlight
 from repro.serve.stats import LatencyReservoir
@@ -231,8 +232,9 @@ def test_read_surface_is_a_closed_set():
     ``decode_column(out=)``) had no ledger number behind it and went:
     a multi-shard read is per-shard reads plus ``concat``.  A
     destination-buffer path arrives with its ledger verdict.  Every read
-    slices and prunes on ``TIME_COLUMN``: the ``time=`` parameter every
-    caller set to it went (``compact(time=)`` stays for the CLI)."""
+    slices, prunes and compacts on ``TIME_COLUMN``: the ``time=``
+    parameter every caller set to it went.  The archive stage of
+    ``Pipeline`` caches nothing: its input is already on disk."""
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
@@ -262,6 +264,8 @@ def test_read_surface_is_a_closed_set():
     ]
     assert params(PartitionedDataset.time_bounds) == ["self", "index"]
     assert params(PartitionedDataset.to_table) == ["self"]
+    assert params(PartitionedDataset.compact) == ["self", "target_rows"]
+    assert params(Pipeline.telemetry_series) == ["self", "dataset", "query"]
     assert "__iter__" not in vars(PartitionedDataset)
 
 

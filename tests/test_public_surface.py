@@ -45,10 +45,6 @@ ALLOWED = {
                                            "replay's arrival model",
     "validate_spans": "the span-forest tests check captured in-memory "
                       "records; tools read files through load_trace",
-    "export_datasets": "TestExportEquivalence's reference for "
-                       "Pipeline.export",
-    "welch_psd": "the reference for OnlineSpectral in "
-                 "tests/stream/test_equivalence.py",
     "PlantState.to_columns": "ROADMAP item 11 archives the plant series "
                              "through it",
 }
@@ -61,9 +57,6 @@ ALLOWED_DEFAULTS = {
     "Pipeline.stream_graph.spectral": "kept for ROADMAP item 1(b)",
     "Executor.mp_context": "tests run fork and spawn in one process; "
                            "REPRO_MP_CONTEXT is the deployment control",
-    "Pipeline.telemetry_series.cache_token": "drives the fused-stage disk "
-        "cache the warm-cache equivalence tests and plan_answers.json's "
-        "pipeline_keys exercise",
     "TwinData.sampler.loss_events": "ROADMAP items 2 and 7 replay the "
                                     "paper's loss episodes",
     "Pipeline.stream_graph.loss_events": "ROADMAP items 2 and 7 replay the "
@@ -251,7 +244,7 @@ def unset_defaults() -> list[str]:
 def test_every_default_has_a_caller():
     extra = sorted(set(unset_defaults()) - set(ALLOWED_DEFAULTS))
     assert not extra, f"defaults only tests set: {extra}"
-    assert len(ALLOWED_DEFAULTS) <= 10
+    assert len(ALLOWED_DEFAULTS) <= 9
 
 
 def test_default_allow_list_is_not_stale():
