@@ -44,7 +44,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -137,6 +136,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_export(args) -> int:
+    width = args.telemetry_shard_seconds
+    if args.telemetry_minutes and not 0.0 < width < float("inf"):
+        print("error: --telemetry-shard-seconds must be finite and > 0, "
+              f"got {width!r}")
+        return 1
     pipe = _build_pipeline(args)
     if pipe is None:
         return 1
@@ -157,14 +161,8 @@ def cmd_export(args) -> int:
         twin = pipe.twin
         horizon = min(args.telemetry_minutes * 60.0, twin.spec.horizon_s)
         telemetry = twin.sampler().sample(twin.builder.build(0.0, horizon, 1.0))
-        try:
-            ds = write_partitioned_series(
-                telemetry, args.output, "telemetry",
-                day_s=args.telemetry_shard_seconds,
-            )
-        except ValueError as err:
-            print(f"error: {err}")
-            return 1
+        ds = write_partitioned_series(telemetry, args.output, "telemetry",
+                                      day_s=width)
         print(f"  telemetry: {ds.n_rows:,} rows in {ds.n_partitions} shards "
               f"(serve with: python -m repro serve "
               f"{os.path.join(args.output, 'telemetry')})")
@@ -260,6 +258,7 @@ def cmd_compact(args) -> int:
 def cmd_serve(args) -> int:
     import asyncio
 
+    from repro.frame.io import replace_file
     from repro.serve import QueryService, ServiceConfig, TelemetryServer
 
     try:
@@ -291,11 +290,9 @@ def cmd_serve(args) -> int:
               f"{args.fragment_mb} MiB) on {host}:{port}", flush=True)
         if args.ready_file:
             # written after bind, so pollers know the port is accepting,
-            # and renamed into place, so they never read a partial line
-            ready = Path(args.ready_file)
-            tmp = ready.with_name(f".{ready.name}.{os.getpid()}.tmp")
-            tmp.write_text(f"{host} {port}\n")
-            os.replace(tmp, ready)
+            # and committed whole, so they never read a partial line
+            line = f"{host} {port}\n".encode()
+            replace_file(args.ready_file, lambda f: f.write(line))
         await server.serve_forever()
 
     try:
@@ -382,6 +379,7 @@ def cmd_query(args) -> int:
 def cmd_trace(args) -> int:
     import json
 
+    from repro.frame.io import replace_file
     from repro.obs.export import (TraceError, flame_summary, load_trace,
                                   to_chrome)
 
@@ -391,8 +389,8 @@ def cmd_trace(args) -> int:
         print(f"error: {err}")
         return 1
     if args.chrome:
-        with open(args.chrome, "w") as fh:
-            json.dump(to_chrome(records), fh)
+        chrome = json.dumps(to_chrome(records)).encode()
+        replace_file(args.chrome, lambda f: f.write(chrome))
         print(f"wrote {len(records)} trace events to {args.chrome} "
               f"(open in Perfetto or chrome://tracing)")
         return 0

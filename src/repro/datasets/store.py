@@ -17,7 +17,6 @@ from repro.telemetry.schema import N_METRICS
 def write_log_csvs(twin, root: str | Path) -> None:
     """Write the three log-style CSV datasets (C, D, E analogues)."""
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
     write_csv(twin.schedule.allocations, root / "allocations.csv")
     write_csv(twin.schedule.node_allocations, root / "node_allocations.csv")
     write_csv(twin.failures.table.drop(["project"]).with_column(

@@ -79,6 +79,7 @@ from repro.frame.encodings import (
     decode_column,
     encode_column,
 )
+from repro.frame.io import replace_file
 from repro.frame.table import Table
 from repro.obs import trace
 
@@ -215,7 +216,6 @@ def _map_columns(span: str, path: Path, fn, names: list[str],
 def save_rcs(
     table: Table,
     path: str | os.PathLike,
-    atomic: bool = False,
     zones: dict[str, dict] | None = None,
 ) -> int:
     """Write ``table`` as an ``.rcs`` shard; returns bytes on disk.
@@ -227,9 +227,8 @@ def save_rcs(
     per-column in the footer so decode is self-describing.  A column no
     codec shrinks stays raw and keeps its zero-copy read path.  ``zones``
     lets a caller that already computed :func:`zone_map` skip the second
-    pass.  With ``atomic`` the shard is written to a same-directory temp
-    file, fsynced, and renamed into place, so concurrent readers never
-    observe a torn shard.
+    pass.  The shard is committed by :func:`~repro.frame.io.replace_file`,
+    so a reader never sees a torn shard.
 
     Columns are encoded one per task on the codec thread pool (see the
     module docstring) and the file is laid out serially afterwards: the
@@ -237,7 +236,6 @@ def save_rcs(
     fails to encode leaves nothing at ``path``.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if zones is None:
         zones = zone_map(table)
     mode = compression_mode()
@@ -290,21 +288,7 @@ def save_rcs(
             f.write(struct.pack("<Q", len(footer)))
             f.write(RCS_MAGIC2)
 
-        if not atomic:
-            with open(path, "wb") as f:
-                _write(f)
-        else:
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            try:
-                with open(tmp, "wb") as f:
-                    _write(f)
-                    f.flush()
-                    os.fsync(f.fileno())
-                os.replace(tmp, path)
-            finally:
-                if tmp.exists():  # pragma: no cover - only on a failed write
-                    tmp.unlink()
-        size = path.stat().st_size
+        size = replace_file(path, _write)
         sp.set(bytes=size)
     return size
 

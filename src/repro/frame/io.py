@@ -4,47 +4,62 @@ NPZ (``numpy.savez_compressed``) is the pipeline artifact cache's entry
 format (dataset shards are ``.rcs``, :mod:`repro.frame.columnar`);
 CSV matches the scheduler-allocation and XID-log datasets (C, D, E), which
 the artifact appendix stores as CSV.  CSV is write-only here: nothing in
-the stack reads its own exports back.
+the stack reads its own exports back.  :func:`replace_file` commits
+every whole file the stack writes.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import threading
 import zipfile
+from collections.abc import Callable
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from repro.frame.table import Table
 
 
-def save_npz(table: Table, path: str | os.PathLike, atomic: bool = False) -> int:
-    """Write ``table`` to a compressed ``.npz``; returns bytes on disk.
+def replace_file(path: str | os.PathLike,
+                 write: Callable[[BinaryIO], object]) -> int:
+    """Make what ``write(f)`` writes the whole of ``path``; returns bytes
+    on disk.
 
-    With ``atomic`` the table is written to a same-directory temporary file,
-    **fsynced**, and renamed into place, so concurrent readers (e.g.
-    artifact-cache lookups from parallel pipeline workers) never observe a
-    partial file — and a crash right after the rename cannot leave an empty
-    entry behind the new name.
+    ``write`` fills a same-directory temp file named per process and per
+    thread, which is fsynced and renamed over ``path``; then the directory
+    is fsynced.  Readers see the old file or the new one, never a torn
+    one.  If anything raises, the temp file goes and ``path`` is as it
+    was.  The file has a plain ``open``'s mode (``0o666 & ~umask``).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if not atomic:
-        np.savez_compressed(path, **table.as_dict())
-        return path.stat().st_size
-    # keep the .npz suffix: numpy appends one to unrecognized extensions
-    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            np.savez_compressed(f, **table.as_dict())
+            write(f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
     finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            tmp.unlink()
+        os.close(fd)
     return path.stat().st_size
+
+
+def save_npz(table: Table, path: str | os.PathLike) -> int:
+    """Write ``table`` to a compressed ``.npz`` through
+    :func:`replace_file`; returns bytes on disk."""
+    return replace_file(
+        path, lambda f: np.savez_compressed(f, **table.as_dict()))
 
 
 def load_npz(path: str | os.PathLike) -> Table:
@@ -61,13 +76,12 @@ def load_npz(path: str | os.PathLike) -> Table:
 
 
 def write_csv(table: Table, path: str | os.PathLike) -> int:
-    """Write ``table`` as a headered CSV; returns bytes written.
+    """Write ``table`` as a headered CSV through :func:`replace_file`;
+    returns bytes written.
 
     Floats use ``repr`` precision; strings must not contain commas or
     newlines (true of every identifier the twin generates).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     names = table.columns
     cols = [table[n] for n in names]
     for n, c in zip(names, cols):
@@ -87,6 +101,5 @@ def write_csv(table: Table, path: str | os.PathLike) -> int:
         rows = np.stack(fmt_cols, axis=1)
         for row in rows:
             buf.write(",".join(row) + "\n")
-    data = buf.getvalue()
-    path.write_text(data)
-    return len(data.encode())
+    data = buf.getvalue().encode()
+    return replace_file(path, lambda f: f.write(data))

@@ -34,6 +34,7 @@ import numpy as np
 from repro.frame.columnar import (TIME_COLUMN, load_rcs, open_rcs,
                                   save_rcs, zone_map)
 from repro.frame.encodings import ColumnarFormatError
+from repro.frame.io import replace_file
 from repro.frame.table import Table, concat
 
 _MANIFEST = "manifest.json"
@@ -101,8 +102,8 @@ class PartitionedDataset:
         manifest = root / _MANIFEST
         if manifest.exists():
             raise FileExistsError(f"dataset already exists at {root}")
-        root.mkdir(parents=True, exist_ok=True)
-        manifest.write_text(json.dumps({"name": name, "partitions": []}))
+        payload = json.dumps({"name": name, "partitions": []}).encode()
+        replace_file(manifest, lambda f: f.write(payload))
         return cls(root)
 
     def append(
@@ -146,11 +147,12 @@ class PartitionedDataset:
                              n_bytes, zone=zones, enc=enc)
 
     def _flush(self) -> None:
-        """Atomically replace the manifest (same-directory temp + rename).
+        """Commit the manifest with :func:`~repro.frame.io.replace_file`.
 
         A reader that opens the dataset mid-write sees either the old or
         the new manifest, never a torn one — the invariant
-        :meth:`compact` relies on to swap shard sets under live readers.
+        :meth:`compact` relies on to swap shard sets under live readers —
+        and the shards it lists were fsynced before it was.
         """
         payload = json.dumps(
             {
@@ -158,10 +160,8 @@ class PartitionedDataset:
                 "generation": self.generation,
                 "partitions": [asdict(p) for p in self.partitions],
             }
-        )
-        tmp = self.root / f".{_MANIFEST}.{os.getpid()}.tmp"
-        tmp.write_text(payload)
-        os.replace(tmp, self.root / _MANIFEST)
+        ).encode()
+        replace_file(self.root / _MANIFEST, lambda f: f.write(payload))
 
     # ---------------- access ----------------
 
@@ -437,10 +437,7 @@ class PartitionedDataset:
         # unlink strictly after the manifest rename: concurrent readers
         # holding old mmaps stay valid, re-openers never see a gap
         for fname in obsolete:
-            try:
-                (self.root / fname).unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
+            (self.root / fname).unlink(missing_ok=True)
         return {
             "before": before,
             "n_partitions": self.n_partitions,

@@ -8,8 +8,9 @@ the spec, the stage, or the chunk simply addresses a different file.  The
 layout mirrors git's object store (``<2-hex-prefix>/<hash>.npz``) so a year
 of chunk artifacts never piles thousands of files into one directory.
 
-Writes are atomic (temp file + rename), so concurrent pipeline workers and
-even concurrent processes can share one cache directory: the worst case is
+Writes go through :func:`~repro.frame.io.replace_file`, whose temp file
+is named per process and per thread, so concurrent pipeline workers —
+threads or processes — can share one cache directory: the worst case is
 two workers computing the same artifact and one rename winning.
 """
 
@@ -58,5 +59,5 @@ class ArtifactCache:
             return None
 
     def put(self, key: str, table: Table) -> int:
-        """Store ``table`` under ``key`` atomically; returns bytes on disk."""
-        return save_npz(table, self.path(key), atomic=True)
+        """Store ``table`` under ``key``; returns bytes on disk."""
+        return save_npz(table, self.path(key))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import pickle
 import time as _time
 
+from repro.frame.io import replace_file
 from repro.frame.table import Table, concat
 from repro.obs import trace
 from repro.stream.batch import RecordBatch
@@ -221,11 +222,16 @@ class StreamGraph:
         self._flushed = state["flushed"]
 
     def save_checkpoint(self, path) -> None:
-        """Pickle :meth:`state_dict` to ``path``."""
-        with open(path, "wb") as fh:
-            pickle.dump(self.state_dict(), fh)
+        """Pickle :meth:`state_dict` to ``path``, committed whole."""
+        replace_file(path, lambda fh: pickle.dump(self.state_dict(), fh))
 
     def load_checkpoint(self, path) -> None:
-        """Restore from :meth:`save_checkpoint` output."""
+        """Restore from :meth:`save_checkpoint` output; a file that does
+        not unpickle is a ``ValueError`` naming it."""
         with open(path, "rb") as fh:
-            self.load_state(pickle.load(fh))
+            try:
+                state = pickle.load(fh)
+            except Exception as err:
+                raise ValueError(
+                    f"unreadable checkpoint {path}: {err}") from err
+        self.load_state(state)

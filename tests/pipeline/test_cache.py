@@ -142,16 +142,16 @@ class TestArtifactCache:
 class TestAtomicPut:
     def test_round_trip_and_no_leftovers(self, tmp_path):
         t = _table()
-        n = save_npz(t, tmp_path / "out.npz", atomic=True)
+        n = save_npz(t, tmp_path / "out.npz")
         assert n == (tmp_path / "out.npz").stat().st_size
         assert load_npz(tmp_path / "out.npz") == t
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.npz"]
 
     def test_replaces_existing_entry(self, tmp_path):
         path = tmp_path / "out.npz"
-        save_npz(_table(), path, atomic=True)
+        save_npz(_table(), path)
         bigger = Table({"t": np.arange(50, dtype=np.float64)})
-        save_npz(bigger, path, atomic=True)
+        save_npz(bigger, path)
         assert load_npz(path) == bigger
 
 

@@ -137,6 +137,22 @@ class TestCliStream:
         assert "resumed from checkpoint" not in out
         assert "streamed cluster series:" not in out
 
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
+    def test_unreadable_checkpoint_refused(self, tmp_path, capsys, damage):
+        ckpt = tmp_path / "stream.ckpt"
+        assert main(["stream", *self.ARGS, "--max-batches", "10",
+                     "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes({"truncated": blob[:len(blob) // 2], "empty": b"",
+                          "garbage": b"not a pickle"}[damage])
+
+        rc = main(["stream", *self.ARGS, "--checkpoint", str(ckpt)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: unreadable checkpoint {ckpt}: ")
+        assert out.count("\n") == 1
+
     @pytest.mark.parametrize("flag, value", [
         ("--cache-dir", None), ("--chunk-seconds", "60"),
         ("--backend", "serial"), ("--workers", "2"),
@@ -403,7 +419,8 @@ class TestServeCli:
 
     def test_export_refuses_zero_telemetry_shard_width(self, tmp_path):
         # a zero shard width would never advance the shard writer's sweep;
-        # the timeout turns a hang into a failure
+        # the timeout turns a hang into a failure.  It is refused before
+        # the export, so no dataset is written at all
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "export", *TINY,
              "--output", str(tmp_path / "out"), "--telemetry-minutes", "1",
@@ -412,7 +429,7 @@ class TestServeCli:
             env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert proc.returncode == 1
-        assert proc.stdout.splitlines()[-1] == (
-            "error: day_s must be finite and > 0, got 0.0")
+        assert proc.stdout == ("error: --telemetry-shard-seconds must be "
+                               "finite and > 0, got 0.0\n")
         assert proc.stderr == ""
-        assert not (tmp_path / "out" / "telemetry").exists()
+        assert not (tmp_path / "out").exists()

@@ -198,9 +198,9 @@ def test_frame_surface_is_a_closed_set():
     recoarsener and two ``Table`` constructors had no caller outside tests
     and went; a new frame verb arrives with its first caller.  The codec
     policy has one control, ``REPRO_RCS_COMPRESSION`` (no per-call
-    ``compression=``); ``atomic`` is the fsync hook durable writes use."""
+    ``compression=``)."""
     assert list(inspect.signature(save_rcs).parameters) == [
-        "table", "path", "atomic", "zones",
+        "table", "path", "zones",
     ]
     assert list(inspect.signature(compression_mode).parameters) == []
     assert repro.frame.__all__ == [

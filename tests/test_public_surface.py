@@ -51,8 +51,6 @@ ALLOWED = {
 
 #: ``qualname.param`` -> why a default no non-test caller sets stays
 ALLOWED_DEFAULTS = {
-    "save_rcs.atomic": "the fsync hook durable writes (ROADMAP item 3) "
-                       "will set",
     "Pipeline.stream_graph.edge_threshold_w": "kept for ROADMAP item 1(b)",
     "Pipeline.stream_graph.spectral": "kept for ROADMAP item 1(b)",
     "Executor.mp_context": "tests run fork and spawn in one process; "
@@ -244,7 +242,7 @@ def unset_defaults() -> list[str]:
 def test_every_default_has_a_caller():
     extra = sorted(set(unset_defaults()) - set(ALLOWED_DEFAULTS))
     assert not extra, f"defaults only tests set: {extra}"
-    assert len(ALLOWED_DEFAULTS) <= 9
+    assert len(ALLOWED_DEFAULTS) <= 8
 
 
 def test_default_allow_list_is_not_stale():
