@@ -69,14 +69,13 @@ def main() -> None:
     print(f"per-channel lossless codec: {ratio:.1f}x vs raw float64")
 
     # --- stage 2: parallel 10 s coarsening (Dataset 0) ---
-    pipe = Pipeline(twin, PipelineConfig(backend="threads", max_workers=4))
+    pipe = Pipeline(twin, PipelineConfig(max_workers=4))
     t0 = time.perf_counter()
     coarse = pipe.telemetry_series(
         raw, Query(level="node", metrics=("input_power",))
     )
     print(f"coarsened to {coarse.n_rows:,} 10 s windows "
-          f"({time.perf_counter() - t0:.1f}s with "
-          f"{pipe.executor.max_workers} threads)")
+          f"({time.perf_counter() - t0:.1f}s)")
 
     # --- stage 3: cluster series (Dataset 1) + job join (Dataset 3) ---
     cluster = cluster_power_series(coarse)

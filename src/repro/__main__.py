@@ -63,10 +63,9 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
                    help="time-window shard width for the chunked pipeline")
     p.add_argument("--cache-dir", default=None,
                    help="artifact-cache directory (re-runs skip cached chunks)")
-    p.add_argument("--backend", choices=("serial", "threads", "processes"),
-                   default="threads", help="chunk fan-out backend")
     p.add_argument("--workers", type=int, default=None,
-                   help="executor pool size (default: one per core)")
+                   help="pool size of every stage (default: one per core; "
+                        "1 runs inline)")
     p.add_argument("--no-stats", action="store_true",
                    help="suppress the pipeline stage-counter report")
 
@@ -92,7 +91,6 @@ def _build_pipeline(args):
     try:
         config = None if args.command == "stream" else PipelineConfig(
             chunk_seconds=args.chunk_seconds,
-            backend=args.backend,
             max_workers=args.workers,
             cache_dir=args.cache_dir,
         )

@@ -7,8 +7,8 @@ execution model have callers here:
 * :class:`~repro.parallel.partition.PartitionedDataset` — a directory of
   time-partitioned ``.rcs`` columnar shards with a JSON manifest carrying
   per-shard zone maps,
-* :class:`~repro.parallel.executor.Executor` — serial / thread / process
-  map engine.
+* :class:`~repro.parallel.executor.Executor` — thread / process map
+  engine that runs a one-worker map inline.
 
 What to run over the partitions is decided by the query plan
 (:mod:`repro.plan`), the one sequencer of read → coarsen →

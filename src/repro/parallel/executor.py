@@ -1,14 +1,15 @@
-"""Map engine with serial, thread, and process backends.
+"""Map engine with thread and process backends.
 
-Threads are the default: the hot kernels are numpy reductions that release
-the GIL, so thread-parallel map over partitions scales without the pickling
-cost of processes.  The process backend ships items and results the way
+Threads are the default: numpy reductions and zlib release the GIL, so a
+thread-parallel map over archive shards scales without the pickling cost
+of processes.  The process backend ships items and results the way
 ``ProcessPoolExecutor`` does, by pickle.  Measured on two cores (README,
-"One code path per behaviour"): it is 1.3-1.8x faster than ``serial`` and
-``threads`` on the week-scale twin derivations (``cluster_power`` and
-``job_series`` over 7 days: Python loops over allocations), ties threads
-on archive scans, and loses every map with less than ~0.5 s of work to
-its ~35 ms pool start-up.
+"One code path per behaviour"): it is 1.3-1.8x faster than threads on the
+week-scale twin derivations (``cluster_power`` and ``job_series``: Python
+loops over allocations that hold the GIL) and 4x slower on an archive
+scan.  :class:`~repro.pipeline.runner.Pipeline` therefore picks the
+backend by stage; no user does.  A map of one item, or on one worker,
+runs inline on the calling thread whatever the backend.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any
 from repro.config import cap_workers
 from repro.obs import trace
 
-_BACKENDS = ("serial", "threads", "processes")
+_BACKENDS = ("threads", "processes")
 
 #: first element of the tuple a traced worker call returns in place of
 #: its bare result; the extra slots carry the worker-side span records
@@ -63,13 +64,14 @@ class Executor:
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"threads"``, or ``"processes"``.
+        ``"threads"`` or ``"processes"``.
     max_workers:
-        Pool size, at least 1; defaults to :func:`default_workers`.
+        Pool size, at least 1; defaults to :func:`default_workers`.  One
+        worker runs every map inline, as does a map of one item.
     mp_context:
         Start method for the process backend (``"fork"``, ``"spawn"``,
         ``"forkserver"``); defaults to :func:`default_mp_context`.
-        Ignored by the other backends.
+        Ignored by the thread backend.
     """
 
     def __init__(
@@ -116,16 +118,16 @@ class Executor:
         items = list(items)
         if not trace.is_enabled():
             return self._dispatch(fn, items, label, None)
-        attrs: dict[str, Any] = {"backend": self._effective_backend(items),
+        attrs: dict[str, Any] = {"backend": self._route(items),
                                  "items": len(items)}
         if label is not None:
             attrs["label"] = label
         with trace.span("executor.map", **attrs) as sp:
             return self._dispatch(fn, items, label, sp.context)
 
-    def _effective_backend(self, items: list[Any]) -> str:
-        if self.backend == "serial" or len(items) <= 1:
-            return "serial"
+    def _route(self, items: list[Any]) -> str:
+        if self.max_workers == 1 or len(items) <= 1:
+            return "inline"
         return self.backend
 
     def _dispatch(
@@ -135,33 +137,16 @@ class Executor:
         label: str | None,
         span_ctx: trace.SpanContext | None,
     ) -> list[Any]:
-        if self._effective_backend(items) == "serial":
-            return self._map_serial(fn, items, label, span_ctx)
         call = _ObsCall(fn, span_ctx, label)
-        if self.backend == "threads":
+        route = self._route(items)
+        if route == "inline":
+            results = [call(pair) for pair in enumerate(items)]
+        elif route == "threads":
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
                 results = list(pool.map(call, enumerate(items)))
-            return [_collect(r) for r in results]
-        return self._map_processes(call, items)
-
-    def _map_serial(
-        self,
-        fn: Callable[[Any], Any],
-        items: list[Any],
-        label: str | None,
-        span_ctx: trace.SpanContext | None,
-    ) -> list[Any]:
-        out = []
-        for i, item in enumerate(items):
-            try:
-                # in-process: spans nest through the contextvar, but pin
-                # the sibling seq to the index for parity with the pools
-                with trace.span("executor.task", _seq=i, index=i):
-                    out.append(fn(item))
-            except Exception as exc:
-                _annotate_task_failure(exc, label, i, item)
-                raise
-        return out
+        else:
+            results = self._map_processes(call, items)
+        return [_collect(r) for r in results]
 
     def _map_processes(self, call: "_ObsCall", items: list[Any]) -> list[Any]:
         _check_picklable(call.fn)
@@ -177,7 +162,7 @@ class Executor:
             parts.append(f"backend 'processes' ({self.max_workers} workers)")
             _add_context_note(exc, ", ".join(parts) + ": a worker process died")
             raise
-        return [_collect(r) for r in results]
+        return results
 
 
 def _check_picklable(fn: Callable[[Any], Any]) -> None:
@@ -193,13 +178,12 @@ def _check_picklable(fn: Callable[[Any], Any]) -> None:
         raise NotPicklableError(
             f"backend 'processes' requires a picklable function, but "
             f"{fn!r} cannot be pickled ({exc}); use a module-level function "
-            f"(or a picklable callable class) instead of a lambda/closure, "
-            f"or switch to backend='threads'"
+            f"(or a picklable callable class) instead of a lambda/closure"
         ) from exc
 
 
 class _ObsCall:
-    """Per-task adapter shared by the thread and process pools.
+    """Per-task adapter shared by the inline route and both pools.
 
     Receives ``(index, item)`` pairs.  Always: a worker exception gains
     a note naming the stage label, item index, and a short item
@@ -269,7 +253,7 @@ def _add_context_note(exc: Exception, context: str) -> None:
     note = "repro.parallel task context: " + context
     if hasattr(exc, "add_note"):
         notes = getattr(exc, "__notes__", ())
-        if note not in notes:  # serial path annotates at the raise site
+        if note not in notes:
             exc.add_note(note)
 
 

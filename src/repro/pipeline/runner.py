@@ -4,10 +4,11 @@ The year-scale problem in the paper — 8.5 TB of 1 Hz telemetry — cannot be
 materialized in one in-memory pass.  :class:`Pipeline` therefore runs every
 dataset derivation as a stage of independent shard tasks fanned out
 through :class:`~repro.parallel.executor.Executor`: the twin stages split
-the horizon into ``chunk_seconds`` windows, and the archive stage runs one
-task per surviving shard of a :class:`~repro.plan.QueryPlan`.  Per-stage
-counters (wall time, rows, bytes, cache hits) land in a
-:class:`~repro.pipeline.stats.PipelineStats` report.
+the horizon into ``chunk_seconds`` windows on processes (their Python
+loops hold the GIL), and the archive stage runs one task per surviving
+shard of a :class:`~repro.plan.QueryPlan` on threads (numpy and zlib
+release it).  Per-stage counters (wall time, rows, bytes, cache hits)
+land in a :class:`~repro.pipeline.stats.PipelineStats` report.
 
 Chunked results are **bit-identical** to the single-pass path (the per-job
 and per-sample kernels are elementwise in time and shared with the direct
@@ -66,13 +67,12 @@ class PipelineConfig:
     """Execution knobs for one :class:`Pipeline`.
 
     ``chunk_seconds`` is the shard width (default one day, matching the
-    paper's one-parquet-file-per-day layout); ``backend`` / ``max_workers``
-    select the :class:`~repro.parallel.executor.Executor`; ``cache_dir``
-    enables the on-disk artifact cache.
+    paper's one-parquet-file-per-day layout); ``max_workers`` sizes every
+    stage's pool (1 runs each stage inline); ``cache_dir`` enables the
+    on-disk artifact cache.  Each stage picks its own backend.
     """
 
     chunk_seconds: float = 86_400.0
-    backend: str = "threads"
     max_workers: int | None = None
     cache_dir: str | os.PathLike | None = None
 
@@ -104,7 +104,7 @@ def chunk_windows(
 
 
 # ---------------- picklable chunk tasks ----------------
-# (module-level callable classes so the process backend can ship them)
+# (module-level callable classes so the process pool can ship them)
 
 
 class _Timed:
@@ -186,10 +186,10 @@ class Pipeline:
 
     def __init__(self, source, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
-        self.executor = Executor(
-            backend=self.config.backend,
-            max_workers=self.config.max_workers,
-        )
+        self._executors = {
+            backend: Executor(backend, self.config.max_workers)
+            for backend in ("threads", "processes")
+        }
         self.cache = (
             ArtifactCache(self.config.cache_dir)
             if self.config.cache_dir is not None
@@ -229,16 +229,18 @@ class Pipeline:
         stage: str,
         items: Sequence,
         task_factory: Callable[[], Callable],
+        backend: str,
         keys: Sequence[str] | None = None,
         rows_in: int = 0,
     ) -> list[Table]:
         """Run one stage: cache lookups, fan out misses, store, account.
 
-        ``items`` are the per-chunk task inputs; ``keys`` (when caching) are
-        the content-addressed keys, parallel to ``items``.  Results come
-        back in item order regardless of hit/miss interleaving.
-        ``task_factory`` builds the stage task (see :class:`_Timed` for its
-        contract) and is only called when some chunk missed the cache.
+        ``items`` are the per-chunk task inputs, mapped on the ``backend``
+        pool; ``keys`` (when caching) are the content-addressed keys,
+        parallel to ``items``.  Results come back in item order regardless
+        of hit/miss interleaving.  ``task_factory`` builds the stage task
+        (see :class:`_Timed` for its contract) and is only called when some
+        chunk missed the cache.
         """
         with trace.span("pipeline.stage", stage=stage,
                         items=len(items)) as sp:
@@ -261,7 +263,7 @@ class Pipeline:
                 t1 = _time.perf_counter()
                 task = task_factory()
                 factory_s = _time.perf_counter() - t1
-                outs = self.executor.map(
+                outs = self._executors[backend].map(
                     task, [items[i] for i in miss_idx], label=stage
                 )
                 for i, (elapsed, table) in zip(miss_idx, outs):
@@ -309,6 +311,7 @@ class Pipeline:
             "cluster_power",
             spans,
             lambda: _Timed(_ClusterChunk(self.twin, dt)),
+            "processes",
             keys,
             rows_in=len(times),
         )
@@ -346,6 +349,7 @@ class Pipeline:
             "job_series",
             items,
             lambda: _Timed(_JobChunk(twin, dt, components)),
+            "processes",
             keys,
             rows_in=al.n_rows,
         )
@@ -370,7 +374,7 @@ class Pipeline:
         :class:`~repro.plan.Query`; ``None`` is ``Query()``) over
         ``dataset`` — the one place that sequences prune -> projected read
         -> node filter -> coarsen -> aggregate — and runs its per-shard
-        tasks as stage ``fused`` through this pipeline's executor, so the
+        tasks as stage ``fused`` on this pipeline's thread pool, so the
         per-node coarsened intermediate (typically 10x the final series)
         never crosses the executor boundary; the query service executes the
         same plan object behind its caches.  Planning raises
@@ -380,7 +384,7 @@ class Pipeline:
         """
         plan = plan_query(query or Query(), dataset)
         tables = self._run_stage(
-            "fused", plan.tasks(), lambda: _Timed(plan.run_task),
+            "fused", plan.tasks(), lambda: _Timed(plan.run_task), "threads",
             rows_in=plan.rows_in,
         )
         return plan.finalize(tables)

@@ -201,11 +201,18 @@ class StreamGraph:
         """Restore a :meth:`state_dict` into an identically built graph
         over the same replay; anything else is a ``ValueError`` that
         leaves the graph as it was."""
+        if not isinstance(state, dict):
+            raise ValueError(f"checkpoint holds a {type(state).__name__}, "
+                             f"not a {_FORMAT!r} state")
         if state.get("format") != _FORMAT:
             raise ValueError(
                 f"checkpoint format is {state.get('format')!r}, this "
                 f"runtime reads {_FORMAT!r}; replay from the start"
             )
+        lost = [k for k in ("source", "nodes", "stats", "flushed")
+                if k not in state]
+        if lost:
+            raise ValueError(f"checkpoint lacks {lost}; replay from the start")
         lacks = [n for n in state["nodes"] if n not in self._nodes]
         extra = [n for n in self._nodes if n not in state["nodes"]]
         if lacks or extra:

@@ -13,7 +13,7 @@ from repro.pipeline import Pipeline, PipelineConfig
 @pytest.fixture(scope="module")
 def exported(twin, tmp_path_factory):
     root = tmp_path_factory.mktemp("export")
-    inv = Pipeline(twin, PipelineConfig(backend="serial")).export(root)
+    inv = Pipeline(twin, PipelineConfig(max_workers=1)).export(root)
     return root, inv
 
 

@@ -98,7 +98,7 @@ def telemetry_tables() -> dict[str, Table]:
 
 
 def series_tables() -> dict[str, Table]:
-    pipe = Pipeline(simulate_twin(SERIES), PipelineConfig(backend="serial"))
+    pipe = Pipeline(simulate_twin(SERIES), PipelineConfig(max_workers=1))
     t, p = pipe.cluster_power()
     return {"job_series": pipe.job_series(),
             "cluster_power": Table({"timestamp": t, "sum_inp": p})}

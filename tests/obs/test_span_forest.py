@@ -104,12 +104,13 @@ def _traced_work(depth: int) -> int:
     return depth * 10
 
 
-def _run_executor(backend: str, mp_context: str | None, depths: list[int]):
+def _run_executor(backend: str, mp_context: str | None, depths: list[int],
+                  workers: int = 2):
     ctx = trace.SpanContext("trace-exec", "root-exec")
     trace.enable(None)
     with trace.capture() as records:
         with trace.span("run", _parent=ctx, _seq=0):
-            ex = Executor(backend=backend, max_workers=2,
+            ex = Executor(backend=backend, max_workers=workers,
                           mp_context=mp_context)
             out = ex.map(_traced_work, depths, label="prop")
     trace.disable()
@@ -122,14 +123,14 @@ class TestCrossProcessForest:
                     min_size=2, max_size=5))
     @settings(max_examples=10, deadline=None)
     def test_worker_spans_rebuild_and_match_serial(self, depths):
-        # serial execution is the oracle: the pool backends must produce
+        # one-worker (inline) execution is the oracle: the pools must produce
         # the exact same span ids and parent links, however workers
         # interleave (only timings may differ)
         def shape(records):
             return sorted((r["name"], r["span"], r["parent"])
                           for r in records)
 
-        serial = _run_executor("serial", None, depths)
+        serial = _run_executor("threads", None, depths, workers=1)
         threads = _run_executor("threads", None, depths)
         assert shape(threads) == shape(serial)
         forest = validate_spans(_with_synthetic_root(threads))
@@ -142,7 +143,7 @@ class TestCrossProcessForest:
             return sorted((r["name"], r["span"], r["parent"])
                           for r in records)
 
-        serial = shape(_run_executor("serial", None, depths))
+        serial = shape(_run_executor("threads", None, depths, workers=1))
         fork = shape(_run_executor("processes", "fork", depths))
         spawn = shape(_run_executor("processes", "spawn", depths))
         assert fork == spawn == serial

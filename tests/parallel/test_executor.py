@@ -1,4 +1,4 @@
-"""Unit tests for the Executor backends."""
+"""Unit tests for the Executor: the inline route and both pools."""
 
 import asyncio
 import glob
@@ -13,7 +13,7 @@ import pytest
 
 from repro.frame import (Table, columnar, compression_mode,
                          open_rcs, save_rcs)
-from repro.parallel import Executor, NotPicklableError
+from repro.parallel import Executor, NotPicklableError, executor
 from repro.parallel.executor import default_workers
 
 
@@ -26,21 +26,39 @@ def boom(x):
 
 
 class TestExecutor:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_map_preserves_order(self, backend):
-        ex = Executor(backend=backend, max_workers=2)
+    @pytest.mark.parametrize("backend, workers", [
+        ("threads", 1), ("threads", 2), ("processes", 2),
+    ], ids=["serial", "threads", "processes"])
+    def test_map_preserves_order(self, backend, workers):
+        ex = Executor(backend=backend, max_workers=workers)
         assert ex.map(square, range(10)) == [i * i for i in range(10)]
 
     def test_bad_backend(self):
-        with pytest.raises(ValueError):
-            Executor(backend="gpu")
+        # one worker, not a backend, is the serial route
+        for name in ("gpu", "serial"):
+            with pytest.raises(ValueError, match="backend must be one of "
+                               r"\('threads', 'processes'\)"):
+                Executor(backend=name)
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_one_worker_runs_inline(self, backend, monkeypatch):
+        """One worker maps every task on the calling thread, whatever the
+        backend, and builds no pool."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker map built a pool")
+
+        monkeypatch.setattr(executor, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
+        ex = Executor(backend=backend, max_workers=1)
+        assert ex.map(lambda _: threading.get_ident(), range(4)) == (
+            [threading.get_ident()] * 4)
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_exceptions_propagate(self, backend):
-        ex = Executor(backend=backend)
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "threads"])
+    def test_exceptions_propagate(self, workers):
+        ex = Executor(max_workers=workers)
         with pytest.raises(RuntimeError, match="partition failed"):
             ex.map(boom, [1, 2])
 
@@ -263,11 +281,11 @@ def assert_same_tables(expected: list[Table], got: list[Table]) -> None:
 @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
 class TestProcessTransport:
     """Tables cross the process pool by pickle, in and out, and come
-    back bit for bit what the serial backend computes."""
+    back bit for bit what a one-worker (inline) map computes."""
 
     @staticmethod
     def both(mp_context):
-        return (Executor(backend="serial"),
+        return (Executor(max_workers=1),
                 Executor(backend="processes", max_workers=2,
                          mp_context=mp_context))
 

@@ -2,7 +2,8 @@
 
 Every assertion here is ``np.array_equal`` (or byte equality for exported
 files) — not ``allclose``.  The tentpole's contract is exact equality across
-chunk sizes, executor backends, and cache cold/warm runs.
+chunk sizes, worker counts (one worker runs each stage inline, more run
+it on the stage's pool), and cache cold/warm runs.
 """
 
 import hashlib
@@ -63,16 +64,16 @@ class TestClusterPowerEquivalence:
     )
     def test_chunk_sizes(self, twin_small, single_pass_power, chunk_s):
         pipe = Pipeline(twin_small, PipelineConfig(chunk_seconds=chunk_s,
-                                                   backend="serial"))
+                                                   max_workers=1))
         times, power = pipe.cluster_power()
         ref_t, ref_p = single_pass_power
         assert np.array_equal(times, ref_t)
         assert np.array_equal(power, ref_p)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_backends(self, twin_small, single_pass_power, backend):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "processes"])
+    def test_backends(self, twin_small, single_pass_power, workers):
         pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=0.25 * DAY, backend=backend, max_workers=2,
+            chunk_seconds=0.25 * DAY, max_workers=workers,
         ))
         times, power = pipe.cluster_power()
         assert np.array_equal(times, single_pass_power[0])
@@ -83,7 +84,7 @@ class TestClusterPowerEquivalence:
         rng = np.random.default_rng(2024)
         for chunk_s in rng.uniform(600.0, 2.5 * DAY, size=6):
             pipe = Pipeline(twin_small, PipelineConfig(
-                chunk_seconds=float(chunk_s), backend="serial",
+                chunk_seconds=float(chunk_s), max_workers=1,
             ))
             _, power = pipe.cluster_power()
             assert np.array_equal(power, single_pass_power[1]), chunk_s
@@ -93,20 +94,20 @@ class TestJobSeriesEquivalence:
     @pytest.mark.parametrize("chunk_s", [0.1 * DAY, 0.5 * DAY, DAY, 3 * DAY])
     def test_chunk_sizes(self, twin_small, single_pass_series, chunk_s):
         pipe = Pipeline(twin_small, PipelineConfig(chunk_seconds=chunk_s,
-                                                   backend="serial"))
+                                                   max_workers=1))
         assert_tables_equal(pipe.job_series(), single_pass_series)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_backends(self, twin_small, single_pass_series, backend):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "processes"])
+    def test_backends(self, twin_small, single_pass_series, workers):
         pipe = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=0.5 * DAY, backend=backend, max_workers=2,
+            chunk_seconds=0.5 * DAY, max_workers=workers,
         ))
         assert_tables_equal(pipe.job_series(), single_pass_series)
 
     def test_components(self, twin_small):
         ref = twin_small.job_series(components=True)
         pipe = Pipeline(twin_small, PipelineConfig(chunk_seconds=0.4 * DAY,
-                                                   backend="serial"))
+                                                   max_workers=1))
         assert_tables_equal(pipe.job_series(components=True), ref)
 
 
@@ -118,12 +119,12 @@ class TestFusedEquivalence:
                                chunk_s):
         # the archive's shard width is the chunking: 13, 4, 2 and 1 shards
         ds = build_dataset(telemetry, tmp_path / "tel", chunk_s)
-        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
         assert_tables_equal(pipe.telemetry_series(ds), single_pass(telemetry))
 
     def test_fused_dataset_source(self, twin_small, telemetry, tmp_path):
         ds = build_dataset(telemetry, tmp_path / "tel")
-        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
         got = pipe.telemetry_series(ds)
         assert_tables_equal(got, single_pass(telemetry))
         assert pipe.stats.get("fused").calls == ds.n_partitions
@@ -135,7 +136,7 @@ class TestFusedEquivalence:
         stale = PartitionedDataset(ds.root)
         assert ds.compact(target_rows=10**9)["rewritten"] > 0
         assert not (ds.root / stale.partitions[0].filename).exists()
-        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
         assert_tables_equal(pipe.telemetry_series(stale),
                             single_pass(telemetry))
 
@@ -149,7 +150,7 @@ class TestShardEdges:
         self, twin_small, telemetry, tmp_path, width
     ):
         ds = build_dataset(telemetry, tmp_path / "tel")
-        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
         q = Query(width=width)
         for run in (lambda: pipe.telemetry_series(ds, q),
                     lambda: plan_query(q, ds).execute()):
@@ -170,7 +171,7 @@ class TestShardEdges:
         late = (t >= 895.0) & (telemetry["node"] % 2 == 1)
         ds.append(telemetry.filter((t < 905.0) & ~late), 0.0, 900.0)
         ds.append(telemetry.filter((t >= 905.0) | late), 900.0, 3700.0)
-        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
         with pytest.raises(QueryError, match="overlap.*compact"):
             pipe.telemetry_series(ds)
         ds.compact(target_rows=10**9)
@@ -186,7 +187,7 @@ class TestShardEdges:
     ], ids=["divisor", "single-shard", "raw"])
     def test_still_answered(self, twin_small, telemetry, tmp_path, query):
         ds = build_dataset(telemetry, tmp_path / "tel")
-        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
         got = pipe.telemetry_series(ds, query)
         if query.level == "raw":
             assert got.n_rows == telemetry.n_rows
@@ -197,7 +198,7 @@ class TestShardEdges:
 class TestCacheEquivalence:
     def test_cold_then_warm_identical(self, twin_small, single_pass_series,
                                       single_pass_power, tmp_path):
-        cfg = PipelineConfig(chunk_seconds=0.5 * DAY, backend="serial",
+        cfg = PipelineConfig(chunk_seconds=0.5 * DAY, max_workers=1,
                              cache_dir=tmp_path / "cache")
         cold = Pipeline(twin_small, cfg)
         assert_tables_equal(cold.job_series(), single_pass_series)
@@ -219,11 +220,11 @@ class TestCacheEquivalence:
         # the chunk layout is part of the address: changing it re-computes
         # (correctly) rather than stitching stale shards
         a = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=0.5 * DAY, backend="serial",
+            chunk_seconds=0.5 * DAY, max_workers=1,
             cache_dir=tmp_path / "cache"))
         a.cluster_power()
         b = Pipeline(twin_small, PipelineConfig(
-            chunk_seconds=0.3 * DAY, backend="serial",
+            chunk_seconds=0.3 * DAY, max_workers=1,
             cache_dir=tmp_path / "cache"))
         _, p = b.cluster_power()
         assert np.array_equal(p, single_pass_power[1])
@@ -246,7 +247,7 @@ class TestExportEquivalence:
         ref_root = tmp_path / "ref"
         export_single_pass(twin_small, ref_root)
         pipe = Pipeline(twin_small, PipelineConfig(chunk_seconds=0.5 * DAY,
-                                                   backend="serial"))
+                                                   max_workers=1))
         got_root = tmp_path / "got"
         pipe.export(got_root)
         ref = _tree_digest(ref_root)
@@ -258,7 +259,7 @@ class TestPushdownEquivalence:
     """Projection + predicate pushdown never changes a bit.
 
     compressed == raw shards, projected == full, pruned == filtered —
-    across backends.
+    inline (one worker) and on the thread pool.
     """
 
     SHARD_S = 900.0
@@ -287,22 +288,20 @@ class TestPushdownEquivalence:
         return out
 
     @pytest.mark.parametrize("fmt", list(LAYOUTS))
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "threads"])
     def test_layouts_and_backends(self, twin_small, telemetry, datasets,
-                                  fmt, backend):
-        pipe = Pipeline(twin_small, PipelineConfig(
-            backend=backend, max_workers=2))
+                                  fmt, workers):
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=workers))
         got = pipe.telemetry_series(datasets[fmt])
         assert_tables_equal(got, single_pass(telemetry))
 
     @pytest.mark.parametrize("name", list(QUERIES))
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_query_matrix(self, twin_small, telemetry, datasets, backend,
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "threads"])
+    def test_query_matrix(self, twin_small, telemetry, datasets, workers,
                           name):
         # pipeline == in-process plan == kernels over the filtered table
         query = self.QUERIES[name]
-        pipe = Pipeline(twin_small, PipelineConfig(
-            backend=backend, max_workers=2))
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=workers))
         got = pipe.telemetry_series(datasets["rcs"], query)
         assert_tables_equal(got, plan_query(query, datasets["rcs"]).execute())
         assert_tables_equal(got, single_pass(telemetry, query))
@@ -313,21 +312,21 @@ class TestPushdownEquivalence:
         # pruned reads must reproduce exactly what filtering the full read
         # would have given
         query = Query(**self.RANGE)
-        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
         assert_tables_equal(pipe.telemetry_series(datasets[fmt], query),
                             single_pass(telemetry, query))
 
     @pytest.mark.parametrize("fmt", list(LAYOUTS))
     def test_empty_time_range_is_empty_series(self, twin_small, telemetry,
                                               datasets, fmt):
-        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
         got = pipe.telemetry_series(datasets[fmt],
                                     Query(t_begin=1e6, t_end=2e6))
         assert_tables_equal(got, single_pass(telemetry)[:0])
 
     def test_predicate_prunes_shards_before_read(self, twin_small, datasets):
         ds = datasets["rcs"]
-        pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
         pipe.telemetry_series(ds, Query(**self.RANGE))
         # zone maps admit the two in-range shards plus the one holding the
         # 0-5 s collector-delay spillover at the range edge — the rest of
@@ -340,7 +339,7 @@ class TestPushdownEquivalence:
         # the archive is already on disk: a cache_dir caches twin stages
         # only, and the fused stage neither looks up nor writes artifacts
         cache_dir = tmp_path / "cache"
-        pipe = Pipeline(twin_small, PipelineConfig(backend="serial",
+        pipe = Pipeline(twin_small, PipelineConfig(max_workers=1,
                                                    cache_dir=cache_dir))
         pipe.telemetry_series(datasets["rcs"])
         assert pipe.stats.get("fused").cache_misses == 0

@@ -4,7 +4,7 @@ One hour of twin telemetry is written as two byte-different stores —
 compressed ``.rcs`` (per-column codecs) and raw ``.rcs``
 (``REPRO_RCS_COMPRESSION=off``) — and every pipeline route over them must
 produce results bit-identical to the in-memory table's single-pass
-reference: batch over the serial, threads and processes backends,
+reference: batch inline (one worker) and on the thread pool,
 projection + time-range pushdown, and the streaming engine.  The artifact
 cache's keys are proven disjoint across storage configs and
 ``CACHE_FORMAT_VERSION`` bumps, so no stale artifact can ever leak
@@ -69,7 +69,7 @@ def stores(telemetry, tmp_path_factory):
 
 
 def series_over(store, twin, **cfg):
-    defaults = dict(backend="serial")
+    defaults = dict(max_workers=1)
     defaults.update(cfg)
     return Pipeline(twin, PipelineConfig(**defaults)).telemetry_series(store)
 
@@ -80,20 +80,18 @@ class TestBatchRoutes:
         got = series_over(stores[kind], twin_small)
         assert_tables_equal(got, single_pass)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    # two workers: the fused stage's thread pool (one is test_fused_serial)
+    @pytest.mark.parametrize("workers", [2], ids=["threads"])
     def test_compressed_store_backends(self, stores, twin_small,
-                                       single_pass, backend):
-        # processes: each shard's result is pickled back to the parent,
-        # and must still be bit-identical
+                                       single_pass, workers):
         got = series_over(stores["compressed"], twin_small,
-                          backend=backend, max_workers=2)
+                          max_workers=workers)
         assert_tables_equal(got, single_pass)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("workers", [2], ids=["threads"])
     def test_raw_store_backends(self, stores, twin_small, single_pass,
-                                backend):
-        got = series_over(stores["raw"], twin_small,
-                          backend=backend, max_workers=2)
+                                workers):
+        got = series_over(stores["raw"], twin_small, max_workers=workers)
         assert_tables_equal(got, single_pass)
 
 
@@ -105,7 +103,7 @@ class TestPushdownRoutes:
         ref = oracle.single_pass(telemetry, query)
         assert ref.n_rows > 0
         for kind in STORES:
-            pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+            pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
             assert_tables_equal(pipe.telemetry_series(stores[kind], query),
                                 ref)
 
@@ -139,7 +137,7 @@ class TestStreamingRoute:
         results = {}
         read_back = [(kind, ds.to_table()) for kind, ds in stores.items()]
         for kind, source in [("memory", telemetry), *read_back]:
-            pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+            pipe = Pipeline(twin_small, PipelineConfig(max_workers=1))
             graph = pipe.stream_graph(source, skew=False, spectral=False)
             graph.run()
             agg = graph.result("aggregate")
@@ -154,7 +152,7 @@ class TestCacheIsolation:
 
     def power_over(self, twin, cache_dir):
         pipe = Pipeline(twin, PipelineConfig(
-            backend="serial", chunk_seconds=21_600.0, cache_dir=cache_dir))
+            max_workers=1, chunk_seconds=21_600.0, cache_dir=cache_dir))
         _, power = pipe.cluster_power()
         return power, pipe.stats.get("cluster_power")
 

@@ -119,7 +119,7 @@ def compute() -> dict:
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
             mock.patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": "auto"}):
         pipe = Pipeline(twin, PipelineConfig(
-            backend="serial", chunk_seconds=600.0, cache_dir="artifacts"))
+            max_workers=1, chunk_seconds=600.0, cache_dir="artifacts"))
         lookups = recorded_lookups(pipe)
         pipe.cluster_power(10.0)
         out["cluster_power keys"] = list(lookups)

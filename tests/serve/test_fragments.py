@@ -175,7 +175,7 @@ class TestServiceEquivalence:
             resp = run(answer(svc, q))
         finally:
             svc.close()
-        pipe = Pipeline(SPEC, PipelineConfig(backend="serial"))
+        pipe = Pipeline(SPEC, PipelineConfig(max_workers=1))
         assert resp["table"] == pipe.telemetry_series(dataset, q)
         assert resp["table"] == single_pass(telemetry, q)
 

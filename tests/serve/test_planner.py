@@ -23,7 +23,7 @@ class TestBitIdentity:
         agree bit-for-bit over the same archived dataset."""
         q = Query(t_begin=0.0, t_end=SPEC.horizon_s, width=10.0)
         out = plan_query(q, dataset).execute()
-        pipe = Pipeline(SPEC, PipelineConfig(backend="serial"))
+        pipe = Pipeline(SPEC, PipelineConfig(max_workers=1))
         assert out == pipe.telemetry_series(dataset, q)
         assert out == single_pass(telemetry, q)
 

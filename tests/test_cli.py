@@ -1,6 +1,7 @@
 """Unit tests for the ``python -m repro`` CLI."""
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -137,20 +138,31 @@ class TestCliStream:
         assert "resumed from checkpoint" not in out
         assert "streamed cluster series:" not in out
 
-    @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
+    @pytest.mark.parametrize("damage", [
+        "truncated", "empty", "garbage", "list", "stamp-only",
+    ])
     def test_unreadable_checkpoint_refused(self, tmp_path, capsys, damage):
         ckpt = tmp_path / "stream.ckpt"
         assert main(["stream", *self.ARGS, "--max-batches", "10",
                      "--checkpoint", str(ckpt)]) == 0
         capsys.readouterr()
         blob = ckpt.read_bytes()
-        ckpt.write_bytes({"truncated": blob[:len(blob) // 2], "empty": b"",
-                          "garbage": b"not a pickle"}[damage])
+        ckpt.write_bytes({
+            "truncated": blob[:len(blob) // 2], "empty": b"",
+            "garbage": b"not a pickle", "list": pickle.dumps([1, 2]),
+            "stamp-only": pickle.dumps(
+                {"format": "repro.stream.checkpoint.v2"}),
+        }[damage])
 
         rc = main(["stream", *self.ARGS, "--checkpoint", str(ckpt)])
         assert rc == 1
         out = capsys.readouterr().out
-        assert out.startswith(f"error: unreadable checkpoint {ckpt}: ")
+        error = {
+            "list": "checkpoint holds a list, ",
+            "stamp-only": "checkpoint lacks ['source', 'nodes', 'stats', "
+                          "'flushed']; ",
+        }.get(damage, f"unreadable checkpoint {ckpt}: ")
+        assert out.startswith("error: " + error)
         assert out.count("\n") == 1
 
     @pytest.mark.parametrize("flag, value", [
@@ -173,25 +185,28 @@ class TestCliPipelineFlags:
 
     def test_simulate_prints_stage_report(self, capsys):
         rc = main(["simulate", *self.ARGS, "--chunk-seconds", "7200",
-                   "--backend", "serial"])
+                   "--workers", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "cluster_power" in out
         assert "cache: disabled" in out
 
     def test_no_stats_suppresses_report(self, capsys):
-        rc = main(["simulate", *self.ARGS, "--backend", "serial",
+        rc = main(["simulate", *self.ARGS, "--workers", "1",
                    "--no-stats"])
         assert rc == 0
         assert "cache:" not in capsys.readouterr().out
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", *self.ARGS, "--backend", "dask"])
+    def test_bad_backend_rejected(self, capsys):
+        """The pipeline picks each stage's pool: no backend is a flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *self.ARGS, "--backend", "threads"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_export_warm_cache_reruns_from_cache(self, tmp_path, capsys):
         base = ["export", *self.ARGS,
-                "--chunk-seconds", "10800", "--backend", "serial",
+                "--chunk-seconds", "10800", "--workers", "1",
                 "--cache-dir", str(tmp_path / "cache")]
         assert main([*base, "--output", str(tmp_path / "a")]) == 0
         cold = capsys.readouterr().out
@@ -218,7 +233,7 @@ class TestCliPipelineFlags:
         ref = capsys.readouterr().out
         assert main(["simulate", *self.ARGS, "--no-stats",
                      "--chunk-seconds", "3600",
-                     "--backend", "serial"]) == 0
+                     "--workers", "1"]) == 0
         assert capsys.readouterr().out == ref
 
 

@@ -30,6 +30,7 @@ from repro.frame.encodings import frame_compress, frame_decompress
 from repro.frame.window import window_index
 from repro.obs import trace
 from repro.parallel import Executor, PartitionedDataset
+from repro.parallel.executor import _BACKENDS
 from repro.pipeline import (ArtifactCache, Pipeline, PipelineConfig,
                             StageStats)
 from repro.plan import Query, plan_query
@@ -85,10 +86,12 @@ def _params(cls) -> list[str]:
 
 def test_executor_and_pipeline_knobs_are_a_closed_set():
     """The next transport or start-method knob arrives with its
-    measurement, like the env vars above."""
+    measurement, like the env vars above.  The pipeline picks each
+    stage's backend; no user does."""
     assert _params(Executor) == ["backend", "max_workers", "mp_context"]
+    assert _BACKENDS == ("threads", "processes")
     assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
-        "chunk_seconds", "backend", "max_workers", "cache_dir",
+        "chunk_seconds", "max_workers", "cache_dir",
     ]
 
 

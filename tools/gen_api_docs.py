@@ -46,8 +46,9 @@ PROSE = {
 
 `repro.pipeline` runs the twin and its dataset derivations **out of
 core**: the horizon is split into `chunk_seconds`-wide time windows, each
-window is one task fanned out through `repro.parallel.Executor`
-(`serial` / `threads` / `processes`), and chunked results are
+window is one task fanned out through `repro.parallel.Executor` — the
+twin stages on processes, the archive stage on threads, each stage
+inline at one worker — and chunked results are
 **bit-identical** to the single-pass path (asserted by
 `tests/pipeline/test_equivalence.py`).
 
@@ -64,8 +65,7 @@ CLI integration (`python -m repro simulate|export`):
 |---|---|
 | `--chunk-seconds S` | shard width (default 86400, one day) |
 | `--cache-dir DIR` | enable the artifact cache |
-| `--backend {serial,threads,processes}` | chunk fan-out backend |
-| `--workers N` | executor pool size, at least 1 (default: one per core, capped by `REPRO_MAX_WORKERS`) |
+| `--workers N` | pool size of every stage, at least 1; 1 runs inline (default: one per core, capped by `REPRO_MAX_WORKERS`) |
 | `--no-stats` | suppress the per-stage counter report |
 """,
     "repro.stream": """\
