@@ -13,6 +13,7 @@ import pytest
 
 from repro.frame import (Table, columnar, compression_mode,
                          open_rcs, save_rcs)
+from repro.obs import trace
 from repro.parallel import Executor, NotPicklableError, executor
 from repro.parallel.executor import default_workers
 
@@ -23,6 +24,27 @@ def square(x):
 
 def boom(x):
     raise RuntimeError("partition failed")
+
+
+@pytest.fixture()
+def no_pool(monkeypatch):
+    """Fail any map that builds a thread or process pool."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an inline map built a pool")
+
+    monkeypatch.setattr(executor, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", refuse)
+
+
+def traced_thread_ids(ex, items):
+    """The thread each task ran on, and the attrs of the map's span."""
+    trace.enable(None)
+    try:
+        with trace.capture() as records:
+            ids = ex.map(lambda _: threading.get_ident(), items)
+    finally:
+        trace.disable()
+    return ids, [r["attrs"] for r in records if r["name"] == "executor.map"]
 
 
 class TestExecutor:
@@ -41,17 +63,12 @@ class TestExecutor:
                 Executor(backend=name)
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_one_worker_runs_inline(self, backend, monkeypatch):
+    def test_one_worker_runs_inline(self, backend, no_pool):
         """One worker maps every task on the calling thread, whatever the
         backend, and builds no pool."""
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-worker map built a pool")
-
-        monkeypatch.setattr(executor, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
         ex = Executor(backend=backend, max_workers=1)
-        assert ex.map(lambda _: threading.get_ident(), range(4)) == (
-            [threading.get_ident()] * 4)
+        assert traced_thread_ids(ex, range(4)) == (
+            [threading.get_ident()] * 4, [{"backend": "inline", "items": 4}])
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
@@ -62,9 +79,11 @@ class TestExecutor:
         with pytest.raises(RuntimeError, match="partition failed"):
             ex.map(boom, [1, 2])
 
-    def test_single_item_runs_inline(self):
-        ex = Executor(backend="processes")
+    def test_single_item_runs_inline(self, no_pool):
+        ex = Executor(backend="processes", max_workers=2)
         assert ex.map(square, [4]) == [16]
+        assert traced_thread_ids(ex, [0]) == (
+            [threading.get_ident()], [{"backend": "inline", "items": 1}])
 
     def test_empty_items(self):
         assert Executor().map(square, []) == []
